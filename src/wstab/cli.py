@@ -164,9 +164,7 @@ def cmd_sweep(args) -> int:
     tree = scenario_to_tree(scn)
     tree.pop("expect", None)
     tree["sweep"] = {"param": args.param, "values": values}
-    swept = parse_scenario(tree, scn.name)
-    swept.space_factory = scn.space_factory
-    result = run_scenario(swept)
+    result = run_scenario(parse_scenario(tree, scn.name))
     return _finish(result, args.out)
 
 

@@ -83,12 +83,6 @@ def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
     return np.sum(Xv * data.N, axis=1)
 
 
-def tangential_part(field: VariationField, data: ExtrinsicData) -> Array:
-    Xv = field.values(data.pos, data.params)
-    u = np.sum(Xv * data.N, axis=1)
-    return Xv - u[:, None] * data.N
-
-
 # ---------------------------------------------------------------------------
 # flows and deformed families
 # ---------------------------------------------------------------------------

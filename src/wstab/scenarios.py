@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -23,9 +21,9 @@ from .functionals import (DeformedFamily, Quadrature, RotationFlow,
                           ScalingFlow, TranslationFlow, first_variation_fd,
                           second_variation_fd, swept_weighted_volume,
                           weighted_area)
-from .stability import (CONSTRAINED_DOF_LIMIT, assemble, index_form_value,
-                        robin_eigenproblem, strong_stability_verdict,
-                        vertex_normals, volume_constrained_verdict)
+from .stability import (assemble, index_form_value, robin_eigenproblem,
+                        strong_stability_verdict, vertex_normals,
+                        volume_constrained_verdict)
 from .surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                       extrinsic_geometry, mesh_from_immersion,
                       stationarity_verdict)
@@ -68,16 +66,6 @@ DEFAULT_TOLS = {
 }
 
 
-def worker_count() -> int:
-    """Bounded worker count, capped by the WSTAB_THREADS environment variable."""
-    cap = os.environ.get("WSTAB_THREADS", "")
-    try:
-        n = int(cap) if cap else min(4, os.cpu_count() or 1)
-    except ValueError:
-        raise ConfigError(f"WSTAB_THREADS must be an integer, got {cap!r}")
-    return max(1, n)
-
-
 # ---------------------------------------------------------------------------
 # strict parsing
 # ---------------------------------------------------------------------------
@@ -105,10 +93,9 @@ def _registry_params(obj: dict, registry: dict, kind: str):
                           f"(available: {', '.join(sorted(registry))})")
     factory = registry[name]
     params = {k: v for k, v in obj.items() if k != "name"}
-    if factory is not None and not isinstance(factory, type(None)):
-        sig_target = factory
+    if factory is not None:
         try:
-            allowed = set(inspect.signature(sig_target).parameters)
+            allowed = set(inspect.signature(factory).parameters)
         except (TypeError, ValueError):
             allowed = set(params)
         for key in params:
@@ -131,8 +118,6 @@ class Scenario:
     sweep: Optional[dict] = None
     expect: Dict[str, Any] = field(default_factory=dict)
     description: str = ""
-    # programmatic overrides used by builtins that need non-registry pieces
-    space_factory: Any = None
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLS[key]))
@@ -242,8 +227,6 @@ def _tupled(value):
 
 
 def build_space(scn: Scenario) -> AmbientSpace:
-    if scn.space_factory is not None:
-        return scn.space_factory()
     amb = scn.ambient
     d = dict(amb["density"])
     b = dict(amb["boundary"])
@@ -360,14 +343,12 @@ def _run_sweep(scn: Scenario, quad: Quadrature) -> RunResult:
         tree = scenario_to_tree(scn)
         tree.pop("expect", None)
         _set_path(tree, param, int(v) if param == "resolution" else float(v))
-        sub = parse_scenario(tree, scn.name)
-        sub.space_factory = scn.space_factory
-        res = _run_single(sub, quad)
+        res = _run_single(parse_scenario(tree, scn.name), quad)
         lam = res.report.get("results", {}).get("spectrum", {}).get("lambda_min")
         rows.append([float(v), lam])
         sub_reports[repr(float(v))] = res.report
     header = [param, "lambda_min"]
-    if param == "resolution" and len(rows) >= 3:
+    if param == "resolution" and len(rows) >= 3 and "spectrum" in scn.tasks:
         # observed convergence order against the finest value
         header.append("order")
         lam_ref = rows[-1][1]
@@ -382,12 +363,14 @@ def _run_sweep(scn: Scenario, quad: Quadrature) -> RunResult:
     checks = []
     if "sweep_zero_crossing" in scn.expect:
         target = float(scn.expect["sweep_zero_crossing"])
-        lam_at = {r[0]: r[1] for r in rows}
-        ok = target in lam_at and abs(lam_at[target]) <= 2e-2
+        at_target = [r[1] for r in rows
+                     if math.isclose(r[0], target, rel_tol=1e-9, abs_tol=1e-12)]
+        lam = at_target[0] if at_target else None
+        ok = lam is not None and abs(lam) <= 2e-2
         lams = [r[1] for r in rows]
         monotone = all(lams[i] > lams[i + 1] - 1e-9 for i in range(len(lams) - 1))
         checks.append(Check("sweep-zero-crossing", bool(ok and monotone),
-                            f"lambda_min({target}) = {lam_at.get(target)!r}, "
+                            f"lambda_min({target}) = {lam!r}, "
                             f"decreasing = {monotone}"))
     report = {"name": scn.name, "sweep": {"param": param,
                                           "values": [float(v) for v in values],
@@ -428,10 +411,16 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
 
     needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
     asm = assemble(space, mesh, quad) if needs_asm else None
+    # one spectrum and one strong verdict serve both spectrum and topology
+    spec = strong = None
+    if {"spectrum", "topology"} & set(scn.tasks):
+        spec = robin_eigenproblem(asm, count=6)
+        vtol = scn.tol("verdict") * max(
+            1.0, float(np.max(np.abs(spec.eigenvalues))))
+        strong = strong_stability_verdict(spec, tol=vtol)
     flow = build_flow(scn) if scn.variation is not None else None
     family = (DeformedFamily(space, imm, mesh, flow)
               if flow is not None else None)
-    vtol = scn.tol("verdict")
 
     results: Dict[str, Any] = {}
 
@@ -475,12 +464,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
                             f"|fd - I_f(u,u)| = {diff:.2e}"))
 
     def t_spectrum():
-        spec = robin_eigenproblem(asm, count=6)
-        strong = strong_stability_verdict(spec, tol=vtol * max(
-            1.0, float(np.max(np.abs(spec.eigenvalues)))))
-        constrained = None
-        if asm.dof <= CONSTRAINED_DOF_LIMIT:
-            constrained = volume_constrained_verdict(asm, spec)
+        constrained = volume_constrained_verdict(asm, tol=vtol)
         results["spectrum"] = {
             "dof": int(asm.dof),
             "eigenvalues": [_f(x) for x in spec.eigenvalues],
@@ -503,7 +487,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
         if "strong" in exp:
             ok = ok and strong == bool(exp["strong"])
             detail += f", strong = {strong}"
-        if "volume_constrained" in exp and constrained is not None:
+        if "volume_constrained" in exp:
             ok = ok and constrained == bool(exp["volume_constrained"])
             detail += f", volume_constrained = {constrained}"
         checks.append(Check("spectrum", bool(ok), detail))
@@ -523,8 +507,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
 
     def t_topology():
         chain = stability_topology_chain(space, mesh, data)
-        spec = robin_eigenproblem(asm, count=6)
-        verdict = topology_verdict(chain, spec)
+        verdict = topology_verdict(chain, strong)
         results["topology"] = {
             "I_f_u": _f(chain.I_f_u),
             "bound1": _f(chain.bound1),
@@ -610,15 +593,8 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
         "foliation": t_foliation,
     }
 
-    ordered = [t for t in TASKS if t in scn.tasks]
-    workers = worker_count()
-    if workers > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(runners[t]) for t in ordered]
-            for f in futures:
-                f.result()
-    else:
-        for t in ordered:
+    for t in TASKS:
+        if t in scn.tasks:
             runners[t]()
 
     checks.sort(key=lambda c: c.name)

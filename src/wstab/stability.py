@@ -6,11 +6,11 @@ form and is never imposed strongly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -20,9 +20,6 @@ from .functionals import DeformedFamily, Quadrature, geometry
 from .surface import SurfaceMesh, TRI_RULES, stationarity_verdict
 
 Array = np.ndarray
-
-DENSE_DOF_LIMIT = 3000
-CONSTRAINED_DOF_LIMIT = 4500
 
 # gradients of the P1 hats in reference coordinates (xi, eta)
 HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -48,6 +45,11 @@ class IndexFormAssembly:
     @property
     def operator(self) -> sp.csr_matrix:
         return (self.K - self.P - self.B).tocsr()
+
+    @functools.cached_property
+    def shifted_factor(self) -> "ShiftedFactor":
+        """The one factorization both spectral solves share."""
+        return _factor_below_spectrum(self)
 
 
 def assemble(space: AmbientSpace, mesh: SurfaceMesh,
@@ -143,30 +145,64 @@ def _pencil_residuals(A, M, vals, vecs) -> Array:
     return out
 
 
-def robin_eigenproblem(asm: IndexFormAssembly, count: int = 6) -> SpectralResult:
-    """Smallest eigenpairs of (K - P - B) u = lambda M u."""
-    if count > asm.dof:
-        raise InputError("requested more eigenpairs than degrees of freedom")
+@dataclass(frozen=True)
+class ShiftedFactor:
+    """Sparse LU of A - sigma M, A = K - P - B, with sigma < lambda_min."""
+
+    sigma: float
+    lu: spla.SuperLU
+
+
+def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
+    """Factor A - sigma M for the first sigma the factor proves is low enough.
+
+    The LU runs in symmetric mode without pivoting off the diagonal, so it
+    is an L D L^T factorization of a symmetric permutation and, by
+    Sylvester's law of inertia, its negative pivots count the eigenvalues
+    below sigma.  A sigma is accepted only with all pivots positive.
+    """
     A = asm.operator
     M = asm.M
-    if asm.dof <= DENSE_DOF_LIMIT:
-        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(),
-                                       subset_by_index=[0, count - 1])
-    else:
-        # shift below the lowest possible eigenvalue, then shift-invert
-        pot = asm.data.ricf_NN + asm.data.sigma2
-        sigma = -float(np.max(np.abs(pot))) - 1.0
-        for _ in range(4):
-            vals, vecs = spla.eigsh(A, k=count, M=M, sigma=sigma, which="LM")
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
-            if vals[0] > sigma + 1e-9 * max(1.0, abs(sigma)):
-                break
-            sigma *= 2.0
-        else:
-            raise NumericalFailure("shift-invert eigensolver failed to bracket "
-                                   "the lowest eigenvalue")
-    res = _pencil_residuals(A, M, vals, vecs)
+    pot = asm.data.ricf_NN + asm.data.sigma2
+    sigma = -float(np.max(np.abs(pot))) - 1.0
+    for _ in range(4):
+        try:
+            lu = spla.splu((A - sigma * M).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:      # exactly singular: sigma is an eigenvalue
+            lu = None
+        if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+                and np.all(lu.U.diagonal() > 0.0)):
+            return ShiftedFactor(sigma, lu)
+        sigma *= 2.0
+    raise NumericalFailure("shift-invert eigensolver failed to bracket "
+                           "the lowest eigenvalue")
+
+
+def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
+    """ARPACK shift-invert mode with ``solve`` applying (A - sigma M)^-1."""
+    n = asm.dof
+    op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    # a fixed start vector keeps the result identical from run to run
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        return spla.eigsh(asm.operator, k=count, M=asm.M,
+                          sigma=asm.shifted_factor.sigma, which="LM",
+                          OPinv=op, v0=v0)
+    except (spla.ArpackError, np.linalg.LinAlgError) as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+
+
+def robin_eigenproblem(asm: IndexFormAssembly, count: int = 6) -> SpectralResult:
+    """Smallest eigenpairs of (K - P - B) u = lambda M u."""
+    if count >= asm.dof:
+        raise InputError("requested as many eigenpairs as degrees of freedom")
+    vals, vecs = _shift_invert_eigsh(asm, count, asm.shifted_factor.lu.solve)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    A = asm.operator
+    res = _pencil_residuals(A, asm.M, vals, vecs)
     if np.max(res) > 1e-8 * max(1.0, spla.norm(A, np.inf)):
         raise NumericalFailure(f"eigenpair residual too large: {np.max(res):.2e}")
     return SpectralResult(vals, vecs, res)
@@ -183,44 +219,29 @@ def strong_stability_verdict(spec: SpectralResult,
 def constrained_lambda_min(asm: IndexFormAssembly) -> float:
     """Minimum Rayleigh quotient of (K-P-B, M) over {u : 1^T M u = 0}.
 
-    The weighted-mean-zero constraint is removed with a Householder
-    reflection; the reduced dense pencil is then solved directly.
+    A modified eigenproblem on the same shifted factor: with c = M 1 and
+    z = (A - sigma M)^-1 c, the saddle-point inverse
+    b -> w - z (c.w)/(c.z), w = (A - sigma M)^-1 b, maps into the
+    constraint space and its shift-invert eigenvalues are exactly those
+    of the pencil restricted to it.
     """
-    if asm.dof > CONSTRAINED_DOF_LIMIT:
-        raise InputError(
-            f"constrained verdict uses a dense solve; DOF {asm.dof} exceeds "
-            f"{CONSTRAINED_DOF_LIMIT} (reduce the resolution)")
-    A = asm.operator.toarray()
-    M = asm.M.toarray()
-    m = M @ np.ones(asm.dof)
-    v = m.copy()
-    v[0] += np.sign(m[0] if m[0] != 0 else 1.0) * np.linalg.norm(m)
-    beta = 2.0 / (v @ v)
+    solve = asm.shifted_factor.lu.solve
+    c = asm.M @ np.ones(asm.dof)
+    z = solve(c)
+    cz = float(c @ z)
 
-    def reflect(X):
-        Xv = X @ v
-        X = X - beta * np.outer(Xv, v)
-        vX = v @ X
-        return X - beta * np.outer(v, vX)
+    def constrained_solve(b):
+        w = solve(b)
+        return w - z * (float(c @ w) / cz)
 
-    Ar = reflect(A)[1:, 1:]
-    Mr = reflect(M)[1:, 1:]
-    vals = scipy.linalg.eigh(Ar, Mr, subset_by_index=[0, 0],
-                             eigvals_only=True)
+    vals, _ = _shift_invert_eigsh(asm, 1, constrained_solve)
     return float(vals[0])
 
 
 def volume_constrained_verdict(asm: IndexFormAssembly,
-                               spec: Optional[SpectralResult] = None,
-                               tol: Optional[float] = None) -> bool:
+                               tol: float = 1e-3) -> bool:
     """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely)."""
-    lam = constrained_lambda_min(asm)
-    if tol is None:
-        scale = 1.0
-        if spec is not None:
-            scale = max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-        tol = 1e-3 * scale
-    return lam >= -tol
+    return constrained_lambda_min(asm) >= -tol
 
 
 # ---------------------------------------------------------------------------

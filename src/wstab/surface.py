@@ -433,10 +433,6 @@ def _boundary_loops(boundary_edges: Array, n_vertices: int) -> int:
     return len(roots)
 
 
-def _min_angle_deg(positions: Array, triangles: Array) -> float:
-    return _min_angle_from_corners(positions[triangles])
-
-
 def _min_angle_from_corners(p: Array) -> float:
     a = p[:, 1] - p[:, 0]
     b = p[:, 2] - p[:, 0]
@@ -963,14 +959,6 @@ def extrinsic_geometry(space: AmbientSpace, imm: Optional[Immersion],
         for k, v in bd.items():
             setattr(data, k, v)
     return data
-
-
-def contact_angle(space: AmbientSpace, mesh: SurfaceMesh,
-                  data: ExtrinsicData) -> Array:
-    """<N, xi> at every boundary quadrature point (zero = orthogonal)."""
-    if not data.has_boundary:
-        raise InputError("surface has no boundary")
-    return data.contact
 
 
 @dataclass(frozen=True)

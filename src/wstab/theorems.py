@@ -14,7 +14,7 @@ import numpy as np
 from .ambient import AmbientSpace
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily, Quadrature
-from .stability import IndexFormAssembly, SpectralResult, strong_stability_verdict
+from .stability import IndexFormAssembly
 from .surface import ExtrinsicData, SurfaceMesh, stationarity_verdict
 
 Array = np.ndarray
@@ -152,11 +152,11 @@ INCONSISTENT = "Inconsistent"
 NOT_APPLICABLE = "NotApplicable"
 
 
-def topology_verdict(chain: ChainReport, spectrum: SpectralResult) -> str:
+def topology_verdict(chain: ChainReport, strongly_stable: bool) -> str:
     """Topology classification under the chain's hypotheses plus stability."""
     if not (chain.hyp_curvature.holds and chain.hyp_convexity.holds):
         return NOT_APPLICABLE
-    if not strong_stability_verdict(spectrum):
+    if not strongly_stable:
         return NOT_APPLICABLE
     if chain.has_boundary:
         return DISK_OR_CYLINDER if chain.chi in (0, 1) else INCONSISTENT

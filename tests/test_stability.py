@@ -3,19 +3,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as cf
-from wstab.errors import InputError
+from wstab.ambient import make_space
+from wstab.errors import InputError, NumericalFailure
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, constrained_lambda_min,
                              index_form_value, jacobi_apply, jacobi_fd_check,
                              jacobi_symmetry_residual, robin_eigenproblem,
                              strong_stability_verdict,
                              volume_constrained_verdict)
-from wstab.surface import SphericalCap, mesh_from_immersion
+from wstab.surface import RectPatch, SphericalCap, mesh_from_immersion
 
 TAU = 2.0 * math.pi
 RNG = np.random.default_rng(11)
@@ -25,6 +28,36 @@ def assembly(kind, resolution, density="constant", **params):
     space, imm, mesh, _ = cf.cached_geometry(kind, resolution, density,
                                              **params)
     return assemble(space, mesh, cf.QUAD)
+
+
+def cone_cap_assembly(resolution):
+    """Cap in a convex cone with the log-convex density psi = |p|^2/2."""
+    alpha = 0.7
+    space = make_space(dim=3,
+                       density=("radial-smooth", {"coeffs": (0.0, 0.0, 0.5)}),
+                       boundary=("cone", {"alpha": alpha}))
+    mesh = mesh_from_immersion(SphericalCap(alpha=alpha), resolution,
+                               space=space)
+    return assemble(space, mesh, cf.QUAD)
+
+
+def flat_torus_assembly(resolution):
+    """Doubly periodic slice of a weighted product with psi = x."""
+    space = make_space(dim=3, density=("linear", {"a": (1.0, 0.0, 0.0)}),
+                       metric_kind="product", circumferences=(None, TAU, TAU))
+    imm = RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
+                    u_range=(0.0, TAU), v_range=(0.0, TAU), periodic_u=True,
+                    periodic_v=True)
+    return assemble(space, mesh_from_immersion(imm, resolution, space=space),
+                    cf.QUAD)
+
+
+ORACLE_ASSEMBLIES = {
+    "gaussian-hemisphere": lambda: assembly("hemisphere", 12, "gaussian"),
+    "convex-cone-cap": lambda: cone_cap_assembly(12),
+    "flat-torus": lambda: flat_torus_assembly(12),
+    "closed-sphere": lambda: assembly("sphere", 12),
+}
 
 
 class TestAssembly:
@@ -94,6 +127,62 @@ class TestSpectrum:
         s0 = robin_eigenproblem(base).eigenvalues
         s1 = robin_eigenproblem(shifted).eigenvalues
         assert np.allclose(s0, s1, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ASSEMBLIES))
+class TestDenseOracle:
+    """The shift-invert solves against dense solves of the full pencil."""
+
+    def test_spectrum_matches_dense_pencil(self, name):
+        asm = ORACLE_ASSEMBLIES[name]()
+        spec = robin_eigenproblem(asm, count=6)
+        dense = scipy.linalg.eigh(asm.operator.toarray(), asm.M.toarray(),
+                                  subset_by_index=[0, 5], eigvals_only=True)
+        assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-10
+
+    def test_constrained_minimum_matches_dense_basis(self, name):
+        asm = ORACLE_ASSEMBLIES[name]()
+        M = asm.M.toarray()
+        c = M @ np.ones(asm.dof)
+        # orthonormal basis of {u : c.u = 0}: the complement of c in a QR
+        Q, _ = np.linalg.qr(np.column_stack([c, np.eye(asm.dof)[:, 1:]]))
+        Z = Q[:, 1:]
+        dense = scipy.linalg.eigh(Z.T @ asm.operator.toarray() @ Z,
+                                  Z.T @ M @ Z, subset_by_index=[0, 0],
+                                  eigvals_only=True)[0]
+        assert abs(constrained_lambda_min(asm) - dense) < 1e-10
+
+
+class TestShiftedFactor:
+    def test_accepted_shift_lies_below_the_spectrum(self):
+        asm = assembly("hemisphere", 12, "gaussian")
+        dense = scipy.linalg.eigh(asm.operator.toarray(), asm.M.toarray(),
+                                  subset_by_index=[0, 0], eigvals_only=True)
+        assert asm.shifted_factor.sigma < dense[0]
+
+    def test_factor_is_shared_between_solves(self):
+        asm = assembly("hemisphere", 12, "gaussian")
+        factor = asm.shifted_factor
+        robin_eigenproblem(asm)
+        constrained_lambda_min(asm)
+        assert asm.shifted_factor is factor
+
+    def test_constrained_solve_above_old_dense_limit(self):
+        """Mean-zero l = 1 modes: lambda = 2 - (2 + k) = 2.5 for k = -2.5."""
+        asm = assembly("hemisphere", 48, "radial-log", k=-2.5)
+        assert asm.dof == 7057
+        assert constrained_lambda_min(asm) == pytest.approx(2.5, abs=1e-3)
+
+    def test_arpack_failure_is_a_numerical_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        asm = assembly("hemisphere", 8)
+        with pytest.raises(NumericalFailure):
+            robin_eigenproblem(asm)
+        with pytest.raises(NumericalFailure):
+            constrained_lambda_min(asm)
 
 
 class TestJacobiOperator:

@@ -7,7 +7,8 @@ import pytest
 import conftest as cf
 from wstab.errors import InputError, PreconditionError
 from wstab.functionals import DeformedFamily, TranslationFlow
-from wstab.stability import assemble, robin_eigenproblem
+from wstab.stability import (assemble, robin_eigenproblem,
+                             strong_stability_verdict)
 from wstab.surface import PlanarDisk, extrinsic_geometry, mesh_from_immersion
 from wstab.theorems import (DISK_OR_CYLINDER, NOT_APPLICABLE, SPHERE_OR_TORUS,
                             area_bound_check, boundary_identity_residual,
@@ -97,7 +98,8 @@ class TestStabilityTopologyChain:
         assert chain.bound2 == pytest.approx(2.0 * TAU, rel=1e-12)
         asm = assemble(space, mesh, cf.QUAD)
         spec = robin_eigenproblem(asm)
-        assert topology_verdict(chain, spec) == SPHERE_OR_TORUS
+        strong = strong_stability_verdict(spec)
+        assert topology_verdict(chain, strong) == SPHERE_OR_TORUS
 
     def test_requires_stationary_surface(self):
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))
@@ -116,14 +118,16 @@ class TestTopologyVerdict:
                                                     a=(1.0, 0.0, 0.0))
         chain = stability_topology_chain(space, mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
-        assert topology_verdict(chain, spec) == DISK_OR_CYLINDER
+        strong = strong_stability_verdict(spec)
+        assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
     def test_hemisphere_at_threshold(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.0)
         chain = stability_topology_chain(space, mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
-        assert topology_verdict(chain, spec) == DISK_OR_CYLINDER
+        strong = strong_stability_verdict(spec)
+        assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
     def test_unstable_hemisphere_is_not_applicable(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
@@ -131,7 +135,8 @@ class TestTopologyVerdict:
         chain = stability_topology_chain(space, mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
         assert spec.lambda_min < -0.4
-        assert topology_verdict(chain, spec) == NOT_APPLICABLE
+        strong = strong_stability_verdict(spec)
+        assert topology_verdict(chain, strong) == NOT_APPLICABLE
 
 
 class TestAreaBounds:
