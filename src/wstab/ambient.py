@@ -299,6 +299,9 @@ def _radial_log_density(k: float) -> Density:
 
 def _linear_density(a, b: float = 0.0) -> Density:
     a = np.asarray(a, dtype=float)
+    if a.shape != (3,):
+        raise InputError(
+            f"linear density needs a with 3 entries, got shape {a.shape}")
     b = float(b)
 
     def psi(P):

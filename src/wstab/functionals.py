@@ -14,8 +14,8 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, SurfaceMesh,
-                      extrinsic_geometry, stationarity_verdict)
+from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _normal_from_jac,
+                      area_elements, extrinsic_geometry, stationarity_verdict)
 
 Array = np.ndarray
 
@@ -28,11 +28,6 @@ class Quadrature:
 
     rule: str = "Gauss3"             # Centroid1 | Gauss3 | Gauss6
     boundary_rule: str = "Gauss2"    # Midpoint | Gauss2
-
-
-def geometry(space: AmbientSpace, mesh: SurfaceMesh, quad: Quadrature,
-             imm: Optional[Immersion] = None) -> ExtrinsicData:
-    return extrinsic_geometry(space, imm, mesh, quad.rule, quad.boundary_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +225,10 @@ class FieldFlow(Flow):
 class DeformedImmersion(Immersion):
     """Base immersion pushed through an ambient flow at parameter s.
 
-    Boundary points are re-projected onto {phi = 0} after the flow; the
-    boundary curve derivatives of the projected curve are taken by finite
-    differences in the arc parameter.
+    Boundary points are re-projected onto {phi = 0} after the flow by at
+    most 3 Newton steps and checked to 1e-10; the boundary curve derivatives
+    of the projected curve are taken by finite differences in the arc
+    parameter.
     """
 
     def __init__(self, base: Immersion, flow: Flow, s: float,
@@ -274,6 +270,12 @@ class DeformedImmersion(Immersion):
                     break
                 g = bd.grad_phi(P)
                 P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
+            else:
+                res = np.max(np.abs(np.atleast_1d(bd.phi(P))))
+                if res > 1e-10:
+                    raise NumericalFailure(
+                        f"boundary re-projection residual {res:.2e} exceeds "
+                        f"1e-10 after 3 Newton steps")
         return P
 
     def boundary_curve_derivs(self, arc, ts):
@@ -311,7 +313,8 @@ class DeformedFamily:
         return DeformedImmersion(self.base, self.flow, s, self.space)
 
     def geometry(self, s: float, quad: Quadrature) -> ExtrinsicData:
-        return geometry(self.space, self.mesh, quad, self.immersion(s))
+        return extrinsic_geometry(self.space, self.immersion(s), self.mesh,
+                                  quad.rule, quad.boundary_rule)
 
     def rebase(self, s0: float) -> "DeformedFamily":
         """Family restarted from the surface at parameter s0.
@@ -334,7 +337,7 @@ def weighted_area(space: AmbientSpace, mesh: SurfaceMesh,
                   imm: Optional[Immersion] = None,
                   data: Optional[ExtrinsicData] = None) -> float:
     if data is None:
-        data = geometry(space, mesh, quad, imm)
+        return float(np.sum(area_elements(space, imm, mesh, quad.rule)[2]))
     return float(np.sum(data.w_daf))
 
 
@@ -346,14 +349,14 @@ def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
     """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt."""
     if s == 0.0:
         return 0.0
-    base_data = family.geometry(0.0, quad)
-    pos0 = base_data.pos
+    pos0 = area_elements(family.space, family.base, family.mesh, quad.rule)[0]
     total = 0.0
     for node, wt in zip(GL8_NODES, GL8_WEIGHTS):
         t = 0.5 * s * (node + 1.0)
-        data_t = family.geometry(t, quad)
+        _, N_t, w_daf = area_elements(family.space, family.immersion(t),
+                                      family.mesh, quad.rule)
         vel = family.flow.velocity(t, pos0)
-        integrand = np.sum(vel * data_t.N, axis=1) * data_t.w_daf
+        integrand = np.sum(vel * N_t, axis=1) * w_daf
         total += wt * float(np.sum(integrand))
     return 0.5 * s * total
 
@@ -515,12 +518,6 @@ class SurfaceGradientField(VariationField):
         Q = np.atleast_2d(params)
         imm = self.imm
         P = imm.chart(Q)
-        J = imm.chart_jac(Q)
-        if Q.shape[1] == 2:
-            Nv = np.cross(J[:, :, 0], J[:, :, 1])
-        else:
-            U, _, _ = np.linalg.svd(J)
-            Nv = U[:, :, 2]
-        Nv = Nv / np.linalg.norm(Nv, axis=1)[:, None]
+        Nv = _normal_from_jac(imm, imm.chart_jac(Q))
         g = self.g_grad(P)
         return g - np.sum(g * Nv, axis=1)[:, None] * Nv

@@ -7,6 +7,7 @@ rejected.
 """
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -16,7 +17,8 @@ import numpy as np
 
 from .ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
                       make_space)
-from .errors import ConfigError, NumericalFailure, PreconditionError
+from .errors import (ConfigError, NumericalFailure, PreconditionError,
+                     WstabError)
 from .functionals import (DeformedFamily, Quadrature, RotationFlow,
                           ScalingFlow, TranslationFlow, first_variation_fd,
                           second_variation_fd, swept_weighted_volume,
@@ -226,33 +228,48 @@ def _tupled(value):
     return value
 
 
+@contextlib.contextmanager
+def _parameter_values(kind: str):
+    """A malformed parameter value of a registry object is a ConfigError."""
+    try:
+        yield
+    except WstabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"malformed {kind} parameter value: {exc}") from None
+
+
 def build_space(scn: Scenario) -> AmbientSpace:
     amb = scn.ambient
     d = dict(amb["density"])
     b = dict(amb["boundary"])
-    circ = tuple(None if c is None else float(c)
-                 for c in amb["circumferences"])
-    return make_space(
-        dim=3,
-        density=(d.pop("name"), {k: _tupled(v) for k, v in d.items()}),
-        boundary=(b.pop("name"), {k: _tupled(v) for k, v in b.items()}),
-        metric_kind=amb["metric_kind"],
-        circumferences=circ,
-    )
+    with _parameter_values("ambient"):
+        circ = tuple(None if c is None else float(c)
+                     for c in amb["circumferences"])
+        return make_space(
+            dim=3,
+            density=(d.pop("name"), {k: _tupled(v) for k, v in d.items()}),
+            boundary=(b.pop("name"), {k: _tupled(v) for k, v in b.items()}),
+            metric_kind=amb["metric_kind"],
+            circumferences=circ,
+        )
 
 
 def build_immersion(scn: Scenario):
     cfg = dict(scn.surface)
     name = cfg.pop("builtin")
     cls = SURFACE_REGISTRY[name]
-    return cls(**{k: _tupled(v) for k, v in cfg.items()})
+    with _parameter_values("surface"):
+        return cls(**{k: _tupled(v) for k, v in cfg.items()})
 
 
 def build_flow(scn: Scenario):
     cfg = dict(scn.variation)
     name = cfg.pop("flow")
     cls = FLOW_REGISTRY[name]
-    return cls(**{k: _tupled(v) for k, v in cfg.items()})
+    with _parameter_values("flow"):
+        return cls(**{k: _tupled(v) for k, v in cfg.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +408,10 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
     space = build_space(scn)
     imm = build_immersion(scn)
     mesh = mesh_from_immersion(imm, scn.resolution, space=space)
-    data = extrinsic_geometry(space, imm, mesh, tri_rule=quad.rule,
-                              edge_rule=quad.boundary_rule)
+    needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
+    asm = assemble(space, mesh, quad) if needs_asm else None
+    data = asm.data if asm is not None else extrinsic_geometry(
+        space, imm, mesh, tri_rule=quad.rule, edge_rule=quad.boundary_rule)
     report: Dict[str, Any] = {
         "name": scn.name,
         "geometry": {
@@ -409,8 +428,6 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
     samples_header: List[str] = []
     samples: List[list] = []
 
-    needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
-    asm = assemble(space, mesh, quad) if needs_asm else None
     # one spectrum and one strong verdict serve both spectrum and topology
     spec = strong = None
     if {"spectrum", "topology"} & set(scn.tasks):

@@ -16,8 +16,9 @@ import scipy.sparse.linalg as spla
 
 from .ambient import AmbientSpace
 from .errors import InputError, NumericalFailure, PreconditionError
-from .functionals import DeformedFamily, Quadrature, geometry
-from .surface import SurfaceMesh, TRI_RULES, stationarity_verdict
+from .functionals import DeformedFamily, Quadrature
+from .surface import (SurfaceMesh, TRI_RULES, extrinsic_geometry,
+                      stationarity_verdict)
 
 Array = np.ndarray
 
@@ -54,7 +55,8 @@ class IndexFormAssembly:
 
 def assemble(space: AmbientSpace, mesh: SurfaceMesh,
              quad: Quadrature = Quadrature()) -> IndexFormAssembly:
-    data = geometry(space, mesh, quad)
+    data = extrinsic_geometry(space, mesh.immersion, mesh, quad.rule,
+                              quad.boundary_rule)
     tris = mesh.triangles
     F = len(tris)
     ref_pts, _ = TRI_RULES[quad.rule]

@@ -409,10 +409,6 @@ class SurfaceMesh:
         return self.n_vertices - self.n_edges + len(self.triangles)
 
 
-def euler_characteristic(mesh: SurfaceMesh) -> int:
-    return mesh.chi
-
-
 def _boundary_loops(boundary_edges: Array, n_vertices: int) -> int:
     """Count connected components of the boundary edge graph (union-find)."""
     if len(boundary_edges) == 0:
@@ -807,19 +803,17 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
             Q11.reshape(n, pd), Q12.reshape(n, pd), Q22.reshape(n, pd))
 
 
-def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
-                       ref_pts: Array, ref_w: Array):
-    tris = mesh.triangles
-    F = len(tris)
+def _first_order_geometry(space: AmbientSpace, imm: Immersion,
+                          mesh: SurfaceMesh, ref_pts: Array, ref_w: Array):
+    """First-order ExtrinsicData fields, chart Jacobian, blend's Q11/Q12/Q22."""
+    if space.dim != 3:
+        raise InputError("surface geometry supports 3-dimensional ambients only")
+    F = len(mesh.triangles)
     R = len(ref_pts)
     Q, d1r, d2r, Q11, Q12, Q22 = _blended_param_points(imm, mesh, ref_pts)
     J = imm.chart_jac(Q)
-    Hc = imm.chart_hess(Q)
     E1 = np.einsum("nia,na->ni", J, d1r)
     E2 = np.einsum("nia,na->ni", J, d2r)
-    F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
-    F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
-    F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
     g11 = np.sum(E1 * E1, axis=1)
     g12 = np.sum(E1 * E2, axis=1)
     g22 = np.sum(E2 * E2, axis=1)
@@ -832,20 +826,35 @@ def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
     Ginv[:, 0, 1] = Ginv[:, 1, 0] = -g12 / detG
     Nv = np.cross(E1, E2)
     Nv = imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    pos = imm.chart(Q)
+    first = dict(tri_index=np.repeat(np.arange(F), R), params=Q, pos=pos,
+                 E1=E1, E2=E2, D1=d1r, D2=d2r, Ginv=Ginv,
+                 w_da=np.sqrt(detG) * np.tile(ref_w, F),
+                 f=np.exp(space.density.psi(pos)), N=Nv)
+    return first, J, (Q11, Q12, Q22)
+
+
+def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
+                       ref_pts: Array, ref_w: Array):
+    first, J, (Q11, Q12, Q22) = _first_order_geometry(space, imm, mesh,
+                                                      ref_pts, ref_w)
+    Nv, pos, d1r, d2r = (first[k] for k in ("N", "pos", "D1", "D2"))
+    Hc = imm.chart_hess(first["params"])
+    F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
+    F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
+    F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L = np.empty((F * R, 2, 2))
+    L = np.empty((len(pos), 2, 2))
     L[:, 0, 0] = -np.sum(Nv * F11, axis=1)
     L[:, 0, 1] = L[:, 1, 0] = -np.sum(Nv * F12, axis=1)
     L[:, 1, 1] = -np.sum(Nv * F22, axis=1)
-    S = np.einsum("nab,nbc->nac", Ginv, L)
+    S = np.einsum("nab,nbc->nac", first["Ginv"], L)
     trS = S[:, 0, 0] + S[:, 1, 1]
     H = -0.5 * trS
     sigma2 = np.einsum("nab,nba->n", S, S)
     K = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
-    pos = imm.chart(Q)
     gpsi = space.density.grad_psi(pos)
     hpsi = space.density.hess_psi(pos)
-    fvals = np.exp(space.density.psi(pos))
     gN = np.sum(gpsi * Nv, axis=1)
     H_f = 2.0 * H - gN
     hNN = np.einsum("nij,ni,nj->n", hpsi, Nv, Nv)
@@ -853,15 +862,11 @@ def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
     grad_s = gpsi - gN[:, None] * Nv
     lap_psi = np.trace(hpsi, axis1=-2, axis2=-1)
     lap_s = lap_psi - hNN + 2.0 * H * gN
-    scal = space.scalar(pos) if space.scalar is not None else np.zeros(F * R)
+    scal = space.scalar(pos) if space.scalar is not None else np.zeros(len(pos))
     S_f = scal - 2.0 * lap_psi - np.sum(gpsi * gpsi, axis=1)
-    w_da = np.sqrt(detG) * np.tile(ref_w, F)
-    tri_index = np.repeat(np.arange(F), R)
-    return dict(tri_index=tri_index, params=Q, pos=pos, E1=E1, E2=E2,
-                D1=d1r, D2=d2r,
-                Ginv=Ginv, w_da=w_da, f=fvals, N=Nv, shape_op=S, H=H,
-                H_f=H_f, sigma2=sigma2, K=K, ricf_NN=ricf_NN, grad_psi=gpsi,
-                grad_s_psi=grad_s, lap_s_psi=lap_s, S_f=S_f)
+    return dict(first, shape_op=S, H=H, H_f=H_f, sigma2=sigma2, K=K,
+                ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=grad_s,
+                lap_s_psi=lap_s, S_f=S_f)
 
 
 def _boundary_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
@@ -945,20 +950,21 @@ def extrinsic_geometry(space: AmbientSpace, imm: Optional[Immersion],
                        mesh: SurfaceMesh, tri_rule: str = "Gauss3",
                        edge_rule: str = "Gauss2") -> ExtrinsicData:
     """Evaluate all pointwise geometry at quadrature points of the mesh."""
-    if imm is None:
-        imm = mesh.immersion
-    if space.dim != 3:
-        raise InputError("surface geometry supports 3-dimensional ambients only")
+    imm = mesh.immersion if imm is None else imm
     ref_pts, ref_w = TRI_RULES[tri_rule]
     interior = _interior_geometry(space, imm, mesh, ref_pts, ref_w)
-    data = ExtrinsicData(mesh=mesh, tri_rule=tri_rule, edge_rule=edge_rule,
-                         ref_points=ref_pts, ref_weights=ref_w, **interior)
-    bx, bw = EDGE_RULES[edge_rule]
-    bd = _boundary_geometry(space, imm, mesh, bx, bw)
-    if bd is not None:
-        for k, v in bd.items():
-            setattr(data, k, v)
-    return data
+    boundary = _boundary_geometry(space, imm, mesh, *EDGE_RULES[edge_rule])
+    return ExtrinsicData(mesh=mesh, tri_rule=tri_rule, edge_rule=edge_rule,
+                         ref_points=ref_pts, ref_weights=ref_w, **interior,
+                         **(boundary or {}))
+
+
+def area_elements(space: AmbientSpace, imm: Optional[Immersion],
+                  mesh: SurfaceMesh, tri_rule: str = "Gauss3"):
+    """Positions, unit normals and w da_f: first-order geometry only."""
+    imm = mesh.immersion if imm is None else imm
+    first, _, _ = _first_order_geometry(space, imm, mesh, *TRI_RULES[tri_rule])
+    return first["pos"], first["N"], first["w_da"] * first["f"]
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,51 @@ class TestRun:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestMalformedParameterValues:
+    @pytest.mark.parametrize("density,surface", [
+        ({"name": "radial-log", "k": "abc"}, {"builtin": "spherical-cap"}),
+        ({"name": "linear", "a": [1.0]}, {"builtin": "spherical-cap"}),
+        ({"name": "radial-smooth", "coeffs": []},
+         {"builtin": "spherical-cap"}),
+        ({"name": "constant"}, {"builtin": "spherical-cap", "radius": "x"}),
+    ])
+    def test_exits_4_without_traceback(self, tmp_path, capsys, density,
+                                       surface):
+        tree = half_sphere(density, 8, ["stationarity"], surface=surface)
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestGeometryCalls:
+    @pytest.mark.parametrize("name", ["paper-product-torus",
+                                      "paper-ex-3.9-threshold"])
+    def test_spectrum_builtin_evaluates_geometry_once_per_run(
+            self, tmp_path, monkeypatch, name):
+        """The assembly's geometry also serves the report and the tasks."""
+        from wstab import functionals, scenarios, stability, surface, theorems
+        counts = {"runs": 0, "geometry": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenarios, "_run_single",
+                            counting("runs", scenarios._run_single))
+        original = surface.extrinsic_geometry
+        geometry = counting("geometry", original)
+        for module in (scenarios, stability, functionals, theorems):
+            if getattr(module, "extrinsic_geometry", None) is original:
+                monkeypatch.setattr(module, "extrinsic_geometry", geometry)
+        assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
+        assert counts["runs"] >= 1
+        assert counts["geometry"] == counts["runs"]
+
+
 class TestVerdicts:
     def test_volume_constrained_expectation_is_applied_at_any_dof(
             self, tmp_path, capsys):

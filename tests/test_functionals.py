@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab.errors import InputError, PreconditionError
-from wstab.functionals import (DeformedFamily, FieldFlow, Quadrature,
-                               RotationFlow, ScalingFlow, SurfaceGradientField,
-                               TranslationFlow, VariationField,
-                               divergence_theorem_residual,
+from wstab import surface
+from wstab.ambient import AmbientSpace, BoundarySpec, make_density
+from wstab.errors import InputError, NumericalFailure, PreconditionError
+from wstab.functionals import (DeformedFamily, DeformedImmersion, FieldFlow,
+                               Quadrature, RotationFlow, ScalingFlow,
+                               SurfaceGradientField, TranslationFlow,
+                               VariationField, divergence_theorem_residual,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd, swept_weighted_volume,
                                volume_first_variation, weighted_area)
-from wstab.surface import PlanarDisk, mesh_from_immersion
+from wstab.surface import (PlanarDisk, area_elements, extrinsic_geometry,
+                           mesh_from_immersion)
 
 TAU = 2.0 * math.pi
 
@@ -42,6 +45,51 @@ class TestWeightedArea:
         via_data = weighted_area(space, mesh, quad, data=data)
         via_imm = weighted_area(space, mesh, quad, imm=imm)
         assert via_data == pytest.approx(via_imm, rel=1e-14)
+
+
+class TestFirstOrderGeometry:
+    """Area and swept volume read only positions, normals and w da_f."""
+
+    @pytest.mark.parametrize("kind,density,params", [
+        ("hemisphere", "radial-log", {"k": -2.5}),
+        ("slice", "linear", {"a": (1.0, 0.0, 0.0)}),
+        ("disk", "gaussian", {}),
+        ("sphere", "constant", {}),
+    ])
+    def test_area_elements_match_full_geometry(self, quad, kind, density,
+                                               params):
+        space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
+                                                    **params)
+        pos, N, w_daf = area_elements(space, imm, mesh, quad.rule)
+        assert np.array_equal(pos, data.pos)
+        assert np.array_equal(N, data.N)
+        assert np.array_equal(w_daf, data.w_daf)
+        assert weighted_area(space, mesh, quad, imm=imm) == np.sum(data.w_daf)
+
+    def test_deformed_immersion_area_matches_full_geometry(self, quad):
+        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16,
+                                                 "radial-log", k=-2.5)
+        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        deformed = family.immersion(0.05)
+        data = extrinsic_geometry(space, deformed, mesh, quad.rule,
+                                  quad.boundary_rule)
+        _, N, w_daf = area_elements(space, deformed, mesh, quad.rule)
+        assert np.array_equal(N, data.N)
+        assert weighted_area(space, mesh, quad, imm=deformed) == np.sum(
+            data.w_daf)
+
+    def test_area_and_volume_skip_second_order_geometry(self, quad,
+                                                        monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second-order geometry evaluated")
+
+        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
+        for cls in (type(imm), DeformedImmersion):
+            monkeypatch.setattr(cls, "chart_hess", forbidden)
+        monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
+        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        assert weighted_area(space, mesh, quad, imm=family.immersion(0.1)) > 0
+        assert swept_weighted_volume(space, family, 0.1, quad) > 0
 
 
 class TestFirstVariation:
@@ -129,6 +177,35 @@ class TestSweptVolume:
         rest = swept_weighted_volume(space, family.rebase(0.1), 0.2, quad)
         assert total == pytest.approx(part + rest, rel=1e-10)
         assert total == pytest.approx(0.3 * 2.0 * TAU, rel=1e-10)
+
+
+class TestBoundaryReprojection:
+    @staticmethod
+    def space_with_boundary(phi, grad_phi):
+        spec = BoundarySpec(phi, grad_phi, lambda P: np.zeros((len(P), 3, 3)))
+        return AmbientSpace(dim=3, density=make_density("constant"),
+                            boundary=spec)
+
+    def test_slow_newton_convergence_is_a_numerical_failure(self):
+        """On {z^3 = 0} Newton only shrinks z by 2/3 per step: 3 steps from
+        z = 0.1 leave a residual of 2.6e-5."""
+        space = self.space_with_boundary(
+            lambda P: np.atleast_2d(P)[:, 2] ** 3,
+            lambda P: np.stack([np.zeros(len(P)), np.zeros(len(P)),
+                                3.0 * np.atleast_2d(P)[:, 2] ** 2], axis=-1))
+        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
+                                  0.1, space)
+        with pytest.raises(NumericalFailure, match="re-projection"):
+            moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_converged_projection_lands_on_the_boundary(self):
+        space = self.space_with_boundary(
+            lambda P: np.atleast_2d(P)[:, 2],
+            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)))
+        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
+                                  0.1, space)
+        P = moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.allclose(P, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-15)
 
 
 class TestSecondVariation:
