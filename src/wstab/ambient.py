@@ -20,6 +20,21 @@ FD_STEP_GRAD = 1e-5
 FD_STEP_HESS = 2e-4
 
 
+def vector3(value, what: str) -> Array:
+    """A parameter that must be a 3-vector; any other shape is an InputError."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,):
+        raise InputError(f"{what} needs 3 entries, got shape {v.shape}")
+    return v
+
+
+def _axis_index(axis) -> int:
+    index = int(axis)
+    if index not in (0, 1, 2):
+        raise InputError(f"boundary axis must be 0, 1 or 2, got {axis!r}")
+    return index
+
+
 def _batch(p: Array) -> tuple[Array, bool]:
     P = np.asarray(p, dtype=float)
     if P.ndim == 1:
@@ -298,10 +313,7 @@ def _radial_log_density(k: float) -> Density:
 
 
 def _linear_density(a, b: float = 0.0) -> Density:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise InputError(
-            f"linear density needs a with 3 entries, got shape {a.shape}")
+    a = vector3(a, "linear density a")
     b = float(b)
 
     def psi(P):
@@ -369,7 +381,7 @@ def make_density(name: str, **params) -> Density:
 # ---------------------------------------------------------------------------
 
 def _half_space_boundary(axis: int = 2, offset: float = 0.0) -> BoundarySpec:
-    axis = int(axis)
+    axis = _axis_index(axis)
     offset = float(offset)
 
     def phi(P):
@@ -390,7 +402,7 @@ def _half_space_boundary(axis: int = 2, offset: float = 0.0) -> BoundarySpec:
 
 
 def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
-    axis = int(axis)
+    axis = _axis_index(axis)
     halfwidth = float(halfwidth)
 
     def phi(P):
@@ -412,7 +424,7 @@ def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
 
 def _sphere_levelset(radius, center, sign):
     radius = float(radius)
-    center = np.zeros(3) if center is None else np.asarray(center, dtype=float)
+    center = np.zeros(3) if center is None else vector3(center, "ball center")
 
     def phi(P):
         r = np.linalg.norm(np.atleast_2d(P) - center, axis=-1)
@@ -447,7 +459,7 @@ def _ball_complement_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
 def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     """Solid circular cone of half-angle alpha around an axis through 0."""
     alpha = float(alpha)
-    a = np.array([0.0, 0.0, 1.0]) if axis is None else np.asarray(axis, dtype=float)
+    a = np.array([0.0, 0.0, 1.0]) if axis is None else vector3(axis, "cone axis")
     a = a / np.linalg.norm(a)
     ca = float(np.cos(alpha))
 

@@ -13,6 +13,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .errors import ConfigError, InputError, NumericalFailure, WstabError
@@ -236,6 +237,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except WstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (np.linalg.LinAlgError, FloatingPointError, ArpackError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"numerical failure: {type(exc).__name__}: {detail}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -7,15 +7,17 @@ differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _normal_from_jac,
-                      area_elements, extrinsic_geometry, stationarity_verdict)
+from .surface import (TRI_RULES, ExtrinsicData, Immersion, SurfaceMesh,
+                      _chart_at_quadrature, _first_order_fields,
+                      _normal_from_jac, area_elements, extrinsic_geometry,
+                      stationarity_verdict)
 
 Array = np.ndarray
 
@@ -124,7 +126,7 @@ class Flow:
 
 class TranslationFlow(Flow):
     def __init__(self, direction):
-        self.d = np.asarray(direction, float)
+        self.d = vector3(direction, "translation direction")
 
     def map(self, s, P):
         return np.atleast_2d(P) + s * self.d
@@ -143,7 +145,7 @@ class ScalingFlow(Flow):
     """p -> c + (1+s)(p - c); inflates spheres of center c."""
 
     def __init__(self, center=(0, 0, 0)):
-        self.c = np.asarray(center, float)
+        self.c = vector3(center, "scaling center")
 
     def map(self, s, P):
         return self.c + (1.0 + s) * (np.atleast_2d(P) - self.c)
@@ -163,9 +165,9 @@ class RotationFlow(Flow):
     """Rotation of angle s about an axis through a point."""
 
     def __init__(self, axis=(0, 0, 1), point=(0, 0, 0)):
-        a = np.asarray(axis, float)
+        a = vector3(axis, "rotation axis")
         self.a = a / np.linalg.norm(a)
-        self.c = np.asarray(point, float)
+        self.c = vector3(point, "rotation point")
 
     def _rot(self, s):
         a = self.a
@@ -247,8 +249,7 @@ class DeformedImmersion(Immersion):
     def chart_jac(self, Q):
         P0 = self.base.chart(Q)
         J0 = self.base.chart_jac(Q)
-        DF = self.flow.jac(self.s, P0)
-        return np.einsum("nij,nja->nia", DF, J0)
+        return np.matmul(self.flow.jac(self.s, P0), J0)
 
     def chart_hess(self, Q):
         P0 = self.base.chart(Q)
@@ -300,21 +301,63 @@ class DeformedImmersion(Immersion):
 
 @dataclass
 class DeformedFamily:
-    """A variation: base surface plus an ambient flow."""
+    """A variation: base surface plus an ambient flow.
+
+    The base chart is evaluated once per quadrature rule, on first use, and
+    kept for the family's lifetime: the first-order geometry of the slice at
+    s is the flow applied to the cached base positions and Jacobians.
+    ``base_data`` is the full geometry of the base, computed on first use
+    when it is not given.
+    """
 
     space: AmbientSpace
     base: Immersion
     mesh: SurfaceMesh
     flow: Flow
+    base_data: Optional[ExtrinsicData] = None
+    _charts: Dict[str, Tuple[Array, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def immersion(self, s: float) -> Immersion:
         if s == 0.0:
             return self.base
         return DeformedImmersion(self.base, self.flow, s, self.space)
 
+    def base_chart(self, quad: Quadrature) -> Tuple[Array, ...]:
+        """(Q, D1, D2, P0, J0) of the base at the rule's quadrature points."""
+        if quad.rule not in self._charts:
+            chart = _chart_at_quadrature(self.base, self.mesh,
+                                         TRI_RULES[quad.rule][0])
+            self._charts[quad.rule] = chart[:5]
+        return self._charts[quad.rule]
+
+    def area_elements(self, s: float, quad: Quadrature):
+        """Positions, unit normals and w da_f of the slice at s."""
+        Q, D1, D2, P0, J0 = self.base_chart(quad)
+        pos, J = P0, J0
+        if s != 0.0:       # the slice at 0 is the base, as in immersion()
+            pos = self.flow.map(s, P0)
+            J = np.matmul(self.flow.jac(s, P0), J0)
+        first = _first_order_fields(self.space, self.base.orientation_sign,
+                                    TRI_RULES[quad.rule][1], Q, D1, D2, pos, J)
+        return first["pos"], first["N"], first["w_da"] * first["f"]
+
+    def weighted_area(self, s: float, quad: Quadrature) -> float:
+        """A_f of the slice at s."""
+        return float(np.sum(self.area_elements(s, quad)[2]))
+
     def geometry(self, s: float, quad: Quadrature) -> ExtrinsicData:
-        return extrinsic_geometry(self.space, self.immersion(s), self.mesh,
-                                  quad.rule, quad.boundary_rule)
+        """Full geometry of the slice at s; the base's is computed once."""
+        rules = (quad.rule, quad.boundary_rule)
+        data = self.base_data
+        if (s == 0.0 and data is not None
+                and (data.tri_rule, data.edge_rule) == rules):
+            return data
+        data = extrinsic_geometry(self.space, self.immersion(s), self.mesh,
+                                  *rules)
+        if s == 0.0 and self.base_data is None:
+            self.base_data = data
+        return data
 
     def rebase(self, s0: float) -> "DeformedFamily":
         """Family restarted from the surface at parameter s0.
@@ -349,12 +392,11 @@ def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
     """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt."""
     if s == 0.0:
         return 0.0
-    pos0 = area_elements(family.space, family.base, family.mesh, quad.rule)[0]
+    pos0 = family.base_chart(quad)[3]
     total = 0.0
     for node, wt in zip(GL8_NODES, GL8_WEIGHTS):
         t = 0.5 * s * (node + 1.0)
-        _, N_t, w_daf = area_elements(family.space, family.immersion(t),
-                                      family.mesh, quad.rule)
+        _, N_t, w_daf = family.area_elements(t, quad)
         vel = family.flow.velocity(t, pos0)
         integrand = np.sum(vel * N_t, axis=1) * w_daf
         total += wt * float(np.sum(integrand))
@@ -388,18 +430,13 @@ class FDReport:
     error_estimate: float
 
 
-def _area_of(family: DeformedFamily, s: float, quad: Quadrature) -> float:
-    return weighted_area(family.space, family.mesh, quad,
-                         imm=family.immersion(s))
-
-
 def first_variation_fd(space: AmbientSpace, family: DeformedFamily,
                        quad: Quadrature = Quadrature(),
                        h: float = 1e-3) -> FDReport:
     """Richardson-extrapolated centered difference of A_f at s = 0."""
     def diff(step):
-        return (_area_of(family, step, quad)
-                - _area_of(family, -step, quad)) / (2 * step)
+        return (family.weighted_area(step, quad)
+                - family.weighted_area(-step, quad)) / (2 * step)
 
     d1 = diff(h)
     d2 = diff(h / 2)
@@ -429,7 +466,7 @@ def second_variation_fd(space: AmbientSpace, family: DeformedFamily,
     def W(s):
         if s == 0.0:
             return float(np.sum(data0.w_daf))
-        return (_area_of(family, s, quad)
+        return (family.weighted_area(s, quad)
                 + Hf0 * swept_weighted_volume(space, family, s, quad))
 
     w0 = W(0.0)

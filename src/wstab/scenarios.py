@@ -21,8 +21,7 @@ from .errors import (ConfigError, NumericalFailure, PreconditionError,
                      WstabError)
 from .functionals import (DeformedFamily, Quadrature, RotationFlow,
                           ScalingFlow, TranslationFlow, first_variation_fd,
-                          second_variation_fd, swept_weighted_volume,
-                          weighted_area)
+                          second_variation_fd, swept_weighted_volume)
 from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, vertex_normals,
                         volume_constrained_verdict)
@@ -56,6 +55,10 @@ EXPECT_KEYS = {"lambda_min", "lambda_tol", "strong", "volume_constrained",
                "topology", "chi", "rigidity_all_true", "I_f_u_zero",
                "sweep_zero_crossing"}
 
+# expectations read as numbers; the others are read as flags or names
+NUMERIC_EXPECT_KEYS = {"lambda_min", "lambda_tol", "chi",
+                       "sweep_zero_crossing"}
+
 TOLERANCE_KEYS = {"identity", "boundary_identity", "variation", "verdict",
                   "foliation"}
 
@@ -85,12 +88,18 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
                               f"(allowed: {', '.join(sorted(allowed))})")
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _registry_params(obj: dict, registry: dict, kind: str):
     obj = _require_mapping(obj, kind)
     if "name" not in obj:
         raise ConfigError(f"{kind} block requires a 'name' key")
     name = obj["name"]
-    if name not in registry:
+    if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"unknown {kind} '{name}' "
                           f"(available: {', '.join(sorted(registry))})")
     factory = registry[name]
@@ -193,6 +202,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     expect = obj.get("expect", {})
     expect = _require_mapping(expect, "expect")
     _check_keys(expect, EXPECT_KEYS, "expect")
+    for key in NUMERIC_EXPECT_KEYS & set(expect):
+        _number(expect[key], f"expect.{key}")
 
     needs_var = {"first-variation", "second-variation", "foliation"} & set(tasks)
     if needs_var and variation is None:
@@ -210,8 +221,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         resolution=resolution,
         tasks=list(tasks),
         variation=dict(variation) if variation is not None else None,
-        tolerances={k: float(v) for k, v in tols.items()},
-        S0=None if obj.get("S0") is None else float(obj["S0"]),
+        tolerances={k: _number(v, f"tolerances.{k}") for k, v in tols.items()},
+        S0=None if obj.get("S0") is None else _number(obj["S0"], "S0"),
         sweep=dict(sweep) if sweep is not None else None,
         expect=dict(expect),
         description=str(obj.get("description", "")),
@@ -436,7 +447,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
             1.0, float(np.max(np.abs(spec.eigenvalues))))
         strong = strong_stability_verdict(spec, tol=vtol)
     flow = build_flow(scn) if scn.variation is not None else None
-    family = (DeformedFamily(space, imm, mesh, flow)
+    family = (DeformedFamily(space, imm, mesh, flow, base_data=data)
               if flow is not None else None)
 
     results: Dict[str, Any] = {}
@@ -622,7 +633,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
         samples_header = ["s", "A_f", "V_f"]
         for s in np.linspace(-0.2, 0.2, 9):
             s = float(s)
-            af = weighted_area(space, mesh, quad, imm=family.immersion(s))
+            af = family.weighted_area(s, quad)
             vf = swept_weighted_volume(space, family, s, quad)
             samples.append([s, af, vf])
 

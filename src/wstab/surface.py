@@ -14,7 +14,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .ambient import (AmbientSpace, boundary_f_mean_curvature,
-                      boundary_ii_matrix, boundary_inner_normal)
+                      boundary_ii_matrix, boundary_inner_normal, vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -43,6 +43,9 @@ EDGE_RULES = {
 
 FD_CHART_JAC = 1e-5
 FD_CHART_HESS = 2e-4
+# a rect patch is meshed with square cells, so its v rows grow with the
+# aspect ratio; this bounds them to MAX_RECT_ASPECT times the resolution
+MAX_RECT_ASPECT = 64.0
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ class Immersion:
 
 def _rotation_to(axis) -> Array:
     """Rotation matrix mapping e3 to the given unit axis."""
-    a = np.asarray(axis, float)
+    a = vector3(axis, "cap axis")
     a = a / np.linalg.norm(a)
     e3 = np.array([0.0, 0.0, 1.0])
     v = np.cross(e3, a)
@@ -211,7 +214,7 @@ class SphericalCap(Immersion):
             raise InputError("cap opening angle must lie in (0, pi)")
         self.radius = float(radius)
         self.alpha = float(alpha)
-        self.center = np.asarray(center, float)
+        self.center = vector3(center, "cap center")
         self.rot = _rotation_to(axis)
         self.orientation_sign = int(orientation_sign)
         self.domain = ("disk", float(np.tan(alpha / 2)))
@@ -271,9 +274,9 @@ class PlanarDisk(Immersion):
 
     def __init__(self, center=(0, 0, 0), e1=(1, 0, 0), e2=(0, 1, 0),
                  radius=1.0, orientation_sign=1):
-        self.center = np.asarray(center, float)
-        self.e1 = np.asarray(e1, float)
-        self.e2 = np.asarray(e2, float)
+        self.center = vector3(center, "disk center")
+        self.e1 = vector3(e1, "disk e1")
+        self.e2 = vector3(e2, "disk e2")
         if abs(self.e1 @ self.e2) > 1e-12 or \
                 abs(np.linalg.norm(self.e1) - 1) > 1e-12 or \
                 abs(np.linalg.norm(self.e2) - 1) > 1e-12:
@@ -306,13 +309,16 @@ class RectPatch(Immersion):
     def __init__(self, origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                  u_range=(0.0, 1.0), v_range=(0.0, 1.0),
                  periodic_u=False, periodic_v=False, orientation_sign=1):
-        self.origin = np.asarray(origin, float)
-        self.du = np.asarray(du, float)
-        self.dv = np.asarray(dv, float)
+        self.origin = vector3(origin, "patch origin")
+        self.du = vector3(du, "patch du")
+        self.dv = vector3(dv, "patch dv")
         self.orientation_sign = int(orientation_sign)
-        self.domain = ("rect",
-                       (float(u_range[0]), float(u_range[1]),
-                        float(v_range[0]), float(v_range[1])),
+        ranges = np.asarray([u_range, v_range], float)
+        if (ranges.shape != (2, 2) or not np.all(np.isfinite(ranges))
+                or np.any(ranges[:, 0] >= ranges[:, 1])):
+            raise InputError("patch u_range and v_range need 2 finite, "
+                             "increasing entries each")
+        self.domain = ("rect", tuple(float(x) for x in ranges.ravel()),
                        bool(periodic_u), bool(periodic_v))
 
     def chart(self, Q):
@@ -340,7 +346,7 @@ class RoundSphere(Immersion):
 
     def __init__(self, radius=1.0, center=(0, 0, 0), orientation_sign=1):
         self.radius = float(radius)
-        self.center = np.asarray(center, float)
+        self.center = vector3(center, "sphere center")
         self.orientation_sign = int(orientation_sign)
         self.domain = ("sphere",)
 
@@ -488,6 +494,9 @@ def _disk_mesh(rho: float, rings: int):
 def _rect_mesh(bounds, per_u, per_v, resolution):
     u0, u1, v0, v1 = bounds
     lu, lv = u1 - u0, v1 - v0
+    if not lv / lu <= MAX_RECT_ASPECT:
+        raise InputError(f"rect patch v_range is more than {MAX_RECT_ASPECT:g} "
+                         f"times longer than its u_range")
     nu = resolution
     nv = max(2, int(round(resolution * lv / lu)))
     cols = nu if per_u else nu + 1
@@ -803,17 +812,23 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
             Q11.reshape(n, pd), Q12.reshape(n, pd), Q22.reshape(n, pd))
 
 
-def _first_order_geometry(space: AmbientSpace, imm: Immersion,
-                          mesh: SurfaceMesh, ref_pts: Array, ref_w: Array):
-    """First-order ExtrinsicData fields, chart Jacobian, blend's Q11/Q12/Q22."""
+def _chart_at_quadrature(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
+    """Blended parameters Q with their directions D1, D2, the chart's
+    positions and Jacobian at Q, and the blend's (Q11, Q12, Q22)."""
+    Q, D1, D2, Q11, Q12, Q22 = _blended_param_points(imm, mesh, ref_pts)
+    return Q, D1, D2, imm.chart(Q), imm.chart_jac(Q), (Q11, Q12, Q22)
+
+
+def _first_order_fields(space: AmbientSpace, orientation_sign: int,
+                        ref_w: Array, Q: Array, D1: Array, D2: Array,
+                        pos: Array, J: Array) -> dict:
+    """First-order ExtrinsicData fields from the chart at quadrature points."""
     if space.dim != 3:
         raise InputError("surface geometry supports 3-dimensional ambients only")
-    F = len(mesh.triangles)
-    R = len(ref_pts)
-    Q, d1r, d2r, Q11, Q12, Q22 = _blended_param_points(imm, mesh, ref_pts)
-    J = imm.chart_jac(Q)
-    E1 = np.einsum("nia,na->ni", J, d1r)
-    E2 = np.einsum("nia,na->ni", J, d2r)
+    R = len(ref_w)
+    F = len(Q) // R
+    E1 = np.einsum("nia,na->ni", J, D1)
+    E2 = np.einsum("nia,na->ni", J, D2)
     g11 = np.sum(E1 * E1, axis=1)
     g12 = np.sum(E1 * E2, axis=1)
     g22 = np.sum(E2 * E2, axis=1)
@@ -825,21 +840,21 @@ def _first_order_geometry(space: AmbientSpace, imm: Immersion,
     Ginv[:, 1, 1] = g11 / detG
     Ginv[:, 0, 1] = Ginv[:, 1, 0] = -g12 / detG
     Nv = np.cross(E1, E2)
-    Nv = imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    pos = imm.chart(Q)
-    first = dict(tri_index=np.repeat(np.arange(F), R), params=Q, pos=pos,
-                 E1=E1, E2=E2, D1=d1r, D2=d2r, Ginv=Ginv,
-                 w_da=np.sqrt(detG) * np.tile(ref_w, F),
-                 f=np.exp(space.density.psi(pos)), N=Nv)
-    return first, J, (Q11, Q12, Q22)
+    Nv = orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    return dict(tri_index=np.repeat(np.arange(F), R), params=Q, pos=pos,
+                E1=E1, E2=E2, D1=D1, D2=D2, Ginv=Ginv,
+                w_da=np.sqrt(detG) * np.tile(ref_w, F),
+                f=np.exp(space.density.psi(pos)), N=Nv)
 
 
 def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
                        ref_pts: Array, ref_w: Array):
-    first, J, (Q11, Q12, Q22) = _first_order_geometry(space, imm, mesh,
-                                                      ref_pts, ref_w)
-    Nv, pos, d1r, d2r = (first[k] for k in ("N", "pos", "D1", "D2"))
-    Hc = imm.chart_hess(first["params"])
+    Q, d1r, d2r, pos, J, (Q11, Q12, Q22) = _chart_at_quadrature(imm, mesh,
+                                                                ref_pts)
+    first = _first_order_fields(space, imm.orientation_sign, ref_w,
+                                Q, d1r, d2r, pos, J)
+    Nv = first["N"]
+    Hc = imm.chart_hess(Q)
     F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
     F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
     F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
@@ -963,7 +978,10 @@ def area_elements(space: AmbientSpace, imm: Optional[Immersion],
                   mesh: SurfaceMesh, tri_rule: str = "Gauss3"):
     """Positions, unit normals and w da_f: first-order geometry only."""
     imm = mesh.immersion if imm is None else imm
-    first, _, _ = _first_order_geometry(space, imm, mesh, *TRI_RULES[tri_rule])
+    ref_pts, ref_w = TRI_RULES[tri_rule]
+    Q, D1, D2, pos, J, _ = _chart_at_quadrature(imm, mesh, ref_pts)
+    first = _first_order_fields(space, imm.orientation_sign, ref_w,
+                                Q, D1, D2, pos, J)
     return first["pos"], first["N"], first["w_da"] * first["f"]
 
 

@@ -1,13 +1,21 @@
 """End-to-end tests of the command line interface."""
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wstab
+from wstab import scenarios
 from wstab.cli import main
 
 SMALL_SCENARIO = {
@@ -109,6 +117,25 @@ class TestRun:
         assert "numerical failure" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("error", [
+        np.linalg.LinAlgError("Singular matrix"),
+        FloatingPointError("overflow encountered in exp"),
+        spla.ArpackError(-9999),
+    ])
+    def test_numerical_error_outside_the_solvers_exits_3(
+            self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scenarios, "mesh_from_immersion", failing)
+        cfg = write_config(tmp_path, SMALL_SCENARIO)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        err_lines = captured.err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("numerical failure: ")
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestMalformedParameterValues:
     @pytest.mark.parametrize("density,surface", [
@@ -127,6 +154,56 @@ class TestMalformedParameterValues:
         assert "config error" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("changes", [
+        {"ambient": {"density": {"name": "constant"},
+                     "boundary": {"name": "half-space", "axis": 3}}},
+        {"ambient": {"density": {"name": {}}}},
+        {"expect": {"lambda_min": 0.5, "lambda_tol": [1e-6]}},
+        {"tolerances": {"verdict": "tight"}},
+        {"S0": [1.0]},
+        {"tasks": ["first-variation"],
+         "variation": {"flow": "translation", "direction": [1.0, 0.0]}},
+        {"surface": {"builtin": "spherical-cap", "center": [0.0, 0.0]}},
+        {"surface": {"builtin": "rect-patch", "v_range": [1.0]}},
+        {"ambient": {"density": {"name": "constant"}},
+         "surface": {"builtin": "rect-patch", "u_range": [0.0, 0.01]}},
+    ], ids=["boundary-axis", "density-name", "expect-number", "tolerance",
+            "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect"])
+    def test_malformed_scenario_value_exits_4(self, tmp_path, capsys,
+                                              changes):
+        tree = dict(SMALL_SCENARIO, **changes)
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
+def count_calls(monkeypatch):
+    """Count `_run_single` runs, full `extrinsic_geometry` calls, blended
+    quadrature point evaluations and `SphericalCap.chart_jac` calls."""
+    from wstab import functionals, stability, surface, theorems
+    counts = {"runs": 0, "geometry": 0, "blend": 0, "cap_jac": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenarios, "_run_single",
+                        counting("runs", scenarios._run_single))
+    monkeypatch.setattr(surface, "_blended_param_points",
+                        counting("blend", surface._blended_param_points))
+    monkeypatch.setattr(surface.SphericalCap, "chart_jac",
+                        counting("cap_jac", surface.SphericalCap.chart_jac))
+    original = surface.extrinsic_geometry
+    geometry = counting("geometry", original)
+    for module in (scenarios, stability, functionals, theorems):
+        if getattr(module, "extrinsic_geometry", None) is original:
+            monkeypatch.setattr(module, "extrinsic_geometry", geometry)
+    return counts
+
 
 class TestGeometryCalls:
     @pytest.mark.parametrize("name", ["paper-product-torus",
@@ -134,25 +211,45 @@ class TestGeometryCalls:
     def test_spectrum_builtin_evaluates_geometry_once_per_run(
             self, tmp_path, monkeypatch, name):
         """The assembly's geometry also serves the report and the tasks."""
-        from wstab import functionals, scenarios, stability, surface, theorems
-        counts = {"runs": 0, "geometry": 0}
-
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(scenarios, "_run_single",
-                            counting("runs", scenarios._run_single))
-        original = surface.extrinsic_geometry
-        geometry = counting("geometry", original)
-        for module in (scenarios, stability, functionals, theorems):
-            if getattr(module, "extrinsic_geometry", None) is original:
-                monkeypatch.setattr(module, "extrinsic_geometry", geometry)
+        counts = count_calls(monkeypatch)
         assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
         assert counts["runs"] >= 1
         assert counts["geometry"] == counts["runs"]
+
+    def test_builtin_suite_makes_21_full_geometry_calls(self, tmp_path,
+                                                       monkeypatch):
+        """flat-slab-slice makes 9: the base once, shared by the second
+        variation and the foliation's s = 0 slice, and 8 foliation slices."""
+        from wstab.scenarios import builtin_names
+        counts = count_calls(monkeypatch)
+        per_builtin = {}
+        for name in builtin_names():
+            before = counts["geometry"]
+            assert main(["builtin", name, "--out", str(tmp_path / name)]) == 0
+            per_builtin[name] = counts["geometry"] - before
+        assert per_builtin.pop("flat-slab-slice") == 9
+        assert per_builtin.pop("paper-ex-3.9-threshold") == 5
+        assert set(per_builtin.values()) == {1}
+        assert counts["geometry"] == 21
+
+    @pytest.mark.parametrize("variation", [
+        {"flow": "scaling"},
+        {"flow": "translation", "direction": [0.6, 0.8, 0.0]},
+    ])
+    def test_variation_job_evaluates_the_base_once(self, tmp_path,
+                                                   monkeypatch, variation):
+        """The FD slices are the flow applied to the family's cached base
+        chart (evaluating every slice from scratch took 2 full geometries,
+        127 blends and 133 cap Jacobians)."""
+        tree = half_sphere({"name": "radial-log", "k": -2.6}, 24,
+                           ["stationarity", "first-variation",
+                            "second-variation"], variation=variation)
+        counts = count_calls(monkeypatch)
+        code, _ = run_report(tmp_path, tree)
+        assert code == 0
+        assert counts["geometry"] == 1
+        assert counts["blend"] <= 3
+        assert counts["cap_jac"] <= 9
 
 
 class TestVerdicts:
@@ -269,3 +366,76 @@ class TestDeterminism:
             blobs.append((out_dir / "report.json").read_bytes())
         assert json.loads(blobs[0])["results"]["spectrum"]["dof"] == 7057
         assert blobs[0] == blobs[1]
+
+
+# Every number a drawn tree can hold lies in [-8, 8], so that no resolution
+# exceeds 8 and every run stays small.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8)
+    | st.floats(-8.0, 8.0, allow_nan=False) | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children,
+                                        max_size=3)),
+    max_leaves=6)
+
+
+def contract_base_trees():
+    """Scenario trees of every builtin without its sweep, at resolution 8."""
+    from wstab.scenarios import (builtin_names, builtin_scenario,
+                                 scenario_to_tree)
+    trees = []
+    for name in builtin_names():
+        tree = scenario_to_tree(builtin_scenario(name))
+        tree.pop("sweep", None)
+        tree["resolution"] = 8
+        trees.append(tree)
+    return trees + [copy.deepcopy(SMALL_SCENARIO)]
+
+
+def tree_paths(tree, prefix=()):
+    """Paths to every key and list entry of a JSON tree."""
+    items = (tree.items() if isinstance(tree, dict) else
+             enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from tree_paths(value, prefix + (key,))
+
+
+@st.composite
+def scenario_trees(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    tree = copy.deepcopy(draw(st.sampled_from(contract_base_trees())))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(tree_paths(tree))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = tree
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace":
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif op == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+    return tree
+
+
+class TestCliContract:
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              database=None)
+    @given(tree=scenario_trees())
+    def test_any_scenario_tree_exits_0_2_3_or_4_without_traceback(self, tree):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(tree, fh)
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", path, "--out", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -92,6 +92,76 @@ class TestFirstOrderGeometry:
         assert swept_weighted_volume(space, family, 0.1, quad) > 0
 
 
+def swirl(P):
+    """Smooth field without a closed-form Jacobian: FieldFlow takes its
+    Jacobian by finite differences."""
+    P = np.atleast_2d(P)
+    return np.stack([np.sin(P[:, 1]), P[:, 0] * P[:, 2], np.cos(P[:, 0])],
+                    axis=-1)
+
+
+class TestFamilySlices:
+    @pytest.mark.parametrize("kind", ["hemisphere", "slice"])
+    @pytest.mark.parametrize("flow", [
+        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
+        RotationFlow((1.0, 1.0, 0.0), (0.0, 0.5, 0.0)), FieldFlow(swirl),
+    ], ids=["translation", "scaling", "rotation", "field"])
+    def test_slices_equal_the_generic_path(self, quad, kind, flow):
+        """The flow applied to the cached base chart gives the arrays the
+        deformed immersion gives, bit for bit."""
+        space, imm, mesh, _ = cf.cached_geometry(kind, 12, "gaussian")
+        family = DeformedFamily(space, imm, mesh, flow)
+        for s in (0.0, 1e-3, -1e-3, 0.2):
+            generic = area_elements(space, family.immersion(s), mesh,
+                                    quad.rule)
+            for got, want in zip(family.area_elements(s, quad), generic):
+                assert np.array_equal(got, want)
+            assert family.weighted_area(s, quad) == weighted_area(
+                space, mesh, quad, imm=family.immersion(s))
+
+    def test_base_chart_is_evaluated_once_per_rule(self, monkeypatch):
+        """Across both FD variations and a swept volume a family blends the
+        quadrature points and evaluates the base Jacobian once per rule."""
+        space = cf.space_half_space("radial-log", k=-2.5)
+        imm = surface.SphericalCap()
+        mesh = mesh_from_immersion(imm, 12, space=space)
+        gauss3, centroid = Quadrature("Gauss3"), Quadrature("Centroid1")
+        family = DeformedFamily(space, imm, mesh, ScalingFlow(),
+                                base_data=extrinsic_geometry(space, imm, mesh))
+        counts = {"blend": 0, "jac": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(surface, "_blended_param_points",
+                            counting("blend", surface._blended_param_points))
+        monkeypatch.setattr(imm, "chart_jac", counting("jac", imm.chart_jac))
+        first_variation_fd(space, family, gauss3)
+        second_variation_fd(space, family, gauss3)
+        swept_weighted_volume(space, family, 0.1, gauss3)
+        assert counts == {"blend": 1, "jac": 1}
+        first_variation_fd(space, family, centroid)
+        swept_weighted_volume(space, family, 0.1, centroid)
+        assert counts == {"blend": 2, "jac": 2}
+
+    def test_base_geometry_is_reused_only_for_its_rules(self, quad):
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        family = DeformedFamily(space, imm, mesh, ScalingFlow(),
+                                base_data=data)
+        assert family.geometry(0.0, quad) is data
+        gauss6 = Quadrature("Gauss6")
+        assert family.geometry(0.0, gauss6).tri_rule == "Gauss6"
+        assert family.base_data is data
+        fresh = DeformedFamily(space, imm, mesh, ScalingFlow())
+        computed = fresh.geometry(0.0, quad)
+        assert fresh.base_data is computed
+        assert fresh.geometry(0.0, quad) is computed
+        assert np.array_equal(computed.H_f, data.H_f)
+
+
 class TestFirstVariation:
     def test_hemisphere_inflation_formula_is_4pi(self, quad):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
