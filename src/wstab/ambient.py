@@ -132,7 +132,7 @@ def boundary_inner_normal(space: AmbientSpace, p: Array):
         raise InputError("ambient space has no boundary")
     P, single = _batch(p)
     phi = np.atleast_1d(space.boundary.phi(P))
-    if np.any(np.abs(phi) > 1e-10):
+    if not np.all(np.abs(phi) <= 1e-10):
         raise InputError("point is not on the boundary (|phi| > 1e-10)")
     g = space.boundary.grad_phi(P)
     norms = np.linalg.norm(g, axis=-1)

@@ -9,6 +9,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -45,6 +46,8 @@ def _load_scenario(path: str) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise ConfigError(f"JSON in {path} is nested too deeply")
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(obj, name)
 
@@ -147,6 +150,8 @@ def _parse_range(spec: str):
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"non-numeric range component in '{spec}'")
+    if not all(math.isfinite(x) for x in (a, b, step)):
+        raise ConfigError(f"range '{spec}' has a non-finite component")
     if step <= 0:
         raise ConfigError("range step must be positive")
     values = []
@@ -170,7 +175,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    from .functionals import Quadrature
     from .scenarios import build_immersion, build_space
     from .surface import mesh_from_immersion
     scn = _resolve_scenario(args.scenario)

@@ -7,16 +7,17 @@ differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .ambient import AmbientSpace, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (TRI_RULES, ExtrinsicData, Immersion, SurfaceMesh,
+from .surface import (ExtrinsicData, Immersion, SurfaceMesh,
                       _chart_at_quadrature, _first_order_fields,
-                      _normal_from_jac, area_elements, extrinsic_geometry,
+                      _normal_from_jac, extrinsic_geometry,
                       stationarity_verdict)
 
 Array = np.ndarray
@@ -24,23 +25,9 @@ Array = np.ndarray
 FD_FIELD_JAC = 1e-5
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Named quadrature rules used for surface and boundary integrals."""
-
-    rule: str = "Gauss3"             # Centroid1 | Gauss3 | Gauss6
-    boundary_rule: str = "Gauss2"    # Midpoint | Gauss2
-
-
 # ---------------------------------------------------------------------------
 # variation fields
 # ---------------------------------------------------------------------------
-
-def quintic_bump(x: Array) -> Array:
-    """C^2 bump on [0, 1]: 0 at 0 with two flat derivatives, 1 at 1."""
-    x = np.clip(x, 0.0, 1.0)
-    return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-
 
 @dataclass(frozen=True)
 class VariationField:
@@ -273,7 +260,7 @@ class DeformedImmersion(Immersion):
                 P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
             else:
                 res = np.max(np.abs(np.atleast_1d(bd.phi(P))))
-                if res > 1e-10:
+                if not res <= 1e-10:
                     raise NumericalFailure(
                         f"boundary re-projection residual {res:.2e} exceeds "
                         f"1e-10 after 3 Newton steps")
@@ -303,9 +290,9 @@ class DeformedImmersion(Immersion):
 class DeformedFamily:
     """A variation: base surface plus an ambient flow.
 
-    The base chart is evaluated once per quadrature rule, on first use, and
-    kept for the family's lifetime: the first-order geometry of the slice at
-    s is the flow applied to the cached base positions and Jacobians.
+    The base chart is evaluated once, on first use, and kept for the
+    family's lifetime: the first-order geometry of the slice at s is the
+    flow applied to the cached base positions and Jacobians.
     ``base_data`` is the full geometry of the base, computed on first use
     when it is not given.
     """
@@ -315,88 +302,60 @@ class DeformedFamily:
     mesh: SurfaceMesh
     flow: Flow
     base_data: Optional[ExtrinsicData] = None
-    _charts: Dict[str, Tuple[Array, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def immersion(self, s: float) -> Immersion:
         if s == 0.0:
             return self.base
         return DeformedImmersion(self.base, self.flow, s, self.space)
 
-    def base_chart(self, quad: Quadrature) -> Tuple[Array, ...]:
-        """(Q, D1, D2, P0, J0) of the base at the rule's quadrature points."""
-        if quad.rule not in self._charts:
-            chart = _chart_at_quadrature(self.base, self.mesh,
-                                         TRI_RULES[quad.rule][0])
-            self._charts[quad.rule] = chart[:5]
-        return self._charts[quad.rule]
+    @functools.cached_property
+    def base_chart(self) -> Tuple[Array, ...]:
+        """(Q, D1, D2, P0, J0) of the base at the quadrature points."""
+        return _chart_at_quadrature(self.base, self.mesh)[:5]
 
-    def area_elements(self, s: float, quad: Quadrature):
+    def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s."""
-        Q, D1, D2, P0, J0 = self.base_chart(quad)
+        Q, D1, D2, P0, J0 = self.base_chart
         pos, J = P0, J0
         if s != 0.0:       # the slice at 0 is the base, as in immersion()
             pos = self.flow.map(s, P0)
             J = np.matmul(self.flow.jac(s, P0), J0)
         first = _first_order_fields(self.space, self.base.orientation_sign,
-                                    TRI_RULES[quad.rule][1], Q, D1, D2, pos, J)
+                                    Q, D1, D2, pos, J)
         return first["pos"], first["N"], first["w_da"] * first["f"]
 
-    def weighted_area(self, s: float, quad: Quadrature) -> float:
+    def weighted_area(self, s: float) -> float:
         """A_f of the slice at s."""
-        return float(np.sum(self.area_elements(s, quad)[2]))
+        return float(np.sum(self.area_elements(s)[2]))
 
-    def geometry(self, s: float, quad: Quadrature) -> ExtrinsicData:
+    def geometry(self, s: float) -> ExtrinsicData:
         """Full geometry of the slice at s; the base's is computed once."""
-        rules = (quad.rule, quad.boundary_rule)
-        data = self.base_data
-        if (s == 0.0 and data is not None
-                and (data.tri_rule, data.edge_rule) == rules):
-            return data
-        data = extrinsic_geometry(self.space, self.immersion(s), self.mesh,
-                                  *rules)
-        if s == 0.0 and self.base_data is None:
-            self.base_data = data
-        return data
-
-    def rebase(self, s0: float) -> "DeformedFamily":
-        """Family restarted from the surface at parameter s0.
-
-        Valid for flows that compose additively in s (translations,
-        rotations).
-        """
-        return DeformedFamily(self.space,
-                              DeformedImmersion(self.base, self.flow, s0,
-                                                self.space),
-                              self.mesh, self.flow)
+        if s != 0.0:
+            return extrinsic_geometry(self.space, self.immersion(s),
+                                      self.mesh)
+        if self.base_data is None:
+            self.base_data = extrinsic_geometry(self.space, self.base,
+                                                self.mesh)
+        return self.base_data
 
 
 # ---------------------------------------------------------------------------
 # functionals
 # ---------------------------------------------------------------------------
 
-def weighted_area(space: AmbientSpace, mesh: SurfaceMesh,
-                  quad: Quadrature = Quadrature(),
-                  imm: Optional[Immersion] = None,
-                  data: Optional[ExtrinsicData] = None) -> float:
-    if data is None:
-        return float(np.sum(area_elements(space, imm, mesh, quad.rule)[2]))
-    return float(np.sum(data.w_daf))
-
-
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
-                          s: float, quad: Quadrature = Quadrature()) -> float:
+                          s: float) -> float:
     """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt."""
     if s == 0.0:
         return 0.0
-    pos0 = family.base_chart(quad)[3]
+    pos0 = family.base_chart[3]
     total = 0.0
     for node, wt in zip(GL8_NODES, GL8_WEIGHTS):
         t = 0.5 * s * (node + 1.0)
-        _, N_t, w_daf = family.area_elements(t, quad)
+        _, N_t, w_daf = family.area_elements(t)
         vel = family.flow.velocity(t, pos0)
         integrand = np.sum(vel * N_t, axis=1) * w_daf
         total += wt * float(np.sum(integrand))
@@ -404,8 +363,8 @@ def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
 
 
 def first_variation_formula(space: AmbientSpace, mesh: SurfaceMesh,
-                            data: ExtrinsicData, field: VariationField,
-                            quad: Quadrature = Quadrature()) -> float:
+                            data: ExtrinsicData,
+                            field: VariationField) -> float:
     """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f."""
     field.check_admissible(space, data)
     u = normal_component(field, data)
@@ -417,8 +376,8 @@ def first_variation_formula(space: AmbientSpace, mesh: SurfaceMesh,
 
 
 def volume_first_variation(space: AmbientSpace, mesh: SurfaceMesh,
-                           data: ExtrinsicData, field: VariationField,
-                           quad: Quadrature = Quadrature()) -> float:
+                           data: ExtrinsicData,
+                           field: VariationField) -> float:
     """V_f'(0) = int u da_f."""
     u = normal_component(field, data)
     return float(np.sum(u * data.w_daf))
@@ -431,12 +390,11 @@ class FDReport:
 
 
 def first_variation_fd(space: AmbientSpace, family: DeformedFamily,
-                       quad: Quadrature = Quadrature(),
                        h: float = 1e-3) -> FDReport:
     """Richardson-extrapolated centered difference of A_f at s = 0."""
     def diff(step):
-        return (family.weighted_area(step, quad)
-                - family.weighted_area(-step, quad)) / (2 * step)
+        return (family.weighted_area(step)
+                - family.weighted_area(-step)) / (2 * step)
 
     d1 = diff(h)
     d2 = diff(h / 2)
@@ -450,13 +408,12 @@ def first_variation_fd(space: AmbientSpace, family: DeformedFamily,
 
 
 def second_variation_fd(space: AmbientSpace, family: DeformedFamily,
-                        quad: Quadrature = Quadrature(),
                         h: float = 1e-2) -> FDReport:
     """(A_f + H_f V_f)''(0) by a 5-point stencil with Richardson.
 
     Requires the base surface to be f-stationary under volume constraint.
     """
-    data0 = family.geometry(0.0, quad)
+    data0 = family.geometry(0.0)
     verdict = stationarity_verdict(space, family.mesh, data0, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError(
@@ -466,8 +423,8 @@ def second_variation_fd(space: AmbientSpace, family: DeformedFamily,
     def W(s):
         if s == 0.0:
             return float(np.sum(data0.w_daf))
-        return (family.weighted_area(s, quad)
-                + Hf0 * swept_weighted_volume(space, family, s, quad))
+        return (family.weighted_area(s)
+                + Hf0 * swept_weighted_volume(space, family, s))
 
     w0 = W(0.0)
 
@@ -514,8 +471,8 @@ def surface_divergence(imm: Immersion, data: ExtrinsicData,
 
 
 def divergence_theorem_residual(space: AmbientSpace, mesh: SurfaceMesh,
-                                data: ExtrinsicData, field: VariationField,
-                                quad: Quadrature = Quadrature()) -> float:
+                                data: ExtrinsicData,
+                                field: VariationField) -> float:
     """Residual of int div_{Sigma,f} X da_f = -int H_f <X,N> da_f - int <X,nu> dl_f."""
     imm = mesh.immersion
     div = surface_divergence(imm, data, field)

@@ -17,10 +17,9 @@ import numpy as np
 
 from .ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
                       make_space)
-from .errors import (ConfigError, NumericalFailure, PreconditionError,
-                     WstabError)
-from .functionals import (DeformedFamily, Quadrature, RotationFlow,
-                          ScalingFlow, TranslationFlow, first_variation_fd,
+from .errors import ConfigError, WstabError
+from .functionals import (DeformedFamily, RotationFlow, ScalingFlow,
+                          TranslationFlow, first_variation_fd,
                           second_variation_fd, swept_weighted_volume)
 from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, vertex_normals,
@@ -62,6 +61,10 @@ NUMERIC_EXPECT_KEYS = {"lambda_min", "lambda_tol", "chi",
 TOLERANCE_KEYS = {"identity", "boundary_identity", "variation", "verdict",
                   "foliation"}
 
+# scenario trees are a few levels deep; the registry parameter builders
+# recurse into nested lists
+MAX_NESTING = 16
+
 DEFAULT_TOLS = {
     "identity": 1e-5,
     "boundary_identity": 1e-6,
@@ -92,6 +95,33 @@ def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:          # an int beyond the float range
+        return False
+
+
+def _check_values(obj: dict) -> None:
+    """json reads NaN, Infinity and ints beyond the float range; no scenario
+    value may be any of them, nor nested deeper than MAX_NESTING."""
+    stack = [(key, value, 1) for key, value in obj.items()]
+    while stack:
+        where, value, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ConfigError(f"{where} is nested more than {MAX_NESTING} "
+                              f"levels deep")
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and not _finite(value)):
+            raise ConfigError(f"{where} must be a finite number")
+        if isinstance(value, dict):
+            stack += [(f"{where}.{k}", v, depth + 1)
+                      for k, v in value.items()]
+        elif isinstance(value, (list, tuple)):
+            stack += [(f"{where}[{i}]", v, depth + 1)
+                      for i, v in enumerate(value)]
 
 
 def _registry_params(obj: dict, registry: dict, kind: str):
@@ -141,6 +171,7 @@ TOP_KEYS = {"name", "ambient", "surface", "resolution", "tasks", "variation",
 def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     obj = _require_mapping(obj, "scenario")
     _check_keys(obj, TOP_KEYS, "scenario")
+    _check_values(obj)
     for req in ("ambient", "surface", "resolution", "tasks"):
         if req not in obj:
             raise ConfigError(f"scenario is missing required key '{req}'")
@@ -198,6 +229,12 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError("sweep block requires 'param' and 'values'")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
             raise ConfigError("sweep values must be a non-empty list")
+        for v in sweep["values"]:
+            v = _number(v, "sweep value")
+            if sweep["param"] == "resolution" and not (v.is_integer()
+                                                       and v >= 4):
+                raise ConfigError(f"resolution sweep values must be "
+                                  f"integers >= 4, got {v!r}")
 
     expect = obj.get("expect", {})
     expect = _require_mapping(expect, "expect")
@@ -316,10 +353,10 @@ def _f(x) -> float:
     return float(x)
 
 
-def run_scenario(scn: Scenario, quad: Quadrature = Quadrature()) -> RunResult:
+def run_scenario(scn: Scenario) -> RunResult:
     if scn.sweep is not None:
-        return _run_sweep(scn, quad)
-    return _run_single(scn, quad)
+        return _run_sweep(scn)
+    return _run_single(scn)
 
 
 def _set_path(tree: dict, path: str, value) -> None:
@@ -359,19 +396,16 @@ def scenario_to_tree(scn: Scenario) -> dict:
     return tree
 
 
-def _run_sweep(scn: Scenario, quad: Quadrature) -> RunResult:
+def _run_sweep(scn: Scenario) -> RunResult:
     param = scn.sweep["param"]
     values = scn.sweep["values"]
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"sweep values must be numeric, got {v!r}")
     rows = []
     sub_reports = {}
     for v in values:
         tree = scenario_to_tree(scn)
         tree.pop("expect", None)
         _set_path(tree, param, int(v) if param == "resolution" else float(v))
-        res = _run_single(parse_scenario(tree, scn.name), quad)
+        res = _run_single(parse_scenario(tree, scn.name))
         lam = res.report.get("results", {}).get("spectrum", {}).get("lambda_min")
         rows.append([float(v), lam])
         sub_reports[repr(float(v))] = res.report
@@ -415,14 +449,14 @@ def _none_or_f(x):
     return float(x)
 
 
-def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
+def _run_single(scn: Scenario) -> RunResult:
     space = build_space(scn)
     imm = build_immersion(scn)
     mesh = mesh_from_immersion(imm, scn.resolution, space=space)
     needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
-    asm = assemble(space, mesh, quad) if needs_asm else None
-    data = asm.data if asm is not None else extrinsic_geometry(
-        space, imm, mesh, tri_rule=quad.rule, edge_rule=quad.boundary_rule)
+    asm = assemble(space, mesh) if needs_asm else None
+    data = (asm.data if asm is not None
+            else extrinsic_geometry(space, imm, mesh))
     report: Dict[str, Any] = {
         "name": scn.name,
         "geometry": {
@@ -467,9 +501,9 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
 
     def t_first_variation():
         from .functionals import VariationField, first_variation_formula
-        fd = first_variation_fd(space, family, quad)
+        fd = first_variation_fd(space, family)
         vf = VariationField(X=lambda P: flow.velocity(0.0, P), name="flow")
-        formula = first_variation_formula(space, mesh, data, vf, quad)
+        formula = first_variation_formula(space, mesh, data, vf)
         diff = abs(fd.value - formula)
         tol = max(1e-6, scn.tol("variation") * abs(formula))
         results["first_variation"] = {"fd": _f(fd.value),
@@ -479,7 +513,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
                             f"|fd - formula| = {diff:.2e}"))
 
     def t_second_variation():
-        fd = second_variation_fd(space, family, quad)
+        fd = second_variation_fd(space, family)
         Nv = vertex_normals(mesh, imm)
         u = np.sum(flow.velocity(0.0, mesh.positions) * Nv, axis=1)
         ifv = index_form_value(asm, u, u)
@@ -595,7 +629,7 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
         checks.append(Check("rigidity", bool(ok), f"all_true = {flags.all_true}"))
 
     def t_foliation():
-        rep = foliation_monotonicity_check(space, family, quad)
+        rep = foliation_monotonicity_check(space, family)
         results["foliation"] = {
             "s_values": [_f(s) for s in rep.s_values],
             "lhs": [_f(x) for x in rep.lhs],
@@ -633,8 +667,8 @@ def _run_single(scn: Scenario, quad: Quadrature) -> RunResult:
         samples_header = ["s", "A_f", "V_f"]
         for s in np.linspace(-0.2, 0.2, 9):
             s = float(s)
-            af = family.weighted_area(s, quad)
-            vf = swept_weighted_volume(space, family, s, quad)
+            af = family.weighted_area(s)
+            vf = swept_weighted_volume(space, family, s)
             samples.append([s, af, vf])
 
     return RunResult(scn, report, checks, samples_header, samples,

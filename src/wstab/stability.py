@@ -16,8 +16,8 @@ import scipy.sparse.linalg as spla
 
 from .ambient import AmbientSpace
 from .errors import InputError, NumericalFailure, PreconditionError
-from .functionals import DeformedFamily, Quadrature
-from .surface import (SurfaceMesh, TRI_RULES, extrinsic_geometry,
+from .functionals import DeformedFamily
+from .surface import (TRI_HATS, SurfaceMesh, extrinsic_geometry,
                       stationarity_verdict)
 
 Array = np.ndarray
@@ -32,7 +32,6 @@ class IndexFormAssembly:
 
     space: AmbientSpace
     mesh: SurfaceMesh
-    quad: Quadrature
     K: sp.csr_matrix      # weighted stiffness
     P: sp.csr_matrix      # potential (Ric_f(N,N) + |sigma|^2) mass
     B: sp.csr_matrix      # Robin boundary term II(N,N)
@@ -53,16 +52,11 @@ class IndexFormAssembly:
         return _factor_below_spectrum(self)
 
 
-def assemble(space: AmbientSpace, mesh: SurfaceMesh,
-             quad: Quadrature = Quadrature()) -> IndexFormAssembly:
-    data = extrinsic_geometry(space, mesh.immersion, mesh, quad.rule,
-                              quad.boundary_rule)
+def assemble(space: AmbientSpace, mesh: SurfaceMesh) -> IndexFormAssembly:
+    data = extrinsic_geometry(space, mesh.immersion, mesh)
     tris = mesh.triangles
     F = len(tris)
-    ref_pts, _ = TRI_RULES[quad.rule]
-    R = len(ref_pts)
-    lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
-                    ref_pts[:, 0], ref_pts[:, 1]])          # (3, R)
+    R = TRI_HATS.shape[1]
     w = data.w_daf.reshape(F, R)
     pot = (data.ricf_NN + data.sigma2).reshape(F, R)
     Ginv = data.Ginv.reshape(F, R, 2, 2)
@@ -73,8 +67,9 @@ def assemble(space: AmbientSpace, mesh: SurfaceMesh,
         for j in range(3):
             gij = np.einsum("a,frab,b->fr", HAT_GRADS[i], Ginv, HAT_GRADS[j])
             ke = np.sum(w * gij, axis=1)
-            pe = np.sum(w * pot * lam[i][None, :] * lam[j][None, :], axis=1)
-            me = np.sum(w * lam[i][None, :] * lam[j][None, :], axis=1)
+            hi, hj = TRI_HATS[i][None, :], TRI_HATS[j][None, :]
+            pe = np.sum(w * pot * hi * hj, axis=1)
+            me = np.sum(w * hi * hj, axis=1)
             rows.append(tris[:, i])
             cols.append(tris[:, j])
             kv.append(ke)
@@ -103,7 +98,7 @@ def assemble(space: AmbientSpace, mesh: SurfaceMesh,
         B = sp.coo_matrix((np.concatenate(bv),
                            (np.concatenate(br), np.concatenate(bc))),
                           shape=(n, n)).tocsr()
-    return IndexFormAssembly(space, mesh, quad, K, P, B, M, data)
+    return IndexFormAssembly(space, mesh, K, P, B, M, data)
 
 
 def index_form_value(asm: IndexFormAssembly, v: Array, w: Array) -> float:
@@ -292,7 +287,6 @@ def jacobi_fd_check(space: AmbientSpace, family: DeformedFamily,
                     asm: IndexFormAssembly, h: float = 1e-3,
                     tol: float = 1e-3) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
-    quad = asm.quad
     data0 = asm.data
     verdict = stationarity_verdict(space, family.mesh, data0, tol_H=1e-5)
     if not verdict.volume_constrained:
@@ -303,14 +297,11 @@ def jacobi_fd_check(space: AmbientSpace, family: DeformedFamily,
     u = np.sum(vel * Nv, axis=1)
     Lu = jacobi_apply(asm, u)
     # interpolate L_f(u) to quadrature points
-    ref_pts, _ = TRI_RULES[quad.rule]
-    lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
-                    ref_pts[:, 0], ref_pts[:, 1]])
     tris = family.mesh.triangles
-    Lq = (Lu[tris][:, :, None] * lam[None, :, :]).sum(axis=1).ravel()
+    Lq = (Lu[tris][:, :, None] * TRI_HATS[None, :, :]).sum(axis=1).ravel()
     # FD of H_f per material quadrature point
-    dp = family.geometry(h, quad).H_f
-    dm = family.geometry(-h, quad).H_f
+    dp = family.geometry(h).H_f
+    dm = family.geometry(-h).H_f
     dHf = (dp - dm) / (2 * h)
     scale = max(1.0, float(np.max(np.abs(Lq))), float(np.max(np.abs(dHf))))
     resid = float(np.max(np.abs(dHf - Lq))) / scale

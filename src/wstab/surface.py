@@ -8,6 +8,7 @@ differences.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -19,27 +20,16 @@ from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
 
-# quadrature rules on the unit reference triangle {x>=0, y>=0, x+y<=1}
-# (points, weights); weights sum to the reference area 1/2
-TRI_RULES = {
-    "Centroid1": (np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
-    "Gauss3": (np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]]),
-               np.array([1 / 6, 1 / 6, 1 / 6])),
-    "Gauss6": (np.array([
-        [0.44594849091597, 0.44594849091597],
-        [0.44594849091597, 0.10810301816807],
-        [0.10810301816807, 0.44594849091597],
-        [0.09157621350977, 0.09157621350977],
-        [0.09157621350977, 0.81684757298046],
-        [0.81684757298046, 0.09157621350977]]),
-        np.array([0.111690794839005] * 3 + [0.054975871827661] * 3)),
-}
-# rules on the unit interval [0, 1]
-EDGE_RULES = {
-    "Midpoint": (np.array([0.5]), np.array([1.0])),
-    "Gauss2": (np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)]),
-               np.array([0.5, 0.5])),
-}
+# every surface integral uses Gauss3 on the unit reference triangle
+# {x>=0, y>=0, x+y<=1} (weights sum to the reference area 1/2) and every
+# boundary integral Gauss2 on the unit interval [0, 1]
+TRI_POINTS = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
+TRI_WEIGHTS = np.array([1 / 6, 1 / 6, 1 / 6])
+EDGE_POINTS = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
+EDGE_WEIGHTS = np.array([0.5, 0.5])
+# the P1 hat functions at the triangle points, (3, R)
+TRI_HATS = np.stack([1 - TRI_POINTS[:, 0] - TRI_POINTS[:, 1],
+                     TRI_POINTS[:, 0], TRI_POINTS[:, 1]])
 
 FD_CHART_JAC = 1e-5
 FD_CHART_HESS = 2e-4
@@ -186,6 +176,13 @@ class Immersion:
 # built-in immersions
 # ---------------------------------------------------------------------------
 
+def _orientation_sign(sign) -> int:
+    """The sign that orients the unit normal: 1 or -1, nothing else."""
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise InputError(f"orientation_sign must be 1 or -1, got {sign!r}")
+    return int(sign)
+
+
 def _rotation_to(axis) -> Array:
     """Rotation matrix mapping e3 to the given unit axis."""
     a = vector3(axis, "cap axis")
@@ -216,7 +213,7 @@ class SphericalCap(Immersion):
         self.alpha = float(alpha)
         self.center = vector3(center, "cap center")
         self.rot = _rotation_to(axis)
-        self.orientation_sign = int(orientation_sign)
+        self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("disk", float(np.tan(alpha / 2)))
 
     def _unit(self, Q):
@@ -282,7 +279,7 @@ class PlanarDisk(Immersion):
                 abs(np.linalg.norm(self.e2) - 1) > 1e-12:
             raise InputError("disk frame must be orthonormal")
         self.radius = float(radius)
-        self.orientation_sign = int(orientation_sign)
+        self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("disk", self.radius)
 
     def chart(self, Q):
@@ -312,7 +309,7 @@ class RectPatch(Immersion):
         self.origin = vector3(origin, "patch origin")
         self.du = vector3(du, "patch du")
         self.dv = vector3(dv, "patch dv")
-        self.orientation_sign = int(orientation_sign)
+        self.orientation_sign = _orientation_sign(orientation_sign)
         ranges = np.asarray([u_range, v_range], float)
         if (ranges.shape != (2, 2) or not np.all(np.isfinite(ranges))
                 or np.any(ranges[:, 0] >= ranges[:, 1])):
@@ -347,7 +344,7 @@ class RoundSphere(Immersion):
     def __init__(self, radius=1.0, center=(0, 0, 0), orientation_sign=1):
         self.radius = float(radius)
         self.center = vector3(center, "sphere center")
-        self.orientation_sign = int(orientation_sign)
+        self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("sphere",)
 
     def chart(self, Q):
@@ -405,7 +402,7 @@ class SurfaceMesh:
     def n_vertices(self):
         return len(self.params)
 
-    @property
+    @functools.cached_property
     def n_edges(self):
         e = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
         return len(np.unique(e, axis=0))
@@ -625,7 +622,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         g = space.boundary.grad_phi(P)
         P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
         res = np.max(np.abs(np.atleast_1d(space.boundary.phi(P))))
-        if res > 1e-10:
+        if not res <= 1e-10:
             raise MeshingError(
                 f"boundary projection residual {res:.2e} exceeds 1e-10")
         positions[bidx] = P
@@ -654,7 +651,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         mesh.curved_arc = np.asarray(c_arc, dtype=np.int64)
         mesh.curved_t = np.asarray(c_t, dtype=float)
     corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
-    if _min_angle_from_corners(corners) < 5.0:
+    if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
     m = _boundary_loops(be, len(params))
     mesh.n_loops = m
@@ -671,12 +668,8 @@ class ExtrinsicData:
     """Pointwise geometry at interior and boundary quadrature points."""
 
     mesh: SurfaceMesh
-    tri_rule: str
-    edge_rule: str
     # interior arrays, one entry per (triangle, quadrature point)
     tri_index: Array
-    ref_points: Array        # quadrature rule nodes (R, 2)
-    ref_weights: Array
     params: Array            # (Q, pd)
     pos: Array               # (Q, 3)
     E1: Array                # (Q, 3) chart derivative along edge q1-q0
@@ -728,7 +721,7 @@ class ExtrinsicData:
         return len(self.bedge_index) > 0
 
 
-def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
+def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     """Per-quadrature-point parameters, tangent directions, and curvature.
 
     Affine triangles give constant directions and zero second derivatives;
@@ -738,13 +731,13 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
     """
     tp = mesh.tri_params
     F = len(tp)
-    R = len(ref_pts)
+    R = len(TRI_POINTS)
     pd = tp.shape[2]
     q0 = tp[:, 0]
     d1 = tp[:, 1] - q0
     d2 = tp[:, 2] - q0
-    xi = ref_pts[:, 0]
-    eta = ref_pts[:, 1]
+    xi = TRI_POINTS[:, 0]
+    eta = TRI_POINTS[:, 1]
     Q = (q0[:, None, :] + xi[None, :, None] * d1[:, None, :]
          + eta[None, :, None] * d2[:, None, :])
     D1 = np.broadcast_to(d1[:, None, :], (F, R, pd)).copy()
@@ -753,7 +746,6 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
     Q12 = np.zeros((F, R, pd))
     Q22 = np.zeros((F, R, pd))
     if len(mesh.curved_tri):
-        lam = np.stack([1 - xi - eta, xi, eta])        # (3, R)
         dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         arcs = imm.boundary_arcs()
         for aid in np.unique(mesh.curved_arc):
@@ -764,8 +756,8 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
             ti = mesh.curved_t[sel, 0]
             tj = mesh.curved_t[sel, 1]
             arc = arcs[int(aid)]
-            a = lam[li]                                 # (C, R)
-            b = lam[lj]
+            a = TRI_HATS[li]                            # (C, R)
+            b = TRI_HATS[lj]
             da = dlam[li]                               # (C, 2)
             db = dlam[lj]
             S = a + b
@@ -812,20 +804,20 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
             Q11.reshape(n, pd), Q12.reshape(n, pd), Q22.reshape(n, pd))
 
 
-def _chart_at_quadrature(imm: Immersion, mesh: SurfaceMesh, ref_pts: Array):
+def _chart_at_quadrature(imm: Immersion, mesh: SurfaceMesh):
     """Blended parameters Q with their directions D1, D2, the chart's
     positions and Jacobian at Q, and the blend's (Q11, Q12, Q22)."""
-    Q, D1, D2, Q11, Q12, Q22 = _blended_param_points(imm, mesh, ref_pts)
+    Q, D1, D2, Q11, Q12, Q22 = _blended_param_points(imm, mesh)
     return Q, D1, D2, imm.chart(Q), imm.chart_jac(Q), (Q11, Q12, Q22)
 
 
 def _first_order_fields(space: AmbientSpace, orientation_sign: int,
-                        ref_w: Array, Q: Array, D1: Array, D2: Array,
+                        Q: Array, D1: Array, D2: Array,
                         pos: Array, J: Array) -> dict:
     """First-order ExtrinsicData fields from the chart at quadrature points."""
     if space.dim != 3:
         raise InputError("surface geometry supports 3-dimensional ambients only")
-    R = len(ref_w)
+    R = len(TRI_WEIGHTS)
     F = len(Q) // R
     E1 = np.einsum("nia,na->ni", J, D1)
     E2 = np.einsum("nia,na->ni", J, D2)
@@ -833,7 +825,7 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
     g12 = np.sum(E1 * E2, axis=1)
     g22 = np.sum(E2 * E2, axis=1)
     detG = g11 * g22 - g12 * g12
-    if np.any(detG <= 1e-20):
+    if not np.all(detG > 1e-20):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
     Ginv = np.empty((F * R, 2, 2))
     Ginv[:, 0, 0] = g22 / detG
@@ -843,15 +835,14 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
     Nv = orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
     return dict(tri_index=np.repeat(np.arange(F), R), params=Q, pos=pos,
                 E1=E1, E2=E2, D1=D1, D2=D2, Ginv=Ginv,
-                w_da=np.sqrt(detG) * np.tile(ref_w, F),
+                w_da=np.sqrt(detG) * np.tile(TRI_WEIGHTS, F),
                 f=np.exp(space.density.psi(pos)), N=Nv)
 
 
-def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
-                       ref_pts: Array, ref_w: Array):
-    Q, d1r, d2r, pos, J, (Q11, Q12, Q22) = _chart_at_quadrature(imm, mesh,
-                                                                ref_pts)
-    first = _first_order_fields(space, imm.orientation_sign, ref_w,
+def _interior_geometry(space: AmbientSpace, imm: Immersion,
+                       mesh: SurfaceMesh):
+    Q, d1r, d2r, pos, J, (Q11, Q12, Q22) = _chart_at_quadrature(imm, mesh)
+    first = _first_order_fields(space, imm.orientation_sign,
                                 Q, d1r, d2r, pos, J)
     Nv = first["N"]
     Hc = imm.chart_hess(Q)
@@ -884,10 +875,10 @@ def _interior_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
                 lap_s_psi=lap_s, S_f=S_f)
 
 
-def _boundary_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
-                       ref_x: Array, ref_w: Array):
+def _boundary_geometry(space: AmbientSpace, imm: Immersion,
+                       mesh: SurfaceMesh):
     B = len(mesh.boundary_edges)
-    R = len(ref_x)
+    R = len(EDGE_POINTS)
     arcs = imm.boundary_arcs()
     out = {k: [] for k in ("bedge_index", "bedge_local", "b_t", "b_arc",
                            "b_params", "b_pos", "b_T", "b_nu", "b_xi", "b_N",
@@ -899,7 +890,7 @@ def _boundary_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
         sel = np.nonzero(mesh.boundary_edges[:, 2] == aid)[0]
         t0 = mesh.boundary_t[sel, 0]
         t1 = mesh.boundary_t[sel, 1]
-        ts = (t0[:, None] + ref_x[None, :] * (t1 - t0)[:, None]).ravel()
+        ts = (t0[:, None] + EDGE_POINTS[None, :] * (t1 - t0)[:, None]).ravel()
         arc = arcs[int(aid)]
         g, dg, ddg = imm.boundary_curve_derivs(arc, ts)
         speed = np.linalg.norm(dg, axis=1)
@@ -916,7 +907,7 @@ def _boundary_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
         nu = nu * sgn[:, None]
         h = np.sum(acc * nu, axis=1)
         fb = np.exp(space.density.psi(g))
-        w = np.tile(ref_w, len(sel)) * np.repeat(t1 - t0, R) * speed
+        w = np.tile(EDGE_WEIGHTS, len(sel)) * np.repeat(t1 - t0, R) * speed
         if space.boundary is not None:
             xi = np.atleast_2d(boundary_inner_normal(space, g))
             IImat = boundary_ii_matrix(space, g)
@@ -929,7 +920,7 @@ def _boundary_geometry(space: AmbientSpace, imm: Immersion, mesh: SurfaceMesh,
             Hf_b = np.zeros(len(g))
             contact = np.zeros(len(g))
         out["bedge_index"].append(np.repeat(sel, R))
-        out["bedge_local"].append(np.tile(ref_x, len(sel)))
+        out["bedge_local"].append(np.tile(EDGE_POINTS, len(sel)))
         out["b_t"].append(ts)
         out["b_arc"].append(np.full(len(ts), aid, dtype=np.int64))
         out["b_params"].append(qb)
@@ -962,27 +953,12 @@ def _normal_from_jac(imm: Immersion, J: Array) -> Array:
 
 
 def extrinsic_geometry(space: AmbientSpace, imm: Optional[Immersion],
-                       mesh: SurfaceMesh, tri_rule: str = "Gauss3",
-                       edge_rule: str = "Gauss2") -> ExtrinsicData:
+                       mesh: SurfaceMesh) -> ExtrinsicData:
     """Evaluate all pointwise geometry at quadrature points of the mesh."""
     imm = mesh.immersion if imm is None else imm
-    ref_pts, ref_w = TRI_RULES[tri_rule]
-    interior = _interior_geometry(space, imm, mesh, ref_pts, ref_w)
-    boundary = _boundary_geometry(space, imm, mesh, *EDGE_RULES[edge_rule])
-    return ExtrinsicData(mesh=mesh, tri_rule=tri_rule, edge_rule=edge_rule,
-                         ref_points=ref_pts, ref_weights=ref_w, **interior,
-                         **(boundary or {}))
-
-
-def area_elements(space: AmbientSpace, imm: Optional[Immersion],
-                  mesh: SurfaceMesh, tri_rule: str = "Gauss3"):
-    """Positions, unit normals and w da_f: first-order geometry only."""
-    imm = mesh.immersion if imm is None else imm
-    ref_pts, ref_w = TRI_RULES[tri_rule]
-    Q, D1, D2, pos, J, _ = _chart_at_quadrature(imm, mesh, ref_pts)
-    first = _first_order_fields(space, imm.orientation_sign, ref_w,
-                                Q, D1, D2, pos, J)
-    return first["pos"], first["N"], first["w_da"] * first["f"]
+    interior = _interior_geometry(space, imm, mesh)
+    boundary = _boundary_geometry(space, imm, mesh)
+    return ExtrinsicData(mesh=mesh, **interior, **(boundary or {}))
 
 
 @dataclass(frozen=True)
@@ -1055,14 +1031,3 @@ def import_off(path: str):
         pass
     return pos, np.asarray(tris, dtype=np.int64), be, bt
 
-
-def write_geometry_csv(data: ExtrinsicData, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("tri_index,qp_index,x,y,z,H,H_f,K,Ric_f_NN\n")
-        R = len(data.ref_points)
-        for n in range(len(data.tri_index)):
-            fh.write(f"{data.tri_index[n]},{n % R},"
-                     f"{data.pos[n, 0]:.17g},{data.pos[n, 1]:.17g},"
-                     f"{data.pos[n, 2]:.17g},{data.H[n]:.17g},"
-                     f"{data.H_f[n]:.17g},{data.K[n]:.17g},"
-                     f"{data.ricf_NN[n]:.17g}\n")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import InputError, PreconditionError
-from .functionals import DeformedFamily, Quadrature
+from .functionals import DeformedFamily
 from .stability import IndexFormAssembly
 from .surface import ExtrinsicData, SurfaceMesh, stationarity_verdict
 
@@ -212,13 +212,12 @@ class FoliationReport:
 
 
 def foliation_monotonicity_check(space: AmbientSpace, family: DeformedFamily,
-                                 quad: Quadrature = Quadrature(),
                                  s_values=(-0.1, 0.0, 0.1),
                                  h: float = 1e-3,
                                  tol: float = 1e-3) -> FoliationReport:
     """Verify H_f'(s) A_f(s) = int_bd II u dl_f + int (Ric_f(N,N)+|sigma|^2) u da_f."""
     s_values = np.asarray(s_values, float)
-    base_data = family.geometry(0.0, quad)
+    base_data = family.geometry(0.0)
     pos0 = base_data.pos
     bpos0 = base_data.b_pos if base_data.has_boundary else None
     lhs = np.empty(len(s_values))
@@ -227,15 +226,15 @@ def foliation_monotonicity_check(space: AmbientSpace, family: DeformedFamily,
     ric_min = np.inf
     ii_min = np.inf
     for i, s in enumerate(s_values):
-        d = family.geometry(s, quad)
+        d = family.geometry(s)
         verdict = stationarity_verdict(space, family.mesh, d, tol_H=1e-5)
         if not verdict.volume_constrained:
             raise PreconditionError(f"slice at s = {s} is not f-stationary")
         u = np.sum(family.flow.velocity(s, pos0) * d.N, axis=1)
         if np.min(u) <= 0:
             raise PreconditionError("foliation speed u must be positive")
-        dp = family.geometry(s + h, quad)
-        dm = family.geometry(s - h, quad)
+        dp = family.geometry(s + h)
+        dm = family.geometry(s - h)
         wp = np.sum(dp.w_daf)
         wm = np.sum(dm.w_daf)
         Hp = float(np.sum(dp.H_f * dp.w_daf) / wp)

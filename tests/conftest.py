@@ -10,15 +10,12 @@ import functools
 import math
 
 import numpy as np
-import pytest
 
 from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
-from wstab.functionals import Quadrature
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            extrinsic_geometry, mesh_from_immersion)
 
 TAU = 2.0 * math.pi
-QUAD = Quadrature()
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,8 +119,3 @@ def cached_geometry(kind: str, resolution: int, density_name="constant",
     space, imm, mesh = builder(resolution, density_name, **params)
     data = extrinsic_geometry(space, imm, mesh)
     return space, imm, mesh, data
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return QUAD

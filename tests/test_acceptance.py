@@ -30,7 +30,6 @@ from wstab.theorems import (boundary_identity_residual,
                             gauss_rearrangement_residual)
 
 TAU = 2.0 * math.pi
-QUAD = cf.QUAD
 RNG = np.random.default_rng(23)
 
 DISK_CENTER = np.array([2.0, 0.0, 0.0])
@@ -232,9 +231,9 @@ def test_criterion_2_first_variation_matrix():
                 for flow, X in matrix_fields(kind):
                     field = VariationField(X=X)
                     formula = first_variation_formula(space, mesh, data,
-                                                      field, QUAD)
+                                                      field)
                     fd = first_variation_fd(
-                        space, DeformedFamily(space, imm, mesh, flow), QUAD)
+                        space, DeformedFamily(space, imm, mesh, flow))
                     diff = abs(fd.value - formula)
                     assert diff <= max(1e-6, 1e-4 * abs(formula)), \
                         f"{kind}/{dens}/{field.name}: diff {diff:.2e}"
@@ -244,8 +243,7 @@ def test_criterion_2_first_variation_matrix():
         # hemisphere inflation oracle at constant density
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
         val = first_variation_formula(
-            space, mesh, data, VariationField(X=lambda P: np.atleast_2d(P)),
-            QUAD)
+            space, mesh, data, VariationField(X=lambda P: np.atleast_2d(P)))
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
         info["detail"] = (f"{count} FD/formula pairs, max diff {worst:.2e}, "
                           f"inflation A_f' = {val:.6f}")
@@ -272,7 +270,7 @@ def test_criterion_3_second_variation_matrix():
             for res in (24, 48):
                 space, imm, mesh, _ = cf.cached_geometry(kind, res, dens,
                                                          **params)
-                asms[res] = (assemble(space, mesh, QUAD), imm, mesh)
+                asms[res] = (assemble(space, mesh), imm, mesh)
             space, imm24, mesh24, _ = cf.cached_geometry(kind, 24, dens,
                                                          **params)
             for flow in flows:
@@ -284,7 +282,7 @@ def test_criterion_3_second_variation_matrix():
                     vals[res] = index_form_value(asm, u, u)
                 ifv = (4.0 * vals[48] - vals[24]) / 3.0
                 fd = second_variation_fd(
-                    space, DeformedFamily(space, imm24, mesh24, flow), QUAD)
+                    space, DeformedFamily(space, imm24, mesh24, flow))
                 rel = abs(fd.value - ifv) / max(1.0, abs(ifv))
                 assert rel <= 1e-3, f"{kind}/{dens}: rel {rel:.2e}"
                 worst = max(worst, rel)
@@ -298,7 +296,7 @@ def test_criterion_4_stability_threshold():
         for k in ks:
             space, imm, mesh, _ = cf.cached_geometry("hemisphere", 64,
                                                      "radial-log", k=k)
-            spec = robin_eigenproblem(assemble(space, mesh, QUAD))
+            spec = robin_eigenproblem(assemble(space, mesh))
             lams[k] = spec.lambda_min
             assert abs(lams[k] + (2.0 + k)) <= 2e-2
         # zero crossing: linear interpolation across the sign change
@@ -321,7 +319,7 @@ def test_criterion_4_stability_threshold():
         for res in (32, 64, 128):
             space, imm, mesh, _ = cf.cached_geometry("hemisphere", res,
                                                      "radial-log", k=-2.5)
-            spec = robin_eigenproblem(assemble(space, mesh, QUAD))
+            spec = robin_eigenproblem(assemble(space, mesh))
             errs[res] = abs(spec.lambda_min - 0.5)
         if max(errs.values()) > 1e-9:
             order = math.log(errs[32] / errs[128]) / math.log(4.0)
@@ -371,7 +369,7 @@ def test_criterion_6_curvature_identities():
 def test_criterion_7_constrained_stability_examples():
     with criterion(7) as info:
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24, "gaussian")
-        lam_gauss = constrained_lambda_min(assemble(space, mesh, QUAD))
+        lam_gauss = constrained_lambda_min(assemble(space, mesh))
         assert lam_gauss < -1e-3
         alpha = 0.7
         cone = make_space(dim=3,
@@ -380,7 +378,7 @@ def test_criterion_7_constrained_stability_examples():
                           boundary=("cone", {"alpha": alpha}))
         cap = SphericalCap(alpha=alpha)
         cmesh = mesh_from_immersion(cap, 24, space=cone)
-        lam_cone = constrained_lambda_min(assemble(cone, cmesh, QUAD))
+        lam_cone = constrained_lambda_min(assemble(cone, cmesh))
         assert lam_cone >= -1e-3
         info["detail"] = (f"gaussian half-space {lam_gauss:+.3f} (unstable), "
                           f"convex cone {lam_cone:+.3f} (stable)")
@@ -430,7 +428,7 @@ def test_criterion_9_jacobi_fd_families():
         worst = 0.0
         for kind, dens, params, flow in families:
             space, imm, mesh, _ = cf.cached_geometry(kind, 24, dens, **params)
-            asm = assemble(space, mesh, QUAD)
+            asm = assemble(space, mesh)
             rep = jacobi_fd_check(space, DeformedFamily(space, imm, mesh,
                                                         flow), asm)
             assert rep.passed and rep.max_residual <= 1e-3

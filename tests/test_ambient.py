@@ -76,6 +76,12 @@ class TestBoundaryOperators:
         with pytest.raises(InputError):
             boundary_inner_normal(space, [0.0, 0.0, 0.5])
 
+    def test_inner_normal_rejects_nan_level_set(self):
+        space = make_space(boundary=("half-space",
+                                     {"offset": float("nan")}))
+        with pytest.raises(InputError, match="not on the boundary"):
+            boundary_inner_normal(space, [0.0, 0.0, 0.0])
+
     def test_degenerate_gradient_is_singular(self):
         from wstab.ambient import BoundarySpec
 

@@ -32,6 +32,17 @@ SMALL_SCENARIO = {
 }
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def nested(depth):
+    """A list nested depth levels deep."""
+    value = [1.0]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 def write_config(tmp_path, tree, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
@@ -167,8 +178,32 @@ class TestMalformedParameterValues:
         {"surface": {"builtin": "rect-patch", "v_range": [1.0]}},
         {"ambient": {"density": {"name": "constant"}},
          "surface": {"builtin": "rect-patch", "u_range": [0.0, 0.01]}},
+        {"ambient": {"density": {"name": "constant"},
+                     "boundary": {"name": "half-space", "offset": NAN}}},
+        {"ambient": {"density": {"name": "constant"},
+                     "boundary": {"name": "cone", "alpha": NAN}},
+         "surface": {"builtin": "spherical-cap", "alpha": 0.7}},
+        {"ambient": {"density": {"name": "radial-log", "k": 10**400},
+                     "boundary": {"name": "half-space", "axis": 2}}},
+        {"tolerances": {"verdict": NAN}},
+        {"tasks": ["area-bounds"], "S0": INF},
+        {"expect": {"lambda_min": -INF}},
+        {"expect": {"strong": NAN}},
+        {"surface": {"builtin": "spherical-cap", "radius": INF}},
+        {"tasks": ["first-variation"],
+         "variation": {"flow": "translation", "direction": [NAN, 0.0, 0.0]}},
+        {"ambient": {"density": {"name": "radial-log", "k": -2.5},
+                     "boundary": {"name": "half-space", "axis": 2},
+                     "circumferences": [None, INF, None]}},
+        {"ambient": {"density": {"name": "radial-log", "k": nested(600)},
+                     "boundary": {"name": "half-space", "axis": 2}}},
+        {"surface": {"builtin": "spherical-cap", "orientation_sign": 0}},
     ], ids=["boundary-axis", "density-name", "expect-number", "tolerance",
-            "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect"])
+            "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect",
+            "nan-offset", "nan-cone-alpha", "huge-int-k", "nan-tolerance",
+            "inf-S0", "inf-expect", "nan-expect-flag", "inf-radius",
+            "nan-flow-direction", "inf-circumference", "deep-nesting",
+            "orientation-zero"])
     def test_malformed_scenario_value_exits_4(self, tmp_path, capsys,
                                               changes):
         tree = dict(SMALL_SCENARIO, **changes)
@@ -304,6 +339,24 @@ class TestSweep:
         assert main(["sweep", cfg, "--param", "ambient.density.k",
                      "--range=1:0:1", "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("spec", ["-3:-2:nan", "-3:-2:inf"])
+    def test_non_finite_range_exits_4(self, tmp_path, capsys, spec):
+        cfg = write_config(tmp_path, SMALL_SCENARIO)
+        assert main(["sweep", cfg, "--param", "ambient.density.k",
+                     f"--range={spec}", "--out", str(tmp_path / "out")]) == 4
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [NAN, INF, 8.7])
+    def test_resolution_sweep_values_must_be_integers_from_4(
+            self, tmp_path, capsys, value):
+        tree = half_sphere({"name": "constant"}, 6, ["stationarity"],
+                           sweep={"param": "resolution", "values": [6, value]})
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_resolution_sweep_without_spectrum_has_no_order_column(
             self, tmp_path):
         tree = half_sphere({"name": "constant"}, 6, ["stationarity"],
@@ -372,7 +425,8 @@ class TestDeterminism:
 # exceeds 8 and every run stays small.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8)
-    | st.floats(-8.0, 8.0, allow_nan=False) | st.text(max_size=6),
+    | st.floats(-8.0, 8.0, allow_nan=False)
+    | st.sampled_from([NAN, INF, -INF]) | st.text(max_size=6),
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(max_size=6), children,
                                         max_size=3)),

@@ -9,14 +9,13 @@ from wstab import surface
 from wstab.ambient import AmbientSpace, BoundarySpec, make_density
 from wstab.errors import InputError, NumericalFailure, PreconditionError
 from wstab.functionals import (DeformedFamily, DeformedImmersion, FieldFlow,
-                               Quadrature, RotationFlow, ScalingFlow,
+                               RotationFlow, ScalingFlow,
                                SurfaceGradientField, TranslationFlow,
                                VariationField, divergence_theorem_residual,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd, swept_weighted_volume,
-                               volume_first_variation, weighted_area)
-from wstab.surface import (PlanarDisk, area_elements, extrinsic_geometry,
-                           mesh_from_immersion)
+                               volume_first_variation)
+from wstab.surface import PlanarDisk, extrinsic_geometry, mesh_from_immersion
 
 TAU = 2.0 * math.pi
 
@@ -26,25 +25,16 @@ def position_field():
 
 
 class TestWeightedArea:
-    def test_hemisphere_constant(self, quad):
+    def test_hemisphere_constant(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
-        assert weighted_area(space, mesh, quad, data=data) == pytest.approx(
-            TAU, rel=2e-4)
+        assert np.sum(data.w_daf) == pytest.approx(TAU, rel=2e-4)
 
-    def test_hemisphere_gaussian_closed_form(self, quad):
+    def test_hemisphere_gaussian_closed_form(self):
         """|p| = 1 on the surface, so the density is a constant e^{-1}."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32,
                                                     "gaussian")
         expected = math.exp(-1.0) * TAU
-        assert weighted_area(space, mesh, quad, data=data) == pytest.approx(
-            expected, rel=2e-4)
-
-    def test_data_and_immersion_paths_agree(self, quad):
-        space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
-                                                    a=(1.0, 0.0, 0.0))
-        via_data = weighted_area(space, mesh, quad, data=data)
-        via_imm = weighted_area(space, mesh, quad, imm=imm)
-        assert via_data == pytest.approx(via_imm, rel=1e-14)
+        assert np.sum(data.w_daf) == pytest.approx(expected, rel=2e-4)
 
 
 class TestFirstOrderGeometry:
@@ -56,30 +46,27 @@ class TestFirstOrderGeometry:
         ("disk", "gaussian", {}),
         ("sphere", "constant", {}),
     ])
-    def test_area_elements_match_full_geometry(self, quad, kind, density,
+    def test_area_elements_match_full_geometry(self, kind, density,
                                                params):
         space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
                                                     **params)
-        pos, N, w_daf = area_elements(space, imm, mesh, quad.rule)
+        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        pos, N, w_daf = family.area_elements(0.0)
         assert np.array_equal(pos, data.pos)
         assert np.array_equal(N, data.N)
         assert np.array_equal(w_daf, data.w_daf)
-        assert weighted_area(space, mesh, quad, imm=imm) == np.sum(data.w_daf)
+        assert family.weighted_area(0.0) == np.sum(data.w_daf)
 
-    def test_deformed_immersion_area_matches_full_geometry(self, quad):
+    def test_deformed_immersion_area_matches_full_geometry(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16,
                                                  "radial-log", k=-2.5)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        deformed = family.immersion(0.05)
-        data = extrinsic_geometry(space, deformed, mesh, quad.rule,
-                                  quad.boundary_rule)
-        _, N, w_daf = area_elements(space, deformed, mesh, quad.rule)
+        data = extrinsic_geometry(space, family.immersion(0.05), mesh)
+        _, N, w_daf = family.area_elements(0.05)
         assert np.array_equal(N, data.N)
-        assert weighted_area(space, mesh, quad, imm=deformed) == np.sum(
-            data.w_daf)
+        assert family.weighted_area(0.05) == np.sum(data.w_daf)
 
-    def test_area_and_volume_skip_second_order_geometry(self, quad,
-                                                        monkeypatch):
+    def test_area_and_volume_skip_second_order_geometry(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("second-order geometry evaluated")
 
@@ -88,8 +75,8 @@ class TestFirstOrderGeometry:
             monkeypatch.setattr(cls, "chart_hess", forbidden)
         monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        assert weighted_area(space, mesh, quad, imm=family.immersion(0.1)) > 0
-        assert swept_weighted_volume(space, family, 0.1, quad) > 0
+        assert family.weighted_area(0.1) > 0
+        assert swept_weighted_volume(space, family, 0.1) > 0
 
 
 def swirl(P):
@@ -106,26 +93,24 @@ class TestFamilySlices:
         TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
         RotationFlow((1.0, 1.0, 0.0), (0.0, 0.5, 0.0)), FieldFlow(swirl),
     ], ids=["translation", "scaling", "rotation", "field"])
-    def test_slices_equal_the_generic_path(self, quad, kind, flow):
+    def test_slices_equal_the_generic_path(self, kind, flow):
         """The flow applied to the cached base chart gives the arrays the
         deformed immersion gives, bit for bit."""
         space, imm, mesh, _ = cf.cached_geometry(kind, 12, "gaussian")
         family = DeformedFamily(space, imm, mesh, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
-            generic = area_elements(space, family.immersion(s), mesh,
-                                    quad.rule)
-            for got, want in zip(family.area_elements(s, quad), generic):
-                assert np.array_equal(got, want)
-            assert family.weighted_area(s, quad) == weighted_area(
-                space, mesh, quad, imm=family.immersion(s))
+            generic = extrinsic_geometry(space, family.immersion(s), mesh)
+            want = (generic.pos, generic.N, generic.w_daf)
+            for got, exp in zip(family.area_elements(s), want):
+                assert np.array_equal(got, exp)
+            assert family.weighted_area(s) == np.sum(generic.w_daf)
 
     def test_base_chart_is_evaluated_once_per_rule(self, monkeypatch):
         """Across both FD variations and a swept volume a family blends the
-        quadrature points and evaluates the base Jacobian once per rule."""
+        quadrature points and evaluates the base Jacobian once."""
         space = cf.space_half_space("radial-log", k=-2.5)
         imm = surface.SphericalCap()
         mesh = mesh_from_immersion(imm, 12, space=space)
-        gauss3, centroid = Quadrature("Gauss3"), Quadrature("Centroid1")
         family = DeformedFamily(space, imm, mesh, ScalingFlow(),
                                 base_data=extrinsic_geometry(space, imm, mesh))
         counts = {"blend": 0, "jac": 0}
@@ -139,40 +124,34 @@ class TestFamilySlices:
         monkeypatch.setattr(surface, "_blended_param_points",
                             counting("blend", surface._blended_param_points))
         monkeypatch.setattr(imm, "chart_jac", counting("jac", imm.chart_jac))
-        first_variation_fd(space, family, gauss3)
-        second_variation_fd(space, family, gauss3)
-        swept_weighted_volume(space, family, 0.1, gauss3)
+        first_variation_fd(space, family)
+        second_variation_fd(space, family)
+        swept_weighted_volume(space, family, 0.1)
         assert counts == {"blend": 1, "jac": 1}
-        first_variation_fd(space, family, centroid)
-        swept_weighted_volume(space, family, 0.1, centroid)
-        assert counts == {"blend": 2, "jac": 2}
 
-    def test_base_geometry_is_reused_only_for_its_rules(self, quad):
+    def test_base_geometry_is_reused_only_for_its_rules(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
         family = DeformedFamily(space, imm, mesh, ScalingFlow(),
                                 base_data=data)
-        assert family.geometry(0.0, quad) is data
-        gauss6 = Quadrature("Gauss6")
-        assert family.geometry(0.0, gauss6).tri_rule == "Gauss6"
+        assert family.geometry(0.0) is data
         assert family.base_data is data
         fresh = DeformedFamily(space, imm, mesh, ScalingFlow())
-        computed = fresh.geometry(0.0, quad)
+        computed = fresh.geometry(0.0)
         assert fresh.base_data is computed
-        assert fresh.geometry(0.0, quad) is computed
+        assert fresh.geometry(0.0) is computed
         assert np.array_equal(computed.H_f, data.H_f)
 
 
 class TestFirstVariation:
-    def test_hemisphere_inflation_formula_is_4pi(self, quad):
+    def test_hemisphere_inflation_formula_is_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = first_variation_formula(space, mesh, data, position_field(),
-                                      quad)
+        val = first_variation_formula(space, mesh, data, position_field())
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
 
-    def test_hemisphere_inflation_fd_matches(self, quad):
+    def test_hemisphere_inflation_fd_matches(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        fd = first_variation_fd(space, family, quad)
+        fd = first_variation_fd(space, family)
         assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
         assert fd.error_estimate < 1e-5
 
@@ -188,64 +167,59 @@ class TestFirstVariation:
          VariationField(X=lambda P: np.broadcast_to([1.0, 0, 0],
                                                     np.atleast_2d(P).shape))),
     ])
-    def test_fd_matches_formula(self, quad, kind, density, params, flow,
+    def test_fd_matches_formula(self, kind, density, params, flow,
                                 field):
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density,
                                                     **params)
-        formula = first_variation_formula(space, mesh, data, field, quad)
-        fd = first_variation_fd(space, DeformedFamily(space, imm, mesh, flow),
-                                quad)
+        formula = first_variation_formula(space, mesh, data, field)
+        fd = first_variation_fd(space, DeformedFamily(space, imm, mesh, flow))
         assert fd.value == pytest.approx(formula,
                                          abs=max(1e-6, 1e-4 * abs(formula)))
 
-    def test_rotation_leaves_area_invariant(self, quad):
+    def test_rotation_leaves_area_invariant(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        formula = first_variation_formula(space, mesh, data, field, quad)
+        formula = first_variation_formula(space, mesh, data, field)
         fd = first_variation_fd(
-            space, DeformedFamily(space, imm, mesh, RotationFlow()), quad)
+            space, DeformedFamily(space, imm, mesh, RotationFlow()))
         assert abs(formula) < 1e-10
         assert abs(fd.value) < 1e-8
 
-    def test_volume_first_variation_of_inflation(self, quad):
+    def test_volume_first_variation_of_inflation(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = volume_first_variation(space, mesh, data, position_field(),
-                                     quad)
+        val = volume_first_variation(space, mesh, data, position_field())
         assert val == pytest.approx(TAU, rel=1e-4)
 
-    def test_inadmissible_field_is_rejected(self, quad):
+    def test_inadmissible_field_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
         lift = VariationField(
             X=lambda P: np.broadcast_to([0.0, 0.0, 1.0],
                                         np.atleast_2d(P).shape))
         with pytest.raises(InputError):
-            first_variation_formula(space, mesh, data, lift, quad)
+            first_variation_formula(space, mesh, data, lift)
 
 
 class TestSweptVolume:
-    def test_hemisphere_inflation_shell(self, quad):
+    def test_hemisphere_inflation_shell(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         s = 0.1
         expected = (TAU / 3.0) * ((1.0 + s)**3 - 1.0)
-        assert swept_weighted_volume(space, family, s, quad) == pytest.approx(
+        assert swept_weighted_volume(space, family, s) == pytest.approx(
             expected, rel=1e-4)
 
-    def test_negative_parameter_flips_sign(self, quad):
+    def test_negative_parameter_flips_sign(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        assert swept_weighted_volume(space, family, -0.1, quad) < 0.0
-        assert swept_weighted_volume(space, family, 0.0, quad) == 0.0
+        assert swept_weighted_volume(space, family, -0.1) < 0.0
+        assert swept_weighted_volume(space, family, 0.0) == 0.0
 
-    def test_translation_additivity_via_rebase(self, quad):
+    def test_slab_translation_closed_form(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 16)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        total = swept_weighted_volume(space, family, 0.3, quad)
-        part = swept_weighted_volume(space, family, 0.1, quad)
-        rest = swept_weighted_volume(space, family.rebase(0.1), 0.2, quad)
-        assert total == pytest.approx(part + rest, rel=1e-10)
+        total = swept_weighted_volume(space, family, 0.3)
         assert total == pytest.approx(0.3 * 2.0 * TAU, rel=1e-10)
 
 
@@ -268,6 +242,15 @@ class TestBoundaryReprojection:
         with pytest.raises(NumericalFailure, match="re-projection"):
             moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+    def test_nan_residual_is_a_numerical_failure(self):
+        space = self.space_with_boundary(
+            lambda P: np.full(len(np.atleast_2d(P)), np.nan),
+            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)))
+        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
+                                  0.1, space)
+        with pytest.raises(NumericalFailure, match="re-projection"):
+            moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
     def test_converged_projection_lands_on_the_boundary(self):
         space = self.space_with_boundary(
             lambda P: np.atleast_2d(P)[:, 2],
@@ -279,20 +262,20 @@ class TestBoundaryReprojection:
 
 
 class TestSecondVariation:
-    def test_hemisphere_inflation_is_minus_4pi(self, quad):
+    def test_hemisphere_inflation_is_minus_4pi(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        fd = second_variation_fd(space, family, quad)
+        fd = second_variation_fd(space, family)
         assert fd.value == pytest.approx(-2.0 * TAU, rel=1e-3)
 
-    def test_flat_slice_translation_is_neutral(self, quad):
+    def test_flat_slice_translation_is_neutral(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 16, "linear",
                                                  a=(1.0, 0.0, 0.0))
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        fd = second_variation_fd(space, family, quad)
+        fd = second_variation_fd(space, family)
         assert abs(fd.value) < 1e-6
 
-    def test_requires_stationary_base(self, quad):
+    def test_requires_stationary_base(self):
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
@@ -300,7 +283,7 @@ class TestSecondVariation:
         mesh = mesh_from_immersion(imm, 12, space=space)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
         with pytest.raises(PreconditionError):
-            second_variation_fd(space, family, quad)
+            second_variation_fd(space, family)
 
 
 class TestDivergenceTheorem:
@@ -309,22 +292,21 @@ class TestDivergenceTheorem:
         ("gaussian", {}),
         ("radial-log", {"k": -2.0}),
     ])
-    def test_position_field_on_hemisphere(self, quad, density, params):
+    def test_position_field_on_hemisphere(self, density, params):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, density,
                                                     **params)
-        res = divergence_theorem_residual(space, mesh, data, position_field(),
-                                          quad)
+        res = divergence_theorem_residual(space, mesh, data, position_field())
         assert res < 1e-6
 
-    def test_tangential_rotation_field(self, quad):
+    def test_tangential_rotation_field(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        res = divergence_theorem_residual(space, mesh, data, field, quad)
+        res = divergence_theorem_residual(space, mesh, data, field)
         assert res < 1e-6
 
-    def test_integration_by_parts_on_disk(self, quad):
+    def test_integration_by_parts_on_disk(self):
         """Residual of the surface Laplacian identity shrinks at order 2."""
         c = np.array([2.0, 0.0, 0.0])
         residuals = {}
@@ -333,6 +315,6 @@ class TestDivergenceTheorem:
             grad_field = SurfaceGradientField(
                 imm, lambda P: 2.0 * (np.atleast_2d(P) - c))
             residuals[resolution] = divergence_theorem_residual(
-                space, mesh, data, grad_field, quad)
+                space, mesh, data, grad_field)
         assert residuals[32] < 5e-4
         assert residuals[32] < 0.35 * residuals[16]

@@ -27,7 +27,7 @@ RNG = np.random.default_rng(11)
 def assembly(kind, resolution, density="constant", **params):
     space, imm, mesh, _ = cf.cached_geometry(kind, resolution, density,
                                              **params)
-    return assemble(space, mesh, cf.QUAD)
+    return assemble(space, mesh)
 
 
 def cone_cap_assembly(resolution):
@@ -38,7 +38,7 @@ def cone_cap_assembly(resolution):
                        boundary=("cone", {"alpha": alpha}))
     mesh = mesh_from_immersion(SphericalCap(alpha=alpha), resolution,
                                space=space)
-    return assemble(space, mesh, cf.QUAD)
+    return assemble(space, mesh)
 
 
 def flat_torus_assembly(resolution):
@@ -48,8 +48,7 @@ def flat_torus_assembly(resolution):
     imm = RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                     u_range=(0.0, TAU), v_range=(0.0, TAU), periodic_u=True,
                     periodic_v=True)
-    return assemble(space, mesh_from_immersion(imm, resolution, space=space),
-                    cf.QUAD)
+    return assemble(space, mesh_from_immersion(imm, resolution, space=space))
 
 
 ORACLE_ASSEMBLIES = {
@@ -234,7 +233,7 @@ class TestJacobiOperator:
     ])
     def test_fd_consistency_along_families(self, kind, density, params, flow):
         space, imm, mesh, _ = cf.cached_geometry(kind, 24, density, **params)
-        asm = assemble(space, mesh, cf.QUAD)
+        asm = assemble(space, mesh)
         family = DeformedFamily(space, imm, mesh, flow)
         report = jacobi_fd_check(space, family, asm)
         assert report.passed, f"residual {report.max_residual:.2e}"
@@ -259,7 +258,7 @@ class TestConstrainedStability:
                            boundary=("cone", {"alpha": alpha}))
         imm = SphericalCap(alpha=alpha)
         mesh = mesh_from_immersion(imm, 24, space=space)
-        asm = assemble(space, mesh, cf.QUAD)
+        asm = assemble(space, mesh)
         assert volume_constrained_verdict(asm)
 
     def test_neutral_slice_is_constrained_stable(self):

@@ -1,15 +1,16 @@
 """Tests for immersions, meshing, and pointwise extrinsic geometry."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import conftest as cf
-from wstab.errors import InputError
-from wstab.surface import (PlanarDisk, SphericalCap, export_off,
-                           extrinsic_geometry, import_off,
-                           mesh_from_immersion, stationarity_verdict,
-                           write_geometry_csv)
+from wstab.ambient import make_space
+from wstab.errors import ImmersionError, InputError, MeshingError
+from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
+                           export_off, extrinsic_geometry, import_off,
+                           mesh_from_immersion, stationarity_verdict)
 
 TAU = 2.0 * math.pi
 
@@ -93,6 +94,20 @@ class TestTopology:
         assert mesh.chi == 2
         assert mesh.n_loops == 0
 
+    def test_edges_are_counted_once_per_mesh(self, monkeypatch):
+        _, _, mesh, _ = cf.cached_geometry("hemisphere", 8)
+        mesh = dataclasses.replace(mesh)      # a copy without cached counts
+        axes = []
+        unique = np.unique
+
+        def counting(*args, **kwargs):
+            axes.append(kwargs.get("axis"))
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting)
+        assert mesh.chi == mesh.chi == 1
+        assert axes == [0]
+
 
 class TestGaussBonnet:
     @pytest.mark.parametrize("kind,chi", [("hemisphere", 1), ("sphere", 2),
@@ -162,14 +177,37 @@ class TestMeshing:
         assert np.array_equal(be, mesh.boundary_edges)
         assert np.allclose(bt, mesh.boundary_t)
 
-    def test_geometry_csv(self, tmp_path):
-        _, _, mesh, data = cf.cached_geometry("hemisphere", 8)
-        path = str(tmp_path / "geom.csv")
-        write_geometry_csv(data, path)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert rows.shape[1] == 9
-        assert np.allclose(rows[:, 5], -1.0, atol=1e-10)  # H column
-
     def test_sphere_normals_point_outward(self):
         space, imm, mesh, data = cf.cached_geometry("sphere", 12)
         assert np.all(np.sum(data.N * data.pos, axis=1) > 0)
+
+
+class TestOrientationSign:
+    @pytest.mark.parametrize("cls", [SphericalCap, PlanarDisk, RectPatch,
+                                     RoundSphere])
+    @pytest.mark.parametrize("sign", [0, 1.5, 1e30, True, float("nan"),
+                                      "1"])
+    def test_only_plus_or_minus_one(self, cls, sign):
+        with pytest.raises(InputError, match="orientation_sign"):
+            cls(orientation_sign=sign)
+
+
+class TestNanGuards:
+    """Every comparison with NaN is False: the guards test their pass
+    condition, so a NaN trips them."""
+
+    def test_boundary_projection_residual(self):
+        space = make_space(boundary=("half-space",
+                                     {"offset": float("nan")}))
+        with pytest.raises(MeshingError, match="projection residual"):
+            mesh_from_immersion(SphericalCap(), 8, space=space)
+
+    def test_min_angle(self):
+        with pytest.raises(MeshingError, match="min angle"):
+            mesh_from_immersion(SphericalCap(radius=float("nan")), 8)
+
+    def test_metric_rank(self):
+        _, _, mesh, _ = cf.cached_geometry("hemisphere", 8)
+        with pytest.raises(ImmersionError, match="rank deficient"):
+            extrinsic_geometry(cf.space_free(),
+                               SphericalCap(radius=float("nan")), mesh)

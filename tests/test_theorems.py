@@ -96,7 +96,7 @@ class TestStabilityTopologyChain:
         assert chain.chi == 2
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
         assert chain.bound2 == pytest.approx(2.0 * TAU, rel=1e-12)
-        asm = assemble(space, mesh, cf.QUAD)
+        asm = assemble(space, mesh)
         spec = robin_eigenproblem(asm)
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == SPHERE_OR_TORUS
@@ -117,7 +117,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         chain = stability_topology_chain(space, mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
+        spec = robin_eigenproblem(assemble(space, mesh))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
@@ -125,7 +125,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.0)
         chain = stability_topology_chain(space, mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
+        spec = robin_eigenproblem(assemble(space, mesh))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
@@ -133,7 +133,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.5)
         chain = stability_topology_chain(space, mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
+        spec = robin_eigenproblem(assemble(space, mesh))
         assert spec.lambda_min < -0.4
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == NOT_APPLICABLE
@@ -160,7 +160,7 @@ class TestAreaBounds:
 
     def test_stable_disk_satisfies_positive_bound(self):
         space, imm, mesh, data = quadratic_disk(24)
-        spec = robin_eigenproblem(assemble(space, mesh, cf.QUAD))
+        spec = robin_eigenproblem(assemble(space, mesh))
         assert spec.lambda_min > 1.0
         report = area_bound_check(space, mesh, data, 0.5)
         assert report.applicable and report.passed
@@ -196,24 +196,24 @@ class TestRigidity:
 
 
 class TestFoliation:
-    def test_flat_foliation_is_monotone(self, quad):
+    def test_flat_foliation_is_monotone(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 12, "linear",
                                                  a=(1.0, 0.0, 0.0))
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        report = foliation_monotonicity_check(space, family, quad)
+        report = foliation_monotonicity_check(space, family)
         assert report.max_rel_residual < 1e-6
         assert report.monotone_asserted and report.monotone_holds
 
-    def test_gaussian_identity_with_nonzero_potential(self, quad):
+    def test_gaussian_identity_with_nonzero_potential(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 12, "gaussian")
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        report = foliation_monotonicity_check(space, family, quad)
+        report = foliation_monotonicity_check(space, family)
         assert report.max_rel_residual < 1e-4
         assert report.hyp_ricci.holds
         assert report.monotone_asserted and report.monotone_holds
 
-    def test_negative_speed_is_rejected(self, quad):
+    def test_negative_speed_is_rejected(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 12)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((-1, 0, 0)))
         with pytest.raises(PreconditionError):
-            foliation_monotonicity_check(space, family, quad)
+            foliation_monotonicity_check(space, family)
