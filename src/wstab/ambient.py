@@ -1,5 +1,8 @@
 """Flat ambient spaces with a smooth density and an implicit boundary.
 
+Every ambient is flat (Euclidean space or a product such as R x S^1 x R,
+whose S^1 factor is a periodic parameter range of the surface), so Ric = 0
+and S = 0 and the weighted curvatures come from the density alone.
 Points are numpy arrays of shape (3,) or batches (N, 3) (dimension 2 is
 accepted by the pointwise operations as well).  All callbacks are vectorized
 over the leading axis and pure.
@@ -26,6 +29,16 @@ def vector3(value, what: str) -> Array:
     if v.shape != (3,):
         raise InputError(f"{what} needs 3 entries, got shape {v.shape}")
     return v
+
+
+def unit_vector3(value, what: str) -> Array:
+    """A 3-vector parameter scaled to unit length; its length must be a
+    positive finite number."""
+    v = vector3(value, what)
+    n = np.linalg.norm(v)
+    if not 0.0 < n < np.inf:
+        raise InputError(f"{what} needs a positive finite length, got {n:g}")
+    return v / n
 
 
 def _axis_index(axis) -> int:
@@ -74,31 +87,11 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """Flat ambient manifold with density and optional implicit boundary.
-
-    ``ricci(P, V) -> (N,)`` and ``scalar(P) -> (N,)`` default to zero (both
-    built-in metric kinds are flat); custom curvature callbacks may be
-    supplied for a user metric.
-    """
+    """Flat ambient manifold with density and optional implicit boundary."""
 
     dim: int
     density: Density
-    metric_kind: str = "euclidean"  # "euclidean" | "product"
-    circumferences: tuple = ()      # per-axis circumference, None if not periodic
     boundary: Optional[BoundarySpec] = None
-    ricci: Optional[Callable[[Array, Array], Array]] = None
-    scalar: Optional[Callable[[Array], Array]] = None
-
-    def ricci_vv(self, p: Array, v: Array) -> Array:
-        P, single = _batch(p)
-        V, _ = _batch(v)
-        out = self.ricci(P, V) if self.ricci is not None else np.zeros(len(P))
-        return out[0] if single else out
-
-    def scalar_at(self, p: Array) -> Array:
-        P, single = _batch(p)
-        out = self.scalar(P) if self.scalar is not None else np.zeros(len(P))
-        return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +99,23 @@ class AmbientSpace:
 # ---------------------------------------------------------------------------
 
 def bakry_emery_ricci(space: AmbientSpace, p: Array, v: Array) -> float:
-    """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) for a unit vector v."""
+    """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v) for a
+    unit vector v."""
     P, _ = _batch(p)
     V, _ = _batch(v)
     norms = np.linalg.norm(V, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InputError("bakry_emery_ricci requires unit direction vectors")
     H = space.density.hess_psi(P)
-    hvv = np.einsum("nij,ni,nj->n", H, V, V)
-    out = space.ricci_vv(P, V) - hvv
+    out = -np.einsum("nij,ni,nj->n", H, V, V)
     return float(out[0]) if np.asarray(p).ndim == 1 else out
 
 
 def perelman_scalar(space: AmbientSpace, p: Array):
-    """S_f = S - 2*lap(psi) - |grad(psi)|^2."""
+    """S_f = S - 2*lap(psi) - |grad(psi)|^2 = -2*lap(psi) - |grad(psi)|^2."""
     P, single = _batch(p)
     g = space.density.grad_psi(P)
-    out = space.scalar_at(P) - 2.0 * space.density.lap_psi(P) - np.sum(g * g, axis=-1)
+    out = -2.0 * space.density.lap_psi(P) - np.sum(g * g, axis=-1)
     return float(out[0]) if single else out
 
 
@@ -136,7 +129,7 @@ def boundary_inner_normal(space: AmbientSpace, p: Array):
         raise InputError("point is not on the boundary (|phi| > 1e-10)")
     g = space.boundary.grad_phi(P)
     norms = np.linalg.norm(g, axis=-1)
-    if np.any(norms < 1e-12):
+    if not np.all(norms >= 1e-12):
         raise SingularBoundaryError("degenerate level-set gradient on the boundary")
     xi = g / norms[:, None]
     return xi[0] if single else xi
@@ -159,8 +152,7 @@ def boundary_second_fundamental(space: AmbientSpace, p: Array, v: Array, w: Arra
             gn * np.linalg.norm(T, axis=-1), 1e-300)
         if np.any(tangency > 1e-10):
             raise InputError("vectors must be tangent to the boundary")
-    H = space.boundary.hess_phi(P)
-    out = -np.einsum("nij,ni,nj->n", H, V, W) / gn
+    out = np.einsum("nij,ni,nj->n", boundary_ii_matrix(space, P), V, W)
     return float(out[0]) if np.asarray(p).ndim == 1 else out
 
 
@@ -258,6 +250,10 @@ def density_consistency_check(space: AmbientSpace, samples: Array,
 # ---------------------------------------------------------------------------
 
 def _constant_density(value: float = 1.0) -> Density:
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise InputError(f"constant density value must be positive and "
+                         f"finite, got {value:g}")
     c = float(np.log(value))
 
     def psi(P):
@@ -459,8 +455,7 @@ def _ball_complement_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
 def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     """Solid circular cone of half-angle alpha around an axis through 0."""
     alpha = float(alpha)
-    a = np.array([0.0, 0.0, 1.0]) if axis is None else vector3(axis, "cone axis")
-    a = a / np.linalg.norm(a)
+    a = unit_vector3((0.0, 0.0, 1.0) if axis is None else axis, "cone axis")
     ca = float(np.cos(alpha))
 
     def phi(P):
@@ -507,15 +502,13 @@ def make_boundary(name: str, **params) -> Optional[BoundarySpec]:
     return factory(**params)
 
 
-def make_space(dim: int = 3, density=("constant", {}), boundary=("none", {}),
-               metric_kind: str = "euclidean", circumferences=()) -> AmbientSpace:
+def make_space(dim: int = 3, density=("constant", {}),
+               boundary=("none", {})) -> AmbientSpace:
     """Convenience constructor from registry names."""
     dname, dparams = density
     bname, bparams = boundary
     return AmbientSpace(
         dim=dim,
         density=make_density(dname, **dparams),
-        metric_kind=metric_kind,
-        circumferences=tuple(circumferences),
         boundary=make_boundary(bname, **bparams),
     )

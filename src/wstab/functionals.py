@@ -13,7 +13,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .ambient import AmbientSpace, vector3
+from .ambient import AmbientSpace, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
 from .surface import (ExtrinsicData, Immersion, SurfaceMesh,
                       _chart_at_quadrature, _first_order_fields,
@@ -72,25 +72,15 @@ def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
 # ---------------------------------------------------------------------------
 
 class Flow:
-    """One-parameter family of ambient maps phi_s acting on base points."""
+    """One-parameter family of ambient maps phi_s acting on base points.
+
+    Subclasses implement ``map``, ``velocity`` (d/ds phi_s at the particle
+    started from base point P) and the spatial Jacobian ``jac``; ``hess``
+    falls back to centered finite differences of ``map``.
+    """
 
     def map(self, s: float, P: Array) -> Array:
         raise NotImplementedError
-
-    def velocity(self, s: float, P: Array) -> Array:
-        """d/ds phi_s at the particle started from base point P."""
-        h = 1e-6
-        return (self.map(s + h, P) - self.map(s - h, P)) / (2 * h)
-
-    def jac(self, s: float, P: Array) -> Array:
-        P = np.atleast_2d(P)
-        J = np.empty((len(P), 3, 3))
-        h = FD_FIELD_JAC
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            J[:, :, a] = (self.map(s, P + e) - self.map(s, P - e)) / (2 * h)
-        return J
 
     def hess(self, s: float, P: Array) -> Array:
         P = np.atleast_2d(P)
@@ -152,8 +142,7 @@ class RotationFlow(Flow):
     """Rotation of angle s about an axis through a point."""
 
     def __init__(self, axis=(0, 0, 1), point=(0, 0, 0)):
-        a = vector3(axis, "rotation axis")
-        self.a = a / np.linalg.norm(a)
+        self.a = unit_vector3(axis, "rotation axis")
         self.c = vector3(point, "rotation point")
 
     def _rot(self, s):
@@ -221,7 +210,7 @@ class DeformedImmersion(Immersion):
     """
 
     def __init__(self, base: Immersion, flow: Flow, s: float,
-                 space: Optional[AmbientSpace] = None):
+                 space: AmbientSpace):
         self.base = base
         self.flow = flow
         self.s = float(s)
@@ -250,8 +239,8 @@ class DeformedImmersion(Immersion):
 
     def boundary_chart(self, Q):
         P = self.flow.map(self.s, self.base.boundary_chart(Q))
-        if self.space is not None and self.space.boundary is not None:
-            bd = self.space.boundary
+        bd = self.space.boundary
+        if bd is not None:
             for _ in range(3):
                 phi = np.atleast_1d(bd.phi(P))
                 if np.max(np.abs(phi)) <= 1e-12:
@@ -267,7 +256,7 @@ class DeformedImmersion(Immersion):
         return P
 
     def boundary_curve_derivs(self, arc, ts):
-        if self.space is None or self.space.boundary is None:
+        if self.space.boundary is None:
             return super().boundary_curve_derivs(arc, ts)
         ts = np.asarray(ts, float)
         h = 1e-4
@@ -346,8 +335,7 @@ class DeformedFamily:
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
-                          s: float) -> float:
+def swept_weighted_volume(family: DeformedFamily, s: float) -> float:
     """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt."""
     if s == 0.0:
         return 0.0
@@ -362,8 +350,7 @@ def swept_weighted_volume(space: AmbientSpace, family: DeformedFamily,
     return 0.5 * s * total
 
 
-def first_variation_formula(space: AmbientSpace, mesh: SurfaceMesh,
-                            data: ExtrinsicData,
+def first_variation_formula(space: AmbientSpace, data: ExtrinsicData,
                             field: VariationField) -> float:
     """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f."""
     field.check_admissible(space, data)
@@ -375,8 +362,7 @@ def first_variation_formula(space: AmbientSpace, mesh: SurfaceMesh,
     return out
 
 
-def volume_first_variation(space: AmbientSpace, mesh: SurfaceMesh,
-                           data: ExtrinsicData,
+def volume_first_variation(data: ExtrinsicData,
                            field: VariationField) -> float:
     """V_f'(0) = int u da_f."""
     u = normal_component(field, data)
@@ -389,8 +375,7 @@ class FDReport:
     error_estimate: float
 
 
-def first_variation_fd(space: AmbientSpace, family: DeformedFamily,
-                       h: float = 1e-3) -> FDReport:
+def first_variation_fd(family: DeformedFamily, h: float = 1e-3) -> FDReport:
     """Richardson-extrapolated centered difference of A_f at s = 0."""
     def diff(step):
         return (family.weighted_area(step)
@@ -407,14 +392,13 @@ def first_variation_fd(space: AmbientSpace, family: DeformedFamily,
     return FDReport(value, err)
 
 
-def second_variation_fd(space: AmbientSpace, family: DeformedFamily,
-                        h: float = 1e-2) -> FDReport:
+def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
     """(A_f + H_f V_f)''(0) by a 5-point stencil with Richardson.
 
     Requires the base surface to be f-stationary under volume constraint.
     """
     data0 = family.geometry(0.0)
-    verdict = stationarity_verdict(space, family.mesh, data0, tol_H=1e-5)
+    verdict = stationarity_verdict(data0, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError(
             "second variation formula requires an f-stationary base surface")
@@ -424,7 +408,7 @@ def second_variation_fd(space: AmbientSpace, family: DeformedFamily,
         if s == 0.0:
             return float(np.sum(data0.w_daf))
         return (family.weighted_area(s)
-                + Hf0 * swept_weighted_volume(space, family, s))
+                + Hf0 * swept_weighted_volume(family, s))
 
     w0 = W(0.0)
 

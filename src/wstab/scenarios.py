@@ -177,18 +177,11 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError(f"scenario is missing required key '{req}'")
 
     amb = _require_mapping(obj["ambient"], "ambient")
-    _check_keys(amb, {"metric_kind", "circumferences", "density", "boundary"},
-                "ambient")
+    _check_keys(amb, {"density", "boundary"}, "ambient")
     density = amb.get("density", {"name": "constant"})
     boundary = amb.get("boundary", {"name": "none"})
     _registry_params(density, DENSITY_REGISTRY, "density")
-    bname, _ = _registry_params(boundary, BOUNDARY_REGISTRY, "boundary")
-    metric_kind = amb.get("metric_kind", "euclidean")
-    if metric_kind not in ("euclidean", "product"):
-        raise ConfigError(f"unknown metric_kind '{metric_kind}'")
-    circ = amb.get("circumferences", [])
-    if not isinstance(circ, (list, tuple)):
-        raise ConfigError("circumferences must be a list")
+    _registry_params(boundary, BOUNDARY_REGISTRY, "boundary")
 
     surf = _require_mapping(obj["surface"], "surface")
     if "builtin" not in surf:
@@ -250,10 +243,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 
     return Scenario(
         name=str(obj.get("name", default_name)),
-        ambient={"metric_kind": metric_kind,
-                 "circumferences": list(circ),
-                 "density": dict(density),
-                 "boundary": dict(boundary)},
+        ambient={"density": dict(density), "boundary": dict(boundary)},
         surface=dict(surf),
         resolution=resolution,
         tasks=list(tasks),
@@ -293,14 +283,10 @@ def build_space(scn: Scenario) -> AmbientSpace:
     d = dict(amb["density"])
     b = dict(amb["boundary"])
     with _parameter_values("ambient"):
-        circ = tuple(None if c is None else float(c)
-                     for c in amb["circumferences"])
         return make_space(
             dim=3,
             density=(d.pop("name"), {k: _tupled(v) for k, v in d.items()}),
             boundary=(b.pop("name"), {k: _tupled(v) for k, v in b.items()}),
-            metric_kind=amb["metric_kind"],
-            circumferences=circ,
         )
 
 
@@ -375,9 +361,7 @@ def _set_path(tree: dict, path: str, value) -> None:
 def scenario_to_tree(scn: Scenario) -> dict:
     tree = {
         "name": scn.name,
-        "ambient": {"metric_kind": scn.ambient["metric_kind"],
-                    "circumferences": list(scn.ambient["circumferences"]),
-                    "density": dict(scn.ambient["density"]),
+        "ambient": {"density": dict(scn.ambient["density"]),
                     "boundary": dict(scn.ambient["boundary"])},
         "surface": dict(scn.surface),
         "resolution": scn.resolution,
@@ -487,7 +471,7 @@ def _run_single(scn: Scenario) -> RunResult:
     results: Dict[str, Any] = {}
 
     def t_stationarity():
-        v = stationarity_verdict(space, mesh, data)
+        v = stationarity_verdict(data)
         results["stationarity"] = {
             "strong": bool(v.strong),
             "volume_constrained": bool(v.volume_constrained),
@@ -501,9 +485,9 @@ def _run_single(scn: Scenario) -> RunResult:
 
     def t_first_variation():
         from .functionals import VariationField, first_variation_formula
-        fd = first_variation_fd(space, family)
+        fd = first_variation_fd(family)
         vf = VariationField(X=lambda P: flow.velocity(0.0, P), name="flow")
-        formula = first_variation_formula(space, mesh, data, vf)
+        formula = first_variation_formula(space, data, vf)
         diff = abs(fd.value - formula)
         tol = max(1e-6, scn.tol("variation") * abs(formula))
         results["first_variation"] = {"fd": _f(fd.value),
@@ -513,7 +497,7 @@ def _run_single(scn: Scenario) -> RunResult:
                             f"|fd - formula| = {diff:.2e}"))
 
     def t_second_variation():
-        fd = second_variation_fd(space, family)
+        fd = second_variation_fd(family)
         Nv = vertex_normals(mesh, imm)
         u = np.sum(flow.velocity(0.0, mesh.positions) * Nv, axis=1)
         ifv = index_form_value(asm, u, u)
@@ -555,7 +539,7 @@ def _run_single(scn: Scenario) -> RunResult:
         checks.append(Check("spectrum", bool(ok), detail))
 
     def t_identities():
-        resid = gauss_rearrangement_residual(space, mesh, data)
+        resid = gauss_rearrangement_residual(space, data)
         out = {"gauss_rearrangement_residual": _f(resid)}
         ok = resid <= scn.tol("identity")
         detail = f"rearrangement {resid:.2e}"
@@ -568,7 +552,7 @@ def _run_single(scn: Scenario) -> RunResult:
         checks.append(Check("identities", bool(ok), detail))
 
     def t_topology():
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         verdict = topology_verdict(chain, strong)
         results["topology"] = {
             "I_f_u": _f(chain.I_f_u),
@@ -596,7 +580,7 @@ def _run_single(scn: Scenario) -> RunResult:
         checks.append(Check("topology", bool(ok), detail))
 
     def t_area_bounds():
-        rep = area_bound_check(space, mesh, data, scn.S0)
+        rep = area_bound_check(mesh, data, scn.S0)
         results["area_bounds"] = {
             "applicable": bool(rep.applicable),
             "hypothesis": {"sampled_min": _f(rep.hypothesis.sampled_min),
@@ -613,7 +597,7 @@ def _run_single(scn: Scenario) -> RunResult:
                             "applicable" if rep.applicable else "not applicable"))
 
     def t_rigidity():
-        flags = rigidity_flags(space, mesh, data)
+        flags = rigidity_flags(data)
         results["rigidity"] = {
             "totally_geodesic": flags.totally_geodesic,
             "density_const_on_surface": flags.density_const_on_surface,
@@ -629,7 +613,7 @@ def _run_single(scn: Scenario) -> RunResult:
         checks.append(Check("rigidity", bool(ok), f"all_true = {flags.all_true}"))
 
     def t_foliation():
-        rep = foliation_monotonicity_check(space, family)
+        rep = foliation_monotonicity_check(family)
         results["foliation"] = {
             "s_values": [_f(s) for s in rep.s_values],
             "lhs": [_f(x) for x in rep.lhs],
@@ -668,7 +652,7 @@ def _run_single(scn: Scenario) -> RunResult:
         for s in np.linspace(-0.2, 0.2, 9):
             s = float(s)
             af = family.weighted_area(s)
-            vf = swept_weighted_volume(space, family, s)
+            vf = swept_weighted_volume(family, s)
             samples.append([s, af, vf])
 
     return RunResult(scn, report, checks, samples_header, samples,
@@ -680,6 +664,7 @@ def _run_single(scn: Scenario) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def _builtin_defs() -> Dict[str, dict]:
+    # the S^1 factor of the product R x S^1 x R is the periodic u range
     slab_slice_surface = {
         "builtin": "rect-patch",
         "origin": [0.0, 0.0, 0.0],
@@ -705,9 +690,7 @@ def _builtin_defs() -> Dict[str, dict]:
         "paper-product-cylinder": {
             "description": ("flat cylinder slice of a weighted product with "
                             "psi = x; the equality case S_f + H_f^2 = 0"),
-            "ambient": {"metric_kind": "product",
-                        "circumferences": [None, TAU, None],
-                        "density": {"name": "linear", "a": [1.0, 0.0, 0.0]},
+            "ambient": {"density": {"name": "linear", "a": [1.0, 0.0, 0.0]},
                         "boundary": {"name": "slab", "axis": 2,
                                      "halfwidth": 1.0}},
             "surface": slab_slice_surface,
@@ -722,9 +705,7 @@ def _builtin_defs() -> Dict[str, dict]:
         "paper-product-torus": {
             "description": ("flat torus slice of a doubly periodic weighted "
                             "product with psi = x; closed equality case"),
-            "ambient": {"metric_kind": "product",
-                        "circumferences": [None, TAU, TAU],
-                        "density": {"name": "linear", "a": [1.0, 0.0, 0.0]}},
+            "ambient": {"density": {"name": "linear", "a": [1.0, 0.0, 0.0]}},
             "surface": {"builtin": "rect-patch",
                         "origin": [0.0, 0.0, 0.0],
                         "du": [0.0, 1.0, 0.0],
@@ -800,9 +781,7 @@ def _builtin_defs() -> Dict[str, dict]:
             "description": ("flat cylinder slice of a constant-density slab "
                             "product: every rigidity flag true, all "
                             "variations vanish"),
-            "ambient": {"metric_kind": "product",
-                        "circumferences": [None, TAU, None],
-                        "density": {"name": "constant"},
+            "ambient": {"density": {"name": "constant"},
                         "boundary": {"name": "slab", "axis": 2,
                                      "halfwidth": 1.0}},
             "surface": slab_slice_surface,

@@ -30,8 +30,6 @@ HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 class IndexFormAssembly:
     """Discretized index form I_f(v, w) = v^T (K - P - B) w."""
 
-    space: AmbientSpace
-    mesh: SurfaceMesh
     K: sp.csr_matrix      # weighted stiffness
     P: sp.csr_matrix      # potential (Ric_f(N,N) + |sigma|^2) mass
     B: sp.csr_matrix      # Robin boundary term II(N,N)
@@ -98,7 +96,7 @@ def assemble(space: AmbientSpace, mesh: SurfaceMesh) -> IndexFormAssembly:
         B = sp.coo_matrix((np.concatenate(bv),
                            (np.concatenate(br), np.concatenate(bc))),
                           shape=(n, n)).tocsr()
-    return IndexFormAssembly(space, mesh, K, P, B, M, data)
+    return IndexFormAssembly(K, P, B, M, data)
 
 
 def index_form_value(asm: IndexFormAssembly, v: Array, w: Array) -> float:
@@ -283,12 +281,10 @@ class JacobiCheckReport:
     passed: bool
 
 
-def jacobi_fd_check(space: AmbientSpace, family: DeformedFamily,
-                    asm: IndexFormAssembly, h: float = 1e-3,
-                    tol: float = 1e-3) -> JacobiCheckReport:
+def jacobi_fd_check(family: DeformedFamily, asm: IndexFormAssembly,
+                    h: float = 1e-3, tol: float = 1e-3) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
-    data0 = asm.data
-    verdict = stationarity_verdict(space, family.mesh, data0, tol_H=1e-5)
+    verdict = stationarity_verdict(asm.data, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError("jacobi_fd_check requires an f-stationary base")
     # normal speed at the vertices

@@ -2,9 +2,8 @@
 
 All curvature quantities come from first and second derivatives of the
 reference immersion evaluated at quadrature points; the triangle mesh only
-carries connectivity and quadrature structure.  Built-in immersions supply
-analytic chart derivatives, user charts fall back to centered finite
-differences.
+carries connectivity and quadrature structure.  Every immersion supplies
+analytic first and second chart derivatives.
 """
 from __future__ import annotations
 
@@ -14,8 +13,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .ambient import (AmbientSpace, boundary_f_mean_curvature,
-                      boundary_ii_matrix, boundary_inner_normal, vector3)
+from .ambient import (AmbientSpace, bakry_emery_ricci,
+                      boundary_f_mean_curvature, boundary_ii_matrix,
+                      boundary_inner_normal, perelman_scalar, unit_vector3,
+                      vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -31,8 +32,6 @@ EDGE_WEIGHTS = np.array([0.5, 0.5])
 TRI_HATS = np.stack([1 - TRI_POINTS[:, 0] - TRI_POINTS[:, 1],
                      TRI_POINTS[:, 0], TRI_POINTS[:, 1]])
 
-FD_CHART_JAC = 1e-5
-FD_CHART_HESS = 2e-4
 # a rect patch is meshed with square cells, so its v rows grow with the
 # aspect ratio; this bounds them to MAX_RECT_ASPECT times the resolution
 MAX_RECT_ASPECT = 64.0
@@ -55,9 +54,9 @@ class ParamArc:
 class Immersion:
     """Reference immersion of a surface into the ambient space.
 
-    Subclasses must set ``domain`` and implement ``chart``; analytic
-    ``chart_jac``/``chart_hess`` are strongly recommended (the finite
-    difference fallback limits pointwise identities to ~1e-6).
+    Subclasses set ``domain`` and implement ``chart`` (N, 3) and its
+    analytic derivatives ``chart_jac`` (N, 3, pd) and ``chart_hess``
+    (N, 3, pd, pd), with pd = ``param_dim``.
     """
 
     param_dim = 2
@@ -68,35 +67,6 @@ class Immersion:
 
     def chart(self, Q: Array) -> Array:
         raise NotImplementedError
-
-    def chart_jac(self, Q: Array) -> Array:
-        Q = np.atleast_2d(Q)
-        d = Q.shape[1]
-        J = np.empty((len(Q), 3, d))
-        for a in range(d):
-            e = np.zeros(d)
-            e[a] = FD_CHART_JAC
-            J[:, :, a] = (self.chart(Q + e) - self.chart(Q - e)) / (2 * FD_CHART_JAC)
-        return J
-
-    def chart_hess(self, Q: Array) -> Array:
-        Q = np.atleast_2d(Q)
-        d = Q.shape[1]
-        h = FD_CHART_HESS
-        H = np.empty((len(Q), 3, d, d))
-        F0 = self.chart(Q)
-        for a in range(d):
-            ea = np.zeros(d)
-            ea[a] = h
-            H[:, :, a, a] = (self.chart(Q + ea) - 2 * F0 + self.chart(Q - ea)) / h**2
-            for b in range(a + 1, d):
-                eb = np.zeros(d)
-                eb[b] = h
-                v = (self.chart(Q + ea + eb) - self.chart(Q + ea - eb)
-                     - self.chart(Q - ea + eb) + self.chart(Q - ea - eb)) / (4 * h**2)
-                H[:, :, a, b] = v
-                H[:, :, b, a] = v
-        return H
 
     def boundary_chart(self, Q: Array) -> Array:
         """Chart used for boundary points (may include a projection step)."""
@@ -183,10 +153,18 @@ def _orientation_sign(sign) -> int:
     return int(sign)
 
 
+def _radius(value, what: str) -> float:
+    """A radius of 0 collapses the chart to a point (a negative one
+    reflects it); a NaN is left to the mesh and metric guards."""
+    r = float(value)
+    if r == 0.0:
+        raise InputError(f"{what} must be nonzero")
+    return r
+
+
 def _rotation_to(axis) -> Array:
-    """Rotation matrix mapping e3 to the given unit axis."""
-    a = vector3(axis, "cap axis")
-    a = a / np.linalg.norm(a)
+    """Rotation matrix mapping e3 to the direction of the given axis."""
+    a = unit_vector3(axis, "cap axis")
     e3 = np.array([0.0, 0.0, 1.0])
     v = np.cross(e3, a)
     c = float(e3 @ a)
@@ -209,7 +187,7 @@ class SphericalCap(Immersion):
                  center=(0, 0, 0), orientation_sign=1):
         if not 0 < alpha < np.pi:
             raise InputError("cap opening angle must lie in (0, pi)")
-        self.radius = float(radius)
+        self.radius = _radius(radius, "cap radius")
         self.alpha = float(alpha)
         self.center = vector3(center, "cap center")
         self.rot = _rotation_to(axis)
@@ -274,11 +252,11 @@ class PlanarDisk(Immersion):
         self.center = vector3(center, "disk center")
         self.e1 = vector3(e1, "disk e1")
         self.e2 = vector3(e2, "disk e2")
-        if abs(self.e1 @ self.e2) > 1e-12 or \
-                abs(np.linalg.norm(self.e1) - 1) > 1e-12 or \
-                abs(np.linalg.norm(self.e2) - 1) > 1e-12:
+        if not (abs(self.e1 @ self.e2) <= 1e-12
+                and abs(np.linalg.norm(self.e1) - 1) <= 1e-12
+                and abs(np.linalg.norm(self.e2) - 1) <= 1e-12):
             raise InputError("disk frame must be orthonormal")
-        self.radius = float(radius)
+        self.radius = _radius(radius, "disk radius")
         self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("disk", self.radius)
 
@@ -342,7 +320,7 @@ class RoundSphere(Immersion):
     param_dim = 3
 
     def __init__(self, radius=1.0, center=(0, 0, 0), orientation_sign=1):
-        self.radius = float(radius)
+        self.radius = _radius(radius, "sphere radius")
         self.center = vector3(center, "sphere center")
         self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("sphere",)
@@ -412,7 +390,7 @@ class SurfaceMesh:
         return self.n_vertices - self.n_edges + len(self.triangles)
 
 
-def _boundary_loops(boundary_edges: Array, n_vertices: int) -> int:
+def _boundary_loops(boundary_edges: Array) -> int:
     """Count connected components of the boundary edge graph (union-find)."""
     if len(boundary_edges) == 0:
         return 0
@@ -653,7 +631,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
     corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
-    m = _boundary_loops(be, len(params))
+    m = _boundary_loops(be)
     mesh.n_loops = m
     mesh.genus = (2 - m - mesh.chi) // 2
     return mesh
@@ -667,7 +645,6 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
 class ExtrinsicData:
     """Pointwise geometry at interior and boundary quadrature points."""
 
-    mesh: SurfaceMesh
     # interior arrays, one entry per (triangle, quadrature point)
     tri_index: Array
     params: Array            # (Q, pd)
@@ -839,40 +816,44 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
                 f=np.exp(space.density.psi(pos)), N=Nv)
 
 
-def _interior_geometry(space: AmbientSpace, imm: Immersion,
-                       mesh: SurfaceMesh):
-    Q, d1r, d2r, pos, J, (Q11, Q12, Q22) = _chart_at_quadrature(imm, mesh)
-    first = _first_order_fields(space, imm.orientation_sign,
-                                Q, d1r, d2r, pos, J)
-    Nv = first["N"]
+def _shape_operator(imm: Immersion, Q: Array, d1r: Array, d2r: Array,
+                    J: Array, Q2, Nv: Array, Ginv: Array) -> Array:
+    """Shape operator in the (E1, E2) frame from the chart's second
+    derivatives along the blended directions; its temporaries are the
+    largest of the geometry and are freed on return."""
+    Q11, Q12, Q22 = Q2
     Hc = imm.chart_hess(Q)
     F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
     F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
     F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L = np.empty((len(pos), 2, 2))
+    L = np.empty((len(Q), 2, 2))
     L[:, 0, 0] = -np.sum(Nv * F11, axis=1)
     L[:, 0, 1] = L[:, 1, 0] = -np.sum(Nv * F12, axis=1)
     L[:, 1, 1] = -np.sum(Nv * F22, axis=1)
-    S = np.einsum("nab,nbc->nac", first["Ginv"], L)
+    return np.einsum("nab,nbc->nac", Ginv, L)
+
+
+def _interior_geometry(space: AmbientSpace, imm: Immersion,
+                       mesh: SurfaceMesh):
+    Q, d1r, d2r, pos, J, Q2 = _chart_at_quadrature(imm, mesh)
+    first = _first_order_fields(space, imm.orientation_sign,
+                                Q, d1r, d2r, pos, J)
+    Nv = first["N"]
+    S = _shape_operator(imm, Q, d1r, d2r, J, Q2, Nv, first["Ginv"])
     trS = S[:, 0, 0] + S[:, 1, 1]
     H = -0.5 * trS
     sigma2 = np.einsum("nab,nba->n", S, S)
     K = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
     gpsi = space.density.grad_psi(pos)
-    hpsi = space.density.hess_psi(pos)
     gN = np.sum(gpsi * Nv, axis=1)
-    H_f = 2.0 * H - gN
-    hNN = np.einsum("nij,ni,nj->n", hpsi, Nv, Nv)
-    ricf_NN = space.ricci(pos, Nv) - hNN if space.ricci is not None else -hNN
-    grad_s = gpsi - gN[:, None] * Nv
-    lap_psi = np.trace(hpsi, axis1=-2, axis2=-1)
-    lap_s = lap_psi - hNN + 2.0 * H * gN
-    scal = space.scalar(pos) if space.scalar is not None else np.zeros(len(pos))
-    S_f = scal - 2.0 * lap_psi - np.sum(gpsi * gpsi, axis=1)
-    return dict(first, shape_op=S, H=H, H_f=H_f, sigma2=sigma2, K=K,
-                ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=grad_s,
-                lap_s_psi=lap_s, S_f=S_f)
+    ricf_NN = bakry_emery_ricci(space, pos, Nv)
+    # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
+    lap_s = space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN
+    return dict(first, shape_op=S, H=H, H_f=2.0 * H - gN, sigma2=sigma2, K=K,
+                ricf_NN=ricf_NN, grad_psi=gpsi,
+                grad_s_psi=gpsi - gN[:, None] * Nv, lap_s_psi=lap_s,
+                S_f=perelman_scalar(space, pos))
 
 
 def _boundary_geometry(space: AmbientSpace, imm: Immersion,
@@ -952,13 +933,12 @@ def _normal_from_jac(imm: Immersion, J: Array) -> Array:
     return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
 
-def extrinsic_geometry(space: AmbientSpace, imm: Optional[Immersion],
+def extrinsic_geometry(space: AmbientSpace, imm: Immersion,
                        mesh: SurfaceMesh) -> ExtrinsicData:
     """Evaluate all pointwise geometry at quadrature points of the mesh."""
-    imm = mesh.immersion if imm is None else imm
     interior = _interior_geometry(space, imm, mesh)
     boundary = _boundary_geometry(space, imm, mesh)
-    return ExtrinsicData(mesh=mesh, **interior, **(boundary or {}))
+    return ExtrinsicData(**interior, **(boundary or {}))
 
 
 @dataclass(frozen=True)
@@ -970,16 +950,16 @@ class StationarityVerdict:
     max_contact: float
 
 
-def stationarity_verdict(space: AmbientSpace, mesh: SurfaceMesh,
-                         data: ExtrinsicData, tol_H: Optional[float] = None,
-                         tol_angle: float = 1e-6) -> StationarityVerdict:
+def stationarity_verdict(data: ExtrinsicData,
+                         tol_H: Optional[float] = None) -> StationarityVerdict:
+    """Constant H_f within tol_H and orthogonal contact within 1e-6."""
     w = data.w_daf
     mean = float(np.sum(data.H_f * w) / np.sum(w))
     spread = float(np.max(np.abs(data.H_f - mean)))
     contact = float(np.max(np.abs(data.contact))) if data.has_boundary else 0.0
     if tol_H is None:
         tol_H = 1e-6 * (1.0 + abs(mean))
-    vc = spread <= tol_H and contact <= tol_angle
+    vc = spread <= tol_H and contact <= 1e-6
     strong = vc and abs(mean) <= tol_H
     return StationarityVerdict(strong, vc, mean, spread, contact)
 

@@ -7,14 +7,12 @@ quadrature points; hypothesis truth is always computed and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
-from .stability import IndexFormAssembly
 from .surface import ExtrinsicData, SurfaceMesh, stationarity_verdict
 
 Array = np.ndarray
@@ -40,8 +38,8 @@ class RigidityFlags:
                     self.boundary_geodesic, self.gauss_flat))
 
 
-def rigidity_flags(space: AmbientSpace, mesh: SurfaceMesh,
-                   data: ExtrinsicData, tol: float = FLAG_TOL) -> RigidityFlags:
+def rigidity_flags(data: ExtrinsicData,
+                   tol: float = FLAG_TOL) -> RigidityFlags:
     sigma_max = float(np.sqrt(np.max(data.sigma2)))
     grad_max = float(np.max(np.linalg.norm(data.grad_s_psi, axis=1)))
     ric_max = float(np.max(np.abs(data.ricf_NN)))
@@ -62,7 +60,7 @@ def rigidity_flags(space: AmbientSpace, mesh: SurfaceMesh,
     )
 
 
-def gauss_rearrangement_residual(space: AmbientSpace, mesh: SurfaceMesh,
+def gauss_rearrangement_residual(space: AmbientSpace,
                                  data: ExtrinsicData) -> float:
     """Max pointwise residual of
     Ric_f(N,N) + |sigma|^2 = (S_f + H_f^2)/2 + (|sigma|^2 + |grad_S psi|^2)/2
@@ -113,11 +111,9 @@ class ChainReport:
     has_boundary: bool
 
 
-def stability_topology_chain(space: AmbientSpace, mesh: SurfaceMesh,
-                             data: ExtrinsicData,
-                             asm: Optional[IndexFormAssembly] = None,
+def stability_topology_chain(mesh: SurfaceMesh, data: ExtrinsicData,
                              tol: float = 1e-6) -> ChainReport:
-    verdict = stationarity_verdict(space, mesh, data, tol_H=1e-5)
+    verdict = stationarity_verdict(data, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError("chain evaluation requires an f-stationary surface")
     grad2 = np.sum(data.grad_s_psi * data.grad_s_psi, axis=1)
@@ -175,8 +171,7 @@ class BoundReport:
     passed: bool
 
 
-def area_bound_check(space: AmbientSpace, mesh: SurfaceMesh,
-                     data: ExtrinsicData, S0: float,
+def area_bound_check(mesh: SurfaceMesh, data: ExtrinsicData, S0: float,
                      tol: float = 1e-9) -> BoundReport:
     """Check A_f <= 4 pi / S0 (S0 > 0, disk) or A_f >= 4 pi chi / S0 (S0 < 0)."""
     if S0 == 0.0:
@@ -211,7 +206,7 @@ class FoliationReport:
     monotone_holds: bool
 
 
-def foliation_monotonicity_check(space: AmbientSpace, family: DeformedFamily,
+def foliation_monotonicity_check(family: DeformedFamily,
                                  s_values=(-0.1, 0.0, 0.1),
                                  h: float = 1e-3,
                                  tol: float = 1e-3) -> FoliationReport:
@@ -227,7 +222,7 @@ def foliation_monotonicity_check(space: AmbientSpace, family: DeformedFamily,
     ii_min = np.inf
     for i, s in enumerate(s_values):
         d = family.geometry(s)
-        verdict = stationarity_verdict(space, family.mesh, d, tol_H=1e-5)
+        verdict = stationarity_verdict(d, tol_H=1e-5)
         if not verdict.volume_constrained:
             raise PreconditionError(f"slice at s = {s} is not f-stationary")
         u = np.sum(family.flow.velocity(s, pos0) * d.N, axis=1)

@@ -34,9 +34,7 @@ def space_ball(density_name="constant", radius=1.0, center=(0.0, 0.0, 0.0),
 @functools.lru_cache(maxsize=None)
 def space_slab_product(density_name="constant", **params) -> AmbientSpace:
     return make_space(dim=3, density=(density_name, dict(params)),
-                      boundary=("slab", {"axis": 2, "halfwidth": 1.0}),
-                      metric_kind="product",
-                      circumferences=(None, TAU, None))
+                      boundary=("slab", {"axis": 2, "halfwidth": 1.0}))
 
 
 @functools.lru_cache(maxsize=None)

@@ -230,10 +230,9 @@ def test_criterion_2_first_variation_matrix():
                                                             **params)
                 for flow, X in matrix_fields(kind):
                     field = VariationField(X=X)
-                    formula = first_variation_formula(space, mesh, data,
-                                                      field)
+                    formula = first_variation_formula(space, data, field)
                     fd = first_variation_fd(
-                        space, DeformedFamily(space, imm, mesh, flow))
+                        DeformedFamily(space, imm, mesh, flow))
                     diff = abs(fd.value - formula)
                     assert diff <= max(1e-6, 1e-4 * abs(formula)), \
                         f"{kind}/{dens}/{field.name}: diff {diff:.2e}"
@@ -243,7 +242,7 @@ def test_criterion_2_first_variation_matrix():
         # hemisphere inflation oracle at constant density
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
         val = first_variation_formula(
-            space, mesh, data, VariationField(X=lambda P: np.atleast_2d(P)))
+            space, data, VariationField(X=lambda P: np.atleast_2d(P)))
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
         info["detail"] = (f"{count} FD/formula pairs, max diff {worst:.2e}, "
                           f"inflation A_f' = {val:.6f}")
@@ -282,7 +281,7 @@ def test_criterion_3_second_variation_matrix():
                     vals[res] = index_form_value(asm, u, u)
                 ifv = (4.0 * vals[48] - vals[24]) / 3.0
                 fd = second_variation_fd(
-                    space, DeformedFamily(space, imm24, mesh24, flow))
+                    DeformedFamily(space, imm24, mesh24, flow))
                 rel = abs(fd.value - ifv) / max(1.0, abs(ifv))
                 assert rel <= 1e-3, f"{kind}/{dens}: rel {rel:.2e}"
                 worst = max(worst, rel)
@@ -356,7 +355,7 @@ def test_criterion_6_curvature_identities():
                 space, imm, mesh, data = cf.cached_geometry(kind, 16, dens,
                                                             **params)
                 worst_g = max(worst_g, gauss_rearrangement_residual(
-                    space, mesh, data))
+                    space, data))
                 if data.has_boundary:
                     worst_b = max(worst_b, boundary_identity_residual(
                         space, data))
@@ -429,8 +428,8 @@ def test_criterion_9_jacobi_fd_families():
         for kind, dens, params, flow in families:
             space, imm, mesh, _ = cf.cached_geometry(kind, 24, dens, **params)
             asm = assemble(space, mesh)
-            rep = jacobi_fd_check(space, DeformedFamily(space, imm, mesh,
-                                                        flow), asm)
+            rep = jacobi_fd_check(DeformedFamily(space, imm, mesh, flow),
+                                  asm)
             assert rep.passed and rep.max_residual <= 1e-3
             worst = max(worst, rep.max_residual)
         info["detail"] = f"3 families, max relative residual {worst:.2e}"

@@ -82,6 +82,17 @@ class TestBoundaryOperators:
         with pytest.raises(InputError, match="not on the boundary"):
             boundary_inner_normal(space, [0.0, 0.0, 0.0])
 
+    def test_inner_normal_rejects_nan_gradient(self):
+        from wstab.ambient import AmbientSpace, BoundarySpec
+        half = make_boundary("half-space", axis=2)
+        nan_grad = BoundarySpec(half.phi,
+                                lambda P: np.full((len(P), 3), np.nan),
+                                half.hess_phi)
+        space = AmbientSpace(dim=3, density=make_density("constant"),
+                             boundary=nan_grad)
+        with pytest.raises(SingularBoundaryError):
+            boundary_inner_normal(space, [1.0, 0.0, 0.0])
+
     def test_degenerate_gradient_is_singular(self):
         from wstab.ambient import BoundarySpec
 

@@ -198,12 +198,28 @@ class TestMalformedParameterValues:
         {"ambient": {"density": {"name": "radial-log", "k": nested(600)},
                      "boundary": {"name": "half-space", "axis": 2}}},
         {"surface": {"builtin": "spherical-cap", "orientation_sign": 0}},
+        {"ambient": {"density": {"name": "constant", "value": 0},
+                     "boundary": {"name": "half-space", "axis": 2}}},
+        {"ambient": {"density": {"name": "constant", "value": -1},
+                     "boundary": {"name": "half-space", "axis": 2}}},
+        {"surface": {"builtin": "spherical-cap", "axis": [0.0, 0.0, 0.0]}},
+        {"tasks": ["first-variation"],
+         "variation": {"flow": "rotation", "axis": [0.0, 0.0, 0.0]}},
+        {"ambient": {"density": {"name": "constant"},
+                     "boundary": {"name": "cone", "alpha": 0.7,
+                                  "axis": [0.0, 0.0, 0.0]}},
+         "surface": {"builtin": "spherical-cap", "alpha": 0.7}},
+        {"surface": {"builtin": "spherical-cap", "radius": 0.0}},
+        {"surface": {"builtin": "planar-disk", "radius": 0.0}},
+        {"surface": {"builtin": "round-sphere", "radius": 0.0}},
     ], ids=["boundary-axis", "density-name", "expect-number", "tolerance",
             "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect",
             "nan-offset", "nan-cone-alpha", "huge-int-k", "nan-tolerance",
             "inf-S0", "inf-expect", "nan-expect-flag", "inf-radius",
             "nan-flow-direction", "inf-circumference", "deep-nesting",
-            "orientation-zero"])
+            "orientation-zero", "zero-density", "negative-density",
+            "zero-cap-axis", "zero-rotation-axis", "zero-cone-axis",
+            "zero-cap-radius", "zero-disk-radius", "zero-sphere-radius"])
     def test_malformed_scenario_value_exits_4(self, tmp_path, capsys,
                                               changes):
         tree = dict(SMALL_SCENARIO, **changes)
@@ -212,6 +228,18 @@ class TestMalformedParameterValues:
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("key,value", [
+        ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
+        ids=["metric_kind", "circumferences"])
+    def test_removed_ambient_keys_exit_4(self, tmp_path, capsys, key, value):
+        """Nothing reads them: the S^1 factor of a product slice is the
+        surface's periodic range."""
+        tree = copy.deepcopy(SMALL_SCENARIO)
+        tree["ambient"][key] = value
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert f"unknown key '{key}' in ambient" in capsys.readouterr().err
 
 
 def count_calls(monkeypatch):
@@ -421,12 +449,13 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
-# Every number a drawn tree can hold lies in [-8, 8], so that no resolution
-# exceeds 8 and every run stays small.
+# Integers lie in [-3, 8], so that no resolution exceeds 8 and every run
+# stays small; floats lie in [-8, 8] or are non-finite or near a limit.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8)
     | st.floats(-8.0, 8.0, allow_nan=False)
-    | st.sampled_from([NAN, INF, -INF]) | st.text(max_size=6),
+    | st.sampled_from([NAN, INF, -INF, 0.0, 1e300, -1e300, 1e-300])
+    | st.text(max_size=6),
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(max_size=6), children,
                                         max_size=3)),

@@ -76,7 +76,7 @@ class TestFirstOrderGeometry:
         monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         assert family.weighted_area(0.1) > 0
-        assert swept_weighted_volume(space, family, 0.1) > 0
+        assert swept_weighted_volume(family, 0.1) > 0
 
 
 def swirl(P):
@@ -124,9 +124,9 @@ class TestFamilySlices:
         monkeypatch.setattr(surface, "_blended_param_points",
                             counting("blend", surface._blended_param_points))
         monkeypatch.setattr(imm, "chart_jac", counting("jac", imm.chart_jac))
-        first_variation_fd(space, family)
-        second_variation_fd(space, family)
-        swept_weighted_volume(space, family, 0.1)
+        first_variation_fd(family)
+        second_variation_fd(family)
+        swept_weighted_volume(family, 0.1)
         assert counts == {"blend": 1, "jac": 1}
 
     def test_base_geometry_is_reused_only_for_its_rules(self):
@@ -145,13 +145,13 @@ class TestFamilySlices:
 class TestFirstVariation:
     def test_hemisphere_inflation_formula_is_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = first_variation_formula(space, mesh, data, position_field())
+        val = first_variation_formula(space, data, position_field())
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
 
     def test_hemisphere_inflation_fd_matches(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        fd = first_variation_fd(space, family)
+        fd = first_variation_fd(family)
         assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
         assert fd.error_estimate < 1e-5
 
@@ -171,8 +171,8 @@ class TestFirstVariation:
                                 field):
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density,
                                                     **params)
-        formula = first_variation_formula(space, mesh, data, field)
-        fd = first_variation_fd(space, DeformedFamily(space, imm, mesh, flow))
+        formula = first_variation_formula(space, data, field)
+        fd = first_variation_fd(DeformedFamily(space, imm, mesh, flow))
         assert fd.value == pytest.approx(formula,
                                          abs=max(1e-6, 1e-4 * abs(formula)))
 
@@ -181,15 +181,15 @@ class TestFirstVariation:
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        formula = first_variation_formula(space, mesh, data, field)
+        formula = first_variation_formula(space, data, field)
         fd = first_variation_fd(
-            space, DeformedFamily(space, imm, mesh, RotationFlow()))
+            DeformedFamily(space, imm, mesh, RotationFlow()))
         assert abs(formula) < 1e-10
         assert abs(fd.value) < 1e-8
 
     def test_volume_first_variation_of_inflation(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = volume_first_variation(space, mesh, data, position_field())
+        val = volume_first_variation(data, position_field())
         assert val == pytest.approx(TAU, rel=1e-4)
 
     def test_inadmissible_field_is_rejected(self):
@@ -198,7 +198,7 @@ class TestFirstVariation:
             X=lambda P: np.broadcast_to([0.0, 0.0, 1.0],
                                         np.atleast_2d(P).shape))
         with pytest.raises(InputError):
-            first_variation_formula(space, mesh, data, lift)
+            first_variation_formula(space, data, lift)
 
 
 class TestSweptVolume:
@@ -207,19 +207,19 @@ class TestSweptVolume:
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         s = 0.1
         expected = (TAU / 3.0) * ((1.0 + s)**3 - 1.0)
-        assert swept_weighted_volume(space, family, s) == pytest.approx(
+        assert swept_weighted_volume(family, s) == pytest.approx(
             expected, rel=1e-4)
 
     def test_negative_parameter_flips_sign(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        assert swept_weighted_volume(space, family, -0.1) < 0.0
-        assert swept_weighted_volume(space, family, 0.0) == 0.0
+        assert swept_weighted_volume(family, -0.1) < 0.0
+        assert swept_weighted_volume(family, 0.0) == 0.0
 
     def test_slab_translation_closed_form(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 16)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        total = swept_weighted_volume(space, family, 0.3)
+        total = swept_weighted_volume(family, 0.3)
         assert total == pytest.approx(0.3 * 2.0 * TAU, rel=1e-10)
 
 
@@ -265,14 +265,14 @@ class TestSecondVariation:
     def test_hemisphere_inflation_is_minus_4pi(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        fd = second_variation_fd(space, family)
+        fd = second_variation_fd(family)
         assert fd.value == pytest.approx(-2.0 * TAU, rel=1e-3)
 
     def test_flat_slice_translation_is_neutral(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 16, "linear",
                                                  a=(1.0, 0.0, 0.0))
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        fd = second_variation_fd(space, family)
+        fd = second_variation_fd(family)
         assert abs(fd.value) < 1e-6
 
     def test_requires_stationary_base(self):
@@ -283,7 +283,7 @@ class TestSecondVariation:
         mesh = mesh_from_immersion(imm, 12, space=space)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
         with pytest.raises(PreconditionError):
-            second_variation_fd(space, family)
+            second_variation_fd(family)
 
 
 class TestDivergenceTheorem:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab.ambient import make_space
+from wstab.ambient import bakry_emery_ricci, make_space, perelman_scalar
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            export_off, extrinsic_geometry, import_off,
@@ -48,6 +48,21 @@ class TestHemisphereGeometry:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", resolution)
         area = float(np.sum(data.w_daf))
         assert abs(area - TAU) / TAU < tol
+
+
+class TestWeightedCurvatures:
+    @pytest.mark.parametrize("kind,density,params", [
+        ("hemisphere", "gaussian", {}),
+        ("hemisphere", "radial-log", {"k": -2.5}),
+        ("sphere", "constant", {}),
+    ])
+    def test_geometry_uses_the_ambient_formulas(self, kind, density, params):
+        """Ric_f(N, N) and S_f at the quadrature points are the ambient
+        operators' values, bit for bit."""
+        space, _, _, data = cf.cached_geometry(kind, 12, density, **params)
+        assert np.array_equal(data.ricf_NN,
+                              bakry_emery_ricci(space, data.pos, data.N))
+        assert np.array_equal(data.S_f, perelman_scalar(space, data.pos))
 
 
 class TestProductSlice:
@@ -133,14 +148,14 @@ class TestStationarity:
     def test_gaussian_hemisphere_is_strongly_stationary(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "gaussian")
-        v = stationarity_verdict(space, mesh, data)
+        v = stationarity_verdict(data)
         assert v.strong
         assert v.H_f_mean == pytest.approx(0.0, abs=1e-10)
 
     def test_k_family_is_volume_constrained_only(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.5)
-        v = stationarity_verdict(space, mesh, data)
+        v = stationarity_verdict(data)
         assert v.volume_constrained and not v.strong
         assert v.H_f_mean == pytest.approx(0.5, abs=1e-10)
 
@@ -151,7 +166,7 @@ class TestStationarity:
                          radius=rho)
         mesh = mesh_from_immersion(imm, 12, space=space)
         data = extrinsic_geometry(space, imm, mesh)
-        v = stationarity_verdict(space, mesh, data)
+        v = stationarity_verdict(data)
         assert not v.volume_constrained
         assert v.max_contact == pytest.approx(0.5, abs=1e-10)
 
@@ -195,6 +210,10 @@ class TestOrientationSign:
 class TestNanGuards:
     """Every comparison with NaN is False: the guards test their pass
     condition, so a NaN trips them."""
+
+    def test_disk_frame(self):
+        with pytest.raises(InputError, match="orthonormal"):
+            PlanarDisk(e1=(float("nan"), 0.0, 0.0))
 
     def test_boundary_projection_residual(self):
         space = make_space(boundary=("half-space",

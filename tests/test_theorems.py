@@ -43,7 +43,7 @@ class TestGaussRearrangement:
     def test_pointwise_identity(self, kind, density, params):
         space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
                                                     **params)
-        assert gauss_rearrangement_residual(space, mesh, data) < 1e-9
+        assert gauss_rearrangement_residual(space, data) < 1e-9
 
 
 class TestBoundaryIdentity:
@@ -66,7 +66,7 @@ class TestStabilityTopologyChain:
     def test_flat_slice_realizes_equality(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 0
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-10)
@@ -76,7 +76,7 @@ class TestStabilityTopologyChain:
     def test_hemisphere_borderline_density(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "radial-log", k=-2.0)
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 1
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
@@ -91,7 +91,7 @@ class TestStabilityTopologyChain:
         imm = RoundSphere(radius=2.0)
         mesh = mesh_from_immersion(imm, 24, space=space)
         data = extrinsic_geometry(space, imm, mesh)
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 2
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
@@ -109,14 +109,14 @@ class TestStabilityTopologyChain:
         mesh = mesh_from_immersion(imm, 12, space=space)
         data = extrinsic_geometry(space, imm, mesh)
         with pytest.raises(PreconditionError):
-            stability_topology_chain(space, mesh, data)
+            stability_topology_chain(mesh, data)
 
 
 class TestTopologyVerdict:
     def test_flat_slice_is_disk_or_cylinder(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
@@ -124,7 +124,7 @@ class TestTopologyVerdict:
     def test_hemisphere_at_threshold(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.0)
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
@@ -132,7 +132,7 @@ class TestTopologyVerdict:
     def test_unstable_hemisphere_is_not_applicable(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.5)
-        chain = stability_topology_chain(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
         spec = robin_eigenproblem(assemble(space, mesh))
         assert spec.lambda_min < -0.4
         strong = strong_stability_verdict(spec)
@@ -143,18 +143,18 @@ class TestAreaBounds:
     def test_degenerate_threshold_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
         with pytest.raises(InputError):
-            area_bound_check(space, mesh, data, 0.0)
+            area_bound_check(mesh, data, 0.0)
 
     def test_negative_threshold_needs_negative_chi(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        report = area_bound_check(space, mesh, data, -1.0)
+        report = area_bound_check(mesh, data, -1.0)
         assert report.hypothesis.holds
         assert not report.applicable
 
     def test_failed_hypothesis_is_reported(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        report = area_bound_check(space, mesh, data, 1.0)
+        report = area_bound_check(mesh, data, 1.0)
         assert not report.hypothesis.holds
         assert not report.applicable
 
@@ -162,7 +162,7 @@ class TestAreaBounds:
         space, imm, mesh, data = quadratic_disk(24)
         spec = robin_eigenproblem(assemble(space, mesh))
         assert spec.lambda_min > 1.0
-        report = area_bound_check(space, mesh, data, 0.5)
+        report = area_bound_check(mesh, data, 0.5)
         assert report.applicable and report.passed
         assert report.hypothesis.sampled_min > 1.0
         assert report.chi == 1
@@ -174,12 +174,12 @@ class TestRigidity:
     def test_flat_slice_is_fully_rigid(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        flags = rigidity_flags(space, mesh, data)
+        flags = rigidity_flags(data)
         assert flags.all_true
 
     def test_hemisphere_is_not_rigid(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
-        flags = rigidity_flags(space, mesh, data)
+        flags = rigidity_flags(data)
         assert not flags.totally_geodesic
         assert not flags.gauss_flat
         assert flags.density_const_on_surface
@@ -188,8 +188,8 @@ class TestRigidity:
     def test_equality_case_pairs_with_chain_equality(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(space, mesh, data)
-        flags = rigidity_flags(space, mesh, data)
+        chain = stability_topology_chain(mesh, data)
+        flags = rigidity_flags(data)
         assert flags.all_true
         assert abs(chain.I_f_u - chain.bound1) < chain.tol
         assert abs(chain.bound1 - chain.bound2) < chain.tol
@@ -200,14 +200,14 @@ class TestFoliation:
         space, imm, mesh, _ = cf.cached_geometry("slice", 12, "linear",
                                                  a=(1.0, 0.0, 0.0))
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        report = foliation_monotonicity_check(space, family)
+        report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-6
         assert report.monotone_asserted and report.monotone_holds
 
     def test_gaussian_identity_with_nonzero_potential(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 12, "gaussian")
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        report = foliation_monotonicity_check(space, family)
+        report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-4
         assert report.hyp_ricci.holds
         assert report.monotone_asserted and report.monotone_holds
@@ -216,4 +216,4 @@ class TestFoliation:
         space, imm, mesh, _ = cf.cached_geometry("slice", 12)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((-1, 0, 0)))
         with pytest.raises(PreconditionError):
-            foliation_monotonicity_check(space, family)
+            foliation_monotonicity_check(family)
