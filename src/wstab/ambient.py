@@ -400,6 +400,9 @@ def _half_space_boundary(axis: int = 2, offset: float = 0.0) -> BoundarySpec:
 def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
     axis = _axis_index(axis)
     halfwidth = float(halfwidth)
+    if not 0.0 < halfwidth < np.inf:
+        raise InputError(f"slab halfwidth must be positive and finite, "
+                         f"got {halfwidth:g}")
 
     def phi(P):
         return halfwidth - np.abs(np.atleast_2d(P)[:, axis])
@@ -455,6 +458,8 @@ def _ball_complement_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
 def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     """Solid circular cone of half-angle alpha around an axis through 0."""
     alpha = float(alpha)
+    if not 0.0 < alpha < np.pi:
+        raise InputError(f"cone alpha must lie in (0, pi), got {alpha:g}")
     a = unit_vector3((0.0, 0.0, 1.0) if axis is None else axis, "cone axis")
     ca = float(np.cos(alpha))
 

@@ -247,6 +247,10 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {detail}",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory (try a lower resolution)",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ differences.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,7 +283,8 @@ class DeformedFamily:
     family's lifetime: the first-order geometry of the slice at s is the
     flow applied to the cached base positions and Jacobians.
     ``base_data`` is the full geometry of the base, computed on first use
-    when it is not given.
+    when it is not given.  Each slice's A_f and volume rate are kept per s,
+    so the FD variations, the swept volume and the samples share slices.
     """
 
     space: AmbientSpace
@@ -291,6 +292,9 @@ class DeformedFamily:
     mesh: SurfaceMesh
     flow: Flow
     base_data: Optional[ExtrinsicData] = None
+    # s -> (A_f(s), V_f'(s)): two floats per slice, never arrays
+    _slices: Dict[float, Tuple[float, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def immersion(self, s: float) -> Immersion:
         if s == 0.0:
@@ -313,9 +317,21 @@ class DeformedFamily:
                                     Q, D1, D2, pos, J)
         return first["pos"], first["N"], first["w_da"] * first["f"]
 
+    def _slice(self, s: float) -> Tuple[float, float]:
+        """(A_f, V_f') of the slice at s, evaluated once per s.
+
+        V_f'(s) = int_Sigma <dphi/ds, N_s> f da over the slice."""
+        s = float(s)
+        if s not in self._slices:
+            _, N, w_daf = self.area_elements(s)
+            vel = self.flow.velocity(s, self.base_chart[3])
+            rate = float(np.sum(np.sum(vel * N, axis=1) * w_daf))
+            self._slices[s] = (float(np.sum(w_daf)), rate)
+        return self._slices[s]
+
     def weighted_area(self, s: float) -> float:
         """A_f of the slice at s."""
-        return float(np.sum(self.area_elements(s)[2]))
+        return self._slice(s)[0]
 
     def geometry(self, s: float) -> ExtrinsicData:
         """Full geometry of the slice at s; the base's is computed once."""
@@ -332,22 +348,36 @@ class DeformedFamily:
 # functionals
 # ---------------------------------------------------------------------------
 
-GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# 5-point Gauss-Lobatto on [-1, 1]: exact to degree 7, and its end nodes
+# are the panel ends, which neighbouring panels share
+LOBATTO5_NODES = (-1.0, -np.sqrt(3.0 / 7.0), 0.0, np.sqrt(3.0 / 7.0), 1.0)
+LOBATTO5_WEIGHTS = (0.1, 49.0 / 90.0, 32.0 / 45.0, 49.0 / 90.0, 0.1)
 
 
-def swept_weighted_volume(family: DeformedFamily, s: float) -> float:
-    """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt."""
-    if s == 0.0:
-        return 0.0
-    pos0 = family.base_chart[3]
-    total = 0.0
-    for node, wt in zip(GL8_NODES, GL8_WEIGHTS):
-        t = 0.5 * s * (node + 1.0)
-        _, N_t, w_daf = family.area_elements(t)
-        vel = family.flow.velocity(t, pos0)
-        integrand = np.sum(vel * N_t, axis=1) * w_daf
-        total += wt * float(np.sum(integrand))
-    return 0.5 * s * total
+def swept_weighted_volume(family: DeformedFamily,
+                          s_values: Sequence[float]) -> List[float]:
+    """V_f(s) = int_0^s int_Sigma <dphi/dt, N_t> f da dt at each s of a grid.
+
+    The grid starts next to 0 and moves away from it on one side; the
+    integral runs panel by panel over [0, s1], [s1, s2], ... with a 5-point
+    Gauss-Lobatto rule whose end nodes are the grid values themselves, so
+    neighbouring panels and the caller's A_f(s) share the family's slices.
+    """
+    out = []
+    total = a = 0.0
+    for b in map(float, s_values):
+        if b != a:
+            if not (a * b >= 0.0 and abs(b) > abs(a)):
+                raise InputError(
+                    f"swept volume grid must move away from 0 on one side "
+                    f"(got {a!r} then {b!r})")
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            inner = [mid + half * x for x in LOBATTO5_NODES[1:4]]
+            total += half * sum(wt * family._slice(t)[1] for t, wt in
+                                zip([a, *inner, b], LOBATTO5_WEIGHTS))
+            a = b
+        out.append(total)
+    return out
 
 
 def first_variation_formula(space: AmbientSpace, data: ExtrinsicData,
@@ -403,12 +433,14 @@ def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
         raise PreconditionError(
             "second variation formula requires an f-stationary base surface")
     Hf0 = verdict.H_f_mean
+    volume = {}
+    for side in ((h / 2, h), (-h / 2, -h)):
+        volume.update(zip(side, swept_weighted_volume(family, side)))
 
     def W(s):
         if s == 0.0:
             return float(np.sum(data0.w_daf))
-        return (family.weighted_area(s)
-                + Hf0 * swept_weighted_volume(family, s))
+        return family.weighted_area(s) + Hf0 * volume[s]
 
     w0 = W(0.0)
 

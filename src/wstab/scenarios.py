@@ -649,11 +649,11 @@ def _run_single(scn: Scenario) -> RunResult:
 
     if family is not None:
         samples_header = ["s", "A_f", "V_f"]
-        for s in np.linspace(-0.2, 0.2, 9):
-            s = float(s)
-            af = family.weighted_area(s)
-            vf = swept_weighted_volume(family, s)
-            samples.append([s, af, vf])
+        grid = [float(s) for s in np.linspace(-0.2, 0.2, 9)]
+        volume = {grid[4]: 0.0}
+        for side in (grid[5:], grid[3::-1]):
+            volume.update(zip(side, swept_weighted_volume(family, side)))
+        samples = [[s, family.weighted_area(s), volume[s]] for s in grid]
 
     return RunResult(scn, report, checks, samples_header, samples,
                      spectrum_rows, mesh)

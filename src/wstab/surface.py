@@ -646,7 +646,6 @@ class ExtrinsicData:
     """Pointwise geometry at interior and boundary quadrature points."""
 
     # interior arrays, one entry per (triangle, quadrature point)
-    tri_index: Array
     params: Array            # (Q, pd)
     pos: Array               # (Q, 3)
     E1: Array                # (Q, 3) chart derivative along edge q1-q0
@@ -657,7 +656,6 @@ class ExtrinsicData:
     w_da: Array              # unweighted area element x quadrature weight
     f: Array
     N: Array
-    shape_op: Array          # (Q, 2, 2)
     H: Array
     H_f: Array
     sigma2: Array
@@ -670,11 +668,8 @@ class ExtrinsicData:
     # boundary arrays, one entry per (boundary edge, quadrature point)
     bedge_index: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     bedge_local: Array = field(default_factory=lambda: np.zeros(0))
-    b_t: Array = field(default_factory=lambda: np.zeros(0))
-    b_arc: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     b_params: Array = field(default_factory=lambda: np.zeros((0, 2)))
     b_pos: Array = field(default_factory=lambda: np.zeros((0, 3)))
-    b_T: Array = field(default_factory=lambda: np.zeros((0, 3)))
     b_nu: Array = field(default_factory=lambda: np.zeros((0, 3)))
     b_xi: Array = field(default_factory=lambda: np.zeros((0, 3)))
     b_N: Array = field(default_factory=lambda: np.zeros((0, 3)))
@@ -794,8 +789,6 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
     """First-order ExtrinsicData fields from the chart at quadrature points."""
     if space.dim != 3:
         raise InputError("surface geometry supports 3-dimensional ambients only")
-    R = len(TRI_WEIGHTS)
-    F = len(Q) // R
     E1 = np.einsum("nia,na->ni", J, D1)
     E2 = np.einsum("nia,na->ni", J, D2)
     g11 = np.sum(E1 * E1, axis=1)
@@ -804,15 +797,16 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
-    Ginv = np.empty((F * R, 2, 2))
+    Ginv = np.empty((len(Q), 2, 2))
     Ginv[:, 0, 0] = g22 / detG
     Ginv[:, 1, 1] = g11 / detG
     Ginv[:, 0, 1] = Ginv[:, 1, 0] = -g12 / detG
     Nv = np.cross(E1, E2)
     Nv = orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    return dict(tri_index=np.repeat(np.arange(F), R), params=Q, pos=pos,
+    return dict(params=Q, pos=pos,
                 E1=E1, E2=E2, D1=D1, D2=D2, Ginv=Ginv,
-                w_da=np.sqrt(detG) * np.tile(TRI_WEIGHTS, F),
+                w_da=np.sqrt(detG) * np.tile(TRI_WEIGHTS,
+                                             len(Q) // len(TRI_WEIGHTS)),
                 f=np.exp(space.density.psi(pos)), N=Nv)
 
 
@@ -850,7 +844,7 @@ def _interior_geometry(space: AmbientSpace, imm: Immersion,
     ricf_NN = bakry_emery_ricci(space, pos, Nv)
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
     lap_s = space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN
-    return dict(first, shape_op=S, H=H, H_f=2.0 * H - gN, sigma2=sigma2, K=K,
+    return dict(first, H=H, H_f=2.0 * H - gN, sigma2=sigma2, K=K,
                 ricf_NN=ricf_NN, grad_psi=gpsi,
                 grad_s_psi=gpsi - gN[:, None] * Nv, lap_s_psi=lap_s,
                 S_f=perelman_scalar(space, pos))
@@ -861,10 +855,9 @@ def _boundary_geometry(space: AmbientSpace, imm: Immersion,
     B = len(mesh.boundary_edges)
     R = len(EDGE_POINTS)
     arcs = imm.boundary_arcs()
-    out = {k: [] for k in ("bedge_index", "bedge_local", "b_t", "b_arc",
-                           "b_params", "b_pos", "b_T", "b_nu", "b_xi", "b_N",
-                           "contact", "II_NN", "Hf_boundary", "h_geod",
-                           "w_dl", "f_b")}
+    out = {k: [] for k in ("bedge_index", "bedge_local", "b_params", "b_pos",
+                           "b_nu", "b_xi", "b_N", "contact", "II_NN",
+                           "Hf_boundary", "h_geod", "w_dl", "f_b")}
     if B == 0:
         return None
     for aid in np.unique(mesh.boundary_edges[:, 2]):
@@ -902,11 +895,8 @@ def _boundary_geometry(space: AmbientSpace, imm: Immersion,
             contact = np.zeros(len(g))
         out["bedge_index"].append(np.repeat(sel, R))
         out["bedge_local"].append(np.tile(EDGE_POINTS, len(sel)))
-        out["b_t"].append(ts)
-        out["b_arc"].append(np.full(len(ts), aid, dtype=np.int64))
         out["b_params"].append(qb)
         out["b_pos"].append(g)
-        out["b_T"].append(T)
         out["b_nu"].append(nu)
         out["b_xi"].append(xi)
         out["b_N"].append(Nv)

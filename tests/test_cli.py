@@ -147,6 +147,20 @@ class TestRun:
         assert err_lines[0].startswith("numerical failure: ")
         assert "Traceback" not in captured.out + captured.err
 
+    def test_memory_exhaustion_exits_3_in_one_line(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A mesh too large for memory ends in one line, not a traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(scenarios, "mesh_from_immersion", exhausted)
+        cfg = write_config(tmp_path, SMALL_SCENARIO)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: out of memory (try a lower resolution)"]
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestMalformedParameterValues:
     @pytest.mark.parametrize("density,surface", [
@@ -229,6 +243,24 @@ class TestMalformedParameterValues:
         assert "config error" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("builtin,key,value", [
+        ("flat-slab-slice", "halfwidth", -1.0),
+        ("paper-ex-3.8-convex-cone", "alpha", 0.0),
+        ("paper-ex-3.8-convex-cone", "alpha", 4.0),
+    ], ids=["negative-slab-halfwidth", "zero-cone-alpha", "cone-alpha-above-pi"])
+    def test_degenerate_boundary_parameter_exits_4(self, tmp_path, capsys,
+                                                   builtin, key, value):
+        """Rejected when the boundary is built, not later as a boundary
+        projection residual (exit 3)."""
+        tree = scenarios.scenario_to_tree(scenarios.builtin_scenario(builtin))
+        tree["ambient"]["boundary"][key] = value
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert key in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("key,value", [
         ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
         ids=["metric_kind", "circumferences"])
@@ -303,16 +335,29 @@ class TestGeometryCalls:
                                                    monkeypatch, variation):
         """The FD slices are the flow applied to the family's cached base
         chart (evaluating every slice from scratch took 2 full geometries,
-        127 blends and 133 cap Jacobians)."""
+        127 blends and 133 cap Jacobians), and each s is evaluated once: 4
+        first-variation slices, 17 for the second variation and 32 more for
+        the samples (a swept volume from scratch per s took 113)."""
+        from wstab.functionals import DeformedFamily
         tree = half_sphere({"name": "radial-log", "k": -2.6}, 24,
                            ["stationarity", "first-variation",
                             "second-variation"], variation=variation)
         counts = count_calls(monkeypatch)
+        slices = []
+        area_elements = DeformedFamily.area_elements
+
+        def counting_slices(self, s):
+            slices.append(float(s))
+            return area_elements(self, s)
+
+        monkeypatch.setattr(DeformedFamily, "area_elements", counting_slices)
         code, _ = run_report(tmp_path, tree)
         assert code == 0
         assert counts["geometry"] == 1
         assert counts["blend"] <= 3
         assert counts["cap_jac"] <= 9
+        assert len(slices) <= 53
+        assert len(set(slices)) == len(slices)
 
 
 class TestVerdicts:

@@ -76,7 +76,7 @@ class TestFirstOrderGeometry:
         monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         assert family.weighted_area(0.1) > 0
-        assert swept_weighted_volume(family, 0.1) > 0
+        assert swept_weighted_volume(family, [0.1])[0] > 0
 
 
 def swirl(P):
@@ -126,7 +126,7 @@ class TestFamilySlices:
         monkeypatch.setattr(imm, "chart_jac", counting("jac", imm.chart_jac))
         first_variation_fd(family)
         second_variation_fd(family)
-        swept_weighted_volume(family, 0.1)
+        swept_weighted_volume(family, [0.1])
         assert counts == {"blend": 1, "jac": 1}
 
     def test_base_geometry_is_reused_only_for_its_rules(self):
@@ -201,26 +201,69 @@ class TestFirstVariation:
             first_variation_formula(space, data, lift)
 
 
+SAMPLE_SIDES = ([0.05, 0.1, 0.15, 0.2], [-0.05, -0.1, -0.15, -0.2])
+
+
 class TestSweptVolume:
     def test_hemisphere_inflation_shell(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         s = 0.1
         expected = (TAU / 3.0) * ((1.0 + s)**3 - 1.0)
-        assert swept_weighted_volume(family, s) == pytest.approx(
+        assert swept_weighted_volume(family, [s])[0] == pytest.approx(
             expected, rel=1e-4)
+
+    @pytest.mark.parametrize("grid", SAMPLE_SIDES)
+    def test_hemisphere_grid_matches_one_panel_calls(self, grid):
+        """The inflation rate is a quadratic in s, so one Lobatto panel is
+        exact and the panels may only differ from it by rounding."""
+        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
+        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        volumes = swept_weighted_volume(family, grid)
+        for s, v in zip(grid, volumes):
+            assert abs(v - swept_weighted_volume(family, [s])[0]) <= 1e-13
 
     def test_negative_parameter_flips_sign(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
-        assert swept_weighted_volume(family, -0.1) < 0.0
-        assert swept_weighted_volume(family, 0.0) == 0.0
+        assert swept_weighted_volume(family, [-0.1])[0] < 0.0
+        assert swept_weighted_volume(family, [0.0]) == [0.0]
+        assert swept_weighted_volume(family, []) == []
 
     def test_slab_translation_closed_form(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 16)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        total = swept_weighted_volume(family, 0.3)
-        assert total == pytest.approx(0.3 * 2.0 * TAU, rel=1e-10)
+        for grid in SAMPLE_SIDES:
+            volumes = swept_weighted_volume(family, grid)
+            assert volumes == pytest.approx([s * 2.0 * TAU for s in grid],
+                                            rel=1e-12)
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.05], [0.1, -0.2],
+                                      [-0.1, 0.0], [float("nan")]])
+    def test_grid_must_move_away_from_zero_on_one_side(self, grid):
+        space, imm, mesh, _ = cf.cached_geometry("slice", 8)
+        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        with pytest.raises(InputError):
+            swept_weighted_volume(family, grid)
+
+    def test_each_slice_is_evaluated_once(self, monkeypatch):
+        """Neighbouring panels share their end slices, and A_f(s) at a grid
+        value reuses the volume's slice: 4 panels take 17 slices."""
+        space, imm, mesh, _ = cf.cached_geometry("slice", 8)
+        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        slices = []
+        area_elements = family.area_elements
+
+        def counting(s):
+            slices.append(s)
+            return area_elements(s)
+
+        monkeypatch.setattr(family, "area_elements", counting)
+        swept_weighted_volume(family, SAMPLE_SIDES[0])
+        for s in SAMPLE_SIDES[0]:
+            family.weighted_area(s)
+        assert len(slices) == 17
+        assert len(set(slices)) == 17
 
 
 class TestBoundaryReprojection:
