@@ -16,9 +16,9 @@ import numpy as np
 from .ambient import AmbientSpace, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
 from .surface import (ExtrinsicData, Immersion, SurfaceMesh,
-                      _chart_at_quadrature, _first_order_fields,
-                      _normal_from_jac, extrinsic_geometry,
-                      stationarity_verdict)
+                      _chart_at_boundary, _chart_at_quadrature,
+                      _fields_from_chart, _first_order_fields,
+                      _normal_from_jac, stationarity_verdict)
 
 Array = np.ndarray
 
@@ -200,88 +200,14 @@ class FieldFlow(Flow):
         return super().hess(s, P)
 
 
-class DeformedImmersion(Immersion):
-    """Base immersion pushed through an ambient flow at parameter s.
-
-    Boundary points are re-projected onto {phi = 0} after the flow by at
-    most 3 Newton steps and checked to 1e-10; the boundary curve derivatives
-    of the projected curve are taken by finite differences in the arc
-    parameter.
-    """
-
-    def __init__(self, base: Immersion, flow: Flow, s: float,
-                 space: AmbientSpace):
-        self.base = base
-        self.flow = flow
-        self.s = float(s)
-        self.space = space
-        self.param_dim = base.param_dim
-        self.orientation_sign = base.orientation_sign
-        self.domain = base.domain
-
-    def chart(self, Q):
-        return self.flow.map(self.s, self.base.chart(Q))
-
-    def chart_jac(self, Q):
-        P0 = self.base.chart(Q)
-        J0 = self.base.chart_jac(Q)
-        return np.matmul(self.flow.jac(self.s, P0), J0)
-
-    def chart_hess(self, Q):
-        P0 = self.base.chart(Q)
-        J0 = self.base.chart_jac(Q)
-        H0 = self.base.chart_hess(Q)
-        DF = self.flow.jac(self.s, P0)
-        HF = self.flow.hess(self.s, P0)
-        term1 = np.einsum("nij,njab->niab", DF, H0)
-        term2 = np.einsum("nijk,nja,nkb->niab", HF, J0, J0)
-        return term1 + term2
-
-    def boundary_chart(self, Q):
-        P = self.flow.map(self.s, self.base.boundary_chart(Q))
-        bd = self.space.boundary
-        if bd is not None:
-            for _ in range(3):
-                phi = np.atleast_1d(bd.phi(P))
-                if np.max(np.abs(phi)) <= 1e-12:
-                    break
-                g = bd.grad_phi(P)
-                P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
-            else:
-                res = np.max(np.abs(np.atleast_1d(bd.phi(P))))
-                if not res <= 1e-10:
-                    raise NumericalFailure(
-                        f"boundary re-projection residual {res:.2e} exceeds "
-                        f"1e-10 after 3 Newton steps")
-        return P
-
-    def boundary_curve_derivs(self, arc, ts):
-        if self.space.boundary is None:
-            return super().boundary_curve_derivs(arc, ts)
-        ts = np.asarray(ts, float)
-        h = 1e-4
-
-        def g_at(t):
-            return self.boundary_chart(arc.c(t))
-
-        g = g_at(ts)
-        gp = g_at(ts + h)
-        gm = g_at(ts - h)
-        dg = (gp - gm) / (2 * h)
-        ddg = (gp - 2 * g + gm) / h**2
-        return g, dg, ddg
-
-    def boundary_arcs(self):
-        return self.base.boundary_arcs()
-
-
 @dataclass
 class DeformedFamily:
     """A variation: base surface plus an ambient flow.
 
     The base chart is evaluated once, on first use, and kept for the
-    family's lifetime: the first-order geometry of the slice at s is the
-    flow applied to the cached base positions and Jacobians.
+    family's lifetime; every slice is the flow applied to it.  Area and
+    volume read the base positions and Jacobians only; full geometry also
+    reads the base chart Hessian and boundary arrays, kept on first use.
     ``base_data`` is the full geometry of the base, computed on first use
     when it is not given.  Each slice's A_f and volume rate are kept per s,
     so the FD variations, the swept volume and the samples share slices.
@@ -296,21 +222,24 @@ class DeformedFamily:
     _slices: Dict[float, Tuple[float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def immersion(self, s: float) -> Immersion:
-        if s == 0.0:
-            return self.base
-        return DeformedImmersion(self.base, self.flow, s, self.space)
-
     @functools.cached_property
     def base_chart(self) -> Tuple[Array, ...]:
-        """(Q, D1, D2, P0, J0) of the base at the quadrature points."""
-        return _chart_at_quadrature(self.base, self.mesh)[:5]
+        """(Q, D1, D2, P0, J0, Q2) of the base at the quadrature points."""
+        return _chart_at_quadrature(self.base, self.mesh)
+
+    @functools.cached_property
+    def base_second_order(self) -> Tuple[Array, Optional[tuple]]:
+        """The base chart Hessian H0 at the quadrature points and the base
+        boundary arrays (see surface._chart_at_boundary); full geometry of a
+        slice off the base reads them, area and volume never do."""
+        return (self.base.chart_hess(self.base_chart[0]),
+                _chart_at_boundary(self.base, self.mesh))
 
     def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s."""
-        Q, D1, D2, P0, J0 = self.base_chart
+        Q, D1, D2, P0, J0, _ = self.base_chart
         pos, J = P0, J0
-        if s != 0.0:       # the slice at 0 is the base, as in immersion()
+        if s != 0.0:       # the slice at 0 is the base
             pos = self.flow.map(s, P0)
             J = np.matmul(self.flow.jac(s, P0), J0)
         first = _first_order_fields(self.space, self.base.orientation_sign,
@@ -334,14 +263,48 @@ class DeformedFamily:
         return self._slice(s)[0]
 
     def geometry(self, s: float) -> ExtrinsicData:
-        """Full geometry of the slice at s; the base's is computed once."""
-        if s != 0.0:
-            return extrinsic_geometry(self.space, self.immersion(s),
-                                      self.mesh)
-        if self.base_data is None:
-            self.base_data = extrinsic_geometry(self.space, self.base,
-                                                self.mesh)
-        return self.base_data
+        """Full geometry of the slice at s; the base's is computed once.
+
+        Off the base it is the flow applied to the cached base data, with
+        the chain rule for the second derivatives: the chart Hessian is
+        Dphi H0 + D^2phi(J0, J0), and along the boundary curve
+        g'' -> Dphi g'' + D^2phi(g', g').  A flow that moves the boundary
+        curve off the ambient boundary is not an admissible variation.
+        """
+        sign = self.base.orientation_sign
+        if s == 0.0:
+            if self.base_data is None:
+                self.base_data = _fields_from_chart(
+                    self.space, sign, self.mesh, self.base_chart,
+                    *self.base_second_order)
+            return self.base_data
+        Q, D1, D2, P0, J0, Q2 = self.base_chart
+        H0, boundary = self.base_second_order
+        DF = self.flow.jac(s, P0)
+        Hc = (np.einsum("nij,njab->niab", DF, H0)
+              + np.einsum("nijk,nja,nkb->niab", self.flow.hess(s, P0),
+                          J0, J0))
+        chart = (Q, D1, D2, self.flow.map(s, P0), np.matmul(DF, J0), Q2)
+        if boundary is not None:
+            edges, qb, g0, dg0, ddg0, Jb0, v0 = boundary
+            g = self.flow.map(s, g0)
+            bd = self.space.boundary
+            if bd is not None:
+                res = np.max(np.abs(np.atleast_1d(bd.phi(g))))
+                if not res <= 1e-10:
+                    raise InputError(
+                        f"the flow moves the slice at s = {s} off the "
+                        f"ambient boundary (max |phi| = {res:.2e}), so it "
+                        f"is not an admissible variation")
+            DFb = self.flow.jac(s, g0)
+            dg = np.einsum("nij,nj->ni", DFb, dg0)
+            ddg = (np.einsum("nij,nj->ni", DFb, ddg0)
+                   + np.einsum("nijk,nj,nk->ni", self.flow.hess(s, g0),
+                               dg0, dg0))
+            boundary = (edges, qb, g, dg, ddg, np.matmul(DFb, Jb0),
+                        np.einsum("nij,nj->ni", DFb, v0))
+        return _fields_from_chart(self.space, sign, self.mesh, chart, Hc,
+                                  boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +491,6 @@ class SurfaceGradientField(VariationField):
         Q = np.atleast_2d(params)
         imm = self.imm
         P = imm.chart(Q)
-        Nv = _normal_from_jac(imm, imm.chart_jac(Q))
+        Nv = _normal_from_jac(imm.orientation_sign, imm.chart_jac(Q))
         g = self.g_grad(P)
         return g - np.sum(g * Nv, axis=1)[:, None] * Nv

@@ -24,8 +24,8 @@ from .functionals import (DeformedFamily, RotationFlow, ScalingFlow,
 from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, vertex_normals,
                         volume_constrained_verdict)
-from .surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
-                      extrinsic_geometry, mesh_from_immersion,
+from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
+                      SphericalCap, extrinsic_geometry, mesh_from_immersion,
                       stationarity_verdict)
 from .theorems import (area_bound_check, boundary_identity_residual,
                        foliation_monotonicity_check,
@@ -190,8 +190,10 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
                       for k, v in surf.items()}, SURFACE_REGISTRY, "surface")
 
     resolution = obj["resolution"]
-    if not isinstance(resolution, int) or resolution < 4:
-        raise ConfigError("resolution must be an integer >= 4")
+    if not (isinstance(resolution, int)
+            and 4 <= resolution <= MAX_RESOLUTION):
+        raise ConfigError(f"resolution must be an integer in "
+                          f"[4, {MAX_RESOLUTION}]")
 
     tasks = obj["tasks"]
     if not isinstance(tasks, list) or not tasks:
@@ -224,10 +226,11 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError("sweep values must be a non-empty list")
         for v in sweep["values"]:
             v = _number(v, "sweep value")
-            if sweep["param"] == "resolution" and not (v.is_integer()
-                                                       and v >= 4):
+            if sweep["param"] == "resolution" and not (
+                    v.is_integer() and 4 <= v <= MAX_RESOLUTION):
                 raise ConfigError(f"resolution sweep values must be "
-                                  f"integers >= 4, got {v!r}")
+                                  f"integers in [4, {MAX_RESOLUTION}], "
+                                  f"got {v!r}")
 
     expect = obj.get("expect", {})
     expect = _require_mapping(expect, "expect")

@@ -35,6 +35,9 @@ TRI_HATS = np.stack([1 - TRI_POINTS[:, 0] - TRI_POINTS[:, 1],
 # a rect patch is meshed with square cells, so its v rows grow with the
 # aspect ratio; this bounds them to MAX_RECT_ASPECT times the resolution
 MAX_RECT_ASPECT = 64.0
+# meshes hold about resolution^2 triangles built in Python lists; this is 8
+# times the finest resolution any builtin, test or benchmark uses
+MAX_RESOLUTION = 1024
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,6 @@ class Immersion:
 
     def chart(self, Q: Array) -> Array:
         raise NotImplementedError
-
-    def boundary_chart(self, Q: Array) -> Array:
-        """Chart used for boundary points (may include a projection step)."""
-        return self.chart(Q)
 
     def boundary_arcs(self) -> List[ParamArc]:
         kind = self.domain[0]
@@ -119,27 +118,6 @@ class Immersion:
                 arcs.append(line((u1, v0), (u1, v1), (-1, 0)))
             return arcs
         return []
-
-    def boundary_curve_derivs(self, arc: ParamArc, ts: Array):
-        """gamma, gamma', gamma'' of the ambient boundary curve at arc times ts."""
-        ts = np.asarray(ts, float)
-        q = arc.c(ts)
-        dq = arc.dc(ts)
-        ddq = arc.ddc(ts)
-        g = self.boundary_chart(q)
-        J = self.chart_jac(q)
-        H = self.chart_hess(q)
-        dg = np.einsum("nia,na->ni", J, dq)
-        ddg = np.einsum("niab,na,nb->ni", H, dq, dq) + np.einsum("nia,na->ni", J, ddq)
-        return g, dg, ddg
-
-    def inward_vector(self, arc: ParamArc, ts: Array) -> Array:
-        """Ambient direction pointing into the surface at boundary points."""
-        ts = np.asarray(ts, float)
-        q = arc.c(ts)
-        d = arc.inward(ts)
-        eps = 1e-4
-        return (self.chart(q + eps * d) - self.chart(q)) / eps
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +544,8 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
     With an ambient space given, boundary vertices are refined by one Newton
     step onto {phi = 0} and checked to 1e-10.
     """
-    if resolution < 4:
-        raise InputError("resolution must be >= 4")
+    if not 4 <= resolution <= MAX_RESOLUTION:
+        raise InputError(f"resolution must lie in [4, {MAX_RESOLUTION}]")
     kind = imm.domain[0]
     tp = None
     if kind == "disk":
@@ -810,31 +788,28 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
                 f=np.exp(space.density.psi(pos)), N=Nv)
 
 
-def _shape_operator(imm: Immersion, Q: Array, d1r: Array, d2r: Array,
+def _shape_operator(Hc: Array, d1r: Array, d2r: Array,
                     J: Array, Q2, Nv: Array, Ginv: Array) -> Array:
-    """Shape operator in the (E1, E2) frame from the chart's second
-    derivatives along the blended directions; its temporaries are the
-    largest of the geometry and are freed on return."""
+    """Shape operator in the (E1, E2) frame from the chart Hessian Hc
+    along the blended directions; its temporaries are the largest of the
+    geometry and are freed on return."""
     Q11, Q12, Q22 = Q2
-    Hc = imm.chart_hess(Q)
     F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
     F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
     F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L = np.empty((len(Q), 2, 2))
+    L = np.empty((len(J), 2, 2))
     L[:, 0, 0] = -np.sum(Nv * F11, axis=1)
     L[:, 0, 1] = L[:, 1, 0] = -np.sum(Nv * F12, axis=1)
     L[:, 1, 1] = -np.sum(Nv * F22, axis=1)
     return np.einsum("nab,nbc->nac", Ginv, L)
 
 
-def _interior_geometry(space: AmbientSpace, imm: Immersion,
-                       mesh: SurfaceMesh):
-    Q, d1r, d2r, pos, J, Q2 = _chart_at_quadrature(imm, mesh)
-    first = _first_order_fields(space, imm.orientation_sign,
-                                Q, d1r, d2r, pos, J)
+def _interior_geometry(space: AmbientSpace, sign: int, Q: Array, D1: Array,
+                       D2: Array, pos: Array, J: Array, Q2, Hc: Array):
+    first = _first_order_fields(space, sign, Q, D1, D2, pos, J)
     Nv = first["N"]
-    S = _shape_operator(imm, Q, d1r, d2r, J, Q2, Nv, first["Ginv"])
+    S = _shape_operator(Hc, D1, D2, J, Q2, Nv, first["Ginv"])
     trS = S[:, 0, 0] + S[:, 1, 1]
     H = -0.5 * trS
     sigma2 = np.einsum("nab,nba->n", S, S)
@@ -850,67 +825,71 @@ def _interior_geometry(space: AmbientSpace, imm: Immersion,
                 S_f=perelman_scalar(space, pos))
 
 
-def _boundary_geometry(space: AmbientSpace, imm: Immersion,
-                       mesh: SurfaceMesh):
-    B = len(mesh.boundary_edges)
-    R = len(EDGE_POINTS)
-    arcs = imm.boundary_arcs()
-    out = {k: [] for k in ("bedge_index", "bedge_local", "b_params", "b_pos",
-                           "b_nu", "b_xi", "b_N", "contact", "II_NN",
-                           "Hf_boundary", "h_geod", "w_dl", "f_b")}
-    if B == 0:
+def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh):
+    """The chart at the boundary quadrature points, Gauss2 on each boundary
+    edge with the edges grouped by arc: the edge of each point, its
+    parameters qb, the ambient boundary curve g with its derivatives g' and
+    g'' in the arc parameter, the chart Jacobian Jb and an ambient direction
+    v_in pointing into the surface.  None for a mesh without boundary."""
+    arc_id = mesh.boundary_edges[:, 2]
+    if len(arc_id) == 0:
         return None
-    for aid in np.unique(mesh.boundary_edges[:, 2]):
-        sel = np.nonzero(mesh.boundary_edges[:, 2] == aid)[0]
-        t0 = mesh.boundary_t[sel, 0]
-        t1 = mesh.boundary_t[sel, 1]
-        ts = (t0[:, None] + EDGE_POINTS[None, :] * (t1 - t0)[:, None]).ravel()
+    R = len(EDGE_POINTS)
+    edges = np.repeat(np.argsort(arc_id, kind="stable"), R)
+    t0, t1 = mesh.boundary_t[edges].T
+    ts = t0 + np.tile(EDGE_POINTS, len(edges) // R) * (t1 - t0)
+    q, dq, ddq, inward = (np.empty((len(ts), 2)) for _ in range(4))
+    arcs = imm.boundary_arcs()
+    for aid in np.unique(arc_id):
+        sel = arc_id[edges] == aid
         arc = arcs[int(aid)]
-        g, dg, ddg = imm.boundary_curve_derivs(arc, ts)
-        speed = np.linalg.norm(dg, axis=1)
-        T = dg / speed[:, None]
-        # curve acceleration projected off T, per unit length
-        acc = (ddg - np.sum(ddg * T, axis=1)[:, None] * T) / speed[:, None] ** 2
-        # normal at the boundary from interior geometry of the arc param point
-        qb = arc.c(ts)
-        Jb = imm.chart_jac(qb)
-        Nv = _normal_from_jac(imm, Jb)
-        nu = np.cross(Nv, T)
-        v_in = imm.inward_vector(arc, ts)
-        sgn = np.sign(np.sum(nu * v_in, axis=1))
-        nu = nu * sgn[:, None]
-        h = np.sum(acc * nu, axis=1)
-        fb = np.exp(space.density.psi(g))
-        w = np.tile(EDGE_WEIGHTS, len(sel)) * np.repeat(t1 - t0, R) * speed
-        if space.boundary is not None:
-            xi = np.atleast_2d(boundary_inner_normal(space, g))
-            IImat = boundary_ii_matrix(space, g)
-            II_NN = np.einsum("nij,ni,nj->n", np.atleast_3d(IImat), Nv, Nv)
-            Hf_b = np.atleast_1d(boundary_f_mean_curvature(space, g))
-            contact = np.sum(Nv * xi, axis=1)
-        else:
-            xi = np.zeros_like(g)
-            II_NN = np.zeros(len(g))
-            Hf_b = np.zeros(len(g))
-            contact = np.zeros(len(g))
-        out["bedge_index"].append(np.repeat(sel, R))
-        out["bedge_local"].append(np.tile(EDGE_POINTS, len(sel)))
-        out["b_params"].append(qb)
-        out["b_pos"].append(g)
-        out["b_nu"].append(nu)
-        out["b_xi"].append(xi)
-        out["b_N"].append(Nv)
-        out["contact"].append(contact)
-        out["II_NN"].append(II_NN)
-        out["Hf_boundary"].append(Hf_b)
-        out["h_geod"].append(h)
-        out["w_dl"].append(w)
-        out["f_b"].append(fb)
-    return {k: np.concatenate(v) for k, v in out.items()}
+        q[sel], dq[sel] = arc.c(ts[sel]), arc.dc(ts[sel])
+        ddq[sel], inward[sel] = arc.ddc(ts[sel]), arc.inward(ts[sel])
+    g = imm.chart(q)
+    Jb = imm.chart_jac(q)
+    dg = np.einsum("nia,na->ni", Jb, dq)
+    ddg = (np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
+           + np.einsum("nia,na->ni", Jb, ddq))
+    eps = 1e-4
+    v_in = (imm.chart(q + eps * inward) - g) / eps
+    return edges, q, g, dg, ddg, Jb, v_in
 
 
-def _normal_from_jac(imm: Immersion, J: Array) -> Array:
-    """Unit normal from a chart Jacobian (works for param_dim 2 and 3)."""
+def _boundary_geometry(space: AmbientSpace, sign: int, mesh: SurfaceMesh,
+                       edges: Array, qb: Array, g: Array, dg: Array,
+                       ddg: Array, Jb: Array, v_in: Array):
+    """Boundary fields from the arrays that _chart_at_boundary returns."""
+    n_edges = len(edges) // len(EDGE_POINTS)
+    speed = np.linalg.norm(dg, axis=1)
+    T = dg / speed[:, None]
+    # curve acceleration projected off T, per unit length
+    acc = (ddg - np.sum(ddg * T, axis=1)[:, None] * T) / speed[:, None] ** 2
+    Nv = _normal_from_jac(sign, Jb)
+    nu = np.cross(Nv, T)
+    nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
+    t0, t1 = mesh.boundary_t[edges].T
+    if space.boundary is not None:
+        xi = np.atleast_2d(boundary_inner_normal(space, g))
+        IImat = boundary_ii_matrix(space, g)
+        II_NN = np.einsum("nij,ni,nj->n", np.atleast_3d(IImat), Nv, Nv)
+        Hf_b = np.atleast_1d(boundary_f_mean_curvature(space, g))
+        contact = np.sum(Nv * xi, axis=1)
+    else:
+        xi = np.zeros_like(g)
+        II_NN = np.zeros(len(g))
+        Hf_b = np.zeros(len(g))
+        contact = np.zeros(len(g))
+    return dict(bedge_index=edges, bedge_local=np.tile(EDGE_POINTS, n_edges),
+                b_params=qb, b_pos=g, b_nu=nu, b_xi=xi, b_N=Nv,
+                contact=contact, II_NN=II_NN, Hf_boundary=Hf_b,
+                h_geod=np.sum(acc * nu, axis=1),
+                w_dl=np.tile(EDGE_WEIGHTS, n_edges) * (t1 - t0) * speed,
+                f_b=np.exp(space.density.psi(g)))
+
+
+def _normal_from_jac(sign: int, J: Array) -> Array:
+    """Unit normal from a chart Jacobian (works for param_dim 2 and 3),
+    oriented by the immersion's orientation sign."""
     if J.shape[2] == 2:
         Nv = np.cross(J[:, :, 0], J[:, :, 1])
     else:
@@ -920,15 +899,27 @@ def _normal_from_jac(imm: Immersion, J: Array) -> Array:
         # fix a consistent sign using the cross of the two leading columns
         cr = np.cross(U[:, :, 0], U[:, :, 1])
         Nv = Nv * np.sign(np.sum(Nv * cr, axis=1))[:, None]
-    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    return sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+
+
+def _fields_from_chart(space: AmbientSpace, sign: int, mesh: SurfaceMesh,
+                       chart, Hc: Array, boundary) -> ExtrinsicData:
+    """All pointwise geometry from the chart at the quadrature points (the
+    tuple _chart_at_quadrature returns), the chart Hessian Hc there and
+    the boundary arrays of _chart_at_boundary (None without a boundary)."""
+    fields = _interior_geometry(space, sign, *chart, Hc)
+    if boundary is not None:
+        fields.update(_boundary_geometry(space, sign, mesh, *boundary))
+    return ExtrinsicData(**fields)
 
 
 def extrinsic_geometry(space: AmbientSpace, imm: Immersion,
                        mesh: SurfaceMesh) -> ExtrinsicData:
     """Evaluate all pointwise geometry at quadrature points of the mesh."""
-    interior = _interior_geometry(space, imm, mesh)
-    boundary = _boundary_geometry(space, imm, mesh)
-    return ExtrinsicData(**interior, **(boundary or {}))
+    chart = _chart_at_quadrature(imm, mesh)
+    return _fields_from_chart(space, imm.orientation_sign, mesh, chart,
+                              imm.chart_hess(chart[0]),
+                              _chart_at_boundary(imm, mesh))
 
 
 @dataclass(frozen=True)

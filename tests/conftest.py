@@ -88,6 +88,18 @@ def offset_disk_mesh(resolution=24, density_name="constant", **params):
     return space, imm, mesh
 
 
+@functools.lru_cache(maxsize=None)
+def cone_cap_mesh(resolution=24):
+    """Spherical cap meeting the cone of half-angle 0.7 orthogonally, under
+    the radial density psi = |p|^2 / 2 (the convex-cone builtin)."""
+    space = make_space(dim=3, density=("radial-smooth",
+                                       {"coeffs": [0.0, 0.0, 0.5]}),
+                       boundary=("cone", {"alpha": 0.7}))
+    imm = SphericalCap(alpha=0.7)
+    mesh = mesh_from_immersion(imm, resolution, space=space)
+    return space, imm, mesh
+
+
 def slice_immersion() -> RectPatch:
     return RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                      u_range=(0.0, TAU), v_range=(-1.0, 1.0), periodic_u=True)

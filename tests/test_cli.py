@@ -261,6 +261,40 @@ class TestMalformedParameterValues:
         assert key in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_flow_leaving_the_ambient_boundary_exits_4(self, tmp_path,
+                                                      capsys):
+        """Lifting a half-sphere off its plane is not a variation by
+        surfaces with boundary in the ambient boundary."""
+        tree = half_sphere({"name": "radial-log", "k": -2.5}, 8,
+                           ["stationarity", "foliation"],
+                           variation={"flow": "translation",
+                                      "direction": [0.0, 0.0, 1.0]})
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "s = -0.1" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("changes", [
+        {"resolution": 100000000},
+        {"sweep": {"param": "resolution", "values": [8, 2048]}}],
+        ids=["resolution", "sweep-value"])
+    def test_resolution_above_the_cap_exits_4_before_meshing(
+            self, tmp_path, capsys, monkeypatch, changes):
+        from wstab.surface import MAX_RESOLUTION
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("meshed a resolution above the cap")
+
+        monkeypatch.setattr(scenarios, "mesh_from_immersion", forbidden)
+        cfg = write_config(tmp_path, dict(SMALL_SCENARIO, **changes))
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert str(MAX_RESOLUTION) in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     @pytest.mark.parametrize("key,value", [
         ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
         ids=["metric_kind", "circumferences"])
@@ -311,10 +345,11 @@ class TestGeometryCalls:
         assert counts["runs"] >= 1
         assert counts["geometry"] == counts["runs"]
 
-    def test_builtin_suite_makes_21_full_geometry_calls(self, tmp_path,
+    def test_builtin_suite_makes_13_full_geometry_calls(self, tmp_path,
                                                        monkeypatch):
-        """flat-slab-slice makes 9: the base once, shared by the second
-        variation and the foliation's s = 0 slice, and 8 foliation slices."""
+        """flat-slab-slice makes 1, the base, shared by the second variation
+        and the foliation's s = 0 slice; its 8 other foliation slices are
+        the flow applied to the family's cached base chart."""
         from wstab.scenarios import builtin_names
         counts = count_calls(monkeypatch)
         per_builtin = {}
@@ -322,10 +357,33 @@ class TestGeometryCalls:
             before = counts["geometry"]
             assert main(["builtin", name, "--out", str(tmp_path / name)]) == 0
             per_builtin[name] = counts["geometry"] - before
-        assert per_builtin.pop("flat-slab-slice") == 9
+        assert per_builtin.pop("flat-slab-slice") == 1
         assert per_builtin.pop("paper-ex-3.9-threshold") == 5
         assert set(per_builtin.values()) == {1}
-        assert counts["geometry"] == 21
+        assert counts["geometry"] == 13
+
+    def test_foliation_slices_reuse_the_base_chart(self, tmp_path,
+                                                   monkeypatch):
+        """The mesh, the base geometry and the family's cache are the only
+        chart evaluations (deformed immersions re-evaluating the base took
+        130 charts, 40 Jacobians and 11 Hessians)."""
+        from wstab.surface import RectPatch
+        calls = {"chart": 0, "chart_jac": 0, "chart_hess": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(RectPatch, name,
+                                counting(name, getattr(RectPatch, name)))
+        assert main(["builtin", "flat-slab-slice",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls["chart"] <= 8
+        assert calls["chart_jac"] <= 6
+        assert calls["chart_hess"] <= 4
 
     @pytest.mark.parametrize("variation", [
         {"flow": "scaling"},

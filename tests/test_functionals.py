@@ -1,21 +1,23 @@
 """Tests for weighted functionals, variations, and divergence identities."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import conftest as cf
-from wstab import surface
+from wstab import functionals, surface
 from wstab.ambient import AmbientSpace, BoundarySpec, make_density
-from wstab.errors import InputError, NumericalFailure, PreconditionError
-from wstab.functionals import (DeformedFamily, DeformedImmersion, FieldFlow,
+from wstab.errors import InputError, PreconditionError
+from wstab.functionals import (DeformedFamily, FieldFlow,
                                RotationFlow, ScalingFlow,
                                SurfaceGradientField, TranslationFlow,
                                VariationField, divergence_theorem_residual,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd, swept_weighted_volume,
                                volume_first_variation)
-from wstab.surface import PlanarDisk, extrinsic_geometry, mesh_from_immersion
+from wstab.surface import (PlanarDisk, RectPatch, SphericalCap,
+                           extrinsic_geometry, mesh_from_immersion)
 
 TAU = 2.0 * math.pi
 
@@ -61,7 +63,7 @@ class TestFirstOrderGeometry:
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16,
                                                  "radial-log", k=-2.5)
         family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
-        data = extrinsic_geometry(space, family.immersion(0.05), mesh)
+        data = family.geometry(0.05)
         _, N, w_daf = family.area_elements(0.05)
         assert np.array_equal(N, data.N)
         assert family.weighted_area(0.05) == np.sum(data.w_daf)
@@ -71,8 +73,8 @@ class TestFirstOrderGeometry:
             raise AssertionError("second-order geometry evaluated")
 
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
-        for cls in (type(imm), DeformedImmersion):
-            monkeypatch.setattr(cls, "chart_hess", forbidden)
+        monkeypatch.setattr(type(imm), "chart_hess", forbidden)
+        monkeypatch.setattr(functionals, "_chart_at_boundary", forbidden)
         monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
         family = DeformedFamily(space, imm, mesh, ScalingFlow())
         assert family.weighted_area(0.1) > 0
@@ -94,16 +96,49 @@ class TestFamilySlices:
         RotationFlow((1.0, 1.0, 0.0), (0.0, 0.5, 0.0)), FieldFlow(swirl),
     ], ids=["translation", "scaling", "rotation", "field"])
     def test_slices_equal_the_generic_path(self, kind, flow):
-        """The flow applied to the cached base chart gives the arrays the
-        deformed immersion gives, bit for bit."""
-        space, imm, mesh, _ = cf.cached_geometry(kind, 12, "gaussian")
-        family = DeformedFamily(space, imm, mesh, flow)
+        """A slice's area elements are its full geometry's, bit for bit.
+        Most of these flows move the boundary plane, so the surfaces sit in
+        an ambient without boundary here."""
+        _, imm, mesh, _ = cf.cached_geometry(kind, 12, "gaussian")
+        family = DeformedFamily(cf.space_free("gaussian"), imm, mesh, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
-            generic = extrinsic_geometry(space, family.immersion(s), mesh)
-            want = (generic.pos, generic.N, generic.w_daf)
+            full = family.geometry(s)
+            want = (full.pos, full.N, full.w_daf)
             for got, exp in zip(family.area_elements(s), want):
                 assert np.array_equal(got, exp)
-            assert family.weighted_area(s) == np.sum(generic.w_daf)
+            assert family.weighted_area(s) == np.sum(full.w_daf)
+
+    @pytest.mark.parametrize("exact_slice", ["cone-cap", "slab-slice"])
+    def test_slices_match_exact_surfaces(self, exact_slice):
+        """Scaling a cone cap about the apex gives the cap of radius 1 + s,
+        translating a slab slice gives the slice with origin (s, 0, 0):
+        every interior and boundary field agrees to rounding."""
+        if exact_slice == "cone-cap":
+            space, imm, mesh = cf.cone_cap_mesh(24)
+            flow = ScalingFlow()
+
+            def exact(s):
+                return SphericalCap(radius=1.0 + s, alpha=0.7)
+        else:
+            space, imm, mesh, _ = cf.cached_geometry("slice", 16, "linear",
+                                                     a=(1.0, 0.0, 0.0))
+            flow = TranslationFlow((1, 0, 0))
+
+            def exact(s):
+                return RectPatch(origin=(s, 0, 0), du=(0, 1, 0),
+                                 dv=(0, 0, 1), u_range=(0.0, TAU),
+                                 v_range=(-1.0, 1.0), periodic_u=True)
+        family = DeformedFamily(space, imm, mesh, flow)
+        for s in (0.1, -0.1):
+            got = family.geometry(s)
+            want = extrinsic_geometry(space, exact(s), mesh)
+            assert got.has_boundary
+            for f in dataclasses.fields(want):
+                a = getattr(got, f.name)
+                b = getattr(want, f.name)
+                assert a.shape == b.shape, f.name
+                scale = max(1.0, float(np.max(np.abs(b))))
+                assert np.max(np.abs(a - b)) <= 1e-12 * scale, f.name
 
     def test_base_chart_is_evaluated_once_per_rule(self, monkeypatch):
         """Across both FD variations and a swept volume a family blends the
@@ -266,42 +301,39 @@ class TestSweptVolume:
         assert len(set(slices)) == 17
 
 
-class TestBoundaryReprojection:
-    @staticmethod
-    def space_with_boundary(phi, grad_phi):
-        spec = BoundarySpec(phi, grad_phi, lambda P: np.zeros((len(P), 3, 3)))
-        return AmbientSpace(dim=3, density=make_density("constant"),
-                            boundary=spec)
+class TestBoundaryStaysOnTheAmbientBoundary:
+    """A slice whose boundary leaves the ambient boundary is not a
+    deformation by hypersurfaces with boundary in the ambient boundary."""
 
-    def test_slow_newton_convergence_is_a_numerical_failure(self):
-        """On {z^3 = 0} Newton only shrinks z by 2/3 per step: 3 steps from
-        z = 0.1 leave a residual of 2.6e-5."""
-        space = self.space_with_boundary(
-            lambda P: np.atleast_2d(P)[:, 2] ** 3,
-            lambda P: np.stack([np.zeros(len(P)), np.zeros(len(P)),
-                                3.0 * np.atleast_2d(P)[:, 2] ** 2], axis=-1))
-        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
-                                  0.1, space)
-        with pytest.raises(NumericalFailure, match="re-projection"):
-            moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    def test_lifting_the_hemisphere_is_rejected(self):
+        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 12)
+        family = DeformedFamily(space, imm, mesh, TranslationFlow((0, 0, 1)))
+        with pytest.raises(InputError, match=r"s = 0\.1\b"):
+            family.geometry(0.1)
 
-    def test_nan_residual_is_a_numerical_failure(self):
-        space = self.space_with_boundary(
-            lambda P: np.full(len(np.atleast_2d(P)), np.nan),
-            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)))
-        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
-                                  0.1, space)
-        with pytest.raises(NumericalFailure, match="re-projection"):
-            moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    def test_nan_level_set_is_rejected(self):
+        spec = BoundarySpec(lambda P: np.full(len(np.atleast_2d(P)), np.nan),
+                            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)),
+                            lambda P: np.zeros((len(P), 3, 3)))
+        space = AmbientSpace(dim=3, density=make_density("constant"),
+                             boundary=spec)
+        imm = PlanarDisk()
+        family = DeformedFamily(space, imm, mesh_from_immersion(imm, 8),
+                                TranslationFlow((1, 0, 0)))
+        with pytest.raises(InputError, match=r"s = 0\.1\b"):
+            family.geometry(0.1)
 
-    def test_converged_projection_lands_on_the_boundary(self):
-        space = self.space_with_boundary(
-            lambda P: np.atleast_2d(P)[:, 2],
-            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)))
-        moved = DeformedImmersion(PlanarDisk(), TranslationFlow((0, 0, 1)),
-                                  0.1, space)
-        P = moved.boundary_chart(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(P, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], atol=1e-15)
+    @pytest.mark.parametrize("flow", [
+        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow(),
+        RotationFlow((0, 0, 1), (0.3, 0.0, 0.0))],
+        ids=["translation", "scaling", "rotation"])
+    def test_flows_that_keep_the_boundary_plane_pass(self, flow):
+        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 12)
+        family = DeformedFamily(space, imm, mesh, flow)
+        for s in (0.1, -0.1):
+            data = family.geometry(s)
+            assert np.max(np.abs(data.b_pos[:, 2])) <= 1e-15
+            assert np.max(np.abs(data.contact)) <= 1e-12
 
 
 class TestSecondVariation:

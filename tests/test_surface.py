@@ -8,8 +8,8 @@ import pytest
 import conftest as cf
 from wstab.ambient import bakry_emery_ricci, make_space, perelman_scalar
 from wstab.errors import ImmersionError, InputError, MeshingError
-from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
-                           export_off, extrinsic_geometry, import_off,
+from wstab.surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
+                           SphericalCap, export_off, extrinsic_geometry, import_off,
                            mesh_from_immersion, stationarity_verdict)
 
 TAU = 2.0 * math.pi
@@ -175,6 +175,14 @@ class TestMeshing:
     def test_resolution_floor(self):
         with pytest.raises(InputError):
             mesh_from_immersion(SphericalCap(), 3, space=cf.space_half_space())
+
+    @pytest.mark.parametrize("imm", [SphericalCap(), cf.slice_immersion(),
+                                     RoundSphere()],
+                             ids=["disk", "rect", "sphere"])
+    def test_resolution_cap(self, imm):
+        """Rejected before any mesh list is built."""
+        with pytest.raises(InputError, match=str(MAX_RESOLUTION)):
+            mesh_from_immersion(imm, 100000000)
 
     def test_boundary_vertices_lie_on_ambient_boundary(self):
         space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)

@@ -6,7 +6,7 @@ import pytest
 
 import conftest as cf
 from wstab.errors import InputError, PreconditionError
-from wstab.functionals import DeformedFamily, TranslationFlow
+from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, robin_eigenproblem,
                              strong_stability_verdict)
 from wstab.surface import PlanarDisk, extrinsic_geometry, mesh_from_immersion
@@ -211,6 +211,19 @@ class TestFoliation:
         assert report.max_rel_residual < 1e-4
         assert report.hyp_ricci.holds
         assert report.monotone_asserted and report.monotone_holds
+
+    @pytest.mark.parametrize("surface", ["cone-cap", "log-radial-hemisphere"])
+    def test_scaled_caps_satisfy_the_identity(self, surface):
+        """Curved slices: the caps of radius 1 + s in a convex cone under
+        psi = |p|^2 / 2, and in a half-space under psi = -2.5 log|p|."""
+        if surface == "cone-cap":
+            space, imm, mesh = cf.cone_cap_mesh(24)
+        else:
+            space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24,
+                                                     "radial-log", k=-2.5)
+        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        report = foliation_monotonicity_check(family)
+        assert report.max_rel_residual <= 1e-5
 
     def test_negative_speed_is_rejected(self):
         space, imm, mesh, _ = cf.cached_geometry("slice", 12)
