@@ -18,9 +18,9 @@ from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .errors import ConfigError, InputError, NumericalFailure, WstabError
-from .scenarios import (RunResult, Scenario, builtin_descriptions,
-                        builtin_scenario, parse_scenario, run_scenario,
-                        scenario_to_tree)
+from .scenarios import (MAX_SWEEP_VALUES, RunResult, Scenario,
+                        builtin_descriptions, builtin_scenario,
+                        parse_scenario, run_scenario, scenario_to_tree)
 from .surface import export_off
 
 EXIT_OK = 0
@@ -154,10 +154,16 @@ def _parse_range(spec: str):
         raise ConfigError(f"range '{spec}' has a non-finite component")
     if step <= 0:
         raise ConfigError("range step must be positive")
+    if (b - a) / step >= MAX_SWEEP_VALUES:
+        raise ConfigError(f"range '{spec}' has more than {MAX_SWEEP_VALUES} "
+                          f"values")
     values = []
     v = a
     while v <= b + 1e-12:
         values.append(round(v, 12))
+        if v + step == v:
+            raise ConfigError(f"range step {step:g} is below the float "
+                              f"spacing at {v:g}")
         v += step
     if not values:
         raise ConfigError(f"range '{spec}' is empty")

@@ -64,6 +64,8 @@ TOLERANCE_KEYS = {"identity", "boundary_identity", "variation", "verdict",
 # scenario trees are a few levels deep; the registry parameter builders
 # recurse into nested lists
 MAX_NESTING = 16
+# every sweep value is a full run; a sweep may queue no more than this
+MAX_SWEEP_VALUES = 1000
 
 DEFAULT_TOLS = {
     "identity": 1e-5,
@@ -224,6 +226,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError("sweep block requires 'param' and 'values'")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
             raise ConfigError("sweep values must be a non-empty list")
+        if len(sweep["values"]) > MAX_SWEEP_VALUES:
+            raise ConfigError(f"a sweep takes at most {MAX_SWEEP_VALUES} "
+                              f"values, got {len(sweep['values'])}")
         for v in sweep["values"]:
             v = _number(v, "sweep value")
             if sweep["param"] == "resolution" and not (
@@ -513,7 +518,7 @@ def _run_single(scn: Scenario) -> RunResult:
                             f"|fd - I_f(u,u)| = {diff:.2e}"))
 
     def t_spectrum():
-        constrained = volume_constrained_verdict(asm, tol=vtol)
+        constrained = volume_constrained_verdict(asm, spec, tol=vtol)
         results["spectrum"] = {
             "dof": int(asm.dof),
             "eigenvalues": [_f(x) for x in spec.eigenvalues],

@@ -233,9 +233,20 @@ def constrained_lambda_min(asm: IndexFormAssembly) -> float:
     return float(vals[0])
 
 
-def volume_constrained_verdict(asm: IndexFormAssembly,
+def volume_constrained_verdict(asm: IndexFormAssembly, spec: SpectralResult,
                                tol: float = 1e-3) -> bool:
-    """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely)."""
+    """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely).
+
+    The constraint has codimension one, so by Cauchy interlacing the
+    constrained minimum lies in [lambda_1, lambda_2] of the spectrum
+    ``spec`` of ``asm``; only when -tol falls between the two is the
+    constrained eigenproblem solved.
+    """
+    lam = spec.eigenvalues
+    if lam[0] >= -tol:
+        return True
+    if len(lam) > 1 and lam[1] < -tol:
+        return False
     return constrained_lambda_min(asm) >= -tol
 
 

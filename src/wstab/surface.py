@@ -35,8 +35,9 @@ TRI_HATS = np.stack([1 - TRI_POINTS[:, 0] - TRI_POINTS[:, 1],
 # a rect patch is meshed with square cells, so its v rows grow with the
 # aspect ratio; this bounds them to MAX_RECT_ASPECT times the resolution
 MAX_RECT_ASPECT = 64.0
-# meshes hold about resolution^2 triangles built in Python lists; this is 8
-# times the finest resolution any builtin, test or benchmark uses
+# meshes hold about resolution^2 triangles in numpy arrays of about
+# resolution^2 rows; this is 8 times the finest resolution any builtin,
+# test or benchmark uses
 MAX_RESOLUTION = 1024
 
 
@@ -360,8 +361,11 @@ class SurfaceMesh:
 
     @functools.cached_property
     def n_edges(self):
-        e = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        return len(np.unique(e, axis=0))
+        t = self.triangles
+        e = t[:, [1, 2, 0]]
+        keys = np.sort((np.minimum(t, e) * self.n_vertices
+                        + np.maximum(t, e)).ravel())
+        return int(np.count_nonzero(np.diff(keys))) + 1
 
     @property
     def chi(self):
@@ -403,41 +407,40 @@ def _min_angle_from_corners(p: Array) -> float:
 
 
 def _disk_mesh(rho: float, rings: int):
-    """Concentric-ring triangulation of the disk of radius rho."""
+    """Concentric-ring triangulation of the disk of radius rho.
+
+    Ring i >= 1 holds 6i vertices at angles 2 pi j / 6i, starting at
+    vertex 1 + 3i(i-1).  The annulus between rings i-1 and i is a merge
+    walk over the two rings' next angles, one triangle per step, taking the
+    outer ring's step first on ties.
+    """
     params = [np.zeros((1, 2))]
-    ring_start = [0]
+    j = np.arange(6)
+    tris = [np.stack([np.zeros(6, dtype=np.int64), 1 + j, 1 + (j + 1) % 6],
+                     axis=-1)]                              # center fan
     for i in range(1, rings + 1):
-        n = 6 * i
-        ang = 2 * np.pi * np.arange(n) / n
+        n2, o2 = 6 * i, 1 + 3 * i * (i - 1)
+        ang = 2 * np.pi * np.arange(n2) / n2
         r = rho * i / rings
         params.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1))
-        ring_start.append(ring_start[-1] + (1 if i == 1 else 6 * (i - 1)))
+        if i == 1:
+            continue
+        n1, o1 = 6 * (i - 1), 1 + 3 * (i - 1) * (i - 2)
+        # the walk's steps in angle order: a stable sort with the outer
+        # ring's angles first takes its step first on ties
+        a1 = 2 * np.pi * np.arange(1, n1 + 1) / n1
+        a2 = 2 * np.pi * np.arange(1, n2 + 1) / n2
+        inner = np.argsort(np.concatenate([a2, a1]), kind="stable") >= n2
+        i1 = np.cumsum(inner) - inner                 # steps taken per ring
+        i2 = np.arange(n1 + n2) - i1
+        tris.append(np.stack([o1 + i1 % n1, o2 + i2 % n2,
+                              np.where(inner, o1 + (i1 + 1) % n1,
+                                       o2 + (i2 + 1) % n2)], axis=-1))
     params = np.concatenate(params)
-    tris = []
-    # center fan
-    s1 = ring_start[1]
-    for j in range(6):
-        tris.append((0, s1 + j, s1 + (j + 1) % 6))
-    # annuli: merge walk over sorted angles
-    for i in range(2, rings + 1):
-        n1, n2 = 6 * (i - 1), 6 * i
-        o1, o2 = ring_start[i - 1], ring_start[i]
-        a1 = 2 * np.pi * np.arange(n1 + 1) / n1
-        a2 = 2 * np.pi * np.arange(n2 + 1) / n2
-        i1 = i2 = 0
-        while i1 < n1 or i2 < n2:
-            next1 = a1[i1 + 1] if i1 < n1 else np.inf
-            next2 = a2[i2 + 1] if i2 < n2 else np.inf
-            if next2 <= next1:
-                tris.append((o1 + i1 % n1, o2 + i2 % n2, o2 + (i2 + 1) % n2))
-                i2 += 1
-            else:
-                tris.append((o1 + i1 % n1, o2 + i2 % n2, o1 + (i1 + 1) % n1))
-                i1 += 1
-    tris = np.asarray(tris, dtype=np.int64)
+    tris = np.concatenate(tris)
     # boundary: outer ring, arc parameter t = angle / 2pi
     nb = 6 * rings
-    ob = ring_start[rings]
+    ob = 1 + 3 * rings * (rings - 1)
     be = np.stack([ob + np.arange(nb), ob + (np.arange(nb) + 1) % nb,
                    np.zeros(nb, dtype=np.int64)], axis=-1)
     bt = np.stack([np.arange(nb) / nb, (np.arange(nb) + 1) / nb], axis=-1)
@@ -464,76 +467,73 @@ def _rect_mesh(bounds, per_u, per_v, resolution):
 
     def par(i, j):
         # unwrapped parameter coordinates (seam vertices keep u1/v1)
-        return (u0 + lu * i / nu, v0 + lv * j / nv)
+        return np.stack([u0 + lu * i / nu, v0 + lv * j / nv], axis=-1)
 
-    tris, tp = [], []
-    for i in range(nu):
-        for j in range(nv):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            pa, pb = par(i, j), par(i + 1, j)
-            pc, pd_ = par(i + 1, j + 1), par(i, j + 1)
-            tris.append((a, b, c))
-            tp.append((pa, pb, pc))
-            tris.append((a, c, d))
-            tp.append((pa, pc, pd_))
-    tris = np.asarray(tris, dtype=np.int64)
-    tp = np.asarray(tp, dtype=float)
+    # cells (i, j) in row-major order, two triangles each: (a, b, c), (a, c, d)
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(nu), np.arange(nv),
+                                           indexing="ij"))
+    corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+    tris = np.stack([vid(*corners[c]) for c in (0, 1, 2, 0, 2, 3)],
+                    axis=-1).reshape(-1, 3)
+    tp = np.stack([par(*corners[c]) for c in (0, 1, 2, 0, 2, 3)],
+                  axis=1).reshape(-1, 3, 2)
     be, bt = [], []
     arc_id = 0
     if not per_v:
+        i = np.arange(nu)
         for j, v_edge in ((0, 0), (nv, 1)):
-            for i in range(nu):
-                be.append((vid(i, j), vid(i + 1, j), arc_id + v_edge))
-                bt.append((i / nu, (i + 1) / nu))
+            be.append(np.stack([vid(i, j), vid(i + 1, j),
+                                np.full(nu, arc_id + v_edge)], axis=-1))
+            bt.append(np.stack([i / nu, (i + 1) / nu], axis=-1))
         arc_id += 2
     if not per_u:
+        j = np.arange(nv)
         for i, u_edge in ((0, 0), (nu, 1)):
-            for j in range(nv):
-                be.append((vid(i, j), vid(i, j + 1), arc_id + u_edge))
-                bt.append((j / nv, (j + 1) / nv))
-    be = np.asarray(be, dtype=np.int64).reshape(-1, 3)
-    bt = np.asarray(bt, dtype=float).reshape(-1, 2)
+            be.append(np.stack([vid(i, j), vid(i, j + 1),
+                                np.full(nv, arc_id + u_edge)], axis=-1))
+            bt.append(np.stack([j / nv, (j + 1) / nv], axis=-1))
+    be = np.concatenate(be or [np.zeros((0, 3), dtype=np.int64)])
+    bt = np.concatenate(bt or [np.zeros((0, 2))])
     return params, tris, tp, be, bt
 
 
 def _cube_sphere_mesh(resolution):
-    """Triangulated cube surface (params), for radial-projection spheres."""
+    """Triangulated cube surface (params), for radial-projection spheres.
+
+    Each face is an n x n grid of cells.  The faces share their edge
+    vertices; vertices are numbered in the order the faces first reach
+    them, so a vertex's lattice index (its coordinates in steps of 2/n)
+    identifies it across faces.
+    """
     n = max(4, resolution // 2)
-    verts = []
-    index = {}
-
-    def vid(p):
-        key = tuple(np.round(p, 12))
-        if key not in index:
-            index[key] = len(verts)
-            verts.append(np.asarray(p, float))
-        return index[key]
-
-    tris = []
-    axes = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    for ax, a1, a2 in axes:
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    grid = -1 + 2 * np.stack([i, j]) / n
+    points, lattice = [], []
+    for ax, a1, a2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         for sgn in (1.0, -1.0):
-            grid = np.empty((n + 1, n + 1), dtype=np.int64)
-            for i in range(n + 1):
-                for j in range(n + 1):
-                    p = np.zeros(3)
-                    p[ax] = sgn
-                    p[a1] = -1 + 2 * i / n
-                    p[a2] = -1 + 2 * j / n
-                    grid[i, j] = vid(p)
-            for i in range(n):
-                for j in range(n):
-                    a, b = grid[i, j], grid[i + 1, j]
-                    c, d = grid[i + 1, j + 1], grid[i, j + 1]
-                    if sgn > 0:
-                        tris.append((a, b, c))
-                        tris.append((a, c, d))
-                    else:
-                        tris.append((a, c, b))
-                        tris.append((a, d, c))
-    params = np.asarray(verts)
-    tris = np.asarray(tris, dtype=np.int64)
+            p = np.empty((n + 1, n + 1, 3))
+            p[..., ax] = sgn
+            p[..., a1], p[..., a2] = grid
+            q = np.empty((n + 1, n + 1, 3), dtype=np.int64)
+            q[..., ax] = n if sgn > 0 else 0
+            q[..., a1], q[..., a2] = i, j
+            points.append(p.reshape(-1, 3))
+            lattice.append(q.reshape(-1, 3))
+    points = np.concatenate(points)
+    key = np.concatenate(lattice) @ np.array([(n + 1) ** 2, n + 1, 1])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    params = points[first[order]]
+    grid = renumber[inverse].reshape(6, n + 1, n + 1)
+    a, b = grid[:, :-1, :-1], grid[:, 1:, :-1]
+    c, d = grid[:, 1:, 1:], grid[:, :-1, 1:]
+    pos = np.array([True, False] * 3)[:, None, None]
+    # positive faces (a, b, c), (a, c, d); negative faces reversed
+    tris = np.stack([a, np.where(pos, b, c), np.where(pos, c, b),
+                     a, np.where(pos, c, d), np.where(pos, d, c)],
+                    axis=-1).reshape(-1, 3)
     return params, tris
 
 
@@ -587,25 +587,27 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         tp = params[tris]
     mesh = SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution)
     if len(be):
-        edge_map = {}
-        locs = ((0, 1), (1, 2), (2, 0))
-        for f_idx, t in enumerate(tris):
-            for li, lj in locs:
-                edge_map[(t[li], t[lj])] = (f_idx, li, lj)
-        c_tri, c_loc, c_arc, c_t = [], [], [], []
-        for (vi, vj, aid), (t0, t1) in zip(be, bt):
-            key = (vi, vj) if (vi, vj) in edge_map else (vj, vi)
-            f_idx, li, lj = edge_map[key]
-            if key[0] != vi:
-                li, lj = lj, li
-            c_tri.append(f_idx)
-            c_loc.append((li, lj))
-            c_arc.append(aid)
-            c_t.append((t0, t1))
-        mesh.curved_tri = np.asarray(c_tri, dtype=np.int64)
-        mesh.curved_loc = np.asarray(c_loc, dtype=np.int64)
-        mesh.curved_arc = np.asarray(c_arc, dtype=np.int64)
-        mesh.curved_t = np.asarray(c_t, dtype=float)
+        # each boundary edge is one directed triangle edge, one way or the
+        # other; keys vi * V + vj of the directed edges find it
+        V = len(params)
+        keys = (tris * V + tris[:, [1, 2, 0]]).ravel()
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+
+        def find(vi, vj):
+            # the last match, as a dict would keep; at = -1 finds nothing,
+            # since the last key is then above vi * V + vj
+            at = np.searchsorted(sorted_keys, vi * V + vj, side="right") - 1
+            return order[at], sorted_keys[at] == vi * V + vj
+
+        fwd, fwd_found = find(be[:, 0], be[:, 1])
+        rev, _ = find(be[:, 1], be[:, 0])
+        e = np.where(fwd_found, fwd, rev)
+        loc = np.stack([e % 3, (e + 1) % 3], axis=-1)
+        mesh.curved_tri = e // 3
+        mesh.curved_loc = np.where(fwd_found[:, None], loc, loc[:, ::-1])
+        mesh.curved_arc = be[:, 2].copy()
+        mesh.curved_t = np.array(bt, dtype=float)
     corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
@@ -954,14 +956,15 @@ def export_off(mesh: SurfaceMesh, path: str) -> None:
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.n_vertices} {len(mesh.triangles)} 0\n")
-        for p in mesh.positions:
-            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+        fh.write("".join(map("{:.17g} {:.17g} {:.17g}\n".format,
+                             *mesh.positions.T.tolist())))
+        fh.write("".join(map("3 {} {} {}\n".format,
+                             *mesh.triangles.T.tolist())))
     with open(path + ".bnd", "w") as fh:
         fh.write("# v_i v_j arc_id t0 t1\n")
-        for (i, j, a), (t0, t1) in zip(mesh.boundary_edges, mesh.boundary_t):
-            fh.write(f"{i} {j} {a} {t0:.17g} {t1:.17g}\n")
+        fh.write("".join(map("{} {} {} {:.17g} {:.17g}\n".format,
+                             *mesh.boundary_edges.T.tolist(),
+                             *mesh.boundary_t.T.tolist())))
 
 
 def import_off(path: str):

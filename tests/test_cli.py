@@ -512,6 +512,42 @@ class TestSweep:
         assert main(["sweep", cfg, "--param", "ambient.density.k",
                      "--range=1:2", "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("spec", [
+        "1e16:2e16:1",                      # step below the float spacing
+        "0:1:1e-6",                         # a million runs
+        "1e16:1.0000000000000002e16:1",     # 2 steps, but 1e16 + 1 == 1e16
+    ])
+    def test_range_too_long_or_stalled_exits_4_without_a_run(self, tmp_path,
+                                                              spec):
+        """In a fresh interpreter with a timeout, since a loop that never
+        ends would hang the suite."""
+        src = os.path.dirname(os.path.dirname(wstab.__file__))
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wstab.cli", "sweep",
+             "gauss-identity-suite", "--param", "ambient.density.k",
+             f"--range={spec}", "--out", str(out_dir)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=20)
+        assert proc.returncode == 4
+        assert "config error" in proc.stderr
+        assert not out_dir.exists()
+
+    def test_scenario_sweep_above_the_cap_exits_4_without_a_run(
+            self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(scenarios, "_run_single", runs.append)
+        values = [-3.0 + i * 1e-3 for i in range(scenarios.MAX_SWEEP_VALUES)]
+        tree = half_sphere({"name": "radial-log", "k": -2.0}, 8, ["spectrum"],
+                           sweep={"param": "ambient.density.k",
+                                  "values": values})
+        scenarios.parse_scenario(tree, "at-the-cap")
+        tree["sweep"]["values"].append(-1.0)
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        assert str(scenarios.MAX_SWEEP_VALUES) in capsys.readouterr().err
+        assert runs == []
+
 
 class TestExportMesh:
     def test_writes_off_file(self, tmp_path):

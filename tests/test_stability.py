@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest as cf
+import wstab.scenarios as scenarios
+import wstab.stability as stability
 from wstab.ambient import make_space
 from wstab.errors import InputError, NumericalFailure
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
@@ -246,7 +248,8 @@ class TestConstrainedStability:
 
     def test_gaussian_hemisphere_is_constrained_unstable(self):
         asm = assembly("hemisphere", 24, "gaussian")
-        assert not volume_constrained_verdict(asm)
+        assert not volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert constrained_lambda_min(asm) < -1e-3
 
     def test_convex_cone_cap_is_constrained_stable(self):
         from wstab.ambient import make_space
@@ -258,8 +261,68 @@ class TestConstrainedStability:
         imm = SphericalCap(alpha=alpha)
         mesh = mesh_from_immersion(imm, 24, space=space)
         asm = assemble(space, mesh)
-        assert volume_constrained_verdict(asm)
+        assert volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert constrained_lambda_min(asm) >= -1e-3
 
     def test_neutral_slice_is_constrained_stable(self):
         asm = assembly("slice", 16, "linear", a=(1.0, 0.0, 0.0))
-        assert volume_constrained_verdict(asm)
+        assert volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert constrained_lambda_min(asm) >= -1e-3
+
+
+@pytest.fixture(scope="module")
+def builtin_pass():
+    """Run every builtin once.  For each spectrum run, record its name, the
+    verdict, its tolerance and the full constrained solve; also record the
+    name of every run whose verdict called the constrained solve."""
+    verdict = scenarios.volume_constrained_verdict
+    solve = stability.constrained_lambda_min
+    runs, solved = [], []
+    current = [None]
+
+    def recording_verdict(asm, spec, tol):
+        out = verdict(asm, spec, tol=tol)
+        runs.append((current[0], out, tol, solve(asm)))
+        return out
+
+    def counting_solve(asm):
+        solved.append(current[0])
+        return solve(asm)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "volume_constrained_verdict", recording_verdict)
+        mp.setattr(stability, "constrained_lambda_min", counting_solve)
+        for name in scenarios.builtin_names():
+            current[0] = name
+            scenarios.run_scenario(scenarios.builtin_scenario(name))
+    return runs, solved
+
+
+class TestConstrainedVerdictFromSpectrum:
+    def test_verdict_equals_the_constrained_solve(self, builtin_pass):
+        runs, _ = builtin_pass
+        assert len(runs) == 13       # the threshold sweep counts five
+        for name, out, tol, mu in runs:
+            assert out == (mu >= -tol), name
+
+    def test_a_pass_solves_only_where_the_spectrum_straddles_tol(
+            self, builtin_pass):
+        _, solved = builtin_pass
+        assert sorted(solved) == ["paper-ex-3.8-convex-cone",
+                                  "paper-ex-3.9-threshold",
+                                  "paper-ex-3.9-threshold",
+                                  "sphere-classical-instability"]
+
+    @pytest.mark.parametrize("eigenvalues,solves,verdict", [
+        ([0.0, 1.0], 0, True), ([-0.5, -0.2], 0, False),
+        ([-0.5, 0.0], 1, True)])
+    def test_interlacing_decides_before_solving(self, monkeypatch,
+                                                eigenvalues, solves, verdict):
+        """The stubbed constrained solve returns 0."""
+        calls = []
+        monkeypatch.setattr(stability, "constrained_lambda_min",
+                            lambda asm: calls.append(asm) or 0.0)
+        spec = stability.SpectralResult(np.array(eigenvalues),
+                                        np.zeros((3, 2)), np.zeros(2))
+        assert volume_constrained_verdict(None, spec, tol=1e-3) == verdict
+        assert len(calls) == solves
