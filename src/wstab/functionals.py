@@ -7,7 +7,7 @@ differences.
 """
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -15,10 +15,9 @@ import numpy as np
 
 from .ambient import AmbientSpace, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, SurfaceMesh,
-                      _chart_at_boundary, _chart_at_quadrature,
-                      _fields_from_chart, _first_order_fields,
-                      _normal_from_jac, stationarity_verdict)
+from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _frame,
+                      _normal_from_jac, extrinsic_geometry,
+                      stationarity_verdict)
 
 Array = np.ndarray
 
@@ -202,49 +201,34 @@ class FieldFlow(Flow):
 
 @dataclass
 class DeformedFamily:
-    """A variation: base surface plus an ambient flow.
+    """A variation: the base surface's geometry ``data`` moved by an ambient
+    flow.
 
-    The base chart is evaluated once, on first use, and kept for the
-    family's lifetime; every slice is the flow applied to it.  Area and
-    volume read the base positions and Jacobians only; full geometry also
-    reads the base chart Hessian and boundary arrays, kept on first use.
-    ``base_data`` is the full geometry of the base, computed on first use
-    when it is not given.  Each slice's A_f and volume rate are kept per s,
-    so the FD variations, the swept volume and the samples share slices.
+    The slice at s is the base chart with the flow applied, so a family
+    evaluates no chart of its own.  Area and volume push only the base
+    positions and Jacobians through the flow; full geometry also pushes the
+    chart Hessian and the boundary curve.  Each slice's A_f and volume rate
+    are kept per s, so the FD variations, the swept volume and the samples
+    share slices.
     """
 
     space: AmbientSpace
-    base: Immersion
-    mesh: SurfaceMesh
+    data: ExtrinsicData
     flow: Flow
-    base_data: Optional[ExtrinsicData] = None
     # s -> (A_f(s), V_f'(s)): two floats per slice, never arrays
     _slices: Dict[float, Tuple[float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def base_chart(self) -> Tuple[Array, ...]:
-        """(Q, D1, D2, P0, J0, Q2) of the base at the quadrature points."""
-        return _chart_at_quadrature(self.base, self.mesh)
-
-    @functools.cached_property
-    def base_second_order(self) -> Tuple[Array, Optional[tuple]]:
-        """The base chart Hessian H0 at the quadrature points and the base
-        boundary arrays (see surface._chart_at_boundary); full geometry of a
-        slice off the base reads them, area and volume never do."""
-        return (self.base.chart_hess(self.base_chart[0]),
-                _chart_at_boundary(self.base, self.mesh))
-
     def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s."""
-        Q, D1, D2, P0, J0, _ = self.base_chart
-        pos, J = P0, J0
-        if s != 0.0:       # the slice at 0 is the base
-            pos = self.flow.map(s, P0)
-            J = np.matmul(self.flow.jac(s, P0), J0)
-        first = _first_order_fields(self.space, self.base.orientation_sign,
-                                    Q, D1, D2, pos, J)
-        return first["pos"], first["N"], first["w_da"] * first["f"]
+        base = self.data
+        if s == 0.0:
+            return base.pos, base.N, base.w_daf
+        pos = self.flow.map(s, base.pos)
+        J = np.matmul(self.flow.jac(s, base.pos), base.J)
+        *_, N, w_da = _frame(base.mesh.immersion.orientation_sign,
+                             base.D1, base.D2, J)
+        return pos, N, w_da * np.exp(self.space.density.psi(pos))
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -253,7 +237,7 @@ class DeformedFamily:
         s = float(s)
         if s not in self._slices:
             _, N, w_daf = self.area_elements(s)
-            vel = self.flow.velocity(s, self.base_chart[3])
+            vel = self.flow.velocity(s, self.data.pos)
             rate = float(np.sum(np.sum(vel * N, axis=1) * w_daf))
             self._slices[s] = (float(np.sum(w_daf)), rate)
         return self._slices[s]
@@ -263,30 +247,25 @@ class DeformedFamily:
         return self._slice(s)[0]
 
     def geometry(self, s: float) -> ExtrinsicData:
-        """Full geometry of the slice at s; the base's is computed once.
+        """Full geometry of the slice at s.
 
-        Off the base it is the flow applied to the cached base data, with
-        the chain rule for the second derivatives: the chart Hessian is
+        Off the base it is the flow applied to the base chart, with the
+        chain rule for the second derivatives: the chart Hessian is
         Dphi H0 + D^2phi(J0, J0), and along the boundary curve
         g'' -> Dphi g'' + D^2phi(g', g').  A flow that moves the boundary
         curve off the ambient boundary is not an admissible variation.
         """
-        sign = self.base.orientation_sign
         if s == 0.0:
-            if self.base_data is None:
-                self.base_data = _fields_from_chart(
-                    self.space, sign, self.mesh, self.base_chart,
-                    *self.base_second_order)
-            return self.base_data
-        Q, D1, D2, P0, J0, Q2 = self.base_chart
-        H0, boundary = self.base_second_order
+            return self.data
+        base = self.data.chart
+        P0, J0 = base.pos, base.J
         DF = self.flow.jac(s, P0)
-        Hc = (np.einsum("nij,njab->niab", DF, H0)
-              + np.einsum("nijk,nja,nkb->niab", self.flow.hess(s, P0),
-                          J0, J0))
-        chart = (Q, D1, D2, self.flow.map(s, P0), np.matmul(DF, J0), Q2)
-        if boundary is not None:
-            edges, qb, g0, dg0, ddg0, Jb0, v0 = boundary
+        moved = dict(pos=self.flow.map(s, P0), J=np.matmul(DF, J0),
+                     hess=(np.einsum("nij,njab->niab", DF, base.hess)
+                           + np.einsum("nijk,nja,nkb->niab",
+                                       self.flow.hess(s, P0), J0, J0)))
+        if base.has_boundary:
+            g0, dg0 = base.b_pos, base.b_dg
             g = self.flow.map(s, g0)
             bd = self.space.boundary
             if bd is not None:
@@ -297,14 +276,14 @@ class DeformedFamily:
                         f"ambient boundary (max |phi| = {res:.2e}), so it "
                         f"is not an admissible variation")
             DFb = self.flow.jac(s, g0)
-            dg = np.einsum("nij,nj->ni", DFb, dg0)
-            ddg = (np.einsum("nij,nj->ni", DFb, ddg0)
-                   + np.einsum("nijk,nj,nk->ni", self.flow.hess(s, g0),
-                               dg0, dg0))
-            boundary = (edges, qb, g, dg, ddg, np.matmul(DFb, Jb0),
-                        np.einsum("nij,nj->ni", DFb, v0))
-        return _fields_from_chart(self.space, sign, self.mesh, chart, Hc,
-                                  boundary)
+            moved.update(
+                b_pos=g, b_dg=np.einsum("nij,nj->ni", DFb, dg0),
+                b_ddg=(np.einsum("nij,nj->ni", DFb, base.b_ddg)
+                       + np.einsum("nijk,nj,nk->ni", self.flow.hess(s, g0),
+                                   dg0, dg0)),
+                b_J=np.matmul(DFb, base.b_J))
+        return extrinsic_geometry(self.space, dataclasses.replace(
+            base, space=self.space, **moved))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, vertex_normals,
                         volume_constrained_verdict)
 from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
-                      SphericalCap, extrinsic_geometry, mesh_from_immersion,
-                      stationarity_verdict)
+                      SphericalCap, SurfaceChart, extrinsic_geometry,
+                      stationarity_verdict, surface_chart)
 from .theorems import (area_bound_check, boundary_identity_residual,
                        foliation_monotonicity_check,
                        gauss_rearrangement_residual, rigidity_flags,
@@ -347,10 +347,15 @@ def _f(x) -> float:
     return float(x)
 
 
+def build_chart(scn: Scenario) -> SurfaceChart:
+    return surface_chart(build_immersion(scn), scn.resolution,
+                         build_space(scn))
+
+
 def run_scenario(scn: Scenario) -> RunResult:
     if scn.sweep is not None:
         return _run_sweep(scn)
-    return _run_single(scn)
+    return _run_single(scn, build_chart(scn))
 
 
 def _set_path(tree: dict, path: str, value) -> None:
@@ -393,11 +398,14 @@ def _run_sweep(scn: Scenario) -> RunResult:
     values = scn.sweep["values"]
     rows = []
     sub_reports = {}
+    # a density value leaves the chart as it is
+    shared = param.startswith("ambient.density.") and build_chart(scn)
     for v in values:
         tree = scenario_to_tree(scn)
         tree.pop("expect", None)
         _set_path(tree, param, int(v) if param == "resolution" else float(v))
-        res = _run_single(parse_scenario(tree, scn.name))
+        sub = parse_scenario(tree, scn.name)
+        res = _run_single(sub, shared or build_chart(sub))
         lam = res.report.get("results", {}).get("spectrum", {}).get("lambda_min")
         rows.append([float(v), lam])
         sub_reports[repr(float(v))] = res.report
@@ -441,14 +449,13 @@ def _none_or_f(x):
     return float(x)
 
 
-def _run_single(scn: Scenario) -> RunResult:
+def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
+    """Run the scenario's tasks on the chart of its surface."""
     space = build_space(scn)
-    imm = build_immersion(scn)
-    mesh = mesh_from_immersion(imm, scn.resolution, space=space)
+    data = extrinsic_geometry(space, chart)
+    mesh = chart.mesh
     needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
-    asm = assemble(space, mesh) if needs_asm else None
-    data = (asm.data if asm is not None
-            else extrinsic_geometry(space, imm, mesh))
+    asm = assemble(data) if needs_asm else None
     report: Dict[str, Any] = {
         "name": scn.name,
         "geometry": {
@@ -473,7 +480,7 @@ def _run_single(scn: Scenario) -> RunResult:
             1.0, float(np.max(np.abs(spec.eigenvalues))))
         strong = strong_stability_verdict(spec, tol=vtol)
     flow = build_flow(scn) if scn.variation is not None else None
-    family = (DeformedFamily(space, imm, mesh, flow, base_data=data)
+    family = (DeformedFamily(space, data, flow)
               if flow is not None else None)
 
     results: Dict[str, Any] = {}
@@ -506,7 +513,7 @@ def _run_single(scn: Scenario) -> RunResult:
 
     def t_second_variation():
         fd = second_variation_fd(family)
-        Nv = vertex_normals(mesh, imm)
+        Nv = vertex_normals(mesh)
         u = np.sum(flow.velocity(0.0, mesh.positions) * Nv, axis=1)
         ifv = index_form_value(asm, u, u)
         diff = abs(fd.value - ifv)

@@ -14,10 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ambient import AmbientSpace
 from .errors import InputError, NumericalFailure, PreconditionError
 from .functionals import DeformedFamily
-from .surface import (TRI_HATS, SurfaceMesh, extrinsic_geometry,
+from .surface import (TRI_HATS, ExtrinsicData, SurfaceMesh,
                       stationarity_verdict)
 
 Array = np.ndarray
@@ -34,7 +33,7 @@ class IndexFormAssembly:
     P: sp.csr_matrix      # potential (Ric_f(N,N) + |sigma|^2) mass
     B: sp.csr_matrix      # Robin boundary term II(N,N)
     M: sp.csr_matrix      # weighted mass
-    data: object          # ExtrinsicData used during assembly
+    data: ExtrinsicData   # the geometry it was assembled from
 
     @property
     def dof(self) -> int:
@@ -50,8 +49,9 @@ class IndexFormAssembly:
         return _factor_below_spectrum(self)
 
 
-def assemble(space: AmbientSpace, mesh: SurfaceMesh) -> IndexFormAssembly:
-    data = extrinsic_geometry(space, mesh.immersion, mesh)
+def assemble(data: ExtrinsicData) -> IndexFormAssembly:
+    """The index form of the surface whose geometry is ``data``."""
+    mesh = data.mesh
     tris = mesh.triangles
     F = len(tris)
     R = TRI_HATS.shape[1]
@@ -254,22 +254,16 @@ def volume_constrained_verdict(asm: IndexFormAssembly, spec: SpectralResult,
 # Jacobi operator finite-difference check
 # ---------------------------------------------------------------------------
 
-def vertex_normals(mesh: SurfaceMesh, imm=None) -> Array:
+def vertex_normals(mesh: SurfaceMesh) -> Array:
     """Unit normals at mesh vertices, oriented like the quadrature normals."""
-    if imm is None:
-        imm = mesh.immersion
+    imm = mesh.immersion
     if imm.param_dim == 2:
         J = imm.chart_jac(mesh.params)
         Nv = np.cross(J[:, :, 0], J[:, :, 1])
-        # raw parameter axes may be flipped relative to triangle orientation;
-        # fix the global sign from the first triangle's frame
-        tp = mesh.tri_params[0]
-        Jt = imm.chart_jac(tp[0][None])
-        e1 = Jt[0] @ (tp[1] - tp[0])
-        e2 = Jt[0] @ (tp[2] - tp[0])
-        raw = np.cross(J[mesh.triangles[0, 0], :, 0], J[mesh.triangles[0, 0], :, 1])
-        s = np.sign(np.dot(np.cross(e1, e2), raw))
-        Nv = s * Nv
+        # raw parameter axes may be flipped relative to triangle orientation:
+        # cross(J d1, J d2) = det(d1, d2) cross(J_u, J_v) on a triangle
+        d1, d2 = mesh.tri_params[0, 1:] - mesh.tri_params[0, 0]
+        Nv = np.sign(d1[0] * d2[1] - d1[1] * d2[0]) * Nv
     else:
         # per-corner triangle frames, last writer wins (orientations agree)
         Nv = np.zeros((mesh.n_vertices, 3))
@@ -299,12 +293,13 @@ def jacobi_fd_check(family: DeformedFamily, asm: IndexFormAssembly,
     if not verdict.volume_constrained:
         raise PreconditionError("jacobi_fd_check requires an f-stationary base")
     # normal speed at the vertices
-    Nv = vertex_normals(family.mesh)
-    vel = family.flow.velocity(0.0, family.mesh.positions)
+    mesh = family.data.mesh
+    Nv = vertex_normals(mesh)
+    vel = family.flow.velocity(0.0, mesh.positions)
     u = np.sum(vel * Nv, axis=1)
     Lu = jacobi_apply(asm, u)
     # interpolate L_f(u) to quadrature points
-    tris = family.mesh.triangles
+    tris = mesh.triangles
     Lq = (Lu[tris][:, :, None] * TRI_HATS[None, :, :]).sum(axis=1).ravel()
     # FD of H_f per material quadrature point
     dp = family.geometry(h).H_f

@@ -8,7 +8,7 @@ analytic first and second chart derivatives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -569,6 +569,13 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         out = np.sum(nrm * (p.mean(axis=1) - ctr), axis=1)
         flip = out < 0
         tris[flip] = tris[flip][:, [0, 2, 1]]
+    if tp is None:
+        # disk and sphere corners are vertices, charted before the boundary
+        # projection; rect corners on a seam keep unwrapped parameters
+        tp = params[tris]
+        corners = positions[tris]
+    else:
+        corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
 
     # project boundary vertices onto the ambient boundary
     if space is not None and space.boundary is not None and len(be):
@@ -583,8 +590,6 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
                 f"boundary projection residual {res:.2e} exceeds 1e-10")
         positions[bidx] = P
 
-    if tp is None:
-        tp = params[tris]
     mesh = SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution)
     if len(be):
         # each boundary edge is one directed triangle edge, one way or the
@@ -608,7 +613,6 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         mesh.curved_loc = np.where(fwd_found[:, None], loc, loc[:, ::-1])
         mesh.curved_arc = be[:, 2].copy()
         mesh.curved_t = np.array(bt, dtype=float)
-    corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
     m = _boundary_loops(be)
@@ -618,60 +622,8 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
 
 
 # ---------------------------------------------------------------------------
-# extrinsic geometry
+# the density-free chart and the density terms on it
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExtrinsicData:
-    """Pointwise geometry at interior and boundary quadrature points."""
-
-    # interior arrays, one entry per (triangle, quadrature point)
-    params: Array            # (Q, pd)
-    pos: Array               # (Q, 3)
-    E1: Array                # (Q, 3) chart derivative along edge q1-q0
-    E2: Array
-    D1: Array                # (Q, pd) parameter-space direction behind E1
-    D2: Array
-    Ginv: Array              # (Q, 2, 2) inverse metric in the (E1, E2) frame
-    w_da: Array              # unweighted area element x quadrature weight
-    f: Array
-    N: Array
-    H: Array
-    H_f: Array
-    sigma2: Array
-    K: Array
-    ricf_NN: Array
-    grad_psi: Array          # ambient gradient of psi
-    grad_s_psi: Array        # tangential gradient of psi
-    lap_s_psi: Array         # surface Laplacian of psi
-    S_f: Array
-    # boundary arrays, one entry per (boundary edge, quadrature point)
-    bedge_index: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    bedge_local: Array = field(default_factory=lambda: np.zeros(0))
-    b_params: Array = field(default_factory=lambda: np.zeros((0, 2)))
-    b_pos: Array = field(default_factory=lambda: np.zeros((0, 3)))
-    b_nu: Array = field(default_factory=lambda: np.zeros((0, 3)))
-    b_xi: Array = field(default_factory=lambda: np.zeros((0, 3)))
-    b_N: Array = field(default_factory=lambda: np.zeros((0, 3)))
-    contact: Array = field(default_factory=lambda: np.zeros(0))
-    II_NN: Array = field(default_factory=lambda: np.zeros(0))
-    Hf_boundary: Array = field(default_factory=lambda: np.zeros(0))
-    h_geod: Array = field(default_factory=lambda: np.zeros(0))
-    w_dl: Array = field(default_factory=lambda: np.zeros(0))
-    f_b: Array = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def w_daf(self):
-        return self.w_da * self.f
-
-    @property
-    def w_dlf(self):
-        return self.w_dl * self.f_b
-
-    @property
-    def has_boundary(self):
-        return len(self.bedge_index) > 0
-
 
 def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     """Per-quadrature-point parameters, tangent directions, and curvature.
@@ -679,7 +631,7 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     Affine triangles give constant directions and zero second derivatives;
     triangles with a boundary-arc edge get the transfinite blend pulling the
     straight edge onto the arc, so the union of elements covers the exact
-    parameter domain.
+    parameter domain.  Returns Q, D1, D2 and Q2 = (Q11, Q12, Q22) stacked.
     """
     tp = mesh.tri_params
     F = len(tp)
@@ -694,9 +646,7 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
          + eta[None, :, None] * d2[:, None, :])
     D1 = np.broadcast_to(d1[:, None, :], (F, R, pd)).copy()
     D2 = np.broadcast_to(d2[:, None, :], (F, R, pd)).copy()
-    Q11 = np.zeros((F, R, pd))
-    Q12 = np.zeros((F, R, pd))
-    Q22 = np.zeros((F, R, pd))
+    Q2 = np.zeros((3, F, R, pd))
     if len(mesh.curved_tri):
         dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         arcs = imm.boundary_arcs()
@@ -730,45 +680,59 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
             num = a[..., None] * db[:, None, :] - b[..., None] * da[:, None, :]
             ua = num / (S**2)[..., None]                # (C, R, 2)
             # u_{alpha beta}
-            uab = np.empty((C, R, 2, 2))
-            for al in range(2):
-                for be_ in range(2):
-                    uab[:, :, al, be_] = (
-                        (da[:, be_] * db[:, al] - db[:, be_] * da[:, al])[:, None]
-                        / S**2
-                        - 2.0 * num[:, :, al] * Sa[:, be_][:, None] / S**3)
+            S2, S3 = (S**2)[..., None, None], (S**3)[..., None, None]
+            uab = ((db[:, :, None] * da[:, None, :]
+                    - da[:, :, None] * db[:, None, :])[:, None] / S2
+                   - 2.0 * num[..., :, None] * Sa[:, None, None, :] / S3)
             Sb = S[..., None]
             Q[ct] += Sb * g
             D1[ct] += Sa[:, 0][:, None, None] * g + Sb * gp * ua[:, :, 0][..., None]
             D2[ct] += Sa[:, 1][:, None, None] * g + Sb * gp * ua[:, :, 1][..., None]
             u1 = ua[:, :, 0][..., None]
             u2 = ua[:, :, 1][..., None]
-            Q11[ct] = (2 * Sa[:, 0][:, None, None] * gp * u1
-                       + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
-            Q12[ct] = (Sa[:, 0][:, None, None] * gp * u2
-                       + Sa[:, 1][:, None, None] * gp * u1
-                       + Sb * gpp * u1 * u2
-                       + Sb * gp * uab[:, :, 0, 1][..., None])
-            Q22[ct] = (2 * Sa[:, 1][:, None, None] * gp * u2
-                       + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
+            Q2[0, ct] = (2 * Sa[:, 0][:, None, None] * gp * u1
+                         + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
+            Q2[1, ct] = (Sa[:, 0][:, None, None] * gp * u2
+                         + Sa[:, 1][:, None, None] * gp * u1
+                         + Sb * gpp * u1 * u2
+                         + Sb * gp * uab[:, :, 0, 1][..., None])
+            Q2[2, ct] = (2 * Sa[:, 1][:, None, None] * gp * u2
+                         + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
     n = F * R
     return (Q.reshape(n, pd), D1.reshape(n, pd), D2.reshape(n, pd),
-            Q11.reshape(n, pd), Q12.reshape(n, pd), Q22.reshape(n, pd))
+            Q2.reshape(3, n, pd))
 
 
-def _chart_at_quadrature(imm: Immersion, mesh: SurfaceMesh):
-    """Blended parameters Q with their directions D1, D2, the chart's
-    positions and Jacobian at Q, and the blend's (Q11, Q12, Q22)."""
-    Q, D1, D2, Q11, Q12, Q22 = _blended_param_points(imm, mesh)
-    return Q, D1, D2, imm.chart(Q), imm.chart_jac(Q), (Q11, Q12, Q22)
+def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
+    """The chart at the boundary quadrature points, Gauss2 on each boundary
+    edge with the edges grouped by arc: the SurfaceChart boundary fields
+    that a flow moves or keeps, empty for a mesh without boundary."""
+    arc_id = mesh.boundary_edges[:, 2]
+    edges = np.repeat(np.argsort(arc_id, kind="stable"), len(EDGE_POINTS))
+    t0, t1 = mesh.boundary_t[edges].T
+    local = np.tile(EDGE_POINTS, len(arc_id))
+    ts = t0 + local * (t1 - t0)
+    q, dq, ddq, inward = (np.empty((len(ts), imm.param_dim))
+                          for _ in range(4))
+    arcs = imm.boundary_arcs()
+    for aid in np.unique(arc_id):
+        sel = arc_id[edges] == aid
+        arc = arcs[int(aid)]
+        q[sel], dq[sel] = arc.c(ts[sel]), arc.dc(ts[sel])
+        ddq[sel], inward[sel] = arc.ddc(ts[sel]), arc.inward(ts[sel])
+    Jb = imm.chart_jac(q)
+    return dict(bedge_index=edges, bedge_local=local, b_params=q,
+                b_inward=inward, b_pos=imm.chart(q),
+                b_dg=np.einsum("nia,na->ni", Jb, dq),
+                b_ddg=(np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
+                       + np.einsum("nia,na->ni", Jb, ddq)),
+                b_J=Jb)
 
 
-def _first_order_fields(space: AmbientSpace, orientation_sign: int,
-                        Q: Array, D1: Array, D2: Array,
-                        pos: Array, J: Array) -> dict:
-    """First-order ExtrinsicData fields from the chart at quadrature points."""
-    if space.dim != 3:
-        raise InputError("surface geometry supports 3-dimensional ambients only")
+def _frame(sign: int, D1: Array, D2: Array, J: Array):
+    """The chart's frame (E1, E2) along the blended directions, the inverse
+    metric in that frame, the unit normal and the area element times the
+    Gauss3 weight."""
     E1 = np.einsum("nia,na->ni", J, D1)
     E2 = np.einsum("nia,na->ni", J, D2)
     g11 = np.sum(E1 * E1, axis=1)
@@ -777,17 +741,12 @@ def _first_order_fields(space: AmbientSpace, orientation_sign: int,
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
-    Ginv = np.empty((len(Q), 2, 2))
-    Ginv[:, 0, 0] = g22 / detG
-    Ginv[:, 1, 1] = g11 / detG
-    Ginv[:, 0, 1] = Ginv[:, 1, 0] = -g12 / detG
+    Ginv = (np.stack([g22, -g12, -g12, g11], axis=-1)
+            / detG[:, None]).reshape(-1, 2, 2)
     Nv = np.cross(E1, E2)
-    Nv = orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    return dict(params=Q, pos=pos,
-                E1=E1, E2=E2, D1=D1, D2=D2, Ginv=Ginv,
-                w_da=np.sqrt(detG) * np.tile(TRI_WEIGHTS,
-                                             len(Q) // len(TRI_WEIGHTS)),
-                f=np.exp(space.density.psi(pos)), N=Nv)
+    Nv = sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(J) // len(TRI_WEIGHTS))
+    return E1, E2, Ginv, Nv, w_da
 
 
 def _shape_operator(Hc: Array, d1r: Array, d2r: Array,
@@ -800,93 +759,9 @@ def _shape_operator(Hc: Array, d1r: Array, d2r: Array,
     F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
     F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L = np.empty((len(J), 2, 2))
-    L[:, 0, 0] = -np.sum(Nv * F11, axis=1)
-    L[:, 0, 1] = L[:, 1, 0] = -np.sum(Nv * F12, axis=1)
-    L[:, 1, 1] = -np.sum(Nv * F22, axis=1)
+    L11, L12, L22 = (-np.sum(Nv * F, axis=1) for F in (F11, F12, F22))
+    L = np.stack([L11, L12, L12, L22], axis=-1).reshape(-1, 2, 2)
     return np.einsum("nab,nbc->nac", Ginv, L)
-
-
-def _interior_geometry(space: AmbientSpace, sign: int, Q: Array, D1: Array,
-                       D2: Array, pos: Array, J: Array, Q2, Hc: Array):
-    first = _first_order_fields(space, sign, Q, D1, D2, pos, J)
-    Nv = first["N"]
-    S = _shape_operator(Hc, D1, D2, J, Q2, Nv, first["Ginv"])
-    trS = S[:, 0, 0] + S[:, 1, 1]
-    H = -0.5 * trS
-    sigma2 = np.einsum("nab,nba->n", S, S)
-    K = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
-    gpsi = space.density.grad_psi(pos)
-    gN = np.sum(gpsi * Nv, axis=1)
-    ricf_NN = bakry_emery_ricci(space, pos, Nv)
-    # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
-    lap_s = space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN
-    return dict(first, H=H, H_f=2.0 * H - gN, sigma2=sigma2, K=K,
-                ricf_NN=ricf_NN, grad_psi=gpsi,
-                grad_s_psi=gpsi - gN[:, None] * Nv, lap_s_psi=lap_s,
-                S_f=perelman_scalar(space, pos))
-
-
-def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh):
-    """The chart at the boundary quadrature points, Gauss2 on each boundary
-    edge with the edges grouped by arc: the edge of each point, its
-    parameters qb, the ambient boundary curve g with its derivatives g' and
-    g'' in the arc parameter, the chart Jacobian Jb and an ambient direction
-    v_in pointing into the surface.  None for a mesh without boundary."""
-    arc_id = mesh.boundary_edges[:, 2]
-    if len(arc_id) == 0:
-        return None
-    R = len(EDGE_POINTS)
-    edges = np.repeat(np.argsort(arc_id, kind="stable"), R)
-    t0, t1 = mesh.boundary_t[edges].T
-    ts = t0 + np.tile(EDGE_POINTS, len(edges) // R) * (t1 - t0)
-    q, dq, ddq, inward = (np.empty((len(ts), 2)) for _ in range(4))
-    arcs = imm.boundary_arcs()
-    for aid in np.unique(arc_id):
-        sel = arc_id[edges] == aid
-        arc = arcs[int(aid)]
-        q[sel], dq[sel] = arc.c(ts[sel]), arc.dc(ts[sel])
-        ddq[sel], inward[sel] = arc.ddc(ts[sel]), arc.inward(ts[sel])
-    g = imm.chart(q)
-    Jb = imm.chart_jac(q)
-    dg = np.einsum("nia,na->ni", Jb, dq)
-    ddg = (np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
-           + np.einsum("nia,na->ni", Jb, ddq))
-    eps = 1e-4
-    v_in = (imm.chart(q + eps * inward) - g) / eps
-    return edges, q, g, dg, ddg, Jb, v_in
-
-
-def _boundary_geometry(space: AmbientSpace, sign: int, mesh: SurfaceMesh,
-                       edges: Array, qb: Array, g: Array, dg: Array,
-                       ddg: Array, Jb: Array, v_in: Array):
-    """Boundary fields from the arrays that _chart_at_boundary returns."""
-    n_edges = len(edges) // len(EDGE_POINTS)
-    speed = np.linalg.norm(dg, axis=1)
-    T = dg / speed[:, None]
-    # curve acceleration projected off T, per unit length
-    acc = (ddg - np.sum(ddg * T, axis=1)[:, None] * T) / speed[:, None] ** 2
-    Nv = _normal_from_jac(sign, Jb)
-    nu = np.cross(Nv, T)
-    nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
-    t0, t1 = mesh.boundary_t[edges].T
-    if space.boundary is not None:
-        xi = np.atleast_2d(boundary_inner_normal(space, g))
-        IImat = boundary_ii_matrix(space, g)
-        II_NN = np.einsum("nij,ni,nj->n", np.atleast_3d(IImat), Nv, Nv)
-        Hf_b = np.atleast_1d(boundary_f_mean_curvature(space, g))
-        contact = np.sum(Nv * xi, axis=1)
-    else:
-        xi = np.zeros_like(g)
-        II_NN = np.zeros(len(g))
-        Hf_b = np.zeros(len(g))
-        contact = np.zeros(len(g))
-    return dict(bedge_index=edges, bedge_local=np.tile(EDGE_POINTS, n_edges),
-                b_params=qb, b_pos=g, b_nu=nu, b_xi=xi, b_N=Nv,
-                contact=contact, II_NN=II_NN, Hf_boundary=Hf_b,
-                h_geod=np.sum(acc * nu, axis=1),
-                w_dl=np.tile(EDGE_WEIGHTS, n_edges) * (t1 - t0) * speed,
-                f_b=np.exp(space.density.psi(g)))
 
 
 def _normal_from_jac(sign: int, J: Array) -> Array:
@@ -904,24 +779,162 @@ def _normal_from_jac(sign: int, J: Array) -> Array:
     return sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
 
-def _fields_from_chart(space: AmbientSpace, sign: int, mesh: SurfaceMesh,
-                       chart, Hc: Array, boundary) -> ExtrinsicData:
-    """All pointwise geometry from the chart at the quadrature points (the
-    tuple _chart_at_quadrature returns), the chart Hessian Hc there and
-    the boundary arrays of _chart_at_boundary (None without a boundary)."""
-    fields = _interior_geometry(space, sign, *chart, Hc)
-    if boundary is not None:
-        fields.update(_boundary_geometry(space, sign, mesh, *boundary))
-    return ExtrinsicData(**fields)
+@dataclass(frozen=True, eq=False)
+class SurfaceChart:
+    """Everything about a meshed surface that does not depend on the density.
+
+    The chart of the mesh's immersion at the interior quadrature points
+    (Gauss3 on the blended triangles) and at the boundary quadrature points
+    (Gauss2 on the boundary edges), and the Riemannian geometry read from
+    it.  Of ``space`` only the boundary is read, so one chart serves every
+    density.  ``surface_chart`` builds it from an immersion;
+    ``dataclasses.replace`` with new positions, Jacobians, Hessians and
+    boundary curve derives the rest again, which is how a flow moves it.
+    """
+
+    space: InitVar[AmbientSpace]
+    mesh: SurfaceMesh
+    # interior, one row per (triangle, quadrature point): the blended
+    # parameters, their directions and second derivatives (Q11, Q12, Q22),
+    # and the chart's positions, Jacobian and Hessian there
+    params: Array            # (Q, pd)
+    D1: Array                # (Q, pd)
+    D2: Array
+    Q2: Array                # (3, Q, pd)
+    pos: Array               # (Q, 3)
+    J: Array                 # (Q, 3, pd)
+    hess: Array              # (Q, 3, pd, pd)
+    # boundary, one row per (boundary edge, quadrature point), empty without
+    # one: the edge and the point's place on it, the arc parameters with a
+    # parameter direction into the domain, the boundary curve g with its arc
+    # derivatives g', g'' and the chart Jacobian there
+    bedge_index: Array
+    bedge_local: Array
+    b_params: Array
+    b_inward: Array
+    b_pos: Array
+    b_dg: Array
+    b_ddg: Array
+    b_J: Array
+    # derived, interior
+    E1: Array = field(init=False)      # chart derivative along D1
+    E2: Array = field(init=False)
+    Ginv: Array = field(init=False)    # inverse metric in the (E1, E2) frame
+    N: Array = field(init=False)
+    w_da: Array = field(init=False)    # area element x quadrature weight
+    H: Array = field(init=False)
+    sigma2: Array = field(init=False)
+    K: Array = field(init=False)
+    # derived, boundary
+    b_nu: Array = field(init=False)    # outward conormal
+    b_xi: Array = field(init=False)    # inner normal of the ambient boundary
+    b_N: Array = field(init=False)
+    contact: Array = field(init=False)
+    II_NN: Array = field(init=False)
+    h_geod: Array = field(init=False)
+    w_dl: Array = field(init=False)    # length element x quadrature weight
+
+    def __post_init__(self, space: AmbientSpace):
+        if space.dim != 3:
+            raise InputError("surface geometry supports 3-dimensional ambients only")
+        sign = self.mesh.immersion.orientation_sign
+        E1, E2, Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
+        S = _shape_operator(self.hess, self.D1, self.D2, self.J, self.Q2,
+                            Nv, Ginv)
+        fields = dict(E1=E1, E2=E2, Ginv=Ginv, N=Nv, w_da=w_da,
+                      H=-0.5 * (S[:, 0, 0] + S[:, 1, 1]),
+                      sigma2=np.einsum("nab,nba->n", S, S),
+                      K=S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0],
+                      **self._boundary_fields(space, sign))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _boundary_fields(self, space: AmbientSpace, sign: int) -> dict:
+        speed = np.linalg.norm(self.b_dg, axis=1)
+        T = self.b_dg / speed[:, None]
+        # curve acceleration projected off T, per unit length
+        acc = ((self.b_ddg - np.sum(self.b_ddg * T, axis=1)[:, None] * T)
+               / speed[:, None] ** 2)
+        Nv = _normal_from_jac(sign, self.b_J)
+        nu = np.cross(Nv, T)
+        # the chart's image of the inward parameter direction orients nu
+        v_in = np.einsum("nia,na->ni", self.b_J, self.b_inward)
+        nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
+        t0, t1 = self.mesh.boundary_t[self.bedge_index].T
+        g = self.b_pos
+        xi, II_NN = np.zeros_like(g), np.zeros(len(g))
+        if space.boundary is not None:
+            xi = np.atleast_2d(boundary_inner_normal(space, g))
+            II_NN = np.einsum("nij,ni,nj->n", np.atleast_3d(
+                boundary_ii_matrix(space, g)), Nv, Nv)
+        return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=np.sum(Nv * xi, axis=1),
+                    II_NN=II_NN, h_geod=np.sum(acc * nu, axis=1),
+                    w_dl=(np.tile(EDGE_WEIGHTS, len(g) // len(EDGE_POINTS))
+                          * (t1 - t0) * speed))
+
+    @property
+    def has_boundary(self):
+        return len(self.bedge_index) > 0
 
 
-def extrinsic_geometry(space: AmbientSpace, imm: Immersion,
-                       mesh: SurfaceMesh) -> ExtrinsicData:
-    """Evaluate all pointwise geometry at quadrature points of the mesh."""
-    chart = _chart_at_quadrature(imm, mesh)
-    return _fields_from_chart(space, imm.orientation_sign, mesh, chart,
-                              imm.chart_hess(chart[0]),
-                              _chart_at_boundary(imm, mesh))
+def surface_chart(imm: Immersion, resolution: int,
+                  space: AmbientSpace) -> SurfaceChart:
+    """Mesh the immersion with its boundary vertices on the ambient
+    boundary of ``space`` and evaluate its chart on the mesh."""
+    mesh = mesh_from_immersion(imm, resolution, space=space)
+    Q, D1, D2, Q2 = _blended_param_points(imm, mesh)
+    return SurfaceChart(space, mesh, Q, D1, D2, Q2, imm.chart(Q),
+                        imm.chart_jac(Q), imm.chart_hess(Q),
+                        **_chart_at_boundary(imm, mesh))
+
+
+@dataclass(frozen=True, eq=False)
+class ExtrinsicData:
+    """The density terms of the geometry at a chart's quadrature points;
+    every other attribute is the chart's own."""
+
+    chart: SurfaceChart
+    f: Array
+    H_f: Array               # 2H - <grad psi, N>
+    ricf_NN: Array
+    grad_psi: Array          # ambient gradient of psi
+    grad_s_psi: Array        # tangential gradient of psi
+    lap_s_psi: Array         # surface Laplacian of psi
+    S_f: Array
+    f_b: Array               # f on the boundary
+    Hf_boundary: Array       # H_f of the ambient boundary
+
+    def __getattr__(self, name):
+        if name == "chart":      # not set yet, as while copying
+            raise AttributeError(name)
+        return getattr(self.chart, name)
+
+    @property
+    def w_daf(self):
+        return self.w_da * self.f
+
+    @property
+    def w_dlf(self):
+        return self.w_dl * self.f_b
+
+
+def extrinsic_geometry(space: AmbientSpace,
+                       chart: SurfaceChart) -> ExtrinsicData:
+    """The density terms on a chart: everything the density of ``space``
+    adds to the chart's Riemannian geometry."""
+    pos, Nv, H = chart.pos, chart.N, chart.H
+    gpsi = space.density.grad_psi(pos)
+    gN = np.sum(gpsi * Nv, axis=1)
+    ricf_NN = bakry_emery_ricci(space, pos, Nv)
+    g = chart.b_pos
+    # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
+    return ExtrinsicData(
+        chart, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
+        ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=gpsi - gN[:, None] * Nv,
+        lap_s_psi=space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN,
+        S_f=perelman_scalar(space, pos), f_b=np.exp(space.density.psi(g)),
+        Hf_boundary=(np.atleast_1d(boundary_f_mean_curvature(space, g))
+                     if space.boundary is not None else np.zeros(len(g))))
 
 
 @dataclass(frozen=True)

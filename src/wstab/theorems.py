@@ -212,9 +212,7 @@ def foliation_monotonicity_check(family: DeformedFamily,
                                  tol: float = 1e-3) -> FoliationReport:
     """Verify H_f'(s) A_f(s) = int_bd II u dl_f + int (Ric_f(N,N)+|sigma|^2) u da_f."""
     s_values = np.asarray(s_values, float)
-    base_data = family.geometry(0.0)
-    pos0 = base_data.pos
-    bpos0 = base_data.b_pos if base_data.has_boundary else None
+    pos0, bpos0 = family.data.pos, family.data.b_pos
     lhs = np.empty(len(s_values))
     rhs = np.empty(len(s_values))
     dHfs = np.empty(len(s_values))

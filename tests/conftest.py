@@ -1,21 +1,41 @@
 """Shared builders for the test suite.
 
-Meshes and geometry are cached per configuration: they are treated as
+Charts and geometry are cached per configuration: they are treated as
 immutable by every consumer, so sharing them across tests is safe and
 keeps the suite fast.
 """
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 
 import numpy as np
 
 from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
-                           extrinsic_geometry, mesh_from_immersion)
+                           SurfaceChart, extrinsic_geometry, surface_chart)
 
 TAU = 2.0 * math.pi
+
+
+# SHA-256 of the sin/cos/tan values the meshes of every builtin up to
+# resolution 33 are built from; a libm that rounds them differently changes
+# every float digest the tests pin
+TRIG_DIGEST = "c636fd3fca5a60ea0dde6e43b3b214ebd80ae6fc2d5e980230e3ae956463f313"
+
+
+@functools.lru_cache(maxsize=None)
+def same_trig() -> bool:
+    """Whether this platform's trigonometry rounds like the one that
+    recorded the pinned digests."""
+    h = hashlib.sha256()
+    for rings in range(1, 34):
+        ang = 2 * np.pi * np.arange(6 * rings) / (6 * rings)
+        h.update(np.cos(ang).tobytes() + np.sin(ang).tobytes())
+    h.update(np.array([np.tan(np.pi / 4), np.tan(0.35),
+                       np.cos(0.7)]).tobytes())
+    return h.hexdigest() == TRIG_DIGEST
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,34 +90,15 @@ def space_quadratic_ball(a: float = 4.5, radius: float = 0.45) -> AmbientSpace:
                         boundary=make_boundary("ball", radius=radius))
 
 
-@functools.lru_cache(maxsize=None)
-def hemisphere_mesh(resolution=24, density_name="constant", **params):
-    space = space_half_space(density_name, **params)
-    imm = SphericalCap()
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    return space, imm, mesh
+def space_offset_ball(density_name="constant", **params) -> AmbientSpace:
+    return space_ball(density_name, radius=1.0, center=(2.0, 0.0, 0.0),
+                      **params)
 
 
 @functools.lru_cache(maxsize=None)
-def offset_disk_mesh(resolution=24, density_name="constant", **params):
-    """Flat unit disk through the center of a unit ball centered at (2,0,0)."""
-    space = space_ball(density_name, radius=1.0, center=(2.0, 0.0, 0.0),
-                       **params)
-    imm = PlanarDisk(center=(2, 0, 0), e1=(1, 0, 0), e2=(0, 1, 0), radius=1.0)
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    return space, imm, mesh
-
-
-@functools.lru_cache(maxsize=None)
-def cone_cap_mesh(resolution=24):
-    """Spherical cap meeting the cone of half-angle 0.7 orthogonally, under
-    the radial density psi = |p|^2 / 2 (the convex-cone builtin)."""
-    space = make_space(dim=3, density=("radial-smooth",
-                                       {"coeffs": [0.0, 0.0, 0.5]}),
-                       boundary=("cone", {"alpha": 0.7}))
-    imm = SphericalCap(alpha=0.7)
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    return space, imm, mesh
+def space_cone(density_name="constant", **params) -> AmbientSpace:
+    return make_space(dim=3, density=(density_name, dict(params)),
+                      boundary=("cone", {"alpha": 0.7}))
 
 
 def slice_immersion() -> RectPatch:
@@ -105,27 +106,36 @@ def slice_immersion() -> RectPatch:
                      u_range=(0.0, TAU), v_range=(-1.0, 1.0), periodic_u=True)
 
 
-@functools.lru_cache(maxsize=None)
-def slice_mesh(resolution=24, density_name="constant", **params):
-    space = space_slab_product(density_name, **params)
-    imm = slice_immersion()
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    return space, imm, mesh
+# the test surfaces: each kind's ambient boundary and immersion
+#   hemisphere  unit half-sphere in the half-space z >= 0
+#   disk        flat unit disk through the center of the unit ball at (2,0,0)
+#   slice       flat cylinder slice of the slab |z| <= 1, periodic in y
+#   sphere      closed unit sphere
+#   cone        spherical cap meeting the cone of half-angle 0.7 orthogonally
+SURFACES = {
+    "hemisphere": (space_half_space, SphericalCap),
+    "disk": (space_offset_ball,
+             lambda: PlanarDisk(center=(2, 0, 0), e1=(1, 0, 0),
+                                e2=(0, 1, 0), radius=1.0)),
+    "slice": (space_slab_product, slice_immersion),
+    "sphere": (space_free, RoundSphere),
+    "cone": (space_cone, lambda: SphericalCap(alpha=0.7)),
+}
 
 
 @functools.lru_cache(maxsize=None)
-def sphere_mesh(resolution=24, density_name="constant", radius=1.0, **params):
-    space = space_free(density_name, **params)
-    imm = RoundSphere(radius=radius)
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    return space, imm, mesh
+def cached_chart(kind: str, resolution: int) -> SurfaceChart:
+    """The density-free chart of a test surface, shared by every density."""
+    ambient, immersion = SURFACES[kind]
+    return surface_chart(immersion(), resolution, ambient())
 
 
 @functools.lru_cache(maxsize=None)
 def cached_geometry(kind: str, resolution: int, density_name="constant",
                     **params):
-    builder = {"hemisphere": hemisphere_mesh, "disk": offset_disk_mesh,
-               "slice": slice_mesh, "sphere": sphere_mesh}[kind]
-    space, imm, mesh = builder(resolution, density_name, **params)
-    data = extrinsic_geometry(space, imm, mesh)
-    return space, imm, mesh, data
+    """(space, immersion, mesh, geometry) of a test surface under a
+    density."""
+    space = SURFACES[kind][0](density_name, **params)
+    chart = cached_chart(kind, resolution)
+    return (space, chart.mesh.immersion, chart.mesh,
+            extrinsic_geometry(space, chart))

@@ -25,7 +25,7 @@ from wstab.scenarios import builtin_names, builtin_scenario, run_scenario
 from wstab.stability import (assemble, constrained_lambda_min,
                              index_form_value, jacobi_fd_check,
                              robin_eigenproblem, vertex_normals)
-from wstab.surface import SphericalCap, mesh_from_immersion
+from wstab.surface import extrinsic_geometry
 from wstab.theorems import (boundary_identity_residual,
                             gauss_rearrangement_residual)
 
@@ -232,7 +232,7 @@ def test_criterion_2_first_variation_matrix():
                     field = VariationField(X=X)
                     formula = first_variation_formula(space, data, field)
                     fd = first_variation_fd(
-                        DeformedFamily(space, imm, mesh, flow))
+                        DeformedFamily(space, data, flow))
                     diff = abs(fd.value - formula)
                     assert diff <= max(1e-6, 1e-4 * abs(formula)), \
                         f"{kind}/{dens}/{field.name}: diff {diff:.2e}"
@@ -267,21 +267,21 @@ def test_criterion_3_second_variation_matrix():
             # constrained area functional
             asms = {}
             for res in (24, 48):
-                space, imm, mesh, _ = cf.cached_geometry(kind, res, dens,
-                                                         **params)
-                asms[res] = (assemble(space, mesh), imm, mesh)
-            space, imm24, mesh24, _ = cf.cached_geometry(kind, 24, dens,
-                                                         **params)
+                space, imm, mesh, data = cf.cached_geometry(kind, res, dens,
+                                                            **params)
+                asms[res] = (assemble(data), mesh)
+            space, _, _, data24 = cf.cached_geometry(kind, 24, dens,
+                                                     **params)
             for flow in flows:
                 vals = {}
-                for res, (asm, imm, mesh) in asms.items():
-                    Nv = vertex_normals(mesh, imm)
+                for res, (asm, mesh) in asms.items():
+                    Nv = vertex_normals(mesh)
                     u = np.sum(flow.velocity(0.0, mesh.positions) * Nv,
                                axis=1)
                     vals[res] = index_form_value(asm, u, u)
                 ifv = (4.0 * vals[48] - vals[24]) / 3.0
                 fd = second_variation_fd(
-                    DeformedFamily(space, imm24, mesh24, flow))
+                    DeformedFamily(space, data24, flow))
                 rel = abs(fd.value - ifv) / max(1.0, abs(ifv))
                 assert rel <= 1e-3, f"{kind}/{dens}: rel {rel:.2e}"
                 worst = max(worst, rel)
@@ -291,13 +291,16 @@ def test_criterion_3_second_variation_matrix():
 def test_criterion_4_stability_threshold():
     with criterion(4, budget=120.0) as info:
         ks = (-3.0, -2.5, -2.0, -1.5, -1.0)
+        chart = cf.cached_chart("hemisphere", 64)
         lams = {}
         for k in ks:
-            space, imm, mesh, _ = cf.cached_geometry("hemisphere", 64,
-                                                     "radial-log", k=k)
-            spec = robin_eigenproblem(assemble(space, mesh))
+            space = cf.space_half_space("radial-log", k=k)
+            spec = robin_eigenproblem(assemble(extrinsic_geometry(space,
+                                                                  chart)))
             lams[k] = spec.lambda_min
             assert abs(lams[k] + (2.0 + k)) <= 2e-2
+            if k == -2.5:
+                lam2 = {64: spec.eigenvalues[1]}
         # zero crossing: linear interpolation across the sign change
         pairs = sorted(lams.items())
         crossing = None
@@ -311,23 +314,19 @@ def test_criterion_4_stability_threshold():
         if crossing is None and abs(lams[-2.0]) <= 2e-2:
             crossing = -2.0
         assert crossing is not None and abs(crossing + 2.0) <= 2e-2
-        # convergence across resolutions: the lowest mode is exactly constant,
-        # so the discrete eigenvalue hits the closed form at every resolution;
-        # errors at the floor satisfy the order requirement vacuously
-        errs = {}
-        for res in (32, 64, 128):
-            space, imm, mesh, _ = cf.cached_geometry("hemisphere", res,
-                                                     "radial-log", k=-2.5)
-            spec = robin_eigenproblem(assemble(space, mesh))
-            errs[res] = abs(spec.lambda_min - 0.5)
-        if max(errs.values()) > 1e-9:
-            order = math.log(errs[32] / errs[128]) / math.log(4.0)
-            assert order >= 1.8, f"convergence order {order:.2f}"
-            order_note = f"order {order:.2f}"
-        else:
-            order_note = f"errors at floor ({max(errs.values()):.1e})"
+        # convergence across resolutions: the lowest mode is constant, which
+        # P1 reproduces exactly, so the order is read off the next one,
+        # lambda_2 = l(l+1) - 2 - k = 2.5 at l = 2, k = -2.5
+        space = cf.space_half_space("radial-log", k=-2.5)
+        for res in (32, 128):
+            data = extrinsic_geometry(space, cf.cached_chart("hemisphere", res))
+            lam2[res] = robin_eigenproblem(assemble(data)).eigenvalues[1]
+        errs = {res: abs(lam - 2.5) for res, lam in lam2.items()}
+        order = math.log(errs[32] / errs[128]) / math.log(4.0)
+        assert order >= 1.8, f"lambda_2 convergence order {order:.2f}"
         info["detail"] = (f"lambda(k) exact to {max(abs(lams[k] + 2 + k) for k in ks):.1e}, "
-                          f"crossing at {crossing:.4f}, {order_note}")
+                          f"crossing at {crossing:.4f}, lambda_2 order "
+                          f"{order:.2f} (error {errs[128]:.1e} at 128)")
 
 
 def test_criterion_5_product_cylinder_equality():
@@ -367,17 +366,12 @@ def test_criterion_6_curvature_identities():
 
 def test_criterion_7_constrained_stability_examples():
     with criterion(7) as info:
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24, "gaussian")
-        lam_gauss = constrained_lambda_min(assemble(space, mesh))
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, "gaussian")
+        lam_gauss = constrained_lambda_min(assemble(data))
         assert lam_gauss < -1e-3
-        alpha = 0.7
-        cone = make_space(dim=3,
-                          density=("radial-smooth",
-                                   {"coeffs": (0.0, 0.0, 0.5)}),
-                          boundary=("cone", {"alpha": alpha}))
-        cap = SphericalCap(alpha=alpha)
-        cmesh = mesh_from_immersion(cap, 24, space=cone)
-        lam_cone = constrained_lambda_min(assemble(cone, cmesh))
+        cone = cf.cached_geometry("cone", 24, "radial-smooth",
+                                  coeffs=(0.0, 0.0, 0.5))[3]
+        lam_cone = constrained_lambda_min(assemble(cone))
         assert lam_cone >= -1e-3
         info["detail"] = (f"gaussian half-space {lam_gauss:+.3f} (unstable), "
                           f"convex cone {lam_cone:+.3f} (stable)")
@@ -426,9 +420,9 @@ def test_criterion_9_jacobi_fd_families():
         ]
         worst = 0.0
         for kind, dens, params, flow in families:
-            space, imm, mesh, _ = cf.cached_geometry(kind, 24, dens, **params)
-            asm = assemble(space, mesh)
-            rep = jacobi_fd_check(DeformedFamily(space, imm, mesh, flow),
+            space, imm, mesh, data = cf.cached_geometry(kind, 24, dens, **params)
+            asm = assemble(data)
+            rep = jacobi_fd_check(DeformedFamily(space, data, flow),
                                   asm)
             assert rep.passed and rep.max_residual <= 1e-3
             worst = max(worst, rep.max_residual)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -14,8 +15,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest as cf
 import wstab
-from wstab import scenarios
+from wstab import scenarios, surface
 from wstab.cli import main
 
 SMALL_SCENARIO = {
@@ -138,7 +140,7 @@ class TestRun:
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(scenarios, "mesh_from_immersion", failing)
+        monkeypatch.setattr(surface, "mesh_from_immersion", failing)
         cfg = write_config(tmp_path, SMALL_SCENARIO)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
@@ -153,7 +155,7 @@ class TestRun:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(scenarios, "mesh_from_immersion", exhausted)
+        monkeypatch.setattr(surface, "mesh_from_immersion", exhausted)
         cfg = write_config(tmp_path, SMALL_SCENARIO)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
         captured = capsys.readouterr()
@@ -287,7 +289,7 @@ class TestMalformedParameterValues:
         def forbidden(*args, **kwargs):
             raise AssertionError("meshed a resolution above the cap")
 
-        monkeypatch.setattr(scenarios, "mesh_from_immersion", forbidden)
+        monkeypatch.setattr(surface, "mesh_from_immersion", forbidden)
         cfg = write_config(tmp_path, dict(SMALL_SCENARIO, **changes))
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
         captured = capsys.readouterr()
@@ -309,10 +311,12 @@ class TestMalformedParameterValues:
 
 
 def count_calls(monkeypatch):
-    """Count `_run_single` runs, full `extrinsic_geometry` calls, blended
-    quadrature point evaluations and `SphericalCap.chart_jac` calls."""
-    from wstab import functionals, stability, surface, theorems
-    counts = {"runs": 0, "geometry": 0, "blend": 0, "cap_jac": 0}
+    """Count `_run_single` runs, chart builds, `extrinsic_geometry` density
+    evaluations, blended quadrature point evaluations and
+    `SphericalCap.chart_jac` calls."""
+    from wstab import functionals, stability, theorems
+    counts = {"runs": 0, "charts": 0, "geometry": 0, "blend": 0,
+              "cap_jac": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -322,6 +326,8 @@ def count_calls(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_run_single",
                         counting("runs", scenarios._run_single))
+    monkeypatch.setattr(scenarios, "surface_chart",
+                        counting("charts", scenarios.surface_chart))
     monkeypatch.setattr(surface, "_blended_param_points",
                         counting("blend", surface._blended_param_points))
     monkeypatch.setattr(surface.SphericalCap, "chart_jac",
@@ -339,34 +345,42 @@ class TestGeometryCalls:
                                       "paper-ex-3.9-threshold"])
     def test_spectrum_builtin_evaluates_geometry_once_per_run(
             self, tmp_path, monkeypatch, name):
-        """The assembly's geometry also serves the report and the tasks."""
+        """One chart serves every run, the threshold's five densities
+        included; each run evaluates its density terms once, for the
+        assembly, the report and the tasks."""
         counts = count_calls(monkeypatch)
         assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
         assert counts["runs"] >= 1
+        assert counts["charts"] == 1
         assert counts["geometry"] == counts["runs"]
 
-    def test_builtin_suite_makes_13_full_geometry_calls(self, tmp_path,
-                                                       monkeypatch):
-        """flat-slab-slice makes 1, the base, shared by the second variation
-        and the foliation's s = 0 slice; its 8 other foliation slices are
-        the flow applied to the family's cached base chart."""
+    def test_builtin_suite_builds_9_charts(self, tmp_path, monkeypatch):
+        """One chart per builtin (13 before the threshold sweep shared
+        one); flat-slab-slice evaluates density terms on its base and on
+        the 8 foliation slices off it, every other run on its base."""
         from wstab.scenarios import builtin_names
         counts = count_calls(monkeypatch)
-        per_builtin = {}
+        charts, geometry = {}, {}
         for name in builtin_names():
-            before = counts["geometry"]
+            before = dict(counts)
             assert main(["builtin", name, "--out", str(tmp_path / name)]) == 0
-            per_builtin[name] = counts["geometry"] - before
-        assert per_builtin.pop("flat-slab-slice") == 1
-        assert per_builtin.pop("paper-ex-3.9-threshold") == 5
-        assert set(per_builtin.values()) == {1}
-        assert counts["geometry"] == 13
+            charts[name] = counts["charts"] - before["charts"]
+            geometry[name] = counts["geometry"] - before["geometry"]
+        assert set(charts.values()) == {1}
+        assert counts["charts"] == 9
+        assert geometry.pop("flat-slab-slice") == 9
+        assert geometry.pop("paper-ex-3.9-threshold") == 5
+        assert set(geometry.values()) == {1}
+        assert counts["runs"] == 13
 
     def test_foliation_slices_reuse_the_base_chart(self, tmp_path,
                                                    monkeypatch):
-        """The mesh, the base geometry and the family's cache are the only
-        chart evaluations (deformed immersions re-evaluating the base took
-        130 charts, 40 Jacobians and 11 Hessians)."""
+        """The chart of the run is the only chart evaluation besides the
+        mesh and the vertex normals: 4 charts (vertices, seam corners,
+        quadrature and boundary points), 3 Jacobians and 2 Hessians
+        (deformed immersions re-evaluating the base took 130 charts, 40
+        Jacobians and 11 Hessians, a family charting its own base 8, 6
+        and 4)."""
         from wstab.surface import RectPatch
         calls = {"chart": 0, "chart_jac": 0, "chart_hess": 0}
 
@@ -381,9 +395,9 @@ class TestGeometryCalls:
                                 counting(name, getattr(RectPatch, name)))
         assert main(["builtin", "flat-slab-slice",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls["chart"] <= 8
-        assert calls["chart_jac"] <= 6
-        assert calls["chart_hess"] <= 4
+        assert calls["chart"] <= 4
+        assert calls["chart_jac"] <= 3
+        assert calls["chart_hess"] <= 2
 
     @pytest.mark.parametrize("variation", [
         {"flow": "scaling"},
@@ -391,11 +405,11 @@ class TestGeometryCalls:
     ])
     def test_variation_job_evaluates_the_base_once(self, tmp_path,
                                                    monkeypatch, variation):
-        """The FD slices are the flow applied to the family's cached base
-        chart (evaluating every slice from scratch took 2 full geometries,
-        127 blends and 133 cap Jacobians), and each s is evaluated once: 4
-        first-variation slices, 17 for the second variation and 32 more for
-        the samples (a swept volume from scratch per s took 113)."""
+        """The FD slices are the flow applied to the run's chart (evaluating
+        every slice from scratch took 2 full geometries, 127 blends and 133
+        cap Jacobians), and each s is evaluated once: 4 first-variation
+        slices, 17 for the second variation and 32 more for the samples (a
+        swept volume from scratch per s took 113)."""
         from wstab.functionals import DeformedFamily
         tree = half_sphere({"name": "radial-log", "k": -2.6}, 24,
                            ["stationarity", "first-variation",
@@ -411,9 +425,10 @@ class TestGeometryCalls:
         monkeypatch.setattr(DeformedFamily, "area_elements", counting_slices)
         code, _ = run_report(tmp_path, tree)
         assert code == 0
+        assert counts["charts"] == 1
         assert counts["geometry"] == 1
-        assert counts["blend"] <= 3
-        assert counts["cap_jac"] <= 9
+        assert counts["blend"] == 1
+        assert counts["cap_jac"] <= 3
         assert len(slices) <= 53
         assert len(set(slices)) == len(slices)
 
@@ -558,7 +573,66 @@ class TestExportMesh:
         assert off.startswith("OFF")
 
 
+# SHA-256 of every builtin's report.json, spectrum.csv and samples.csv,
+# recorded before one density-free chart was shared by a run, its variation
+# family and its density sweep: that change, and any other refactor, keeps
+# every output byte for byte
+OUTPUT_DIGESTS = {
+    "flat-slab-slice": {
+        "report.json": "5dbbc88cc3d3a07299cd4e173d8b8f8ad5bcb314df0f9a01fc2dfbd1562778c8",
+        "spectrum.csv": "8be6cc2eb972b0170215536596823c324558ac9db577c0db802b5eef98d750a4",
+        "samples.csv": "203046c0b9770f03cb0acd33c3080c1afe659b529d5cd6f0a25009ba32ddfda4",
+    },
+    "gauss-identity-suite": {
+        "report.json": "422e551384687307ae0e5e347dfd781d241d3c90533bd628d77be59320a10c05",
+        "spectrum.csv": "d8a12c0f5180b834d2d859ba513d7dc5362a4cbf2c3cfd83e70ee52a5177dc1f",
+    },
+    "paper-Mr-k-minus-2": {
+        "report.json": "54aa5b5ef95e99f857652a45b5e0c20abc67ed9e2a5da4db3f211058c298ab0f",
+        "spectrum.csv": "5bfbfaa4a322d007da0ad2ac8163b44994e8323e76bf3a4681558c9e00b8dfb8",
+    },
+    "paper-ex-3.8-convex-cone": {
+        "report.json": "f1bb82f7d8b9dc59ece25f0fbf2868c174ce96842383bbec16c4c9dedbe142d0",
+        "spectrum.csv": "730f224ba8227eff1588060c9c4508e71686ef0c4d748fb7785115c0daa1249e",
+    },
+    "paper-ex-3.8-gaussian-halfspace": {
+        "report.json": "15fc6ebf76190b377dfeafd2c767953e8f159948b6bc4e67c60d269f517f0609",
+        "spectrum.csv": "fd3b9711ad839e22a32ceac844912176a3b3105bd71f156f0df76b067aa5ab86",
+    },
+    "paper-ex-3.9-threshold": {
+        "report.json": "582ece7a10d385d94bd725dc71a2cb92f768d6e53a442c26a1831ff4991240af",
+        "samples.csv": "1c34fd4c64fece81952917ccb0dfee23d4cf8a2d242612e65225178ee09dfe8a",
+    },
+    "paper-product-cylinder": {
+        "report.json": "754bf953c94965a4e5da53f61e75b00d0984486e03b43e7117c86b5cdd2151a4",
+        "spectrum.csv": "e485bce32426c1c4cdb0c07e02773a7d7878ab50c4c788dd412abaff99b5de1d",
+    },
+    "paper-product-torus": {
+        "report.json": "3885148977bbc6733a30923957788b13d568cfd8604b0c22446055b7c4b1b2d4",
+        "spectrum.csv": "e0dad7e5206ef7d3d5132cb7686ec819a5c61ab7e5c93f0e8d93daa3bb7c8037",
+    },
+    "sphere-classical-instability": {
+        "report.json": "ea3be245ee2095b9c62cf3861410a490ba24b46d469c0bee84cecfa69f385eac",
+        "spectrum.csv": "5ae5998af281e773c2d784b5b87954fb4876ab8a7e40c0154a9e906f5e18848f",
+    },
+}
+
+
 class TestDeterminism:
+    @pytest.mark.skipif(not cf.same_trig(), reason=(
+        "this platform's trigonometry rounds unlike the recording one"))
+    @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+    def test_builtin_outputs_match_their_digests(self, tmp_path, name):
+        out_dir = tmp_path / name
+        assert main(["builtin", name, "--out", str(out_dir)]) == 0
+        written = {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                   for f in ("report.json", "spectrum.csv", "samples.csv")
+                   if (out_dir / f).exists()}
+        assert written == OUTPUT_DIGESTS[name]
+
+    def test_every_builtin_has_output_digests(self):
+        assert sorted(OUTPUT_DIGESTS) == scenarios.builtin_names()
+
     def test_reports_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENARIO)
         blobs = []

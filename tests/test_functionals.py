@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab import functionals, surface
+from wstab import surface
 from wstab.ambient import AmbientSpace, BoundarySpec, make_density
 from wstab.errors import InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
@@ -17,7 +17,7 @@ from wstab.functionals import (DeformedFamily, FieldFlow,
                                second_variation_fd, swept_weighted_volume,
                                volume_first_variation)
 from wstab.surface import (PlanarDisk, RectPatch, SphericalCap,
-                           extrinsic_geometry, mesh_from_immersion)
+                           extrinsic_geometry, surface_chart)
 
 TAU = 2.0 * math.pi
 
@@ -52,7 +52,7 @@ class TestFirstOrderGeometry:
                                                params):
         space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
                                                     **params)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        family = DeformedFamily(space, data, ScalingFlow())
         pos, N, w_daf = family.area_elements(0.0)
         assert np.array_equal(pos, data.pos)
         assert np.array_equal(N, data.N)
@@ -60,9 +60,9 @@ class TestFirstOrderGeometry:
         assert family.weighted_area(0.0) == np.sum(data.w_daf)
 
     def test_deformed_immersion_area_matches_full_geometry(self):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16,
-                                                 "radial-log", k=-2.5)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "radial-log", k=-2.5)
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         data = family.geometry(0.05)
         _, N, w_daf = family.area_elements(0.05)
         assert np.array_equal(N, data.N)
@@ -72,11 +72,13 @@ class TestFirstOrderGeometry:
         def forbidden(*args, **kwargs):
             raise AssertionError("second-order geometry evaluated")
 
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
-        monkeypatch.setattr(type(imm), "chart_hess", forbidden)
-        monkeypatch.setattr(functionals, "_chart_at_boundary", forbidden)
-        monkeypatch.setattr(surface, "_boundary_geometry", forbidden)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
+        flow = ScalingFlow()
+        for owner, name in ((type(imm), "chart_hess"), (type(flow), "hess"),
+                            (surface, "_shape_operator"),
+                            (surface.SurfaceChart, "_boundary_fields")):
+            monkeypatch.setattr(owner, name, forbidden)
+        family = DeformedFamily(space, data, flow)
         assert family.weighted_area(0.1) > 0
         assert swept_weighted_volume(family, [0.1])[0] > 0
 
@@ -99,8 +101,9 @@ class TestFamilySlices:
         """A slice's area elements are its full geometry's, bit for bit.
         Most of these flows move the boundary plane, so the surfaces sit in
         an ambient without boundary here."""
-        _, imm, mesh, _ = cf.cached_geometry(kind, 12, "gaussian")
-        family = DeformedFamily(cf.space_free("gaussian"), imm, mesh, flow)
+        space = cf.space_free("gaussian")
+        data = extrinsic_geometry(space, cf.cached_chart(kind, 12))
+        family = DeformedFamily(space, data, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
             full = family.geometry(s)
             want = (full.pos, full.N, full.w_daf)
@@ -114,67 +117,61 @@ class TestFamilySlices:
         translating a slab slice gives the slice with origin (s, 0, 0):
         every interior and boundary field agrees to rounding."""
         if exact_slice == "cone-cap":
-            space, imm, mesh = cf.cone_cap_mesh(24)
+            space, imm, mesh, data = cf.cached_geometry(
+                "cone", 24, "radial-smooth", coeffs=(0.0, 0.0, 0.5))
             flow = ScalingFlow()
 
             def exact(s):
                 return SphericalCap(radius=1.0 + s, alpha=0.7)
         else:
-            space, imm, mesh, _ = cf.cached_geometry("slice", 16, "linear",
-                                                     a=(1.0, 0.0, 0.0))
+            space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
+                                                        a=(1.0, 0.0, 0.0))
             flow = TranslationFlow((1, 0, 0))
 
             def exact(s):
                 return RectPatch(origin=(s, 0, 0), du=(0, 1, 0),
                                  dv=(0, 0, 1), u_range=(0.0, TAU),
                                  v_range=(-1.0, 1.0), periodic_u=True)
-        family = DeformedFamily(space, imm, mesh, flow)
+        family = DeformedFamily(space, data, flow)
         for s in (0.1, -0.1):
             got = family.geometry(s)
-            want = extrinsic_geometry(space, exact(s), mesh)
+            want = extrinsic_geometry(
+                space, surface_chart(exact(s), mesh.resolution, space))
             assert got.has_boundary
-            for f in dataclasses.fields(want):
+            for f in dataclasses.fields(want) + dataclasses.fields(want.chart):
                 a = getattr(got, f.name)
                 b = getattr(want, f.name)
+                if not isinstance(b, np.ndarray):      # the chart, the mesh
+                    continue
                 assert a.shape == b.shape, f.name
                 scale = max(1.0, float(np.max(np.abs(b))))
                 assert np.max(np.abs(a - b)) <= 1e-12 * scale, f.name
 
-    def test_base_chart_is_evaluated_once_per_rule(self, monkeypatch):
-        """Across both FD variations and a swept volume a family blends the
-        quadrature points and evaluates the base Jacobian once."""
-        space = cf.space_half_space("radial-log", k=-2.5)
-        imm = surface.SphericalCap()
-        mesh = mesh_from_immersion(imm, 12, space=space)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow(),
-                                base_data=extrinsic_geometry(space, imm, mesh))
-        counts = {"blend": 0, "jac": 0}
+    def test_family_evaluates_no_chart_of_its_own(self, monkeypatch):
+        """Both FD variations, a swept volume and a full slice read the base
+        chart: a family blends no quadrature point and evaluates no chart."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("chart evaluated")
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(surface, "_blended_param_points",
-                            counting("blend", surface._blended_param_points))
-        monkeypatch.setattr(imm, "chart_jac", counting("jac", imm.chart_jac))
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12,
+                                                    "radial-log", k=-2.5)
+        family = DeformedFamily(space, data, ScalingFlow())
+        monkeypatch.setattr(surface, "_blended_param_points", forbidden)
+        for name in ("chart", "chart_jac", "chart_hess"):
+            monkeypatch.setattr(type(imm), name, forbidden)
         first_variation_fd(family)
         second_variation_fd(family)
         swept_weighted_volume(family, [0.1])
-        assert counts == {"blend": 1, "jac": 1}
+        assert family.geometry(0.1).has_boundary
 
     def test_base_geometry_is_reused_only_for_its_rules(self):
+        """The slice at 0 is the base geometry itself."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow(),
-                                base_data=data)
+        family = DeformedFamily(space, data, ScalingFlow())
         assert family.geometry(0.0) is data
-        assert family.base_data is data
-        fresh = DeformedFamily(space, imm, mesh, ScalingFlow())
-        computed = fresh.geometry(0.0)
-        assert fresh.base_data is computed
-        assert fresh.geometry(0.0) is computed
-        assert np.array_equal(computed.H_f, data.H_f)
+        pos, N, w_daf = family.area_elements(0.0)
+        assert pos is data.pos and N is data.N
+        assert np.array_equal(w_daf, data.w_daf)
 
 
 class TestFirstVariation:
@@ -185,7 +182,7 @@ class TestFirstVariation:
 
     def test_hemisphere_inflation_fd_matches(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        family = DeformedFamily(space, data, ScalingFlow())
         fd = first_variation_fd(family)
         assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
         assert fd.error_estimate < 1e-5
@@ -207,7 +204,7 @@ class TestFirstVariation:
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density,
                                                     **params)
         formula = first_variation_formula(space, data, field)
-        fd = first_variation_fd(DeformedFamily(space, imm, mesh, flow))
+        fd = first_variation_fd(DeformedFamily(space, data, flow))
         assert fd.value == pytest.approx(formula,
                                          abs=max(1e-6, 1e-4 * abs(formula)))
 
@@ -218,7 +215,7 @@ class TestFirstVariation:
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
         formula = first_variation_formula(space, data, field)
         fd = first_variation_fd(
-            DeformedFamily(space, imm, mesh, RotationFlow()))
+            DeformedFamily(space, data, RotationFlow()))
         assert abs(formula) < 1e-10
         assert abs(fd.value) < 1e-8
 
@@ -241,8 +238,8 @@ SAMPLE_SIDES = ([0.05, 0.1, 0.15, 0.2], [-0.05, -0.1, -0.15, -0.2])
 
 class TestSweptVolume:
     def test_hemisphere_inflation_shell(self):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
+        family = DeformedFamily(space, data, ScalingFlow())
         s = 0.1
         expected = (TAU / 3.0) * ((1.0 + s)**3 - 1.0)
         assert swept_weighted_volume(family, [s])[0] == pytest.approx(
@@ -252,22 +249,22 @@ class TestSweptVolume:
     def test_hemisphere_grid_matches_one_panel_calls(self, grid):
         """The inflation rate is a quadratic in s, so one Lobatto panel is
         exact and the panels may only differ from it by rounding."""
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
+        family = DeformedFamily(space, data, ScalingFlow())
         volumes = swept_weighted_volume(family, grid)
         for s, v in zip(grid, volumes):
             assert abs(v - swept_weighted_volume(family, [s])[0]) <= 1e-13
 
     def test_negative_parameter_flips_sign(self):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 16)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
+        family = DeformedFamily(space, data, ScalingFlow())
         assert swept_weighted_volume(family, [-0.1])[0] < 0.0
         assert swept_weighted_volume(family, [0.0]) == [0.0]
         assert swept_weighted_volume(family, []) == []
 
     def test_slab_translation_closed_form(self):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 16)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 16)
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         for grid in SAMPLE_SIDES:
             volumes = swept_weighted_volume(family, grid)
             assert volumes == pytest.approx([s * 2.0 * TAU for s in grid],
@@ -276,16 +273,16 @@ class TestSweptVolume:
     @pytest.mark.parametrize("grid", [[0.1, 0.05], [0.1, -0.2],
                                       [-0.1, 0.0], [float("nan")]])
     def test_grid_must_move_away_from_zero_on_one_side(self, grid):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 8)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 8)
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         with pytest.raises(InputError):
             swept_weighted_volume(family, grid)
 
     def test_each_slice_is_evaluated_once(self, monkeypatch):
         """Neighbouring panels share their end slices, and A_f(s) at a grid
         value reuses the volume's slice: 4 panels take 17 slices."""
-        space, imm, mesh, _ = cf.cached_geometry("slice", 8)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 8)
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         slices = []
         area_elements = family.area_elements
 
@@ -306,8 +303,8 @@ class TestBoundaryStaysOnTheAmbientBoundary:
     deformation by hypersurfaces with boundary in the ambient boundary."""
 
     def test_lifting_the_hemisphere_is_rejected(self):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((0, 0, 1)))
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        family = DeformedFamily(space, data, TranslationFlow((0, 0, 1)))
         with pytest.raises(InputError, match=r"s = 0\.1\b"):
             family.geometry(0.1)
 
@@ -317,9 +314,10 @@ class TestBoundaryStaysOnTheAmbientBoundary:
                             lambda P: np.zeros((len(P), 3, 3)))
         space = AmbientSpace(dim=3, density=make_density("constant"),
                              boundary=spec)
-        imm = PlanarDisk()
-        family = DeformedFamily(space, imm, mesh_from_immersion(imm, 8),
-                                TranslationFlow((1, 0, 0)))
+        # the base is charted without that boundary, which would stop it
+        free = cf.space_free()
+        data = extrinsic_geometry(free, surface_chart(PlanarDisk(), 8, free))
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         with pytest.raises(InputError, match=r"s = 0\.1\b"):
             family.geometry(0.1)
 
@@ -328,8 +326,8 @@ class TestBoundaryStaysOnTheAmbientBoundary:
         RotationFlow((0, 0, 1), (0.3, 0.0, 0.0))],
         ids=["translation", "scaling", "rotation"])
     def test_flows_that_keep_the_boundary_plane_pass(self, flow):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, imm, mesh, flow)
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        family = DeformedFamily(space, data, flow)
         for s in (0.1, -0.1):
             data = family.geometry(s)
             assert np.max(np.abs(data.b_pos[:, 2])) <= 1e-15
@@ -338,15 +336,15 @@ class TestBoundaryStaysOnTheAmbientBoundary:
 
 class TestSecondVariation:
     def test_hemisphere_inflation_is_minus_4pi(self):
-        space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
+        family = DeformedFamily(space, data, ScalingFlow())
         fd = second_variation_fd(family)
         assert fd.value == pytest.approx(-2.0 * TAU, rel=1e-3)
 
     def test_flat_slice_translation_is_neutral(self):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 16, "linear",
-                                                 a=(1.0, 0.0, 0.0))
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
+                                                    a=(1.0, 0.0, 0.0))
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         fd = second_variation_fd(family)
         assert abs(fd.value) < 1e-6
 
@@ -355,8 +353,8 @@ class TestSecondVariation:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        mesh = mesh_from_immersion(imm, 12, space=space)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         with pytest.raises(PreconditionError):
             second_variation_fd(family)
 

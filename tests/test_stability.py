@@ -20,27 +20,21 @@ from wstab.stability import (assemble, constrained_lambda_min,
                              jacobi_symmetry_residual, robin_eigenproblem,
                              strong_stability_verdict,
                              volume_constrained_verdict)
-from wstab.surface import RectPatch, SphericalCap, mesh_from_immersion
+from wstab.surface import RectPatch, extrinsic_geometry, surface_chart
 
 TAU = 2.0 * math.pi
 RNG = np.random.default_rng(11)
 
 
 def assembly(kind, resolution, density="constant", **params):
-    space, imm, mesh, _ = cf.cached_geometry(kind, resolution, density,
-                                             **params)
-    return assemble(space, mesh)
+    return assemble(cf.cached_geometry(kind, resolution, density,
+                                       **params)[3])
 
 
 def cone_cap_assembly(resolution):
     """Cap in a convex cone with the log-convex density psi = |p|^2/2."""
-    alpha = 0.7
-    space = make_space(dim=3,
-                       density=("radial-smooth", {"coeffs": (0.0, 0.0, 0.5)}),
-                       boundary=("cone", {"alpha": alpha}))
-    mesh = mesh_from_immersion(SphericalCap(alpha=alpha), resolution,
-                               space=space)
-    return assemble(space, mesh)
+    return assembly("cone", resolution, "radial-smooth",
+                    coeffs=(0.0, 0.0, 0.5))
 
 
 def flat_torus_assembly(resolution):
@@ -49,7 +43,8 @@ def flat_torus_assembly(resolution):
     imm = RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                     u_range=(0.0, TAU), v_range=(0.0, TAU), periodic_u=True,
                     periodic_v=True)
-    return assemble(space, mesh_from_immersion(imm, resolution, space=space))
+    return assemble(extrinsic_geometry(space,
+                                       surface_chart(imm, resolution, space)))
 
 
 ORACLE_ASSEMBLIES = {
@@ -233,9 +228,9 @@ class TestJacobiOperator:
         ("hemisphere", "radial-log", {"k": -2.5}, ScalingFlow()),
     ])
     def test_fd_consistency_along_families(self, kind, density, params, flow):
-        space, imm, mesh, _ = cf.cached_geometry(kind, 24, density, **params)
-        asm = assemble(space, mesh)
-        family = DeformedFamily(space, imm, mesh, flow)
+        space, imm, mesh, data = cf.cached_geometry(kind, 24, density, **params)
+        asm = assemble(data)
+        family = DeformedFamily(space, data, flow)
         report = jacobi_fd_check(family, asm)
         assert report.passed, f"residual {report.max_residual:.2e}"
 
@@ -252,15 +247,7 @@ class TestConstrainedStability:
         assert constrained_lambda_min(asm) < -1e-3
 
     def test_convex_cone_cap_is_constrained_stable(self):
-        from wstab.ambient import make_space
-        alpha = 0.7
-        space = make_space(dim=3,
-                           density=("radial-smooth",
-                                    {"coeffs": (0.0, 0.0, 0.5)}),
-                           boundary=("cone", {"alpha": alpha}))
-        imm = SphericalCap(alpha=alpha)
-        mesh = mesh_from_immersion(imm, 24, space=space)
-        asm = assemble(space, mesh)
+        asm = cone_cap_assembly(24)
         assert volume_constrained_verdict(asm, robin_eigenproblem(asm))
         assert constrained_lambda_min(asm) >= -1e-3
 

@@ -13,7 +13,8 @@ from wstab.scenarios import (build_immersion, build_space, builtin_names,
                              builtin_scenario)
 from wstab.surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
                            SphericalCap, export_off, extrinsic_geometry, import_off,
-                           mesh_from_immersion, stationarity_verdict)
+                           mesh_from_immersion, stationarity_verdict,
+                           surface_chart)
 
 TAU = 2.0 * math.pi
 
@@ -41,8 +42,7 @@ class TestHemisphereGeometry:
     def test_orientation_sign_flips_normal(self):
         space = cf.space_half_space()
         imm = SphericalCap(orientation_sign=-1)
-        mesh = mesh_from_immersion(imm, 12, space=space)
-        data = extrinsic_geometry(space, imm, mesh)
+        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
         assert np.allclose(data.H, 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("resolution,tol", [(16, 2e-3), (32, 2e-4),
@@ -140,8 +140,7 @@ class TestGaussBonnet:
     def test_flat_disk_boundary_curvature(self):
         space = cf.space_ball()
         imm = PlanarDisk(radius=1.0)
-        mesh = mesh_from_immersion(imm, 16, space=space)
-        data = extrinsic_geometry(space, imm, mesh)
+        data = extrinsic_geometry(space, surface_chart(imm, 16, space))
         assert np.allclose(data.h_geod, 1.0, atol=1e-6)
         assert float(np.sum(data.h_geod * data.w_dl)) == pytest.approx(
             TAU, rel=1e-8)
@@ -167,8 +166,7 @@ class TestStationarity:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        mesh = mesh_from_immersion(imm, 12, space=space)
-        data = extrinsic_geometry(space, imm, mesh)
+        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
         v = stationarity_verdict(data)
         assert not v.volume_constrained
         assert v.max_contact == pytest.approx(0.5, abs=1e-10)
@@ -237,10 +235,10 @@ class TestNanGuards:
             mesh_from_immersion(SphericalCap(radius=float("nan")), 8)
 
     def test_metric_rank(self):
-        _, _, mesh, _ = cf.cached_geometry("hemisphere", 8)
+        chart = cf.cached_chart("hemisphere", 8)
         with pytest.raises(ImmersionError, match="rank deficient"):
-            extrinsic_geometry(cf.space_free(),
-                               SphericalCap(radius=float("nan")), mesh)
+            dataclasses.replace(chart, space=cf.space_half_space(),
+                                J=np.zeros_like(chart.J))
 
 
 # SHA-256 digests of every builtin's mesh, recorded before the meshers were
@@ -477,10 +475,6 @@ MESH_DIGESTS = {
         "0dc946f92259d655726803a9ebdf6f8ef11300ca037a9141d62bdeccd41a88b8",
     ),
 }
-# the same digest over the sin/cos/tan values the float arrays are built
-# from; a libm that rounds them differently changes every float digest
-TRIG_DIGEST = "c636fd3fca5a60ea0dde6e43b3b214ebd80ae6fc2d5e980230e3ae956463f313"
-
 
 def _array_digest(mesh, names, prefix=""):
     h = hashlib.sha256(prefix.encode())
@@ -491,23 +485,13 @@ def _array_digest(mesh, names, prefix=""):
     return h.hexdigest()
 
 
-def _trig_digest():
-    h = hashlib.sha256()
-    for rings in range(1, max(PIN_RESOLUTIONS) + 1):
-        ang = 2 * np.pi * np.arange(6 * rings) / (6 * rings)
-        h.update(np.cos(ang).tobytes() + np.sin(ang).tobytes())
-    h.update(np.array([np.tan(np.pi / 4), np.tan(0.35),
-                       np.cos(0.7)]).tobytes())
-    return h.hexdigest()
-
-
 class TestMeshPins:
     @pytest.mark.parametrize("name", builtin_names())
     def test_builtin_meshes_match_their_digests(self, name, tmp_path):
         """Integer arrays always; float arrays and OFF text where this
         platform's trigonometry rounds like the one that recorded them."""
         scn = builtin_scenario(name)
-        same_trig = _trig_digest() == TRIG_DIGEST
+        same_trig = cf.same_trig()
         for resolution in PIN_RESOLUTIONS:
             mesh = mesh_from_immersion(build_immersion(scn), resolution,
                                        space=build_space(scn))

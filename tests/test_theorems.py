@@ -9,7 +9,7 @@ from wstab.errors import InputError, PreconditionError
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, robin_eigenproblem,
                              strong_stability_verdict)
-from wstab.surface import PlanarDisk, extrinsic_geometry, mesh_from_immersion
+from wstab.surface import PlanarDisk, extrinsic_geometry, surface_chart
 from wstab.theorems import (DISK_OR_CYLINDER, NOT_APPLICABLE, SPHERE_OR_TORUS,
                             area_bound_check, boundary_identity_residual,
                             foliation_monotonicity_check,
@@ -25,9 +25,8 @@ def quadratic_disk(resolution=24):
     space = cf.space_quadratic_ball(a=4.5, radius=0.45)
     imm = PlanarDisk(center=(0, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1),
                      radius=0.45)
-    mesh = mesh_from_immersion(imm, resolution, space=space)
-    data = extrinsic_geometry(space, imm, mesh)
-    return space, imm, mesh, data
+    data = extrinsic_geometry(space, surface_chart(imm, resolution, space))
+    return space, imm, data.mesh, data
 
 
 class TestGaussRearrangement:
@@ -89,14 +88,14 @@ class TestStabilityTopologyChain:
         space = make_space(dim=3, density=("radial-log", {"k": -2.0}),
                            boundary=("ball-complement", {"radius": 1.0}))
         imm = RoundSphere(radius=2.0)
-        mesh = mesh_from_immersion(imm, 24, space=space)
-        data = extrinsic_geometry(space, imm, mesh)
+        data = extrinsic_geometry(space, surface_chart(imm, 24, space))
+        mesh = data.mesh
         chain = stability_topology_chain(mesh, data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 2
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
         assert chain.bound2 == pytest.approx(2.0 * TAU, rel=1e-12)
-        asm = assemble(space, mesh)
+        asm = assemble(data)
         spec = robin_eigenproblem(asm)
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == SPHERE_OR_TORUS
@@ -106,10 +105,9 @@ class TestStabilityTopologyChain:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        mesh = mesh_from_immersion(imm, 12, space=space)
-        data = extrinsic_geometry(space, imm, mesh)
+        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
         with pytest.raises(PreconditionError):
-            stability_topology_chain(mesh, data)
+            stability_topology_chain(data.mesh, data)
 
 
 class TestTopologyVerdict:
@@ -117,7 +115,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         chain = stability_topology_chain(mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh))
+        spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
@@ -125,7 +123,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.0)
         chain = stability_topology_chain(mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh))
+        spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
 
@@ -133,7 +131,7 @@ class TestTopologyVerdict:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.5)
         chain = stability_topology_chain(mesh, data)
-        spec = robin_eigenproblem(assemble(space, mesh))
+        spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min < -0.4
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == NOT_APPLICABLE
@@ -160,7 +158,7 @@ class TestAreaBounds:
 
     def test_stable_disk_satisfies_positive_bound(self):
         space, imm, mesh, data = quadratic_disk(24)
-        spec = robin_eigenproblem(assemble(space, mesh))
+        spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min > 1.0
         report = area_bound_check(mesh, data, 0.5)
         assert report.applicable and report.passed
@@ -197,16 +195,16 @@ class TestRigidity:
 
 class TestFoliation:
     def test_flat_foliation_is_monotone(self):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 12, "linear",
-                                                 a=(1.0, 0.0, 0.0))
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 12, "linear",
+                                                    a=(1.0, 0.0, 0.0))
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-6
         assert report.monotone_asserted and report.monotone_holds
 
     def test_gaussian_identity_with_nonzero_potential(self):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 12, "gaussian")
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 12, "gaussian")
+        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-4
         assert report.hyp_ricci.holds
@@ -217,16 +215,17 @@ class TestFoliation:
         """Curved slices: the caps of radius 1 + s in a convex cone under
         psi = |p|^2 / 2, and in a half-space under psi = -2.5 log|p|."""
         if surface == "cone-cap":
-            space, imm, mesh = cf.cone_cap_mesh(24)
+            space, imm, mesh, data = cf.cached_geometry(
+                "cone", 24, "radial-smooth", coeffs=(0.0, 0.0, 0.5))
         else:
-            space, imm, mesh, _ = cf.cached_geometry("hemisphere", 24,
-                                                     "radial-log", k=-2.5)
-        family = DeformedFamily(space, imm, mesh, ScalingFlow())
+            space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
+                                                        "radial-log", k=-2.5)
+        family = DeformedFamily(space, data, ScalingFlow())
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual <= 1e-5
 
     def test_negative_speed_is_rejected(self):
-        space, imm, mesh, _ = cf.cached_geometry("slice", 12)
-        family = DeformedFamily(space, imm, mesh, TranslationFlow((-1, 0, 0)))
+        space, imm, mesh, data = cf.cached_geometry("slice", 12)
+        family = DeformedFamily(space, data, TranslationFlow((-1, 0, 0)))
         with pytest.raises(PreconditionError):
             foliation_monotonicity_check(family)
