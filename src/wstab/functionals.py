@@ -30,24 +30,18 @@ FD_FIELD_JAC = 1e-5
 
 @dataclass(frozen=True)
 class VariationField:
-    """Ambient vector field along the surface, optionally cut off in params.
+    """Ambient vector field along the surface.
 
-    ``X`` maps ambient positions (N, 3) to vectors (N, 3); ``cutoff`` maps
-    parameter points to scalars and must vanish with its first derivatives
-    where it reaches the edge of its support.
+    ``X`` maps ambient positions (N, 3) to vectors (N, 3); ``values`` also
+    receives the parameter points, which a field defined through the chart
+    reads instead.
     """
 
     X: Callable[[Array], Array]
-    cutoff: Optional[Callable[[Array], Array]] = None
     name: str = "field"
 
     def values(self, pos: Array, params: Optional[Array] = None) -> Array:
-        v = self.X(np.atleast_2d(pos))
-        if self.cutoff is not None:
-            if params is None:
-                raise InputError("cutoff field requires parameter points")
-            v = v * np.atleast_1d(self.cutoff(np.atleast_2d(params)))[:, None]
-        return v
+        return self.X(np.atleast_2d(pos))
 
     def check_admissible(self, space: AmbientSpace, data: ExtrinsicData,
                          tol: float = 1e-8) -> None:
@@ -458,8 +452,9 @@ class SurfaceGradientField(VariationField):
 
     def __init__(self, imm: Immersion, g_grad: Callable[[Array], Array],
                  name: str = "surface-gradient"):
+        if imm.param_dim != 2:
+            raise InputError("SurfaceGradientField needs a 2-parameter chart")
         object.__setattr__(self, "X", None)
-        object.__setattr__(self, "cutoff", None)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "imm", imm)
         object.__setattr__(self, "g_grad", g_grad)

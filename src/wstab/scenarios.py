@@ -50,9 +50,13 @@ FLOW_REGISTRY = {
 TASKS = ("stationarity", "first-variation", "second-variation", "spectrum",
          "identities", "topology", "area-bounds", "rigidity", "foliation")
 
-EXPECT_KEYS = {"lambda_min", "lambda_tol", "strong", "volume_constrained",
-               "topology", "chi", "rigidity_all_true", "I_f_u_zero",
-               "sweep_zero_crossing"}
+# each expectation and the task that evaluates it; a sweep evaluates only
+# sweep_zero_crossing (its runs drop the others), and only a sweep does
+EXPECT_TASKS = {"lambda_min": "spectrum", "lambda_tol": "spectrum",
+                "strong": "spectrum", "volume_constrained": "spectrum",
+                "topology": "topology", "chi": "topology",
+                "I_f_u_zero": "topology", "rigidity_all_true": "rigidity",
+                "sweep_zero_crossing": "spectrum"}
 
 # expectations read as numbers; the others are read as flags or names
 NUMERIC_EXPECT_KEYS = {"lambda_min", "lambda_tol", "chi",
@@ -134,17 +138,12 @@ def _registry_params(obj: dict, registry: dict, kind: str):
     if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"unknown {kind} '{name}' "
                           f"(available: {', '.join(sorted(registry))})")
-    factory = registry[name]
     params = {k: v for k, v in obj.items() if k != "name"}
-    if factory is not None:
-        try:
-            allowed = set(inspect.signature(factory).parameters)
-        except (TypeError, ValueError):
-            allowed = set(params)
-        for key in params:
-            if key not in allowed:
-                raise ConfigError(f"unknown parameter '{key}' for {kind} "
-                                  f"'{name}' (allowed: {', '.join(sorted(allowed))})")
+    allowed = set(inspect.signature(registry[name]).parameters)
+    for key in params:
+        if key not in allowed:
+            raise ConfigError(f"unknown parameter '{key}' for {kind} "
+                              f"'{name}' (allowed: {', '.join(sorted(allowed))})")
     return name, params
 
 
@@ -239,9 +238,15 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 
     expect = obj.get("expect", {})
     expect = _require_mapping(expect, "expect")
-    _check_keys(expect, EXPECT_KEYS, "expect")
+    _check_keys(expect, EXPECT_TASKS, "expect")
     for key in NUMERIC_EXPECT_KEYS & set(expect):
         _number(expect[key], f"expect.{key}")
+    for key in expect:
+        task, in_sweep = EXPECT_TASKS[key], key == "sweep_zero_crossing"
+        if task not in tasks or (sweep is not None) != in_sweep:
+            where = ("a sweep that runs" if in_sweep
+                     else "a run, not a sweep, of")
+            raise ConfigError(f"expect.{key} needs {where} the task '{task}'")
 
     needs_var = {"first-variation", "second-variation", "foliation"} & set(tasks)
     if needs_var and variation is None:
@@ -411,13 +416,15 @@ def _run_sweep(scn: Scenario) -> RunResult:
         sub_reports[repr(float(v))] = res.report
     header = [param, "lambda_min"]
     if param == "resolution" and len(rows) >= 3 and "spectrum" in scn.tasks:
-        # observed convergence order against the finest value
+        # observed convergence order against the finest value, where both
+        # errors are above rounding (a constant eigenfunction has none)
         header.append("order")
         lam_ref = rows[-1][1]
         errs = [abs(r[1] - lam_ref) for r in rows]
+        noise = 1e-12 * max(1.0, abs(lam_ref))
         hs = [1.0 / r[0] for r in rows]
         for i in range(len(rows)):
-            if i + 1 < len(rows) - 1 and errs[i + 1] > 0 and errs[i] > 0:
+            if i + 1 < len(rows) - 1 and min(errs[i], errs[i + 1]) > noise:
                 order = math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1])
                 rows[i].append(order)
             else:

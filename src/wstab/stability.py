@@ -16,8 +16,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError, NumericalFailure, PreconditionError
 from .functionals import DeformedFamily
-from .surface import (TRI_HATS, ExtrinsicData, SurfaceMesh,
-                      stationarity_verdict)
+from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData, SurfaceMesh,
+                      _normal_from_jac, stationarity_verdict)
 
 Array = np.ndarray
 
@@ -81,11 +81,9 @@ def assemble(data: ExtrinsicData) -> IndexFormAssembly:
 
     B = sp.csr_matrix((n, n))
     if data.has_boundary:
-        E = len(mesh.boundary_edges)
-        Rb = len(data.bedge_local) // E
-        x = data.bedge_local.reshape(E, Rb)
-        wb = (data.w_dlf * data.II_NN).reshape(E, Rb)
-        hats = np.stack([1.0 - x, x])                        # (2, E, Rb)
+        # the boundary rows are (edge, Gauss2 point) in mesh edge order
+        wb = (data.w_dlf * data.II_NN).reshape(len(mesh.boundary_edges), -1)
+        hats = np.stack([1.0 - EDGE_POINTS, EDGE_POINTS])    # (2, Rb)
         br, bc, bv = [], [], []
         for i in range(2):
             for j in range(2):
@@ -258,25 +256,18 @@ def vertex_normals(mesh: SurfaceMesh) -> Array:
     """Unit normals at mesh vertices, oriented like the quadrature normals."""
     imm = mesh.immersion
     if imm.param_dim == 2:
-        J = imm.chart_jac(mesh.params)
-        Nv = np.cross(J[:, :, 0], J[:, :, 1])
-        # raw parameter axes may be flipped relative to triangle orientation:
-        # cross(J d1, J d2) = det(d1, d2) cross(J_u, J_v) on a triangle
-        d1, d2 = mesh.tri_params[0, 1:] - mesh.tri_params[0, 0]
-        Nv = np.sign(d1[0] * d2[1] - d1[1] * d2[0]) * Nv
-    else:
-        # per-corner triangle frames, last writer wins (orientations agree)
-        Nv = np.zeros((mesh.n_vertices, 3))
-        tp = mesh.tri_params
-        for c in range(3):
-            Jc = imm.chart_jac(tp[:, c])
-            d1 = tp[:, 1] - tp[:, 0]
-            d2 = tp[:, 2] - tp[:, 0]
-            e1 = np.einsum("nia,na->ni", Jc, d1)
-            e2 = np.einsum("nia,na->ni", Jc, d2)
-            Nv[mesh.triangles[:, c]] = np.cross(e1, e2)
-    Nv = imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    return Nv
+        return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
+    # per-corner triangle frames, last writer wins (orientations agree)
+    Nv = np.zeros((mesh.n_vertices, 3))
+    tp = mesh.tri_params
+    for c in range(3):
+        Jc = imm.chart_jac(tp[:, c])
+        d1 = tp[:, 1] - tp[:, 0]
+        d2 = tp[:, 2] - tp[:, 0]
+        e1 = np.einsum("nia,na->ni", Jc, d1)
+        e2 = np.einsum("nia,na->ni", Jc, d2)
+        Nv[mesh.triangles[:, c]] = np.cross(e1, e2)
+    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ analytic first and second chart derivatives.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .ambient import (AmbientSpace, bakry_emery_ricci,
                       boundary_f_mean_curvature, boundary_ii_matrix,
@@ -334,7 +335,7 @@ class RoundSphere(Immersion):
 # meshes
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Triangulated surface tied to its reference immersion."""
 
@@ -346,50 +347,25 @@ class SurfaceMesh:
     boundary_edges: Array      # (B, 3) int: (v_i, v_j, arc_id)
     boundary_t: Array          # (B, 2) arc parameter range of each edge
     resolution: int
-    n_loops: int = 0
-    genus: int = 0
-    # triangles with one edge on a boundary arc get a transfinite blend so
-    # quadrature covers the exact parameter domain (no polygon sliver)
-    curved_tri: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    curved_loc: Array = field(default_factory=lambda: np.zeros((0, 2), dtype=np.int64))
-    curved_arc: Array = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    curved_t: Array = field(default_factory=lambda: np.zeros((0, 2)))
+    n_edges: int
+    n_loops: int               # connected components of the boundary
+    # the triangle of each boundary edge and its corners holding (v_i, v_j):
+    # it gets a transfinite blend so quadrature covers the exact parameter
+    # domain (no polygon sliver)
+    curved_tri: Array          # (B,) int
+    curved_loc: Array          # (B, 2) int
 
     @property
     def n_vertices(self):
         return len(self.params)
 
-    @functools.cached_property
-    def n_edges(self):
-        t = self.triangles
-        e = t[:, [1, 2, 0]]
-        keys = np.sort((np.minimum(t, e) * self.n_vertices
-                        + np.maximum(t, e)).ravel())
-        return int(np.count_nonzero(np.diff(keys))) + 1
-
     @property
     def chi(self):
         return self.n_vertices - self.n_edges + len(self.triangles)
 
-
-def _boundary_loops(boundary_edges: Array) -> int:
-    """Count connected components of the boundary edge graph (union-find)."""
-    if len(boundary_edges) == 0:
-        return 0
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for i, j in boundary_edges[:, :2]:
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[ri] = rj
-    roots = {find(int(v)) for v in np.unique(boundary_edges[:, :2])}
-    return len(roots)
+    @property
+    def genus(self):
+        return (2 - self.n_loops - self.chi) // 2
 
 
 def _min_angle_from_corners(p: Array) -> float:
@@ -589,36 +565,36 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
             raise MeshingError(
                 f"boundary projection residual {res:.2e} exceeds 1e-10")
         positions[bidx] = P
-
-    mesh = SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution)
-    if len(be):
-        # each boundary edge is one directed triangle edge, one way or the
-        # other; keys vi * V + vj of the directed edges find it
-        V = len(params)
-        keys = (tris * V + tris[:, [1, 2, 0]]).ravel()
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-
-        def find(vi, vj):
-            # the last match, as a dict would keep; at = -1 finds nothing,
-            # since the last key is then above vi * V + vj
-            at = np.searchsorted(sorted_keys, vi * V + vj, side="right") - 1
-            return order[at], sorted_keys[at] == vi * V + vj
-
-        fwd, fwd_found = find(be[:, 0], be[:, 1])
-        rev, _ = find(be[:, 1], be[:, 0])
-        e = np.where(fwd_found, fwd, rev)
-        loc = np.stack([e % 3, (e + 1) % 3], axis=-1)
-        mesh.curved_tri = e // 3
-        mesh.curved_loc = np.where(fwd_found[:, None], loc, loc[:, ::-1])
-        mesh.curved_arc = be[:, 2].copy()
-        mesh.curved_t = np.array(bt, dtype=float)
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
-    m = _boundary_loops(be)
-    mesh.n_loops = m
-    mesh.genus = (2 - m - mesh.chi) // 2
-    return mesh
+    return SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution,
+                       *_number_edges(tris, be, len(params)))
+
+
+def _number_edges(tris: Array, be: Array, V: int):
+    """The edge count, the boundary loop count, and each boundary edge's
+    triangle and the corners holding its (v_i, v_j).
+
+    Corner c of triangle f starts the triangle edge 3f + c.  One unique
+    over the undirected keys of the 3F triangle edges, then the B boundary
+    edges, counts the edges and finds the one triangle edge of each
+    boundary edge.
+    """
+    start = tris.ravel()
+    i = np.concatenate([start, be[:, 0]])
+    j = np.concatenate([tris[:, [1, 2, 0]].ravel(), be[:, 1]])
+    uniq, first, inverse = np.unique(np.minimum(i, j) * V + np.maximum(i, j),
+                                     return_index=True, return_inverse=True)
+    e = first[inverse[len(start):]]
+    tri, c = np.divmod(e, 3)
+    loc = np.stack([c, (c + 1) % 3], axis=-1)
+    loc = np.where((start[e] == be[:, 0])[:, None], loc, loc[:, ::-1])
+    # every vertex off the boundary is a component of its own
+    graph = sp.coo_matrix((np.ones(len(be)), (be[:, 0], be[:, 1])),
+                          shape=(V, V))
+    n_loops = (connected_components(graph, directed=False)[0]
+               - V + len(np.unique(be[:, :2])))
+    return len(uniq), n_loops, tri, loc
 
 
 # ---------------------------------------------------------------------------
@@ -649,80 +625,77 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     Q2 = np.zeros((3, F, R, pd))
     if len(mesh.curved_tri):
         dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        arcs = imm.boundary_arcs()
-        for aid in np.unique(mesh.curved_arc):
-            sel = mesh.curved_arc == aid
-            ct = mesh.curved_tri[sel]
-            li = mesh.curved_loc[sel, 0]
-            lj = mesh.curved_loc[sel, 1]
-            ti = mesh.curved_t[sel, 0]
-            tj = mesh.curved_t[sel, 1]
-            arc = arcs[int(aid)]
-            a = TRI_HATS[li]                            # (C, R)
-            b = TRI_HATS[lj]
-            da = dlam[li]                               # (C, 2)
-            db = dlam[lj]
-            S = a + b
-            u = b / S
-            dt = (tj - ti)[:, None]
-            t = ti[:, None] + dt * u
-            C = len(ct)
-            cv = arc.c(t.ravel()).reshape(C, R, pd)
-            dcv = arc.dc(t.ravel()).reshape(C, R, pd)
-            ddcv = arc.ddc(t.ravel()).reshape(C, R, pd)
-            pi = tp[ct, li]                             # (C, pd)
-            pj = tp[ct, lj]
-            dp = (pj - pi)[:, None, :]
-            g = cv - (pi[:, None, :] + dp * u[..., None])
-            gp = dt[..., None] * dcv - dp
-            gpp = (dt**2)[..., None] * ddcv
-            Sa = da + db                                # (C, 2)
-            num = a[..., None] * db[:, None, :] - b[..., None] * da[:, None, :]
-            ua = num / (S**2)[..., None]                # (C, R, 2)
-            # u_{alpha beta}
-            S2, S3 = (S**2)[..., None, None], (S**3)[..., None, None]
-            uab = ((db[:, :, None] * da[:, None, :]
-                    - da[:, :, None] * db[:, None, :])[:, None] / S2
-                   - 2.0 * num[..., :, None] * Sa[:, None, None, :] / S3)
-            Sb = S[..., None]
-            Q[ct] += Sb * g
-            D1[ct] += Sa[:, 0][:, None, None] * g + Sb * gp * ua[:, :, 0][..., None]
-            D2[ct] += Sa[:, 1][:, None, None] * g + Sb * gp * ua[:, :, 1][..., None]
-            u1 = ua[:, :, 0][..., None]
-            u2 = ua[:, :, 1][..., None]
-            Q2[0, ct] = (2 * Sa[:, 0][:, None, None] * gp * u1
-                         + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
-            Q2[1, ct] = (Sa[:, 0][:, None, None] * gp * u2
-                         + Sa[:, 1][:, None, None] * gp * u1
-                         + Sb * gpp * u1 * u2
-                         + Sb * gp * uab[:, :, 0, 1][..., None])
-            Q2[2, ct] = (2 * Sa[:, 1][:, None, None] * gp * u2
-                         + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
+        ct, (li, lj) = mesh.curved_tri, mesh.curved_loc.T
+        ti, tj = mesh.boundary_t.T
+        a = TRI_HATS[li]                                # (B, R)
+        b = TRI_HATS[lj]
+        da = dlam[li]                                   # (B, 2)
+        db = dlam[lj]
+        S = a + b
+        u = b / S
+        dt = (tj - ti)[:, None]
+        cv, dcv, ddcv, _ = _on_arcs(imm, mesh.boundary_edges[:, 2],
+                                    ti[:, None] + dt * u)
+        pi = tp[ct, li]                                 # (B, pd)
+        pj = tp[ct, lj]
+        dp = (pj - pi)[:, None, :]
+        g = cv - (pi[:, None, :] + dp * u[..., None])
+        gp = dt[..., None] * dcv - dp
+        gpp = (dt**2)[..., None] * ddcv
+        Sa = da + db                                    # (B, 2)
+        num = a[..., None] * db[:, None, :] - b[..., None] * da[:, None, :]
+        ua = num / (S**2)[..., None]                    # (B, R, 2)
+        # u_{alpha beta}
+        S2, S3 = (S**2)[..., None, None], (S**3)[..., None, None]
+        uab = ((db[:, :, None] * da[:, None, :]
+                - da[:, :, None] * db[:, None, :])[:, None] / S2
+               - 2.0 * num[..., :, None] * Sa[:, None, None, :] / S3)
+        Sb = S[..., None]
+        # the blend is a sum over a triangle's boundary edges, and two
+        # corner triangles of a rect patch have edges on two arcs
+        np.add.at(Q, ct, Sb * g)
+        np.add.at(D1, ct, Sa[:, 0][:, None, None] * g
+                  + Sb * gp * ua[:, :, 0][..., None])
+        np.add.at(D2, ct, Sa[:, 1][:, None, None] * g
+                  + Sb * gp * ua[:, :, 1][..., None])
+        u1 = ua[:, :, 0][..., None]
+        u2 = ua[:, :, 1][..., None]
+        np.add.at(Q2[0], ct, 2 * Sa[:, 0][:, None, None] * gp * u1
+                  + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
+        np.add.at(Q2[1], ct, Sa[:, 0][:, None, None] * gp * u2
+                  + Sa[:, 1][:, None, None] * gp * u1
+                  + Sb * gpp * u1 * u2
+                  + Sb * gp * uab[:, :, 0, 1][..., None])
+        np.add.at(Q2[2], ct, 2 * Sa[:, 1][:, None, None] * gp * u2
+                  + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
     n = F * R
     return (Q.reshape(n, pd), D1.reshape(n, pd), D2.reshape(n, pd),
             Q2.reshape(3, n, pd))
 
 
+def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
+    """The boundary arcs at parameters t (B, k), row i on arc arc_id[i]:
+    the points c, their derivatives dc and ddc, and the parameter
+    directions into the domain, stacked (4, B, k, pd)."""
+    out = np.empty((4,) + t.shape + (imm.param_dim,))
+    for aid, arc in enumerate(imm.boundary_arcs()):
+        sel = arc_id == aid
+        ts = t[sel]
+        out[:, sel] = arc.c(ts), arc.dc(ts), arc.ddc(ts), arc.inward(ts)
+    return out
+
+
 def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
-    """The chart at the boundary quadrature points, Gauss2 on each boundary
-    edge with the edges grouped by arc: the SurfaceChart boundary fields
-    that a flow moves or keeps, empty for a mesh without boundary."""
-    arc_id = mesh.boundary_edges[:, 2]
-    edges = np.repeat(np.argsort(arc_id, kind="stable"), len(EDGE_POINTS))
-    t0, t1 = mesh.boundary_t[edges].T
-    local = np.tile(EDGE_POINTS, len(arc_id))
-    ts = t0 + local * (t1 - t0)
-    q, dq, ddq, inward = (np.empty((len(ts), imm.param_dim))
-                          for _ in range(4))
-    arcs = imm.boundary_arcs()
-    for aid in np.unique(arc_id):
-        sel = arc_id[edges] == aid
-        arc = arcs[int(aid)]
-        q[sel], dq[sel] = arc.c(ts[sel]), arc.dc(ts[sel])
-        ddq[sel], inward[sel] = arc.ddc(ts[sel]), arc.inward(ts[sel])
+    """The chart at the boundary quadrature points, one row per (boundary
+    edge, Gauss2 point) in mesh edge order: the SurfaceChart boundary
+    fields that a flow moves or keeps, empty for a mesh without
+    boundary."""
+    t0, t1 = mesh.boundary_t.T
+    t = t0[:, None] + EDGE_POINTS * (t1 - t0)[:, None]
+    q, dq, ddq, inward = _on_arcs(imm, mesh.boundary_edges[:, 2],
+                                  t).reshape(4, -1, imm.param_dim)
     Jb = imm.chart_jac(q)
-    return dict(bedge_index=edges, bedge_local=local, b_params=q,
-                b_inward=inward, b_pos=imm.chart(q),
+    return dict(b_params=q, b_inward=inward, b_pos=imm.chart(q),
                 b_dg=np.einsum("nia,na->ni", Jb, dq),
                 b_ddg=(np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
                        + np.einsum("nia,na->ni", Jb, ddq)),
@@ -765,17 +738,11 @@ def _shape_operator(Hc: Array, d1r: Array, d2r: Array,
 
 
 def _normal_from_jac(sign: int, J: Array) -> Array:
-    """Unit normal from a chart Jacobian (works for param_dim 2 and 3),
-    oriented by the immersion's orientation sign."""
-    if J.shape[2] == 2:
-        Nv = np.cross(J[:, :, 0], J[:, :, 1])
-    else:
-        # param_dim 3: the Jacobian has rank 2; normal spans its null space
-        U, s, Vt = np.linalg.svd(J)
-        Nv = U[:, :, 2]
-        # fix a consistent sign using the cross of the two leading columns
-        cr = np.cross(U[:, :, 0], U[:, :, 1])
-        Nv = Nv * np.sign(np.sum(Nv * cr, axis=1))[:, None]
+    """Unit normal J_u x J_v of a 2-parameter chart Jacobian, oriented by
+    the immersion's orientation sign.  Every mesher orders the corners of
+    its parameter triangles counterclockwise, so this is the normal that
+    the triangles' frames give."""
+    Nv = np.cross(J[:, :, 0], J[:, :, 1])
     return sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
 
@@ -804,12 +771,10 @@ class SurfaceChart:
     pos: Array               # (Q, 3)
     J: Array                 # (Q, 3, pd)
     hess: Array              # (Q, 3, pd, pd)
-    # boundary, one row per (boundary edge, quadrature point), empty without
-    # one: the edge and the point's place on it, the arc parameters with a
-    # parameter direction into the domain, the boundary curve g with its arc
+    # boundary, one row per (boundary edge, Gauss2 point) in mesh edge
+    # order, empty without one: the arc parameters with a parameter
+    # direction into the domain, the boundary curve g with its arc
     # derivatives g', g'' and the chart Jacobian there
-    bedge_index: Array
-    bedge_local: Array
     b_params: Array
     b_inward: Array
     b_pos: Array
@@ -826,7 +791,7 @@ class SurfaceChart:
     sigma2: Array = field(init=False)
     K: Array = field(init=False)
     # derived, boundary
-    b_nu: Array = field(init=False)    # outward conormal
+    b_nu: Array = field(init=False)    # inner conormal
     b_xi: Array = field(init=False)    # inner normal of the ambient boundary
     b_N: Array = field(init=False)
     contact: Array = field(init=False)
@@ -860,7 +825,7 @@ class SurfaceChart:
         # the chart's image of the inward parameter direction orients nu
         v_in = np.einsum("nia,na->ni", self.b_J, self.b_inward)
         nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
-        t0, t1 = self.mesh.boundary_t[self.bedge_index].T
+        t0, t1 = self.mesh.boundary_t.T
         g = self.b_pos
         xi, II_NN = np.zeros_like(g), np.zeros(len(g))
         if space.boundary is not None:
@@ -869,12 +834,11 @@ class SurfaceChart:
                 boundary_ii_matrix(space, g)), Nv, Nv)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=np.sum(Nv * xi, axis=1),
                     II_NN=II_NN, h_geod=np.sum(acc * nu, axis=1),
-                    w_dl=(np.tile(EDGE_WEIGHTS, len(g) // len(EDGE_POINTS))
-                          * (t1 - t0) * speed))
+                    w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
 
     @property
     def has_boundary(self):
-        return len(self.bedge_index) > 0
+        return len(self.b_pos) > 0
 
 
 def surface_chart(imm: Immersion, resolution: int,

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -467,6 +468,53 @@ class TestVerdicts:
         assert report["results"]["topology"]["verdict"] == topology
 
 
+SWEEP_K = {"param": "ambient.density.k", "values": [-3.0, -2.0, -1.0]}
+
+
+class TestExpectations:
+    """Every expectation is evaluated by one task, and a sweep evaluates
+    only sweep_zero_crossing: any other use exits 4 before a run."""
+
+    @pytest.mark.parametrize("tasks,extra,key,task", [
+        (["stationarity"], {}, "lambda_min", "spectrum"),
+        (["spectrum"], {}, "chi", "topology"),
+        (["spectrum"], {}, "rigidity_all_true", "rigidity"),
+        (["spectrum"], {}, "sweep_zero_crossing", "spectrum"),
+        (["spectrum"], {"sweep": SWEEP_K}, "lambda_min", "spectrum"),
+        (["stationarity"], {"sweep": SWEEP_K}, "sweep_zero_crossing",
+         "spectrum"),
+    ], ids=["no-spectrum", "no-topology", "no-rigidity",
+            "zero-crossing-without-sweep", "single-run-key-in-sweep",
+            "zero-crossing-sweep-without-spectrum"])
+    def test_expectation_without_its_task_exits_4(
+            self, tmp_path, capsys, monkeypatch, tasks, extra, key, task):
+        runs = []
+        monkeypatch.setattr(scenarios, "_run_single", runs.append)
+        value = True if key == "rigidity_all_true" else -2
+        tree = half_sphere({"name": "radial-log", "k": -2.0}, 8, tasks,
+                           expect={key: value}, **extra)
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert f"expect.{key}" in captured.err
+        assert f"'{task}'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert runs == []
+
+    def test_readme_schema_example_checks_its_expectation(self, tmp_path,
+                                                          capsys):
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) == 1
+        code, report = run_report(tmp_path, json.loads(blocks[0]))
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == [
+            "sweep-zero-crossing"]
+        assert "no asserted checks" not in capsys.readouterr().out
+
+
 class TestSweep:
     def test_density_sweep_produces_samples(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENARIO)
@@ -512,6 +560,32 @@ class TestSweep:
         header = (tmp_path / "out" / "samples.csv").read_text().splitlines()[0]
         assert header == "resolution,lambda_min"
         assert [len(row) for row in report["sweep"]["rows"]] == [2, 2, 2]
+
+    def test_order_column_is_blank_where_the_errors_are_rounding(
+            self, tmp_path):
+        """P1 reproduces the constant lowest mode of the half-sphere, so
+        lambda_min differs across resolutions by rounding only."""
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "gauss-identity-suite", "--param",
+                     "resolution", "--range=8:16:4",
+                     "--out", str(out_dir)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert [row[2] for row in report["sweep"]["rows"]] == ["", "", ""]
+
+    def test_order_column_of_a_non_constant_lowest_mode(self, tmp_path):
+        """A flat disk at height 1 under psi = -log|p|: its potential
+        varies, so its lowest mode is not constant and converges at
+        about order 3 between resolutions 8 and 12."""
+        tree = {"ambient": {"density": {"name": "radial-log", "k": -1.0}},
+                "surface": {"builtin": "planar-disk",
+                            "center": [0.0, 0.0, 1.0]},
+                "resolution": 8, "tasks": ["spectrum"],
+                "sweep": {"param": "resolution", "values": [8, 12, 16]}}
+        code, report = run_report(tmp_path, tree)
+        assert code == 0
+        orders = [row[2] for row in report["sweep"]["rows"]]
+        assert orders[1:] == ["", ""]
+        assert 2.5 < orders[0] < 4.0
 
     def test_zero_crossing_matches_target_within_rounding(self, tmp_path):
         tree = half_sphere({"name": "radial-log", "k": -2.0}, 8, ["spectrum"],
@@ -618,6 +692,50 @@ OUTPUT_DIGESTS = {
 }
 
 
+# SHA-256 of the outputs of runs no builtin covers, recorded before the
+# mesher numbered its edges once: a curved scaling variation and a cone
+# foliation (the CI scenarios), a density sweep sharing one chart, and a
+# rect patch with 4 boundary arcs in a free ambient
+SCENARIO_DIGESTS = {
+    "scaling": {
+        "report.json": "f754bdd930961661b7b1b2191dfa0b70c5a90d8d1211d7f7fc6b7395b320ff25",
+        "samples.csv": "e09c99c05a5b750537dac08278f2f5606807129f7cd02a24cf4bbd77185019f7",
+    },
+    "cone": {
+        "report.json": "79100df9b420aa1af99eab21b24102b6fff7f5360095fff7b1ff602f073484e7",
+        "samples.csv": "d72fc37d9eb7a89cf1faef14f953d70a207aec0ed51e39eb8564f82083032f78",
+    },
+    "sweep-k": {
+        "report.json": "5a673299d8255c24d34df5ba4e127e169eea475af609112631ebf329c473decb",
+        "samples.csv": "1c34fd4c64fece81952917ccb0dfee23d4cf8a2d242612e65225178ee09dfe8a",
+    },
+    "rect": {
+        "report.json": "217e9a3b92bd36131efb4afd20d2947e551ff5a0e74463c19696fee8fe734338",
+        "spectrum.csv": "537b80d46ab5c18f3909a0ae06cfce0a1c7a0bec5b307b34ebe4c5beddc5b701",
+    },
+}
+
+SCENARIO_TREES = {
+    "scaling": half_sphere({"name": "radial-log", "k": -2.6}, 24,
+                           ["stationarity", "first-variation",
+                            "second-variation"],
+                           variation={"flow": "scaling"}),
+    "cone": {"ambient": {"density": {"name": "radial-smooth",
+                                     "coeffs": [0.0, 0.0, 0.5]},
+                         "boundary": {"name": "cone", "alpha": 0.7}},
+             "surface": {"builtin": "spherical-cap", "alpha": 0.7},
+             "resolution": 24, "tasks": ["stationarity", "foliation"],
+             "variation": {"flow": "scaling"}},
+    "rect": {"ambient": {"density": {"name": "gaussian"}},
+             "surface": {"builtin": "rect-patch",
+                         "origin": [1.0, -0.5, -0.75],
+                         "u_range": [0.0, 1.0], "v_range": [0.0, 1.5]},
+             "resolution": 12,
+             "tasks": ["stationarity", "spectrum", "identities",
+                       "topology"]},
+}
+
+
 class TestDeterminism:
     @pytest.mark.skipif(not cf.same_trig(), reason=(
         "this platform's trigonometry rounds unlike the recording one"))
@@ -629,6 +747,23 @@ class TestDeterminism:
                    for f in ("report.json", "spectrum.csv", "samples.csv")
                    if (out_dir / f).exists()}
         assert written == OUTPUT_DIGESTS[name]
+
+    @pytest.mark.skipif(not cf.same_trig(), reason=(
+        "this platform's trigonometry rounds unlike the recording one"))
+    @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+    def test_scenario_outputs_match_their_digests(self, tmp_path, name):
+        out_dir = tmp_path / name
+        if name == "sweep-k":
+            argv = ["sweep", "gauss-identity-suite", "--param",
+                    "ambient.density.k", "--range=-3:-1:0.5"]
+        else:
+            argv = ["run", write_config(tmp_path, SCENARIO_TREES[name],
+                                        f"{name}.json")]
+        assert main(argv + ["--out", str(out_dir)]) == 0
+        written = {f: hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+                   for f in ("report.json", "spectrum.csv", "samples.csv")
+                   if (out_dir / f).exists()}
+        assert written == SCENARIO_DIGESTS[name]
 
     def test_every_builtin_has_output_digests(self):
         assert sorted(OUTPUT_DIGESTS) == scenarios.builtin_names()
@@ -676,13 +811,17 @@ JSON_VALUES = st.recursive(
 
 
 def contract_base_trees():
-    """Scenario trees of every builtin without its sweep, at resolution 8."""
+    """Scenario trees of every builtin without its sweep, at resolution 8.
+
+    A tree holds no sweep, so a builtin sweep's expectation goes too."""
     from wstab.scenarios import (builtin_names, builtin_scenario,
                                  scenario_to_tree)
     trees = []
     for name in builtin_names():
-        tree = scenario_to_tree(builtin_scenario(name))
-        tree.pop("sweep", None)
+        scn = builtin_scenario(name)
+        tree = scenario_to_tree(scn)
+        if scn.sweep is not None:
+            tree.pop("expect", None)
         tree["resolution"] = 8
         trees.append(tree)
     return trees + [copy.deepcopy(SMALL_SCENARIO)]

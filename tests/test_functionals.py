@@ -16,7 +16,7 @@ from wstab.functionals import (DeformedFamily, FieldFlow,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd, swept_weighted_volume,
                                volume_first_variation)
-from wstab.surface import (PlanarDisk, RectPatch, SphericalCap,
+from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            extrinsic_geometry, surface_chart)
 
 TAU = 2.0 * math.pi
@@ -391,3 +391,8 @@ class TestDivergenceTheorem:
                 space, mesh, data, grad_field)
         assert residuals[32] < 5e-4
         assert residuals[32] < 0.35 * residuals[16]
+
+    def test_surface_gradient_needs_a_2_parameter_chart(self):
+        """Its normal is J_u x J_v, which a cube-sphere chart lacks."""
+        with pytest.raises(InputError, match="2-parameter"):
+            SurfaceGradientField(RoundSphere(), lambda P: P)

@@ -113,18 +113,27 @@ class TestTopology:
         assert mesh.n_loops == 0
 
     def test_edges_are_counted_once_per_mesh(self, monkeypatch):
-        _, _, mesh, _ = cf.cached_geometry("hemisphere", 8)
-        mesh = dataclasses.replace(mesh)      # a copy without cached counts
-        axes = []
-        sort = np.sort
+        """One unique over the triangle edge keys per mesh build, and
+        none when its counts are read."""
+        imm = SphericalCap()
+        F = 6 * 8 * 8
+        sizes = []
+        unique = np.unique
 
-        def counting(*args, **kwargs):
-            axes.append(kwargs.get("axis", -1))
-            return sort(*args, **kwargs)
+        def counting(ar, *args, **kwargs):
+            sizes.append(np.size(ar))
+            return unique(ar, *args, **kwargs)
 
-        monkeypatch.setattr(np, "sort", counting)
-        assert mesh.chi == mesh.chi == 1
-        assert axes == [-1]
+        monkeypatch.setattr(np, "unique", counting)
+        mesh = mesh_from_immersion(imm, 8, space=cf.space_half_space())
+        assert len(mesh.triangles) == F
+        assert len([n for n in sizes if n >= 3 * F]) == 1
+        del sizes[:]
+        assert (mesh.chi, mesh.n_loops, mesh.genus) == (1, 1, 0)
+        assert mesh.chi == mesh.n_vertices - mesh.n_edges + F
+        assert sizes == []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mesh.n_edges = 0
 
 
 class TestGaussBonnet:
@@ -241,237 +250,236 @@ class TestNanGuards:
                                 J=np.zeros_like(chart.J))
 
 
-# SHA-256 digests of every builtin's mesh, recorded before the meshers were
-# rewritten with array operations: (integer arrays with chi, boundary loops
-# and genus; float arrays; export_off text with its .bnd sidecar)
-INT_ARRAYS = ("triangles", "boundary_edges", "curved_tri", "curved_loc",
-              "curved_arc")
-FLOAT_ARRAYS = ("params", "positions", "tri_params", "boundary_t", "curved_t")
+# SHA-256 digests of every builtin's mesh, recorded before the mesher
+# numbered its edges once: (integer arrays with chi, boundary loops and
+# genus; float arrays; export_off text with its .bnd sidecar)
+INT_ARRAYS = ("triangles", "boundary_edges", "curved_tri", "curved_loc")
+FLOAT_ARRAYS = ("params", "positions", "tri_params", "boundary_t")
 PIN_RESOLUTIONS = (4, 5, 12, 24, 33)
 MESH_DIGESTS = {
     ("flat-slab-slice", 4): (
-        "3c2a2ca8a294ac86fb853d43349fc79de2741f5682bf3be63e0b3e665a3ca159",
-        "74742d25a808b0fb08258ac54d07c8010c0a96ec98f9bf2addaf0431f4d465e5",
+        "a781640544b55a99fe6653bfa8fddedcea84dfae4adb8cefa94d65d1aae5a7fe",
+        "08f143b359184200183867f96acfd929f1c1ec65be320d0ada52f99fe46b9ded",
         "34f1984c63f19d8a79b12f7d2e907f91ba66a3914b08a3b3190056dcc8945ee8",
     ),
     ("flat-slab-slice", 5): (
-        "815cd0dbb3c42932dba0606c5ab0995330e98fcf4287a7b1f38a3caf4fee934d",
-        "9d24d1ef1414cb9b455d5ee252da3d728b7f0122fd08e845919acfc22b7e82ba",
+        "24280506fa10c4551f56e437b04ec6777ec023afc4548d1e4799593ce785a115",
+        "fc2f3e535a41ed606e0a083526a425ca9801ce72c404ed65ea05b9b39282b7c6",
         "fddf3c8c1b119d0f4cd5bc7c3e57243281e8ac9b0fc0e1df7f6a6879973eabf0",
     ),
     ("flat-slab-slice", 12): (
-        "38c584f845f09a776f54cb1b60e9dc69b6ba49599d6a33168578821fbb941b6d",
-        "4f9f6766bc762c5bb345944f25b1efcfa886c3cd3bd6c5f8b38c1d7d53132f5c",
+        "5d16acda70015d45a9c7b5004df1744ca1d064ce6c84f4126764a8c5a5e54653",
+        "4d77123fff66482bc865310b8a48962a0af073a376f1a0dbd44bebb3c9ba8e5c",
         "fb42ea27fd6db9980cc28aef3f918d7cc5de9d46a52b57b5953905cc82afff32",
     ),
     ("flat-slab-slice", 24): (
-        "3d79085f01d4798c1c27b2a91d66041f4af7319528de4dbf085283797a202f10",
-        "033f312b1544a3544626f113a70be729e594e8ce4700081bca691a74ef170e1e",
+        "d40c00a6bd234928ddf3871a12563ec734feefd046a798c31364e21a8f814abf",
+        "0bca5f28c9733f5050399901aaaab5e8cf43330c7edaa1b66977dc91acbbd98b",
         "a7912baaabed063e0a00123fd47b0f5df36ad79a3f02a4507f4cc9a0fb630e55",
     ),
     ("flat-slab-slice", 33): (
-        "32e31172670ec804b3ff3259ae323327aba840663bb0a1fb6c3c166fbc8db08b",
-        "fb50e76107501593f9d6cccda3656bb9145fbd85c094178e18f662f21d8edaf7",
+        "9cf3175334da7f2647ba830c9a74a2478a147efd7403da69a3999907228efc80",
+        "9a1fecdc6c8da1201e3b033c1b0cd56f28918b94a98bcf4932ea5478ea93dc27",
         "7c48f9b9dbfaf8890e8f462df42a136b0e1de30d2a26f311447b709f5eb99b70",
     ),
     ("gauss-identity-suite", 4): (
-        "9270a1099c866c9aa982845399c8a01d9ee9ef84370810dee4e75567c32cb5ce",
-        "194e18d619cdb542877039bea455d1b54851b78d5444d90064889e5fa462bb5d",
+        "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
+        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
         "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
     ),
     ("gauss-identity-suite", 5): (
-        "0558ace9b2354e69a1f14737bbd5b9b3525feae4ed9bf09dd18b44e896781a12",
-        "95ca4d17b0a45432cb99777ba5a47b6931baecaca484191e51a1ff1529742e04",
+        "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
+        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
         "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
     ),
     ("gauss-identity-suite", 12): (
-        "6f0094fae494fa8f0335c56d121f4ff26b460e5e17947906df6128e50da96f19",
-        "b3007b4ded33ee1e9a60ba2c4fb7df32fafec8b61ac7cafb163b79d58382f58f",
+        "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
+        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
         "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
     ),
     ("gauss-identity-suite", 24): (
-        "b99de4d55206f29e490b54ab78b92cde38aadd7a7545ef42d52b0248cf5a2120",
-        "c4b1785d350b8030bc672f5e954ac08092354b910e86e4b68457d405294f5e85",
+        "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
+        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
         "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
     ),
     ("gauss-identity-suite", 33): (
-        "ca62ac0d8cd41c034d8f1c0c1095af5c42ca9fd24bcecf1e8c2705f88bca5532",
-        "f8e5c5cc0f1039aa2d6833f7d080c6139f34cac0c96f8b626b8d1e3a511ec9e9",
+        "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
+        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
         "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
     ),
     ("paper-Mr-k-minus-2", 4): (
-        "537adf7842968a69f9fbaaab11bcaaf6a70e797a5b017d2c6f158e6b0d4a442b",
-        "f98fec2aeaf594db948a504248fbeb72ea19cfa6b6fe9bb1517769dd88840cb9",
+        "3e22eb41bd2507184092b7507bfebef941f38dba6c2c2ce836d09020c1aa8aab",
+        "92655f3f87d7002a27ddbf9a9ff656b5e201e4e771fce5a5e4b58ee5c09020b7",
         "14d7ad1574383f944b261ee1466439a367e5127afc960cae1952601b25a39ac7",
     ),
     ("paper-Mr-k-minus-2", 5): (
-        "537adf7842968a69f9fbaaab11bcaaf6a70e797a5b017d2c6f158e6b0d4a442b",
-        "f98fec2aeaf594db948a504248fbeb72ea19cfa6b6fe9bb1517769dd88840cb9",
+        "3e22eb41bd2507184092b7507bfebef941f38dba6c2c2ce836d09020c1aa8aab",
+        "92655f3f87d7002a27ddbf9a9ff656b5e201e4e771fce5a5e4b58ee5c09020b7",
         "14d7ad1574383f944b261ee1466439a367e5127afc960cae1952601b25a39ac7",
     ),
     ("paper-Mr-k-minus-2", 12): (
-        "abbad73194f2a92ebed06d09d672d3c03d74d4c693ae6cd5c8d4850f9df42bad",
-        "443d47dd23e4b7b19e8a0f88069190edb655925bd06b82230ae18566a582b412",
+        "44ea37fc987cd50724fae665df5aa977e112dd89f6df0ef553d57cadd20599f1",
+        "a3846e87be2b86493c3fbe9399fa4cf2d42a6f871b1ae4047ec0814a44122794",
         "07d306cf153534aeeb8864448b88c26d782a56d5d58f8e3bf930cc1336f50158",
     ),
     ("paper-Mr-k-minus-2", 24): (
-        "4b2354dae9ec60e4a2ee17c191fdab2cea5f55a9a37ac5f1777b6cee4de7c407",
-        "2cb6bdd24f915ae722ce8c799249e6ca0606754fa30558826c21fe41eccac314",
+        "e02e0d45e19912c574e88698b0b176a7421f6f3e46149466690620d2acebfef3",
+        "3f75d39ac6a43ff79f965db5b31730754c3d7c4fc92d5170ba3fb5652a03d1b8",
         "45a5d91c195a3a4b49be9bb2798f1042709be0a2fbbaf7bbc9b35a6e50d395bd",
     ),
     ("paper-Mr-k-minus-2", 33): (
-        "54d3ee945fc306031913a6d60e3a0d104df57825707d23d694775e580f2136a4",
-        "fa9a3f5e9a820c860894d2a49c0d1dee521695294a73fcfe2a495d158da637ac",
+        "ab634dd0a79bd8d2315c4414fca7d9626cba53370da5b4e3d374bf0730306f94",
+        "88115180fe708bceb825b5e6f28fe598c35a5192c30cac8729bd3ec096dd9eea",
         "8849a9ffcd2653cabd5f519a1e4c2eaeabe1c95e1485cf337a9e1cc79434a4f2",
     ),
     ("paper-ex-3.8-convex-cone", 4): (
-        "9270a1099c866c9aa982845399c8a01d9ee9ef84370810dee4e75567c32cb5ce",
-        "3bf2692c2c38c8639a8c1fb7c199ce9de13787d9f1db4456378b46fb8b34a702",
+        "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
+        "9b0c789eb46932574068eed2718d9c6354a01b9f51fc53cad9f4140d879d6860",
         "3217813e8467d96e26f271a18c5e9229533a0a1413256ebd8a3be7a7cd5ddb16",
     ),
     ("paper-ex-3.8-convex-cone", 5): (
-        "0558ace9b2354e69a1f14737bbd5b9b3525feae4ed9bf09dd18b44e896781a12",
-        "7b12610fd5525138f720f41240d6f9f9dafb8707d9d13bc8375ee0cf4091a3d6",
+        "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
+        "204981d847fb82c74d8368b2a46f055811f74e1ef94aa2447f9e194cd2ce4c2a",
         "a98c11d428eef0e835b8694619c4bc79f255b205e7c2c77db3a359ae92d76365",
     ),
     ("paper-ex-3.8-convex-cone", 12): (
-        "6f0094fae494fa8f0335c56d121f4ff26b460e5e17947906df6128e50da96f19",
-        "acaebd6d1283c2a6743332dd6d52aa5ad75d85df0f7bcc327b2305829e40130e",
+        "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
+        "629bec75d52eebeb0401044add125573e7f10c6ce5bbe0f7c4dc4cd9a974a5f8",
         "f502cb75a03fd1e92ecc13aaa622db3bb1abeff50bef8f61a5edbabeadda3dfa",
     ),
     ("paper-ex-3.8-convex-cone", 24): (
-        "b99de4d55206f29e490b54ab78b92cde38aadd7a7545ef42d52b0248cf5a2120",
-        "92dd07274a1977254b34ddbf1dab78f5e75c3951c55a87b8d828288b97683ab2",
+        "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
+        "964fd59d8b61637bd29901cad4a56e50de2d961b404dabadc5129ba4602f1842",
         "f69b1ba0ed78a534da0f3f1838682bbae58e74d6ef023bd5dcebe27fec96d57a",
     ),
     ("paper-ex-3.8-convex-cone", 33): (
-        "ca62ac0d8cd41c034d8f1c0c1095af5c42ca9fd24bcecf1e8c2705f88bca5532",
-        "93c3e57768ed872729fb4b59995e837097720c12d31eb9c4ad64c1346cb4f920",
+        "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
+        "05b2c36397bb7bf33072fb5dd38355092ca6b36d3ff405dfff77129cb701591c",
         "52867c9b074d9e6114678e9f2480ae297c5c1d447f3e089c93e4028befacd9c5",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 4): (
-        "9270a1099c866c9aa982845399c8a01d9ee9ef84370810dee4e75567c32cb5ce",
-        "194e18d619cdb542877039bea455d1b54851b78d5444d90064889e5fa462bb5d",
+        "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
+        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
         "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 5): (
-        "0558ace9b2354e69a1f14737bbd5b9b3525feae4ed9bf09dd18b44e896781a12",
-        "95ca4d17b0a45432cb99777ba5a47b6931baecaca484191e51a1ff1529742e04",
+        "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
+        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
         "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 12): (
-        "6f0094fae494fa8f0335c56d121f4ff26b460e5e17947906df6128e50da96f19",
-        "b3007b4ded33ee1e9a60ba2c4fb7df32fafec8b61ac7cafb163b79d58382f58f",
+        "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
+        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
         "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 24): (
-        "b99de4d55206f29e490b54ab78b92cde38aadd7a7545ef42d52b0248cf5a2120",
-        "c4b1785d350b8030bc672f5e954ac08092354b910e86e4b68457d405294f5e85",
+        "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
+        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
         "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 33): (
-        "ca62ac0d8cd41c034d8f1c0c1095af5c42ca9fd24bcecf1e8c2705f88bca5532",
-        "f8e5c5cc0f1039aa2d6833f7d080c6139f34cac0c96f8b626b8d1e3a511ec9e9",
+        "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
+        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
         "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
     ),
     ("paper-ex-3.9-threshold", 4): (
-        "9270a1099c866c9aa982845399c8a01d9ee9ef84370810dee4e75567c32cb5ce",
-        "194e18d619cdb542877039bea455d1b54851b78d5444d90064889e5fa462bb5d",
+        "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
+        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
         "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
     ),
     ("paper-ex-3.9-threshold", 5): (
-        "0558ace9b2354e69a1f14737bbd5b9b3525feae4ed9bf09dd18b44e896781a12",
-        "95ca4d17b0a45432cb99777ba5a47b6931baecaca484191e51a1ff1529742e04",
+        "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
+        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
         "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
     ),
     ("paper-ex-3.9-threshold", 12): (
-        "6f0094fae494fa8f0335c56d121f4ff26b460e5e17947906df6128e50da96f19",
-        "b3007b4ded33ee1e9a60ba2c4fb7df32fafec8b61ac7cafb163b79d58382f58f",
+        "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
+        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
         "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
     ),
     ("paper-ex-3.9-threshold", 24): (
-        "b99de4d55206f29e490b54ab78b92cde38aadd7a7545ef42d52b0248cf5a2120",
-        "c4b1785d350b8030bc672f5e954ac08092354b910e86e4b68457d405294f5e85",
+        "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
+        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
         "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
     ),
     ("paper-ex-3.9-threshold", 33): (
-        "ca62ac0d8cd41c034d8f1c0c1095af5c42ca9fd24bcecf1e8c2705f88bca5532",
-        "f8e5c5cc0f1039aa2d6833f7d080c6139f34cac0c96f8b626b8d1e3a511ec9e9",
+        "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
+        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
         "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
     ),
     ("paper-product-cylinder", 4): (
-        "3c2a2ca8a294ac86fb853d43349fc79de2741f5682bf3be63e0b3e665a3ca159",
-        "74742d25a808b0fb08258ac54d07c8010c0a96ec98f9bf2addaf0431f4d465e5",
+        "a781640544b55a99fe6653bfa8fddedcea84dfae4adb8cefa94d65d1aae5a7fe",
+        "08f143b359184200183867f96acfd929f1c1ec65be320d0ada52f99fe46b9ded",
         "34f1984c63f19d8a79b12f7d2e907f91ba66a3914b08a3b3190056dcc8945ee8",
     ),
     ("paper-product-cylinder", 5): (
-        "815cd0dbb3c42932dba0606c5ab0995330e98fcf4287a7b1f38a3caf4fee934d",
-        "9d24d1ef1414cb9b455d5ee252da3d728b7f0122fd08e845919acfc22b7e82ba",
+        "24280506fa10c4551f56e437b04ec6777ec023afc4548d1e4799593ce785a115",
+        "fc2f3e535a41ed606e0a083526a425ca9801ce72c404ed65ea05b9b39282b7c6",
         "fddf3c8c1b119d0f4cd5bc7c3e57243281e8ac9b0fc0e1df7f6a6879973eabf0",
     ),
     ("paper-product-cylinder", 12): (
-        "38c584f845f09a776f54cb1b60e9dc69b6ba49599d6a33168578821fbb941b6d",
-        "4f9f6766bc762c5bb345944f25b1efcfa886c3cd3bd6c5f8b38c1d7d53132f5c",
+        "5d16acda70015d45a9c7b5004df1744ca1d064ce6c84f4126764a8c5a5e54653",
+        "4d77123fff66482bc865310b8a48962a0af073a376f1a0dbd44bebb3c9ba8e5c",
         "fb42ea27fd6db9980cc28aef3f918d7cc5de9d46a52b57b5953905cc82afff32",
     ),
     ("paper-product-cylinder", 24): (
-        "3d79085f01d4798c1c27b2a91d66041f4af7319528de4dbf085283797a202f10",
-        "033f312b1544a3544626f113a70be729e594e8ce4700081bca691a74ef170e1e",
+        "d40c00a6bd234928ddf3871a12563ec734feefd046a798c31364e21a8f814abf",
+        "0bca5f28c9733f5050399901aaaab5e8cf43330c7edaa1b66977dc91acbbd98b",
         "a7912baaabed063e0a00123fd47b0f5df36ad79a3f02a4507f4cc9a0fb630e55",
     ),
     ("paper-product-cylinder", 33): (
-        "32e31172670ec804b3ff3259ae323327aba840663bb0a1fb6c3c166fbc8db08b",
-        "fb50e76107501593f9d6cccda3656bb9145fbd85c094178e18f662f21d8edaf7",
+        "9cf3175334da7f2647ba830c9a74a2478a147efd7403da69a3999907228efc80",
+        "9a1fecdc6c8da1201e3b033c1b0cd56f28918b94a98bcf4932ea5478ea93dc27",
         "7c48f9b9dbfaf8890e8f462df42a136b0e1de30d2a26f311447b709f5eb99b70",
     ),
     ("paper-product-torus", 4): (
-        "f48b08ce69b0862ca0cf3cd2cf3ffa6829a05e7705feb1fe0b96592000d7f354",
-        "44f371beefe30c018f8cac3f0d5028610411bfceaaa1489fb8ba71587da48c25",
+        "c9847242c22b9d3417d087a9bcb013ad965d20650967f7e85ee068fd9b33d4e8",
+        "9ca344b137612a5288d28ce746f72403840c416996a909e5a97a64d92b13b4b5",
         "026b053ab3b1a854997d203d11a3e65f8d23bca6c2d281c2316f1a2385c27965",
     ),
     ("paper-product-torus", 5): (
-        "da0ca8d234cc0106f7859edc10a390272e198a5b76d93f9344765bd939df4010",
-        "6c812494587346538aef08ce6e550edc861198499aef08b8a1368ea739723f73",
+        "a088b9141079dd35931f897ee50d6614441ba1ecb1e5538a66e67320959b19f5",
+        "f0e778e52b9931cbd454f2d8d086960fc66f53af6aa4e40259f905b9e6960095",
         "ad9dca34133d0ee8cd33fc4636c7630a6c52bafa015fae55dc32c35280ba4e80",
     ),
     ("paper-product-torus", 12): (
-        "e0b75d3a38467f6a9ae03ce57f5bab301ca6b605bba00ab0552a84b4b840880a",
-        "aa21ef4dbe3c059ad53b1417aaad624807b142ecb8dd809cda295c2c933e80e8",
+        "fa28bbc8772e22dc2a805410ee2fc7810361bbb21259126a6cf45fd5f44adc5c",
+        "5b348c69bdab13646f9e18d463d0b49a07b6459f7dd8e93c651c81f7eedb37ca",
         "51e2aa14b65c1e14197424d2ecd89947538312906bba4da17207cedc9ec32acb",
     ),
     ("paper-product-torus", 24): (
-        "0292ec640a27b86fe4ca7e1335746549b54ea29d728e4d67d1c5e6d1f64fb4d1",
-        "183623c2510a71491f1d585b32593d0d833b0ac682687d98361a2efb9661ee48",
+        "26295b91875449ba481f85f3e59731764de05232994602565b3d2455ad275fc7",
+        "450b905bf58d501f5c1a07bfe2de4b7d827c1de31f98d127518fe28de03e8e41",
         "a358acf9372d1059566bffead6524ff7dd3d5c33fd793d6f298d9b00706e5611",
     ),
     ("paper-product-torus", 33): (
-        "5cf044741a2262a4507770837756fb9c06f5b92d0eda7095da2f17e82b45b505",
-        "e40940f8ade153f55c799d789f8ac1e2d71fcb0a9ae502a4cf237dd72eb52602",
+        "a3d7ba271d50422b5df7e55403aebf5001c96d2154e7e58883274eb2d9e108f1",
+        "b2c7ca1c696a37a4aa9fdbdf62e82f92c4dc1950db0739e19b0f564c1589f10d",
         "37071bf66397b72d59c0b0a1b7de01b103a77032bde728415cb4e89e1b1e37c7",
     ),
     ("sphere-classical-instability", 4): (
-        "537adf7842968a69f9fbaaab11bcaaf6a70e797a5b017d2c6f158e6b0d4a442b",
-        "fc843dec7f714ed3bd7540ccd6603fd00ae8a455c3d1d378755def24aa4687d8",
+        "3e22eb41bd2507184092b7507bfebef941f38dba6c2c2ce836d09020c1aa8aab",
+        "eeca7a517ebe4419564ee5b76b5e4aaa41410fc214bb9b0d3cd03eff8643bd8a",
         "3c261dfea68e95841ff575cc674f9800f2694bcd4a091c287332b6d269103dbc",
     ),
     ("sphere-classical-instability", 5): (
-        "537adf7842968a69f9fbaaab11bcaaf6a70e797a5b017d2c6f158e6b0d4a442b",
-        "fc843dec7f714ed3bd7540ccd6603fd00ae8a455c3d1d378755def24aa4687d8",
+        "3e22eb41bd2507184092b7507bfebef941f38dba6c2c2ce836d09020c1aa8aab",
+        "eeca7a517ebe4419564ee5b76b5e4aaa41410fc214bb9b0d3cd03eff8643bd8a",
         "3c261dfea68e95841ff575cc674f9800f2694bcd4a091c287332b6d269103dbc",
     ),
     ("sphere-classical-instability", 12): (
-        "abbad73194f2a92ebed06d09d672d3c03d74d4c693ae6cd5c8d4850f9df42bad",
-        "fc40e4024c2bc4ed199c24751c51b8e73d8152e38f005e44f5aed0440fcb4723",
+        "44ea37fc987cd50724fae665df5aa977e112dd89f6df0ef553d57cadd20599f1",
+        "7bee3069d3c57d0bd92486607d4dcc02ab843438242dc9cd0d79c6656de98505",
         "abd9dcfc8824a67015d10a4309aae09795e94175f81a63e3c92c1f958b994f87",
     ),
     ("sphere-classical-instability", 24): (
-        "4b2354dae9ec60e4a2ee17c191fdab2cea5f55a9a37ac5f1777b6cee4de7c407",
-        "6eed9adde857abd18df4ecdfbaaf07bb390b0b336ca317c6c696fc6922827201",
+        "e02e0d45e19912c574e88698b0b176a7421f6f3e46149466690620d2acebfef3",
+        "bad10ac61d37150775e0675366823af26c77090076468128008cf9349e91b45f",
         "06f2c39135975d79a8a9f37a734432241c58379a4c640e4683a58170bf84db3c",
     ),
     ("sphere-classical-instability", 33): (
-        "54d3ee945fc306031913a6d60e3a0d104df57825707d23d694775e580f2136a4",
-        "77ab8929735174ffab2dcc33f86ef15164264741e885690c3a1d6ad0ed04ddab",
+        "ab634dd0a79bd8d2315c4414fca7d9626cba53370da5b4e3d374bf0730306f94",
+        "c4ad3223b391a82b8c0e5d093cc564c6db4a3cca180ce8fdf08393d4715abb3d",
         "0dc946f92259d655726803a9ebdf6f8ef11300ca037a9141d62bdeccd41a88b8",
     ),
 }
@@ -532,9 +540,14 @@ class TestMeshPins:
         assert set(np.minimum(be[:, 0], be[:, 1]) * V
                    + np.maximum(be[:, 0], be[:, 1])) == set(
                        undirected[count == 1])
+        assert mesh.n_edges == len(undirected)
         tri = t[mesh.curved_tri]
         rows = np.arange(len(be))
         assert np.array_equal(tri[rows, mesh.curved_loc[:, 0]], be[:, 0])
         assert np.array_equal(tri[rows, mesh.curved_loc[:, 1]], be[:, 1])
-        assert np.array_equal(mesh.curved_arc, be[:, 2])
-        assert np.array_equal(mesh.curved_t, mesh.boundary_t)
+        if imm.param_dim == 2:
+            # counterclockwise parameter triangles, so that vertex_normals
+            # may take J_u x J_v for the triangles' normal
+            d1, d2 = (mesh.tri_params[:, c] - mesh.tri_params[:, 0]
+                      for c in (1, 2))
+            assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
