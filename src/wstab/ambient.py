@@ -3,9 +3,10 @@
 Every ambient is flat (Euclidean space or a product such as R x S^1 x R,
 whose S^1 factor is a periodic parameter range of the surface), so Ric = 0
 and S = 0 and the weighted curvatures come from the density alone.
-Points are numpy arrays of shape (3,) or batches (N, 3) (dimension 2 is
-accepted by the pointwise operations as well).  All callbacks are vectorized
-over the leading axis and pure.
+Every operation and callback takes a batch of N points as a float array
+(N, 3), N >= 1, and returns one row per point: a scalar field as (N,), a
+vector field as (N, 3) and a bilinear form as (N, 3, 3).  A single point is
+a 1-row batch.  All callbacks are pure.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .errors import InputError, SingularBoundaryError
 
 Array = np.ndarray
 
-#: finite-difference steps for the consistency check (relative to 1 + |p|)
+#: steps of the finite-difference references (relative to 1 + |p|)
 FD_STEP_GRAD = 1e-5
 FD_STEP_HESS = 2e-4
 
@@ -48,31 +49,19 @@ def _axis_index(axis) -> int:
     return index
 
 
-def _batch(p: Array) -> tuple[Array, bool]:
-    P = np.asarray(p, dtype=float)
-    if P.ndim == 1:
-        return P[None, :], True
-    return P, False
-
-
 @dataclass(frozen=True)
 class Density:
     """Log-density psi = log f with analytic gradient and Hessian.
 
-    ``psi(P) -> (N,)``, ``grad_psi(P) -> (N, d)``, ``hess_psi(P) -> (N, d, d)``.
+    ``psi(P) -> (N,)``, ``grad_psi(P) -> (N, 3)``, ``hess_psi(P) -> (N, 3, 3)``.
     """
 
     psi: Callable[[Array], Array]
     grad_psi: Callable[[Array], Array]
     hess_psi: Callable[[Array], Array]
-    name: str = "custom"
 
-    def f(self, p: Array) -> Array:
-        return np.exp(self.psi(np.asarray(p, dtype=float)))
-
-    def lap_psi(self, p: Array) -> Array:
-        H = self.hess_psi(np.asarray(p, dtype=float))
-        return np.trace(H, axis1=-2, axis2=-1)
+    def lap_psi(self, P: Array) -> Array:
+        return np.trace(self.hess_psi(P), axis1=-2, axis2=-1)
 
 
 @dataclass(frozen=True)
@@ -82,14 +71,13 @@ class BoundarySpec:
     phi: Callable[[Array], Array]
     grad_phi: Callable[[Array], Array]
     hess_phi: Callable[[Array], Array]
-    name: str = "custom"
 
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """Flat ambient manifold with density and optional implicit boundary."""
+    """Flat 3-dimensional ambient manifold with density and optional
+    implicit boundary."""
 
-    dim: int
     density: Density
     boundary: Optional[BoundarySpec] = None
 
@@ -98,129 +86,81 @@ class AmbientSpace:
 # operations
 # ---------------------------------------------------------------------------
 
-def bakry_emery_ricci(space: AmbientSpace, p: Array, v: Array) -> float:
-    """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v) for a
-    unit vector v."""
-    P, _ = _batch(p)
-    V, _ = _batch(v)
+def bakry_emery_ricci(space: AmbientSpace, P: Array, V: Array) -> Array:
+    """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v) for
+    unit vectors V (N, 3) at points P (N, 3); returns (N,)."""
     norms = np.linalg.norm(V, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InputError("bakry_emery_ricci requires unit direction vectors")
-    H = space.density.hess_psi(P)
-    out = -np.einsum("nij,ni,nj->n", H, V, V)
-    return float(out[0]) if np.asarray(p).ndim == 1 else out
+    return -np.einsum("nij,ni,nj->n", space.density.hess_psi(P), V, V)
 
 
-def perelman_scalar(space: AmbientSpace, p: Array):
+def perelman_scalar(space: AmbientSpace, P: Array) -> Array:
     """S_f = S - 2*lap(psi) - |grad(psi)|^2 = -2*lap(psi) - |grad(psi)|^2."""
-    P, single = _batch(p)
     g = space.density.grad_psi(P)
-    out = -2.0 * space.density.lap_psi(P) - np.sum(g * g, axis=-1)
-    return float(out[0]) if single else out
+    return -2.0 * space.density.lap_psi(P) - np.sum(g * g, axis=-1)
 
 
-def boundary_inner_normal(space: AmbientSpace, p: Array):
-    """Inner unit normal xi = grad(phi)/|grad(phi)| at a boundary point."""
+def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
+    """Inner unit normals xi = grad(phi)/|grad(phi)| at boundary points."""
     if space.boundary is None:
         raise InputError("ambient space has no boundary")
-    P, single = _batch(p)
-    phi = np.atleast_1d(space.boundary.phi(P))
-    if not np.all(np.abs(phi) <= 1e-10):
+    if not np.all(np.abs(space.boundary.phi(P)) <= 1e-10):
         raise InputError("point is not on the boundary (|phi| > 1e-10)")
     g = space.boundary.grad_phi(P)
     norms = np.linalg.norm(g, axis=-1)
     if not np.all(norms >= 1e-12):
         raise SingularBoundaryError("degenerate level-set gradient on the boundary")
-    xi = g / norms[:, None]
-    return xi[0] if single else xi
+    return g / norms[:, None]
 
 
-def boundary_second_fundamental(space: AmbientSpace, p: Array, v: Array, w: Array) -> float:
-    """II(v, w) of the ambient boundary w.r.t. the inner normal.
+def boundary_ii_matrix(space: AmbientSpace, P: Array) -> Array:
+    """Full boundary shape bilinear form -hess(phi)/|grad(phi)| at points P.
 
-    Positive semidefinite for a locally convex boundary.
+    Restricting to directions tangent to the boundary gives the second
+    fundamental form II w.r.t. the inner normal, positive semidefinite for
+    a locally convex boundary.
     """
-    if space.boundary is None:
-        raise InputError("ambient space has no boundary")
-    P, _ = _batch(p)
-    V, _ = _batch(v)
-    W, _ = _batch(w)
-    g = space.boundary.grad_phi(P)
-    gn = np.linalg.norm(g, axis=-1)
-    for T in (V, W):
-        tangency = np.abs(np.sum(T * g, axis=-1)) / np.maximum(
-            gn * np.linalg.norm(T, axis=-1), 1e-300)
-        if np.any(tangency > 1e-10):
-            raise InputError("vectors must be tangent to the boundary")
-    out = np.einsum("nij,ni,nj->n", boundary_ii_matrix(space, P), V, W)
-    return float(out[0]) if np.asarray(p).ndim == 1 else out
+    gn = np.linalg.norm(space.boundary.grad_phi(P), axis=-1)
+    return -space.boundary.hess_phi(P) / gn[:, None, None]
 
 
-def boundary_ii_matrix(space: AmbientSpace, p: Array) -> Array:
-    """Full boundary shape bilinear form -hess(phi)/|grad(phi)| at points p.
-
-    Restricting to directions tangent to the boundary gives II.
-    """
-    P, single = _batch(p)
-    g = space.boundary.grad_phi(P)
-    gn = np.linalg.norm(g, axis=-1)
-    H = -space.boundary.hess_phi(P) / gn[:, None, None]
-    return H[0] if single else H
-
-
-def boundary_f_mean_curvature(space: AmbientSpace, p: Array):
+def boundary_f_mean_curvature(space: AmbientSpace, P: Array) -> Array:
     """(H_f) of the ambient boundary w.r.t. the inner normal: tr II - <grad psi, xi>."""
-    P, single = _batch(p)
-    xi = np.atleast_2d(boundary_inner_normal(space, P))
-    H = np.atleast_3d(boundary_ii_matrix(space, P))
+    xi = boundary_inner_normal(space, P)
+    H = boundary_ii_matrix(space, P)
     trace_full = np.trace(H, axis1=-2, axis2=-1)
     normal_part = np.einsum("nij,ni,nj->n", H, xi, xi)
     trace_tan = trace_full - normal_part
     gpsi = space.density.grad_psi(P)
-    out = trace_tan - np.sum(gpsi * xi, axis=-1)
-    return float(out[0]) if single else out
+    return trace_tan - np.sum(gpsi * xi, axis=-1)
 
 
 # ---------------------------------------------------------------------------
-# density consistency check
+# finite-difference references for the analytic derivatives
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    max_residual_grad: float
-    max_residual_hess: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return max(self.max_residual_grad, self.max_residual_hess) <= self.tol
-
 
 def fd_grad_psi(density: Density, P: Array) -> Array:
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    d = P.shape[1]
     h = FD_STEP_GRAD * (1.0 + np.linalg.norm(P, axis=-1))
     out = np.empty_like(P)
-    for i in range(d):
-        e = np.zeros(d)
+    for i in range(3):
+        e = np.zeros(3)
         e[i] = 1.0
         out[:, i] = (density.psi(P + h[:, None] * e) - density.psi(P - h[:, None] * e)) / (2 * h)
     return out
 
 
 def fd_hess_psi(density: Density, P: Array) -> Array:
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    n, d = P.shape
     h = FD_STEP_HESS * (1.0 + np.linalg.norm(P, axis=-1))
-    H = np.empty((n, d, d))
+    H = np.empty((len(P), 3, 3))
     psi0 = density.psi(P)
-    for i in range(d):
-        ei = np.zeros(d)
+    for i in range(3):
+        ei = np.zeros(3)
         ei[i] = 1.0
         H[:, i, i] = (density.psi(P + h[:, None] * ei) - 2 * psi0
                       + density.psi(P - h[:, None] * ei)) / h**2
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
+        for j in range(i + 1, 3):
+            ej = np.zeros(3)
             ej[j] = 1.0
             hp = h[:, None]
             val = (density.psi(P + hp * (ei + ej)) - density.psi(P + hp * (ei - ej))
@@ -230,24 +170,13 @@ def fd_hess_psi(density: Density, P: Array) -> Array:
     return H
 
 
-def density_consistency_check(space: AmbientSpace, samples: Array,
-                              tol: float = 1e-6) -> ConsistencyReport:
-    """Compare analytic grad/hess of psi against centered finite differences."""
-    P = np.atleast_2d(np.asarray(samples, dtype=float))
-    g_a = space.density.grad_psi(P)
-    g_fd = fd_grad_psi(space.density, P)
-    scale_g = np.maximum(np.linalg.norm(g_a, axis=-1), 1.0)
-    res_g = np.linalg.norm(g_a - g_fd, axis=-1) / scale_g
-    H_a = space.density.hess_psi(P)
-    H_fd = fd_hess_psi(space.density, P)
-    scale_h = np.maximum(np.linalg.norm(H_a.reshape(len(P), -1), axis=-1), 1.0)
-    res_h = np.linalg.norm((H_a - H_fd).reshape(len(P), -1), axis=-1) / scale_h
-    return ConsistencyReport(float(res_g.max()), float(res_h.max()), tol)
-
-
 # ---------------------------------------------------------------------------
 # built-in density registry
 # ---------------------------------------------------------------------------
+
+def _zero_hessian(P):
+    return np.zeros((len(P), 3, 3))
+
 
 def _constant_density(value: float = 1.0) -> Density:
     value = float(value)
@@ -257,55 +186,40 @@ def _constant_density(value: float = 1.0) -> Density:
     c = float(np.log(value))
 
     def psi(P):
-        return np.full(len(np.atleast_2d(P)), c)
+        return np.full(len(P), c)
 
-    def grad(P):
-        return np.zeros_like(np.atleast_2d(P))
-
-    def hess(P):
-        P = np.atleast_2d(P)
-        return np.zeros((len(P), P.shape[1], P.shape[1]))
-
-    return Density(psi, grad, hess, name="constant")
+    return Density(psi, np.zeros_like, _zero_hessian)
 
 
 def _gaussian_density() -> Density:
     def psi(P):
-        P = np.atleast_2d(P)
         return -np.sum(P * P, axis=-1)
 
     def grad(P):
-        return -2.0 * np.atleast_2d(P)
+        return -2.0 * P
 
     def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
-        return np.broadcast_to(-2.0 * np.eye(d), (len(P), d, d)).copy()
+        return np.broadcast_to(-2.0 * np.eye(3), (len(P), 3, 3)).copy()
 
-    return Density(psi, grad, hess, name="gaussian")
+    return Density(psi, grad, hess)
 
 
 def _radial_log_density(k: float) -> Density:
     k = float(k)
 
     def psi(P):
-        P = np.atleast_2d(P)
         return k * np.log(np.linalg.norm(P, axis=-1))
 
     def grad(P):
-        P = np.atleast_2d(P)
         r2 = np.sum(P * P, axis=-1)
         return k * P / r2[:, None]
 
     def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
         r2 = np.sum(P * P, axis=-1)
-        eye = np.eye(d)
-        return k * (eye[None] / r2[:, None, None]
+        return k * (np.eye(3)[None] / r2[:, None, None]
                     - 2.0 * P[:, :, None] * P[:, None, :] / (r2 ** 2)[:, None, None])
 
-    return Density(psi, grad, hess, name=f"radial-log(k={k})")
+    return Density(psi, grad, hess)
 
 
 def _linear_density(a, b: float = 0.0) -> Density:
@@ -313,18 +227,12 @@ def _linear_density(a, b: float = 0.0) -> Density:
     b = float(b)
 
     def psi(P):
-        return np.atleast_2d(P) @ a + b
+        return P @ a + b
 
     def grad(P):
-        P = np.atleast_2d(P)
         return np.broadcast_to(a, P.shape).copy()
 
-    def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
-        return np.zeros((len(P), d, d))
-
-    return Density(psi, grad, hess, name="linear")
+    return Density(psi, grad, _zero_hessian)
 
 
 def _radial_smooth_density(coeffs) -> Density:
@@ -334,25 +242,20 @@ def _radial_smooth_density(coeffs) -> Density:
     g2 = g1.deriv()
 
     def psi(P):
-        P = np.atleast_2d(P)
         return g(np.linalg.norm(P, axis=-1))
 
     def grad(P):
-        P = np.atleast_2d(P)
         r = np.linalg.norm(P, axis=-1)
         return (g1(r) / r)[:, None] * P
 
     def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
         r = np.linalg.norm(P, axis=-1)
         n = P / r[:, None]
         nn = n[:, :, None] * n[:, None, :]
-        eye = np.eye(d)[None]
         return (g2(r)[:, None, None] * nn
-                + (g1(r) / r)[:, None, None] * (eye - nn))
+                + (g1(r) / r)[:, None, None] * (np.eye(3)[None] - nn))
 
-    return Density(psi, grad, hess, name="radial-smooth")
+    return Density(psi, grad, hess)
 
 
 DENSITY_REGISTRY = {
@@ -381,20 +284,14 @@ def _half_space_boundary(axis: int = 2, offset: float = 0.0) -> BoundarySpec:
     offset = float(offset)
 
     def phi(P):
-        return np.atleast_2d(P)[:, axis] - offset
+        return P[:, axis] - offset
 
     def grad(P):
-        P = np.atleast_2d(P)
         g = np.zeros_like(P)
         g[:, axis] = 1.0
         return g
 
-    def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
-        return np.zeros((len(P), d, d))
-
-    return BoundarySpec(phi, grad, hess, name="half-space")
+    return BoundarySpec(phi, grad, _zero_hessian)
 
 
 def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
@@ -405,54 +302,45 @@ def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
                          f"got {halfwidth:g}")
 
     def phi(P):
-        return halfwidth - np.abs(np.atleast_2d(P)[:, axis])
+        return halfwidth - np.abs(P[:, axis])
 
     def grad(P):
-        P = np.atleast_2d(P)
         g = np.zeros_like(P)
         g[:, axis] = -np.sign(P[:, axis])
         return g
 
-    def hess(P):
-        P = np.atleast_2d(P)
-        d = P.shape[1]
-        return np.zeros((len(P), d, d))
-
-    return BoundarySpec(phi, grad, hess, name="slab")
+    return BoundarySpec(phi, grad, _zero_hessian)
 
 
-def _sphere_levelset(radius, center, sign):
+def _sphere_levelset(radius, center, sign) -> BoundarySpec:
     radius = float(radius)
     center = np.zeros(3) if center is None else vector3(center, "ball center")
 
     def phi(P):
-        r = np.linalg.norm(np.atleast_2d(P) - center, axis=-1)
+        r = np.linalg.norm(P - center, axis=-1)
         return sign * (r - radius)
 
     def grad(P):
-        Q = np.atleast_2d(P) - center
+        Q = P - center
         r = np.linalg.norm(Q, axis=-1)
         return sign * Q / r[:, None]
 
     def hess(P):
-        Q = np.atleast_2d(P) - center
-        d = Q.shape[1]
+        Q = P - center
         r = np.linalg.norm(Q, axis=-1)
         n = Q / r[:, None]
         nn = n[:, :, None] * n[:, None, :]
-        return sign * (np.eye(d)[None] - nn) / r[:, None, None]
+        return sign * (np.eye(3)[None] - nn) / r[:, None, None]
 
-    return phi, grad, hess
+    return BoundarySpec(phi, grad, hess)
 
 
 def _ball_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
-    phi, grad, hess = _sphere_levelset(radius, center, -1.0)
-    return BoundarySpec(phi, grad, hess, name="ball")
+    return _sphere_levelset(radius, center, -1.0)
 
 
 def _ball_complement_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
-    phi, grad, hess = _sphere_levelset(radius, center, +1.0)
-    return BoundarySpec(phi, grad, hess, name="ball-complement")
+    return _sphere_levelset(radius, center, +1.0)
 
 
 def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
@@ -464,29 +352,26 @@ def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     ca = float(np.cos(alpha))
 
     def phi(P):
-        P = np.atleast_2d(P)
         return P @ a / np.linalg.norm(P, axis=-1) - ca
 
     def grad(P):
-        P = np.atleast_2d(P)
         r = np.linalg.norm(P, axis=-1)
         n = P / r[:, None]
         c = n @ a
         return (a[None] - c[:, None] * n) / r[:, None]
 
     def hess(P):
-        P = np.atleast_2d(P)
         r = np.linalg.norm(P, axis=-1)
         n = P / r[:, None]
         c = n @ a
         na = n[:, :, None] * a[None, None, :]
         an = a[None, :, None] * n[:, None, :]
         nn = n[:, :, None] * n[:, None, :]
-        eye = np.eye(P.shape[1])[None]
+        eye = np.eye(3)[None]
         return -(na + an + c[:, None, None] * eye - 3.0 * c[:, None, None] * nn) \
             / (r ** 2)[:, None, None]
 
-    return BoundarySpec(phi, grad, hess, name="cone")
+    return BoundarySpec(phi, grad, hess)
 
 
 BOUNDARY_REGISTRY = {
@@ -507,13 +392,12 @@ def make_boundary(name: str, **params) -> Optional[BoundarySpec]:
     return factory(**params)
 
 
-def make_space(dim: int = 3, density=("constant", {}),
+def make_space(density=("constant", {}),
                boundary=("none", {})) -> AmbientSpace:
     """Convenience constructor from registry names."""
     dname, dparams = density
     bname, bparams = boundary
     return AmbientSpace(
-        dim=dim,
         density=make_density(dname, **dparams),
         boundary=make_boundary(bname, **bparams),
     )

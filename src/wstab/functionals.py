@@ -33,15 +33,15 @@ class VariationField:
     """Ambient vector field along the surface.
 
     ``X`` maps ambient positions (N, 3) to vectors (N, 3); ``values`` also
-    receives the parameter points, which a field defined through the chart
-    reads instead.
+    receives the parameter points (N, pd), which a field defined through
+    the chart reads instead.
     """
 
     X: Callable[[Array], Array]
     name: str = "field"
 
     def values(self, pos: Array, params: Optional[Array] = None) -> Array:
-        return self.X(np.atleast_2d(pos))
+        return self.X(pos)
 
     def check_admissible(self, space: AmbientSpace, data: ExtrinsicData,
                          tol: float = 1e-8) -> None:
@@ -67,16 +67,16 @@ def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
 class Flow:
     """One-parameter family of ambient maps phi_s acting on base points.
 
-    Subclasses implement ``map``, ``velocity`` (d/ds phi_s at the particle
-    started from base point P) and the spatial Jacobian ``jac``; ``hess``
-    falls back to centered finite differences of ``map``.
+    Subclasses implement, on a batch P (N, 3) of base points, ``map``
+    (N, 3), ``velocity`` (N, 3: d/ds phi_s at the particle started from
+    each base point) and the spatial Jacobian ``jac`` (N, 3, 3); ``hess``
+    (N, 3, 3, 3) falls back to centered finite differences of ``map``.
     """
 
     def map(self, s: float, P: Array) -> Array:
         raise NotImplementedError
 
     def hess(self, s: float, P: Array) -> Array:
-        P = np.atleast_2d(P)
         H = np.empty((len(P), 3, 3, 3))
         h = 2e-4
         F0 = self.map(s, P)
@@ -99,16 +99,16 @@ class TranslationFlow(Flow):
         self.d = vector3(direction, "translation direction")
 
     def map(self, s, P):
-        return np.atleast_2d(P) + s * self.d
+        return P + s * self.d
 
     def velocity(self, s, P):
-        return np.broadcast_to(self.d, np.atleast_2d(P).shape).copy()
+        return np.broadcast_to(self.d, P.shape).copy()
 
     def jac(self, s, P):
-        return np.broadcast_to(np.eye(3), (len(np.atleast_2d(P)), 3, 3)).copy()
+        return np.broadcast_to(np.eye(3), (len(P), 3, 3)).copy()
 
     def hess(self, s, P):
-        return np.zeros((len(np.atleast_2d(P)), 3, 3, 3))
+        return np.zeros((len(P), 3, 3, 3))
 
 
 class ScalingFlow(Flow):
@@ -118,17 +118,16 @@ class ScalingFlow(Flow):
         self.c = vector3(center, "scaling center")
 
     def map(self, s, P):
-        return self.c + (1.0 + s) * (np.atleast_2d(P) - self.c)
+        return self.c + (1.0 + s) * (P - self.c)
 
     def velocity(self, s, P):
-        return np.atleast_2d(P) - self.c
+        return P - self.c
 
     def jac(self, s, P):
-        return np.broadcast_to((1.0 + s) * np.eye(3),
-                               (len(np.atleast_2d(P)), 3, 3)).copy()
+        return np.broadcast_to((1.0 + s) * np.eye(3), (len(P), 3, 3)).copy()
 
     def hess(self, s, P):
-        return np.zeros((len(np.atleast_2d(P)), 3, 3, 3))
+        return np.zeros((len(P), 3, 3, 3))
 
 
 class RotationFlow(Flow):
@@ -144,17 +143,17 @@ class RotationFlow(Flow):
         return np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
 
     def map(self, s, P):
-        return self.c + (np.atleast_2d(P) - self.c) @ self._rot(s).T
+        return self.c + (P - self.c) @ self._rot(s).T
 
     def velocity(self, s, P):
-        rel = (np.atleast_2d(P) - self.c) @ self._rot(s).T
+        rel = (P - self.c) @ self._rot(s).T
         return np.cross(self.a, rel)
 
     def jac(self, s, P):
-        return np.broadcast_to(self._rot(s), (len(np.atleast_2d(P)), 3, 3)).copy()
+        return np.broadcast_to(self._rot(s), (len(P), 3, 3)).copy()
 
     def hess(self, s, P):
-        return np.zeros((len(np.atleast_2d(P)), 3, 3, 3))
+        return np.zeros((len(P), 3, 3, 3))
 
 
 class FieldFlow(Flow):
@@ -166,14 +165,12 @@ class FieldFlow(Flow):
         self.Xhess = Xhess
 
     def map(self, s, P):
-        P = np.atleast_2d(P)
         return P + s * self.X(P)
 
     def velocity(self, s, P):
-        return self.X(np.atleast_2d(P))
+        return self.X(P)
 
     def jac(self, s, P):
-        P = np.atleast_2d(P)
         if self.Xjac is not None:
             DX = self.Xjac(P)
         else:
@@ -187,9 +184,9 @@ class FieldFlow(Flow):
 
     def hess(self, s, P):
         if s == 0.0:
-            return np.zeros((len(np.atleast_2d(P)), 3, 3, 3))
+            return np.zeros((len(P), 3, 3, 3))
         if self.Xhess is not None:
-            return s * self.Xhess(np.atleast_2d(P))
+            return s * self.Xhess(P)
         return super().hess(s, P)
 
 
@@ -263,7 +260,7 @@ class DeformedFamily:
             g = self.flow.map(s, g0)
             bd = self.space.boundary
             if bd is not None:
-                res = np.max(np.abs(np.atleast_1d(bd.phi(g))))
+                res = np.max(np.abs(bd.phi(g)))
                 if not res <= 1e-10:
                     raise InputError(
                         f"the flow moves the slice at s = {s} off the "
@@ -462,9 +459,8 @@ class SurfaceGradientField(VariationField):
     def values(self, pos, params=None):
         if params is None:
             raise InputError("SurfaceGradientField requires parameter points")
-        Q = np.atleast_2d(params)
         imm = self.imm
-        P = imm.chart(Q)
-        Nv = _normal_from_jac(imm.orientation_sign, imm.chart_jac(Q))
+        P = imm.chart(params)
+        Nv = _normal_from_jac(imm.orientation_sign, imm.chart_jac(params))
         g = self.g_grad(P)
         return g - np.sum(g * Nv, axis=1)[:, None] * Nv

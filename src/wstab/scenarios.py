@@ -253,6 +253,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         raise ConfigError(f"tasks {sorted(needs_var)} require a variation block")
     if "area-bounds" in tasks and obj.get("S0") is None:
         raise ConfigError("task 'area-bounds' requires the scenario key 'S0'")
+    if sweep is not None and "spectrum" not in tasks:
+        raise ConfigError("a sweep tabulates lambda_min, so it needs the "
+                          "task 'spectrum'")
 
     return Scenario(
         name=str(obj.get("name", default_name)),
@@ -297,7 +300,6 @@ def build_space(scn: Scenario) -> AmbientSpace:
     b = dict(amb["boundary"])
     with _parameter_values("ambient"):
         return make_space(
-            dim=3,
             density=(d.pop("name"), {k: _tupled(v) for k, v in d.items()}),
             boundary=(b.pop("name"), {k: _tupled(v) for k, v in b.items()}),
         )
@@ -411,11 +413,10 @@ def _run_sweep(scn: Scenario) -> RunResult:
         _set_path(tree, param, int(v) if param == "resolution" else float(v))
         sub = parse_scenario(tree, scn.name)
         res = _run_single(sub, shared or build_chart(sub))
-        lam = res.report.get("results", {}).get("spectrum", {}).get("lambda_min")
-        rows.append([float(v), lam])
+        rows.append([float(v), res.report["results"]["spectrum"]["lambda_min"]])
         sub_reports[repr(float(v))] = res.report
     header = [param, "lambda_min"]
-    if param == "resolution" and len(rows) >= 3 and "spectrum" in scn.tasks:
+    if param == "resolution" and len(rows) >= 3:
         # observed convergence order against the finest value, where both
         # errors are above rounding (a constant eigenfunction has none)
         header.append("order")
@@ -443,17 +444,10 @@ def _run_sweep(scn: Scenario) -> RunResult:
                             f"decreasing = {monotone}"))
     report = {"name": scn.name, "sweep": {"param": param,
                                           "values": [float(v) for v in values],
-                                          "rows": [[_none_or_f(x) for x in r]
-                                                   for r in rows]},
+                                          "rows": rows},
               "runs": sub_reports,
               "checks": [c.as_dict() for c in checks]}
     return RunResult(scn, report, checks, header, rows, [], None)
-
-
-def _none_or_f(x):
-    if x is None or x == "":
-        return x
-    return float(x)
 
 
 def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
@@ -561,7 +555,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         checks.append(Check("spectrum", bool(ok), detail))
 
     def t_identities():
-        resid = gauss_rearrangement_residual(space, data)
+        resid = gauss_rearrangement_residual(data)
         out = {"gauss_rearrangement_residual": _f(resid)}
         ok = resid <= scn.tol("identity")
         detail = f"rearrangement {resid:.2e}"

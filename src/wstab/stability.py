@@ -39,8 +39,9 @@ class IndexFormAssembly:
     def dof(self) -> int:
         return self.K.shape[0]
 
-    @property
+    @functools.cached_property
     def operator(self) -> sp.csr_matrix:
+        """K - P - B, built once; every solve and check reads this one."""
         return (self.K - self.P - self.B).tocsr()
 
     @functools.cached_property

@@ -59,9 +59,10 @@ class ParamArc:
 class Immersion:
     """Reference immersion of a surface into the ambient space.
 
-    Subclasses set ``domain`` and implement ``chart`` (N, 3) and its
+    Subclasses set ``domain`` and implement, on a batch Q (N, pd) of
+    parameter points with pd = ``param_dim``, ``chart`` (N, 3) and its
     analytic derivatives ``chart_jac`` (N, 3, pd) and ``chart_hess``
-    (N, 3, pd, pd), with pd = ``param_dim``.
+    (N, 3, pd, pd).
     """
 
     param_dim = 2
@@ -175,7 +176,6 @@ class SphericalCap(Immersion):
         self.domain = ("disk", float(np.tan(alpha / 2)))
 
     def _unit(self, Q):
-        Q = np.atleast_2d(Q)
         u, v = Q[:, 0], Q[:, 1]
         w = u * u + v * v
         D = 1.0 + w
@@ -224,41 +224,46 @@ class SphericalCap(Immersion):
         return H
 
 
-class PlanarDisk(Immersion):
+class AffineImmersion(Immersion):
+    """chart(u, v) = origin + u*du + v*dv."""
+
+    origin: Array
+    du: Array
+    dv: Array
+
+    def chart(self, Q):
+        return self.origin + np.outer(Q[:, 0], self.du) + np.outer(Q[:, 1], self.dv)
+
+    def chart_jac(self, Q):
+        J = np.stack([self.du, self.dv], axis=-1)
+        return np.broadcast_to(J, (len(Q), 3, 2)).copy()
+
+    def chart_hess(self, Q):
+        return np.zeros((len(Q), 3, 2, 2))
+
+
+class PlanarDisk(AffineImmersion):
     """Flat disk spanned by two orthonormal vectors."""
 
     def __init__(self, center=(0, 0, 0), e1=(1, 0, 0), e2=(0, 1, 0),
                  radius=1.0, orientation_sign=1):
-        self.center = vector3(center, "disk center")
-        self.e1 = vector3(e1, "disk e1")
-        self.e2 = vector3(e2, "disk e2")
-        if not (abs(self.e1 @ self.e2) <= 1e-12
-                and abs(np.linalg.norm(self.e1) - 1) <= 1e-12
-                and abs(np.linalg.norm(self.e2) - 1) <= 1e-12):
+        self.origin = vector3(center, "disk center")
+        self.du = vector3(e1, "disk e1")
+        self.dv = vector3(e2, "disk e2")
+        if not (abs(self.du @ self.dv) <= 1e-12
+                and abs(np.linalg.norm(self.du) - 1) <= 1e-12
+                and abs(np.linalg.norm(self.dv) - 1) <= 1e-12):
             raise InputError("disk frame must be orthonormal")
         self.radius = _radius(radius, "disk radius")
         self.orientation_sign = _orientation_sign(orientation_sign)
         self.domain = ("disk", self.radius)
 
-    def chart(self, Q):
-        Q = np.atleast_2d(Q)
-        return self.center + np.outer(Q[:, 0], self.e1) + np.outer(Q[:, 1], self.e2)
 
-    def chart_jac(self, Q):
-        Q = np.atleast_2d(Q)
-        J = np.stack([self.e1, self.e2], axis=-1)
-        return np.broadcast_to(J, (len(Q), 3, 2)).copy()
-
-    def chart_hess(self, Q):
-        Q = np.atleast_2d(Q)
-        return np.zeros((len(Q), 3, 2, 2))
-
-
-class RectPatch(Immersion):
+class RectPatch(AffineImmersion):
     """Affine patch over a rectangle, optionally periodic in u and/or v.
 
-    chart(u, v) = origin + u*du + v*dv.  Used for flat slices of product
-    ambients (cylinders and tori in periodic coordinates).
+    Used for flat slices of product ambients (cylinders and tori in
+    periodic coordinates).
     """
 
     def __init__(self, origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
@@ -275,19 +280,6 @@ class RectPatch(Immersion):
                              "increasing entries each")
         self.domain = ("rect", tuple(float(x) for x in ranges.ravel()),
                        bool(periodic_u), bool(periodic_v))
-
-    def chart(self, Q):
-        Q = np.atleast_2d(Q)
-        return self.origin + np.outer(Q[:, 0], self.du) + np.outer(Q[:, 1], self.dv)
-
-    def chart_jac(self, Q):
-        Q = np.atleast_2d(Q)
-        J = np.stack([self.du, self.dv], axis=-1)
-        return np.broadcast_to(J, (len(Q), 3, 2)).copy()
-
-    def chart_hess(self, Q):
-        Q = np.atleast_2d(Q)
-        return np.zeros((len(Q), 3, 2, 2))
 
 
 class RoundSphere(Immersion):
@@ -306,19 +298,16 @@ class RoundSphere(Immersion):
         self.domain = ("sphere",)
 
     def chart(self, Q):
-        Q = np.atleast_2d(Q)
         r = np.linalg.norm(Q, axis=-1)
         return self.center + self.radius * Q / r[:, None]
 
     def chart_jac(self, Q):
-        Q = np.atleast_2d(Q)
         r = np.linalg.norm(Q, axis=-1)
         eye = np.eye(3)[None]
         nn = Q[:, :, None] * Q[:, None, :] / (r**2)[:, None, None]
         return self.radius * (eye - nn) / r[:, None, None]
 
     def chart_hess(self, Q):
-        Q = np.atleast_2d(Q)
         r = np.linalg.norm(Q, axis=-1)
         n = Q / r[:, None]
         eye3 = np.eye(3)
@@ -557,10 +546,10 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
     if space is not None and space.boundary is not None and len(be):
         bidx = np.unique(be[:, :2])
         P = positions[bidx]
-        phi = np.atleast_1d(space.boundary.phi(P))
+        phi = space.boundary.phi(P)
         g = space.boundary.grad_phi(P)
         P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
-        res = np.max(np.abs(np.atleast_1d(space.boundary.phi(P))))
+        res = np.max(np.abs(space.boundary.phi(P)))
         if not res <= 1e-10:
             raise MeshingError(
                 f"boundary projection residual {res:.2e} exceeds 1e-10")
@@ -800,8 +789,6 @@ class SurfaceChart:
     w_dl: Array = field(init=False)    # length element x quadrature weight
 
     def __post_init__(self, space: AmbientSpace):
-        if space.dim != 3:
-            raise InputError("surface geometry supports 3-dimensional ambients only")
         sign = self.mesh.immersion.orientation_sign
         E1, E2, Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
         S = _shape_operator(self.hess, self.D1, self.D2, self.J, self.Q2,
@@ -829,9 +816,9 @@ class SurfaceChart:
         g = self.b_pos
         xi, II_NN = np.zeros_like(g), np.zeros(len(g))
         if space.boundary is not None:
-            xi = np.atleast_2d(boundary_inner_normal(space, g))
-            II_NN = np.einsum("nij,ni,nj->n", np.atleast_3d(
-                boundary_ii_matrix(space, g)), Nv, Nv)
+            xi = boundary_inner_normal(space, g)
+            II_NN = np.einsum("nij,ni,nj->n", boundary_ii_matrix(space, g),
+                              Nv, Nv)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=np.sum(Nv * xi, axis=1),
                     II_NN=II_NN, h_geod=np.sum(acc * nu, axis=1),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
@@ -897,7 +884,7 @@ def extrinsic_geometry(space: AmbientSpace,
         ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=gpsi - gN[:, None] * Nv,
         lap_s_psi=space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN,
         S_f=perelman_scalar(space, pos), f_b=np.exp(space.density.psi(g)),
-        Hf_boundary=(np.atleast_1d(boundary_f_mean_curvature(space, g))
+        Hf_boundary=(boundary_f_mean_curvature(space, g)
                      if space.boundary is not None else np.zeros(len(g))))
 
 

@@ -60,14 +60,11 @@ def rigidity_flags(data: ExtrinsicData,
     )
 
 
-def gauss_rearrangement_residual(space: AmbientSpace,
-                                 data: ExtrinsicData) -> float:
+def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
     """Max pointwise residual of
     Ric_f(N,N) + |sigma|^2 = (S_f + H_f^2)/2 + (|sigma|^2 + |grad_S psi|^2)/2
                              - K + lap_S psi.
     """
-    if space.dim != 3:
-        raise InputError("the rearrangement identity is for surfaces in 3-manifolds")
     lhs = data.ricf_NN + data.sigma2
     grad2 = np.sum(data.grad_s_psi * data.grad_s_psi, axis=1)
     rhs = (0.5 * (data.S_f + data.H_f**2) + 0.5 * (data.sigma2 + grad2)

@@ -40,53 +40,50 @@ def same_trig() -> bool:
 
 @functools.lru_cache(maxsize=None)
 def space_half_space(density_name="constant", **params) -> AmbientSpace:
-    return make_space(dim=3, density=(density_name, dict(params)),
+    return make_space(density=(density_name, dict(params)),
                       boundary=("half-space", {"axis": 2}))
 
 
 @functools.lru_cache(maxsize=None)
 def space_ball(density_name="constant", radius=1.0, center=(0.0, 0.0, 0.0),
                **params) -> AmbientSpace:
-    return make_space(dim=3, density=(density_name, dict(params)),
+    return make_space(density=(density_name, dict(params)),
                       boundary=("ball", {"radius": radius, "center": center}))
 
 
 @functools.lru_cache(maxsize=None)
 def space_slab_product(density_name="constant", **params) -> AmbientSpace:
-    return make_space(dim=3, density=(density_name, dict(params)),
+    return make_space(density=(density_name, dict(params)),
                       boundary=("slab", {"axis": 2, "halfwidth": 1.0}))
 
 
 @functools.lru_cache(maxsize=None)
 def space_free(density_name="constant", **params) -> AmbientSpace:
-    return make_space(dim=3, density=(density_name, dict(params)))
+    return make_space(density=(density_name, dict(params)))
 
 
 def quadratic_density(a: float) -> Density:
     """psi = a*(x^2 - y^2 - z^2): convex along x, concave transversally."""
 
     def psi(P):
-        P = np.atleast_2d(P)
         return a * (P[:, 0]**2 - P[:, 1]**2 - P[:, 2]**2)
 
     def grad(P):
-        P = np.atleast_2d(P)
         return 2.0 * a * np.stack([P[:, 0], -P[:, 1], -P[:, 2]], axis=-1)
 
     def hess(P):
-        P = np.atleast_2d(P)
         H = np.zeros((len(P), 3, 3))
         H[:, 0, 0] = 2.0 * a
         H[:, 1, 1] = -2.0 * a
         H[:, 2, 2] = -2.0 * a
         return H
 
-    return Density(psi, grad, hess, name="anisotropic-quadratic")
+    return Density(psi, grad, hess)
 
 
 @functools.lru_cache(maxsize=None)
 def space_quadratic_ball(a: float = 4.5, radius: float = 0.45) -> AmbientSpace:
-    return AmbientSpace(dim=3, density=quadratic_density(a),
+    return AmbientSpace(density=quadratic_density(a),
                         boundary=make_boundary("ball", radius=radius))
 
 
@@ -97,7 +94,7 @@ def space_offset_ball(density_name="constant", **params) -> AmbientSpace:
 
 @functools.lru_cache(maxsize=None)
 def space_cone(density_name="constant", **params) -> AmbientSpace:
-    return make_space(dim=3, density=(density_name, dict(params)),
+    return make_space(density=(density_name, dict(params)),
                       boundary=("cone", {"alpha": 0.7}))
 
 

@@ -197,24 +197,23 @@ def builtin_run(name, pass_id):
 def test_criterion_1_curvature_closed_forms():
     with criterion(1, budget=1.0) as info:
         gauss = make_space(density=("gaussian", {}))
-        worst = 0.0
-        for _ in range(20):
-            p = RNG.normal(size=3)
-            v = RNG.normal(size=3)
-            v /= np.linalg.norm(v)
-            worst = max(worst, abs(bakry_emery_ricci(gauss, p, v) - 2.0))
-            worst = max(worst, abs(perelman_scalar(gauss, p)
-                                   - (12.0 - 4.0 * p @ p)))
+        # 20 (p, v) pairs, each p drawn before its v
+        P, V = RNG.normal(size=(20, 2, 3)).transpose(1, 0, 2)
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        worst = max(
+            float(np.max(np.abs(bakry_emery_ricci(gauss, P, V) - 2.0))),
+            float(np.max(np.abs(perelman_scalar(gauss, P)
+                                - (12.0 - 4.0 * np.sum(P * P, axis=1))))))
         for k in (-3.0, -2.5, -2.0, -1.0):
             for r in (0.5, 1.0, 2.0):
                 space = make_space(density=("radial-log", {"k": k}),
                                    boundary=("ball-complement",
                                              {"radius": r}))
-                p = r * RNG.normal(size=3)
+                p = r * RNG.normal(size=(1, 3))
                 p *= r / np.linalg.norm(p)
-                worst = max(worst, abs(perelman_scalar(space, p)
-                                       + k * (k + 2.0) / (p @ p)))
-                worst = max(worst, abs(boundary_f_mean_curvature(space, p)
+                worst = max(worst, abs(perelman_scalar(space, p)[0]
+                                       + k * (k + 2.0) / np.sum(p * p)))
+                worst = max(worst, abs(boundary_f_mean_curvature(space, p)[0]
                                        + (k + 2.0) / r))
         assert worst < 1e-10
         info["detail"] = f"closed-form max error {worst:.2e}"
@@ -353,8 +352,7 @@ def test_criterion_6_curvature_identities():
             for dens, params in densities:
                 space, imm, mesh, data = cf.cached_geometry(kind, 16, dens,
                                                             **params)
-                worst_g = max(worst_g, gauss_rearrangement_residual(
-                    space, data))
+                worst_g = max(worst_g, gauss_rearrangement_residual(data))
                 if data.has_boundary:
                     worst_b = max(worst_b, boundary_identity_residual(
                         space, data))

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from wstab.ambient import (bakry_emery_ricci, boundary_f_mean_curvature,
+from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY,
+                           bakry_emery_ricci, boundary_f_mean_curvature,
                            boundary_ii_matrix, boundary_inner_normal,
-                           boundary_second_fundamental,
-                           density_consistency_check, fd_grad_psi, fd_hess_psi,
-                           make_boundary, make_density, make_space,
-                           perelman_scalar)
+                           fd_grad_psi, fd_hess_psi, make_boundary,
+                           make_density, make_space, perelman_scalar)
 from wstab.errors import InputError, SingularBoundaryError
+from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
 
 RNG = np.random.default_rng(7)
 
@@ -18,29 +18,37 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def row(p):
+    """A single point as the 1-row batch every operation takes."""
+    return np.asarray(p, float)[None, :]
+
+
 class TestBakryEmeryRicci:
     def test_gaussian_is_two_for_all_unit_directions(self):
         space = make_space(density=("gaussian", {}))
         for _ in range(10):
             p = RNG.normal(size=3)
             v = unit(RNG.normal(size=3))
-            assert bakry_emery_ricci(space, p, v) == pytest.approx(2.0, abs=1e-10)
+            assert bakry_emery_ricci(space, row(p), row(v))[0] == \
+                pytest.approx(2.0, abs=1e-10)
 
     def test_constant_density_is_flat(self):
         space = make_space()
-        assert bakry_emery_ricci(space, [1.0, 2.0, 3.0], [0, 0, 1.0]) == 0.0
+        assert bakry_emery_ricci(space, row([1.0, 2.0, 3.0]),
+                                 row([0, 0, 1.0]))[0] == 0.0
 
     def test_rejects_non_unit_direction(self):
         space = make_space(density=("gaussian", {}))
         with pytest.raises(InputError):
-            bakry_emery_ricci(space, [0.0, 0.0, 0.0], [0.0, 0.0, 2.0])
+            bakry_emery_ricci(space, row([0.0, 0.0, 0.0]), row([0.0, 0.0, 2.0]))
 
     def test_batch_matches_pointwise(self):
         space = make_space(density=("radial-log", {"k": -2.0}))
         P = RNG.normal(size=(5, 3)) + 4.0
         V = np.stack([unit(v) for v in RNG.normal(size=(5, 3))])
         batch = bakry_emery_ricci(space, P, V)
-        single = [bakry_emery_ricci(space, p, v) for p, v in zip(P, V)]
+        single = [bakry_emery_ricci(space, row(p), row(v))[0]
+                  for p, v in zip(P, V)]
         assert np.allclose(batch, single, atol=1e-14)
 
 
@@ -50,7 +58,8 @@ class TestPerelmanScalar:
         for _ in range(10):
             p = RNG.normal(size=3)
             expected = 12.0 - 4.0 * np.dot(p, p)
-            assert perelman_scalar(space, p) == pytest.approx(expected, abs=1e-10)
+            assert perelman_scalar(space, row(p))[0] == pytest.approx(
+                expected, abs=1e-10)
 
     @pytest.mark.parametrize("k", [-3.0, -2.5, -2.0, -1.0])
     def test_radial_log_closed_form(self, k):
@@ -58,29 +67,30 @@ class TestPerelmanScalar:
         for r in (0.5, 1.0, 2.0):
             p = r * unit(RNG.normal(size=3))
             expected = -k * (k + 2.0) / r**2
-            assert perelman_scalar(space, p) == pytest.approx(expected, abs=1e-10)
+            assert perelman_scalar(space, row(p))[0] == pytest.approx(
+                expected, abs=1e-10)
 
     def test_constant_density_vanishes(self):
         space = make_space()
-        assert perelman_scalar(space, [0.3, -0.2, 5.0]) == 0.0
+        assert perelman_scalar(space, row([0.3, -0.2, 5.0]))[0] == 0.0
 
 
 class TestBoundaryOperators:
     def test_half_space_inner_normal(self):
         space = make_space(boundary=("half-space", {"axis": 2}))
-        xi = boundary_inner_normal(space, [0.3, -1.0, 0.0])
-        assert np.allclose(xi, [0, 0, 1])
+        xi = boundary_inner_normal(space, row([0.3, -1.0, 0.0]))
+        assert np.allclose(xi, [[0, 0, 1]])
 
     def test_inner_normal_requires_boundary_point(self):
         space = make_space(boundary=("half-space", {"axis": 2}))
         with pytest.raises(InputError):
-            boundary_inner_normal(space, [0.0, 0.0, 0.5])
+            boundary_inner_normal(space, row([0.0, 0.0, 0.5]))
 
     def test_inner_normal_rejects_nan_level_set(self):
         space = make_space(boundary=("half-space",
                                      {"offset": float("nan")}))
         with pytest.raises(InputError, match="not on the boundary"):
-            boundary_inner_normal(space, [0.0, 0.0, 0.0])
+            boundary_inner_normal(space, row([0.0, 0.0, 0.0]))
 
     def test_inner_normal_rejects_nan_gradient(self):
         from wstab.ambient import AmbientSpace, BoundarySpec
@@ -88,73 +98,66 @@ class TestBoundaryOperators:
         nan_grad = BoundarySpec(half.phi,
                                 lambda P: np.full((len(P), 3), np.nan),
                                 half.hess_phi)
-        space = AmbientSpace(dim=3, density=make_density("constant"),
+        space = AmbientSpace(density=make_density("constant"),
                              boundary=nan_grad)
         with pytest.raises(SingularBoundaryError):
-            boundary_inner_normal(space, [1.0, 0.0, 0.0])
+            boundary_inner_normal(space, row([1.0, 0.0, 0.0]))
 
     def test_degenerate_gradient_is_singular(self):
-        from wstab.ambient import BoundarySpec
+        from wstab.ambient import AmbientSpace, BoundarySpec
 
         def phi(P):
-            P = np.atleast_2d(P)
             return P[:, 2]**2
 
         def grad(P):
-            P = np.atleast_2d(P)
             g = np.zeros_like(P)
             g[:, 2] = 2.0 * P[:, 2]
             return g
 
         def hess(P):
-            P = np.atleast_2d(P)
             H = np.zeros((len(P), 3, 3))
             H[:, 2, 2] = 2.0
             return H
 
-        space = make_space()
-        space = type(space)(dim=3, density=space.density,
-                            boundary=BoundarySpec(phi, grad, hess, "degenerate"))
+        space = AmbientSpace(density=make_density("constant"),
+                             boundary=BoundarySpec(phi, grad, hess))
         with pytest.raises(SingularBoundaryError):
-            boundary_inner_normal(space, [1.0, 0.0, 0.0])
+            boundary_inner_normal(space, row([1.0, 0.0, 0.0]))
 
     def test_ball_second_fundamental_is_curvature_of_sphere(self):
         R = 2.0
         space = make_space(boundary=("ball", {"radius": R}))
         p = R * unit([1.0, 1.0, 0.3])
-        xi = boundary_inner_normal(space, p)
-        assert np.allclose(xi, -p / R)
+        xi = boundary_inner_normal(space, row(p))
+        assert np.allclose(xi, row(-p / R))
         t = unit(np.cross(p, [0, 0, 1.0]))
-        assert boundary_second_fundamental(space, p, t, t) == pytest.approx(
+        assert t @ boundary_ii_matrix(space, row(p))[0] @ t == pytest.approx(
             1.0 / R, abs=1e-12)
 
     def test_ball_complement_flips_sign(self):
         space = make_space(boundary=("ball-complement", {"radius": 1.0}))
         p = unit([0.2, -0.5, 0.8])
         t = unit(np.cross(p, [1.0, 0, 0]))
-        assert boundary_second_fundamental(space, p, t, t) == pytest.approx(
+        assert t @ boundary_ii_matrix(space, row(p))[0] @ t == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_cone_radial_direction_is_flat(self):
         space = make_space(boundary=("cone", {"alpha": 0.7}))
         n = unit([np.sin(0.7), 0.0, np.cos(0.7)])
         p = 1.3 * n
-        assert boundary_second_fundamental(space, p, n, n) == pytest.approx(
+        assert n @ boundary_ii_matrix(space, row(p))[0] @ n == pytest.approx(
             0.0, abs=1e-12)
 
-    def test_second_fundamental_rejects_non_tangent(self):
-        space = make_space(boundary=("ball", {"radius": 1.0}))
-        p = unit([1.0, 0, 0])
-        with pytest.raises(InputError):
-            boundary_second_fundamental(space, p, p, p)
-
     def test_ii_matrix_restricts_to_directional_values(self):
+        """On the tangent plane of a sphere of radius R the matrix is II =
+        (1/R) I: every direction has curvature 1/R, with no cross term."""
         space = make_space(boundary=("ball", {"radius": 0.7}))
         p = 0.7 * unit([1.0, 2.0, -0.5])
-        M = boundary_ii_matrix(space, p)
-        t = unit(np.cross(p, [0.0, 0.0, 1.0]))
-        assert t @ M @ t == pytest.approx(
-            boundary_second_fundamental(space, p, t, t), abs=1e-12)
+        M = boundary_ii_matrix(space, row(p))[0]
+        t1 = unit(np.cross(p, [0.0, 0.0, 1.0]))
+        t2 = unit(np.cross(p, t1))
+        T = np.stack([t1, t2], axis=-1)
+        assert np.allclose(T.T @ M @ T, np.eye(2) / 0.7, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k,r", [(-3.0, 1.0), (-2.0, 1.0), (-2.0, 2.0),
                                      (-1.0, 0.5)])
@@ -163,7 +166,7 @@ class TestBoundaryOperators:
         space = make_space(density=("radial-log", {"k": k}),
                            boundary=("ball-complement", {"radius": r}))
         p = r * unit(RNG.normal(size=3))
-        got = boundary_f_mean_curvature(space, p)
+        got = boundary_f_mean_curvature(space, row(p))[0]
         assert got == pytest.approx(-(k + 2.0) / r, abs=1e-10)
 
 
@@ -184,21 +187,99 @@ class TestDensityRegistry:
         assert np.allclose(density.hess_psi(P), fd_hess_psi(density, P),
                            atol=1e-5)
 
-    def test_consistency_check_passes_for_registry(self):
-        for name, params, shift in [("gaussian", {}, 0.0),
-                                    ("radial-log", {"k": -2.0}, 3.0)]:
-            space = make_space(density=(name, params))
-            P = RNG.normal(size=(8, 3)) + shift
-            report = density_consistency_check(space, P)
-            assert report.passed
-
     def test_unknown_names_rejected(self):
         with pytest.raises(InputError):
             make_density("no-such-density")
         with pytest.raises(InputError):
             make_boundary("no-such-boundary")
 
-    def test_f_is_exp_psi(self):
-        density = make_density("linear", a=(1.0, 0.0, 0.0))
-        p = np.array([0.3, 7.0, -2.0])
-        assert density.f(p) == pytest.approx(np.exp(0.3), rel=1e-14)
+
+# parameters for every registry entry; a new entry needs one here
+DENSITY_PARAMS = {"constant": {}, "gaussian": {}, "radial-log": {"k": -2.0},
+                  "linear": {"a": (1.0, 0.0, 0.0)},
+                  "radial-smooth": {"coeffs": (0.0, 0.0, 0.5)}}
+BOUNDARY_PARAMS = {"none": {}, "half-space": {}, "slab": {}, "ball": {},
+                   "ball-complement": {}, "cone": {"alpha": 0.7}}
+FLOW_PARAMS = {"translation": {"direction": (1.0, 0.0, 0.0)}, "scaling": {},
+               "rotation": {}}
+
+
+def on_boundary(name, n, rng):
+    """n points on the default boundary of each registry entry."""
+    ang = rng.uniform(0.0, 2 * np.pi, n)
+    t = rng.uniform(0.5, 2.0, n)
+    if name == "half-space":
+        return np.stack([t, ang, np.zeros(n)], axis=-1)
+    if name == "slab":
+        return np.stack([t, ang, np.where(np.arange(n) % 2, 1.0, -1.0)],
+                        axis=-1)
+    if name == "cone":
+        s, c = np.sin(0.7), np.cos(0.7)
+        return t[:, None] * np.stack([s * np.cos(ang), s * np.sin(ang),
+                                      np.full(n, c)], axis=-1)
+    P = rng.normal(size=(n, 3))                        # ball, ball-complement
+    return P / np.linalg.norm(P, axis=1)[:, None]
+
+
+class TestBatchConvention:
+    """Every callback takes an (N, .) batch, N = 1 included, and returns
+    one row per point."""
+
+    def test_every_registry_entry_has_parameters(self):
+        assert set(DENSITY_PARAMS) == set(DENSITY_REGISTRY)
+        assert set(BOUNDARY_PARAMS) == set(BOUNDARY_REGISTRY)
+        assert set(FLOW_PARAMS) == set(FLOW_REGISTRY)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", sorted(DENSITY_REGISTRY))
+    def test_density(self, name, n):
+        space = make_space(density=(name, DENSITY_PARAMS[name]))
+        rng = np.random.default_rng(n)
+        P = rng.normal(size=(n, 3)) + 3.0
+        V = rng.normal(size=(n, 3))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        d = space.density
+        assert d.psi(P).shape == (n,)
+        assert d.grad_psi(P).shape == (n, 3)
+        assert d.hess_psi(P).shape == (n, 3, 3)
+        assert d.lap_psi(P).shape == (n,)
+        assert bakry_emery_ricci(space, P, V).shape == (n,)
+        assert perelman_scalar(space, P).shape == (n,)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_REGISTRY))
+    def test_boundary(self, name, n):
+        space = make_space(boundary=(name, BOUNDARY_PARAMS[name]))
+        P = on_boundary(name, n, np.random.default_rng(n))
+        if name == "none":
+            assert space.boundary is None
+            with pytest.raises(InputError, match="no boundary"):
+                boundary_inner_normal(space, P)
+            return
+        b = space.boundary
+        assert b.phi(P).shape == (n,)
+        assert b.grad_phi(P).shape == (n, 3)
+        assert b.hess_phi(P).shape == (n, 3, 3)
+        assert boundary_inner_normal(space, P).shape == (n, 3)
+        assert boundary_ii_matrix(space, P).shape == (n, 3, 3)
+        assert boundary_f_mean_curvature(space, P).shape == (n,)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", sorted(SURFACE_REGISTRY))
+    def test_immersion(self, name, n):
+        imm = SURFACE_REGISTRY[name]()
+        pd = imm.param_dim
+        Q = 0.3 * np.random.default_rng(n).uniform(0.1, 1.0, size=(n, pd))
+        assert imm.chart(Q).shape == (n, 3)
+        assert imm.chart_jac(Q).shape == (n, 3, pd)
+        assert imm.chart_hess(Q).shape == (n, 3, pd, pd)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", sorted(FLOW_REGISTRY))
+    def test_flow(self, name, n):
+        flow = FLOW_REGISTRY[name](**FLOW_PARAMS[name])
+        P = np.random.default_rng(n).normal(size=(n, 3))
+        assert flow.map(0.1, P).shape == (n, 3)
+        assert flow.velocity(0.1, P).shape == (n, 3)
+        assert flow.jac(0.1, P).shape == (n, 3, 3)
+        assert flow.hess(0.1, P).shape == (n, 3, 3, 3)

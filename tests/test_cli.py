@@ -551,15 +551,29 @@ class TestSweep:
         assert "config error" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
-    def test_resolution_sweep_without_spectrum_has_no_order_column(
-            self, tmp_path):
-        tree = half_sphere({"name": "constant"}, 6, ["stationarity"],
-                           sweep={"param": "resolution", "values": [6, 8, 10]})
-        code, report = run_report(tmp_path, tree)
-        assert code == 0
-        header = (tmp_path / "out" / "samples.csv").read_text().splitlines()[0]
-        assert header == "resolution,lambda_min"
-        assert [len(row) for row in report["sweep"]["rows"]] == [2, 2, 2]
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_resolution_sweep_without_spectrum_exits_4(
+            self, tmp_path, capsys, monkeypatch, command):
+        """A sweep tabulates lambda_min, so a scenario that does not run
+        'spectrum' is rejected before its first run, as a sweep block or
+        from the sweep command."""
+        runs = []
+        monkeypatch.setattr(scenarios, "_run_single", runs.append)
+        tree = half_sphere({"name": "constant"}, 6, ["stationarity"])
+        out_dir = tmp_path / "out"
+        if command == "run":
+            tree["sweep"] = {"param": "resolution", "values": [6, 8, 10]}
+            argv = ["run", write_config(tmp_path, tree)]
+        else:
+            argv = ["sweep", write_config(tmp_path, tree), "--param",
+                    "resolution", "--range=6:10:2"]
+        assert main(argv + ["--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "'spectrum'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert runs == []
+        assert not out_dir.exists()
 
     def test_order_column_is_blank_where_the_errors_are_rounding(
             self, tmp_path):

@@ -309,10 +309,10 @@ class TestBoundaryStaysOnTheAmbientBoundary:
             family.geometry(0.1)
 
     def test_nan_level_set_is_rejected(self):
-        spec = BoundarySpec(lambda P: np.full(len(np.atleast_2d(P)), np.nan),
+        spec = BoundarySpec(lambda P: np.full(len(P), np.nan),
                             lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)),
                             lambda P: np.zeros((len(P), 3, 3)))
-        space = AmbientSpace(dim=3, density=make_density("constant"),
+        space = AmbientSpace(density=make_density("constant"),
                              boundary=spec)
         # the base is charted without that boundary, which would stop it
         free = cf.space_free()

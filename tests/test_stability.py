@@ -39,7 +39,7 @@ def cone_cap_assembly(resolution):
 
 def flat_torus_assembly(resolution):
     """Doubly periodic slice of a weighted product with psi = x."""
-    space = make_space(dim=3, density=("linear", {"a": (1.0, 0.0, 0.0)}))
+    space = make_space(density=("linear", {"a": (1.0, 0.0, 0.0)}))
     imm = RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                     u_range=(0.0, TAU), v_range=(0.0, TAU), periodic_u=True,
                     periodic_v=True)
@@ -157,10 +157,11 @@ class TestShiftedFactor:
 
     def test_factor_is_shared_between_solves(self):
         asm = assembly("hemisphere", 12, "gaussian")
-        factor = asm.shifted_factor
+        factor, operator = asm.shifted_factor, asm.operator
         robin_eigenproblem(asm)
         constrained_lambda_min(asm)
         assert asm.shifted_factor is factor
+        assert asm.operator is operator
 
     def test_constrained_solve_above_old_dense_limit(self):
         """Mean-zero l = 1 modes: lambda = 2 - (2 + k) = 2.5 for k = -2.5."""

@@ -42,7 +42,7 @@ class TestGaussRearrangement:
     def test_pointwise_identity(self, kind, density, params):
         space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
                                                     **params)
-        assert gauss_rearrangement_residual(space, data) < 1e-9
+        assert gauss_rearrangement_residual(data) < 1e-9
 
 
 class TestBoundaryIdentity:
@@ -85,7 +85,7 @@ class TestStabilityTopologyChain:
     def test_sphere_in_ball_complement(self):
         from wstab.ambient import make_space
         from wstab.surface import RoundSphere
-        space = make_space(dim=3, density=("radial-log", {"k": -2.0}),
+        space = make_space(density=("radial-log", {"k": -2.0}),
                            boundary=("ball-complement", {"radius": 1.0}))
         imm = RoundSphere(radius=2.0)
         data = extrinsic_geometry(space, surface_chart(imm, 24, space))
