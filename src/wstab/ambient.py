@@ -86,13 +86,32 @@ class AmbientSpace:
 # operations
 # ---------------------------------------------------------------------------
 
+def ordered_sum(terms) -> Array:
+    """The (N,) terms added in the order given onto +0.0, as numpy's sums
+    and einsum add them, so that a sum of zeros is +0.0 whatever their
+    signs.  The geometry kernels sum through this on (N,) columns."""
+    terms = iter(terms)
+    total = 0.0 + next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
+def quadratic_form(A: Array, V: Array) -> Array:
+    """A(v, v) = sum_ij A_ij v_i v_j for matrices A (N, 3, 3) and vectors
+    V (N, 3), summed with j inner; returns (N,)."""
+    v = V.T
+    return ordered_sum(A[:, i, j] * v[i] * v[j]
+                       for i in range(3) for j in range(3))
+
+
 def bakry_emery_ricci(space: AmbientSpace, P: Array, V: Array) -> Array:
     """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v) for
     unit vectors V (N, 3) at points P (N, 3); returns (N,)."""
     norms = np.linalg.norm(V, axis=-1)
     if np.any(np.abs(norms - 1.0) > 1e-12):
         raise InputError("bakry_emery_ricci requires unit direction vectors")
-    return -np.einsum("nij,ni,nj->n", space.density.hess_psi(P), V, V)
+    return -quadratic_form(space.density.hess_psi(P), V)
 
 
 def perelman_scalar(space: AmbientSpace, P: Array) -> Array:
@@ -130,7 +149,7 @@ def boundary_f_mean_curvature(space: AmbientSpace, P: Array) -> Array:
     xi = boundary_inner_normal(space, P)
     H = boundary_ii_matrix(space, P)
     trace_full = np.trace(H, axis1=-2, axis2=-1)
-    normal_part = np.einsum("nij,ni,nj->n", H, xi, xi)
+    normal_part = quadratic_form(H, xi)
     trace_tan = trace_full - normal_part
     gpsi = space.density.grad_psi(P)
     return trace_tan - np.sum(gpsi * xi, axis=-1)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .ambient import AmbientSpace, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _frame,
-                      _normal_from_jac, extrinsic_geometry,
+from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _along, _dot,
+                      _normal_and_area, _normal_from_jac, extrinsic_geometry,
                       stationarity_verdict)
 
 Array = np.ndarray
@@ -217,8 +217,8 @@ class DeformedFamily:
             return base.pos, base.N, base.w_daf
         pos = self.flow.map(s, base.pos)
         J = np.matmul(self.flow.jac(s, base.pos), base.J)
-        *_, N, w_da = _frame(base.mesh.immersion.orientation_sign,
-                             base.D1, base.D2, J)
+        N, w_da, _ = _normal_and_area(base.mesh.immersion.orientation_sign,
+                                      _along(J, base.D1), _along(J, base.D2))
         return pos, N, w_da * np.exp(self.space.density.psi(pos))
 
     def _slice(self, s: float) -> Tuple[float, float]:
@@ -229,7 +229,7 @@ class DeformedFamily:
         if s not in self._slices:
             _, N, w_daf = self.area_elements(s)
             vel = self.flow.velocity(s, self.data.pos)
-            rate = float(np.sum(np.sum(vel * N, axis=1) * w_daf))
+            rate = float(np.sum(_dot(vel.T, N.T) * w_daf))
             self._slices[s] = (float(np.sum(w_daf)), rate)
         return self._slices[s]
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .ambient import ordered_sum
 from .errors import InputError, NumericalFailure, PreconditionError
 from .functionals import DeformedFamily
 from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData, SurfaceMesh,
@@ -59,12 +60,17 @@ def assemble(data: ExtrinsicData) -> IndexFormAssembly:
     w = data.w_daf.reshape(F, R)
     pot = (data.ricf_NN + data.sigma2).reshape(F, R)
     Ginv = data.Ginv.reshape(F, R, 2, 2)
+    G = [[np.ascontiguousarray(Ginv[..., a, b]) for b in range(2)]
+         for a in range(2)]
     n = mesh.n_vertices
 
     rows, cols, kv, pv, mv = [], [], [], [], []
     for i in range(3):
         for j in range(3):
-            gij = np.einsum("a,frab,b->fr", HAT_GRADS[i], Ginv, HAT_GRADS[j])
+            # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner
+            gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
+            gij = ordered_sum(gi[a] * G[a][b] * gj[b]
+                              for a in range(2) for b in range(2))
             ke = np.sum(w * gij, axis=1)
             hi, hj = TRI_HATS[i][None, :], TRI_HATS[j][None, :]
             pe = np.sum(w * pot * hi * hj, axis=1)

@@ -16,8 +16,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .ambient import (AmbientSpace, bakry_emery_ricci,
                       boundary_f_mean_curvature, boundary_ii_matrix,
-                      boundary_inner_normal, perelman_scalar, unit_vector3,
-                      vector3)
+                      boundary_inner_normal, ordered_sum, perelman_scalar,
+                      quadratic_form, unit_vector3, vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -176,51 +176,54 @@ class SphericalCap(Immersion):
         self.domain = ("disk", float(np.tan(alpha / 2)))
 
     def _unit(self, Q):
+        """The unscaled chart e / D as the components of e, with D, u, v."""
         u, v = Q[:, 0], Q[:, 1]
         w = u * u + v * v
-        D = 1.0 + w
-        e = np.stack([2 * u, 2 * v, 1 - w], axis=-1)
-        return e, D, u, v, w
+        return (2 * u, 2 * v, 1 - w), 1.0 + w, u, v
 
     def chart(self, Q):
         e, D, *_ = self._unit(Q)
-        s = e / D[:, None]
+        s = np.stack(e, axis=-1) / D[:, None]
         return self.center + self.radius * s @ self.rot.T
 
+    @staticmethod
+    def _first(u, v):
+        """(e_a, D_a) for a = u, v: e_u = (2, 0, -2u), D_u = 2u and
+        e_v = (0, 2, -2v), D_v = 2v."""
+        return ((2.0, 0.0, -2 * u), 2 * u), ((0.0, 2.0, -2 * v), 2 * v)
+
     def chart_jac(self, Q):
-        e, D, u, v, w = self._unit(Q)
-        n = len(D)
-        # derivatives of e and D
-        e_u = np.stack([np.full(n, 2.0), np.zeros(n), -2 * u], axis=-1)
-        e_v = np.stack([np.zeros(n), np.full(n, 2.0), -2 * v], axis=-1)
-        D_u, D_v = 2 * u, 2 * v
-        s_u = e_u / D[:, None] - e * (D_u / D**2)[:, None]
-        s_v = e_v / D[:, None] - e * (D_v / D**2)[:, None]
-        J = np.stack([s_u, s_v], axis=-1) * self.radius
-        return np.einsum("ij,nja->nia", self.rot, J)
+        e, D, u, v = self._unit(Q)
+        rot, J = self.rot, np.empty((len(D), 3, 2))
+        D2 = D**2
+        for a, (e_a, D_a) in enumerate(self._first(u, v)):
+            k = D_a / D2
+            s0, s1, s2 = ((e_a[j] / D - e[j] * k) * self.radius
+                          for j in range(3))
+            for i in range(3):
+                J[:, i, a] = ordered_sum((rot[i, 0] * s0, rot[i, 1] * s1,
+                                          rot[i, 2] * s2))
+        return J
 
     def chart_hess(self, Q):
-        e, D, u, v, w = self._unit(Q)
-        n = len(D)
-        z = np.zeros(n)
-        two = np.full(n, 2.0)
-        e_a = np.stack([np.stack([two, z, -2 * u], -1),
-                        np.stack([z, two, -2 * v], -1)], axis=1)  # (n,2,3)
-        D_a = np.stack([2 * u, 2 * v], axis=-1)  # (n,2)
-        # e_ab: e_uu = e_vv = (0,0,-2), e_uv = 0; D_ab = 2*I
-        e_ab = np.zeros((n, 2, 2, 3))
-        e_ab[:, 0, 0, 2] = -2.0
-        e_ab[:, 1, 1, 2] = -2.0
-        D_ab = 2.0 * np.eye(2)[None, :, :] * np.ones((n, 1, 1))
-        Dm = D[:, None, None, None]
-        Da = D_a[:, :, None, None]
-        Db = D_a[:, None, :, None]
-        s_ab = (e_ab / Dm
-                - e_a[:, :, None, :] * Db / Dm**2
-                - e_a[:, None, :, :] * Da / Dm**2
-                - e[:, None, None, :] * D_ab[..., None] / Dm**2
-                + 2.0 * e[:, None, None, :] * Da * Db / Dm**3)
-        H = self.radius * np.einsum("ij,nabj->niab", self.rot, s_ab)
+        e, D, u, v = self._unit(Q)
+        e_a, D_a = zip(*self._first(u, v))
+        rot, H = self.rot, np.empty((len(D), 3, 2, 2))
+        D2, D3 = D**2, D**3
+        for a in range(2):
+            for b in range(2):
+                # e_uu = e_vv = (0, 0, -2), e_uv = 0; D_ab = 2 delta_ab
+                e_ab = (0.0, 0.0, -2.0 if a == b else 0.0)
+                D_ab = 2.0 if a == b else 0.0
+                s0, s1, s2 = (e_ab[j] / D - e_a[a][j] * D_a[b] / D2
+                              - e_a[b][j] * D_a[a] / D2 - e[j] * D_ab / D2
+                              + 2.0 * e[j] * D_a[a] * D_a[b] / D3
+                              for j in range(3))
+                for i in range(3):
+                    # einsum summed this row in the vector-lane order
+                    # (0 + 2) + 1
+                    H[:, i, a, b] = self.radius * ordered_sum(
+                        (rot[i, 0] * s0 + rot[i, 2] * s2, rot[i, 1] * s1))
         return H
 
 
@@ -272,6 +275,10 @@ class RectPatch(AffineImmersion):
         self.origin = vector3(origin, "patch origin")
         self.du = vector3(du, "patch du")
         self.dv = vector3(dv, "patch dv")
+        # du and dv must span a plane: finite, nonzero and not parallel
+        if not np.linalg.norm(np.cross(unit_vector3(du, "patch du"),
+                                       unit_vector3(dv, "patch dv"))) > 1e-12:
+            raise InputError("patch du and dv must not be parallel")
         self.orientation_sign = _orientation_sign(orientation_sign)
         ranges = np.asarray([u_range, v_range], float)
         if (ranges.shape != (2, 2) or not np.all(np.isfinite(ranges))
@@ -303,21 +310,31 @@ class RoundSphere(Immersion):
 
     def chart_jac(self, Q):
         r = np.linalg.norm(Q, axis=-1)
-        eye = np.eye(3)[None]
-        nn = Q[:, :, None] * Q[:, None, :] / (r**2)[:, None, None]
-        return self.radius * (eye - nn) / r[:, None, None]
+        r2 = r**2
+        J = np.empty((len(Q), 3, 3))
+        for i in range(3):
+            for j in range(3):
+                J[:, i, j] = self.radius * ((1.0 if i == j else 0.0)
+                                            - Q[:, i] * Q[:, j] / r2) / r
+        return J
 
     def chart_hess(self, Q):
         r = np.linalg.norm(Q, axis=-1)
-        n = Q / r[:, None]
-        eye3 = np.eye(3)
-        nn = n[:, :, None] * n[:, None, :]
+        r2 = r**2
+        n = (Q / r[:, None]).T
+        H = np.empty((len(Q), 3, 3, 3))
         # H[p,i,a,b] = r*(-d_ia n_b - d_ib n_a - n_i d_ab + 3 n_i n_a n_b)/|q|^2
-        term = (-eye3[None, :, :, None] * n[:, None, None, :]
-                - eye3[None, :, None, :] * n[:, None, :, None]
-                - n[:, :, None, None] * eye3[None, None, :, :]
-                + 3.0 * n[:, :, None, None] * nn[:, None, :, :])
-        return self.radius * term / (r**2)[:, None, None, None]
+        for i in range(3):
+            n3 = 3.0 * n[i]
+            for a in range(3):
+                d_ia = 1.0 if i == a else 0.0
+                for b in range(3):
+                    d_ib = 1.0 if i == b else 0.0
+                    d_ab = 1.0 if a == b else 0.0
+                    term = (-d_ia * n[b] - d_ib * n[a] - n[i] * d_ab
+                            + n3 * (n[a] * n[b]))
+                    H[:, i, a, b] = self.radius * term / r2
+        return H
 
 
 # ---------------------------------------------------------------------------
@@ -684,46 +701,87 @@ def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
     q, dq, ddq, inward = _on_arcs(imm, mesh.boundary_edges[:, 2],
                                   t).reshape(4, -1, imm.param_dim)
     Jb = imm.chart_jac(q)
+    ddg = _second_along(imm.chart_hess(q), Jb, dq, dq, ddq)
     return dict(b_params=q, b_inward=inward, b_pos=imm.chart(q),
-                b_dg=np.einsum("nia,na->ni", Jb, dq),
-                b_ddg=(np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
-                       + np.einsum("nia,na->ni", Jb, ddq)),
-                b_J=Jb)
+                b_dg=np.stack(_along(Jb, dq), axis=1),
+                b_ddg=np.stack(ddg, axis=1), b_J=Jb)
 
 
-def _frame(sign: int, D1: Array, D2: Array, J: Array):
-    """The chart's frame (E1, E2) along the blended directions, the inverse
-    metric in that frame, the unit normal and the area element times the
-    Gauss3 weight."""
-    E1 = np.einsum("nia,na->ni", J, D1)
-    E2 = np.einsum("nia,na->ni", J, D2)
-    g11 = np.sum(E1 * E1, axis=1)
-    g12 = np.sum(E1 * E2, axis=1)
-    g22 = np.sum(E2 * E2, axis=1)
+# The geometry kernels work on the (N,) columns of each quantity's ambient
+# components, and each sum adds its terms in the order the einsum form it
+# replaced did, so every output keeps its bits.
+
+def _along(J: Array, D: Array) -> list:
+    """The columns of J D, the chart derivative along the parameter
+    directions D (N, pd)."""
+    return [ordered_sum(J[:, i, a] * D[:, a] for a in range(D.shape[1]))
+            for i in range(3)]
+
+
+def _second_along(Hc: Array, J: Array, D: Array, E: Array, Q: Array) -> list:
+    """The columns of Hc(D, E) + J Q, the chart Hessian Hc (N, 3, pd, pd)
+    on the parameter directions D and E (summed with b inner) plus the
+    Jacobian on their derivative Q: the second derivative of the chart
+    along a curve or blend of the parameters."""
+    pd = D.shape[1]
+    return [ordered_sum(Hc[:, i, a, b] * D[:, a] * E[:, b]
+                        for a in range(pd) for b in range(pd)) + JQ
+            for i, JQ in enumerate(_along(J, Q))]
+
+
+def _dot(x, y) -> Array:
+    return ordered_sum(xi * yi for xi, yi in zip(x, y))
+
+
+def _cross(x, y) -> tuple:
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
+            x[0] * y[1] - x[1] * y[0])
+
+
+def _unit_normal(sign: int, E1, E2) -> Array:
+    """E1 x E2 over its length, oriented by the sign, as an (N, 3) array."""
+    n = _cross(E1, E2)
+    length = np.sqrt(_dot(n, n))
+    return np.stack([sign * c / length for c in n], axis=1)
+
+
+def _normal_and_area(sign: int, E1, E2):
+    """The unit normal and the area element times the Gauss3 weight of the
+    frame columns E1, E2, with the metric (g11, g12, g22, det G) they come
+    from: everything a variation slice reads."""
+    g11, g12, g22 = _dot(E1, E1), _dot(E1, E2), _dot(E2, E2)
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
-    Ginv = (np.stack([g22, -g12, -g12, g11], axis=-1)
-            / detG[:, None]).reshape(-1, 2, 2)
-    Nv = np.cross(E1, E2)
-    Nv = sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(J) // len(TRI_WEIGHTS))
-    return E1, E2, Ginv, Nv, w_da
+    w_da = (np.sqrt(detG).reshape(-1, len(TRI_WEIGHTS)) * TRI_WEIGHTS).ravel()
+    return _unit_normal(sign, E1, E2), w_da, (g11, g12, g22, detG)
 
 
-def _shape_operator(Hc: Array, d1r: Array, d2r: Array,
-                    J: Array, Q2, Nv: Array, Ginv: Array) -> Array:
+def _frame(sign: int, D1: Array, D2: Array, J: Array):
+    """The chart's frame (E1, E2) along the blended directions as columns,
+    the inverse metric (g^11, g^12, g^22) in that frame, the unit normal
+    and the area element times the Gauss3 weight."""
+    E1, E2 = _along(J, D1), _along(J, D2)
+    Nv, w_da, (g11, g12, g22, detG) = _normal_and_area(sign, E1, E2)
+    return E1, E2, (g22 / detG, -g12 / detG, g11 / detG), Nv, w_da
+
+
+def _shape_operator(Hc: Array, d1r: Array, d2r: Array, J: Array, Q2,
+                    Nv: Array, Ginv) -> tuple:
     """Shape operator in the (E1, E2) frame from the chart Hessian Hc
-    along the blended directions; its temporaries are the largest of the
-    geometry and are freed on return."""
-    Q11, Q12, Q22 = Q2
-    F11 = np.einsum("niab,na,nb->ni", Hc, d1r, d1r) + np.einsum("nia,na->ni", J, Q11)
-    F12 = np.einsum("niab,na,nb->ni", Hc, d1r, d2r) + np.einsum("nia,na->ni", J, Q12)
-    F22 = np.einsum("niab,na,nb->ni", Hc, d2r, d2r) + np.einsum("nia,na->ni", J, Q22)
+    along the blended directions: its entries (S11, S12, S21, S22) as
+    columns, from the inverse metric columns (g^11, g^12, g^22)."""
+    N = Nv.T
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L11, L12, L22 = (-np.sum(Nv * F, axis=1) for F in (F11, F12, F22))
-    L = np.stack([L11, L12, L12, L22], axis=-1).reshape(-1, 2, 2)
-    return np.einsum("nab,nbc->nac", Ginv, L)
+    L11, L12, L22 = (-_dot(N, _second_along(Hc, J, da, db, Qab))
+                     for da, db, Qab in ((d1r, d1r, Q2[0]),
+                                         (d1r, d2r, Q2[1]),
+                                         (d2r, d2r, Q2[2])))
+    G11, G12, G22 = Ginv
+    return (ordered_sum((G11 * L11, G12 * L12)),
+            ordered_sum((G11 * L12, G12 * L22)),
+            ordered_sum((G12 * L11, G22 * L12)),
+            ordered_sum((G12 * L12, G22 * L22)))
 
 
 def _normal_from_jac(sign: int, J: Array) -> Array:
@@ -731,8 +789,7 @@ def _normal_from_jac(sign: int, J: Array) -> Array:
     the immersion's orientation sign.  Every mesher orders the corners of
     its parameter triangles counterclockwise, so this is the normal that
     the triangles' frames give."""
-    Nv = np.cross(J[:, :, 0], J[:, :, 1])
-    return sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    return _unit_normal(sign, J[:, :, 0].T, J[:, :, 1].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -791,12 +848,16 @@ class SurfaceChart:
     def __post_init__(self, space: AmbientSpace):
         sign = self.mesh.immersion.orientation_sign
         E1, E2, Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
-        S = _shape_operator(self.hess, self.D1, self.D2, self.J, self.Q2,
-                            Nv, Ginv)
-        fields = dict(E1=E1, E2=E2, Ginv=Ginv, N=Nv, w_da=w_da,
-                      H=-0.5 * (S[:, 0, 0] + S[:, 1, 1]),
-                      sigma2=np.einsum("nab,nba->n", S, S),
-                      K=S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0],
+        S11, S12, S21, S22 = _shape_operator(self.hess, self.D1, self.D2,
+                                             self.J, self.Q2, Nv, Ginv)
+        G11, G12, G22 = Ginv
+        fields = dict(E1=np.stack(E1, axis=1), E2=np.stack(E2, axis=1),
+                      Ginv=np.stack([G11, G12, G12, G22],
+                                    axis=-1).reshape(-1, 2, 2),
+                      N=Nv, w_da=w_da, H=-0.5 * (S11 + S22),
+                      sigma2=ordered_sum((S11 * S11, S12 * S21, S21 * S12,
+                                          S22 * S22)),
+                      K=S11 * S22 - S12 * S21,
                       **self._boundary_fields(space, sign))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -810,15 +871,14 @@ class SurfaceChart:
         Nv = _normal_from_jac(sign, self.b_J)
         nu = np.cross(Nv, T)
         # the chart's image of the inward parameter direction orients nu
-        v_in = np.einsum("nia,na->ni", self.b_J, self.b_inward)
-        nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
+        v_in = _along(self.b_J, self.b_inward)
+        nu = nu * np.sign(_dot(nu.T, v_in))[:, None]
         t0, t1 = self.mesh.boundary_t.T
         g = self.b_pos
         xi, II_NN = np.zeros_like(g), np.zeros(len(g))
         if space.boundary is not None:
             xi = boundary_inner_normal(space, g)
-            II_NN = np.einsum("nij,ni,nj->n", boundary_ii_matrix(space, g),
-                              Nv, Nv)
+            II_NN = quadratic_form(boundary_ii_matrix(space, g), Nv)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=np.sum(Nv * xi, axis=1),
                     II_NN=II_NN, h_geod=np.sum(acc * nu, axis=1),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)

@@ -38,6 +38,14 @@ def same_trig() -> bool:
     return h.hexdigest() == TRIG_DIGEST
 
 
+def einsum_pairs_lanes() -> bool:
+    """Whether np.einsum sums a contiguous 3-long contraction as
+    (x0 + x2) + x1, as the vector units that recorded the pinned digests
+    do (2- and 8-lane units; a 4-lane unit gives (x0 + x1) + x2)."""
+    x = np.array([1.0, 1e-16, -1.0])
+    return float(np.einsum("j,j->", x, np.ones(3))) == 1e-16
+
+
 @functools.lru_cache(maxsize=None)
 def space_half_space(density_name="constant", **params) -> AmbientSpace:
     return make_space(density=(density_name, dict(params)),

@@ -264,6 +264,26 @@ class TestMalformedParameterValues:
         assert key in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("du,dv,key", [
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], "du"),
+        ([0.0, 1.0, 0.0], [0.0, 0.0, 0.0], "dv"),
+        ([0.0, 1.0, 0.0], [0.0, 1.0, 0.0], "parallel"),
+        ([0.0, 1.0, 0.0], [0.0, -2.0, 0.0], "parallel"),
+    ], ids=["zero-du", "zero-dv", "equal", "antiparallel"])
+    def test_degenerate_patch_direction_exits_4(self, tmp_path, capsys,
+                                                du, dv, key):
+        """Rejected when the patch is built, not later as a mesh with a
+        degenerate triangle (exit 3)."""
+        tree = {"ambient": {"density": {"name": "constant"}},
+                "surface": {"builtin": "rect-patch", "du": du, "dv": dv},
+                "resolution": 6, "tasks": ["stationarity"]}
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert key in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_flow_leaving_the_ambient_boundary_exits_4(self, tmp_path,
                                                       capsys):
         """Lifting a half-sphere off its plane is not a variation by
@@ -727,6 +747,15 @@ SCENARIO_DIGESTS = {
         "report.json": "217e9a3b92bd36131efb4afd20d2947e551ff5a0e74463c19696fee8fe734338",
         "spectrum.csv": "537b80d46ab5c18f3909a0ae06cfce0a1c7a0bec5b307b34ebe4c5beddc5b701",
     },
+    "translation": {
+        "report.json": "b02b12bd74f6b00ecae7a63ebe5c1ab544bc12b89e2d436763e91c9e0cd16a24",
+        "samples.csv": "6594150145017accdfd011782c5dfb3aaca216b4b2e659c7bf0428df9f652a03",
+    },
+    "rotation": {
+        "report.json": "6fb40be446531bcf804563da5f7f8ebbc5c98192470dc443c98cb6bc65b96ecc",
+        "spectrum.csv": "7ef541c4b7294e430468677b99738ee724a99e5009df766050b47064ce00c698",
+        "samples.csv": "86d0259697333e672e8881f8f9e0e2ef3db4450cee46258b6c3edf29aeaf279b",
+    },
 }
 
 SCENARIO_TREES = {
@@ -747,6 +776,22 @@ SCENARIO_TREES = {
              "resolution": 12,
              "tasks": ["stationarity", "spectrum", "identities",
                        "topology"]},
+    # the variation-fd translation job, off-axis
+    "translation": half_sphere({"name": "radial-log", "k": -1.3}, 24,
+                               ["stationarity", "first-variation",
+                                "second-variation"],
+                               variation={"flow": "translation",
+                                          "direction": [0.6, 0.8, 0.0]}),
+    # a cap whose rotation has 9 nonzero entries, rotated about its axis
+    "rotation": {"ambient": {"density": {"name": "radial-smooth",
+                                         "coeffs": [0.0, 0.0, 0.5]},
+                             "boundary": {"name": "cone", "alpha": 0.7,
+                                          "axis": [1, 2, 3]}},
+                 "surface": {"builtin": "spherical-cap", "alpha": 0.7,
+                             "axis": [1, 2, 3]},
+                 "resolution": 16,
+                 "tasks": ["stationarity", "first-variation", "spectrum"],
+                 "variation": {"flow": "rotation", "axis": [1, 2, 3]}},
 }
 
 

@@ -82,6 +82,30 @@ class TestFirstOrderGeometry:
         assert family.weighted_area(0.1) > 0
         assert swept_weighted_volume(family, [0.1])[0] > 0
 
+    @pytest.mark.parametrize("flow", [
+        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
+        RotationFlow((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
+    ], ids=["translation", "scaling", "rotation"])
+    def test_slices_call_no_einsum_or_cross(self, monkeypatch, flow):
+        """Off the base, a slice's normals and area element are component
+        arithmetic on (N,) columns."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
+        calls = {"einsum": 0, "cross": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        family = DeformedFamily(space, data, flow)
+        for s in (0.1, -1e-3):
+            _, N, w_daf = family.area_elements(s)
+            assert N.shape == data.N.shape and np.all(w_daf > 0)
+        assert calls == {"einsum": 0, "cross": 0}
+
 
 def swirl(P):
     """Smooth field without a closed-form Jacobian: FieldFlow takes its

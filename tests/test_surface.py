@@ -1,18 +1,24 @@
 """Tests for immersions, meshing, and pointwise extrinsic geometry."""
 import dataclasses
+import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import conftest as cf
-from wstab.ambient import bakry_emery_ricci, make_space, perelman_scalar
+from wstab.ambient import (bakry_emery_ricci, boundary_ii_matrix,
+                           boundary_inner_normal, make_space, perelman_scalar)
 from wstab.errors import ImmersionError, InputError, MeshingError
+from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import (build_immersion, build_space, builtin_names,
                              builtin_scenario)
-from wstab.surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
-                           SphericalCap, export_off, extrinsic_geometry, import_off,
+from wstab.stability import HAT_GRADS, assemble
+from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_WEIGHTS, PlanarDisk,
+                           RectPatch, RoundSphere, SphericalCap, _on_arcs,
+                           export_off, extrinsic_geometry, import_off,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart)
 
@@ -232,6 +238,14 @@ class TestNanGuards:
     def test_disk_frame(self):
         with pytest.raises(InputError, match="orthonormal"):
             PlanarDisk(e1=(float("nan"), 0.0, 0.0))
+
+    @pytest.mark.parametrize("du,dv", [
+        ((float("nan"), 1.0, 0.0), (0.0, 0.0, 1.0)),
+        ((0.0, 1.0, 0.0), (0.0, float("nan"), 1.0)),
+    ], ids=["du", "dv"])
+    def test_patch_directions(self, du, dv):
+        with pytest.raises(InputError, match="patch d[uv]"):
+            RectPatch(du=du, dv=dv)
 
     def test_boundary_projection_residual(self):
         space = make_space(boundary=("half-space",
@@ -551,3 +565,234 @@ class TestMeshPins:
             d1, d2 = (mesh.tri_params[:, c] - mesh.tri_params[:, 0]
                       for c in (1, 2))
             assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+
+
+# ---------------------------------------------------------------------------
+# the geometry kernels against the einsum forms they replaced: every
+# output keeps its bits, signed zeros included
+# ---------------------------------------------------------------------------
+
+def einsum_frame(sign, D1, D2, J):
+    E1 = np.einsum("nia,na->ni", J, D1)
+    E2 = np.einsum("nia,na->ni", J, D2)
+    g11 = np.sum(E1 * E1, axis=1)
+    g12 = np.sum(E1 * E2, axis=1)
+    g22 = np.sum(E2 * E2, axis=1)
+    detG = g11 * g22 - g12 * g12
+    Ginv = (np.stack([g22, -g12, -g12, g11], axis=-1)
+            / detG[:, None]).reshape(-1, 2, 2)
+    Nv = np.cross(E1, E2)
+    Nv = sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(J) // len(TRI_WEIGHTS))
+    return E1, E2, Ginv, Nv, w_da
+
+
+def einsum_curvatures(chart, Nv, Ginv):
+    """H, |sigma|^2 and K from the chart Hessian."""
+    Hc, d1r, d2r, J = chart.hess, chart.D1, chart.D2, chart.J
+    Q11, Q12, Q22 = chart.Q2
+    F11 = (np.einsum("niab,na,nb->ni", Hc, d1r, d1r)
+           + np.einsum("nia,na->ni", J, Q11))
+    F12 = (np.einsum("niab,na,nb->ni", Hc, d1r, d2r)
+           + np.einsum("nia,na->ni", J, Q12))
+    F22 = (np.einsum("niab,na,nb->ni", Hc, d2r, d2r)
+           + np.einsum("nia,na->ni", J, Q22))
+    L11, L12, L22 = (-np.sum(Nv * F, axis=1) for F in (F11, F12, F22))
+    L = np.stack([L11, L12, L12, L22], axis=-1).reshape(-1, 2, 2)
+    S = np.einsum("nab,nbc->nac", Ginv, L)
+    return (-0.5 * (S[:, 0, 0] + S[:, 1, 1]), np.einsum("nab,nba->n", S, S),
+            S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0])
+
+
+def einsum_cap_derivatives(imm, Q):
+    u, v = Q[:, 0], Q[:, 1]
+    w = u * u + v * v
+    D = 1.0 + w
+    e = np.stack([2 * u, 2 * v, 1 - w], axis=-1)
+    n = len(D)
+    e_u = np.stack([np.full(n, 2.0), np.zeros(n), -2 * u], axis=-1)
+    e_v = np.stack([np.zeros(n), np.full(n, 2.0), -2 * v], axis=-1)
+    s_u = e_u / D[:, None] - e * (2 * u / D**2)[:, None]
+    s_v = e_v / D[:, None] - e * (2 * v / D**2)[:, None]
+    J = np.einsum("ij,nja->nia", imm.rot,
+                  np.stack([s_u, s_v], axis=-1) * imm.radius)
+    z, two = np.zeros(n), np.full(n, 2.0)
+    e_a = np.stack([np.stack([two, z, -2 * u], -1),
+                    np.stack([z, two, -2 * v], -1)], axis=1)
+    D_a = np.stack([2 * u, 2 * v], axis=-1)
+    e_ab = np.zeros((n, 2, 2, 3))
+    e_ab[:, 0, 0, 2] = -2.0
+    e_ab[:, 1, 1, 2] = -2.0
+    D_ab = 2.0 * np.eye(2)[None, :, :] * np.ones((n, 1, 1))
+    Dm = D[:, None, None, None]
+    Da = D_a[:, :, None, None]
+    Db = D_a[:, None, :, None]
+    s_ab = (e_ab / Dm
+            - e_a[:, :, None, :] * Db / Dm**2
+            - e_a[:, None, :, :] * Da / Dm**2
+            - e[:, None, None, :] * D_ab[..., None] / Dm**2
+            + 2.0 * e[:, None, None, :] * Da * Db / Dm**3)
+    return J, imm.radius * np.einsum("ij,nabj->niab", imm.rot, s_ab)
+
+
+def einsum_sphere_derivatives(imm, Q):
+    r = np.linalg.norm(Q, axis=-1)
+    eye = np.eye(3)
+    nn = Q[:, :, None] * Q[:, None, :] / (r**2)[:, None, None]
+    J = imm.radius * (eye[None] - nn) / r[:, None, None]
+    n = Q / r[:, None]
+    nn = n[:, :, None] * n[:, None, :]
+    term = (-eye[None, :, :, None] * n[:, None, None, :]
+            - eye[None, :, None, :] * n[:, None, :, None]
+            - n[:, :, None, None] * eye[None, None, :, :]
+            + 3.0 * n[:, :, None, None] * nn[:, None, :, :])
+    return J, imm.radius * term / (r**2)[:, None, None, None]
+
+
+def einsum_boundary(space, data):
+    """b_dg, b_ddg, b_N, b_nu, II_NN and the ambient boundary's H_f."""
+    imm, mesh = data.mesh.immersion, data.mesh
+    t0, t1 = mesh.boundary_t.T
+    t = t0[:, None] + EDGE_POINTS * (t1 - t0)[:, None]
+    q, dq, ddq, _ = _on_arcs(imm, mesh.boundary_edges[:, 2],
+                             t).reshape(4, -1, imm.param_dim)
+    Jb = imm.chart_jac(q)
+    dg = np.einsum("nia,na->ni", Jb, dq)
+    ddg = (np.einsum("niab,na,nb->ni", imm.chart_hess(q), dq, dq)
+           + np.einsum("nia,na->ni", Jb, ddq))
+    Nv = np.cross(Jb[:, :, 0], Jb[:, :, 1])
+    Nv = imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+    T = dg / np.linalg.norm(dg, axis=1)[:, None]
+    nu = np.cross(Nv, T)
+    v_in = np.einsum("nia,na->ni", Jb, data.b_inward)
+    nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
+    g = data.b_pos
+    II = boundary_ii_matrix(space, g)
+    xi = boundary_inner_normal(space, g)
+    Hf = (np.trace(II, axis1=-2, axis2=-1)
+          - np.einsum("nij,ni,nj->n", II, xi, xi)
+          - np.sum(space.density.grad_psi(g) * xi, axis=-1))
+    return (dg, ddg, Nv, nu, np.einsum("nij,ni,nj->n", II, Nv, Nv), Hf)
+
+
+def einsum_stiffness(data):
+    tris = data.mesh.triangles
+    F = len(tris)
+    w = data.w_daf.reshape(F, 3)
+    Ginv = data.Ginv.reshape(F, 3, 2, 2)
+    rows, cols, kv = [], [], []
+    for i in range(3):
+        for j in range(3):
+            gij = np.einsum("a,frab,b->fr", HAT_GRADS[i], Ginv, HAT_GRADS[j])
+            kv.append(np.sum(w * gij, axis=1))
+            rows.append(tris[:, i])
+            cols.append(tris[:, j])
+    n = data.mesh.n_vertices
+    return sp.coo_matrix((np.concatenate(kv), (np.concatenate(rows),
+                                               np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+# every builtin's surface and ambient, and three charts the builtins leave
+# out: a cap whose rotation has 9 nonzero entries, an off-center sphere and
+# a patch with non-orthogonal directions
+KERNEL_EXTRAS = {
+    "cap-axis-123": (
+        lambda: make_space(density=("radial-smooth",
+                                    {"coeffs": (0.0, 0.0, 0.5)}),
+                           boundary=("cone", {"alpha": 0.7,
+                                              "axis": (1, 2, 3)})),
+        lambda: SphericalCap(alpha=0.7, axis=(1, 2, 3)), 16),
+    "off-center-sphere": (
+        lambda: make_space(density=("gaussian", {})),
+        lambda: RoundSphere(radius=1.3, center=(0.2, -0.4, 0.5)), 12),
+    "skew-rect": (
+        lambda: make_space(density=("linear", {"a": (0.3, -0.2, 0.5)})),
+        lambda: RectPatch(du=(1.0, 0.3, 0.0), dv=(0.2, 0.5, 1.1)), 12),
+}
+KERNEL_CASES = builtin_names() + sorted(KERNEL_EXTRAS)
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_case(name):
+    if name in KERNEL_EXTRAS:
+        space, imm, resolution = KERNEL_EXTRAS[name]
+        space = space()
+        chart = surface_chart(imm(), resolution, space)
+    else:
+        scn = builtin_scenario(name)
+        space = build_space(scn)
+        chart = surface_chart(build_immersion(scn), scn.resolution, space)
+    return space, extrinsic_geometry(space, chart)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestKernelBitIdentity:
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_frame_and_curvatures(self, name):
+        _, data = kernel_case(name)
+        sign = data.mesh.immersion.orientation_sign
+        E1, E2, Ginv, Nv, w_da = einsum_frame(sign, data.D1, data.D2, data.J)
+        for got, want in ((data.E1, E1), (data.E2, E2), (data.Ginv, Ginv),
+                          (data.N, Nv), (data.w_da, w_da)):
+            assert_same_bits(got, want)
+        for got, want in zip((data.H, data.sigma2, data.K),
+                             einsum_curvatures(data.chart, Nv, Ginv)):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_chart_derivatives(self, name):
+        _, data = kernel_case(name)
+        imm = data.mesh.immersion
+        if isinstance(imm, SphericalCap):
+            ref = einsum_cap_derivatives
+            if (not cf.einsum_pairs_lanes()
+                    and np.count_nonzero(imm.rot) > 3):
+                pytest.skip("this platform's einsum sums a rotation row in "
+                            "another order")
+        elif isinstance(imm, RoundSphere):
+            ref = einsum_sphere_derivatives
+        else:
+            pytest.skip("an affine chart has constant derivatives")
+        for Q in (data.params, data.b_params):
+            J, H = ref(imm, Q)
+            assert_same_bits(imm.chart_jac(Q), J)
+            assert_same_bits(imm.chart_hess(Q), H)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_boundary_fields(self, name):
+        space, data = kernel_case(name)
+        if not data.has_boundary or space.boundary is None:
+            pytest.skip("no boundary on the ambient boundary")
+        got = (data.b_dg, data.b_ddg, data.b_N, data.b_nu, data.II_NN,
+               data.Hf_boundary)
+        for g, want in zip(got, einsum_boundary(space, data)):
+            assert_same_bits(g, want)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_density_terms_and_stiffness(self, name):
+        space, data = kernel_case(name)
+        assert_same_bits(data.ricf_NN, -np.einsum(
+            "nij,ni,nj->n", space.density.hess_psi(data.pos), data.N, data.N))
+        K, want = assemble(data).K, einsum_stiffness(data)
+        for attr in ("indptr", "indices", "data"):
+            assert_same_bits(getattr(K, attr), getattr(want, attr))
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_slice_normals_and_area(self, name):
+        """A full rotation, off the base: the slice's lean kernel against
+        the frame of the moved Jacobian."""
+        space, data = kernel_case(name)
+        flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
+        s = 0.1
+        J = np.matmul(flow.jac(s, data.pos), data.J)
+        *_, Nv, w_da = einsum_frame(data.mesh.immersion.orientation_sign,
+                                    data.D1, data.D2, J)
+        pos, N, w_daf = DeformedFamily(space, data, flow).area_elements(s)
+        assert_same_bits(N, Nv)
+        assert_same_bits(w_daf, w_da * np.exp(space.density.psi(pos)))
