@@ -97,6 +97,14 @@ def ordered_sum(terms) -> Array:
     return total
 
 
+def lane_dot(x: Array, y: Array) -> Array:
+    """sum_j x_j y_j over the last axis, 3 long, added (x0 + x2) + x1: the
+    order np.einsum adds a contraction contiguous in both operands on the
+    2- and 8-lane vector units that recorded the pinned digests (a 4-lane
+    unit adds (x0 + x1) + x2).  Broadcasts as x * y does."""
+    return ordered_sum(x[..., j] * y[..., j] for j in (0, 2, 1))
+
+
 def quadratic_form(A: Array, V: Array) -> Array:
     """A(v, v) = sum_ij A_ij v_i v_j for matrices A (N, 3, 3) and vectors
     V (N, 3), summed with j inner; returns (N,)."""

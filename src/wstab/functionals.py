@@ -13,9 +13,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ambient import AmbientSpace, unit_vector3, vector3
+from .ambient import lane_dot, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, SurfaceMesh, _along, _dot,
+from .surface import (ExtrinsicData, Immersion, _along, _dot,
                       _normal_and_area, _normal_from_jac, extrinsic_geometry,
                       stationarity_verdict)
 
@@ -43,9 +43,9 @@ class VariationField:
     def values(self, pos: Array, params: Optional[Array] = None) -> Array:
         return self.X(pos)
 
-    def check_admissible(self, space: AmbientSpace, data: ExtrinsicData,
+    def check_admissible(self, data: ExtrinsicData,
                          tol: float = 1e-8) -> None:
-        if space.boundary is None or not data.has_boundary:
+        if data.space.boundary is None or not data.has_boundary:
             return
         Xb = self.values(data.b_pos, data.b_params)
         worst = float(np.max(np.abs(np.sum(Xb * data.b_xi, axis=1))))
@@ -195,15 +195,14 @@ class DeformedFamily:
     """A variation: the base surface's geometry ``data`` moved by an ambient
     flow.
 
-    The slice at s is the base chart with the flow applied, so a family
-    evaluates no chart of its own.  Area and volume push only the base
-    positions and Jacobians through the flow; full geometry also pushes the
-    chart Hessian and the boundary curve.  Each slice's A_f and volume rate
+    The slice at s is the base chart with the flow applied, in the ambient
+    space of ``data``, so a family evaluates no chart of its own.  Area and
+    volume push only the base positions and Jacobians through the flow;
+    full geometry also pushes the chart Hessian and the boundary curve.  Each slice's A_f and volume rate
     are kept per s, so the FD variations, the swept volume and the samples
     share slices.
     """
 
-    space: AmbientSpace
     data: ExtrinsicData
     flow: Flow
     # s -> (A_f(s), V_f'(s)): two floats per slice, never arrays
@@ -219,7 +218,7 @@ class DeformedFamily:
         J = np.matmul(self.flow.jac(s, base.pos), base.J)
         N, w_da, _ = _normal_and_area(base.mesh.immersion.orientation_sign,
                                       _along(J, base.D1), _along(J, base.D2))
-        return pos, N, w_da * np.exp(self.space.density.psi(pos))
+        return pos, N, w_da * np.exp(base.space.density.psi(pos))
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -248,7 +247,7 @@ class DeformedFamily:
         """
         if s == 0.0:
             return self.data
-        base = self.data.chart
+        space, base = self.data.space, self.data.chart
         P0, J0 = base.pos, base.J
         DF = self.flow.jac(s, P0)
         moved = dict(pos=self.flow.map(s, P0), J=np.matmul(DF, J0),
@@ -258,7 +257,7 @@ class DeformedFamily:
         if base.has_boundary:
             g0, dg0 = base.b_pos, base.b_dg
             g = self.flow.map(s, g0)
-            bd = self.space.boundary
+            bd = space.boundary
             if bd is not None:
                 res = np.max(np.abs(bd.phi(g)))
                 if not res <= 1e-10:
@@ -268,13 +267,13 @@ class DeformedFamily:
                         f"is not an admissible variation")
             DFb = self.flow.jac(s, g0)
             moved.update(
-                b_pos=g, b_dg=np.einsum("nij,nj->ni", DFb, dg0),
-                b_ddg=(np.einsum("nij,nj->ni", DFb, base.b_ddg)
+                b_pos=g, b_dg=lane_dot(DFb, dg0[:, None]),
+                b_ddg=(lane_dot(DFb, base.b_ddg[:, None])
                        + np.einsum("nijk,nj,nk->ni", self.flow.hess(s, g0),
                                    dg0, dg0)),
                 b_J=np.matmul(DFb, base.b_J))
-        return extrinsic_geometry(self.space, dataclasses.replace(
-            base, space=self.space, **moved))
+        return extrinsic_geometry(space, dataclasses.replace(
+            base, space=space, **moved))
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +312,10 @@ def swept_weighted_volume(family: DeformedFamily,
     return out
 
 
-def first_variation_formula(space: AmbientSpace, data: ExtrinsicData,
+def first_variation_formula(data: ExtrinsicData,
                             field: VariationField) -> float:
     """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f."""
-    field.check_admissible(space, data)
+    field.check_admissible(data)
     u = normal_component(field, data)
     out = -float(np.sum(data.H_f * u * data.w_daf))
     if data.has_boundary:
@@ -391,14 +390,14 @@ def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
 # divergence theorem / integration by parts
 # ---------------------------------------------------------------------------
 
-def surface_divergence(imm: Immersion, data: ExtrinsicData,
-                       field: VariationField) -> Array:
+def surface_divergence(data: ExtrinsicData, field: VariationField) -> Array:
     """div_Sigma X at interior quadrature points.
 
     Finite differences of X(chart(q)) along the two triangle edge directions
     give the derivatives paired with the frame (E1, E2); contraction with the
     inverse metric in that frame yields the tangential divergence.
     """
+    imm = data.mesh.immersion
     d1 = data.D1
     d2 = data.D2
     Q = data.params
@@ -419,14 +418,12 @@ def surface_divergence(imm: Immersion, data: ExtrinsicData,
             + G[:, 1, 0] * m21 + G[:, 1, 1] * m22)
 
 
-def divergence_theorem_residual(space: AmbientSpace, mesh: SurfaceMesh,
-                                data: ExtrinsicData,
+def divergence_theorem_residual(data: ExtrinsicData,
                                 field: VariationField) -> float:
     """Residual of int div_{Sigma,f} X da_f = -int H_f <X,N> da_f - int <X,nu> dl_f."""
-    imm = mesh.immersion
-    div = surface_divergence(imm, data, field)
+    div = surface_divergence(data, field)
     Xv = field.values(data.pos, data.params)
-    div_f = div + np.sum(space.density.grad_psi(data.pos) * Xv, axis=1)
+    div_f = div + np.sum(data.space.density.grad_psi(data.pos) * Xv, axis=1)
     lhs = float(np.sum(div_f * data.w_daf))
     un = np.sum(Xv * data.N, axis=1)
     bulk = float(np.sum(data.H_f * un * data.w_daf))

@@ -62,9 +62,6 @@ EXPECT_TASKS = {"lambda_min": "spectrum", "lambda_tol": "spectrum",
 NUMERIC_EXPECT_KEYS = {"lambda_min", "lambda_tol", "chi",
                        "sweep_zero_crossing"}
 
-TOLERANCE_KEYS = {"identity", "boundary_identity", "variation", "verdict",
-                  "foliation"}
-
 # scenario trees are a few levels deep; the registry parameter builders
 # recurse into nested lists
 MAX_NESTING = 16
@@ -215,7 +212,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 
     tols = obj.get("tolerances", {})
     tols = _require_mapping(tols, "tolerances")
-    _check_keys(tols, TOLERANCE_KEYS, "tolerances")
+    _check_keys(tols, DEFAULT_TOLS, "tolerances")
 
     sweep = obj.get("sweep")
     if sweep is not None:
@@ -452,8 +449,7 @@ def _run_sweep(scn: Scenario) -> RunResult:
 
 def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     """Run the scenario's tasks on the chart of its surface."""
-    space = build_space(scn)
-    data = extrinsic_geometry(space, chart)
+    data = extrinsic_geometry(build_space(scn), chart)
     mesh = chart.mesh
     needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
     asm = assemble(data) if needs_asm else None
@@ -476,13 +472,12 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     # one spectrum and one strong verdict serve both spectrum and topology
     spec = strong = None
     if {"spectrum", "topology"} & set(scn.tasks):
-        spec = robin_eigenproblem(asm, count=6)
+        spec = robin_eigenproblem(asm)
         vtol = scn.tol("verdict") * max(
             1.0, float(np.max(np.abs(spec.eigenvalues))))
         strong = strong_stability_verdict(spec, tol=vtol)
     flow = build_flow(scn) if scn.variation is not None else None
-    family = (DeformedFamily(space, data, flow)
-              if flow is not None else None)
+    family = DeformedFamily(data, flow) if flow is not None else None
 
     results: Dict[str, Any] = {}
 
@@ -503,7 +498,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         from .functionals import VariationField, first_variation_formula
         fd = first_variation_fd(family)
         vf = VariationField(X=lambda P: flow.velocity(0.0, P), name="flow")
-        formula = first_variation_formula(space, data, vf)
+        formula = first_variation_formula(data, vf)
         diff = abs(fd.value - formula)
         tol = max(1e-6, scn.tol("variation") * abs(formula))
         results["first_variation"] = {"fd": _f(fd.value),
@@ -526,7 +521,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
                             f"|fd - I_f(u,u)| = {diff:.2e}"))
 
     def t_spectrum():
-        constrained = volume_constrained_verdict(asm, spec, tol=vtol)
+        constrained = volume_constrained_verdict(spec, tol=vtol)
         results["spectrum"] = {
             "dof": int(asm.dof),
             "eigenvalues": [_f(x) for x in spec.eigenvalues],
@@ -560,7 +555,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         ok = resid <= scn.tol("identity")
         detail = f"rearrangement {resid:.2e}"
         if data.has_boundary:
-            bres = boundary_identity_residual(space, data)
+            bres = boundary_identity_residual(data)
             out["boundary_identity_residual"] = _f(bres)
             ok = ok and bres <= scn.tol("boundary_identity")
             detail += f", boundary {bres:.2e}"
@@ -568,7 +563,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         checks.append(Check("identities", bool(ok), detail))
 
     def t_topology():
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         verdict = topology_verdict(chain, strong)
         results["topology"] = {
             "I_f_u": _f(chain.I_f_u),
@@ -596,7 +591,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         checks.append(Check("topology", bool(ok), detail))
 
     def t_area_bounds():
-        rep = area_bound_check(mesh, data, scn.S0)
+        rep = area_bound_check(data, scn.S0)
         results["area_bounds"] = {
             "applicable": bool(rep.applicable),
             "hypothesis": {"sampled_min": _f(rep.hypothesis.sampled_min),
@@ -629,7 +624,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         checks.append(Check("rigidity", bool(ok), f"all_true = {flags.all_true}"))
 
     def t_foliation():
-        rep = foliation_monotonicity_check(family)
+        rep = foliation_monotonicity_check(family, tol=scn.tol("foliation"))
         results["foliation"] = {
             "s_values": [_f(s) for s in rep.s_values],
             "lhs": [_f(x) for x in rep.lhs],

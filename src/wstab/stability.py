@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ambient import ordered_sum
+from .ambient import lane_dot, ordered_sum
 from .errors import InputError, NumericalFailure, PreconditionError
 from .functionals import DeformedFamily
 from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData, SurfaceMesh,
@@ -24,6 +24,10 @@ Array = np.ndarray
 
 # gradients of the P1 hats in reference coordinates (xi, eta)
 HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+# eigenpairs a spectrum solves for; the coarsest mesh any scenario can
+# build (a doubly periodic rect patch at resolution 4) has 8 DOF
+EIGENPAIRS = 6
 
 
 @dataclass
@@ -128,8 +132,9 @@ def jacobi_symmetry_residual(asm: IndexFormAssembly, v: Array, w: Array) -> floa
 
 @dataclass
 class SpectralResult:
+    asm: IndexFormAssembly     # the index form it is the spectrum of
     eigenvalues: Array
-    eigenfunctions: Array      # (dof, count)
+    eigenfunctions: Array      # (dof, EIGENPAIRS)
     solver_residuals: Array
 
     @property
@@ -194,18 +199,17 @@ def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
 
 
-def robin_eigenproblem(asm: IndexFormAssembly, count: int = 6) -> SpectralResult:
-    """Smallest eigenpairs of (K - P - B) u = lambda M u."""
-    if count >= asm.dof:
-        raise InputError("requested as many eigenpairs as degrees of freedom")
-    vals, vecs = _shift_invert_eigsh(asm, count, asm.shifted_factor.lu.solve)
+def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
+    """The EIGENPAIRS smallest eigenpairs of (K - P - B) u = lambda M u."""
+    vals, vecs = _shift_invert_eigsh(asm, EIGENPAIRS,
+                                     asm.shifted_factor.lu.solve)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     A = asm.operator
     res = _pencil_residuals(A, asm.M, vals, vecs)
     if np.max(res) > 1e-8 * max(1.0, spla.norm(A, np.inf)):
         raise NumericalFailure(f"eigenpair residual too large: {np.max(res):.2e}")
-    return SpectralResult(vals, vecs, res)
+    return SpectralResult(asm, vals, vecs, res)
 
 
 def strong_stability_verdict(spec: SpectralResult,
@@ -238,21 +242,21 @@ def constrained_lambda_min(asm: IndexFormAssembly) -> float:
     return float(vals[0])
 
 
-def volume_constrained_verdict(asm: IndexFormAssembly, spec: SpectralResult,
+def volume_constrained_verdict(spec: SpectralResult,
                                tol: float = 1e-3) -> bool:
     """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely).
 
     The constraint has codimension one, so by Cauchy interlacing the
     constrained minimum lies in [lambda_1, lambda_2] of the spectrum
-    ``spec`` of ``asm``; only when -tol falls between the two is the
-    constrained eigenproblem solved.
+    ``spec``; only when -tol falls between the two is the constrained
+    eigenproblem of its assembly solved.
     """
     lam = spec.eigenvalues
     if lam[0] >= -tol:
         return True
-    if len(lam) > 1 and lam[1] < -tol:
+    if lam[1] < -tol:
         return False
-    return constrained_lambda_min(asm) >= -tol
+    return constrained_lambda_min(spec.asm) >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +271,10 @@ def vertex_normals(mesh: SurfaceMesh) -> Array:
     # per-corner triangle frames, last writer wins (orientations agree)
     Nv = np.zeros((mesh.n_vertices, 3))
     tp = mesh.tri_params
+    d1, d2 = (tp[:, None, c] - tp[:, None, 0] for c in (1, 2))
     for c in range(3):
         Jc = imm.chart_jac(tp[:, c])
-        d1 = tp[:, 1] - tp[:, 0]
-        d2 = tp[:, 2] - tp[:, 0]
-        e1 = np.einsum("nia,na->ni", Jc, d1)
-        e2 = np.einsum("nia,na->ni", Jc, d2)
-        Nv[mesh.triangles[:, c]] = np.cross(e1, e2)
+        Nv[mesh.triangles[:, c]] = np.cross(lane_dot(Jc, d1), lane_dot(Jc, d2))
     return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
 
@@ -284,10 +285,10 @@ class JacobiCheckReport:
     passed: bool
 
 
-def jacobi_fd_check(family: DeformedFamily, asm: IndexFormAssembly,
-                    h: float = 1e-3, tol: float = 1e-3) -> JacobiCheckReport:
+def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
+                    tol: float = 1e-3) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
-    verdict = stationarity_verdict(asm.data, tol_H=1e-5)
+    verdict = stationarity_verdict(family.data, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError("jacobi_fd_check requires an f-stationary base")
     # normal speed at the vertices
@@ -295,7 +296,7 @@ def jacobi_fd_check(family: DeformedFamily, asm: IndexFormAssembly,
     Nv = vertex_normals(mesh)
     vel = family.flow.velocity(0.0, mesh.positions)
     u = np.sum(vel * Nv, axis=1)
-    Lu = jacobi_apply(asm, u)
+    Lu = jacobi_apply(assemble(family.data), u)
     # interpolate L_f(u) to quadrature points
     tris = mesh.triangles
     Lq = (Lu[tris][:, :, None] * TRI_HATS[None, :, :]).sum(axis=1).ravel()

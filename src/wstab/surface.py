@@ -16,8 +16,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .ambient import (AmbientSpace, bakry_emery_ricci,
                       boundary_f_mean_curvature, boundary_ii_matrix,
-                      boundary_inner_normal, ordered_sum, perelman_scalar,
-                      quadratic_form, unit_vector3, vector3)
+                      boundary_inner_normal, lane_dot, ordered_sum,
+                      perelman_scalar, quadratic_form, unit_vector3, vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -215,15 +215,12 @@ class SphericalCap(Immersion):
                 # e_uu = e_vv = (0, 0, -2), e_uv = 0; D_ab = 2 delta_ab
                 e_ab = (0.0, 0.0, -2.0 if a == b else 0.0)
                 D_ab = 2.0 if a == b else 0.0
-                s0, s1, s2 = (e_ab[j] / D - e_a[a][j] * D_a[b] / D2
+                s = np.stack([e_ab[j] / D - e_a[a][j] * D_a[b] / D2
                               - e_a[b][j] * D_a[a] / D2 - e[j] * D_ab / D2
                               + 2.0 * e[j] * D_a[a] * D_a[b] / D3
-                              for j in range(3))
-                for i in range(3):
-                    # einsum summed this row in the vector-lane order
-                    # (0 + 2) + 1
-                    H[:, i, a, b] = self.radius * ordered_sum(
-                        (rot[i, 0] * s0 + rot[i, 2] * s2, rot[i, 1] * s1))
+                              for j in range(3)], axis=-1)
+                # each rotation row in einsum's vector-lane order
+                H[:, :, a, b] = self.radius * lane_dot(rot, s[:, None])
         return H
 
 
@@ -901,10 +898,12 @@ def surface_chart(imm: Immersion, resolution: int,
 
 @dataclass(frozen=True, eq=False)
 class ExtrinsicData:
-    """The density terms of the geometry at a chart's quadrature points;
-    every other attribute is the chart's own."""
+    """The density terms of the geometry at a chart's quadrature points,
+    with the ambient ``space`` they come from; every other attribute is the
+    chart's own."""
 
     chart: SurfaceChart
+    space: AmbientSpace
     f: Array
     H_f: Array               # 2H - <grad psi, N>
     ricf_NN: Array
@@ -940,7 +939,7 @@ def extrinsic_geometry(space: AmbientSpace,
     g = chart.b_pos
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
     return ExtrinsicData(
-        chart, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
+        chart, space, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
         ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=gpsi - gN[:, None] * Nv,
         lap_s_psi=space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN,
         S_f=perelman_scalar(space, pos), f_b=np.exp(space.density.psi(g)),

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import lane_dot
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
-from .surface import ExtrinsicData, SurfaceMesh, stationarity_verdict
+from .surface import ExtrinsicData, stationarity_verdict
 
 Array = np.ndarray
 
@@ -72,7 +72,7 @@ def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def boundary_identity_residual(space: AmbientSpace, data: ExtrinsicData) -> float:
+def boundary_identity_residual(data: ExtrinsicData) -> float:
     """Max residual of II(N,N) = 2 H_bd - h on orthogonally meeting surfaces.
 
     2 H_bd is the trace of the boundary's second fundamental form; it is
@@ -80,8 +80,8 @@ def boundary_identity_residual(space: AmbientSpace, data: ExtrinsicData) -> floa
     """
     if not data.has_boundary:
         raise InputError("surface has no boundary")
-    gpsi = space.density.grad_psi(data.b_pos)
-    two_H = data.Hf_boundary + np.einsum("ni,ni->n", gpsi, data.b_xi)
+    gpsi = data.space.density.grad_psi(data.b_pos)
+    two_H = data.Hf_boundary + lane_dot(gpsi, data.b_xi)
     return float(np.max(np.abs(data.II_NN - (two_H - data.h_geod))))
 
 
@@ -108,7 +108,7 @@ class ChainReport:
     has_boundary: bool
 
 
-def stability_topology_chain(mesh: SurfaceMesh, data: ExtrinsicData,
+def stability_topology_chain(data: ExtrinsicData,
                              tol: float = 1e-6) -> ChainReport:
     verdict = stationarity_verdict(data, tol_H=1e-5)
     if not verdict.volume_constrained:
@@ -123,7 +123,7 @@ def stability_topology_chain(mesh: SurfaceMesh, data: ExtrinsicData,
     if data.has_boundary:
         I_f_u -= float(np.sum(data.II_NN * data.w_dl))
         bound1 -= float(np.sum(data.Hf_boundary * data.w_dl))
-    chi = mesh.chi
+    chi = data.mesh.chi
     bound1 += 2 * np.pi * chi
     bound2 = 2 * np.pi * chi
     hyp1 = Hypothesis("S_f + H_f^2 >= 0", float(np.min(shf)),
@@ -168,7 +168,7 @@ class BoundReport:
     passed: bool
 
 
-def area_bound_check(mesh: SurfaceMesh, data: ExtrinsicData, S0: float,
+def area_bound_check(data: ExtrinsicData, S0: float,
                      tol: float = 1e-9) -> BoundReport:
     """Check A_f <= 4 pi / S0 (S0 > 0, disk) or A_f >= 4 pi chi / S0 (S0 < 0)."""
     if S0 == 0.0:
@@ -176,7 +176,7 @@ def area_bound_check(mesh: SurfaceMesh, data: ExtrinsicData, S0: float,
     margin = float(np.min(data.S_f - S0 * data.f))
     hyp = Hypothesis("S_f >= S0 * f", margin, margin >= -1e-9)
     A_f = float(np.sum(data.w_daf))
-    chi = mesh.chi
+    chi = data.mesh.chi
     if not hyp.holds:
         return BoundReport(False, hyp, S0, chi, A_f, np.nan, np.nan, False)
     if S0 > 0:

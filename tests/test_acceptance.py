@@ -229,9 +229,8 @@ def test_criterion_2_first_variation_matrix():
                                                             **params)
                 for flow, X in matrix_fields(kind):
                     field = VariationField(X=X)
-                    formula = first_variation_formula(space, data, field)
-                    fd = first_variation_fd(
-                        DeformedFamily(space, data, flow))
+                    formula = first_variation_formula(data, field)
+                    fd = first_variation_fd(DeformedFamily(data, flow))
                     diff = abs(fd.value - formula)
                     assert diff <= max(1e-6, 1e-4 * abs(formula)), \
                         f"{kind}/{dens}/{field.name}: diff {diff:.2e}"
@@ -241,7 +240,7 @@ def test_criterion_2_first_variation_matrix():
         # hemisphere inflation oracle at constant density
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
         val = first_variation_formula(
-            space, data, VariationField(X=lambda P: np.atleast_2d(P)))
+            data, VariationField(X=lambda P: np.atleast_2d(P)))
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
         info["detail"] = (f"{count} FD/formula pairs, max diff {worst:.2e}, "
                           f"inflation A_f' = {val:.6f}")
@@ -279,8 +278,7 @@ def test_criterion_3_second_variation_matrix():
                                axis=1)
                     vals[res] = index_form_value(asm, u, u)
                 ifv = (4.0 * vals[48] - vals[24]) / 3.0
-                fd = second_variation_fd(
-                    DeformedFamily(space, data24, flow))
+                fd = second_variation_fd(DeformedFamily(data24, flow))
                 rel = abs(fd.value - ifv) / max(1.0, abs(ifv))
                 assert rel <= 1e-3, f"{kind}/{dens}: rel {rel:.2e}"
                 worst = max(worst, rel)
@@ -354,8 +352,7 @@ def test_criterion_6_curvature_identities():
                                                             **params)
                 worst_g = max(worst_g, gauss_rearrangement_residual(data))
                 if data.has_boundary:
-                    worst_b = max(worst_b, boundary_identity_residual(
-                        space, data))
+                    worst_b = max(worst_b, boundary_identity_residual(data))
         assert worst_g <= 1e-5
         assert worst_b <= 1e-6
         info["detail"] = (f"rearrangement max {worst_g:.2e}, "
@@ -419,9 +416,7 @@ def test_criterion_9_jacobi_fd_families():
         worst = 0.0
         for kind, dens, params, flow in families:
             space, imm, mesh, data = cf.cached_geometry(kind, 24, dens, **params)
-            asm = assemble(data)
-            rep = jacobi_fd_check(DeformedFamily(space, data, flow),
-                                  asm)
+            rep = jacobi_fd_check(DeformedFamily(data, flow))
             assert rep.passed and rep.max_residual <= 1e-3
             worst = max(worst, rep.max_residual)
         info["detail"] = f"3 families, max relative residual {worst:.2e}"

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestRun:
         assert main(["run", cfg, "--out", out_dir]) == 0
         printed = capsys.readouterr().out
         assert "[PASS]" in printed and "[FAIL]" not in printed
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(out_dir, "report.json").read_text())
         assert report["name"] == "small-hemisphere"
         assert "spectrum" in report["results"]
         assert report["results"]["spectrum"]["lambda_min"] == pytest.approx(
@@ -487,6 +488,27 @@ class TestVerdicts:
         assert report["results"]["spectrum"]["verdict_strong"] is strong
         assert report["results"]["topology"]["verdict"] == topology
 
+    def test_foliation_tolerance_reaches_the_monotonicity_verdict(
+            self, monkeypatch):
+        """tolerances.foliation is the monotonicity check's tol, not only
+        the bound on its identity residual."""
+        check, tols = scenarios.foliation_monotonicity_check, []
+
+        def recording(family, **kwargs):
+            tols.append(kwargs.get("tol"))
+            return check(family, **kwargs)
+
+        monkeypatch.setattr(scenarios, "foliation_monotonicity_check",
+                            recording)
+        tree = scenarios.scenario_to_tree(
+            scenarios.builtin_scenario("flat-slab-slice"))
+        tree.pop("expect")
+        tree.update(resolution=8, tasks=["foliation"],
+                    tolerances={"foliation": 0.25})
+        result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+        assert result.passed
+        assert tols == [0.25]
+
 
 SWEEP_K = {"param": "ambient.density.k", "values": [-3.0, -2.0, -1.0]}
 
@@ -542,7 +564,7 @@ class TestSweep:
         code = main(["sweep", cfg, "--param", "ambient.density.k",
                      "--range=-3:-2:0.5", "--out", out_dir])
         assert code == 0
-        rows = open(os.path.join(out_dir, "samples.csv")).read().splitlines()
+        rows = Path(out_dir, "samples.csv").read_text().splitlines()
         assert len(rows) == 4  # header + three values
         lams = [float(r.split(",")[1]) for r in rows[1:]]
         assert lams == pytest.approx([1.0, 0.5, 0.0], abs=1e-8)
@@ -677,7 +699,7 @@ class TestExportMesh:
         cfg = write_config(tmp_path, SMALL_SCENARIO)
         out_dir = str(tmp_path / "out")
         assert main(["export-mesh", cfg, "--out", out_dir]) == 0
-        off = open(os.path.join(out_dir, "mesh.off")).read()
+        off = Path(out_dir, "mesh.off").read_text()
         assert off.startswith("OFF")
 
 
@@ -833,8 +855,7 @@ class TestDeterminism:
         for tag in ("a", "b"):
             out_dir = str(tmp_path / tag)
             assert main(["run", cfg, "--out", out_dir]) == 0
-            blobs.append(open(os.path.join(out_dir, "report.json"),
-                              "rb").read())
+            blobs.append(Path(out_dir, "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_fine_mesh_reports_are_byte_identical_across_processes(

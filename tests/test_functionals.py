@@ -52,7 +52,7 @@ class TestFirstOrderGeometry:
                                                params):
         space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
                                                     **params)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         pos, N, w_daf = family.area_elements(0.0)
         assert np.array_equal(pos, data.pos)
         assert np.array_equal(N, data.N)
@@ -62,7 +62,7 @@ class TestFirstOrderGeometry:
     def test_deformed_immersion_area_matches_full_geometry(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.5)
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         data = family.geometry(0.05)
         _, N, w_daf = family.area_elements(0.05)
         assert np.array_equal(N, data.N)
@@ -78,7 +78,7 @@ class TestFirstOrderGeometry:
                             (surface, "_shape_operator"),
                             (surface.SurfaceChart, "_boundary_fields")):
             monkeypatch.setattr(owner, name, forbidden)
-        family = DeformedFamily(space, data, flow)
+        family = DeformedFamily(data, flow)
         assert family.weighted_area(0.1) > 0
         assert swept_weighted_volume(family, [0.1])[0] > 0
 
@@ -100,7 +100,7 @@ class TestFirstOrderGeometry:
 
         for name in calls:
             monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
-        family = DeformedFamily(space, data, flow)
+        family = DeformedFamily(data, flow)
         for s in (0.1, -1e-3):
             _, N, w_daf = family.area_elements(s)
             assert N.shape == data.N.shape and np.all(w_daf > 0)
@@ -127,7 +127,7 @@ class TestFamilySlices:
         an ambient without boundary here."""
         space = cf.space_free("gaussian")
         data = extrinsic_geometry(space, cf.cached_chart(kind, 12))
-        family = DeformedFamily(space, data, flow)
+        family = DeformedFamily(data, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
             full = family.geometry(s)
             want = (full.pos, full.N, full.w_daf)
@@ -156,7 +156,7 @@ class TestFamilySlices:
                 return RectPatch(origin=(s, 0, 0), du=(0, 1, 0),
                                  dv=(0, 0, 1), u_range=(0.0, TAU),
                                  v_range=(-1.0, 1.0), periodic_u=True)
-        family = DeformedFamily(space, data, flow)
+        family = DeformedFamily(data, flow)
         for s in (0.1, -0.1):
             got = family.geometry(s)
             want = extrinsic_geometry(
@@ -179,7 +179,7 @@ class TestFamilySlices:
 
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12,
                                                     "radial-log", k=-2.5)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         monkeypatch.setattr(surface, "_blended_param_points", forbidden)
         for name in ("chart", "chart_jac", "chart_hess"):
             monkeypatch.setattr(type(imm), name, forbidden)
@@ -188,10 +188,25 @@ class TestFamilySlices:
         swept_weighted_volume(family, [0.1])
         assert family.geometry(0.1).has_boundary
 
+    def test_slices_carry_the_base_space(self):
+        """A family moves the surface in the ambient of its base geometry:
+        every slice keeps that space and is weighted by its density."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "radial-log", k=-2.5)
+        family = DeformedFamily(data, ScalingFlow())
+        for s in (0.1, -0.1):
+            moved = family.geometry(s)
+            assert moved.space is data.space
+            assert np.array_equal(
+                moved.f, np.exp(data.space.density.psi(moved.pos)))
+        # A_f(1 + s) = 2 pi (1 + s)^(2 + k), so A_f'(0) = 2 pi (2 + k)
+        assert first_variation_fd(family).value == pytest.approx(
+            TAU * (2.0 - 2.5), rel=1e-3)
+
     def test_base_geometry_is_reused_only_for_its_rules(self):
         """The slice at 0 is the base geometry itself."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         assert family.geometry(0.0) is data
         pos, N, w_daf = family.area_elements(0.0)
         assert pos is data.pos and N is data.N
@@ -201,12 +216,12 @@ class TestFamilySlices:
 class TestFirstVariation:
     def test_hemisphere_inflation_formula_is_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = first_variation_formula(space, data, position_field())
+        val = first_variation_formula(data, position_field())
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
 
     def test_hemisphere_inflation_fd_matches(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         fd = first_variation_fd(family)
         assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
         assert fd.error_estimate < 1e-5
@@ -227,8 +242,8 @@ class TestFirstVariation:
                                 field):
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density,
                                                     **params)
-        formula = first_variation_formula(space, data, field)
-        fd = first_variation_fd(DeformedFamily(space, data, flow))
+        formula = first_variation_formula(data, field)
+        fd = first_variation_fd(DeformedFamily(data, flow))
         assert fd.value == pytest.approx(formula,
                                          abs=max(1e-6, 1e-4 * abs(formula)))
 
@@ -237,9 +252,9 @@ class TestFirstVariation:
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        formula = first_variation_formula(space, data, field)
+        formula = first_variation_formula(data, field)
         fd = first_variation_fd(
-            DeformedFamily(space, data, RotationFlow()))
+            DeformedFamily(data, RotationFlow()))
         assert abs(formula) < 1e-10
         assert abs(fd.value) < 1e-8
 
@@ -254,7 +269,7 @@ class TestFirstVariation:
             X=lambda P: np.broadcast_to([0.0, 0.0, 1.0],
                                         np.atleast_2d(P).shape))
         with pytest.raises(InputError):
-            first_variation_formula(space, data, lift)
+            first_variation_formula(data, lift)
 
 
 SAMPLE_SIDES = ([0.05, 0.1, 0.15, 0.2], [-0.05, -0.1, -0.15, -0.2])
@@ -263,7 +278,7 @@ SAMPLE_SIDES = ([0.05, 0.1, 0.15, 0.2], [-0.05, -0.1, -0.15, -0.2])
 class TestSweptVolume:
     def test_hemisphere_inflation_shell(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         s = 0.1
         expected = (TAU / 3.0) * ((1.0 + s)**3 - 1.0)
         assert swept_weighted_volume(family, [s])[0] == pytest.approx(
@@ -274,21 +289,21 @@ class TestSweptVolume:
         """The inflation rate is a quadratic in s, so one Lobatto panel is
         exact and the panels may only differ from it by rounding."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         volumes = swept_weighted_volume(family, grid)
         for s, v in zip(grid, volumes):
             assert abs(v - swept_weighted_volume(family, [s])[0]) <= 1e-13
 
     def test_negative_parameter_flips_sign(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         assert swept_weighted_volume(family, [-0.1])[0] < 0.0
         assert swept_weighted_volume(family, [0.0]) == [0.0]
         assert swept_weighted_volume(family, []) == []
 
     def test_slab_translation_closed_form(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16)
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         for grid in SAMPLE_SIDES:
             volumes = swept_weighted_volume(family, grid)
             assert volumes == pytest.approx([s * 2.0 * TAU for s in grid],
@@ -298,7 +313,7 @@ class TestSweptVolume:
                                       [-0.1, 0.0], [float("nan")]])
     def test_grid_must_move_away_from_zero_on_one_side(self, grid):
         space, imm, mesh, data = cf.cached_geometry("slice", 8)
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         with pytest.raises(InputError):
             swept_weighted_volume(family, grid)
 
@@ -306,7 +321,7 @@ class TestSweptVolume:
         """Neighbouring panels share their end slices, and A_f(s) at a grid
         value reuses the volume's slice: 4 panels take 17 slices."""
         space, imm, mesh, data = cf.cached_geometry("slice", 8)
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         slices = []
         area_elements = family.area_elements
 
@@ -328,20 +343,23 @@ class TestBoundaryStaysOnTheAmbientBoundary:
 
     def test_lifting_the_hemisphere_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, data, TranslationFlow((0, 0, 1)))
+        family = DeformedFamily(data, TranslationFlow((0, 0, 1)))
         with pytest.raises(InputError, match=r"s = 0\.1\b"):
             family.geometry(0.1)
 
     def test_nan_level_set_is_rejected(self):
-        spec = BoundarySpec(lambda P: np.full(len(P), np.nan),
-                            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)),
-                            lambda P: np.zeros((len(P), 3, 3)))
+        # phi is 0 on the unit circle, where the base's boundary lies, and
+        # NaN off it
+        spec = BoundarySpec(
+            lambda P: np.where(np.abs(np.linalg.norm(P, axis=1) - 1.0)
+                               <= 1e-12, 0.0, np.nan),
+            lambda P: np.tile([0.0, 0.0, 1.0], (len(P), 1)),
+            lambda P: np.zeros((len(P), 3, 3)))
         space = AmbientSpace(density=make_density("constant"),
                              boundary=spec)
-        # the base is charted without that boundary, which would stop it
         free = cf.space_free()
-        data = extrinsic_geometry(free, surface_chart(PlanarDisk(), 8, free))
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        data = extrinsic_geometry(space, surface_chart(PlanarDisk(), 8, free))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         with pytest.raises(InputError, match=r"s = 0\.1\b"):
             family.geometry(0.1)
 
@@ -351,7 +369,7 @@ class TestBoundaryStaysOnTheAmbientBoundary:
         ids=["translation", "scaling", "rotation"])
     def test_flows_that_keep_the_boundary_plane_pass(self, flow):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(space, data, flow)
+        family = DeformedFamily(data, flow)
         for s in (0.1, -0.1):
             data = family.geometry(s)
             assert np.max(np.abs(data.b_pos[:, 2])) <= 1e-15
@@ -361,14 +379,14 @@ class TestBoundaryStaysOnTheAmbientBoundary:
 class TestSecondVariation:
     def test_hemisphere_inflation_is_minus_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         fd = second_variation_fd(family)
         assert fd.value == pytest.approx(-2.0 * TAU, rel=1e-3)
 
     def test_flat_slice_translation_is_neutral(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         fd = second_variation_fd(family)
         assert abs(fd.value) < 1e-6
 
@@ -378,7 +396,7 @@ class TestSecondVariation:
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
         data = extrinsic_geometry(space, surface_chart(imm, 12, space))
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         with pytest.raises(PreconditionError):
             second_variation_fd(family)
 
@@ -392,7 +410,7 @@ class TestDivergenceTheorem:
     def test_position_field_on_hemisphere(self, density, params):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, density,
                                                     **params)
-        res = divergence_theorem_residual(space, mesh, data, position_field())
+        res = divergence_theorem_residual(data, position_field())
         assert res < 1e-6
 
     def test_tangential_rotation_field(self):
@@ -400,7 +418,7 @@ class TestDivergenceTheorem:
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        res = divergence_theorem_residual(space, mesh, data, field)
+        res = divergence_theorem_residual(data, field)
         assert res < 1e-6
 
     def test_integration_by_parts_on_disk(self):
@@ -412,7 +430,7 @@ class TestDivergenceTheorem:
             grad_field = SurfaceGradientField(
                 imm, lambda P: 2.0 * (np.atleast_2d(P) - c))
             residuals[resolution] = divergence_theorem_residual(
-                space, mesh, data, grad_field)
+                data, grad_field)
         assert residuals[32] < 5e-4
         assert residuals[32] < 0.35 * residuals[16]
 

@@ -106,14 +106,10 @@ class TestSpectrum:
 
     def test_eigenvalues_sorted_with_small_residuals(self):
         asm = assembly("hemisphere", 16, "gaussian")
-        spec = robin_eigenproblem(asm, count=5)
+        spec = robin_eigenproblem(asm)
+        assert len(spec.eigenvalues) == 6
         assert np.all(np.diff(spec.eigenvalues) >= -1e-12)
         assert float(np.max(spec.solver_residuals)) < 1e-6
-
-    def test_count_cannot_exceed_dof(self):
-        asm = assembly("hemisphere", 8)
-        with pytest.raises(InputError):
-            robin_eigenproblem(asm, count=asm.dof + 1)
 
     def test_constant_density_shift_leaves_spectrum_unchanged(self):
         """Adding a constant to psi rescales all matrices uniformly."""
@@ -130,7 +126,7 @@ class TestDenseOracle:
 
     def test_spectrum_matches_dense_pencil(self, name):
         asm = ORACLE_ASSEMBLIES[name]()
-        spec = robin_eigenproblem(asm, count=6)
+        spec = robin_eigenproblem(asm)
         dense = scipy.linalg.eigh(asm.operator.toarray(), asm.M.toarray(),
                                   subset_by_index=[0, 5], eigvals_only=True)
         assert np.max(np.abs(spec.eigenvalues - dense)) < 1e-10
@@ -230,9 +226,8 @@ class TestJacobiOperator:
     ])
     def test_fd_consistency_along_families(self, kind, density, params, flow):
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density, **params)
-        asm = assemble(data)
-        family = DeformedFamily(space, data, flow)
-        report = jacobi_fd_check(family, asm)
+        family = DeformedFamily(data, flow)
+        report = jacobi_fd_check(family)
         assert report.passed, f"residual {report.max_residual:.2e}"
 
 
@@ -244,17 +239,17 @@ class TestConstrainedStability:
 
     def test_gaussian_hemisphere_is_constrained_unstable(self):
         asm = assembly("hemisphere", 24, "gaussian")
-        assert not volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert not volume_constrained_verdict(robin_eigenproblem(asm))
         assert constrained_lambda_min(asm) < -1e-3
 
     def test_convex_cone_cap_is_constrained_stable(self):
         asm = cone_cap_assembly(24)
-        assert volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert volume_constrained_verdict(robin_eigenproblem(asm))
         assert constrained_lambda_min(asm) >= -1e-3
 
     def test_neutral_slice_is_constrained_stable(self):
         asm = assembly("slice", 16, "linear", a=(1.0, 0.0, 0.0))
-        assert volume_constrained_verdict(asm, robin_eigenproblem(asm))
+        assert volume_constrained_verdict(robin_eigenproblem(asm))
         assert constrained_lambda_min(asm) >= -1e-3
 
 
@@ -268,9 +263,9 @@ def builtin_pass():
     runs, solved = [], []
     current = [None]
 
-    def recording_verdict(asm, spec, tol):
-        out = verdict(asm, spec, tol=tol)
-        runs.append((current[0], out, tol, solve(asm)))
+    def recording_verdict(spec, tol):
+        out = verdict(spec, tol=tol)
+        runs.append((current[0], out, tol, solve(spec.asm)))
         return out
 
     def counting_solve(asm):
@@ -310,7 +305,7 @@ class TestConstrainedVerdictFromSpectrum:
         calls = []
         monkeypatch.setattr(stability, "constrained_lambda_min",
                             lambda asm: calls.append(asm) or 0.0)
-        spec = stability.SpectralResult(np.array(eigenvalues),
+        spec = stability.SpectralResult(None, np.array(eigenvalues),
                                         np.zeros((3, 2)), np.zeros(2))
-        assert volume_constrained_verdict(None, spec, tol=1e-3) == verdict
+        assert volume_constrained_verdict(spec, tol=1e-3) == verdict
         assert len(calls) == solves

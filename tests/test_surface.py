@@ -10,17 +10,19 @@ import scipy.sparse as sp
 
 import conftest as cf
 from wstab.ambient import (bakry_emery_ricci, boundary_ii_matrix,
-                           boundary_inner_normal, make_space, perelman_scalar)
+                           boundary_inner_normal, lane_dot, make_space,
+                           perelman_scalar)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import (build_immersion, build_space, builtin_names,
                              builtin_scenario)
-from wstab.stability import HAT_GRADS, assemble
+from wstab.stability import HAT_GRADS, assemble, vertex_normals
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_WEIGHTS, PlanarDisk,
                            RectPatch, RoundSphere, SphericalCap, _on_arcs,
                            export_off, extrinsic_geometry, import_off,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart)
+from wstab.theorems import boundary_identity_residual
 
 TAU = 2.0 * math.pi
 
@@ -793,6 +795,88 @@ class TestKernelBitIdentity:
         J = np.matmul(flow.jac(s, data.pos), data.J)
         *_, Nv, w_da = einsum_frame(data.mesh.immersion.orientation_sign,
                                     data.D1, data.D2, J)
-        pos, N, w_daf = DeformedFamily(space, data, flow).area_elements(s)
+        pos, N, w_daf = DeformedFamily(data, flow).area_elements(s)
         assert_same_bits(N, Nv)
         assert_same_bits(w_daf, w_da * np.exp(space.density.psi(pos)))
+
+
+def einsum_vertex_normals(mesh):
+    imm, tp = mesh.immersion, mesh.tri_params
+    Nv = np.zeros((mesh.n_vertices, 3))
+    for c in range(3):
+        Jc = imm.chart_jac(tp[:, c])
+        e1 = np.einsum("nia,na->ni", Jc, tp[:, 1] - tp[:, 0])
+        e2 = np.einsum("nia,na->ni", Jc, tp[:, 2] - tp[:, 0])
+        Nv[mesh.triangles[:, c]] = np.cross(e1, e2)
+    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+
+
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """The subscripts of every np.einsum call made while a test runs."""
+    calls, einsum = [], np.einsum
+
+    def recording(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return calls
+
+
+@pytest.mark.skipif(not cf.einsum_pairs_lanes(),
+                    reason="this platform's einsum sums 3 terms in another "
+                           "order")
+class TestLaneOrderKernels:
+    """The 3-long contractions einsum summed in its vector-lane order,
+    (x0 + x2) + x1, against those einsum forms."""
+
+    def test_lane_kernels_on_random_data(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((1000, 3, 3))
+        x, y = rng.standard_normal((2, 1000, 3))
+        assert_same_bits(lane_dot(A, x[:, None]),
+                         np.einsum("nij,nj->ni", A, x))
+        assert_same_bits(lane_dot(x, y), np.einsum("ni,ni->n", x, y))
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_boundary_identity_residual(self, name, einsum_calls):
+        space, data = kernel_case(name)
+        if not data.has_boundary or space.boundary is None:
+            pytest.skip("no boundary on the ambient boundary")
+        gpsi = space.density.grad_psi(data.b_pos)
+        two_H = data.Hf_boundary + np.einsum("ni,ni->n", gpsi, data.b_xi)
+        want = float(np.max(np.abs(data.II_NN - (two_H - data.h_geod))))
+        einsum_calls.clear()
+        assert boundary_identity_residual(data) == want
+        assert einsum_calls == []
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_slice_boundary_curve(self, name, einsum_calls):
+        """A full rotation of the boundary curve's g' and g'', in an
+        ambient without boundary so that any flow is admissible."""
+        _, data = kernel_case(name)
+        if not data.has_boundary:
+            pytest.skip("no boundary")
+        data = extrinsic_geometry(cf.space_free(), data.chart)
+        flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
+        s, g0, dg0 = 0.1, data.b_pos, data.b_dg
+        DFb = flow.jac(s, g0)
+        want_dg = np.einsum("nij,nj->ni", DFb, dg0)
+        want_ddg = (np.einsum("nij,nj->ni", DFb, data.b_ddg)
+                    + np.einsum("nijk,nj,nk->ni", flow.hess(s, g0), dg0, dg0))
+        einsum_calls.clear()
+        moved = DeformedFamily(data, flow).geometry(s)
+        assert_same_bits(moved.b_dg, want_dg)
+        assert_same_bits(moved.b_ddg, want_ddg)
+        assert "nij,nj->ni" not in einsum_calls
+
+    @pytest.mark.parametrize("name", [n for n in KERNEL_CASES
+                                      if "sphere" in n or "Mr" in n])
+    def test_vertex_normals_of_a_3_parameter_chart(self, name, einsum_calls):
+        _, data = kernel_case(name)
+        assert data.mesh.immersion.param_dim == 3
+        want = einsum_vertex_normals(data.mesh)
+        einsum_calls.clear()
+        assert_same_bits(vertex_normals(data.mesh), want)
+        assert einsum_calls == []

@@ -48,24 +48,24 @@ class TestGaussRearrangement:
 class TestBoundaryIdentity:
     def test_hemisphere_all_terms_vanish(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
-        assert boundary_identity_residual(space, data) < 1e-10
+        assert boundary_identity_residual(data) < 1e-10
 
     def test_disk_in_ball(self):
         """II(N,N) = 1 = 2 H_bd - h with H_bd = 1 and h = 1."""
         space, imm, mesh, data = cf.cached_geometry("disk", 16)
-        assert boundary_identity_residual(space, data) < 1e-10
+        assert boundary_identity_residual(data) < 1e-10
 
     def test_requires_boundary(self):
         space, imm, mesh, data = cf.cached_geometry("sphere", 12)
         with pytest.raises(InputError):
-            boundary_identity_residual(space, data)
+            boundary_identity_residual(data)
 
 
 class TestStabilityTopologyChain:
     def test_flat_slice_realizes_equality(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 0
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-10)
@@ -75,7 +75,7 @@ class TestStabilityTopologyChain:
     def test_hemisphere_borderline_density(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "radial-log", k=-2.0)
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 1
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
@@ -89,8 +89,7 @@ class TestStabilityTopologyChain:
                            boundary=("ball-complement", {"radius": 1.0}))
         imm = RoundSphere(radius=2.0)
         data = extrinsic_geometry(space, surface_chart(imm, 24, space))
-        mesh = data.mesh
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         assert chain.asserted and chain.chain_holds
         assert chain.chi == 2
         assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
@@ -107,14 +106,14 @@ class TestStabilityTopologyChain:
                          radius=rho)
         data = extrinsic_geometry(space, surface_chart(imm, 12, space))
         with pytest.raises(PreconditionError):
-            stability_topology_chain(data.mesh, data)
+            stability_topology_chain(data)
 
 
 class TestTopologyVerdict:
     def test_flat_slice_is_disk_or_cylinder(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
@@ -122,7 +121,7 @@ class TestTopologyVerdict:
     def test_hemisphere_at_threshold(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.0)
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
         assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
@@ -130,7 +129,7 @@ class TestTopologyVerdict:
     def test_unstable_hemisphere_is_not_applicable(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.5)
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min < -0.4
         strong = strong_stability_verdict(spec)
@@ -141,18 +140,18 @@ class TestAreaBounds:
     def test_degenerate_threshold_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
         with pytest.raises(InputError):
-            area_bound_check(mesh, data, 0.0)
+            area_bound_check(data, 0.0)
 
     def test_negative_threshold_needs_negative_chi(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        report = area_bound_check(mesh, data, -1.0)
+        report = area_bound_check(data, -1.0)
         assert report.hypothesis.holds
         assert not report.applicable
 
     def test_failed_hypothesis_is_reported(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        report = area_bound_check(mesh, data, 1.0)
+        report = area_bound_check(data, 1.0)
         assert not report.hypothesis.holds
         assert not report.applicable
 
@@ -160,7 +159,7 @@ class TestAreaBounds:
         space, imm, mesh, data = quadratic_disk(24)
         spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min > 1.0
-        report = area_bound_check(mesh, data, 0.5)
+        report = area_bound_check(data, 0.5)
         assert report.applicable and report.passed
         assert report.hypothesis.sampled_min > 1.0
         assert report.chi == 1
@@ -186,7 +185,7 @@ class TestRigidity:
     def test_equality_case_pairs_with_chain_equality(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        chain = stability_topology_chain(mesh, data)
+        chain = stability_topology_chain(data)
         flags = rigidity_flags(data)
         assert flags.all_true
         assert abs(chain.I_f_u - chain.bound1) < chain.tol
@@ -197,14 +196,14 @@ class TestFoliation:
     def test_flat_foliation_is_monotone(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-6
         assert report.monotone_asserted and report.monotone_holds
 
     def test_gaussian_identity_with_nonzero_potential(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12, "gaussian")
-        family = DeformedFamily(space, data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual < 1e-4
         assert report.hyp_ricci.holds
@@ -220,12 +219,12 @@ class TestFoliation:
         else:
             space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                         "radial-log", k=-2.5)
-        family = DeformedFamily(space, data, ScalingFlow())
+        family = DeformedFamily(data, ScalingFlow())
         report = foliation_monotonicity_check(family)
         assert report.max_rel_residual <= 1e-5
 
     def test_negative_speed_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
-        family = DeformedFamily(space, data, TranslationFlow((-1, 0, 0)))
+        family = DeformedFamily(data, TranslationFlow((-1, 0, 0)))
         with pytest.raises(PreconditionError):
             foliation_monotonicity_check(family)
