@@ -60,9 +60,6 @@ class Density:
     grad_psi: Callable[[Array], Array]
     hess_psi: Callable[[Array], Array]
 
-    def lap_psi(self, P: Array) -> Array:
-        return np.trace(self.hess_psi(P), axis1=-2, axis2=-1)
-
 
 @dataclass(frozen=True)
 class BoundarySpec:
@@ -113,19 +110,25 @@ def quadratic_form(A: Array, V: Array) -> Array:
                        for i in range(3) for j in range(3))
 
 
-def bakry_emery_ricci(space: AmbientSpace, P: Array, V: Array) -> Array:
-    """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v) for
-    unit vectors V (N, 3) at points P (N, 3); returns (N,)."""
-    norms = np.linalg.norm(V, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise InputError("bakry_emery_ricci requires unit direction vectors")
-    return -quadratic_form(space.density.hess_psi(P), V)
+class DensityJet:
+    """The gradient, Hessian and Laplacian of psi at the points P (N, 3),
+    each evaluated once, and the density's curvature terms read from them."""
 
+    def __init__(self, density: Density, P: Array):
+        self.grad, self.hess = density.grad_psi(P), density.hess_psi(P)
+        self.lap = np.trace(self.hess, axis1=-2, axis2=-1)
 
-def perelman_scalar(space: AmbientSpace, P: Array) -> Array:
-    """S_f = S - 2*lap(psi) - |grad(psi)|^2 = -2*lap(psi) - |grad(psi)|^2."""
-    g = space.density.grad_psi(P)
-    return -2.0 * space.density.lap_psi(P) - np.sum(g * g, axis=-1)
+    def bakry_emery_ricci(self, V: Array) -> Array:
+        """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v)
+        for unit vectors V (N, 3); returns (N,)."""
+        norms = np.linalg.norm(V, axis=-1)
+        if np.any(np.abs(norms - 1.0) > 1e-12):
+            raise InputError("bakry_emery_ricci requires unit direction vectors")
+        return -quadratic_form(self.hess, V)
+
+    def perelman_scalar(self) -> Array:
+        """S_f = S - 2*lap(psi) - |grad(psi)|^2 = -2*lap(psi) - |grad(psi)|^2."""
+        return -2.0 * self.lap - np.sum(self.grad * self.grad, axis=-1)
 
 
 def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:

@@ -17,7 +17,7 @@ from .ambient import lane_dot, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
 from .surface import (ExtrinsicData, Immersion, _along, _dot,
                       _normal_and_area, _normal_from_jac, extrinsic_geometry,
-                      stationarity_verdict)
+                      stationarity_verdict, vertex_normals)
 
 Array = np.ndarray
 
@@ -65,36 +65,27 @@ def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
 # ---------------------------------------------------------------------------
 
 class Flow:
-    """One-parameter family of ambient maps phi_s acting on base points.
+    """One-parameter family of ambient maps phi_s: on a batch P (N, 3) of
+    base points, ``map`` (N, 3), ``velocity`` (N, 3: d/ds phi_s at the
+    particle started from each base point), the spatial Jacobian ``jac``
+    (N, 3, 3) and its derivative ``hess`` (N, 3, 3, 3)."""
 
-    Subclasses implement, on a batch P (N, 3) of base points, ``map``
-    (N, 3), ``velocity`` (N, 3: d/ds phi_s at the particle started from
-    each base point) and the spatial Jacobian ``jac`` (N, 3, 3); ``hess``
-    (N, 3, 3, 3) falls back to centered finite differences of ``map``.
-    """
 
-    def map(self, s: float, P: Array) -> Array:
+class AffineFlow(Flow):
+    """A flow of affine maps: its Jacobian Dphi_s is one 3x3 matrix,
+    ``linear(s)``, at every point, and its Hessian is zero."""
+
+    def linear(self, s: float) -> Array:
         raise NotImplementedError
 
-    def hess(self, s: float, P: Array) -> Array:
-        H = np.empty((len(P), 3, 3, 3))
-        h = 2e-4
-        F0 = self.map(s, P)
-        for a in range(3):
-            ea = np.zeros(3)
-            ea[a] = h
-            H[:, :, a, a] = (self.map(s, P + ea) - 2 * F0 + self.map(s, P - ea)) / h**2
-            for b in range(a + 1, 3):
-                eb = np.zeros(3)
-                eb[b] = h
-                v = (self.map(s, P + ea + eb) - self.map(s, P + ea - eb)
-                     - self.map(s, P - ea + eb) + self.map(s, P - ea - eb)) / (4 * h**2)
-                H[:, :, a, b] = v
-                H[:, :, b, a] = v
-        return H
+    def jac(self, s, P):
+        return np.broadcast_to(self.linear(s), (len(P), 3, 3)).copy()
+
+    def hess(self, s, P):
+        return np.zeros((len(P), 3, 3, 3))
 
 
-class TranslationFlow(Flow):
+class TranslationFlow(AffineFlow):
     def __init__(self, direction):
         self.d = vector3(direction, "translation direction")
 
@@ -104,14 +95,11 @@ class TranslationFlow(Flow):
     def velocity(self, s, P):
         return np.broadcast_to(self.d, P.shape).copy()
 
-    def jac(self, s, P):
-        return np.broadcast_to(np.eye(3), (len(P), 3, 3)).copy()
-
-    def hess(self, s, P):
-        return np.zeros((len(P), 3, 3, 3))
+    def linear(self, s):
+        return np.eye(3)
 
 
-class ScalingFlow(Flow):
+class ScalingFlow(AffineFlow):
     """p -> c + (1+s)(p - c); inflates spheres of center c."""
 
     def __init__(self, center=(0, 0, 0)):
@@ -123,37 +111,28 @@ class ScalingFlow(Flow):
     def velocity(self, s, P):
         return P - self.c
 
-    def jac(self, s, P):
-        return np.broadcast_to((1.0 + s) * np.eye(3), (len(P), 3, 3)).copy()
-
-    def hess(self, s, P):
-        return np.zeros((len(P), 3, 3, 3))
+    def linear(self, s):
+        return (1.0 + s) * np.eye(3)
 
 
-class RotationFlow(Flow):
+class RotationFlow(AffineFlow):
     """Rotation of angle s about an axis through a point."""
 
     def __init__(self, axis=(0, 0, 1), point=(0, 0, 0)):
         self.a = unit_vector3(axis, "rotation axis")
         self.c = vector3(point, "rotation point")
 
-    def _rot(self, s):
+    def linear(self, s):
         a = self.a
         ax = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
         return np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
 
     def map(self, s, P):
-        return self.c + (P - self.c) @ self._rot(s).T
+        return self.c + (P - self.c) @ self.linear(s).T
 
     def velocity(self, s, P):
-        rel = (P - self.c) @ self._rot(s).T
+        rel = (P - self.c) @ self.linear(s).T
         return np.cross(self.a, rel)
-
-    def jac(self, s, P):
-        return np.broadcast_to(self._rot(s), (len(P), 3, 3)).copy()
-
-    def hess(self, s, P):
-        return np.zeros((len(P), 3, 3, 3))
 
 
 class FieldFlow(Flow):
@@ -187,7 +166,21 @@ class FieldFlow(Flow):
             return np.zeros((len(P), 3, 3, 3))
         if self.Xhess is not None:
             return s * self.Xhess(P)
-        return super().hess(s, P)
+        H = np.empty((len(P), 3, 3, 3))
+        h = 2e-4
+        F0 = self.map(s, P)
+        for a in range(3):
+            ea = np.zeros(3)
+            ea[a] = h
+            H[:, :, a, a] = (self.map(s, P + ea) - 2 * F0 + self.map(s, P - ea)) / h**2
+            for b in range(a + 1, 3):
+                eb = np.zeros(3)
+                eb[b] = h
+                v = (self.map(s, P + ea + eb) - self.map(s, P + ea - eb)
+                     - self.map(s, P - ea + eb) + self.map(s, P - ea - eb)) / (4 * h**2)
+                H[:, :, a, b] = v
+                H[:, :, b, a] = v
+        return H
 
 
 @dataclass
@@ -210,15 +203,21 @@ class DeformedFamily:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def area_elements(self, s: float):
-        """Positions, unit normals and w da_f of the slice at s."""
-        base = self.data
+        """Positions, unit normals and w da_f of the slice at s.  An affine
+        flow moves the frame by one matrix; a translation keeps it."""
+        base, flow = self.data, self.flow
         if s == 0.0:
             return base.pos, base.N, base.w_daf
-        pos = self.flow.map(s, base.pos)
-        J = np.matmul(self.flow.jac(s, base.pos), base.J)
+        pos = flow.map(s, base.pos)
+        f = np.exp(base.space.density.psi(pos))
+        A = (flow.linear(s) if isinstance(flow, AffineFlow)
+             else flow.jac(s, base.pos))      # (N, 3, 3): never the identity
+        if np.array_equal(A, np.eye(3)):
+            return pos, base.N, base.w_da * f
+        J = np.matmul(A, base.J)
         N, w_da, _ = _normal_and_area(base.mesh.immersion.orientation_sign,
                                       _along(J, base.D1), _along(J, base.D2))
-        return pos, N, w_da * np.exp(base.space.density.psi(pos))
+        return pos, N, w_da * f
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -231,6 +230,12 @@ class DeformedFamily:
             rate = float(np.sum(_dot(vel.T, N.T) * w_daf))
             self._slices[s] = (float(np.sum(w_daf)), rate)
         return self._slices[s]
+
+    def vertex_normal_speed(self) -> Array:
+        """The normal speed <dphi/ds, N> at s = 0 at the mesh vertices."""
+        mesh = self.data.mesh
+        return np.sum(self.flow.velocity(0.0, mesh.positions)
+                      * vertex_normals(mesh), axis=1)
 
     def weighted_area(self, s: float) -> float:
         """A_f of the slice at s."""

@@ -22,8 +22,7 @@ from .functionals import (DeformedFamily, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
                           second_variation_fd, swept_weighted_volume)
 from .stability import (assemble, index_form_value, robin_eigenproblem,
-                        strong_stability_verdict, vertex_normals,
-                        volume_constrained_verdict)
+                        strong_stability_verdict, volume_constrained_verdict)
 from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
                       SphericalCap, SurfaceChart, extrinsic_geometry,
                       stationarity_verdict, surface_chart)
@@ -451,7 +450,8 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     """Run the scenario's tasks on the chart of its surface."""
     data = extrinsic_geometry(build_space(scn), chart)
     mesh = chart.mesh
-    needs_asm = {"spectrum", "second-variation", "topology"} & set(scn.tasks)
+    needs_spec = {"spectrum", "topology", "area-bounds"} & set(scn.tasks)
+    needs_asm = needs_spec or "second-variation" in scn.tasks
     asm = assemble(data) if needs_asm else None
     report: Dict[str, Any] = {
         "name": scn.name,
@@ -469,9 +469,9 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     samples_header: List[str] = []
     samples: List[list] = []
 
-    # one spectrum and one strong verdict serve both spectrum and topology
+    # one spectrum and one strong verdict serve every task that reads them
     spec = strong = None
-    if {"spectrum", "topology"} & set(scn.tasks):
+    if needs_spec:
         spec = robin_eigenproblem(asm)
         vtol = scn.tol("verdict") * max(
             1.0, float(np.max(np.abs(spec.eigenvalues))))
@@ -509,8 +509,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
 
     def t_second_variation():
         fd = second_variation_fd(family)
-        Nv = vertex_normals(mesh)
-        u = np.sum(flow.velocity(0.0, mesh.positions) * Nv, axis=1)
+        u = family.vertex_normal_speed()
         ifv = index_form_value(asm, u, u)
         diff = abs(fd.value - ifv)
         tol = scn.tol("variation") * max(1.0, abs(ifv))
@@ -591,7 +590,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         checks.append(Check("topology", bool(ok), detail))
 
     def t_area_bounds():
-        rep = area_bound_check(data, scn.S0)
+        rep = area_bound_check(data, scn.S0, strong)
         results["area_bounds"] = {
             "applicable": bool(rep.applicable),
             "hypothesis": {"sampled_min": _f(rep.hypothesis.sampled_min),

@@ -14,11 +14,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .ambient import lane_dot, ordered_sum
+from .ambient import ordered_sum
 from .errors import InputError, NumericalFailure, PreconditionError
 from .functionals import DeformedFamily
-from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData, SurfaceMesh,
-                      _normal_from_jac, stationarity_verdict)
+from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData,
+                      stationarity_verdict)
 
 Array = np.ndarray
 
@@ -263,21 +263,6 @@ def volume_constrained_verdict(spec: SpectralResult,
 # Jacobi operator finite-difference check
 # ---------------------------------------------------------------------------
 
-def vertex_normals(mesh: SurfaceMesh) -> Array:
-    """Unit normals at mesh vertices, oriented like the quadrature normals."""
-    imm = mesh.immersion
-    if imm.param_dim == 2:
-        return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
-    # per-corner triangle frames, last writer wins (orientations agree)
-    Nv = np.zeros((mesh.n_vertices, 3))
-    tp = mesh.tri_params
-    d1, d2 = (tp[:, None, c] - tp[:, None, 0] for c in (1, 2))
-    for c in range(3):
-        Jc = imm.chart_jac(tp[:, c])
-        Nv[mesh.triangles[:, c]] = np.cross(lane_dot(Jc, d1), lane_dot(Jc, d2))
-    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-
-
 @dataclass(frozen=True)
 class JacobiCheckReport:
     max_residual: float
@@ -291,14 +276,9 @@ def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
     verdict = stationarity_verdict(family.data, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError("jacobi_fd_check requires an f-stationary base")
-    # normal speed at the vertices
-    mesh = family.data.mesh
-    Nv = vertex_normals(mesh)
-    vel = family.flow.velocity(0.0, mesh.positions)
-    u = np.sum(vel * Nv, axis=1)
-    Lu = jacobi_apply(assemble(family.data), u)
+    Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
     # interpolate L_f(u) to quadrature points
-    tris = mesh.triangles
+    tris = family.data.mesh.triangles
     Lq = (Lu[tris][:, :, None] * TRI_HATS[None, :, :]).sum(axis=1).ravel()
     # FD of H_f per material quadrature point
     dp = family.geometry(h).H_f

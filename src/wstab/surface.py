@@ -14,10 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .ambient import (AmbientSpace, bakry_emery_ricci,
-                      boundary_f_mean_curvature, boundary_ii_matrix,
-                      boundary_inner_normal, lane_dot, ordered_sum,
-                      perelman_scalar, quadratic_form, unit_vector3, vector3)
+from .ambient import (AmbientSpace, DensityJet, boundary_f_mean_curvature,
+                      boundary_ii_matrix, boundary_inner_normal, lane_dot,
+                      ordered_sum, quadratic_form, unit_vector3, vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -789,6 +788,21 @@ def _normal_from_jac(sign: int, J: Array) -> Array:
     return _unit_normal(sign, J[:, :, 0].T, J[:, :, 1].T)
 
 
+def vertex_normals(mesh: SurfaceMesh) -> Array:
+    """Unit normals at mesh vertices, oriented like the quadrature normals."""
+    imm = mesh.immersion
+    if imm.param_dim == 2:
+        return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
+    # per-corner triangle frames, last writer wins (orientations agree)
+    Nv = np.zeros((mesh.n_vertices, 3))
+    tp = mesh.tri_params
+    d1, d2 = (tp[:, None, c] - tp[:, None, 0] for c in (1, 2))
+    for c in range(3):
+        Jc = imm.chart_jac(tp[:, c])
+        Nv[mesh.triangles[:, c]] = np.cross(lane_dot(Jc, d1), lane_dot(Jc, d2))
+    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
     """Everything about a meshed surface that does not depend on the density.
@@ -933,16 +947,16 @@ def extrinsic_geometry(space: AmbientSpace,
     """The density terms on a chart: everything the density of ``space``
     adds to the chart's Riemannian geometry."""
     pos, Nv, H = chart.pos, chart.N, chart.H
-    gpsi = space.density.grad_psi(pos)
-    gN = np.sum(gpsi * Nv, axis=1)
-    ricf_NN = bakry_emery_ricci(space, pos, Nv)
+    jet = DensityJet(space.density, pos)
+    gN = np.sum(jet.grad * Nv, axis=1)
+    ricf_NN = jet.bakry_emery_ricci(Nv)
     g = chart.b_pos
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
     return ExtrinsicData(
         chart, space, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
-        ricf_NN=ricf_NN, grad_psi=gpsi, grad_s_psi=gpsi - gN[:, None] * Nv,
-        lap_s_psi=space.density.lap_psi(pos) + ricf_NN + 2.0 * H * gN,
-        S_f=perelman_scalar(space, pos), f_b=np.exp(space.density.psi(g)),
+        grad_psi=jet.grad, grad_s_psi=jet.grad - gN[:, None] * Nv,
+        ricf_NN=ricf_NN, lap_s_psi=jet.lap + ricf_NN + 2.0 * H * gN,
+        S_f=jet.perelman_scalar(), f_b=np.exp(space.density.psi(g)),
         Hf_boundary=(boundary_f_mean_curvature(space, g)
                      if space.boundary is not None else np.zeros(len(g))))
 

@@ -168,27 +168,26 @@ class BoundReport:
     passed: bool
 
 
-def area_bound_check(data: ExtrinsicData, S0: float,
+def area_bound_check(data: ExtrinsicData, S0: float, strongly_stable: bool,
                      tol: float = 1e-9) -> BoundReport:
-    """Check A_f <= 4 pi / S0 (S0 > 0, disk) or A_f >= 4 pi chi / S0 (S0 < 0)."""
+    """Check A_f <= 4 pi / S0 (S0 > 0, a disk) or A_f >= 4 pi chi / S0
+    (S0 < 0, chi < 0) on a strongly stable surface with S_f >= S0 f; the
+    bounds apply nowhere else."""
     if S0 == 0.0:
         raise InputError("S0 = 0 makes both area bounds degenerate")
     margin = float(np.min(data.S_f - S0 * data.f))
     hyp = Hypothesis("S_f >= S0 * f", margin, margin >= -1e-9)
     A_f = float(np.sum(data.w_daf))
     chi = data.mesh.chi
-    if not hyp.holds:
-        return BoundReport(False, hyp, S0, chi, A_f, np.nan, np.nan, False)
     if S0 > 0:
-        bound = 4 * np.pi / S0
-        slack = bound - A_f
-        passed = chi == 1 and A_f <= bound + tol
-        return BoundReport(True, hyp, S0, chi, A_f, bound, slack, passed)
-    if chi >= 0:
+        applies, bound = chi == 1, 4 * np.pi / S0
+        slack, passed = bound - A_f, A_f <= bound + tol
+    else:
+        applies, bound = chi < 0, 4 * np.pi * chi / S0
+        slack, passed = A_f - bound, A_f >= bound - tol
+    if not (strongly_stable and hyp.holds and applies):
         return BoundReport(False, hyp, S0, chi, A_f, np.nan, np.nan, False)
-    bound = 4 * np.pi * chi / S0
-    slack = A_f - bound
-    return BoundReport(True, hyp, S0, chi, A_f, bound, slack, A_f >= bound - tol)
+    return BoundReport(True, hyp, S0, chi, A_f, bound, slack, passed)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import hashlib
 import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
@@ -25,6 +27,11 @@ TAU = 2.0 * math.pi
 TRIG_DIGEST = "c636fd3fca5a60ea0dde6e43b3b214ebd80ae6fc2d5e980230e3ae956463f313"
 
 
+# SHA-256 of the exp, log, sparse LU and eigsh values of
+# _float_kernel_digest on the platform that recorded the output digests
+FLOAT_KERNEL_DIGEST = "edd0e2a08a569c502249e0311cbda0901c87a1e6ef87cf6fe2d4d91c3ba9ae41"
+
+
 @functools.lru_cache(maxsize=None)
 def same_trig() -> bool:
     """Whether this platform's trigonometry rounds like the one that
@@ -36,6 +43,36 @@ def same_trig() -> bool:
     h.update(np.array([np.tan(np.pi / 4), np.tan(0.35),
                        np.cos(0.7)]).tobytes())
     return h.hexdigest() == TRIG_DIGEST
+
+
+def _float_kernel_digest() -> str:
+    """SHA-256 of exp and log on fixed grids, and of one fixed sparse LU
+    solve and shift-invert eigsh with the LU options and start vector the
+    eigensolver uses: numpy's exp and log kernels, and the OpenBLAS kernel
+    set under SuperLU and ARPACK, each move the last bits of the outputs."""
+    h = hashlib.sha256()
+    h.update(np.exp(np.linspace(-4.0, 4.0, 4099)).tobytes())
+    h.update(np.log(np.linspace(0.05, 8.0, 4099)).tobytes())
+    n = 10
+    L1 = sp.diags([-np.ones(n - 1), 2.0 + np.linspace(0.0, 1.0, n),
+                   -np.ones(n - 1)], [-1, 0, 1])
+    A = (sp.kron(L1, sp.identity(n)) + sp.kron(sp.identity(n), L1)).tocsc()
+    M = sp.diags(1.0 + 0.1 * np.cos(np.arange(n * n))).tocsc()
+    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    op = spla.LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    vals, _ = spla.eigsh(A, k=6, M=M, sigma=0.0, which="LM", OPinv=op,
+                         v0=np.random.default_rng(0).standard_normal(n * n))
+    h.update(lu.solve(np.sin(np.arange(n * n) + 1.0)).tobytes())
+    h.update(vals.tobytes())
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def same_float_kernels() -> bool:
+    """Whether this platform's trigonometry, exp, log and sparse solvers
+    round like the ones that recorded the pinned output digests."""
+    return same_trig() and _float_kernel_digest() == FLOAT_KERNEL_DIGEST
 
 
 def einsum_pairs_lanes() -> bool:

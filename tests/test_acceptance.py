@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab.ambient import (bakry_emery_ricci, boundary_f_mean_curvature,
-                           make_space, perelman_scalar)
+from wstab.ambient import DensityJet, boundary_f_mean_curvature, make_space
 from wstab.cli import _jsonify
 from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
                                ScalingFlow, TranslationFlow, VariationField,
@@ -24,7 +23,7 @@ from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
 from wstab.scenarios import builtin_names, builtin_scenario, run_scenario
 from wstab.stability import (assemble, constrained_lambda_min,
                              index_form_value, jacobi_fd_check,
-                             robin_eigenproblem, vertex_normals)
+                             robin_eigenproblem)
 from wstab.surface import extrinsic_geometry
 from wstab.theorems import (boundary_identity_residual,
                             gauss_rearrangement_residual)
@@ -200,9 +199,10 @@ def test_criterion_1_curvature_closed_forms():
         # 20 (p, v) pairs, each p drawn before its v
         P, V = RNG.normal(size=(20, 2, 3)).transpose(1, 0, 2)
         V /= np.linalg.norm(V, axis=1)[:, None]
+        jet = DensityJet(gauss.density, P)
         worst = max(
-            float(np.max(np.abs(bakry_emery_ricci(gauss, P, V) - 2.0))),
-            float(np.max(np.abs(perelman_scalar(gauss, P)
+            float(np.max(np.abs(jet.bakry_emery_ricci(V) - 2.0))),
+            float(np.max(np.abs(jet.perelman_scalar()
                                 - (12.0 - 4.0 * np.sum(P * P, axis=1))))))
         for k in (-3.0, -2.5, -2.0, -1.0):
             for r in (0.5, 1.0, 2.0):
@@ -211,8 +211,8 @@ def test_criterion_1_curvature_closed_forms():
                                              {"radius": r}))
                 p = r * RNG.normal(size=(1, 3))
                 p *= r / np.linalg.norm(p)
-                worst = max(worst, abs(perelman_scalar(space, p)[0]
-                                       + k * (k + 2.0) / np.sum(p * p)))
+                S_f = DensityJet(space.density, p).perelman_scalar()[0]
+                worst = max(worst, abs(S_f + k * (k + 2.0) / np.sum(p * p)))
                 worst = max(worst, abs(boundary_f_mean_curvature(space, p)[0]
                                        + (k + 2.0) / r))
         assert worst < 1e-10
@@ -267,18 +267,14 @@ def test_criterion_3_second_variation_matrix():
             for res in (24, 48):
                 space, imm, mesh, data = cf.cached_geometry(kind, res, dens,
                                                             **params)
-                asms[res] = (assemble(data), mesh)
-            space, _, _, data24 = cf.cached_geometry(kind, 24, dens,
-                                                     **params)
+                asms[res] = (assemble(data), data)
             for flow in flows:
                 vals = {}
-                for res, (asm, mesh) in asms.items():
-                    Nv = vertex_normals(mesh)
-                    u = np.sum(flow.velocity(0.0, mesh.positions) * Nv,
-                               axis=1)
+                for res, (asm, data) in asms.items():
+                    u = DeformedFamily(data, flow).vertex_normal_speed()
                     vals[res] = index_form_value(asm, u, u)
                 ifv = (4.0 * vals[48] - vals[24]) / 3.0
-                fd = second_variation_fd(DeformedFamily(data24, flow))
+                fd = second_variation_fd(DeformedFamily(asms[24][1], flow))
                 rel = abs(fd.value - ifv) / max(1.0, abs(ifv))
                 assert rel <= 1e-3, f"{kind}/{dens}: rel {rel:.2e}"
                 worst = max(worst, rel)

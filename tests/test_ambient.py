@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY,
-                           bakry_emery_ricci, boundary_f_mean_curvature,
-                           boundary_ii_matrix, boundary_inner_normal,
-                           fd_grad_psi, fd_hess_psi, make_boundary,
-                           make_density, make_space, perelman_scalar)
+from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
+                           boundary_f_mean_curvature, boundary_ii_matrix,
+                           boundary_inner_normal, fd_grad_psi, fd_hess_psi,
+                           make_boundary, make_density, make_space)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
 
@@ -29,26 +28,27 @@ class TestBakryEmeryRicci:
         for _ in range(10):
             p = RNG.normal(size=3)
             v = unit(RNG.normal(size=3))
-            assert bakry_emery_ricci(space, row(p), row(v))[0] == \
-                pytest.approx(2.0, abs=1e-10)
+            jet = DensityJet(space.density, row(p))
+            assert jet.bakry_emery_ricci(row(v))[0] == pytest.approx(
+                2.0, abs=1e-10)
 
     def test_constant_density_is_flat(self):
-        space = make_space()
-        assert bakry_emery_ricci(space, row([1.0, 2.0, 3.0]),
-                                 row([0, 0, 1.0]))[0] == 0.0
+        jet = DensityJet(make_space().density, row([1.0, 2.0, 3.0]))
+        assert jet.bakry_emery_ricci(row([0, 0, 1.0]))[0] == 0.0
 
     def test_rejects_non_unit_direction(self):
         space = make_space(density=("gaussian", {}))
+        jet = DensityJet(space.density, row([0.0, 0.0, 0.0]))
         with pytest.raises(InputError):
-            bakry_emery_ricci(space, row([0.0, 0.0, 0.0]), row([0.0, 0.0, 2.0]))
+            jet.bakry_emery_ricci(row([0.0, 0.0, 2.0]))
 
     def test_batch_matches_pointwise(self):
         space = make_space(density=("radial-log", {"k": -2.0}))
         P = RNG.normal(size=(5, 3)) + 4.0
         V = np.stack([unit(v) for v in RNG.normal(size=(5, 3))])
-        batch = bakry_emery_ricci(space, P, V)
-        single = [bakry_emery_ricci(space, row(p), row(v))[0]
-                  for p, v in zip(P, V)]
+        batch = DensityJet(space.density, P).bakry_emery_ricci(V)
+        single = [DensityJet(space.density, row(p)).bakry_emery_ricci(
+            row(v))[0] for p, v in zip(P, V)]
         assert np.allclose(batch, single, atol=1e-14)
 
 
@@ -58,8 +58,9 @@ class TestPerelmanScalar:
         for _ in range(10):
             p = RNG.normal(size=3)
             expected = 12.0 - 4.0 * np.dot(p, p)
-            assert perelman_scalar(space, row(p))[0] == pytest.approx(
-                expected, abs=1e-10)
+            jet = DensityJet(space.density, row(p))
+            assert jet.perelman_scalar()[0] == pytest.approx(expected,
+                                                             abs=1e-10)
 
     @pytest.mark.parametrize("k", [-3.0, -2.5, -2.0, -1.0])
     def test_radial_log_closed_form(self, k):
@@ -67,12 +68,13 @@ class TestPerelmanScalar:
         for r in (0.5, 1.0, 2.0):
             p = r * unit(RNG.normal(size=3))
             expected = -k * (k + 2.0) / r**2
-            assert perelman_scalar(space, row(p))[0] == pytest.approx(
-                expected, abs=1e-10)
+            jet = DensityJet(space.density, row(p))
+            assert jet.perelman_scalar()[0] == pytest.approx(expected,
+                                                             abs=1e-10)
 
     def test_constant_density_vanishes(self):
-        space = make_space()
-        assert perelman_scalar(space, row([0.3, -0.2, 5.0]))[0] == 0.0
+        jet = DensityJet(make_space().density, row([0.3, -0.2, 5.0]))
+        assert jet.perelman_scalar()[0] == 0.0
 
 
 class TestBoundaryOperators:
@@ -242,9 +244,10 @@ class TestBatchConvention:
         assert d.psi(P).shape == (n,)
         assert d.grad_psi(P).shape == (n, 3)
         assert d.hess_psi(P).shape == (n, 3, 3)
-        assert d.lap_psi(P).shape == (n,)
-        assert bakry_emery_ricci(space, P, V).shape == (n,)
-        assert perelman_scalar(space, P).shape == (n,)
+        jet = DensityJet(d, P)
+        assert jet.lap.shape == (n,)
+        assert jet.bakry_emery_ricci(V).shape == (n,)
+        assert jet.perelman_scalar().shape == (n,)
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("name", sorted(BOUNDARY_REGISTRY))

@@ -488,6 +488,22 @@ class TestVerdicts:
         assert report["results"]["spectrum"]["verdict_strong"] is strong
         assert report["results"]["topology"]["verdict"] == topology
 
+    @pytest.mark.parametrize("tasks", [
+        ["stationarity", "spectrum", "area-bounds"], ["area-bounds"]])
+    def test_area_bounds_need_a_strongly_stable_surface(self, tmp_path,
+                                                        capsys, tasks):
+        """The Gaussian unit sphere has lambda_min = -4: the area bounds do
+        not apply to it, whether or not the spectrum task is asked for."""
+        tree = {"ambient": {"density": {"name": "gaussian"}},
+                "surface": {"builtin": "round-sphere"},
+                "resolution": 16, "tasks": tasks, "S0": 20}
+        code, report = run_report(tmp_path, tree)
+        assert code == 0
+        assert "[PASS] area-bounds: not applicable" in capsys.readouterr().out
+        bounds = report["results"]["area_bounds"]
+        assert bounds["hypothesis"]["holds"] is True
+        assert bounds["applicable"] is False
+
     def test_foliation_tolerance_reaches_the_monotonicity_verdict(
             self, monkeypatch):
         """tolerances.foliation is the monotonicity check's tol, not only
@@ -818,8 +834,9 @@ SCENARIO_TREES = {
 
 
 class TestDeterminism:
-    @pytest.mark.skipif(not cf.same_trig(), reason=(
-        "this platform's trigonometry rounds unlike the recording one"))
+    @pytest.mark.skipif(not cf.same_float_kernels(), reason=(
+        "this platform's trigonometry, exp, log or sparse solvers round "
+        "unlike the recording one"))
     @pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
     def test_builtin_outputs_match_their_digests(self, tmp_path, name):
         out_dir = tmp_path / name
@@ -829,8 +846,9 @@ class TestDeterminism:
                    if (out_dir / f).exists()}
         assert written == OUTPUT_DIGESTS[name]
 
-    @pytest.mark.skipif(not cf.same_trig(), reason=(
-        "this platform's trigonometry rounds unlike the recording one"))
+    @pytest.mark.skipif(not cf.same_float_kernels(), reason=(
+        "this platform's trigonometry, exp, log or sparse solvers round "
+        "unlike the recording one"))
     @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
     def test_scenario_outputs_match_their_digests(self, tmp_path, name):
         out_dir = tmp_path / name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab import surface
+from wstab import functionals, surface
 from wstab.ambient import AmbientSpace, BoundarySpec, make_density
 from wstab.errors import InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
@@ -105,6 +105,73 @@ class TestFirstOrderGeometry:
             _, N, w_daf = family.area_elements(s)
             assert N.shape == data.N.shape and np.all(w_daf > 0)
         assert calls == {"einsum": 0, "cross": 0}
+
+
+def stacked_slice(family, s):
+    """A slice as it was built before affine flows moved it with one
+    matrix: the per-point Jacobians times the base frame, then the normal
+    and area element of the moved frame."""
+    base, flow = family.data, family.flow
+    J = np.matmul(flow.jac(s, base.pos), base.J)
+    N, w_da, _ = surface._normal_and_area(
+        base.mesh.immersion.orientation_sign, surface._along(J, base.D1),
+        surface._along(J, base.D2))
+    pos = flow.map(s, base.pos)
+    return pos, N, w_da * np.exp(base.space.density.psi(pos))
+
+
+class TestAffineSlices:
+    @pytest.mark.parametrize("flow", [
+        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
+        RotationFlow((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
+    ], ids=["translation", "scaling", "rotation"])
+    @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-3, -5e-3, 0.2, -0.2])
+    def test_slices_equal_the_stacked_jacobian_path(self, flow, s):
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "radial-log", k=-1.3)
+        family = DeformedFamily(data, flow)
+        for got, want in zip(family.area_elements(s),
+                             stacked_slice(family, s)):
+            assert np.array_equal(got, want)
+
+    def test_field_flow_slices_are_unchanged(self):
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "gaussian")
+        family = DeformedFamily(data, FieldFlow(swirl))
+        for s in (1e-3, -5e-3, 0.2):
+            for got, want in zip(family.area_elements(s),
+                                 stacked_slice(family, s)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("flow,moves_frame", [
+        (TranslationFlow((0.6, 0.8, 0.0)), False), (ScalingFlow(), True),
+    ], ids=["translation", "scaling"])
+    def test_translated_slices_keep_the_base_normal_and_area(
+            self, monkeypatch, flow, moves_frame):
+        """A translation leaves the frame as it is: its slices compute no
+        normal, no area element and no cross product."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "gaussian")
+        calls = {"normal_and_area": 0, "cross": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(functionals, "_normal_and_area", counting(
+            "normal_and_area", functionals._normal_and_area))
+        monkeypatch.setattr(np, "cross", counting("cross", np.cross))
+        family = DeformedFamily(data, flow)
+        for s in (0.1, -1e-3):
+            pos, N, w_daf = family.area_elements(s)
+            if not moves_frame:
+                assert N is data.N
+                assert np.array_equal(
+                    w_daf, data.w_da * np.exp(space.density.psi(pos)))
+        assert calls == {"normal_and_area": 2 if moves_frame else 0,
+                         "cross": 0}
 
 
 def swirl(P):
@@ -389,6 +456,14 @@ class TestSecondVariation:
         family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         fd = second_variation_fd(family)
         assert abs(fd.value) < 1e-6
+
+    def test_vertex_normal_speed_of_inflation_is_one(self):
+        """Scaling the unit hemisphere about its center moves each vertex
+        along its unit normal at unit speed."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        u = DeformedFamily(data, ScalingFlow()).vertex_normal_speed()
+        assert u.shape == (mesh.n_vertices,)
+        assert np.allclose(u, 1.0, rtol=0.0, atol=1e-14)
 
     def test_requires_stationary_base(self):
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))

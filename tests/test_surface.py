@@ -9,19 +9,19 @@ import pytest
 import scipy.sparse as sp
 
 import conftest as cf
-from wstab.ambient import (bakry_emery_ricci, boundary_ii_matrix,
-                           boundary_inner_normal, lane_dot, make_space,
-                           perelman_scalar)
+from wstab.ambient import (AmbientSpace, Density, DensityJet,
+                           boundary_ii_matrix, boundary_inner_normal,
+                           lane_dot, make_space)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import (build_immersion, build_space, builtin_names,
                              builtin_scenario)
-from wstab.stability import HAT_GRADS, assemble, vertex_normals
+from wstab.stability import HAT_GRADS, assemble
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_WEIGHTS, PlanarDisk,
                            RectPatch, RoundSphere, SphericalCap, _on_arcs,
                            export_off, extrinsic_geometry, import_off,
                            mesh_from_immersion, stationarity_verdict,
-                           surface_chart)
+                           surface_chart, vertex_normals)
 from wstab.theorems import boundary_identity_residual
 
 TAU = 2.0 * math.pi
@@ -71,9 +71,32 @@ class TestWeightedCurvatures:
         """Ric_f(N, N) and S_f at the quadrature points are the ambient
         operators' values, bit for bit."""
         space, _, _, data = cf.cached_geometry(kind, 12, density, **params)
-        assert np.array_equal(data.ricf_NN,
-                              bakry_emery_ricci(space, data.pos, data.N))
-        assert np.array_equal(data.S_f, perelman_scalar(space, data.pos))
+        jet = DensityJet(space.density, data.pos)
+        assert np.array_equal(data.ricf_NN, jet.bakry_emery_ricci(data.N))
+        assert np.array_equal(data.S_f, jet.perelman_scalar())
+
+    def test_each_density_derivative_is_evaluated_once(self):
+        """Ric_f(N, N), lap_S psi and S_f read one gradient and one Hessian
+        of psi at the interior points."""
+        base = make_space(density=("radial-log", {"k": -2.5}),
+                          boundary=("half-space", {"axis": 2})).density
+        chart = cf.cached_chart("hemisphere", 12)
+        calls = {"grad": 0, "hess": 0}
+
+        def counting(name, fn):
+            def wrapper(P):
+                calls[name] += len(P) == len(chart.pos)
+                return fn(P)
+            return wrapper
+
+        density = Density(base.psi, counting("grad", base.grad_psi),
+                          counting("hess", base.hess_psi))
+        space = AmbientSpace(density, cf.space_half_space().boundary)
+        data = extrinsic_geometry(space, chart)
+        assert calls == {"grad": 1, "hess": 1}
+        want = cf.cached_geometry("hemisphere", 12, "radial-log", k=-2.5)[3]
+        for name in ("ricf_NN", "lap_s_psi", "S_f", "grad_s_psi"):
+            assert np.array_equal(getattr(data, name), getattr(want, name))
 
 
 class TestProductSlice:

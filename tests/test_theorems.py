@@ -140,26 +140,45 @@ class TestAreaBounds:
     def test_degenerate_threshold_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
         with pytest.raises(InputError):
-            area_bound_check(data, 0.0)
+            area_bound_check(data, 0.0, True)
 
     def test_negative_threshold_needs_negative_chi(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
-        report = area_bound_check(data, -1.0)
+        report = area_bound_check(data, -1.0, True)
         assert report.hypothesis.holds
         assert not report.applicable
 
     def test_failed_hypothesis_is_reported(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        report = area_bound_check(data, 1.0)
+        report = area_bound_check(data, 1.0, True)
         assert not report.hypothesis.holds
+        assert not report.applicable
+
+    def test_unstable_surface_is_not_applicable(self):
+        """The Gaussian unit sphere meets S_f >= 20 f, but lambda_min = -4:
+        the bounds are for stable surfaces."""
+        space, imm, mesh, data = cf.cached_geometry("sphere", 16, "gaussian")
+        strong = strong_stability_verdict(robin_eigenproblem(assemble(data)))
+        assert not strong
+        report = area_bound_check(data, 20.0, strong)
+        assert report.hypothesis.holds
+        assert not report.applicable and not report.passed
+        assert np.isnan(report.bound)
+
+    def test_positive_threshold_needs_a_disk(self):
+        """A stable closed sphere meeting S_f >= S0 f is outside the disk
+        bound, not a failure of it."""
+        space, imm, mesh, data = cf.cached_geometry("sphere", 12, "gaussian")
+        report = area_bound_check(data, 20.0, True)
+        assert report.hypothesis.holds and report.chi == 2
         assert not report.applicable
 
     def test_stable_disk_satisfies_positive_bound(self):
         space, imm, mesh, data = quadratic_disk(24)
         spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min > 1.0
-        report = area_bound_check(data, 0.5)
+        report = area_bound_check(data, 0.5, strong_stability_verdict(spec))
         assert report.applicable and report.passed
         assert report.hypothesis.sampled_min > 1.0
         assert report.chi == 1
