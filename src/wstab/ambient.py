@@ -102,6 +102,19 @@ def lane_dot(x: Array, y: Array) -> Array:
     return ordered_sum(x[..., j] * y[..., j] for j in (0, 2, 1))
 
 
+def squared_norm(P: Array) -> Array:
+    """|p|^2 of each point of P (N, 3), added (x0 + x1) + x2 on its (N,)
+    columns: the order np.sum and np.linalg.norm add a 3-long last axis
+    in, without a numpy loop over each 3-long row."""
+    x, y, z = P.T
+    return x * x + y * y + z * z
+
+
+def norm(P: Array) -> Array:
+    """|p| of each point of P (N, 3), bit for bit np.linalg.norm(P, axis=-1)."""
+    return np.sqrt(squared_norm(P))
+
+
 def quadratic_form(A: Array, V: Array) -> Array:
     """A(v, v) = sum_ij A_ij v_i v_j for matrices A (N, 3, 3) and vectors
     V (N, 3), summed with j inner; returns (N,)."""
@@ -223,7 +236,7 @@ def _constant_density(value: float = 1.0) -> Density:
 
 def _gaussian_density() -> Density:
     def psi(P):
-        return -np.sum(P * P, axis=-1)
+        return -squared_norm(P)
 
     def grad(P):
         return -2.0 * P
@@ -238,14 +251,14 @@ def _radial_log_density(k: float) -> Density:
     k = float(k)
 
     def psi(P):
-        return k * np.log(np.linalg.norm(P, axis=-1))
+        return k * np.log(norm(P))
 
     def grad(P):
-        r2 = np.sum(P * P, axis=-1)
+        r2 = squared_norm(P)
         return k * P / r2[:, None]
 
     def hess(P):
-        r2 = np.sum(P * P, axis=-1)
+        r2 = squared_norm(P)
         return k * (np.eye(3)[None] / r2[:, None, None]
                     - 2.0 * P[:, :, None] * P[:, None, :] / (r2 ** 2)[:, None, None])
 
@@ -272,14 +285,14 @@ def _radial_smooth_density(coeffs) -> Density:
     g2 = g1.deriv()
 
     def psi(P):
-        return g(np.linalg.norm(P, axis=-1))
+        return g(norm(P))
 
     def grad(P):
-        r = np.linalg.norm(P, axis=-1)
+        r = norm(P)
         return (g1(r) / r)[:, None] * P
 
     def hess(P):
-        r = np.linalg.norm(P, axis=-1)
+        r = norm(P)
         n = P / r[:, None]
         nn = n[:, :, None] * n[:, None, :]
         return (g2(r)[:, None, None] * nn

@@ -16,7 +16,8 @@ import numpy as np
 from .ambient import lane_dot, unit_vector3, vector3
 from .errors import InputError, NumericalFailure, PreconditionError
 from .surface import (ExtrinsicData, Immersion, _along, _dot,
-                      _normal_and_area, _normal_from_jac, extrinsic_geometry,
+                      _moved_normal_and_area, _normal_and_area,
+                      _normal_from_jac, extrinsic_geometry,
                       stationarity_verdict, vertex_normals)
 
 Array = np.ndarray
@@ -90,10 +91,10 @@ class TranslationFlow(AffineFlow):
         self.d = vector3(direction, "translation direction")
 
     def map(self, s, P):
-        return P + s * self.d
+        return np.stack([x + sd for x, sd in zip(P.T, s * self.d)], axis=1)
 
     def velocity(self, s, P):
-        return np.broadcast_to(self.d, P.shape).copy()
+        return np.tile(self.d, (len(P), 1))
 
     def linear(self, s):
         return np.eye(3)
@@ -106,10 +107,11 @@ class ScalingFlow(AffineFlow):
         self.c = vector3(center, "scaling center")
 
     def map(self, s, P):
-        return self.c + (1.0 + s) * (P - self.c)
+        return np.stack([c + (1.0 + s) * (x - c) for x, c in zip(P.T, self.c)],
+                        axis=1)
 
     def velocity(self, s, P):
-        return P - self.c
+        return np.stack([x - c for x, c in zip(P.T, self.c)], axis=1)
 
     def linear(self, s):
         return (1.0 + s) * np.eye(3)
@@ -190,8 +192,10 @@ class DeformedFamily:
 
     The slice at s is the base chart with the flow applied, in the ambient
     space of ``data``, so a family evaluates no chart of its own.  Area and
-    volume push only the base positions and Jacobians through the flow;
-    full geometry also pushes the chart Hessian and the boundary curve.  Each slice's A_f and volume rate
+    volume push only the base positions through the flow, with the base
+    normals and area elements under an affine flow and the base Jacobians
+    under any other; full geometry also pushes the Jacobians, the chart
+    Hessian and the boundary curve.  Each slice's A_f and volume rate
     are kept per s, so the FD variations, the swept volume and the samples
     share slices.
     """
@@ -204,20 +208,23 @@ class DeformedFamily:
 
     def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s.  An affine
-        flow moves the frame by one matrix; a translation keeps it."""
+        flow moves the base normal and area element by the cofactor of its
+        one matrix, and a translation keeps them, so only the density is
+        evaluated at each point; any other flow moves the frame."""
         base, flow = self.data, self.flow
         if s == 0.0:
             return base.pos, base.N, base.w_daf
+        if isinstance(flow, AffineFlow):
+            A = flow.linear(s)
+            N, w_da = ((base.N, base.w_da) if np.array_equal(A, np.eye(3))
+                       else _moved_normal_and_area(A, base.N, base.w_da))
+        else:
+            J = np.matmul(flow.jac(s, base.pos), base.J)
+            N, w_da, _ = _normal_and_area(
+                base.mesh.immersion.orientation_sign, _along(J, base.D1),
+                _along(J, base.D2))
         pos = flow.map(s, base.pos)
-        f = np.exp(base.space.density.psi(pos))
-        A = (flow.linear(s) if isinstance(flow, AffineFlow)
-             else flow.jac(s, base.pos))      # (N, 3, 3): never the identity
-        if np.array_equal(A, np.eye(3)):
-            return pos, base.N, base.w_da * f
-        J = np.matmul(A, base.J)
-        N, w_da, _ = _normal_and_area(base.mesh.immersion.orientation_sign,
-                                      _along(J, base.D1), _along(J, base.D2))
-        return pos, N, w_da * f
+        return pos, N, w_da * np.exp(base.space.density.psi(pos))
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -257,8 +264,8 @@ class DeformedFamily:
         DF = self.flow.jac(s, P0)
         moved = dict(pos=self.flow.map(s, P0), J=np.matmul(DF, J0),
                      hess=(np.einsum("nij,njab->niab", DF, base.hess)
-                           + np.einsum("nijk,nja,nkb->niab",
-                                       self.flow.hess(s, P0), J0, J0)))
+                           + self._second_order("nijk,nja,nkb->niab", s,
+                                                P0, J0)))
         if base.has_boundary:
             g0, dg0 = base.b_pos, base.b_dg
             g = self.flow.map(s, g0)
@@ -274,11 +281,19 @@ class DeformedFamily:
             moved.update(
                 b_pos=g, b_dg=lane_dot(DFb, dg0[:, None]),
                 b_ddg=(lane_dot(DFb, base.b_ddg[:, None])
-                       + np.einsum("nijk,nj,nk->ni", self.flow.hess(s, g0),
-                                   dg0, dg0)),
+                       + self._second_order("nijk,nj,nk->ni", s, g0, dg0)),
                 b_J=np.matmul(DFb, base.b_J))
         return extrinsic_geometry(space, dataclasses.replace(
             base, space=space, **moved))
+
+    def _second_order(self, subscripts: str, s: float, P: Array, U: Array):
+        """D^2phi_s(U, U) at the points P, contracted by the einsum
+        subscripts.  An affine flow's is the +0.0 that the einsum of its
+        zero Hessian sums to, so a -0.0 of the first-order term it is added
+        to still turns into +0.0."""
+        if isinstance(self.flow, AffineFlow):
+            return 0.0
+        return np.einsum(subscripts, self.flow.hess(s, P), U, U)
 
 
 # ---------------------------------------------------------------------------

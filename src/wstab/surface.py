@@ -753,6 +753,28 @@ def _normal_and_area(sign: int, E1, E2):
     return _unit_normal(sign, E1, E2), w_da, (g11, g12, g22, detG)
 
 
+def _cofactor(A: Array) -> Array:
+    """cof(A) = det(A) A^-T of a 3x3 matrix, with (A u) x (A v) =
+    cof(A)(u x v): its columns are a2 x a3, a3 x a1 and a1 x a2 for the
+    columns a1, a2, a3 of A."""
+    a = A.T
+    return np.array([_cross(a[1], a[2]), _cross(a[2], a[0]),
+                     _cross(a[0], a[1])]).T
+
+
+def _moved_normal_and_area(A: Array, Nv: Array, w_da: Array):
+    """The unit normal and weighted area element of a frame moved by one
+    3x3 matrix A, from the frame's own: A E1 x A E2 = cof(A)(E1 x E2), so
+    n = cof(A) N gives the normal n/|n| and the area element |n| w_da."""
+    n = [_dot(row, Nv.T) for row in _cofactor(A)]
+    length = np.sqrt(_dot(n, n))
+    w_da = length * w_da
+    # sqrt(det G) > 1e-10 at each point, as in _normal_and_area
+    if not np.all(w_da.reshape(-1, len(TRI_WEIGHTS)) > 1e-10 * TRI_WEIGHTS):
+        raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
+    return np.stack([c / length for c in n], axis=1), w_da
+
+
 def _frame(sign: int, D1: Array, D2: Array, J: Array):
     """The chart's frame (E1, E2) along the blended directions as columns,
     the inverse metric (g^11, g^12, g^22) in that frame, the unit normal

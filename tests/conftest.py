@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
+from wstab.functionals import RotationFlow, ScalingFlow
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            SurfaceChart, extrinsic_geometry, surface_chart)
 
@@ -81,6 +82,42 @@ def einsum_pairs_lanes() -> bool:
     do (2- and 8-lane units; a 4-lane unit gives (x0 + x1) + x2)."""
     x = np.array([1.0, 1e-16, -1.0])
     return float(np.einsum("j,j->", x, np.ones(3))) == 1e-16
+
+
+EPS = np.finfo(float).eps
+
+
+def eps_apart(got, want, relative: bool = False) -> float:
+    """The largest difference of two arrays in units of the double
+    epsilon, relative to each entry of ``want`` where asked."""
+    diff = np.abs(got - want)
+    if relative:
+        diff = diff / np.abs(want)
+    return float(np.max(diff)) / EPS
+
+
+def affine_slice_oracle(family, s):
+    """The unit normals and w da_f of a scaled or rotated slice in closed
+    form: a scaling by 1 + s keeps the normal and multiplies the area
+    element by (1 + s)^2, and a rotation R turns the normal to R N and
+    keeps the area element."""
+    base, flow = family.data, family.flow
+    f = np.exp(base.space.density.psi(flow.map(s, base.pos)))
+    if isinstance(flow, ScalingFlow):
+        return base.N, (1.0 + s) ** 2 * base.w_da * f
+    assert isinstance(flow, RotationFlow)
+    return base.N @ flow.linear(s).T, base.w_da * f
+
+
+def assert_affine_slice(family, s, N, w_daf, frame_N, frame_w_daf):
+    """A scaled or rotated slice's normals and w da_f lie within 4 eps of
+    the closed form and within 16 eps of the frame path's (measured on the
+    test surfaces: 2.8 and 7.7 eps)."""
+    want_N, want_w_daf = affine_slice_oracle(family, s)
+    assert eps_apart(N, want_N) <= 4.0
+    assert eps_apart(w_daf, want_w_daf, relative=True) <= 4.0
+    assert eps_apart(N, frame_N) <= 16.0
+    assert eps_apart(w_daf, frame_w_daf, relative=True) <= 16.0
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,8 +5,10 @@ import pytest
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
                            boundary_f_mean_curvature, boundary_ii_matrix,
                            boundary_inner_normal, fd_grad_psi, fd_hess_psi,
-                           make_boundary, make_density, make_space)
+                           make_boundary, make_density, make_space, norm,
+                           squared_norm)
 from wstab.errors import InputError, SingularBoundaryError
+from wstab.functionals import ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
 
 RNG = np.random.default_rng(7)
@@ -286,3 +288,33 @@ class TestBatchConvention:
         assert flow.velocity(0.1, P).shape == (n, 3)
         assert flow.jac(0.1, P).shape == (n, 3, 3)
         assert flow.hess(0.1, P).shape == (n, 3, 3, 3)
+
+
+class TestColumnKernels:
+    """The radius, and the translation and scaling maps, are arithmetic
+    on (N,) columns, bit for bit the numpy forms over 3-long rows."""
+
+    @staticmethod
+    def points(seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((1000, 3))
+                * 10.0 ** rng.uniform(-3.0, 3.0, (1000, 1)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_radius(self, seed):
+        P = self.points(seed)
+        assert np.array_equal(squared_norm(P), np.sum(P * P, axis=-1))
+        assert np.array_equal(norm(P), np.linalg.norm(P, axis=-1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_translation_and_scaling(self, seed):
+        P, s = self.points(seed), 0.1 * (seed - 1.5)
+        d, c = self.points(seed + 3)[:2]
+        translation, scaling = TranslationFlow(d), ScalingFlow(c)
+        for got, want in (
+                (translation.map(s, P), P + s * d),
+                (translation.velocity(s, P), np.broadcast_to(d, P.shape)),
+                (scaling.map(s, P), c + (1.0 + s) * (P - c)),
+                (scaling.velocity(s, P), P - c)):
+            assert got.shape == P.shape
+            assert np.array_equal(got, want)

@@ -764,18 +764,21 @@ OUTPUT_DIGESTS = {
 }
 
 
-# SHA-256 of the outputs of runs no builtin covers, recorded before the
-# mesher numbered its edges once: a curved scaling variation and a cone
-# foliation (the CI scenarios), a density sweep sharing one chart, and a
-# rect patch with 4 boundary arcs in a free ambient
+# SHA-256 of the outputs of runs no builtin covers: a curved scaling
+# variation and a cone foliation (the CI scenarios), a density sweep
+# sharing one chart, a rect patch with 4 boundary arcs in a free ambient,
+# and a translation and a rotation variation.  The samples of the scaling,
+# rotation and cone runs and the scaling report were recorded after scaled
+# and rotated slices took their normal and area element from the cofactor
+# matrix; the rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
-        "report.json": "f754bdd930961661b7b1b2191dfa0b70c5a90d8d1211d7f7fc6b7395b320ff25",
-        "samples.csv": "e09c99c05a5b750537dac08278f2f5606807129f7cd02a24cf4bbd77185019f7",
+        "report.json": "c953eaefb8bc7b11604c8868442c17be5a0737e438e9344f78e38ed4c1cdded0",
+        "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
         "report.json": "79100df9b420aa1af99eab21b24102b6fff7f5360095fff7b1ff602f073484e7",
-        "samples.csv": "d72fc37d9eb7a89cf1faef14f953d70a207aec0ed51e39eb8564f82083032f78",
+        "samples.csv": "fdfef60af83ef626f3357271fe5ad96226734f1d148df6f813b67d912b68fc61",
     },
     "sweep-k": {
         "report.json": "5a673299d8255c24d34df5ba4e127e169eea475af609112631ebf329c473decb",
@@ -792,7 +795,7 @@ SCENARIO_DIGESTS = {
     "rotation": {
         "report.json": "6fb40be446531bcf804563da5f7f8ebbc5c98192470dc443c98cb6bc65b96ecc",
         "spectrum.csv": "7ef541c4b7294e430468677b99738ee724a99e5009df766050b47064ce00c698",
-        "samples.csv": "86d0259697333e672e8881f8f9e0e2ef3db4450cee46258b6c3edf29aeaf279b",
+        "samples.csv": "9e1734f73af94cf5f19add582893f403cbfda291a3f5ff4544c8bfadd3a66240",
     },
 }
 
@@ -893,6 +896,44 @@ class TestDeterminism:
             blobs.append((out_dir / "report.json").read_bytes())
         assert json.loads(blobs[0])["results"]["spectrum"]["dof"] == 7057
         assert blobs[0] == blobs[1]
+
+
+class TestScenarioValues:
+    """Values of the scaling and rotation scenarios against closed forms,
+    with stated tolerances.  These run on any platform, also where the
+    digests above skip."""
+
+    @staticmethod
+    def run_scenario(tmp_path, name):
+        """The columns s, A_f, V_f of samples.csv and the report."""
+        out_dir = tmp_path / name
+        assert main(["run", write_config(tmp_path, SCENARIO_TREES[name],
+                                         f"{name}.json"),
+                     "--out", str(out_dir)]) == 0
+        rows = (out_dir / "samples.csv").read_text().splitlines()[1:]
+        samples = np.array([[float(x) for x in r.split(",")] for r in rows])
+        return samples.T, json.loads((out_dir / "report.json").read_text())
+
+    def test_scaling(self, tmp_path):
+        """Scaling by 1 + s multiplies the area element by (1 + s)^2 and the
+        log-radial density by (1 + s)^k, so A_f(s) = (1 + s)^(2 + k) A_f(0)
+        to rounding (measured: 0.7 eps) and A_f'(0) = 2 pi (2 + k) to the
+        quadrature error (measured: 1.2e-5 relative at resolution 24)."""
+        k = SCENARIO_TREES["scaling"]["ambient"]["density"]["k"]
+        (s, A_f, _), report = self.run_scenario(tmp_path, "scaling")
+        want = (1.0 + s) ** (2.0 + k) * A_f[s == 0.0]
+        assert np.max(np.abs(A_f - want) / want) <= 8 * cf.EPS
+        fd = report["results"]["first_variation"]["fd"]
+        assert fd == pytest.approx(2.0 * np.pi * (2.0 + k), rel=1e-4)
+
+    def test_rotation(self, tmp_path):
+        """A rotation about the cone's axis maps the cap onto itself in a
+        radial density: A_f(s) = A_f(0) to rounding (measured: 1.6 eps) and
+        V_f(s) = 0 (measured: 8e-20 A_f)."""
+        (s, A_f, V_f), _ = self.run_scenario(tmp_path, "rotation")
+        A0 = A_f[s == 0.0]
+        assert np.max(np.abs(A_f - A0)) <= 8 * cf.EPS * A0
+        assert np.max(np.abs(V_f)) <= 1e-15 * A0
 
 
 # Integers lie in [-3, 8], so that no resolution exceeds 8 and every run

@@ -1,14 +1,16 @@
 """Tests for weighted functionals, variations, and divergence identities."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import conftest as cf
 from wstab import functionals, surface
-from wstab.ambient import AmbientSpace, BoundarySpec, make_density
-from wstab.errors import InputError, PreconditionError
+from wstab.ambient import (AmbientSpace, BoundarySpec, lane_dot,
+                           make_density)
+from wstab.errors import ImmersionError, InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
                                RotationFlow, ScalingFlow,
                                SurfaceGradientField, TranslationFlow,
@@ -108,9 +110,9 @@ class TestFirstOrderGeometry:
 
 
 def stacked_slice(family, s):
-    """A slice as it was built before affine flows moved it with one
-    matrix: the per-point Jacobians times the base frame, then the normal
-    and area element of the moved frame."""
+    """A slice as a flow that is not affine builds it: the per-point
+    Jacobians times the base frame, then the normal and area element of
+    the moved frame."""
     base, flow = family.data, family.flow
     J = np.matmul(flow.jac(s, base.pos), base.J)
     N, w_da, _ = surface._normal_and_area(
@@ -127,12 +129,20 @@ class TestAffineSlices:
     ], ids=["translation", "scaling", "rotation"])
     @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-3, -5e-3, 0.2, -0.2])
     def test_slices_equal_the_stacked_jacobian_path(self, flow, s):
+        """A translated slice is the stacked path's bit for bit; a scaled
+        or rotated one, moved by the cofactor matrix, agrees with it and
+        with its closed form to a few eps."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.3)
         family = DeformedFamily(data, flow)
-        for got, want in zip(family.area_elements(s),
-                             stacked_slice(family, s)):
-            assert np.array_equal(got, want)
+        (pos, N, w_daf), want = (family.area_elements(s),
+                                 stacked_slice(family, s))
+        assert np.array_equal(pos, want[0])
+        if isinstance(flow, TranslationFlow):
+            assert np.array_equal(N, want[1])
+            assert np.array_equal(w_daf, want[2])
+        else:
+            cf.assert_affine_slice(family, s, N, w_daf, *want[1:])
 
     def test_field_flow_slices_are_unchanged(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
@@ -148,8 +158,9 @@ class TestAffineSlices:
     ], ids=["translation", "scaling"])
     def test_translated_slices_keep_the_base_normal_and_area(
             self, monkeypatch, flow, moves_frame):
-        """A translation leaves the frame as it is: its slices compute no
-        normal, no area element and no cross product."""
+        """A translation leaves the frame as it is, and a scaling moves the
+        base normal and area element: neither moves the frame to compute a
+        normal and an area element again, nor takes a cross product."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "gaussian")
         calls = {"normal_and_area": 0, "cross": 0}
@@ -170,8 +181,19 @@ class TestAffineSlices:
                 assert N is data.N
                 assert np.array_equal(
                     w_daf, data.w_da * np.exp(space.density.psi(pos)))
-        assert calls == {"normal_and_area": 2 if moves_frame else 0,
-                         "cross": 0}
+        assert calls == {"normal_and_area": 0, "cross": 0}
+
+    def test_collapsed_slice_is_refused_before_its_density(self):
+        """Scaling by 1 + s = 0 collapses the half-sphere onto the center,
+        where the log-radial density takes log 0: the slice is refused as
+        rank deficient, and the density is never evaluated there."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12,
+                                                    "radial-log", k=-2.5)
+        family = DeformedFamily(data, ScalingFlow())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ImmersionError, match="rank deficient"):
+                family.area_elements(-1.0)
 
 
 def swirl(P):
@@ -189,18 +211,56 @@ class TestFamilySlices:
         RotationFlow((1.0, 1.0, 0.0), (0.0, 0.5, 0.0)), FieldFlow(swirl),
     ], ids=["translation", "scaling", "rotation", "field"])
     def test_slices_equal_the_generic_path(self, kind, flow):
-        """A slice's area elements are its full geometry's, bit for bit.
-        Most of these flows move the boundary plane, so the surfaces sit in
-        an ambient without boundary here."""
+        """A slice's area elements are its full geometry's: bit for bit at
+        s = 0 and for a translation or a field flow, and to a few eps where
+        the cofactor matrix moves the normal and area element of a scaled
+        or rotated slice.  Most of these flows move the boundary plane, so
+        the surfaces sit in an ambient without boundary here."""
         space = cf.space_free("gaussian")
         data = extrinsic_geometry(space, cf.cached_chart(kind, 12))
         family = DeformedFamily(data, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
             full = family.geometry(s)
-            want = (full.pos, full.N, full.w_daf)
-            for got, exp in zip(family.area_elements(s), want):
-                assert np.array_equal(got, exp)
-            assert family.weighted_area(s) == np.sum(full.w_daf)
+            pos, N, w_daf = family.area_elements(s)
+            assert np.array_equal(pos, full.pos)
+            A_f = family.weighted_area(s)
+            if s == 0.0 or isinstance(flow, (TranslationFlow, FieldFlow)):
+                assert np.array_equal(N, full.N)
+                assert np.array_equal(w_daf, full.w_daf)
+                assert A_f == np.sum(full.w_daf)
+            else:
+                cf.assert_affine_slice(family, s, N, w_daf, full.N,
+                                       full.w_daf)
+                assert A_f == pytest.approx(np.sum(full.w_daf),
+                                            rel=16 * cf.EPS)
+
+    @pytest.mark.parametrize("flow", [
+        ScalingFlow((0.1, -0.2, 0.3)), RotationFlow((1.0, 2.0, 3.0)),
+    ], ids=["scaling", "rotation"])
+    def test_affine_slices_contract_no_hessian(self, monkeypatch, flow):
+        """An affine flow's Hessian is zero: a full slice contracts no
+        4-index array, and its chart Hessian and boundary g'' keep the bits
+        of the contraction that added those zeros."""
+        data = extrinsic_geometry(cf.space_free("gaussian"),
+                                  cf.cached_chart("cone", 12))
+        s, P0, g0, dg0 = 0.1, data.pos, data.b_pos, data.b_dg
+        einsum, calls = np.einsum, []
+
+        def recording(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        want_hess = (einsum("nij,njab->niab", flow.jac(s, P0), data.hess)
+                     + einsum("nijk,nja,nkb->niab", flow.hess(s, P0), data.J,
+                              data.J))
+        want_ddg = (lane_dot(flow.jac(s, g0), data.b_ddg[:, None])
+                    + einsum("nijk,nj,nk->ni", flow.hess(s, g0), dg0, dg0))
+        monkeypatch.setattr(np, "einsum", recording)
+        moved = DeformedFamily(data, flow).geometry(s)
+        assert calls and not any(c.startswith("nijk") for c in calls)
+        for got, want in ((moved.hess, want_hess), (moved.b_ddg, want_ddg)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("exact_slice", ["cone-cap", "slab-slice"])
     def test_slices_match_exact_surfaces(self, exact_slice):

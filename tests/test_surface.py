@@ -810,17 +810,19 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_slice_normals_and_area(self, name):
-        """A full rotation, off the base: the slice's lean kernel against
-        the frame of the moved Jacobian."""
+        """A full rotation, off the base: the cofactor matrix moves the
+        base normal and area element to within a few eps of the frame of
+        the moved Jacobian and of R N and w da."""
         space, data = kernel_case(name)
         flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
         s = 0.1
         J = np.matmul(flow.jac(s, data.pos), data.J)
         *_, Nv, w_da = einsum_frame(data.mesh.immersion.orientation_sign,
                                     data.D1, data.D2, J)
-        pos, N, w_daf = DeformedFamily(data, flow).area_elements(s)
-        assert_same_bits(N, Nv)
-        assert_same_bits(w_daf, w_da * np.exp(space.density.psi(pos)))
+        family = DeformedFamily(data, flow)
+        pos, N, w_daf = family.area_elements(s)
+        cf.assert_affine_slice(family, s, N, w_daf, Nv,
+                               w_da * np.exp(space.density.psi(pos)))
 
 
 def einsum_vertex_normals(mesh):
