@@ -8,16 +8,17 @@ differences.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .ambient import lane_dot, unit_vector3, vector3
-from .errors import InputError, NumericalFailure, PreconditionError
-from .surface import (ExtrinsicData, Immersion, _along, _dot,
-                      _moved_normal_and_area, _normal_and_area,
-                      _normal_from_jac, extrinsic_geometry,
+from .errors import (ImmersionError, InputError, NumericalFailure,
+                     PreconditionError)
+from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _cross, _dot,
+                      _normal_and_area, extrinsic_geometry,
                       stationarity_verdict, vertex_normals)
 
 Array = np.ndarray
@@ -31,24 +32,20 @@ FD_FIELD_JAC = 1e-5
 
 @dataclass(frozen=True)
 class VariationField:
-    """Ambient vector field along the surface.
-
-    ``X`` maps ambient positions (N, 3) to vectors (N, 3); ``values`` also
-    receives the parameter points (N, pd), which a field defined through
-    the chart reads instead.
-    """
+    """Ambient vector field along the surface: ``X`` maps ambient
+    positions (N, 3) to vectors (N, 3)."""
 
     X: Callable[[Array], Array]
     name: str = "field"
 
-    def values(self, pos: Array, params: Optional[Array] = None) -> Array:
+    def values(self, pos: Array) -> Array:
         return self.X(pos)
 
     def check_admissible(self, data: ExtrinsicData,
                          tol: float = 1e-8) -> None:
         if data.space.boundary is None or not data.has_boundary:
             return
-        Xb = self.values(data.b_pos, data.b_params)
+        Xb = self.values(data.b_pos)
         worst = float(np.max(np.abs(np.sum(Xb * data.b_xi, axis=1))))
         if worst > tol:
             raise InputError(
@@ -57,7 +54,7 @@ class VariationField:
 
 
 def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
-    Xv = field.values(data.pos, data.params)
+    Xv = field.values(data.pos)
     return np.sum(Xv * data.N, axis=1)
 
 
@@ -73,11 +70,19 @@ class Flow:
 
 
 class AffineFlow(Flow):
-    """A flow of affine maps: its Jacobian Dphi_s is one 3x3 matrix,
-    ``linear(s)``, at every point, and its Hessian is zero."""
+    """A flow of similarities: its Jacobian Dphi_s is one 3x3 matrix at
+    every point, ``linear(s) = scale(s) rotation(s)`` with a rotation Q(s),
+    and its velocity turns with it, velocity(s, P) = Q(s) velocity(0, P).
+    Its Hessian is zero."""
+
+    def scale(self, s: float) -> float:
+        return 1.0
+
+    def rotation(self, s: float) -> Array:
+        return np.eye(3)
 
     def linear(self, s: float) -> Array:
-        raise NotImplementedError
+        return self.scale(s) * self.rotation(s)
 
     def jac(self, s, P):
         return np.broadcast_to(self.linear(s), (len(P), 3, 3)).copy()
@@ -91,13 +96,10 @@ class TranslationFlow(AffineFlow):
         self.d = vector3(direction, "translation direction")
 
     def map(self, s, P):
-        return np.stack([x + sd for x, sd in zip(P.T, s * self.d)], axis=1)
+        return np.array([x + sd for x, sd in zip(P.T, s * self.d)]).T
 
     def velocity(self, s, P):
         return np.tile(self.d, (len(P), 1))
-
-    def linear(self, s):
-        return np.eye(3)
 
 
 class ScalingFlow(AffineFlow):
@@ -106,15 +108,15 @@ class ScalingFlow(AffineFlow):
     def __init__(self, center=(0, 0, 0)):
         self.c = vector3(center, "scaling center")
 
+    def scale(self, s):
+        return 1.0 + s
+
     def map(self, s, P):
-        return np.stack([c + (1.0 + s) * (x - c) for x, c in zip(P.T, self.c)],
-                        axis=1)
+        return np.array([c + (1.0 + s) * (x - c)
+                         for x, c in zip(P.T, self.c)]).T
 
     def velocity(self, s, P):
         return np.stack([x - c for x, c in zip(P.T, self.c)], axis=1)
-
-    def linear(self, s):
-        return (1.0 + s) * np.eye(3)
 
 
 class RotationFlow(AffineFlow):
@@ -124,17 +126,21 @@ class RotationFlow(AffineFlow):
         self.a = unit_vector3(axis, "rotation axis")
         self.c = vector3(point, "rotation point")
 
-    def linear(self, s):
+    def rotation(self, s):
         a = self.a
         ax = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
         return np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
 
+    def _turned(self, s, P) -> list:
+        """The columns of Q(s)(p - c) at the points P."""
+        r0, r1, r2 = (x - c for x, c in zip(P.T, self.c))
+        return [q0 * r0 + q1 * r1 + q2 * r2 for q0, q1, q2 in self.rotation(s)]
+
     def map(self, s, P):
-        return self.c + (P - self.c) @ self.linear(s).T
+        return np.array([c + x for c, x in zip(self.c, self._turned(s, P))]).T
 
     def velocity(self, s, P):
-        rel = (P - self.c) @ self.linear(s).T
-        return np.cross(self.a, rel)
+        return np.array(_cross(self.a, self._turned(s, P))).T
 
 
 class FieldFlow(Flow):
@@ -193,11 +199,11 @@ class DeformedFamily:
     The slice at s is the base chart with the flow applied, in the ambient
     space of ``data``, so a family evaluates no chart of its own.  Area and
     volume push only the base positions through the flow, with the base
-    normals and area elements under an affine flow and the base Jacobians
-    under any other; full geometry also pushes the Jacobians, the chart
-    Hessian and the boundary curve.  Each slice's A_f and volume rate
-    are kept per s, so the FD variations, the swept volume and the samples
-    share slices.
+    normals, area elements and normal speed under an affine flow and the
+    base Jacobians under any other; full geometry also pushes the
+    Jacobians, the chart Hessian and the boundary curve.  Each slice's A_f
+    and volume rate are kept per s, so the FD variations, the swept volume
+    and the samples share slices.
     """
 
     data: ExtrinsicData
@@ -208,16 +214,21 @@ class DeformedFamily:
 
     def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s.  An affine
-        flow moves the base normal and area element by the cofactor of its
-        one matrix, and a translation keeps them, so only the density is
-        evaluated at each point; any other flow moves the frame."""
+        flow is a similarity lambda Q, whose cofactor matrix lambda^2 Q turns
+        the base normal to Q N0 and scales the area element to
+        lambda^2 w da, so only the density is evaluated at each point; any
+        other flow moves the frame."""
         base, flow = self.data, self.flow
         if s == 0.0:
             return base.pos, base.N, base.w_daf
         if isinstance(flow, AffineFlow):
-            A = flow.linear(s)
-            N, w_da = ((base.N, base.w_da) if np.array_equal(A, np.eye(3))
-                       else _moved_normal_and_area(A, base.N, base.w_da))
+            Q = flow.rotation(s)
+            N = (base.N if np.array_equal(Q, np.eye(3))
+                 else np.array([_dot(row, base.N.T) for row in Q]).T)
+            w_da = flow.scale(s) ** 2 * base.w_da
+            if not np.all(w_da > self._rank_floor):
+                raise ImmersionError(
+                    "chart Jacobian is rank deficient at a quadrature point")
         else:
             J = np.matmul(flow.jac(s, base.pos), base.J)
             N, w_da, _ = _normal_and_area(
@@ -226,16 +237,33 @@ class DeformedFamily:
         pos = flow.map(s, base.pos)
         return pos, N, w_da * np.exp(base.space.density.psi(pos))
 
+    @functools.cached_property
+    def _rank_floor(self) -> Array:
+        """1e-10 times each point's Gauss3 weight: w da above it is
+        sqrt(det G) > 1e-10, the rank test of _normal_and_area."""
+        return 1e-10 * np.tile(TRI_WEIGHTS,
+                               len(self.data.w_da) // len(TRI_WEIGHTS))
+
+    @functools.cached_property
+    def base_normal_speed(self) -> Array:
+        """u0 = <dphi/ds, N> at s = 0 at the quadrature points.  An affine
+        flow keeps it along each particle path: its velocity and normal both
+        turn by Q(s), so <dphi/ds, N_s> = u0 on every slice."""
+        return _dot(self.flow.velocity(0.0, self.data.pos).T, self.data.N.T)
+
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
 
-        V_f'(s) = int_Sigma <dphi/ds, N_s> f da over the slice."""
+        V_f'(s) = int_Sigma <dphi/ds, N_s> f da over the slice, which is
+        the sum of u0 w da_f under an affine flow."""
         s = float(s)
         if s not in self._slices:
             _, N, w_daf = self.area_elements(s)
-            vel = self.flow.velocity(s, self.data.pos)
-            rate = float(np.sum(_dot(vel.T, N.T) * w_daf))
-            self._slices[s] = (float(np.sum(w_daf)), rate)
+            if isinstance(self.flow, AffineFlow):
+                u = self.base_normal_speed
+            else:
+                u = _dot(self.flow.velocity(s, self.data.pos).T, N.T)
+            self._slices[s] = (float(np.sum(w_daf)), float(np.sum(u * w_daf)))
         return self._slices[s]
 
     def vertex_normal_speed(self) -> Array:
@@ -339,16 +367,9 @@ def first_variation_formula(data: ExtrinsicData,
     u = normal_component(field, data)
     out = -float(np.sum(data.H_f * u * data.w_daf))
     if data.has_boundary:
-        Xb = field.values(data.b_pos, data.b_params)
+        Xb = field.values(data.b_pos)
         out -= float(np.sum(np.sum(Xb * data.b_nu, axis=1) * data.w_dlf))
     return out
-
-
-def volume_first_variation(data: ExtrinsicData,
-                           field: VariationField) -> float:
-    """V_f'(0) = int u da_f."""
-    u = normal_component(field, data)
-    return float(np.sum(u * data.w_daf))
 
 
 @dataclass(frozen=True)
@@ -404,80 +425,3 @@ def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
     value = (4 * b - a) / 3
     err = abs(b - a) / 3
     return FDReport(value, err)
-
-
-# ---------------------------------------------------------------------------
-# divergence theorem / integration by parts
-# ---------------------------------------------------------------------------
-
-def surface_divergence(data: ExtrinsicData, field: VariationField) -> Array:
-    """div_Sigma X at interior quadrature points.
-
-    Finite differences of X(chart(q)) along the two triangle edge directions
-    give the derivatives paired with the frame (E1, E2); contraction with the
-    inverse metric in that frame yields the tangential divergence.
-    """
-    imm = data.mesh.immersion
-    d1 = data.D1
-    d2 = data.D2
-    Q = data.params
-    h = FD_FIELD_JAC
-
-    def Xtilde(Qp):
-        return field.values(imm.chart(Qp), Qp)
-
-    dX1 = (Xtilde(Q + h * d1) - Xtilde(Q - h * d1)) / (2 * h)
-    dX2 = (Xtilde(Q + h * d2) - Xtilde(Q - h * d2)) / (2 * h)
-    # pair derivatives with frame vectors: div = g^{ab} <d_a X, E_b>
-    m11 = np.sum(dX1 * data.E1, axis=1)
-    m12 = np.sum(dX1 * data.E2, axis=1)
-    m21 = np.sum(dX2 * data.E1, axis=1)
-    m22 = np.sum(dX2 * data.E2, axis=1)
-    G = data.Ginv
-    return (G[:, 0, 0] * m11 + G[:, 0, 1] * m12
-            + G[:, 1, 0] * m21 + G[:, 1, 1] * m22)
-
-
-def divergence_theorem_residual(data: ExtrinsicData,
-                                field: VariationField) -> float:
-    """Residual of int div_{Sigma,f} X da_f = -int H_f <X,N> da_f - int <X,nu> dl_f."""
-    div = surface_divergence(data, field)
-    Xv = field.values(data.pos, data.params)
-    div_f = div + np.sum(data.space.density.grad_psi(data.pos) * Xv, axis=1)
-    lhs = float(np.sum(div_f * data.w_daf))
-    un = np.sum(Xv * data.N, axis=1)
-    bulk = float(np.sum(data.H_f * un * data.w_daf))
-    flux = 0.0
-    if data.has_boundary:
-        Xb = field.values(data.b_pos, data.b_params)
-        flux = float(np.sum(np.sum(Xb * data.b_nu, axis=1) * data.w_dlf))
-    return abs(lhs + bulk + flux)
-
-
-class SurfaceGradientField(VariationField):
-    """Tangential gradient of an ambient scalar, evaluated via the immersion.
-
-    Off-surface positions are never needed: the field is evaluated at
-    parameter points, where the normal comes from the chart Jacobian, so it
-    composes cleanly with the finite differences in ``surface_divergence``.
-    Feeding it to ``divergence_theorem_residual`` reproduces the integration
-    by parts identity for the surface Laplacian.
-    """
-
-    def __init__(self, imm: Immersion, g_grad: Callable[[Array], Array],
-                 name: str = "surface-gradient"):
-        if imm.param_dim != 2:
-            raise InputError("SurfaceGradientField needs a 2-parameter chart")
-        object.__setattr__(self, "X", None)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "imm", imm)
-        object.__setattr__(self, "g_grad", g_grad)
-
-    def values(self, pos, params=None):
-        if params is None:
-            raise InputError("SurfaceGradientField requires parameter points")
-        imm = self.imm
-        P = imm.chart(params)
-        Nv = _normal_from_jac(imm.orientation_sign, imm.chart_jac(params))
-        g = self.g_grad(P)
-        return g - np.sum(g * Nv, axis=1)[:, None] * Nv

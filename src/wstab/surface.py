@@ -753,28 +753,6 @@ def _normal_and_area(sign: int, E1, E2):
     return _unit_normal(sign, E1, E2), w_da, (g11, g12, g22, detG)
 
 
-def _cofactor(A: Array) -> Array:
-    """cof(A) = det(A) A^-T of a 3x3 matrix, with (A u) x (A v) =
-    cof(A)(u x v): its columns are a2 x a3, a3 x a1 and a1 x a2 for the
-    columns a1, a2, a3 of A."""
-    a = A.T
-    return np.array([_cross(a[1], a[2]), _cross(a[2], a[0]),
-                     _cross(a[0], a[1])]).T
-
-
-def _moved_normal_and_area(A: Array, Nv: Array, w_da: Array):
-    """The unit normal and weighted area element of a frame moved by one
-    3x3 matrix A, from the frame's own: A E1 x A E2 = cof(A)(E1 x E2), so
-    n = cof(A) N gives the normal n/|n| and the area element |n| w_da."""
-    n = [_dot(row, Nv.T) for row in _cofactor(A)]
-    length = np.sqrt(_dot(n, n))
-    w_da = length * w_da
-    # sqrt(det G) > 1e-10 at each point, as in _normal_and_area
-    if not np.all(w_da.reshape(-1, len(TRI_WEIGHTS)) > 1e-10 * TRI_WEIGHTS):
-        raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
-    return np.stack([c / length for c in n], axis=1), w_da
-
-
 def _frame(sign: int, D1: Array, D2: Array, J: Array):
     """The chart's frame (E1, E2) along the blended directions as columns,
     the inverse metric (g^11, g^12, g^22) in that frame, the unit normal
@@ -1007,50 +985,21 @@ def stationarity_verdict(data: ExtrinsicData,
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 # ---------------------------------------------------------------------------
 
 def export_off(mesh: SurfaceMesh, path: str) -> None:
     """ASCII OFF plus a '<path>.bnd' sidecar with boundary edge records."""
+    pos, tris = mesh.positions, mesh.triangles
+    edges, ts = mesh.boundary_edges, mesh.boundary_t
     with open(path, "w") as fh:
         fh.write("OFF\n")
-        fh.write(f"{mesh.n_vertices} {len(mesh.triangles)} 0\n")
-        fh.write("".join(map("{:.17g} {:.17g} {:.17g}\n".format,
-                             *mesh.positions.T.tolist())))
-        fh.write("".join(map("3 {} {} {}\n".format,
-                             *mesh.triangles.T.tolist())))
+        fh.write(f"{mesh.n_vertices} {len(tris)} 0\n")
+        fh.write("%.17g %.17g %.17g\n" * len(pos)
+                 % tuple(pos.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * len(tris) % tuple(tris.ravel().tolist()))
     with open(path + ".bnd", "w") as fh:
         fh.write("# v_i v_j arc_id t0 t1\n")
-        fh.write("".join(map("{} {} {} {:.17g} {:.17g}\n".format,
-                             *mesh.boundary_edges.T.tolist(),
-                             *mesh.boundary_t.T.tolist())))
-
-
-def import_off(path: str):
-    """Read an OFF file; returns (positions, triangles, boundary_edges, boundary_t)."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if tokens[0] != "OFF":
-        raise InputError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
-    k = 4
-    pos = np.array(tokens[k:k + 3 * nv], dtype=float).reshape(nv, 3)
-    k += 3 * nv
-    tris = []
-    for _ in range(nf):
-        cnt = int(tokens[k])
-        if cnt != 3:
-            raise InputError("only triangle faces are supported")
-        tris.append([int(tokens[k + 1]), int(tokens[k + 2]), int(tokens[k + 3])])
-        k += 4
-    be = np.zeros((0, 3), dtype=np.int64)
-    bt = np.zeros((0, 2))
-    try:
-        rows = np.loadtxt(path + ".bnd", comments="#", ndmin=2)
-        if rows.size:
-            be = rows[:, :3].astype(np.int64)
-            bt = rows[:, 3:5]
-    except OSError:
-        pass
-    return pos, np.asarray(tris, dtype=np.int64), be, bt
-
+        rows = [x for e, t in zip(edges.tolist(), ts.tolist())
+                for x in (*e, *t)]
+        fh.write("%d %d %d %.17g %.17g\n" * len(edges) % tuple(rows))

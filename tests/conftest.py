@@ -112,7 +112,7 @@ def affine_slice_oracle(family, s):
 def assert_affine_slice(family, s, N, w_daf, frame_N, frame_w_daf):
     """A scaled or rotated slice's normals and w da_f lie within 4 eps of
     the closed form and within 16 eps of the frame path's (measured on the
-    test surfaces: 2.8 and 7.7 eps)."""
+    test surfaces: 1 and 6.2 eps)."""
     want_N, want_w_daf = affine_slice_oracle(family, s)
     assert eps_apart(N, want_N) <= 4.0
     assert eps_apart(w_daf, want_w_daf, relative=True) <= 4.0

@@ -8,7 +8,7 @@ from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
                            make_boundary, make_density, make_space, norm,
                            squared_norm)
 from wstab.errors import InputError, SingularBoundaryError
-from wstab.functionals import ScalingFlow, TranslationFlow
+from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
 
 RNG = np.random.default_rng(7)
@@ -291,8 +291,9 @@ class TestBatchConvention:
 
 
 class TestColumnKernels:
-    """The radius, and the translation and scaling maps, are arithmetic
-    on (N,) columns, bit for bit the numpy forms over 3-long rows."""
+    """The radius, and the translation, scaling and rotation maps, are
+    arithmetic on (N,) columns, bit for bit the numpy forms over 3-long
+    rows and the explicit component sums."""
 
     @staticmethod
     def points(seed):
@@ -316,5 +317,25 @@ class TestColumnKernels:
                 (translation.velocity(s, P), np.broadcast_to(d, P.shape)),
                 (scaling.map(s, P), c + (1.0 + s) * (P - c)),
                 (scaling.velocity(s, P), P - c)):
+            assert got.shape == P.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotation(self, seed):
+        """Q(s)(p - c) added (q_i0 r0 + q_i1 r1) + q_i2 r2 per component,
+        then c + Q(s)(p - c) and a x Q(s)(p - c), with no matrix product."""
+        P, s = self.points(seed), 0.1 * (seed - 1.5)
+        a, c = self.points(seed + 3)[:2]
+        flow = RotationFlow(a, c)
+        Q, (a0, a1, a2) = flow.rotation(s), flow.a
+        r = P - c
+        t0, t1, t2 = ((Q[i, 0] * r[:, 0] + Q[i, 1] * r[:, 1])
+                      + Q[i, 2] * r[:, 2] for i in range(3))
+        for got, want in (
+                (flow.map(s, P), np.stack([c[0] + t0, c[1] + t1,
+                                           c[2] + t2], axis=1)),
+                (flow.velocity(s, P), np.stack([a1 * t2 - a2 * t1,
+                                                a2 * t0 - a0 * t2,
+                                                a0 * t1 - a1 * t0], axis=1))):
             assert got.shape == P.shape
             assert np.array_equal(got, want)

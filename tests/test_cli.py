@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -767,18 +768,19 @@ OUTPUT_DIGESTS = {
 # SHA-256 of the outputs of runs no builtin covers: a curved scaling
 # variation and a cone foliation (the CI scenarios), a density sweep
 # sharing one chart, a rect patch with 4 boundary arcs in a free ambient,
-# and a translation and a rotation variation.  The samples of the scaling,
-# rotation and cone runs and the scaling report were recorded after scaled
-# and rotated slices took their normal and area element from the cofactor
-# matrix; the rest before the mesher numbered its edges once.
+# and a translation and a rotation variation.  The scaling samples were
+# recorded after scaled and rotated slices took their normal and area
+# element from the cofactor matrix; the scaling report and the rotation and
+# cone samples after a similarity slice took lambda^2 w da and the base
+# normal speed; the rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
-        "report.json": "c953eaefb8bc7b11604c8868442c17be5a0737e438e9344f78e38ed4c1cdded0",
+        "report.json": "984960f7520f7ebd0f81660c3d0e3878fc1f8ecb21258d0c043483d5b60229a0",
         "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
         "report.json": "79100df9b420aa1af99eab21b24102b6fff7f5360095fff7b1ff602f073484e7",
-        "samples.csv": "fdfef60af83ef626f3357271fe5ad96226734f1d148df6f813b67d912b68fc61",
+        "samples.csv": "98210c4c74ae099dc407747525860b50d9ac2a55e81c29d96a6e438aca4a80fc",
     },
     "sweep-k": {
         "report.json": "5a673299d8255c24d34df5ba4e127e169eea475af609112631ebf329c473decb",
@@ -795,7 +797,7 @@ SCENARIO_DIGESTS = {
     "rotation": {
         "report.json": "6fb40be446531bcf804563da5f7f8ebbc5c98192470dc443c98cb6bc65b96ecc",
         "spectrum.csv": "7ef541c4b7294e430468677b99738ee724a99e5009df766050b47064ce00c698",
-        "samples.csv": "9e1734f73af94cf5f19add582893f403cbfda291a3f5ff4544c8bfadd3a66240",
+        "samples.csv": "f55b853f959d7b823e5abd7890c19d2bfcfe3a29427fd1c6b14193b69be18953",
     },
 }
 
@@ -899,9 +901,9 @@ class TestDeterminism:
 
 
 class TestScenarioValues:
-    """Values of the scaling and rotation scenarios against closed forms,
-    with stated tolerances.  These run on any platform, also where the
-    digests above skip."""
+    """Values of the scaling, cone and rotation scenarios against closed
+    forms, with stated tolerances.  These run on any platform, also where
+    the digests above skip."""
 
     @staticmethod
     def run_scenario(tmp_path, name):
@@ -926,10 +928,26 @@ class TestScenarioValues:
         fd = report["results"]["first_variation"]["fd"]
         assert fd == pytest.approx(2.0 * np.pi * (2.0 + k), rel=1e-4)
 
+    def test_cone(self, tmp_path):
+        """Scaling the unit cap about the cone's apex multiplies the area
+        element by (1 + s)^2 and the density e^(r^2 / 2) by
+        e^(((1 + s)^2 - 1) / 2), to rounding (measured: 0.7 eps relative);
+        the normal speed is |p| = 1, so V_f(s) is the integral of A_f from
+        0 to s (measured: 3.3e-16)."""
+        (s, A_f, V_f), _ = self.run_scenario(tmp_path, "cone")
+
+        def area(t):
+            return (1.0 + t) ** 2 * np.exp(((1.0 + t) ** 2 - 1.0) / 2.0) * A0
+
+        A0 = A_f[s == 0.0]
+        assert np.max(np.abs(A_f - area(s)) / area(s)) <= 8 * cf.EPS
+        swept = [integrate.quad(lambda t: area(t)[0], 0.0, t)[0] for t in s]
+        assert np.max(np.abs(V_f - swept)) <= 1e-9
+
     def test_rotation(self, tmp_path):
         """A rotation about the cone's axis maps the cap onto itself in a
-        radial density: A_f(s) = A_f(0) to rounding (measured: 1.6 eps) and
-        V_f(s) = 0 (measured: 8e-20 A_f)."""
+        radial density: A_f(s) = A_f(0) to rounding (measured: 0 eps) and
+        V_f(s) = 0 (measured: 2e-19 A_f)."""
         (s, A_f, V_f), _ = self.run_scenario(tmp_path, "rotation")
         A0 = A_f[s == 0.0]
         assert np.max(np.abs(A_f - A0)) <= 8 * cf.EPS * A0

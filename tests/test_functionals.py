@@ -12,13 +12,11 @@ from wstab.ambient import (AmbientSpace, BoundarySpec, lane_dot,
                            make_density)
 from wstab.errors import ImmersionError, InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
-                               RotationFlow, ScalingFlow,
-                               SurfaceGradientField, TranslationFlow,
-                               VariationField, divergence_theorem_residual,
-                               first_variation_fd, first_variation_formula,
-                               second_variation_fd, swept_weighted_volume,
-                               volume_first_variation)
-from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
+                               RotationFlow, ScalingFlow, TranslationFlow,
+                               VariationField, first_variation_fd,
+                               first_variation_formula, second_variation_fd,
+                               swept_weighted_volume)
+from wstab.surface import (PlanarDisk, RectPatch, SphericalCap,
                            extrinsic_geometry, surface_chart)
 
 TAU = 2.0 * math.pi
@@ -26,6 +24,12 @@ TAU = 2.0 * math.pi
 
 def position_field():
     return VariationField(X=lambda P: np.atleast_2d(P), name="position")
+
+
+AFFINE_FLOWS = pytest.mark.parametrize("flow", [
+    TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
+    RotationFlow((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
+], ids=["translation", "scaling", "rotation"])
 
 
 class TestWeightedArea:
@@ -84,10 +88,7 @@ class TestFirstOrderGeometry:
         assert family.weighted_area(0.1) > 0
         assert swept_weighted_volume(family, [0.1])[0] > 0
 
-    @pytest.mark.parametrize("flow", [
-        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
-        RotationFlow((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
-    ], ids=["translation", "scaling", "rotation"])
+    @AFFINE_FLOWS
     def test_slices_call_no_einsum_or_cross(self, monkeypatch, flow):
         """Off the base, a slice's normals and area element are component
         arithmetic on (N,) columns."""
@@ -123,15 +124,12 @@ def stacked_slice(family, s):
 
 
 class TestAffineSlices:
-    @pytest.mark.parametrize("flow", [
-        TranslationFlow((0.6, 0.8, 0.0)), ScalingFlow((0.1, -0.2, 0.3)),
-        RotationFlow((1.0, 2.0, 3.0), (0.0, 0.5, 0.0)),
-    ], ids=["translation", "scaling", "rotation"])
+    @AFFINE_FLOWS
     @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-3, -5e-3, 0.2, -0.2])
     def test_slices_equal_the_stacked_jacobian_path(self, flow, s):
         """A translated slice is the stacked path's bit for bit; a scaled
-        or rotated one, moved by the cofactor matrix, agrees with it and
-        with its closed form to a few eps."""
+        or rotated one, which takes Q N and lambda^2 w da from the base,
+        agrees with it and with its closed form to a few eps."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-1.3)
         family = DeformedFamily(data, flow)
@@ -153,14 +151,16 @@ class TestAffineSlices:
                                  stacked_slice(family, s)):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("flow,moves_frame", [
-        (TranslationFlow((0.6, 0.8, 0.0)), False), (ScalingFlow(), True),
+    @pytest.mark.parametrize("flow,scale", [
+        (TranslationFlow((0.6, 0.8, 0.0)), lambda s: 1.0),
+        (ScalingFlow(), lambda s: 1.0 + s),
     ], ids=["translation", "scaling"])
     def test_translated_slices_keep_the_base_normal_and_area(
-            self, monkeypatch, flow, moves_frame):
-        """A translation leaves the frame as it is, and a scaling moves the
-        base normal and area element: neither moves the frame to compute a
-        normal and an area element again, nor takes a cross product."""
+            self, monkeypatch, flow, scale):
+        """A translation or a scaling keeps the base normal and multiplies
+        the base area element by lambda^2: neither moves the frame to
+        compute a normal and an area element again, nor takes a cross
+        product."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "gaussian")
         calls = {"normal_and_area": 0, "cross": 0}
@@ -177,10 +177,9 @@ class TestAffineSlices:
         family = DeformedFamily(data, flow)
         for s in (0.1, -1e-3):
             pos, N, w_daf = family.area_elements(s)
-            if not moves_frame:
-                assert N is data.N
-                assert np.array_equal(
-                    w_daf, data.w_da * np.exp(space.density.psi(pos)))
+            assert N is data.N
+            assert np.array_equal(w_daf, scale(s) ** 2 * data.w_da
+                                  * np.exp(space.density.psi(pos)))
         assert calls == {"normal_and_area": 0, "cross": 0}
 
     def test_collapsed_slice_is_refused_before_its_density(self):
@@ -194,6 +193,79 @@ class TestAffineSlices:
             warnings.simplefilter("error")
             with pytest.raises(ImmersionError, match="rank deficient"):
                 family.area_elements(-1.0)
+
+
+class TestSimilarityFlows:
+    """Every affine flow is a similarity lambda(s) Q(s) whose velocity turns
+    with Q(s), so a slice keeps the base normal speed u0 and evaluates only
+    its density."""
+
+    @AFFINE_FLOWS
+    @pytest.mark.parametrize("s", [1e-3, -1e-3, 0.2, -0.2])
+    def test_velocity_turns_with_the_rotation(self, flow, s):
+        """linear(s) = lambda Q with Q a rotation, the map is affine with
+        that matrix, and velocity(s, P) = Q(s) velocity(0, P), each within
+        4 eps; the velocity is the map's s-derivative."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        P = data.pos
+        lam, Q = flow.scale(s), flow.rotation(s)
+        assert cf.eps_apart(Q.T @ Q, np.eye(3)) <= 4.0
+        assert np.linalg.det(Q) == pytest.approx(1.0, abs=4 * cf.EPS)
+        assert cf.eps_apart(flow.linear(s), lam * Q) <= 4.0
+        moved = flow.map(s, P) - flow.map(s, np.zeros((1, 3)))
+        assert cf.eps_apart(moved, P @ flow.linear(s).T) <= 8.0
+        v0 = flow.velocity(0.0, P)
+        scale = np.max(np.abs(v0))
+        assert cf.eps_apart(flow.velocity(s, P) / scale,
+                            v0 @ Q.T / scale) <= 4.0
+        h = 1e-6
+        fd = (flow.map(s + h, P) - flow.map(s - h, P)) / (2 * h)
+        assert np.max(np.abs(fd - flow.velocity(s, P))) <= 1e-8 * scale
+
+    @AFFINE_FLOWS
+    def test_volume_rate_from_the_base_normal_speed(self, flow):
+        """V_f'(s) = sum u0 w da_f matches the per-slice sum of
+        <velocity(s), N_s> w da_f within 16 eps of the sum of its terms'
+        magnitudes."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "radial-log", k=-1.3)
+        family = DeformedFamily(data, flow)
+        u0 = family.base_normal_speed
+        assert np.array_equal(
+            u0, np.sum(flow.velocity(0.0, data.pos) * data.N, axis=1))
+        for s in (1e-3, -1e-3, 0.2, -0.2):
+            _, N, w_daf = family.area_elements(s)
+            rate = family._slice(s)[1]
+            assert rate == float(np.sum(u0 * w_daf))
+            terms = (np.sum(flow.velocity(s, data.pos) * N, axis=1)
+                     * w_daf)
+            assert (abs(rate - np.sum(terms))
+                    <= 16 * cf.EPS * np.sum(np.abs(terms)))
+
+    @AFFINE_FLOWS
+    def test_slices_evaluate_only_their_density(self, monkeypatch, flow):
+        """The base normal speed is taken once per family; after it, each
+        slice calls no velocity and the density's psi once."""
+        calls = {"velocity": 0, "psi": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gaussian = make_density("gaussian")
+        space = AmbientSpace(density=dataclasses.replace(
+            gaussian, psi=counting("psi", gaussian.psi)))
+        data = extrinsic_geometry(space, cf.cached_chart("hemisphere", 16))
+        family = DeformedFamily(data, flow)
+        family.weighted_area(0.2)
+        monkeypatch.setattr(flow, "velocity",
+                            counting("velocity", flow.velocity))
+        calls["psi"] = 0
+        # two Lobatto panels: 8 new slices
+        swept_weighted_volume(family, [0.05, 0.1])
+        assert calls == {"velocity": 0, "psi": 8}
 
 
 def swirl(P):
@@ -213,8 +285,8 @@ class TestFamilySlices:
     def test_slices_equal_the_generic_path(self, kind, flow):
         """A slice's area elements are its full geometry's: bit for bit at
         s = 0 and for a translation or a field flow, and to a few eps where
-        the cofactor matrix moves the normal and area element of a scaled
-        or rotated slice.  Most of these flows move the boundary plane, so
+        a scaled or rotated slice takes Q N and lambda^2 w da from the
+        base.  Most of these flows move the boundary plane, so
         the surfaces sit in an ambient without boundary here."""
         space = cf.space_free("gaussian")
         data = extrinsic_geometry(space, cf.cached_chart(kind, 12))
@@ -386,9 +458,10 @@ class TestFirstVariation:
         assert abs(fd.value) < 1e-8
 
     def test_volume_first_variation_of_inflation(self):
+        """V_f'(0) = int u da_f, with u = 1 on the unit hemisphere."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = volume_first_variation(data, position_field())
-        assert val == pytest.approx(TAU, rel=1e-4)
+        family = DeformedFamily(data, ScalingFlow())
+        assert family._slice(0.0)[1] == pytest.approx(TAU, rel=1e-4)
 
     def test_inadmissible_field_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
@@ -537,6 +610,15 @@ class TestSecondVariation:
 
 
 class TestDivergenceTheorem:
+    """The weighted divergence theorem in its first-variation form: along
+    the flow of X, A_f'(0) = int div_f X da_f, which integration by parts
+    turns into -int H_f <X, N> da_f - int <X, nu> dl_f."""
+
+    @staticmethod
+    def residual(data, flow, field):
+        return abs(first_variation_fd(DeformedFamily(data, flow)).value
+                   - first_variation_formula(data, field))
+
     @pytest.mark.parametrize("density,params", [
         ("constant", {}),
         ("gaussian", {}),
@@ -545,31 +627,11 @@ class TestDivergenceTheorem:
     def test_position_field_on_hemisphere(self, density, params):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, density,
                                                     **params)
-        res = divergence_theorem_residual(data, position_field())
-        assert res < 1e-6
+        assert self.residual(data, ScalingFlow(), position_field()) < 1e-6
 
     def test_tangential_rotation_field(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "gaussian")
         field = VariationField(
             X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        res = divergence_theorem_residual(data, field)
-        assert res < 1e-6
-
-    def test_integration_by_parts_on_disk(self):
-        """Residual of the surface Laplacian identity shrinks at order 2."""
-        c = np.array([2.0, 0.0, 0.0])
-        residuals = {}
-        for resolution in (16, 32):
-            space, imm, mesh, data = cf.cached_geometry("disk", resolution)
-            grad_field = SurfaceGradientField(
-                imm, lambda P: 2.0 * (np.atleast_2d(P) - c))
-            residuals[resolution] = divergence_theorem_residual(
-                data, grad_field)
-        assert residuals[32] < 5e-4
-        assert residuals[32] < 0.35 * residuals[16]
-
-    def test_surface_gradient_needs_a_2_parameter_chart(self):
-        """Its normal is J_u x J_v, which a cube-sphere chart lacks."""
-        with pytest.raises(InputError, match="2-parameter"):
-            SurfaceGradientField(RoundSphere(), lambda P: P)
+        assert self.residual(data, RotationFlow(), field) < 1e-6

@@ -19,7 +19,7 @@ from wstab.scenarios import (build_immersion, build_space, builtin_names,
 from wstab.stability import HAT_GRADS, assemble
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_WEIGHTS, PlanarDisk,
                            RectPatch, RoundSphere, SphericalCap, _on_arcs,
-                           export_off, extrinsic_geometry, import_off,
+                           export_off, extrinsic_geometry,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart, vertex_normals)
 from wstab.theorems import boundary_identity_residual
@@ -232,14 +232,34 @@ class TestMeshing:
         assert float(np.max(np.abs(phi))) < 1e-10
 
     def test_off_roundtrip(self, tmp_path):
+        """export_off writes each vertex, face and boundary record as its
+        own line, floats to 17 significant digits, so reading the files
+        back gives the mesh exactly."""
         _, _, mesh, _ = cf.cached_geometry("hemisphere", 12)
         path = str(tmp_path / "mesh.off")
         export_off(mesh, path)
-        pos, tris, be, bt = import_off(path)
-        assert np.allclose(pos, mesh.positions)
-        assert np.array_equal(tris, mesh.triangles)
-        assert np.array_equal(be, mesh.boundary_edges)
-        assert np.allclose(bt, mesh.boundary_t)
+        lines = (["OFF", f"{mesh.n_vertices} {len(mesh.triangles)} 0"]
+                 + ["{:.17g} {:.17g} {:.17g}".format(*p)
+                    for p in mesh.positions.tolist()]
+                 + ["3 {} {} {}".format(*t)
+                    for t in mesh.triangles.tolist()])
+        bnd = ["# v_i v_j arc_id t0 t1"] + [
+            "{} {} {} {:.17g} {:.17g}".format(*e, *t) for e, t in
+            zip(mesh.boundary_edges.tolist(), mesh.boundary_t.tolist())]
+        with open(path) as fh, open(path + ".bnd") as fb:
+            assert fh.read() == "\n".join(lines) + "\n"
+            assert fb.read() == "\n".join(bnd) + "\n"
+        nv = mesh.n_vertices
+        pos = np.loadtxt(path, skiprows=2, max_rows=nv)
+        tris = np.loadtxt(path, skiprows=2 + nv, dtype=np.int64)
+        rows = np.loadtxt(path + ".bnd", ndmin=2)
+        assert np.array_equal(pos, mesh.positions)
+        assert np.array_equal(tris, np.column_stack(
+            [np.full(len(mesh.triangles), 3), mesh.triangles]))
+        assert len(rows) > 0
+        assert np.array_equal(rows[:, :3].astype(np.int64),
+                              mesh.boundary_edges)
+        assert np.array_equal(rows[:, 3:], mesh.boundary_t)
 
     def test_sphere_normals_point_outward(self):
         space, imm, mesh, data = cf.cached_geometry("sphere", 12)
@@ -810,9 +830,9 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_slice_normals_and_area(self, name):
-        """A full rotation, off the base: the cofactor matrix moves the
-        base normal and area element to within a few eps of the frame of
-        the moved Jacobian and of R N and w da."""
+        """A full rotation, off the base: the slice turns the base normal
+        to R N and keeps the area element, within a few eps of the frame
+        of the moved Jacobian."""
         space, data = kernel_case(name)
         flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
         s = 0.1
