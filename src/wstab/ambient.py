@@ -83,15 +83,33 @@ class AmbientSpace:
 # operations
 # ---------------------------------------------------------------------------
 
+def point_columns(n: int, *shape) -> Array:
+    """An uninitialised (n, *shape) array of n points stored component-major,
+    a view of a (*shape, n) buffer: each per-point column such as
+    ``out[:, i, a]`` is contiguous, so the kernels read and write whole
+    columns."""
+    buf = np.empty(shape + (n,))
+    return buf.transpose((len(shape),) + tuple(range(len(shape))))
+
+
 def ordered_sum(terms) -> Array:
     """The (N,) terms added in the order given onto +0.0, as numpy's sums
     and einsum add them, so that a sum of zeros is +0.0 whatever their
-    signs.  The geometry kernels sum through this on (N,) columns."""
+    signs.  The per-point kernels make every 3-long sum through this on
+    (N,) columns: bit for bit np.sum over a 3-long axis, np.trace, and
+    np.linalg.norm, without numpy's loop over 3-long rows."""
     terms = iter(terms)
     total = 0.0 + next(terms)
     for term in terms:
         total += term
     return total
+
+
+def dot(x, y) -> Array:
+    """sum_j x_j y_j of two sequences of (N,) columns, such as the
+    transposes of two (N, 3) arrays, added in order j = 0, 1, 2: bit for
+    bit np.sum(X * Y, axis=-1)."""
+    return ordered_sum(xj * yj for xj, yj in zip(x, y))
 
 
 def lane_dot(x: Array, y: Array) -> Array:
@@ -115,6 +133,11 @@ def norm(P: Array) -> Array:
     return np.sqrt(squared_norm(P))
 
 
+def trace(A: Array) -> Array:
+    """The trace of each matrix of A (N, 3, 3), bit for bit np.trace."""
+    return ordered_sum(A[:, i, i] for i in range(3))
+
+
 def quadratic_form(A: Array, V: Array) -> Array:
     """A(v, v) = sum_ij A_ij v_i v_j for matrices A (N, 3, 3) and vectors
     V (N, 3), summed with j inner; returns (N,)."""
@@ -125,23 +148,25 @@ def quadratic_form(A: Array, V: Array) -> Array:
 
 class DensityJet:
     """The gradient, Hessian and Laplacian of psi at the points P (N, 3),
-    each evaluated once, and the density's curvature terms read from them."""
+    each evaluated once, and the density's curvature terms read from them.
+    The builtin densities return the Hessian component-major
+    (``point_columns``) and the gradient in the layout of P, so both are
+    component-major on a chart's points."""
 
     def __init__(self, density: Density, P: Array):
         self.grad, self.hess = density.grad_psi(P), density.hess_psi(P)
-        self.lap = np.trace(self.hess, axis1=-2, axis2=-1)
+        self.lap = trace(self.hess)
 
     def bakry_emery_ricci(self, V: Array) -> Array:
         """Ric_f(v, v) = Ric(v, v) - hess(psi)(v, v) = -hess(psi)(v, v)
         for unit vectors V (N, 3); returns (N,)."""
-        norms = np.linalg.norm(V, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if np.any(np.abs(norm(V) - 1.0) > 1e-12):
             raise InputError("bakry_emery_ricci requires unit direction vectors")
         return -quadratic_form(self.hess, V)
 
     def perelman_scalar(self) -> Array:
         """S_f = S - 2*lap(psi) - |grad(psi)|^2 = -2*lap(psi) - |grad(psi)|^2."""
-        return -2.0 * self.lap - np.sum(self.grad * self.grad, axis=-1)
+        return -2.0 * self.lap - squared_norm(self.grad)
 
 
 def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
@@ -151,7 +176,7 @@ def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
     if not np.all(np.abs(space.boundary.phi(P)) <= 1e-10):
         raise InputError("point is not on the boundary (|phi| > 1e-10)")
     g = space.boundary.grad_phi(P)
-    norms = np.linalg.norm(g, axis=-1)
+    norms = norm(g)
     if not np.all(norms >= 1e-12):
         raise SingularBoundaryError("degenerate level-set gradient on the boundary")
     return g / norms[:, None]
@@ -164,7 +189,7 @@ def boundary_ii_matrix(space: AmbientSpace, P: Array) -> Array:
     fundamental form II w.r.t. the inner normal, positive semidefinite for
     a locally convex boundary.
     """
-    gn = np.linalg.norm(space.boundary.grad_phi(P), axis=-1)
+    gn = norm(space.boundary.grad_phi(P))
     return -space.boundary.hess_phi(P) / gn[:, None, None]
 
 
@@ -172,11 +197,8 @@ def boundary_f_mean_curvature(space: AmbientSpace, P: Array) -> Array:
     """(H_f) of the ambient boundary w.r.t. the inner normal: tr II - <grad psi, xi>."""
     xi = boundary_inner_normal(space, P)
     H = boundary_ii_matrix(space, P)
-    trace_full = np.trace(H, axis1=-2, axis2=-1)
-    normal_part = quadratic_form(H, xi)
-    trace_tan = trace_full - normal_part
-    gpsi = space.density.grad_psi(P)
-    return trace_tan - np.sum(gpsi * xi, axis=-1)
+    trace_tan = trace(H) - quadratic_form(H, xi)
+    return trace_tan - dot(space.density.grad_psi(P).T, xi.T)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +240,9 @@ def fd_hess_psi(density: Density, P: Array) -> Array:
 # ---------------------------------------------------------------------------
 
 def _zero_hessian(P):
-    return np.zeros((len(P), 3, 3))
+    H = point_columns(len(P), 3, 3)
+    H[...] = 0.0
+    return H
 
 
 def _constant_density(value: float = 1.0) -> Density:
@@ -242,7 +266,12 @@ def _gaussian_density() -> Density:
         return -2.0 * P
 
     def hess(P):
-        return np.broadcast_to(-2.0 * np.eye(3), (len(P), 3, 3)).copy()
+        # -2 I with the -0.0 off the diagonal that -2.0 * np.eye(3) has
+        H = point_columns(len(P), 3, 3)
+        H[...] = -0.0
+        for i in range(3):
+            H[:, i, i] = -2.0
+        return H
 
     return Density(psi, grad, hess)
 
@@ -258,9 +287,18 @@ def _radial_log_density(k: float) -> Density:
         return k * P / r2[:, None]
 
     def hess(P):
+        """k (I / r^2 - 2 p p^T / r^4), each symmetric entry computed once:
+        (2 x_i) x_j = (2 x_j) x_i, as doubling is exact."""
         r2 = squared_norm(P)
-        return k * (np.eye(3)[None] / r2[:, None, None]
-                    - 2.0 * P[:, :, None] * P[:, None, :] / (r2 ** 2)[:, None, None])
+        r4, x = r2 ** 2, P.T
+        eye = (0.0 / r2, 1.0 / r2)
+        H = point_columns(len(P), 3, 3)
+        for i in range(3):
+            two_x = 2.0 * x[i]
+            for j in range(i, 3):
+                H[:, i, j] = H[:, j, i] = k * (eye[i == j]
+                                               - two_x * x[j] / r4)
+        return H
 
     return Density(psi, grad, hess)
 
@@ -270,10 +308,14 @@ def _linear_density(a, b: float = 0.0) -> Density:
     b = float(b)
 
     def psi(P):
-        return P @ a + b
+        # BLAS sums P @ a in another order on component-major rows, so
+        # this keeps the point-major layout the outputs were recorded with
+        return np.ascontiguousarray(P) @ a + b
 
     def grad(P):
-        return np.broadcast_to(a, P.shape).copy()
+        g = np.empty_like(P)
+        g[...] = a
+        return g
 
     return Density(psi, grad, _zero_hessian)
 
@@ -292,11 +334,17 @@ def _radial_smooth_density(coeffs) -> Density:
         return (g1(r) / r)[:, None] * P
 
     def hess(P):
+        """g'' n n^T + (g' / r)(I - n n^T), each symmetric entry once."""
         r = norm(P)
-        n = P / r[:, None]
-        nn = n[:, :, None] * n[:, None, :]
-        return (g2(r)[:, None, None] * nn
-                + (g1(r) / r)[:, None, None] * (np.eye(3)[None] - nn))
+        n = P.T / r
+        a, c = g2(r), g1(r) / r
+        H = point_columns(len(P), 3, 3)
+        for i in range(3):
+            for j in range(i, 3):
+                nn = n[i] * n[j]
+                H[:, i, j] = H[:, j, i] = (a * nn
+                                           + c * (float(i == j) - nn))
+        return H
 
     return Density(psi, grad, hess)
 
@@ -360,17 +408,15 @@ def _sphere_levelset(radius, center, sign) -> BoundarySpec:
     center = np.zeros(3) if center is None else vector3(center, "ball center")
 
     def phi(P):
-        r = np.linalg.norm(P - center, axis=-1)
-        return sign * (r - radius)
+        return sign * (norm(P - center) - radius)
 
     def grad(P):
         Q = P - center
-        r = np.linalg.norm(Q, axis=-1)
-        return sign * Q / r[:, None]
+        return sign * Q / norm(Q)[:, None]
 
     def hess(P):
         Q = P - center
-        r = np.linalg.norm(Q, axis=-1)
+        r = norm(Q)
         n = Q / r[:, None]
         nn = n[:, :, None] * n[:, None, :]
         return sign * (np.eye(3)[None] - nn) / r[:, None, None]
@@ -395,16 +441,16 @@ def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     ca = float(np.cos(alpha))
 
     def phi(P):
-        return P @ a / np.linalg.norm(P, axis=-1) - ca
+        return P @ a / norm(P) - ca
 
     def grad(P):
-        r = np.linalg.norm(P, axis=-1)
+        r = norm(P)
         n = P / r[:, None]
         c = n @ a
         return (a[None] - c[:, None] * n) / r[:, None]
 
     def hess(P):
-        r = np.linalg.norm(P, axis=-1)
+        r = norm(P)
         n = P / r[:, None]
         c = n @ a
         na = n[:, :, None] * a[None, None, :]

@@ -14,10 +14,10 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .ambient import lane_dot, unit_vector3, vector3
+from .ambient import dot, lane_dot, unit_vector3, vector3
 from .errors import (ImmersionError, InputError, NumericalFailure,
                      PreconditionError)
-from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _cross, _dot,
+from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _cross,
                       _normal_and_area, extrinsic_geometry,
                       stationarity_verdict, vertex_normals)
 
@@ -46,7 +46,7 @@ class VariationField:
         if data.space.boundary is None or not data.has_boundary:
             return
         Xb = self.values(data.b_pos)
-        worst = float(np.max(np.abs(np.sum(Xb * data.b_xi, axis=1))))
+        worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T))))
         if worst > tol:
             raise InputError(
                 f"variation field is not tangent to the ambient boundary "
@@ -54,8 +54,7 @@ class VariationField:
 
 
 def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
-    Xv = field.values(data.pos)
-    return np.sum(Xv * data.N, axis=1)
+    return dot(field.values(data.pos).T, data.N.T)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,10 @@ class TranslationFlow(AffineFlow):
         self.d = vector3(direction, "translation direction")
 
     def map(self, s, P):
-        return np.array([x + sd for x, sd in zip(P.T, s * self.d)]).T
+        out = np.empty((3, len(P)))
+        for row, x, sd in zip(out, P.T, s * self.d):
+            np.add(x, sd, out=row)
+        return out.T
 
     def velocity(self, s, P):
         return np.tile(self.d, (len(P), 1))
@@ -112,8 +114,14 @@ class ScalingFlow(AffineFlow):
         return 1.0 + s
 
     def map(self, s, P):
-        return np.array([c + (1.0 + s) * (x - c)
-                         for x, c in zip(P.T, self.c)]).T
+        """c + (1 + s)(p - c), each component in place in one (3, N)
+        buffer."""
+        out = np.empty((3, len(P)))
+        for row, x, c in zip(out, P.T, self.c):
+            np.subtract(x, c, out=row)
+            row *= 1.0 + s
+            row += c
+        return out.T
 
     def velocity(self, s, P):
         return np.stack([x - c for x, c in zip(P.T, self.c)], axis=1)
@@ -125,19 +133,37 @@ class RotationFlow(AffineFlow):
     def __init__(self, axis=(0, 0, 1), point=(0, 0, 0)):
         self.a = unit_vector3(axis, "rotation axis")
         self.c = vector3(point, "rotation point")
+        a = self.a
+        self._ax = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]],
+                             [-a[1], a[0], 0]])
+        self._last = (None, None)
 
     def rotation(self, s):
-        a = self.a
-        ax = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-        return np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
+        """Q(s), kept for the last s: a slice turns its normal and maps its
+        points by the same matrix, so it is built once per slice."""
+        last_s, Q = self._last
+        if s != last_s:
+            ax = self._ax
+            Q = np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
+            self._last = (s, Q)
+        return Q
 
-    def _turned(self, s, P) -> list:
-        """The columns of Q(s)(p - c) at the points P."""
+    def _turned(self, s, P) -> Array:
+        """Q(s)(p - c) at the points P as a (3, N) array, each component
+        added (q0 r0 + q1 r1) + q2 r2 in place."""
         r0, r1, r2 = (x - c for x, c in zip(P.T, self.c))
-        return [q0 * r0 + q1 * r1 + q2 * r2 for q0, q1, q2 in self.rotation(s)]
+        out, term = np.empty((3, len(P))), np.empty(len(P))
+        for row, (q0, q1, q2) in zip(out, self.rotation(s)):
+            np.multiply(q0, r0, out=row)
+            row += np.multiply(q1, r1, out=term)
+            row += np.multiply(q2, r2, out=term)
+        return out
 
     def map(self, s, P):
-        return np.array([c + x for c, x in zip(self.c, self._turned(s, P))]).T
+        out = self._turned(s, P)
+        for row, c in zip(out, self.c):
+            row += c
+        return out.T
 
     def velocity(self, s, P):
         return np.array(_cross(self.a, self._turned(s, P))).T
@@ -224,13 +250,15 @@ class DeformedFamily:
         if isinstance(flow, AffineFlow):
             Q = flow.rotation(s)
             N = (base.N if np.array_equal(Q, np.eye(3))
-                 else np.array([_dot(row, base.N.T) for row in Q]).T)
+                 else np.array([dot(row, base.N.T) for row in Q]).T)
             w_da = flow.scale(s) ** 2 * base.w_da
             if not np.all(w_da > self._rank_floor):
                 raise ImmersionError(
                     "chart Jacobian is rank deficient at a quadrature point")
         else:
-            J = np.matmul(flow.jac(s, base.pos), base.J)
+            # a point-major operand: BLAS sums another layout in another
+            # order
+            J = np.matmul(flow.jac(s, base.pos), np.ascontiguousarray(base.J))
             N, w_da, _ = _normal_and_area(
                 base.mesh.immersion.orientation_sign, _along(J, base.D1),
                 _along(J, base.D2))
@@ -249,7 +277,7 @@ class DeformedFamily:
         """u0 = <dphi/ds, N> at s = 0 at the quadrature points.  An affine
         flow keeps it along each particle path: its velocity and normal both
         turn by Q(s), so <dphi/ds, N_s> = u0 on every slice."""
-        return _dot(self.flow.velocity(0.0, self.data.pos).T, self.data.N.T)
+        return dot(self.flow.velocity(0.0, self.data.pos).T, self.data.N.T)
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -262,15 +290,15 @@ class DeformedFamily:
             if isinstance(self.flow, AffineFlow):
                 u = self.base_normal_speed
             else:
-                u = _dot(self.flow.velocity(s, self.data.pos).T, N.T)
+                u = dot(self.flow.velocity(s, self.data.pos).T, N.T)
             self._slices[s] = (float(np.sum(w_daf)), float(np.sum(u * w_daf)))
         return self._slices[s]
 
     def vertex_normal_speed(self) -> Array:
         """The normal speed <dphi/ds, N> at s = 0 at the mesh vertices."""
         mesh = self.data.mesh
-        return np.sum(self.flow.velocity(0.0, mesh.positions)
-                      * vertex_normals(mesh), axis=1)
+        return dot(self.flow.velocity(0.0, mesh.positions).T,
+                   vertex_normals(mesh).T)
 
     def weighted_area(self, s: float) -> float:
         """A_f of the slice at s."""
@@ -288,10 +316,13 @@ class DeformedFamily:
         if s == 0.0:
             return self.data
         space, base = self.data.space, self.data.chart
-        P0, J0 = base.pos, base.J
+        # point-major operands: BLAS and einsum sum another layout in
+        # another order
+        P0, J0 = base.pos, np.ascontiguousarray(base.J)
         DF = self.flow.jac(s, P0)
         moved = dict(pos=self.flow.map(s, P0), J=np.matmul(DF, J0),
-                     hess=(np.einsum("nij,njab->niab", DF, base.hess)
+                     hess=(np.einsum("nij,njab->niab", DF,
+                                     np.ascontiguousarray(base.hess))
                            + self._second_order("nijk,nja,nkb->niab", s,
                                                 P0, J0)))
         if base.has_boundary:
@@ -310,7 +341,7 @@ class DeformedFamily:
                 b_pos=g, b_dg=lane_dot(DFb, dg0[:, None]),
                 b_ddg=(lane_dot(DFb, base.b_ddg[:, None])
                        + self._second_order("nijk,nj,nk->ni", s, g0, dg0)),
-                b_J=np.matmul(DFb, base.b_J))
+                b_J=np.matmul(DFb, np.ascontiguousarray(base.b_J)))
         return extrinsic_geometry(space, dataclasses.replace(
             base, space=space, **moved))
 
@@ -368,7 +399,7 @@ def first_variation_formula(data: ExtrinsicData,
     out = -float(np.sum(data.H_f * u * data.w_daf))
     if data.has_boundary:
         Xb = field.values(data.b_pos)
-        out -= float(np.sum(np.sum(Xb * data.b_nu, axis=1) * data.w_dlf))
+        out -= float(np.sum(dot(Xb.T, data.b_nu.T) * data.w_dlf))
     return out
 
 

@@ -29,6 +29,11 @@ HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 # build (a doubly periodic rect patch at resolution 4) has 8 DOF
 EIGENPAIRS = 6
 
+# the smallest eigenvalue of sum_r h_r h_r^T over the quadrature points r,
+# h_r the P1 hats there (1/4 for Gauss3): an element mass matrix
+# sum_r w_r h_r h_r^T is at least this times min_r w_r
+HAT_GRAM_MIN = float(np.linalg.eigvalsh(TRI_HATS @ TRI_HATS.T)[0])
+
 
 @dataclass
 class IndexFormAssembly:
@@ -55,35 +60,46 @@ class IndexFormAssembly:
         return _factor_below_spectrum(self)
 
 
+def _by_point(x: Array, rows: int) -> Array:
+    """The values x of (element, quadrature point) rows as one contiguous
+    column per quadrature point, (R, elements)."""
+    return np.ascontiguousarray(x.reshape(rows, -1).T)
+
+
 def assemble(data: ExtrinsicData) -> IndexFormAssembly:
-    """The index form of the surface whose geometry is ``data``."""
+    """The index form of the surface whose geometry is ``data``.  Each
+    element sum over its quadrature points adds contiguous columns in
+    order onto +0.0, bit for bit np.sum over the 3-long row."""
     mesh = data.mesh
     tris = mesh.triangles
     F = len(tris)
-    R = TRI_HATS.shape[1]
-    w = data.w_daf.reshape(F, R)
-    pot = (data.ricf_NN + data.sigma2).reshape(F, R)
-    Ginv = data.Ginv.reshape(F, R, 2, 2)
-    G = [[np.ascontiguousarray(Ginv[..., a, b]) for b in range(2)]
+    w = _by_point(data.w_daf, F)
+    wpot = w * _by_point(data.ricf_NN + data.sigma2, F)
+    G = [[_by_point(data.Ginv[:, a, b], F) for b in range(2)]
          for a in range(2)]
+    signed_G = {1.0: G, -1.0: [[-g for g in row] for row in G]}
+    # the weights times each hat, ((w pot) hat_i) hat_j and (w hat_i) hat_j
+    # as the element sums multiplied them
+    w_hat = [[w[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
+    wpot_hat = [[wpot[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
     n = mesh.n_vertices
 
     rows, cols, kv, pv, mv = [], [], [], [], []
     for i in range(3):
         for j in range(3):
-            # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner
+            # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner;
+            # the hat gradients are 0 or +-1, so a term is +-g^ab exactly,
+            # and a zero term leaves a sum begun at +0.0 unchanged
             gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
-            gij = ordered_sum(gi[a] * G[a][b] * gj[b]
-                              for a in range(2) for b in range(2))
-            ke = np.sum(w * gij, axis=1)
-            hi, hj = TRI_HATS[i][None, :], TRI_HATS[j][None, :]
-            pe = np.sum(w * pot * hi * hj, axis=1)
-            me = np.sum(w * hi * hj, axis=1)
+            gij = ordered_sum(signed_G[gi[a] * gj[b]][a][b]
+                              for a in range(2) for b in range(2)
+                              if gi[a] * gj[b] != 0)
+            hj = TRI_HATS[j]
             rows.append(tris[:, i])
             cols.append(tris[:, j])
-            kv.append(ke)
-            pv.append(pe)
-            mv.append(me)
+            kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
+            pv.append(ordered_sum(x * h for x, h in zip(wpot_hat[i], hj)))
+            mv.append(ordered_sum(x * h for x, h in zip(w_hat[i], hj)))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
@@ -93,15 +109,16 @@ def assemble(data: ExtrinsicData) -> IndexFormAssembly:
     B = sp.csr_matrix((n, n))
     if data.has_boundary:
         # the boundary rows are (edge, Gauss2 point) in mesh edge order
-        wb = (data.w_dlf * data.II_NN).reshape(len(mesh.boundary_edges), -1)
-        hats = np.stack([1.0 - EDGE_POINTS, EDGE_POINTS])    # (2, Rb)
+        edges = mesh.boundary_edges
+        wb = _by_point(data.w_dlf * data.II_NN, len(edges))
+        hats = (1.0 - EDGE_POINTS, EDGE_POINTS)
         br, bc, bv = [], [], []
         for i in range(2):
             for j in range(2):
-                be = np.sum(wb * hats[i] * hats[j], axis=1)
-                br.append(mesh.boundary_edges[:, i])
-                bc.append(mesh.boundary_edges[:, j])
-                bv.append(be)
+                bv.append(ordered_sum(x * hi * hj for x, hi, hj
+                                      in zip(wb, hats[i], hats[j])))
+                br.append(edges[:, i])
+                bc.append(edges[:, j])
         B = sp.coo_matrix((np.concatenate(bv),
                            (np.concatenate(br), np.concatenate(bc))),
                           shape=(n, n)).tocsr()
@@ -123,11 +140,6 @@ def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
         raise InputError("coefficient vector length does not match DOF count")
     rhs = (asm.P - asm.K) @ u
     return spla.spsolve(asm.M.tocsc(), rhs)
-
-
-def jacobi_symmetry_residual(asm: IndexFormAssembly, v: Array, w: Array) -> float:
-    A = asm.operator
-    return abs(float(v @ (A @ w)) - float(w @ (A @ v)))
 
 
 @dataclass
@@ -158,19 +170,39 @@ class ShiftedFactor:
     lu: spla.SuperLU
 
 
+def _spectrum_floor(asm: IndexFormAssembly) -> float:
+    """A lower bound of the pencil's eigenvalues that the assembly proves.
+
+    u^T A u >= -|A|_inf |u|^2, and u^T M u >= m |u|^2 with m the least
+    vertex sum of the element bounds HAT_GRAM_MIN min_r w_r, since each
+    element's mass matrix is sum_r w_r h_r h_r^T with weights w_r > 0.  So
+    every eigenvalue is at least -|A|_inf / m; twice that is returned, a
+    margin for the rounding of both.  NaN where m is not positive.
+    """
+    tris = asm.data.mesh.triangles
+    w_min = asm.data.w_daf.reshape(len(tris), -1).min(axis=1)
+    m = np.bincount(tris.ravel(), np.repeat(HAT_GRAM_MIN * w_min, 3),
+                    minlength=asm.dof).min()
+    return -2.0 * spla.norm(asm.operator, np.inf) / m if m > 0 else np.nan
+
+
 def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
     """Factor A - sigma M for the first sigma the factor proves is low enough.
 
     The LU runs in symmetric mode without pivoting off the diagonal, so it
     is an L D L^T factorization of a symmetric permutation and, by
     Sylvester's law of inertia, its negative pivots count the eigenvalues
-    below sigma.  A sigma is accepted only with all pivots positive.
+    below sigma.  A sigma is accepted only with all pivots positive.  The
+    shift starts at -max|potential| - 1 and doubles until it is accepted;
+    a shift below the proven floor (``_spectrum_floor``) that the factor
+    still rejects is a numerical failure.
     """
     A = asm.operator
     M = asm.M
     pot = asm.data.ricf_NN + asm.data.sigma2
     sigma = -float(np.max(np.abs(pot))) - 1.0
-    for _ in range(4):
+    floor = None              # evaluated at the first rejected shift
+    while True:
         try:
             lu = spla.splu((A - sigma * M).tocsc(),
                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -180,9 +212,12 @@ def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
         if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
                 and np.all(lu.U.diagonal() > 0.0)):
             return ShiftedFactor(sigma, lu)
+        if floor is None:
+            floor = _spectrum_floor(asm)
+        if not sigma >= floor:
+            raise NumericalFailure("shift-invert eigensolver failed to "
+                                   "bracket the lowest eigenvalue")
         sigma *= 2.0
-    raise NumericalFailure("shift-invert eigensolver failed to bracket "
-                           "the lowest eigenvalue")
 
 
 def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
@@ -279,7 +314,8 @@ def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
     Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
     # interpolate L_f(u) to quadrature points
     tris = family.data.mesh.triangles
-    Lq = (Lu[tris][:, :, None] * TRI_HATS[None, :, :]).sum(axis=1).ravel()
+    Lq = ordered_sum(Lu[tris[:, c], None] * TRI_HATS[c]
+                     for c in range(3)).ravel()
     # FD of H_f per material quadrature point
     dp = family.geometry(h).H_f
     dm = family.geometry(-h).H_f

@@ -15,8 +15,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .ambient import (AmbientSpace, DensityJet, boundary_f_mean_curvature,
-                      boundary_ii_matrix, boundary_inner_normal, lane_dot,
-                      ordered_sum, quadratic_form, unit_vector3, vector3)
+                      boundary_ii_matrix, boundary_inner_normal, dot, norm,
+                      ordered_sum, point_columns, quadratic_form,
+                      squared_norm, unit_vector3, vector3)
 from .errors import ImmersionError, InputError, MeshingError
 
 Array = np.ndarray
@@ -61,7 +62,7 @@ class Immersion:
     Subclasses set ``domain`` and implement, on a batch Q (N, pd) of
     parameter points with pd = ``param_dim``, ``chart`` (N, 3) and its
     analytic derivatives ``chart_jac`` (N, 3, pd) and ``chart_hess``
-    (N, 3, pd, pd).
+    (N, 3, pd, pd), both component-major (``ambient.point_columns``).
     """
 
     param_dim = 2
@@ -193,7 +194,7 @@ class SphericalCap(Immersion):
 
     def chart_jac(self, Q):
         e, D, u, v = self._unit(Q)
-        rot, J = self.rot, np.empty((len(D), 3, 2))
+        rot, J = self.rot, point_columns(len(D), 3, 2)
         D2 = D**2
         for a, (e_a, D_a) in enumerate(self._first(u, v)):
             k = D_a / D2
@@ -207,19 +208,20 @@ class SphericalCap(Immersion):
     def chart_hess(self, Q):
         e, D, u, v = self._unit(Q)
         e_a, D_a = zip(*self._first(u, v))
-        rot, H = self.rot, np.empty((len(D), 3, 2, 2))
+        rot, H = self.rot, point_columns(len(D), 3, 2, 2)
         D2, D3 = D**2, D**3
         for a in range(2):
             for b in range(2):
                 # e_uu = e_vv = (0, 0, -2), e_uv = 0; D_ab = 2 delta_ab
                 e_ab = (0.0, 0.0, -2.0 if a == b else 0.0)
                 D_ab = 2.0 if a == b else 0.0
-                s = np.stack([e_ab[j] / D - e_a[a][j] * D_a[b] / D2
-                              - e_a[b][j] * D_a[a] / D2 - e[j] * D_ab / D2
-                              + 2.0 * e[j] * D_a[a] * D_a[b] / D3
-                              for j in range(3)], axis=-1)
+                s = [e_ab[j] / D - e_a[a][j] * D_a[b] / D2
+                     - e_a[b][j] * D_a[a] / D2 - e[j] * D_ab / D2
+                     + 2.0 * e[j] * D_a[a] * D_a[b] / D3 for j in range(3)]
                 # each rotation row in einsum's vector-lane order
-                H[:, :, a, b] = self.radius * lane_dot(rot, s[:, None])
+                for i in range(3):
+                    H[:, i, a, b] = self.radius * ordered_sum(
+                        rot[i, j] * s[j] for j in (0, 2, 1))
         return H
 
 
@@ -234,11 +236,14 @@ class AffineImmersion(Immersion):
         return self.origin + np.outer(Q[:, 0], self.du) + np.outer(Q[:, 1], self.dv)
 
     def chart_jac(self, Q):
-        J = np.stack([self.du, self.dv], axis=-1)
-        return np.broadcast_to(J, (len(Q), 3, 2)).copy()
+        J = point_columns(len(Q), 3, 2)
+        J[...] = np.stack([self.du, self.dv], axis=-1)
+        return J
 
     def chart_hess(self, Q):
-        return np.zeros((len(Q), 3, 2, 2))
+        H = point_columns(len(Q), 3, 2, 2)
+        H[...] = 0.0
+        return H
 
 
 class PlanarDisk(AffineImmersion):
@@ -301,13 +306,12 @@ class RoundSphere(Immersion):
         self.domain = ("sphere",)
 
     def chart(self, Q):
-        r = np.linalg.norm(Q, axis=-1)
-        return self.center + self.radius * Q / r[:, None]
+        return self.center + self.radius * Q / norm(Q)[:, None]
 
     def chart_jac(self, Q):
-        r = np.linalg.norm(Q, axis=-1)
+        r = norm(Q)
         r2 = r**2
-        J = np.empty((len(Q), 3, 3))
+        J = point_columns(len(Q), 3, 3)
         for i in range(3):
             for j in range(3):
                 J[:, i, j] = self.radius * ((1.0 if i == j else 0.0)
@@ -315,10 +319,10 @@ class RoundSphere(Immersion):
         return J
 
     def chart_hess(self, Q):
-        r = np.linalg.norm(Q, axis=-1)
+        r = norm(Q)
         r2 = r**2
-        n = (Q / r[:, None]).T
-        H = np.empty((len(Q), 3, 3, 3))
+        n = Q.T / r
+        H = point_columns(len(Q), 3, 3, 3)
         # H[p,i,a,b] = r*(-d_ia n_b - d_ib n_a - n_i d_ab + 3 n_i n_a n_b)/|q|^2
         for i in range(3):
             n3 = 3.0 * n[i]
@@ -371,15 +375,11 @@ class SurfaceMesh:
 
 
 def _min_angle_from_corners(p: Array) -> float:
-    a = p[:, 1] - p[:, 0]
-    b = p[:, 2] - p[:, 0]
-    c = p[:, 2] - p[:, 1]
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    cos0 = np.sum(a * b, axis=1) / (la * lb)
-    cos1 = -np.sum(a * c, axis=1) / (la * lc)
-    cos2 = np.sum(b * c, axis=1) / (lb * lc)
+    a, b, c = ((p[:, j] - p[:, i]).T for i, j in ((0, 1), (0, 2), (1, 2)))
+    la, lb, lc = (np.sqrt(dot(x, x)) for x in (a, b, c))
+    cos0 = dot(a, b) / (la * lb)
+    cos1 = -dot(a, c) / (la * lc)
+    cos2 = dot(b, c) / (lb * lc)
     ang = np.degrees(np.arccos(np.clip(np.stack([cos0, cos1, cos2]), -1, 1)))
     return float(ang.min())
 
@@ -544,7 +544,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         ctr = positions.mean(axis=0)
         p = positions[tris]
         nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        out = np.sum(nrm * (p.mean(axis=1) - ctr), axis=1)
+        out = dot(nrm.T, (p.mean(axis=1) - ctr).T)
         flip = out < 0
         tris[flip] = tris[flip][:, [0, 2, 1]]
     if tp is None:
@@ -561,7 +561,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         P = positions[bidx]
         phi = space.boundary.phi(P)
         g = space.boundary.grad_phi(P)
-        P = P - phi[:, None] * g / np.sum(g * g, axis=-1)[:, None]
+        P = P - phi[:, None] * g / squared_norm(g)[:, None]
         res = np.max(np.abs(space.boundary.phi(P)))
         if not res <= 1e-10:
             raise MeshingError(
@@ -609,7 +609,9 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     Affine triangles give constant directions and zero second derivatives;
     triangles with a boundary-arc edge get the transfinite blend pulling the
     straight edge onto the arc, so the union of elements covers the exact
-    parameter domain.  Returns Q, D1, D2 and Q2 = (Q11, Q12, Q22) stacked.
+    parameter domain.  Returns Q, D1, D2 and Q2 = (Q11, Q12, Q22) stacked,
+    each component-major: its parameter components are contiguous (F R,)
+    columns.
     """
     tp = mesh.tri_params
     F = len(tp)
@@ -620,11 +622,13 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     d2 = tp[:, 2] - q0
     xi = TRI_POINTS[:, 0]
     eta = TRI_POINTS[:, 1]
-    Q = (q0[:, None, :] + xi[None, :, None] * d1[:, None, :]
-         + eta[None, :, None] * d2[:, None, :])
-    D1 = np.broadcast_to(d1[:, None, :], (F, R, pd)).copy()
-    D2 = np.broadcast_to(d2[:, None, :], (F, R, pd)).copy()
-    Q2 = np.zeros((3, F, R, pd))
+    # (F, R, pd) views of (pd, F, R) buffers
+    q0, d1, d2 = (x.T[:, :, None] for x in (q0, d1, d2))
+    Q = np.moveaxis(np.add(q0 + xi * d1, eta * d2, out=np.empty((pd, F, R))),
+                    0, -1)
+    D1, D2 = (np.moveaxis(np.broadcast_to(d, (pd, F, R)).copy(), 0, -1)
+              for d in (d1, d2))
+    Q2 = np.moveaxis(np.zeros((3, pd, F, R)), 1, -1)
     if len(mesh.curved_tri):
         dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         ct, (li, lj) = mesh.curved_tri, mesh.curved_loc.T
@@ -705,7 +709,8 @@ def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
 
 # The geometry kernels work on the (N,) columns of each quantity's ambient
 # components, and each sum adds its terms in the order the einsum form it
-# replaced did, so every output keeps its bits.
+# replaced did, so every output keeps its bits.  The chart stores its
+# per-point arrays component-major, so those columns are contiguous.
 
 def _along(J: Array, D: Array) -> list:
     """The columns of J D, the chart derivative along the parameter
@@ -725,27 +730,24 @@ def _second_along(Hc: Array, J: Array, D: Array, E: Array, Q: Array) -> list:
             for i, JQ in enumerate(_along(J, Q))]
 
 
-def _dot(x, y) -> Array:
-    return ordered_sum(xi * yi for xi, yi in zip(x, y))
-
-
 def _cross(x, y) -> tuple:
     return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2],
             x[0] * y[1] - x[1] * y[0])
 
 
 def _unit_normal(sign: int, E1, E2) -> Array:
-    """E1 x E2 over its length, oriented by the sign, as an (N, 3) array."""
+    """E1 x E2 over its length, oriented by the sign, as a component-major
+    (N, 3) array."""
     n = _cross(E1, E2)
-    length = np.sqrt(_dot(n, n))
-    return np.stack([sign * c / length for c in n], axis=1)
+    length = np.sqrt(dot(n, n))
+    return np.stack([sign * c / length for c in n]).T
 
 
 def _normal_and_area(sign: int, E1, E2):
     """The unit normal and the area element times the Gauss3 weight of the
     frame columns E1, E2, with the metric (g11, g12, g22, det G) they come
     from: everything a variation slice reads."""
-    g11, g12, g22 = _dot(E1, E1), _dot(E1, E2), _dot(E2, E2)
+    g11, g12, g22 = dot(E1, E1), dot(E1, E2), dot(E2, E2)
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
@@ -769,7 +771,7 @@ def _shape_operator(Hc: Array, d1r: Array, d2r: Array, J: Array, Q2,
     columns, from the inverse metric columns (g^11, g^12, g^22)."""
     N = Nv.T
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L11, L12, L22 = (-_dot(N, _second_along(Hc, J, da, db, Qab))
+    L11, L12, L22 = (-dot(N, _second_along(Hc, J, da, db, Qab))
                      for da, db, Qab in ((d1r, d1r, Q2[0]),
                                          (d1r, d2r, Q2[1]),
                                          (d2r, d2r, Q2[2])))
@@ -793,14 +795,17 @@ def vertex_normals(mesh: SurfaceMesh) -> Array:
     imm = mesh.immersion
     if imm.param_dim == 2:
         return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
-    # per-corner triangle frames, last writer wins (orientations agree)
+    # per-corner triangle frames, last writer wins (orientations agree);
+    # each Jacobian row is summed in einsum's vector-lane order
     Nv = np.zeros((mesh.n_vertices, 3))
     tp = mesh.tri_params
-    d1, d2 = (tp[:, None, c] - tp[:, None, 0] for c in (1, 2))
+    d1, d2 = ((tp[:, c] - tp[:, 0]).T for c in (1, 2))
     for c in range(3):
         Jc = imm.chart_jac(tp[:, c])
-        Nv[mesh.triangles[:, c]] = np.cross(lane_dot(Jc, d1), lane_dot(Jc, d2))
-    return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
+        e1, e2 = ([ordered_sum(Jc[:, i, a] * d[a] for a in (0, 2, 1))
+                   for i in range(3)] for d in (d1, d2))
+        Nv[mesh.triangles[:, c]] = np.stack(_cross(e1, e2), axis=1)
+    return imm.orientation_sign * Nv / norm(Nv)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -810,8 +815,10 @@ class SurfaceChart:
     The chart of the mesh's immersion at the interior quadrature points
     (Gauss3 on the blended triangles) and at the boundary quadrature points
     (Gauss2 on the boundary edges), and the Riemannian geometry read from
-    it.  Of ``space`` only the boundary is read, so one chart serves every
-    density.  ``surface_chart`` builds it from an immersion;
+    it.  ``surface_chart`` stores the interior per-point arrays
+    component-major (``ambient.point_columns``), and so do the derived
+    frame and normal.  Of ``space`` only the boundary is read, so one chart
+    serves every density.  ``surface_chart`` builds it from an immersion;
     ``dataclasses.replace`` with new positions, Jacobians, Hessians and
     boundary curve derives the rest again, which is how a flow moves it.
     """
@@ -862,9 +869,9 @@ class SurfaceChart:
         S11, S12, S21, S22 = _shape_operator(self.hess, self.D1, self.D2,
                                              self.J, self.Q2, Nv, Ginv)
         G11, G12, G22 = Ginv
-        fields = dict(E1=np.stack(E1, axis=1), E2=np.stack(E2, axis=1),
-                      Ginv=np.stack([G11, G12, G12, G22],
-                                    axis=-1).reshape(-1, 2, 2),
+        fields = dict(E1=np.stack(E1).T, E2=np.stack(E2).T,
+                      Ginv=np.stack([G11, G12, G12, G22]).reshape(
+                          2, 2, -1).transpose(2, 0, 1),
                       N=Nv, w_da=w_da, H=-0.5 * (S11 + S22),
                       sigma2=ordered_sum((S11 * S11, S12 * S21, S21 * S12,
                                           S22 * S22)),
@@ -874,24 +881,24 @@ class SurfaceChart:
             object.__setattr__(self, name, value)
 
     def _boundary_fields(self, space: AmbientSpace, sign: int) -> dict:
-        speed = np.linalg.norm(self.b_dg, axis=1)
+        speed = norm(self.b_dg)
         T = self.b_dg / speed[:, None]
         # curve acceleration projected off T, per unit length
-        acc = ((self.b_ddg - np.sum(self.b_ddg * T, axis=1)[:, None] * T)
+        acc = ((self.b_ddg - dot(self.b_ddg.T, T.T)[:, None] * T)
                / speed[:, None] ** 2)
         Nv = _normal_from_jac(sign, self.b_J)
         nu = np.cross(Nv, T)
         # the chart's image of the inward parameter direction orients nu
         v_in = _along(self.b_J, self.b_inward)
-        nu = nu * np.sign(_dot(nu.T, v_in))[:, None]
+        nu = nu * np.sign(dot(nu.T, v_in))[:, None]
         t0, t1 = self.mesh.boundary_t.T
         g = self.b_pos
         xi, II_NN = np.zeros_like(g), np.zeros(len(g))
         if space.boundary is not None:
             xi = boundary_inner_normal(space, g)
             II_NN = quadratic_form(boundary_ii_matrix(space, g), Nv)
-        return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=np.sum(Nv * xi, axis=1),
-                    II_NN=II_NN, h_geod=np.sum(acc * nu, axis=1),
+        return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=dot(Nv.T, xi.T),
+                    II_NN=II_NN, h_geod=dot(acc.T, nu.T),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
 
     @property
@@ -905,7 +912,8 @@ def surface_chart(imm: Immersion, resolution: int,
     boundary of ``space`` and evaluate its chart on the mesh."""
     mesh = mesh_from_immersion(imm, resolution, space=space)
     Q, D1, D2, Q2 = _blended_param_points(imm, mesh)
-    return SurfaceChart(space, mesh, Q, D1, D2, Q2, imm.chart(Q),
+    pos = np.ascontiguousarray(imm.chart(Q).T).T
+    return SurfaceChart(space, mesh, Q, D1, D2, Q2, pos,
                         imm.chart_jac(Q), imm.chart_hess(Q),
                         **_chart_at_boundary(imm, mesh))
 
@@ -948,7 +956,7 @@ def extrinsic_geometry(space: AmbientSpace,
     adds to the chart's Riemannian geometry."""
     pos, Nv, H = chart.pos, chart.N, chart.H
     jet = DensityJet(space.density, pos)
-    gN = np.sum(jet.grad * Nv, axis=1)
+    gN = dot(jet.grad.T, Nv.T)
     ricf_NN = jet.bakry_emery_ricci(Nv)
     g = chart.b_pos
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import lane_dot
+from .ambient import dot, lane_dot, norm, squared_norm
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
 from .surface import ExtrinsicData, stationarity_verdict
@@ -41,7 +41,7 @@ class RigidityFlags:
 def rigidity_flags(data: ExtrinsicData,
                    tol: float = FLAG_TOL) -> RigidityFlags:
     sigma_max = float(np.sqrt(np.max(data.sigma2)))
-    grad_max = float(np.max(np.linalg.norm(data.grad_s_psi, axis=1)))
+    grad_max = float(np.max(norm(data.grad_s_psi)))
     ric_max = float(np.max(np.abs(data.ricf_NN)))
     k_max = float(np.max(np.abs(data.K)))
     if data.has_boundary:
@@ -66,7 +66,7 @@ def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
                              - K + lap_S psi.
     """
     lhs = data.ricf_NN + data.sigma2
-    grad2 = np.sum(data.grad_s_psi * data.grad_s_psi, axis=1)
+    grad2 = squared_norm(data.grad_s_psi)
     rhs = (0.5 * (data.S_f + data.H_f**2) + 0.5 * (data.sigma2 + grad2)
            - data.K + data.lap_s_psi)
     return float(np.max(np.abs(lhs - rhs)))
@@ -113,7 +113,7 @@ def stability_topology_chain(data: ExtrinsicData,
     verdict = stationarity_verdict(data, tol_H=1e-5)
     if not verdict.volume_constrained:
         raise PreconditionError("chain evaluation requires an f-stationary surface")
-    grad2 = np.sum(data.grad_s_psi * data.grad_s_psi, axis=1)
+    grad2 = squared_norm(data.grad_s_psi)
     # u^2 da_f = da, so every integral below is unweighted
     I_f_u = float(np.sum((0.25 * grad2 - data.ricf_NN - data.sigma2) * data.w_da))
     shf = data.S_f + data.H_f**2
@@ -219,7 +219,7 @@ def foliation_monotonicity_check(family: DeformedFamily,
         verdict = stationarity_verdict(d, tol_H=1e-5)
         if not verdict.volume_constrained:
             raise PreconditionError(f"slice at s = {s} is not f-stationary")
-        u = np.sum(family.flow.velocity(s, pos0) * d.N, axis=1)
+        u = dot(family.flow.velocity(s, pos0).T, d.N.T)
         if np.min(u) <= 0:
             raise PreconditionError("foliation speed u must be positive")
         dp = family.geometry(s + h)
@@ -235,7 +235,7 @@ def foliation_monotonicity_check(family: DeformedFamily,
         pot = d.ricf_NN + d.sigma2
         val = float(np.sum(pot * u * d.w_daf))
         if d.has_boundary:
-            ub = np.sum(family.flow.velocity(s, bpos0) * d.b_N, axis=1)
+            ub = dot(family.flow.velocity(s, bpos0).T, d.b_N.T)
             val += float(np.sum(d.II_NN * ub * d.w_dlf))
             ii_min = min(ii_min, float(np.min(d.II_NN)))
         ric_min = min(ric_min, float(np.min(d.ricf_NN)))

@@ -87,6 +87,14 @@ def einsum_pairs_lanes() -> bool:
 EPS = np.finfo(float).eps
 
 
+def assert_same_bits(got, want):
+    """Equal shapes, values and sign bits, so a -0.0 where a +0.0 is
+    wanted fails."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def eps_apart(got, want, relative: bool = False) -> float:
     """The largest difference of two arrays in units of the double
     epsilon, relative to each entry of ``want`` where asked."""

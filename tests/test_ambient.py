@@ -1,12 +1,15 @@
 """Tests for ambient spaces, densities, and boundary curvature operators."""
+import itertools
+
 import numpy as np
 import pytest
 
+import conftest as cf
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
                            boundary_f_mean_curvature, boundary_ii_matrix,
-                           boundary_inner_normal, fd_grad_psi, fd_hess_psi,
-                           make_boundary, make_density, make_space, norm,
-                           squared_norm)
+                           boundary_inner_normal, dot, fd_grad_psi,
+                           fd_hess_psi, make_boundary, make_density,
+                           make_space, norm, ordered_sum, squared_norm, trace)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
@@ -306,6 +309,80 @@ class TestColumnKernels:
         P = self.points(seed)
         assert np.array_equal(squared_norm(P), np.sum(P * P, axis=-1))
         assert np.array_equal(norm(P), np.linalg.norm(P, axis=-1))
+
+    @staticmethod
+    def signed_zeros(P):
+        """P with its first rows +-0.0 in every sign pattern of its 3 (or
+        9) entries and the next rows zero in all but one entry."""
+        P = P.copy()
+        k = P[0].size
+        flat = P.reshape(len(P), k)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+        flat[:8] = 0.0 * np.resize(signs, (8, k))
+        flat[8:8 + k] = np.where(np.eye(k, dtype=bool), flat[8:8 + k],
+                                 -0.0)
+        return P
+
+    @staticmethod
+    def layouts(P):
+        """P point-major and component-major, values equal."""
+        return P, np.moveaxis(np.ascontiguousarray(np.moveaxis(P, 0, -1)),
+                              -1, 0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sums_over_a_3_long_axis(self, seed):
+        """Each column kernel against the numpy form over 3-long rows that
+        it replaces, bit for bit and sign for sign, zeros included, on
+        either layout."""
+        P0, V0 = (self.signed_zeros(self.points(seed + k)) for k in (0, 3))
+        A0 = self.signed_zeros(np.stack([self.points(seed + k)
+                                         for k in (6, 7, 8)], axis=1))
+        for P, V, A in zip(self.layouts(P0), self.layouts(V0),
+                           self.layouts(A0)):
+            cf.assert_same_bits(ordered_sum(P.T), np.sum(P, axis=1))
+            cf.assert_same_bits(dot(P.T, V.T), np.sum(P * V, axis=-1))
+            cf.assert_same_bits(squared_norm(P), np.sum(P * P, axis=-1))
+            cf.assert_same_bits(norm(P), np.linalg.norm(P, axis=-1))
+            cf.assert_same_bits(trace(A), np.trace(A, axis1=-2, axis2=-1))
+
+    def test_a_sum_of_negative_zeros_is_positive(self):
+        """numpy's sums start from +0.0; a bare (x0 + x1) + x2 would give
+        -0.0."""
+        zeros = np.full((4, 3), -0.0)
+        assert not np.any(np.signbit(np.sum(zeros, axis=1)))
+        cf.assert_same_bits(ordered_sum(zeros.T), np.sum(zeros, axis=1))
+        cf.assert_same_bits(dot(zeros.T, np.ones((3, 4))),
+                            np.sum(zeros, axis=1))
+
+    @pytest.mark.parametrize("name,params", [
+        ("gaussian", {}), ("radial-log", {"k": -2.6}),
+        ("radial-smooth", {"coeffs": (0.3, -0.2, 0.5)})])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_density_hessians(self, name, params, seed):
+        """The Hessians, each symmetric entry computed once into a
+        component-major buffer, against the broadcast forms over (N, 3, 3)
+        that they replace."""
+        P = self.points(seed)
+        eye = np.eye(3)[None]
+        if name == "gaussian":
+            want = np.broadcast_to(-2.0 * np.eye(3), (len(P), 3, 3)).copy()
+        elif name == "radial-log":
+            r2 = np.sum(P * P, axis=-1)
+            want = params["k"] * (eye / r2[:, None, None]
+                                  - 2.0 * P[:, :, None] * P[:, None, :]
+                                  / (r2 ** 2)[:, None, None])
+        else:
+            g = np.polynomial.Polynomial(params["coeffs"])
+            r = np.linalg.norm(P, axis=-1)
+            n = P / r[:, None]
+            nn = n[:, :, None] * n[:, None, :]
+            want = (g.deriv(2)(r)[:, None, None] * nn
+                    + (g.deriv()(r) / r)[:, None, None] * (eye - nn))
+        for Q in self.layouts(P):
+            H = make_density(name, **params).hess_psi(Q)
+            cf.assert_same_bits(H, want)
+            assert all(H[:, i, j].flags.c_contiguous
+                       for i in range(3) for j in range(3))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_translation_and_scaling(self, seed):

@@ -17,10 +17,10 @@ from wstab.errors import InputError, NumericalFailure
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, constrained_lambda_min,
                              index_form_value, jacobi_apply, jacobi_fd_check,
-                             jacobi_symmetry_residual, robin_eigenproblem,
-                             strong_stability_verdict,
+                             robin_eigenproblem, strong_stability_verdict,
                              volume_constrained_verdict)
-from wstab.surface import RectPatch, extrinsic_geometry, surface_chart
+from wstab.surface import (PlanarDisk, RectPatch, extrinsic_geometry,
+                           surface_chart)
 
 TAU = 2.0 * math.pi
 RNG = np.random.default_rng(11)
@@ -165,6 +165,45 @@ class TestShiftedFactor:
         assert asm.dof == 7057
         assert constrained_lambda_min(asm) == pytest.approx(2.5, abs=1e-3)
 
+    @staticmethod
+    def disk_in_ball(radius):
+        """The equatorial disk of a ball, both of the given radius, with
+        constant density at resolution 12."""
+        space = cf.space_ball(radius=radius)
+        chart = surface_chart(PlanarDisk(radius=radius), 12, space)
+        return assemble(extrinsic_geometry(space, chart))
+
+    def test_robin_term_below_the_first_four_shifts(self):
+        """The disk's potential vanishes, so the search starts at sigma = -1,
+        and its Robin term II(N, N) = 1 / radius sets lambda_min: -2.585 at
+        radius 1 and, as the pencil scales by 1 / radius^2, -10.34 at
+        radius 0.5, below the fourth shift -8."""
+        small, unit = (robin_eigenproblem(self.disk_in_ball(r))
+                       for r in (0.5, 1.0))
+        assert unit.lambda_min == pytest.approx(-2.5851, abs=1e-4)
+        assert small.lambda_min == pytest.approx(4.0 * unit.lambda_min,
+                                                 rel=1e-9)
+        assert small.asm.shifted_factor.sigma == -16.0
+        floor = stability._spectrum_floor(small.asm)
+        assert floor < small.lambda_min
+
+    def test_a_shift_below_the_floor_that_fails_is_a_numerical_failure(
+            self, monkeypatch):
+        """With every factor refused, the search stops at the first shift
+        below the proven floor instead of doubling forever."""
+        asm = self.disk_in_ball(0.5)
+        floor = stability._spectrum_floor(asm)
+        tried = []
+
+        def refused(A, **kwargs):
+            tried.append(A)
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", refused)
+        with pytest.raises(NumericalFailure, match="bracket"):
+            asm.shifted_factor
+        assert len(tried) == math.ceil(math.log2(-floor)) + 1
+
     def test_arpack_failure_is_a_numerical_failure(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
@@ -196,13 +235,6 @@ class TestJacobiOperator:
         lhs = jacobi_apply(asm, 2.0 * u - 3.0 * v)
         rhs = 2.0 * jacobi_apply(asm, u) - 3.0 * jacobi_apply(asm, v)
         assert np.allclose(lhs, rhs, atol=1e-9)
-
-    def test_symmetry_residual(self):
-        asm = assembly("hemisphere", 16, "radial-log", k=-2.0)
-        for _ in range(5):
-            v = RNG.normal(size=asm.dof)
-            w = RNG.normal(size=asm.dof)
-            assert jacobi_symmetry_residual(asm, v, w) < 1e-8
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -256,8 +288,9 @@ class TestConstrainedStability:
 @pytest.fixture(scope="module")
 def builtin_pass():
     """Run every builtin once.  For each spectrum run, record its name, the
-    verdict, its tolerance and the full constrained solve; also record the
-    name of every run whose verdict called the constrained solve."""
+    verdict, its tolerance, the full constrained solve and the spectrum;
+    also record the name of every run whose verdict called the constrained
+    solve."""
     verdict = scenarios.volume_constrained_verdict
     solve = stability.constrained_lambda_min
     runs, solved = [], []
@@ -265,7 +298,7 @@ def builtin_pass():
 
     def recording_verdict(spec, tol):
         out = verdict(spec, tol=tol)
-        runs.append((current[0], out, tol, solve(spec.asm)))
+        runs.append((current[0], out, tol, solve(spec.asm), spec))
         return out
 
     def counting_solve(asm):
@@ -285,8 +318,21 @@ class TestConstrainedVerdictFromSpectrum:
     def test_verdict_equals_the_constrained_solve(self, builtin_pass):
         runs, _ = builtin_pass
         assert len(runs) == 13       # the threshold sweep counts five
-        for name, out, tol, mu in runs:
+        for name, out, tol, mu, _ in runs:
             assert out == (mu >= -tol), name
+
+    def test_builtin_shifts_come_from_the_first_four_tries(
+            self, builtin_pass):
+        """Each builtin's accepted shift is one of the four that the search
+        tried before it doubled on to a proven floor, and that floor lies
+        below its spectrum."""
+        runs, _ = builtin_pass
+        for name, _, _, _, spec in runs:
+            data = spec.asm.data
+            sigma0 = -float(np.max(np.abs(data.ricf_NN + data.sigma2))) - 1.0
+            assert spec.asm.shifted_factor.sigma in [
+                sigma0 * 2.0 ** k for k in range(4)], name
+            assert stability._spectrum_floor(spec.asm) < spec.lambda_min, name
 
     def test_a_pass_solves_only_where_the_spectrum_straddles_tol(
             self, builtin_pass):

@@ -17,9 +17,9 @@ from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import (build_immersion, build_space, builtin_names,
                              builtin_scenario)
 from wstab.stability import HAT_GRADS, assemble
-from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_WEIGHTS, PlanarDisk,
-                           RectPatch, RoundSphere, SphericalCap, _on_arcs,
-                           export_off, extrinsic_geometry,
+from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_HATS, TRI_WEIGHTS,
+                           PlanarDisk, RectPatch, RoundSphere, SphericalCap,
+                           _on_arcs, export_off, extrinsic_geometry,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart, vertex_normals)
 from wstab.theorems import boundary_identity_residual
@@ -738,6 +738,37 @@ def einsum_stiffness(data):
                          shape=(n, n)).tocsr()
 
 
+def numpy_element_sums(data):
+    """The potential, mass and Robin matrices with each element sum over
+    its quadrature points an np.sum over the 3-long (2-long on an edge)
+    row."""
+    tris, edges = data.mesh.triangles, data.mesh.boundary_edges
+    F, n = len(tris), data.mesh.n_vertices
+    w = data.w_daf.reshape(F, 3)
+    pot = (data.ricf_NN + data.sigma2).reshape(F, 3)
+    pv, mv = [], []
+    for i in range(3):
+        for j in range(3):
+            hi, hj = TRI_HATS[i][None, :], TRI_HATS[j][None, :]
+            pv.append(np.sum(w * pot * hi * hj, axis=1))
+            mv.append(np.sum(w * hi * hj, axis=1))
+    rows = np.concatenate([tris[:, i] for i in range(3) for _ in range(3)])
+    cols = np.concatenate([tris[:, j] for _ in range(3) for j in range(3)])
+    out = [sp.coo_matrix((np.concatenate(v), (rows, cols)),
+                         shape=(n, n)).tocsr() for v in (pv, mv)]
+    B = sp.csr_matrix((n, n))
+    if data.has_boundary:
+        wb = (data.w_dlf * data.II_NN).reshape(len(edges), -1)
+        hats = np.stack([1.0 - EDGE_POINTS, EDGE_POINTS])
+        bv = [np.sum(wb * hats[i] * hats[j], axis=1)
+              for i in range(2) for j in range(2)]
+        br = np.concatenate([edges[:, i] for i in range(2) for _ in range(2)])
+        bc = np.concatenate([edges[:, j] for _ in range(2) for j in range(2)])
+        B = sp.coo_matrix((np.concatenate(bv), (br, bc)),
+                          shape=(n, n)).tocsr()
+    return out + [B]
+
+
 # every builtin's surface and ambient, and three charts the builtins leave
 # out: a cap whose rotation has 9 nonzero entries, an off-center sphere and
 # a patch with non-orthogonal directions
@@ -771,12 +802,6 @@ def kernel_case(name):
     return space, extrinsic_geometry(space, chart)
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 class TestKernelBitIdentity:
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_frame_and_curvatures(self, name):
@@ -785,10 +810,10 @@ class TestKernelBitIdentity:
         E1, E2, Ginv, Nv, w_da = einsum_frame(sign, data.D1, data.D2, data.J)
         for got, want in ((data.E1, E1), (data.E2, E2), (data.Ginv, Ginv),
                           (data.N, Nv), (data.w_da, w_da)):
-            assert_same_bits(got, want)
+            cf.assert_same_bits(got, want)
         for got, want in zip((data.H, data.sigma2, data.K),
                              einsum_curvatures(data.chart, Nv, Ginv)):
-            assert_same_bits(got, want)
+            cf.assert_same_bits(got, want)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_chart_derivatives(self, name):
@@ -806,8 +831,8 @@ class TestKernelBitIdentity:
             pytest.skip("an affine chart has constant derivatives")
         for Q in (data.params, data.b_params):
             J, H = ref(imm, Q)
-            assert_same_bits(imm.chart_jac(Q), J)
-            assert_same_bits(imm.chart_hess(Q), H)
+            cf.assert_same_bits(imm.chart_jac(Q), J)
+            cf.assert_same_bits(imm.chart_hess(Q), H)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_boundary_fields(self, name):
@@ -817,16 +842,35 @@ class TestKernelBitIdentity:
         got = (data.b_dg, data.b_ddg, data.b_N, data.b_nu, data.II_NN,
                data.Hf_boundary)
         for g, want in zip(got, einsum_boundary(space, data)):
-            assert_same_bits(g, want)
+            cf.assert_same_bits(g, want)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_density_terms_and_stiffness(self, name):
         space, data = kernel_case(name)
-        assert_same_bits(data.ricf_NN, -np.einsum(
+        cf.assert_same_bits(data.ricf_NN, -np.einsum(
             "nij,ni,nj->n", space.density.hess_psi(data.pos), data.N, data.N))
-        K, want = assemble(data).K, einsum_stiffness(data)
-        for attr in ("indptr", "indices", "data"):
-            assert_same_bits(getattr(K, attr), getattr(want, attr))
+        asm = assemble(data)
+        for got, want in zip((asm.K, asm.P, asm.M, asm.B),
+                             (einsum_stiffness(data),
+                              *numpy_element_sums(data))):
+            for attr in ("indptr", "indices", "data"):
+                cf.assert_same_bits(getattr(got, attr), getattr(want, attr))
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_per_point_columns_are_contiguous(self, name):
+        """The chart's and the density jet's per-point arrays are
+        component-major, so every column the kernels read is contiguous."""
+        space, data = kernel_case(name)
+        jet = DensityJet(space.density, data.pos)
+        arrays = {name: getattr(data, name) for name in (
+            "params", "D1", "D2", "pos", "J", "hess", "N", "E1", "E2",
+            "Ginv")}
+        arrays.update({f"Q2[{k}]": q for k, q in enumerate(data.Q2)})
+        arrays.update(grad_psi=jet.grad, hess_psi=jet.hess)
+        for label, a in arrays.items():
+            for index in np.ndindex(a.shape[1:]):
+                column = a[(slice(None),) + index]
+                assert column.flags.c_contiguous, (label, index)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_slice_normals_and_area(self, name):
@@ -880,9 +924,9 @@ class TestLaneOrderKernels:
         rng = np.random.default_rng(7)
         A = rng.standard_normal((1000, 3, 3))
         x, y = rng.standard_normal((2, 1000, 3))
-        assert_same_bits(lane_dot(A, x[:, None]),
+        cf.assert_same_bits(lane_dot(A, x[:, None]),
                          np.einsum("nij,nj->ni", A, x))
-        assert_same_bits(lane_dot(x, y), np.einsum("ni,ni->n", x, y))
+        cf.assert_same_bits(lane_dot(x, y), np.einsum("ni,ni->n", x, y))
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_boundary_identity_residual(self, name, einsum_calls):
@@ -912,8 +956,8 @@ class TestLaneOrderKernels:
                     + np.einsum("nijk,nj,nk->ni", flow.hess(s, g0), dg0, dg0))
         einsum_calls.clear()
         moved = DeformedFamily(data, flow).geometry(s)
-        assert_same_bits(moved.b_dg, want_dg)
-        assert_same_bits(moved.b_ddg, want_ddg)
+        cf.assert_same_bits(moved.b_dg, want_dg)
+        cf.assert_same_bits(moved.b_ddg, want_ddg)
         assert "nij,nj->ni" not in einsum_calls
 
     @pytest.mark.parametrize("name", [n for n in KERNEL_CASES
@@ -923,5 +967,5 @@ class TestLaneOrderKernels:
         assert data.mesh.immersion.param_dim == 3
         want = einsum_vertex_normals(data.mesh)
         einsum_calls.clear()
-        assert_same_bits(vertex_normals(data.mesh), want)
+        cf.assert_same_bits(vertex_normals(data.mesh), want)
         assert einsum_calls == []
