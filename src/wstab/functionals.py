@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,37 +24,8 @@ from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _cross,
 Array = np.ndarray
 
 FD_FIELD_JAC = 1e-5
-
-
-# ---------------------------------------------------------------------------
-# variation fields
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariationField:
-    """Ambient vector field along the surface: ``X`` maps ambient
-    positions (N, 3) to vectors (N, 3)."""
-
-    X: Callable[[Array], Array]
-    name: str = "field"
-
-    def values(self, pos: Array) -> Array:
-        return self.X(pos)
-
-    def check_admissible(self, data: ExtrinsicData,
-                         tol: float = 1e-8) -> None:
-        if data.space.boundary is None or not data.has_boundary:
-            return
-        Xb = self.values(data.b_pos)
-        worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T))))
-        if worst > tol:
-            raise InputError(
-                f"variation field is not tangent to the ambient boundary "
-                f"(max |<X, xi>| = {worst:.2e})")
-
-
-def normal_component(field: VariationField, data: ExtrinsicData) -> Array:
-    return dot(field.values(data.pos).T, data.N.T)
+# largest |<dphi/ds, xi>| on the base boundary of an admissible variation
+TANGENCY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +193,9 @@ class DeformedFamily:
     """A variation: the base surface's geometry ``data`` moved by an ambient
     flow.
 
+    The paper's variation formulas hold for deformations whose boundary
+    stays in the ambient boundary, so building a family from a flow that
+    is not tangent to it along the base boundary raises ``InputError``.
     The slice at s is the base chart with the flow applied, in the ambient
     space of ``data``, so a family evaluates no chart of its own.  Area and
     volume push only the base positions through the flow, with the base
@@ -237,6 +211,17 @@ class DeformedFamily:
     # s -> (A_f(s), V_f'(s)): two floats per slice, never arrays
     _slices: Dict[float, Tuple[float, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        data = self.data
+        if data.space.boundary is None or not data.has_boundary:
+            return
+        Xb = self.flow.velocity(0.0, data.b_pos)
+        worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T))))
+        if not worst <= TANGENCY_TOL:
+            raise InputError(
+                f"variation field is not tangent to the ambient boundary "
+                f"(max |<X, xi>| = {worst:.2e})")
 
     def area_elements(self, s: float):
         """Positions, unit normals and w da_f of the slice at s.  An affine
@@ -278,6 +263,16 @@ class DeformedFamily:
         flow keeps it along each particle path: its velocity and normal both
         turn by Q(s), so <dphi/ds, N_s> = u0 on every slice."""
         return dot(self.flow.velocity(0.0, self.data.pos).T, self.data.N.T)
+
+    def stationary_H_f(self) -> float:
+        """The constant H_f of the base surface.  The second variation
+        formula and the Jacobi operator need the base f-stationary under
+        volume constraint; raises ``PreconditionError`` where it is not."""
+        verdict = stationarity_verdict(self.data, tol_H=1e-5)
+        if not verdict.volume_constrained:
+            raise PreconditionError("second variation formula requires an "
+                                    "f-stationary base surface")
+        return verdict.H_f_mean
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -391,14 +386,13 @@ def swept_weighted_volume(family: DeformedFamily,
     return out
 
 
-def first_variation_formula(data: ExtrinsicData,
-                            field: VariationField) -> float:
-    """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f."""
-    field.check_admissible(data)
-    u = normal_component(field, data)
-    out = -float(np.sum(data.H_f * u * data.w_daf))
+def first_variation_formula(family: DeformedFamily) -> float:
+    """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f for the family's
+    velocity X = dphi/ds and normal speed u at s = 0."""
+    data = family.data
+    out = -float(np.sum(data.H_f * family.base_normal_speed * data.w_daf))
     if data.has_boundary:
-        Xb = field.values(data.b_pos)
+        Xb = family.flow.velocity(0.0, data.b_pos)
         out -= float(np.sum(dot(Xb.T, data.b_nu.T) * data.w_dlf))
     return out
 
@@ -432,11 +426,7 @@ def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
     Requires the base surface to be f-stationary under volume constraint.
     """
     data0 = family.geometry(0.0)
-    verdict = stationarity_verdict(data0, tol_H=1e-5)
-    if not verdict.volume_constrained:
-        raise PreconditionError(
-            "second variation formula requires an f-stationary base surface")
-    Hf0 = verdict.H_f_mean
+    Hf0 = family.stationary_H_f()
     volume = {}
     for side in ((h / 2, h), (-h / 2, -h)):
         volume.update(zip(side, swept_weighted_volume(family, side)))

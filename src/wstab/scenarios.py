@@ -20,7 +20,8 @@ from .ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
 from .errors import ConfigError, WstabError
 from .functionals import (DeformedFamily, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
-                          second_variation_fd, swept_weighted_volume)
+                          first_variation_formula, second_variation_fd,
+                          swept_weighted_volume)
 from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, volume_constrained_verdict)
 from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
@@ -449,6 +450,8 @@ def _run_sweep(scn: Scenario) -> RunResult:
 def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     """Run the scenario's tasks on the chart of its surface."""
     data = extrinsic_geometry(build_space(scn), chart)
+    family = (DeformedFamily(data, build_flow(scn))
+              if scn.variation is not None else None)
     mesh = chart.mesh
     needs_spec = {"spectrum", "topology", "area-bounds"} & set(scn.tasks)
     needs_asm = needs_spec or "second-variation" in scn.tasks
@@ -473,11 +476,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     spec = strong = None
     if needs_spec:
         spec = robin_eigenproblem(asm)
-        vtol = scn.tol("verdict") * max(
-            1.0, float(np.max(np.abs(spec.eigenvalues))))
-        strong = strong_stability_verdict(spec, tol=vtol)
-    flow = build_flow(scn) if scn.variation is not None else None
-    family = DeformedFamily(data, flow) if flow is not None else None
+        strong = strong_stability_verdict(spec, scn.tol("verdict"))
 
     results: Dict[str, Any] = {}
 
@@ -495,10 +494,8 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
                             f"contact {v.max_contact:.2e}"))
 
     def t_first_variation():
-        from .functionals import VariationField, first_variation_formula
         fd = first_variation_fd(family)
-        vf = VariationField(X=lambda P: flow.velocity(0.0, P), name="flow")
-        formula = first_variation_formula(data, vf)
+        formula = first_variation_formula(family)
         diff = abs(fd.value - formula)
         tol = max(1e-6, scn.tol("variation") * abs(formula))
         results["first_variation"] = {"fd": _f(fd.value),
@@ -520,7 +517,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
                             f"|fd - I_f(u,u)| = {diff:.2e}"))
 
     def t_spectrum():
-        constrained = volume_constrained_verdict(spec, tol=vtol)
+        constrained = volume_constrained_verdict(spec, scn.tol("verdict"))
         results["spectrum"] = {
             "dof": int(asm.dof),
             "eigenvalues": [_f(x) for x in spec.eigenvalues],

@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .ambient import ordered_sum
-from .errors import InputError, NumericalFailure, PreconditionError
+from .errors import InputError, NumericalFailure
 from .functionals import DeformedFamily
-from .surface import (EDGE_POINTS, TRI_HATS, ExtrinsicData,
-                      stationarity_verdict)
+from .surface import EDGE_POINTS, TRI_HATS, ExtrinsicData
 
 Array = np.ndarray
 
@@ -153,6 +151,10 @@ class SpectralResult:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
+    def verdict_tol(self, rel_tol: float) -> float:
+        """The stability verdicts' tolerance, rel_tol max(1, max |lambda|)."""
+        return rel_tol * max(1.0, float(np.max(np.abs(self.eigenvalues))))
+
 
 def _pencil_residuals(A, M, vals, vecs) -> Array:
     out = np.empty(len(vals))
@@ -248,11 +250,10 @@ def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
 
 
 def strong_stability_verdict(spec: SpectralResult,
-                             tol: Optional[float] = None) -> bool:
-    """True iff the index form is nonnegative (lambda_min >= -tol)."""
-    if tol is None:
-        tol = 1e-3 * max(1.0, float(np.max(np.abs(spec.eigenvalues))))
-    return spec.lambda_min >= -tol
+                             rel_tol: float = 1e-3) -> bool:
+    """True iff the index form is nonnegative (lambda_min >= -tol), with
+    tol = spec.verdict_tol(rel_tol)."""
+    return spec.lambda_min >= -spec.verdict_tol(rel_tol)
 
 
 def constrained_lambda_min(asm: IndexFormAssembly) -> float:
@@ -278,15 +279,16 @@ def constrained_lambda_min(asm: IndexFormAssembly) -> float:
 
 
 def volume_constrained_verdict(spec: SpectralResult,
-                               tol: float = 1e-3) -> bool:
-    """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely).
+                               rel_tol: float = 1e-3) -> bool:
+    """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely),
+    within tol = spec.verdict_tol(rel_tol).
 
     The constraint has codimension one, so by Cauchy interlacing the
     constrained minimum lies in [lambda_1, lambda_2] of the spectrum
     ``spec``; only when -tol falls between the two is the constrained
     eigenproblem of its assembly solved.
     """
-    lam = spec.eigenvalues
+    lam, tol = spec.eigenvalues, spec.verdict_tol(rel_tol)
     if lam[0] >= -tol:
         return True
     if lam[1] < -tol:
@@ -308,9 +310,7 @@ class JacobiCheckReport:
 def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
                     tol: float = 1e-3) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
-    verdict = stationarity_verdict(family.data, tol_H=1e-5)
-    if not verdict.volume_constrained:
-        raise PreconditionError("jacobi_fd_check requires an f-stationary base")
+    family.stationary_H_f()
     Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
     # interpolate L_f(u) to quadrature points
     tris = family.data.mesh.triangles

@@ -218,6 +218,15 @@ def cached_chart(kind: str, resolution: int) -> SurfaceChart:
 
 
 @functools.lru_cache(maxsize=None)
+def free_geometry(kind: str, resolution: int, density_name="constant",
+                  **params):
+    """The geometry of a test surface under a density in an ambient without
+    boundary, where every flow is an admissible variation."""
+    return extrinsic_geometry(space_free(density_name, **params),
+                              cached_chart(kind, resolution))
+
+
+@functools.lru_cache(maxsize=None)
 def cached_geometry(kind: str, resolution: int, density_name="constant",
                     **params):
     """(space, immersion, mesh, geometry) of a test surface under a

@@ -17,7 +17,7 @@ import conftest as cf
 from wstab.ambient import DensityJet, boundary_f_mean_curvature, make_space
 from wstab.cli import _jsonify
 from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
-                               ScalingFlow, TranslationFlow, VariationField,
+                               ScalingFlow, TranslationFlow,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd)
 from wstab.scenarios import builtin_names, builtin_scenario, run_scenario
@@ -55,15 +55,6 @@ def criterion(number, budget=None):
 # ---------------------------------------------------------------------------
 # reusable pieces
 # ---------------------------------------------------------------------------
-
-def constant_field(direction):
-    d = np.asarray(direction, float)
-
-    def X(P):
-        return np.broadcast_to(d, np.atleast_2d(P).shape).copy()
-
-    return X
-
 
 def axial_z_field(direction):
     """X(p) = z * d with analytic Jacobian; vanishes on the plane z = 0."""
@@ -122,15 +113,6 @@ def bump_field(direction):
     return X, Xjac
 
 
-def rotation_about_disk():
-    flow = RotationFlow(axis=(0, 0, 1), point=tuple(DISK_CENTER))
-
-    def X(P):
-        return np.cross([0.0, 0.0, 1.0], np.atleast_2d(P) - DISK_CENTER)
-
-    return flow, X
-
-
 def bump_plus_rotation():
     """Mixed normal/tangential field, still tangent to the ball boundary."""
     e3 = np.array([0.0, 0.0, 1.0])
@@ -161,25 +143,15 @@ MATRIX = {
 }
 
 
-def matrix_fields(kind):
+def matrix_flows(kind):
     if kind == "hemisphere":
-        return [
-            (ScalingFlow(), lambda P: np.atleast_2d(P).copy()),
-            (RotationFlow(), lambda P: np.cross([0.0, 0.0, 1.0],
-                                                np.atleast_2d(P))),
-            (TranslationFlow((1, 0, 0)), constant_field((1, 0, 0))),
-        ]
+        return [ScalingFlow(), RotationFlow(), TranslationFlow((1, 0, 0))]
     if kind == "disk":
-        Xb, Jb = bump_field((0, 0, 1))
-        Xm, Jm = bump_plus_rotation()
-        rot_flow, rot_X = rotation_about_disk()
-        return [(FieldFlow(Xb, Jb), Xb), (rot_flow, rot_X),
-                (FieldFlow(Xm, Jm), Xm)]
-    return [
-        (TranslationFlow((1, 0, 0)), constant_field((1, 0, 0))),
-        (TranslationFlow((0, 1, 0)), constant_field((0, 1, 0))),
-        (TranslationFlow((1, 1, 0)), constant_field((1, 1, 0))),
-    ]
+        return [FieldFlow(*bump_field((0, 0, 1))),
+                RotationFlow(axis=(0, 0, 1), point=tuple(DISK_CENTER)),
+                FieldFlow(*bump_plus_rotation())]
+    return [TranslationFlow((1, 0, 0)), TranslationFlow((0, 1, 0)),
+            TranslationFlow((1, 1, 0))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,20 +199,19 @@ def test_criterion_2_first_variation_matrix():
             for dens, params in densities:
                 space, imm, mesh, data = cf.cached_geometry(kind, 16, dens,
                                                             **params)
-                for flow, X in matrix_fields(kind):
-                    field = VariationField(X=X)
-                    formula = first_variation_formula(data, field)
-                    fd = first_variation_fd(DeformedFamily(data, flow))
+                for flow in matrix_flows(kind):
+                    family = DeformedFamily(data, flow)
+                    formula = first_variation_formula(family)
+                    fd = first_variation_fd(family)
                     diff = abs(fd.value - formula)
                     assert diff <= max(1e-6, 1e-4 * abs(formula)), \
-                        f"{kind}/{dens}/{field.name}: diff {diff:.2e}"
+                        f"{kind}/{dens}/{type(flow).__name__}: diff {diff:.2e}"
                     worst = max(worst, diff)
                     count += 1
         assert count == 36
         # hemisphere inflation oracle at constant density
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
-        val = first_variation_formula(
-            data, VariationField(X=lambda P: np.atleast_2d(P)))
+        val = first_variation_formula(DeformedFamily(data, ScalingFlow()))
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
         info["detail"] = (f"{count} FD/formula pairs, max diff {worst:.2e}, "
                           f"inflation A_f' = {val:.6f}")

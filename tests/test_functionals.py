@@ -13,17 +13,12 @@ from wstab.ambient import (AmbientSpace, BoundarySpec, lane_dot,
 from wstab.errors import ImmersionError, InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
                                RotationFlow, ScalingFlow, TranslationFlow,
-                               VariationField, first_variation_fd,
-                               first_variation_formula, second_variation_fd,
-                               swept_weighted_volume)
+                               first_variation_fd, first_variation_formula,
+                               second_variation_fd, swept_weighted_volume)
 from wstab.surface import (PlanarDisk, RectPatch, SphericalCap,
                            extrinsic_geometry, surface_chart)
 
 TAU = 2.0 * math.pi
-
-
-def position_field():
-    return VariationField(X=lambda P: np.atleast_2d(P), name="position")
 
 
 AFFINE_FLOWS = pytest.mark.parametrize("flow", [
@@ -46,7 +41,9 @@ class TestWeightedArea:
 
 
 class TestFirstOrderGeometry:
-    """Area and swept volume read only positions, normals and w da_f."""
+    """Area and swept volume read only positions, normals and w da_f.
+    Flows that move an ambient boundary act here on surfaces in an ambient
+    without boundary, under the same density."""
 
     @pytest.mark.parametrize("kind,density,params", [
         ("hemisphere", "radial-log", {"k": -2.5}),
@@ -56,8 +53,7 @@ class TestFirstOrderGeometry:
     ])
     def test_area_elements_match_full_geometry(self, kind, density,
                                                params):
-        space, imm, mesh, data = cf.cached_geometry(kind, 16, density,
-                                                    **params)
+        data = cf.free_geometry(kind, 16, density, **params)
         family = DeformedFamily(data, ScalingFlow())
         pos, N, w_daf = family.area_elements(0.0)
         assert np.array_equal(pos, data.pos)
@@ -92,7 +88,7 @@ class TestFirstOrderGeometry:
     def test_slices_call_no_einsum_or_cross(self, monkeypatch, flow):
         """Off the base, a slice's normals and area element are component
         arithmetic on (N,) columns."""
-        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
+        data = cf.free_geometry("hemisphere", 16)
         calls = {"einsum": 0, "cross": 0}
 
         def counting(name, fn):
@@ -129,9 +125,10 @@ class TestAffineSlices:
     def test_slices_equal_the_stacked_jacobian_path(self, flow, s):
         """A translated slice is the stacked path's bit for bit; a scaled
         or rotated one, which takes Q N and lambda^2 w da from the base,
-        agrees with it and with its closed form to a few eps."""
-        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
-                                                    "radial-log", k=-1.3)
+        agrees with it and with its closed form to a few eps.  The surface
+        sits in an ambient without boundary, where every flow here is
+        admissible."""
+        data = cf.free_geometry("hemisphere", 16, "radial-log", k=-1.3)
         family = DeformedFamily(data, flow)
         (pos, N, w_daf), want = (family.area_elements(s),
                                  stacked_slice(family, s))
@@ -143,8 +140,7 @@ class TestAffineSlices:
             cf.assert_affine_slice(family, s, N, w_daf, *want[1:])
 
     def test_field_flow_slices_are_unchanged(self):
-        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
-                                                    "gaussian")
+        data = cf.free_geometry("hemisphere", 16, "gaussian")
         family = DeformedFamily(data, FieldFlow(swirl))
         for s in (1e-3, -5e-3, 0.2):
             for got, want in zip(family.area_elements(s),
@@ -226,9 +222,9 @@ class TestSimilarityFlows:
     def test_volume_rate_from_the_base_normal_speed(self, flow):
         """V_f'(s) = sum u0 w da_f matches the per-slice sum of
         <velocity(s), N_s> w da_f within 16 eps of the sum of its terms'
-        magnitudes."""
-        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
-                                                    "radial-log", k=-1.3)
+        magnitudes.  The surface sits in an ambient without boundary, where
+        every flow here is admissible."""
+        data = cf.free_geometry("hemisphere", 16, "radial-log", k=-1.3)
         family = DeformedFamily(data, flow)
         u0 = family.base_normal_speed
         assert np.array_equal(
@@ -288,8 +284,7 @@ class TestFamilySlices:
         a scaled or rotated slice takes Q N and lambda^2 w da from the
         base.  Most of these flows move the boundary plane, so
         the surfaces sit in an ambient without boundary here."""
-        space = cf.space_free("gaussian")
-        data = extrinsic_geometry(space, cf.cached_chart(kind, 12))
+        data = cf.free_geometry(kind, 12, "gaussian")
         family = DeformedFamily(data, flow)
         for s in (0.0, 1e-3, -1e-3, 0.2):
             full = family.geometry(s)
@@ -313,8 +308,7 @@ class TestFamilySlices:
         """An affine flow's Hessian is zero: a full slice contracts no
         4-index array, and its chart Hessian and boundary g'' keep the bits
         of the contraction that added those zeros."""
-        data = extrinsic_geometry(cf.space_free("gaussian"),
-                                  cf.cached_chart("cone", 12))
+        data = cf.free_geometry("cone", 12, "gaussian")
         s, P0, g0, dg0 = 0.1, data.pos, data.b_pos, data.b_dg
         einsum, calls = np.einsum, []
 
@@ -415,7 +409,7 @@ class TestFamilySlices:
 class TestFirstVariation:
     def test_hemisphere_inflation_formula_is_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
-        val = first_variation_formula(data, position_field())
+        val = first_variation_formula(DeformedFamily(data, ScalingFlow()))
         assert val == pytest.approx(2.0 * TAU, rel=1e-4)
 
     def test_hemisphere_inflation_fd_matches(self):
@@ -425,35 +419,27 @@ class TestFirstVariation:
         assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
         assert fd.error_estimate < 1e-5
 
-    @pytest.mark.parametrize("kind,density,params,flow,field", [
-        ("hemisphere", "gaussian", {}, ScalingFlow(),
-         position_field()),
-        ("hemisphere", "radial-log", {"k": -2.5}, ScalingFlow(),
-         position_field()),
-        ("slice", "linear", {"a": (1.0, 0.0, 0.0)}, TranslationFlow((1, 0, 0)),
-         VariationField(X=lambda P: np.broadcast_to([1.0, 0, 0],
-                                                    np.atleast_2d(P).shape))),
-        ("slice", "gaussian", {}, TranslationFlow((1, 0, 0)),
-         VariationField(X=lambda P: np.broadcast_to([1.0, 0, 0],
-                                                    np.atleast_2d(P).shape))),
+    @pytest.mark.parametrize("kind,density,params,flow", [
+        ("hemisphere", "gaussian", {}, ScalingFlow()),
+        ("hemisphere", "radial-log", {"k": -2.5}, ScalingFlow()),
+        ("slice", "linear", {"a": (1.0, 0.0, 0.0)}, TranslationFlow((1, 0, 0))),
+        ("slice", "gaussian", {}, TranslationFlow((1, 0, 0))),
     ])
-    def test_fd_matches_formula(self, kind, density, params, flow,
-                                field):
+    def test_fd_matches_formula(self, kind, density, params, flow):
         space, imm, mesh, data = cf.cached_geometry(kind, 24, density,
                                                     **params)
-        formula = first_variation_formula(data, field)
-        fd = first_variation_fd(DeformedFamily(data, flow))
+        family = DeformedFamily(data, flow)
+        formula = first_variation_formula(family)
+        fd = first_variation_fd(family)
         assert fd.value == pytest.approx(formula,
                                          abs=max(1e-6, 1e-4 * abs(formula)))
 
     def test_rotation_leaves_area_invariant(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "gaussian")
-        field = VariationField(
-            X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        formula = first_variation_formula(data, field)
-        fd = first_variation_fd(
-            DeformedFamily(data, RotationFlow()))
+        family = DeformedFamily(data, RotationFlow())
+        formula = first_variation_formula(family)
+        fd = first_variation_fd(family)
         assert abs(formula) < 1e-10
         assert abs(fd.value) < 1e-8
 
@@ -464,12 +450,11 @@ class TestFirstVariation:
         assert family._slice(0.0)[1] == pytest.approx(TAU, rel=1e-4)
 
     def test_inadmissible_field_is_rejected(self):
+        """Tilting the half-sphere about the x axis turns its boundary off
+        the plane z = 0."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
-        lift = VariationField(
-            X=lambda P: np.broadcast_to([0.0, 0.0, 1.0],
-                                        np.atleast_2d(P).shape))
-        with pytest.raises(InputError):
-            first_variation_formula(data, lift)
+        with pytest.raises(InputError, match="not tangent"):
+            DeformedFamily(data, RotationFlow((1, 0, 0)))
 
 
 SAMPLE_SIDES = ([0.05, 0.1, 0.15, 0.2], [-0.05, -0.1, -0.15, -0.2])
@@ -542,12 +527,20 @@ class TestBoundaryStaysOnTheAmbientBoundary:
     deformation by hypersurfaces with boundary in the ambient boundary."""
 
     def test_lifting_the_hemisphere_is_rejected(self):
+        """The family is refused when it is built, before any slice."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
-        family = DeformedFamily(data, TranslationFlow((0, 0, 1)))
-        with pytest.raises(InputError, match=r"s = 0\.1\b"):
-            family.geometry(0.1)
+        with pytest.raises(InputError, match="not tangent"):
+            DeformedFamily(data, TranslationFlow((0, 0, 1)))
+
+    def test_nan_velocity_on_the_boundary_is_rejected(self):
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
+        with pytest.raises(InputError, match=r"max \|<X, xi>\| = nan"):
+            DeformedFamily(data, FieldFlow(lambda P: np.full(P.shape,
+                                                             np.nan)))
 
     def test_nan_level_set_is_rejected(self):
+        """The flow is tangent to the ambient boundary at s = 0, where the
+        family is built, and leaves it later: the slice is refused."""
         # phi is 0 on the unit circle, where the base's boundary lies, and
         # NaN off it
         spec = BoundarySpec(
@@ -599,12 +592,15 @@ class TestSecondVariation:
         assert np.allclose(u, 1.0, rtol=0.0, atol=1e-14)
 
     def test_requires_stationary_base(self):
+        """A disk off the ball's center meets its sphere at an angle; the
+        rotation about the z axis through the center is tangent to the
+        sphere, so the family is admissible and only the base fails."""
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
         data = extrinsic_geometry(space, surface_chart(imm, 12, space))
-        family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
+        family = DeformedFamily(data, RotationFlow((0, 0, 1), (2, 0, 0)))
         with pytest.raises(PreconditionError):
             second_variation_fd(family)
 
@@ -615,9 +611,10 @@ class TestDivergenceTheorem:
     turns into -int H_f <X, N> da_f - int <X, nu> dl_f."""
 
     @staticmethod
-    def residual(data, flow, field):
-        return abs(first_variation_fd(DeformedFamily(data, flow)).value
-                   - first_variation_formula(data, field))
+    def residual(data, flow):
+        family = DeformedFamily(data, flow)
+        return abs(first_variation_fd(family).value
+                   - first_variation_formula(family))
 
     @pytest.mark.parametrize("density,params", [
         ("constant", {}),
@@ -627,11 +624,9 @@ class TestDivergenceTheorem:
     def test_position_field_on_hemisphere(self, density, params):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, density,
                                                     **params)
-        assert self.residual(data, ScalingFlow(), position_field()) < 1e-6
+        assert self.residual(data, ScalingFlow()) < 1e-6
 
     def test_tangential_rotation_field(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "gaussian")
-        field = VariationField(
-            X=lambda P: np.cross([0.0, 0.0, 1.0], np.atleast_2d(P)))
-        assert self.residual(data, RotationFlow(), field) < 1e-6
+        assert self.residual(data, RotationFlow()) < 1e-6

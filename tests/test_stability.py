@@ -288,17 +288,18 @@ class TestConstrainedStability:
 @pytest.fixture(scope="module")
 def builtin_pass():
     """Run every builtin once.  For each spectrum run, record its name, the
-    verdict, its tolerance, the full constrained solve and the spectrum;
-    also record the name of every run whose verdict called the constrained
-    solve."""
+    verdict, its absolute tolerance, the full constrained solve and the
+    spectrum; also record the name of every run whose verdict called the
+    constrained solve."""
     verdict = scenarios.volume_constrained_verdict
     solve = stability.constrained_lambda_min
     runs, solved = [], []
     current = [None]
 
-    def recording_verdict(spec, tol):
-        out = verdict(spec, tol=tol)
-        runs.append((current[0], out, tol, solve(spec.asm), spec))
+    def recording_verdict(spec, rel_tol):
+        out = verdict(spec, rel_tol)
+        runs.append((current[0], out, spec.verdict_tol(rel_tol),
+                     solve(spec.asm), spec))
         return out
 
     def counting_solve(asm):
@@ -353,5 +354,5 @@ class TestConstrainedVerdictFromSpectrum:
                             lambda asm: calls.append(asm) or 0.0)
         spec = stability.SpectralResult(None, np.array(eigenvalues),
                                         np.zeros((3, 2)), np.zeros(2))
-        assert volume_constrained_verdict(spec, tol=1e-3) == verdict
+        assert volume_constrained_verdict(spec, rel_tol=1e-3) == verdict
         assert len(calls) == solves

@@ -876,8 +876,11 @@ class TestKernelBitIdentity:
     def test_slice_normals_and_area(self, name):
         """A full rotation, off the base: the slice turns the base normal
         to R N and keeps the area element, within a few eps of the frame
-        of the moved Jacobian."""
+        of the moved Jacobian.  The surface sits in an ambient without
+        boundary, with the same density, so that any flow is admissible."""
         space, data = kernel_case(name)
+        space = AmbientSpace(density=space.density)
+        data = extrinsic_geometry(space, data.chart)
         flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
         s = 0.1
         J = np.matmul(flow.jac(s, data.pos), data.J)
