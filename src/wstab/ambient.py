@@ -94,10 +94,10 @@ def point_columns(n: int, *shape) -> Array:
 
 def ordered_sum(terms) -> Array:
     """The (N,) terms added in the order given onto +0.0, as numpy's sums
-    and einsum add them, so that a sum of zeros is +0.0 whatever their
-    signs.  The per-point kernels make every 3-long sum through this on
-    (N,) columns: bit for bit np.sum over a 3-long axis, np.trace, and
-    np.linalg.norm, without numpy's loop over 3-long rows."""
+    add them, so that a sum of zeros is +0.0 whatever their signs.  The
+    per-point kernels make every 3-long sum through this on (N,) columns:
+    bit for bit np.sum over a 3-long axis, np.trace, and np.linalg.norm,
+    without numpy's loop over 3-long rows."""
     terms = iter(terms)
     total = 0.0 + next(terms)
     for term in terms:
@@ -110,14 +110,6 @@ def dot(x, y) -> Array:
     transposes of two (N, 3) arrays, added in order j = 0, 1, 2: bit for
     bit np.sum(X * Y, axis=-1)."""
     return ordered_sum(xj * yj for xj, yj in zip(x, y))
-
-
-def lane_dot(x: Array, y: Array) -> Array:
-    """sum_j x_j y_j over the last axis, 3 long, added (x0 + x2) + x1: the
-    order np.einsum adds a contraction contiguous in both operands on the
-    2- and 8-lane vector units that recorded the pinned digests (a 4-lane
-    unit adds (x0 + x1) + x2).  Broadcasts as x * y does."""
-    return ordered_sum(x[..., j] * y[..., j] for j in (0, 2, 1))
 
 
 def squared_norm(P: Array) -> Array:
@@ -308,9 +300,7 @@ def _linear_density(a, b: float = 0.0) -> Density:
     b = float(b)
 
     def psi(P):
-        # BLAS sums P @ a in another order on component-major rows, so
-        # this keeps the point-major layout the outputs were recorded with
-        return np.ascontiguousarray(P) @ a + b
+        return dot(P.T, a) + b
 
     def grad(P):
         g = np.empty_like(P)
@@ -441,18 +431,18 @@ def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:
     ca = float(np.cos(alpha))
 
     def phi(P):
-        return P @ a / norm(P) - ca
+        return dot(P.T, a) / norm(P) - ca
 
     def grad(P):
         r = norm(P)
         n = P / r[:, None]
-        c = n @ a
+        c = dot(n.T, a)
         return (a[None] - c[:, None] * n) / r[:, None]
 
     def hess(P):
         r = norm(P)
         n = P / r[:, None]
-        c = n @ a
+        c = dot(n.T, a)
         na = n[:, :, None] * a[None, None, :]
         an = a[None, :, None] * n[:, None, :]
         nn = n[:, :, None] * n[:, None, :]

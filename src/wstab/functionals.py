@@ -14,16 +14,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .ambient import dot, lane_dot, unit_vector3, vector3
-from .errors import (ImmersionError, InputError, NumericalFailure,
-                     PreconditionError)
-from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _cross,
-                      _normal_and_area, extrinsic_geometry,
-                      stationarity_verdict, vertex_normals)
+from .ambient import dot, unit_vector3, vector3
+from .errors import ImmersionError, InputError, NumericalFailure
+from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _chain_rule,
+                      _cross, _normal_and_area, extrinsic_geometry,
+                      stationary_H_f, vertex_normals)
 
 Array = np.ndarray
 
-FD_FIELD_JAC = 1e-5
 # largest |<dphi/ds, xi>| on the base boundary of an admissible variation
 TANGENCY_TOL = 1e-8
 
@@ -107,6 +105,8 @@ class RotationFlow(AffineFlow):
         a = self.a
         self._ax = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]],
                              [-a[1], a[0], 0]])
+        # ax @ ax = a a^T - |a|^2 I
+        self._ax2 = np.outer(a, a) - dot(a, a) * np.eye(3)
         self._last = (None, None)
 
     def rotation(self, s):
@@ -114,8 +114,8 @@ class RotationFlow(AffineFlow):
         points by the same matrix, so it is built once per slice."""
         last_s, Q = self._last
         if s != last_s:
-            ax = self._ax
-            Q = np.eye(3) + np.sin(s) * ax + (1 - np.cos(s)) * ax @ ax
+            Q = (np.eye(3) + np.sin(s) * self._ax
+                 + (1 - np.cos(s)) * self._ax2)
             self._last = (s, Q)
         return Q
 
@@ -141,9 +141,11 @@ class RotationFlow(AffineFlow):
 
 
 class FieldFlow(Flow):
-    """p -> p + s*X(p) for a smooth ambient field X."""
+    """p -> p + s*X(p) for a smooth ambient field X with its Jacobian
+    ``Xjac`` (N, 3, 3) and second derivative ``Xhess`` (N, 3, 3, 3), both
+    in closed form."""
 
-    def __init__(self, X, Xjac=None, Xhess=None):
+    def __init__(self, X, Xjac, Xhess):
         self.X = X
         self.Xjac = Xjac
         self.Xhess = Xhess
@@ -155,37 +157,10 @@ class FieldFlow(Flow):
         return self.X(P)
 
     def jac(self, s, P):
-        if self.Xjac is not None:
-            DX = self.Xjac(P)
-        else:
-            DX = np.empty((len(P), 3, 3))
-            h = FD_FIELD_JAC
-            for a in range(3):
-                e = np.zeros(3)
-                e[a] = h
-                DX[:, :, a] = (self.X(P + e) - self.X(P - e)) / (2 * h)
-        return np.eye(3)[None] + s * DX
+        return np.eye(3)[None] + s * self.Xjac(P)
 
     def hess(self, s, P):
-        if s == 0.0:
-            return np.zeros((len(P), 3, 3, 3))
-        if self.Xhess is not None:
-            return s * self.Xhess(P)
-        H = np.empty((len(P), 3, 3, 3))
-        h = 2e-4
-        F0 = self.map(s, P)
-        for a in range(3):
-            ea = np.zeros(3)
-            ea[a] = h
-            H[:, :, a, a] = (self.map(s, P + ea) - 2 * F0 + self.map(s, P - ea)) / h**2
-            for b in range(a + 1, 3):
-                eb = np.zeros(3)
-                eb[b] = h
-                v = (self.map(s, P + ea + eb) - self.map(s, P + ea - eb)
-                     - self.map(s, P - ea + eb) + self.map(s, P - ea - eb)) / (4 * h**2)
-                H[:, :, a, b] = v
-                H[:, :, b, a] = v
-        return H
+        return s * self.Xhess(P)
 
 
 @dataclass
@@ -241,9 +216,7 @@ class DeformedFamily:
                 raise ImmersionError(
                     "chart Jacobian is rank deficient at a quadrature point")
         else:
-            # a point-major operand: BLAS sums another layout in another
-            # order
-            J = np.matmul(flow.jac(s, base.pos), np.ascontiguousarray(base.J))
+            J, _ = _chain_rule(flow.jac(s, base.pos), base.J)
             N, w_da, _ = _normal_and_area(
                 base.mesh.immersion.orientation_sign, _along(J, base.D1),
                 _along(J, base.D2))
@@ -263,16 +236,6 @@ class DeformedFamily:
         flow keeps it along each particle path: its velocity and normal both
         turn by Q(s), so <dphi/ds, N_s> = u0 on every slice."""
         return dot(self.flow.velocity(0.0, self.data.pos).T, self.data.N.T)
-
-    def stationary_H_f(self) -> float:
-        """The constant H_f of the base surface.  The second variation
-        formula and the Jacobi operator need the base f-stationary under
-        volume constraint; raises ``PreconditionError`` where it is not."""
-        verdict = stationarity_verdict(self.data, tol_H=1e-5)
-        if not verdict.volume_constrained:
-            raise PreconditionError("second variation formula requires an "
-                                    "f-stationary base surface")
-        return verdict.H_f_mean
 
     def _slice(self, s: float) -> Tuple[float, float]:
         """(A_f, V_f') of the slice at s, evaluated once per s.
@@ -310,19 +273,15 @@ class DeformedFamily:
         """
         if s == 0.0:
             return self.data
-        space, base = self.data.space, self.data.chart
-        # point-major operands: BLAS and einsum sum another layout in
-        # another order
-        P0, J0 = base.pos, np.ascontiguousarray(base.J)
-        DF = self.flow.jac(s, P0)
-        moved = dict(pos=self.flow.map(s, P0), J=np.matmul(DF, J0),
-                     hess=(np.einsum("nij,njab->niab", DF,
-                                     np.ascontiguousarray(base.hess))
-                           + self._second_order("nijk,nja,nkb->niab", s,
-                                                P0, J0)))
+        space, base, flow = self.data.space, self.data.chart, self.flow
+        # an affine flow's Hessian is zero and is not evaluated
+        affine = isinstance(flow, AffineFlow)
+        J, hess = _chain_rule(flow.jac(s, base.pos), base.J, base.hess,
+                              None if affine else flow.hess(s, base.pos))
+        moved = dict(pos=flow.map(s, base.pos), J=J, hess=hess)
         if base.has_boundary:
-            g0, dg0 = base.b_pos, base.b_dg
-            g = self.flow.map(s, g0)
+            g0 = base.b_pos
+            g = flow.map(s, g0)
             bd = space.boundary
             if bd is not None:
                 res = np.max(np.abs(bd.phi(g)))
@@ -331,23 +290,15 @@ class DeformedFamily:
                         f"the flow moves the slice at s = {s} off the "
                         f"ambient boundary (max |phi| = {res:.2e}), so it "
                         f"is not an admissible variation")
-            DFb = self.flow.jac(s, g0)
-            moved.update(
-                b_pos=g, b_dg=lane_dot(DFb, dg0[:, None]),
-                b_ddg=(lane_dot(DFb, base.b_ddg[:, None])
-                       + self._second_order("nijk,nj,nk->ni", s, g0, dg0)),
-                b_J=np.matmul(DFb, np.ascontiguousarray(base.b_J)))
+            DFb = flow.jac(s, g0)
+            # the boundary curve is a chart with k = 1
+            dg, ddg = _chain_rule(DFb, base.b_dg[:, :, None],
+                                  base.b_ddg[:, :, None, None],
+                                  None if affine else flow.hess(s, g0))
+            moved.update(b_pos=g, b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0],
+                         b_J=_chain_rule(DFb, base.b_J)[0])
         return extrinsic_geometry(space, dataclasses.replace(
             base, space=space, **moved))
-
-    def _second_order(self, subscripts: str, s: float, P: Array, U: Array):
-        """D^2phi_s(U, U) at the points P, contracted by the einsum
-        subscripts.  An affine flow's is the +0.0 that the einsum of its
-        zero Hessian sums to, so a -0.0 of the first-order term it is added
-        to still turns into +0.0."""
-        if isinstance(self.flow, AffineFlow):
-            return 0.0
-        return np.einsum(subscripts, self.flow.hess(s, P), U, U)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +377,7 @@ def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
     Requires the base surface to be f-stationary under volume constraint.
     """
     data0 = family.geometry(0.0)
-    Hf0 = family.stationary_H_f()
+    Hf0 = stationary_H_f(data0, "the second variation formula")
     volume = {}
     for side in ((h / 2, h), (-h / 2, -h)):
         volume.update(zip(side, swept_weighted_volume(family, side)))

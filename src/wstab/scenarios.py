@@ -27,7 +27,9 @@ from .stability import (assemble, index_form_value, robin_eigenproblem,
 from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
                       SphericalCap, SurfaceChart, extrinsic_geometry,
                       stationarity_verdict, surface_chart)
-from .theorems import (area_bound_check, boundary_identity_residual,
+from .theorems import (DISK_OR_CYLINDER, INCONSISTENT, NOT_APPLICABLE,
+                       SPHERE_OR_TORUS, area_bound_check,
+                       boundary_identity_residual,
                        foliation_monotonicity_check,
                        gauss_rearrangement_residual, rigidity_flags,
                        stability_topology_chain, topology_verdict)
@@ -58,9 +60,13 @@ EXPECT_TASKS = {"lambda_min": "spectrum", "lambda_tol": "spectrum",
                 "I_f_u_zero": "topology", "rigidity_all_true": "rigidity",
                 "sweep_zero_crossing": "spectrum"}
 
-# expectations read as numbers; the others are read as flags or names
-NUMERIC_EXPECT_KEYS = {"lambda_min", "lambda_tol", "chi",
-                       "sweep_zero_crossing"}
+# expectations that are JSON booleans, each compared for equality with
+# its verdict; lambda_min, lambda_tol and sweep_zero_crossing are numbers,
+# chi an integer and topology a verdict name
+FLAG_EXPECT_KEYS = {"strong", "volume_constrained", "I_f_u_zero",
+                    "rigidity_all_true"}
+TOPOLOGY_VERDICTS = (SPHERE_OR_TORUS, DISK_OR_CYLINDER, INCONSISTENT,
+                     NOT_APPLICABLE)
 
 # scenario trees are a few levels deep; the registry parameter builders
 # recurse into nested lists
@@ -125,6 +131,26 @@ def _check_values(obj: dict) -> None:
         elif isinstance(value, (list, tuple)):
             stack += [(f"{where}[{i}]", v, depth + 1)
                       for i, v in enumerate(value)]
+
+
+def _check_expect(expect: dict) -> None:
+    """Every expectation must be one its task can evaluate."""
+    for key, value in expect.items():
+        if key in FLAG_EXPECT_KEYS:
+            ok, want = isinstance(value, bool), "true or false"
+        elif key == "chi":
+            ok = isinstance(value, int) and not isinstance(value, bool)
+            want = "an integer"
+        elif key == "topology":
+            ok = value in TOPOLOGY_VERDICTS
+            want = f"one of {', '.join(TOPOLOGY_VERDICTS)}"
+        else:
+            number = _number(value, f"expect.{key}")
+            ok, want = key != "lambda_tol" or number > 0.0, "positive"
+        if not ok:
+            raise ConfigError(f"expect.{key} must be {want}, got {value!r}")
+    if "lambda_tol" in expect and "lambda_min" not in expect:
+        raise ConfigError("expect.lambda_tol needs expect.lambda_min")
 
 
 def _registry_params(obj: dict, registry: dict, kind: str):
@@ -236,8 +262,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     expect = obj.get("expect", {})
     expect = _require_mapping(expect, "expect")
     _check_keys(expect, EXPECT_TASKS, "expect")
-    for key in NUMERIC_EXPECT_KEYS & set(expect):
-        _number(expect[key], f"expect.{key}")
+    _check_expect(expect)
     for key in expect:
         task, in_sweep = EXPECT_TASKS[key], key == "sweep_zero_crossing"
         if task not in tasks or (sweep is not None) != in_sweep:
@@ -450,6 +475,7 @@ def _run_sweep(scn: Scenario) -> RunResult:
 def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     """Run the scenario's tasks on the chart of its surface."""
     data = extrinsic_geometry(build_space(scn), chart)
+    stationary = stationarity_verdict(data)
     family = (DeformedFamily(data, build_flow(scn))
               if scn.variation is not None else None)
     mesh = chart.mesh
@@ -464,7 +490,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
             "chi": int(mesh.chi),
             "boundary_loops": int(mesh.n_loops),
             "A_f": _f(np.sum(data.w_daf)),
-            "H_f_mean": _f(np.sum(data.H_f * data.w_daf) / np.sum(data.w_daf)),
+            "H_f_mean": _f(stationary.H_f_mean),
         },
     }
     checks: List[Check] = []
@@ -481,17 +507,17 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     results: Dict[str, Any] = {}
 
     def t_stationarity():
-        v = stationarity_verdict(data)
         results["stationarity"] = {
-            "strong": bool(v.strong),
-            "volume_constrained": bool(v.volume_constrained),
-            "H_f_mean": _f(v.H_f_mean),
-            "H_f_spread": _f(v.H_f_spread),
-            "max_contact": _f(v.max_contact),
+            "strong": bool(stationary.strong),
+            "volume_constrained": bool(stationary.volume_constrained),
+            "H_f_mean": _f(stationary.H_f_mean),
+            "H_f_spread": _f(stationary.H_f_spread),
+            "max_contact": _f(stationary.max_contact),
         }
-        checks.append(Check("stationarity", bool(v.volume_constrained),
-                            f"H_f spread {v.H_f_spread:.2e}, "
-                            f"contact {v.max_contact:.2e}"))
+        checks.append(Check("stationarity",
+                            bool(stationary.volume_constrained),
+                            f"H_f spread {stationary.H_f_spread:.2e}, "
+                            f"contact {stationary.max_contact:.2e}"))
 
     def t_first_variation():
         fd = first_variation_fd(family)
@@ -538,10 +564,10 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
             detail += (f", lambda_min = {spec.lambda_min:.6f} "
                        f"(expected {exp['lambda_min']})")
         if "strong" in exp:
-            ok = ok and strong == bool(exp["strong"])
+            ok = ok and strong == exp["strong"]
             detail += f", strong = {strong}"
         if "volume_constrained" in exp:
-            ok = ok and constrained == bool(exp["volume_constrained"])
+            ok = ok and constrained == exp["volume_constrained"]
             detail += f", volume_constrained = {constrained}"
         checks.append(Check("spectrum", bool(ok), detail))
 
@@ -580,9 +606,10 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         if "topology" in exp:
             ok = ok and verdict == exp["topology"]
         if "chi" in exp:
-            ok = ok and chain.chi == int(exp["chi"])
-        if exp.get("I_f_u_zero"):
-            ok = ok and abs(chain.I_f_u) <= 1e-6 * max(1.0, abs(chain.bound2))
+            ok = ok and chain.chi == exp["chi"]
+        if "I_f_u_zero" in exp:
+            zero = abs(chain.I_f_u) <= 1e-6 * max(1.0, abs(chain.bound2))
+            ok = ok and zero == exp["I_f_u_zero"]
             detail += f", I_f_u = {chain.I_f_u:.2e}"
         checks.append(Check("topology", bool(ok), detail))
 
@@ -615,8 +642,8 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
             "all_true": flags.all_true,
         }
         ok = True
-        if scn.expect.get("rigidity_all_true"):
-            ok = flags.all_true
+        if "rigidity_all_true" in scn.expect:
+            ok = flags.all_true == scn.expect["rigidity_all_true"]
         checks.append(Check("rigidity", bool(ok), f"all_true = {flags.all_true}"))
 
     def t_foliation():

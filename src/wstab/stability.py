@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from .ambient import ordered_sum
 from .errors import InputError, NumericalFailure
 from .functionals import DeformedFamily
-from .surface import EDGE_POINTS, TRI_HATS, ExtrinsicData
+from .surface import EDGE_POINTS, TRI_HATS, ExtrinsicData, stationary_H_f
 
 Array = np.ndarray
 
@@ -310,7 +310,7 @@ class JacobiCheckReport:
 def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
                     tol: float = 1e-3) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
-    family.stationary_H_f()
+    stationary_H_f(family.data, "the Jacobi operator")
     Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
     # interpolate L_f(u) to quadrature points
     tris = family.data.mesh.triangles

@@ -18,7 +18,8 @@ from .ambient import (AmbientSpace, DensityJet, boundary_f_mean_curvature,
                       boundary_ii_matrix, boundary_inner_normal, dot, norm,
                       ordered_sum, point_columns, quadratic_form,
                       squared_norm, unit_vector3, vector3)
-from .errors import ImmersionError, InputError, MeshingError
+from .errors import (ImmersionError, InputError, MeshingError,
+                     PreconditionError)
 
 Array = np.ndarray
 
@@ -148,11 +149,13 @@ def _rotation_to(axis) -> Array:
     a = unit_vector3(axis, "cap axis")
     e3 = np.array([0.0, 0.0, 1.0])
     v = np.cross(e3, a)
-    c = float(e3 @ a)
+    c = float(a[2])
     if np.linalg.norm(v) < 1e-14:
         return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
     vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx / (1.0 + c)
+    # vx @ vx = v v^T - |v|^2 I
+    vx2 = np.outer(v, v) - dot(v, v) * np.eye(3)
+    return np.eye(3) + vx + vx2 / (1.0 + c)
 
 
 class SphericalCap(Immersion):
@@ -183,8 +186,9 @@ class SphericalCap(Immersion):
 
     def chart(self, Q):
         e, D, *_ = self._unit(Q)
-        s = np.stack(e, axis=-1) / D[:, None]
-        return self.center + self.radius * s @ self.rot.T
+        s = [self.radius * (ej / D) for ej in e]
+        return np.stack([c + dot(row, s)
+                         for c, row in zip(self.center, self.rot)]).T
 
     @staticmethod
     def _first(u, v):
@@ -198,11 +202,9 @@ class SphericalCap(Immersion):
         D2 = D**2
         for a, (e_a, D_a) in enumerate(self._first(u, v)):
             k = D_a / D2
-            s0, s1, s2 = ((e_a[j] / D - e[j] * k) * self.radius
-                          for j in range(3))
+            s = [(e_a[j] / D - e[j] * k) * self.radius for j in range(3)]
             for i in range(3):
-                J[:, i, a] = ordered_sum((rot[i, 0] * s0, rot[i, 1] * s1,
-                                          rot[i, 2] * s2))
+                J[:, i, a] = dot(rot[i], s)
         return J
 
     def chart_hess(self, Q):
@@ -218,10 +220,8 @@ class SphericalCap(Immersion):
                 s = [e_ab[j] / D - e_a[a][j] * D_a[b] / D2
                      - e_a[b][j] * D_a[a] / D2 - e[j] * D_ab / D2
                      + 2.0 * e[j] * D_a[a] * D_a[b] / D3 for j in range(3)]
-                # each rotation row in einsum's vector-lane order
                 for i in range(3):
-                    H[:, i, a, b] = self.radius * ordered_sum(
-                        rot[i, j] * s[j] for j in (0, 2, 1))
+                    H[:, i, a, b] = self.radius * dot(rot[i], s)
         return H
 
 
@@ -701,16 +701,17 @@ def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
     q, dq, ddq, inward = _on_arcs(imm, mesh.boundary_edges[:, 2],
                                   t).reshape(4, -1, imm.param_dim)
     Jb = imm.chart_jac(q)
-    ddg = _second_along(imm.chart_hess(q), Jb, dq, dq, ddq)
+    dg, ddg = _chain_rule(Jb, dq[:, :, None], ddq[:, :, None, None],
+                          imm.chart_hess(q))
     return dict(b_params=q, b_inward=inward, b_pos=imm.chart(q),
-                b_dg=np.stack(_along(Jb, dq), axis=1),
-                b_ddg=np.stack(ddg, axis=1), b_J=Jb)
+                b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0], b_J=Jb)
 
 
 # The geometry kernels work on the (N,) columns of each quantity's ambient
-# components, and each sum adds its terms in the order the einsum form it
-# replaced did, so every output keeps its bits.  The chart stores its
-# per-point arrays component-major, so those columns are contiguous.
+# components, and each sum adds its terms in index order onto +0.0, with no
+# BLAS product, so the per-point geometry does not depend on the BLAS
+# kernel set.  The chart stores its per-point arrays component-major, so
+# those columns are contiguous.
 
 def _along(J: Array, D: Array) -> list:
     """The columns of J D, the chart derivative along the parameter
@@ -719,15 +720,34 @@ def _along(J: Array, D: Array) -> list:
             for i in range(3)]
 
 
-def _second_along(Hc: Array, J: Array, D: Array, E: Array, Q: Array) -> list:
+def _second_along(Hc: Optional[Array], J: Array, D: Array, E: Array,
+                  Q: Array) -> list:
     """The columns of Hc(D, E) + J Q, the chart Hessian Hc (N, 3, pd, pd)
     on the parameter directions D and E (summed with b inner) plus the
     Jacobian on their derivative Q: the second derivative of the chart
-    along a curve or blend of the parameters."""
+    along a curve or blend of the parameters.  A Hessian of None is zero
+    and is not contracted: its sum is the +0.0 that zeros sum to."""
     pd = D.shape[1]
-    return [ordered_sum(Hc[:, i, a, b] * D[:, a] * E[:, b]
-                        for a in range(pd) for b in range(pd)) + JQ
+    return [(0.0 if Hc is None else
+             ordered_sum(Hc[:, i, a, b] * D[:, a] * E[:, b]
+                         for a in range(pd) for b in range(pd))) + JQ
             for i, JQ in enumerate(_along(J, Q))]
+
+
+def _chain_rule(DF: Array, J: Array, H: Optional[Array] = None,
+                D2F: Optional[Array] = None) -> tuple:
+    """DF J and DF H + D2F(J, J), component-major: the derivatives J
+    (N, m, k) and H (N, m, k, k) of a map of k parameters composed with a
+    map of Jacobian DF (N, 3, m) and Hessian D2F (N, 3, m, m), or None for
+    a map whose Hessian is zero.  The second is None without H."""
+    k = J.shape[2]
+    moved_J = np.array([_along(DF, J[:, :, a]) for a in range(k)]).T
+    if H is None:
+        return moved_J, None
+    # the columns nested [b][a][i], so that .T puts them at [:, i, a, b]
+    return moved_J, np.array([[
+        _second_along(D2F, DF, J[:, :, a], J[:, :, b], H[:, :, a, b])
+        for a in range(k)] for b in range(k)]).T
 
 
 def _cross(x, y) -> tuple:
@@ -795,17 +815,15 @@ def vertex_normals(mesh: SurfaceMesh) -> Array:
     imm = mesh.immersion
     if imm.param_dim == 2:
         return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
-    # per-corner triangle frames, last writer wins (orientations agree);
-    # each Jacobian row is summed in einsum's vector-lane order
+    # per-corner triangle frames, last writer wins (orientations agree)
     Nv = np.zeros((mesh.n_vertices, 3))
     tp = mesh.tri_params
-    d1, d2 = ((tp[:, c] - tp[:, 0]).T for c in (1, 2))
+    edges = (tp[:, 1:] - tp[:, :1]).transpose(0, 2, 1)
     for c in range(3):
-        Jc = imm.chart_jac(tp[:, c])
-        e1, e2 = ([ordered_sum(Jc[:, i, a] * d[a] for a in (0, 2, 1))
-                   for i in range(3)] for d in (d1, d2))
-        Nv[mesh.triangles[:, c]] = np.stack(_cross(e1, e2), axis=1)
-    return imm.orientation_sign * Nv / norm(Nv)[:, None]
+        frame, _ = _chain_rule(imm.chart_jac(tp[:, c]), edges)
+        Nv[mesh.triangles[:, c]] = _normal_from_jac(imm.orientation_sign,
+                                                    frame)
+    return Nv
 
 
 @dataclass(frozen=True, eq=False)
@@ -990,6 +1008,22 @@ def stationarity_verdict(data: ExtrinsicData,
     vc = spread <= tol_H and contact <= 1e-6
     strong = vc and abs(mean) <= tol_H
     return StationarityVerdict(strong, vc, mean, spread, contact)
+
+
+# the H_f spread within which the second variation, the Jacobi operator,
+# the stability-topology chain and the foliation identity take a surface
+# as f-stationary
+STATIONARY_TOL_H = 1e-5
+
+
+def stationary_H_f(data: ExtrinsicData, what: str) -> float:
+    """The constant H_f of a surface f-stationary under volume constraint
+    within STATIONARY_TOL_H; raises ``PreconditionError``, saying that
+    ``what`` needs it, where the surface is not."""
+    verdict = stationarity_verdict(data, tol_H=STATIONARY_TOL_H)
+    if not verdict.volume_constrained:
+        raise PreconditionError(f"{what} requires an f-stationary surface")
+    return verdict.H_f_mean
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import dot, lane_dot, norm, squared_norm
+from .ambient import dot, norm, squared_norm
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
-from .surface import ExtrinsicData, stationarity_verdict
+from .surface import ExtrinsicData, stationary_H_f
 
 Array = np.ndarray
 
@@ -81,7 +81,7 @@ def boundary_identity_residual(data: ExtrinsicData) -> float:
     if not data.has_boundary:
         raise InputError("surface has no boundary")
     gpsi = data.space.density.grad_psi(data.b_pos)
-    two_H = data.Hf_boundary + lane_dot(gpsi, data.b_xi)
+    two_H = data.Hf_boundary + dot(gpsi.T, data.b_xi.T)
     return float(np.max(np.abs(data.II_NN - (two_H - data.h_geod))))
 
 
@@ -110,9 +110,7 @@ class ChainReport:
 
 def stability_topology_chain(data: ExtrinsicData,
                              tol: float = 1e-6) -> ChainReport:
-    verdict = stationarity_verdict(data, tol_H=1e-5)
-    if not verdict.volume_constrained:
-        raise PreconditionError("chain evaluation requires an f-stationary surface")
+    stationary_H_f(data, "the stability-topology chain")
     grad2 = squared_norm(data.grad_s_psi)
     # u^2 da_f = da, so every integral below is unweighted
     I_f_u = float(np.sum((0.25 * grad2 - data.ricf_NN - data.sigma2) * data.w_da))
@@ -216,9 +214,7 @@ def foliation_monotonicity_check(family: DeformedFamily,
     ii_min = np.inf
     for i, s in enumerate(s_values):
         d = family.geometry(s)
-        verdict = stationarity_verdict(d, tol_H=1e-5)
-        if not verdict.volume_constrained:
-            raise PreconditionError(f"slice at s = {s} is not f-stationary")
+        stationary_H_f(d, f"the foliation identity at s = {s}")
         u = dot(family.flow.velocity(s, pos0).T, d.N.T)
         if np.min(u) <= 0:
             raise PreconditionError("foliation speed u must be positive")

@@ -76,14 +76,6 @@ def same_float_kernels() -> bool:
     return same_trig() and _float_kernel_digest() == FLOAT_KERNEL_DIGEST
 
 
-def einsum_pairs_lanes() -> bool:
-    """Whether np.einsum sums a contiguous 3-long contraction as
-    (x0 + x2) + x1, as the vector units that recorded the pinned digests
-    do (2- and 8-lane units; a 4-lane unit gives (x0 + x1) + x2)."""
-    x = np.array([1.0, 1e-16, -1.0])
-    return float(np.einsum("j,j->", x, np.ones(3))) == 1e-16
-
-
 EPS = np.finfo(float).eps
 
 

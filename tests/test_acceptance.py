@@ -110,13 +110,18 @@ def bump_field(direction):
         P = np.atleast_2d(P)
         return -2.0 * np.einsum("i,na->nia", d, P - DISK_CENTER)
 
-    return X, Xjac
+    def Xhess(P):
+        """D^2 X = -2 d (x) I."""
+        return np.broadcast_to(-2.0 * np.einsum("i,ab->iab", d, np.eye(3)),
+                               (len(np.atleast_2d(P)), 3, 3, 3))
+
+    return X, Xjac, Xhess
 
 
 def bump_plus_rotation():
     """Mixed normal/tangential field, still tangent to the ball boundary."""
     e3 = np.array([0.0, 0.0, 1.0])
-    Xb, Jb = bump_field((0, 0, 1))
+    Xb, Jb, Hb = bump_field((0, 0, 1))
     ax = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def X(P):
@@ -126,7 +131,8 @@ def bump_plus_rotation():
     def Xjac(P):
         return Jb(P) + ax[None]
 
-    return X, Xjac
+    # the rotation part is linear
+    return X, Xjac, Hb
 
 
 # surfaces x densities used by criteria 2 and 6; the slice lives in a

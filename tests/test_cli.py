@@ -232,6 +232,12 @@ class TestMalformedParameterValues:
         {"surface": {"builtin": "spherical-cap", "radius": 0.0}},
         {"surface": {"builtin": "planar-disk", "radius": 0.0}},
         {"surface": {"builtin": "round-sphere", "radius": 0.0}},
+        {"expect": {"strong": "false"}},
+        {"tasks": ["stationarity", "topology"], "expect": {"chi": 0.7}},
+        {"tasks": ["stationarity", "topology"],
+         "expect": {"topology": "Disk"}},
+        {"expect": {"lambda_tol": 1e-12}},
+        {"expect": {"lambda_min": 0.5, "lambda_tol": 0.0}},
     ], ids=["boundary-axis", "density-name", "expect-number", "tolerance",
             "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect",
             "nan-offset", "nan-cone-alpha", "huge-int-k", "nan-tolerance",
@@ -239,7 +245,9 @@ class TestMalformedParameterValues:
             "nan-flow-direction", "inf-circumference", "deep-nesting",
             "orientation-zero", "zero-density", "negative-density",
             "zero-cap-axis", "zero-rotation-axis", "zero-cone-axis",
-            "zero-cap-radius", "zero-disk-radius", "zero-sphere-radius"])
+            "zero-cap-radius", "zero-disk-radius", "zero-sphere-radius",
+            "string-expect-flag", "fractional-chi", "unknown-topology",
+            "lambda-tol-without-lambda-min", "zero-lambda-tol"])
     def test_malformed_scenario_value_exits_4(self, tmp_path, capsys,
                                               changes):
         tree = dict(SMALL_SCENARIO, **changes)
@@ -566,6 +574,19 @@ class TestExpectations:
         assert "Traceback" not in captured.out + captured.err
         assert runs == []
 
+    @pytest.mark.parametrize("key,task", [
+        ("rigidity_all_true", "rigidity"), ("I_f_u_zero", "topology")])
+    @pytest.mark.parametrize("value,code", [(True, 0), (False, 2)])
+    def test_a_flag_expectation_is_an_equality(self, tmp_path, key, task,
+                                               value, code):
+        """The flat slab slice is rigid with I_f(u, u) = 0, so expecting
+        either flag false fails the run."""
+        tree = scenarios.scenario_to_tree(
+            scenarios.builtin_scenario("flat-slab-slice"))
+        tree.update(resolution=8, tasks=[task], expect={key: value})
+        tree.pop("variation")
+        assert run_report(tmp_path, tree)[0] == code
+
     def test_readme_schema_example_checks_its_expectation(self, tmp_path,
                                                           capsys):
         readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -778,7 +799,9 @@ OUTPUT_DIGESTS = {
 # recorded after scaled and rotated slices took their normal and area
 # element from the cofactor matrix; the scaling report and the rotation and
 # cone samples after a similarity slice took lambda^2 w da and the base
-# normal speed; the rest before the mesher numbered its edges once.
+# normal speed; the rotation outputs after every per-point sum and the
+# rotation matrices were summed in index order with no BLAS product; the
+# rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
         "report.json": "984960f7520f7ebd0f81660c3d0e3878fc1f8ecb21258d0c043483d5b60229a0",
@@ -801,9 +824,9 @@ SCENARIO_DIGESTS = {
         "samples.csv": "6594150145017accdfd011782c5dfb3aaca216b4b2e659c7bf0428df9f652a03",
     },
     "rotation": {
-        "report.json": "6fb40be446531bcf804563da5f7f8ebbc5c98192470dc443c98cb6bc65b96ecc",
-        "spectrum.csv": "7ef541c4b7294e430468677b99738ee724a99e5009df766050b47064ce00c698",
-        "samples.csv": "f55b853f959d7b823e5abd7890c19d2bfcfe3a29427fd1c6b14193b69be18953",
+        "report.json": "4ab0dff6e83bbea9ba0e5d24f835d63df292ab6b6b403aa1a2b89a617443c7ff",
+        "spectrum.csv": "6c8441ac3b140302facdf077d4986cd43574900aad473fc9fa9ed7daca7b78b7",
+        "samples.csv": "176552f0c9bab8bf8988589ab123b1b405705c4c27676754e5e865844c959726",
     },
 }
 

@@ -2,7 +2,11 @@
 import dataclasses
 import functools
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ import scipy.sparse as sp
 import conftest as cf
 from wstab.ambient import (AmbientSpace, Density, DensityJet,
                            boundary_ii_matrix, boundary_inner_normal,
-                           lane_dot, make_space)
+                           make_space)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import (build_immersion, build_space, builtin_names,
@@ -613,8 +617,9 @@ class TestMeshPins:
 
 
 # ---------------------------------------------------------------------------
-# the geometry kernels against the einsum forms they replaced: every
-# output keeps its bits, signed zeros included
+# the geometry kernels against the einsum forms they replaced, and against
+# np.sum in index order where a sum is 3 long: every output keeps its bits,
+# signed zeros included
 # ---------------------------------------------------------------------------
 
 def einsum_frame(sign, D1, D2, J):
@@ -649,7 +654,8 @@ def einsum_curvatures(chart, Nv, Ginv):
             S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0])
 
 
-def einsum_cap_derivatives(imm, Q):
+def numpy_cap_derivatives(imm, Q):
+    """The cap's chart derivatives, each rotation row an np.sum."""
     u, v = Q[:, 0], Q[:, 1]
     w = u * u + v * v
     D = 1.0 + w
@@ -659,8 +665,8 @@ def einsum_cap_derivatives(imm, Q):
     e_v = np.stack([np.zeros(n), np.full(n, 2.0), -2 * v], axis=-1)
     s_u = e_u / D[:, None] - e * (2 * u / D**2)[:, None]
     s_v = e_v / D[:, None] - e * (2 * v / D**2)[:, None]
-    J = np.einsum("ij,nja->nia", imm.rot,
-                  np.stack([s_u, s_v], axis=-1) * imm.radius)
+    s_a = np.stack([s_u, s_v], axis=-1) * imm.radius
+    J = np.sum(imm.rot[None, :, :, None] * s_a[:, None], axis=2)
     z, two = np.zeros(n), np.full(n, 2.0)
     e_a = np.stack([np.stack([two, z, -2 * u], -1),
                     np.stack([z, two, -2 * v], -1)], axis=1)
@@ -677,7 +683,8 @@ def einsum_cap_derivatives(imm, Q):
             - e_a[:, None, :, :] * Da / Dm**2
             - e[:, None, None, :] * D_ab[..., None] / Dm**2
             + 2.0 * e[:, None, None, :] * Da * Db / Dm**3)
-    return J, imm.radius * np.einsum("ij,nabj->niab", imm.rot, s_ab)
+    return J, imm.radius * np.sum(imm.rot[None, :, None, None, :]
+                                  * s_ab[:, None], axis=-1)
 
 
 def einsum_sphere_derivatives(imm, Q):
@@ -820,11 +827,7 @@ class TestKernelBitIdentity:
         _, data = kernel_case(name)
         imm = data.mesh.immersion
         if isinstance(imm, SphericalCap):
-            ref = einsum_cap_derivatives
-            if (not cf.einsum_pairs_lanes()
-                    and np.count_nonzero(imm.rot) > 3):
-                pytest.skip("this platform's einsum sums a rotation row in "
-                            "another order")
+            ref = numpy_cap_derivatives
         elif isinstance(imm, RoundSphere):
             ref = einsum_sphere_derivatives
         else:
@@ -892,13 +895,13 @@ class TestKernelBitIdentity:
                                w_da * np.exp(space.density.psi(pos)))
 
 
-def einsum_vertex_normals(mesh):
+def numpy_vertex_normals(mesh):
     imm, tp = mesh.immersion, mesh.tri_params
     Nv = np.zeros((mesh.n_vertices, 3))
     for c in range(3):
         Jc = imm.chart_jac(tp[:, c])
-        e1 = np.einsum("nia,na->ni", Jc, tp[:, 1] - tp[:, 0])
-        e2 = np.einsum("nia,na->ni", Jc, tp[:, 2] - tp[:, 0])
+        e1 = np.sum(Jc * (tp[:, 1] - tp[:, 0])[:, None], axis=-1)
+        e2 = np.sum(Jc * (tp[:, 2] - tp[:, 0])[:, None], axis=-1)
         Nv[mesh.triangles[:, c]] = np.cross(e1, e2)
     return imm.orientation_sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
 
@@ -916,20 +919,10 @@ def einsum_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.skipif(not cf.einsum_pairs_lanes(),
-                    reason="this platform's einsum sums 3 terms in another "
-                           "order")
 class TestLaneOrderKernels:
-    """The 3-long contractions einsum summed in its vector-lane order,
-    (x0 + x2) + x1, against those einsum forms."""
-
-    def test_lane_kernels_on_random_data(self):
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((1000, 3, 3))
-        x, y = rng.standard_normal((2, 1000, 3))
-        cf.assert_same_bits(lane_dot(A, x[:, None]),
-                         np.einsum("nij,nj->ni", A, x))
-        cf.assert_same_bits(lane_dot(x, y), np.einsum("ni,ni->n", x, y))
+    """The 3-long contractions whose np.einsum form sums in a vector-lane
+    order that depends on the platform: each is summed in index order, bit
+    for bit np.sum over the 3-long axis, and calls no np.einsum."""
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_boundary_identity_residual(self, name, einsum_calls):
@@ -937,7 +930,7 @@ class TestLaneOrderKernels:
         if not data.has_boundary or space.boundary is None:
             pytest.skip("no boundary on the ambient boundary")
         gpsi = space.density.grad_psi(data.b_pos)
-        two_H = data.Hf_boundary + np.einsum("ni,ni->n", gpsi, data.b_xi)
+        two_H = data.Hf_boundary + np.sum(gpsi * data.b_xi, axis=-1)
         want = float(np.max(np.abs(data.II_NN - (two_H - data.h_geod))))
         einsum_calls.clear()
         assert boundary_identity_residual(data) == want
@@ -954,21 +947,71 @@ class TestLaneOrderKernels:
         flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
         s, g0, dg0 = 0.1, data.b_pos, data.b_dg
         DFb = flow.jac(s, g0)
-        want_dg = np.einsum("nij,nj->ni", DFb, dg0)
-        want_ddg = (np.einsum("nij,nj->ni", DFb, data.b_ddg)
-                    + np.einsum("nijk,nj,nk->ni", flow.hess(s, g0), dg0, dg0))
+        want_dg = np.sum(DFb * dg0[:, None], axis=-1)
+        want_ddg = np.sum(DFb * data.b_ddg[:, None], axis=-1)
         einsum_calls.clear()
         moved = DeformedFamily(data, flow).geometry(s)
         cf.assert_same_bits(moved.b_dg, want_dg)
         cf.assert_same_bits(moved.b_ddg, want_ddg)
-        assert "nij,nj->ni" not in einsum_calls
+        assert einsum_calls == []
 
     @pytest.mark.parametrize("name", [n for n in KERNEL_CASES
                                       if "sphere" in n or "Mr" in n])
     def test_vertex_normals_of_a_3_parameter_chart(self, name, einsum_calls):
         _, data = kernel_case(name)
         assert data.mesh.immersion.param_dim == 3
-        want = einsum_vertex_normals(data.mesh)
+        want = numpy_vertex_normals(data.mesh)
         einsum_calls.clear()
         cf.assert_same_bits(vertex_normals(data.mesh), want)
         assert einsum_calls == []
+
+
+def per_point_digests() -> dict:
+    """SHA-256 of the per-point geometry of the rotation scenario's cap,
+    whose rotation matrix has 9 nonzero entries, in its cone: the cap's
+    rotation, the mesh, every array of the chart and of the density terms,
+    and the full geometry and the area elements of the slice s = 0.1 of
+    the rotation about the cone's axis."""
+    space = make_space(density=("radial-smooth", {"coeffs": (0.0, 0.0, 0.5)}),
+                       boundary=("cone", {"alpha": 0.7, "axis": (1, 2, 3)}))
+    imm = SphericalCap(alpha=0.7, axis=(1, 2, 3))
+    data = extrinsic_geometry(space, surface_chart(imm, 16, space))
+    family = DeformedFamily(data, RotationFlow((1, 2, 3)))
+
+    def digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    def fields(obj):
+        return [getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if isinstance(getattr(obj, f.name), np.ndarray)]
+
+    mesh, moved = data.mesh, family.geometry(0.1)
+    return {"rot": digest([imm.rot]),
+            "mesh": digest([mesh.params, mesh.positions]),
+            "chart": digest(fields(data.chart)),
+            "density terms": digest(fields(data)),
+            "slice geometry": digest(fields(moved.chart) + fields(moved)),
+            "slice area elements": digest(family.area_elements(0.1))}
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_per_point_geometry_does_not_depend_on_the_blas_kernels(coretype):
+    """The per-point geometry sums every 3-long product in index order
+    with no BLAS call, so it is bit for bit the same under another
+    OpenBLAS kernel set, chosen for a fresh interpreter by
+    OPENBLAS_CORETYPE.  On a numpy without OpenBLAS the variable does
+    nothing and this passes trivially."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["wstab"].__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, tests]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, test_surface; "
+         "print(json.dumps(test_surface.per_point_digests()))"],
+        env=env, check=True, capture_output=True, text=True, timeout=300)
+    assert json.loads(out.stdout) == per_point_digests()
