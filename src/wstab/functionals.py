@@ -24,6 +24,9 @@ Array = np.ndarray
 
 # largest |<dphi/ds, xi>| on the base boundary of an admissible variation
 TANGENCY_TOL = 1e-8
+# the larger of the two steps of each Richardson-extrapolated FD variation
+FIRST_VARIATION_STEP = 1e-3
+SECOND_VARIATION_STEP = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -34,14 +37,15 @@ class Flow:
     """One-parameter family of ambient maps phi_s: on a batch P (N, 3) of
     base points, ``map`` (N, 3), ``velocity`` (N, 3: d/ds phi_s at the
     particle started from each base point), the spatial Jacobian ``jac``
-    (N, 3, 3) and its derivative ``hess`` (N, 3, 3, 3)."""
+    (N, 3, 3) and, unless the flow is affine, its derivative ``hess``
+    (N, 3, 3, 3)."""
 
 
 class AffineFlow(Flow):
     """A flow of similarities: its Jacobian Dphi_s is one 3x3 matrix at
     every point, ``linear(s) = scale(s) rotation(s)`` with a rotation Q(s),
     and its velocity turns with it, velocity(s, P) = Q(s) velocity(0, P).
-    Its Hessian is zero."""
+    Its Hessian is zero, so it has no ``hess``."""
 
     def scale(self, s: float) -> float:
         return 1.0
@@ -54,9 +58,6 @@ class AffineFlow(Flow):
 
     def jac(self, s, P):
         return np.broadcast_to(self.linear(s), (len(P), 3, 3)).copy()
-
-    def hess(self, s, P):
-        return np.zeros((len(P), 3, 3, 3))
 
 
 class TranslationFlow(AffineFlow):
@@ -354,12 +355,13 @@ class FDReport:
     error_estimate: float
 
 
-def first_variation_fd(family: DeformedFamily, h: float = 1e-3) -> FDReport:
+def first_variation_fd(family: DeformedFamily) -> FDReport:
     """Richardson-extrapolated centered difference of A_f at s = 0."""
     def diff(step):
         return (family.weighted_area(step)
                 - family.weighted_area(-step)) / (2 * step)
 
+    h = FIRST_VARIATION_STEP
     d1 = diff(h)
     d2 = diff(h / 2)
     value = (4 * d2 - d1) / 3
@@ -371,11 +373,12 @@ def first_variation_fd(family: DeformedFamily, h: float = 1e-3) -> FDReport:
     return FDReport(value, err)
 
 
-def second_variation_fd(family: DeformedFamily, h: float = 1e-2) -> FDReport:
+def second_variation_fd(family: DeformedFamily) -> FDReport:
     """(A_f + H_f V_f)''(0) by a 5-point stencil with Richardson.
 
     Requires the base surface to be f-stationary under volume constraint.
     """
+    h = SECOND_VARIATION_STEP
     data0 = family.geometry(0.0)
     Hf0 = stationary_H_f(data0, "the second variation formula")
     volume = {}

@@ -8,9 +8,10 @@ rejected.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -48,9 +49,6 @@ FLOW_REGISTRY = {
     "scaling": ScalingFlow,
     "rotation": RotationFlow,
 }
-
-TASKS = ("stationarity", "first-variation", "second-variation", "spectrum",
-         "identities", "topology", "area-bounds", "rigidity", "foliation")
 
 # each expectation and the task that evaluates it; a sweep evaluates only
 # sweep_zero_crossing (its runs drop the others), and only a sweep does
@@ -278,6 +276,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     if sweep is not None and "spectrum" not in tasks:
         raise ConfigError("a sweep tabulates lambda_min, so it needs the "
                           "task 'spectrum'")
+    S0 = None if obj.get("S0") is None else _number(obj["S0"], "S0")
+    if S0 == 0.0:
+        raise ConfigError("S0 = 0 makes both area bounds degenerate")
 
     return Scenario(
         name=str(obj.get("name", default_name)),
@@ -287,7 +288,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         tasks=list(tasks),
         variation=dict(variation) if variation is not None else None,
         tolerances={k: _number(v, f"tolerances.{k}") for k, v in tols.items()},
-        S0=None if obj.get("S0") is None else _number(obj["S0"], "S0"),
+        S0=S0,
         sweep=dict(sweep) if sweep is not None else None,
         expect=dict(expect),
         description=str(obj.get("description", "")),
@@ -370,10 +371,6 @@ class RunResult:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _f(x) -> float:
-    return float(x)
 
 
 def build_chart(scn: Scenario) -> SurfaceChart:
@@ -472,215 +469,183 @@ def _run_sweep(scn: Scenario) -> RunResult:
     return RunResult(scn, report, checks, header, rows, [], None)
 
 
+class _Run:
+    """One run's density terms, stationarity verdict and variation family;
+    its assembly, spectrum and strong verdict are built on first read."""
+
+    def __init__(self, scn: Scenario, chart: SurfaceChart):
+        self.scn = scn
+        self.data = extrinsic_geometry(build_space(scn), chart)
+        self.stationary = stationarity_verdict(self.data)
+        # an inadmissible flow exits 4 before any task
+        self.family = (DeformedFamily(self.data, build_flow(scn))
+                       if scn.variation is not None else None)
+
+    @functools.cached_property
+    def asm(self):
+        return assemble(self.data)
+
+    @functools.cached_property
+    def spec(self):
+        return robin_eigenproblem(self.asm)
+
+    @functools.cached_property
+    def strong(self) -> bool:
+        return strong_stability_verdict(self.spec, self.scn.tol("verdict"))
+
+
+# a task maps a run to its report block, whether it passed, and the detail
+# of its check
+
+def _hypothesis(hyp) -> dict:
+    return {"sampled_min": hyp.sampled_min, "holds": hyp.holds}
+
+
+def _stationarity(run):
+    st = run.stationary
+    return (asdict(st), st.volume_constrained,
+            f"H_f spread {st.H_f_spread:.2e}, contact {st.max_contact:.2e}")
+
+
+def _first_variation(run):
+    fd = first_variation_fd(run.family).value
+    formula = first_variation_formula(run.family)
+    diff = abs(fd - formula)
+    tol = max(1e-6, run.scn.tol("variation") * abs(formula))
+    return ({"fd": fd, "formula": formula, "difference": diff}, diff <= tol,
+            f"|fd - formula| = {diff:.2e}")
+
+
+def _second_variation(run):
+    fd = second_variation_fd(run.family).value
+    u = run.family.vertex_normal_speed()
+    ifv = index_form_value(run.asm, u, u)
+    diff = abs(fd - ifv)
+    tol = run.scn.tol("variation") * max(1.0, abs(ifv))
+    return ({"fd": fd, "index_form": ifv, "difference": diff}, diff <= tol,
+            f"|fd - I_f(u,u)| = {diff:.2e}")
+
+
+def _spectrum(run):
+    spec, strong, exp = run.spec, run.strong, run.scn.expect
+    constrained = volume_constrained_verdict(spec, run.scn.tol("verdict"))
+    residual = float(np.max(spec.solver_residuals))
+    block = {"dof": run.asm.dof, "eigenvalues": spec.eigenvalues.tolist(),
+             "lambda_min": spec.lambda_min, "verdict_strong": strong,
+             "verdict_volume_constrained": constrained,
+             "residual_max": residual}
+    ok = residual <= 1e-8
+    detail = f"residual_max = {residual:.2e}"
+    if "lambda_min" in exp:
+        lt = float(exp.get("lambda_tol", 1e-3))
+        ok = ok and abs(spec.lambda_min - float(exp["lambda_min"])) <= lt
+        detail += (f", lambda_min = {spec.lambda_min:.6f} "
+                   f"(expected {exp['lambda_min']})")
+    if "strong" in exp:
+        ok = ok and strong == exp["strong"]
+        detail += f", strong = {strong}"
+    if "volume_constrained" in exp:
+        ok = ok and constrained == exp["volume_constrained"]
+        detail += f", volume_constrained = {constrained}"
+    return block, ok, detail
+
+
+def _identities(run):
+    data, tol = run.data, run.scn.tol
+    resid = gauss_rearrangement_residual(data)
+    block = {"gauss_rearrangement_residual": resid}
+    ok = resid <= tol("identity")
+    detail = f"rearrangement {resid:.2e}"
+    if data.has_boundary:
+        bres = boundary_identity_residual(data)
+        block["boundary_identity_residual"] = bres
+        ok = ok and bres <= tol("boundary_identity")
+        detail += f", boundary {bres:.2e}"
+    return block, ok, detail
+
+
+def _topology(run):
+    chain, exp = stability_topology_chain(run.data), run.scn.expect
+    verdict = topology_verdict(chain, run.strong)
+    block = {"I_f_u": chain.I_f_u, "bound1": chain.bound1,
+             "bound2": chain.bound2, "chi": chain.chi,
+             "hypothesis_curvature": _hypothesis(chain.hyp_curvature),
+             "hypothesis_convexity": _hypothesis(chain.hyp_convexity),
+             "asserted": chain.asserted, "chain_holds": chain.chain_holds,
+             "verdict": verdict}
+    ok = chain.chain_holds and verdict != INCONSISTENT
+    detail = f"verdict {verdict}, chi {chain.chi}"
+    if "topology" in exp:
+        ok = ok and verdict == exp["topology"]
+    if "chi" in exp:
+        ok = ok and chain.chi == exp["chi"]
+    if "I_f_u_zero" in exp:
+        zero = abs(chain.I_f_u) <= 1e-6 * max(1.0, abs(chain.bound2))
+        ok = ok and zero == exp["I_f_u_zero"]
+        detail += f", I_f_u = {chain.I_f_u:.2e}"
+    return block, ok, detail
+
+
+def _area_bounds(run):
+    rep = area_bound_check(run.data, run.scn.S0, run.strong)
+    # an inapplicable bound is NaN, and so is its slack
+    block = {**asdict(rep), "hypothesis": _hypothesis(rep.hypothesis),
+             "bound": None if np.isnan(rep.bound) else rep.bound,
+             "slack": None if np.isnan(rep.slack) else rep.slack}
+    return (block, rep.passed or not rep.applicable,
+            "applicable" if rep.applicable else "not applicable")
+
+
+def _rigidity(run):
+    flags, exp = rigidity_flags(run.data), run.scn.expect
+    ok = ("rigidity_all_true" not in exp
+          or flags.all_true == exp["rigidity_all_true"])
+    return ({**asdict(flags), "all_true": flags.all_true}, ok,
+            f"all_true = {flags.all_true}")
+
+
+def _foliation(run):
+    tol = run.scn.tol("foliation")
+    rep = foliation_monotonicity_check(run.family, tol=tol)
+    block = {"s_values": rep.s_values.tolist(), "lhs": rep.lhs.tolist(),
+             "rhs": rep.rhs.tolist(), "max_rel_residual": rep.max_rel_residual,
+             "monotone_asserted": rep.monotone_asserted,
+             "monotone_holds": rep.monotone_holds}
+    return (block, rep.max_rel_residual <= tol and rep.monotone_holds,
+            f"identity residual {rep.max_rel_residual:.2e}")
+
+
+# the tasks in the order a run evaluates them; a task's block goes in the
+# report under its name with "_" for "-", and its check takes its name
+TASKS = {"stationarity": _stationarity, "first-variation": _first_variation,
+         "second-variation": _second_variation, "spectrum": _spectrum,
+         "identities": _identities, "topology": _topology,
+         "area-bounds": _area_bounds, "rigidity": _rigidity,
+         "foliation": _foliation}
+
+
 def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
     """Run the scenario's tasks on the chart of its surface."""
-    data = extrinsic_geometry(build_space(scn), chart)
-    stationary = stationarity_verdict(data)
-    family = (DeformedFamily(data, build_flow(scn))
-              if scn.variation is not None else None)
-    mesh = chart.mesh
-    needs_spec = {"spectrum", "topology", "area-bounds"} & set(scn.tasks)
-    needs_asm = needs_spec or "second-variation" in scn.tasks
-    asm = assemble(data) if needs_asm else None
-    report: Dict[str, Any] = {
-        "name": scn.name,
-        "geometry": {
-            "n_vertices": int(mesh.n_vertices),
-            "n_triangles": int(len(mesh.triangles)),
-            "chi": int(mesh.chi),
-            "boundary_loops": int(mesh.n_loops),
-            "A_f": _f(np.sum(data.w_daf)),
-            "H_f_mean": _f(stationary.H_f_mean),
-        },
-    }
-    checks: List[Check] = []
-    spectrum_rows: List[list] = []
-    samples_header: List[str] = []
-    samples: List[list] = []
-
-    # one spectrum and one strong verdict serve every task that reads them
-    spec = strong = None
-    if needs_spec:
-        spec = robin_eigenproblem(asm)
-        strong = strong_stability_verdict(spec, scn.tol("verdict"))
-
-    results: Dict[str, Any] = {}
-
-    def t_stationarity():
-        results["stationarity"] = {
-            "strong": bool(stationary.strong),
-            "volume_constrained": bool(stationary.volume_constrained),
-            "H_f_mean": _f(stationary.H_f_mean),
-            "H_f_spread": _f(stationary.H_f_spread),
-            "max_contact": _f(stationary.max_contact),
-        }
-        checks.append(Check("stationarity",
-                            bool(stationary.volume_constrained),
-                            f"H_f spread {stationary.H_f_spread:.2e}, "
-                            f"contact {stationary.max_contact:.2e}"))
-
-    def t_first_variation():
-        fd = first_variation_fd(family)
-        formula = first_variation_formula(family)
-        diff = abs(fd.value - formula)
-        tol = max(1e-6, scn.tol("variation") * abs(formula))
-        results["first_variation"] = {"fd": _f(fd.value),
-                                      "formula": _f(formula),
-                                      "difference": _f(diff)}
-        checks.append(Check("first-variation", diff <= tol,
-                            f"|fd - formula| = {diff:.2e}"))
-
-    def t_second_variation():
-        fd = second_variation_fd(family)
-        u = family.vertex_normal_speed()
-        ifv = index_form_value(asm, u, u)
-        diff = abs(fd.value - ifv)
-        tol = scn.tol("variation") * max(1.0, abs(ifv))
-        results["second_variation"] = {"fd": _f(fd.value),
-                                       "index_form": _f(ifv),
-                                       "difference": _f(diff)}
-        checks.append(Check("second-variation", diff <= tol,
-                            f"|fd - I_f(u,u)| = {diff:.2e}"))
-
-    def t_spectrum():
-        constrained = volume_constrained_verdict(spec, scn.tol("verdict"))
-        results["spectrum"] = {
-            "dof": int(asm.dof),
-            "eigenvalues": [_f(x) for x in spec.eigenvalues],
-            "lambda_min": _f(spec.lambda_min),
-            "verdict_strong": bool(strong),
-            "verdict_volume_constrained": constrained,
-            "residual_max": _f(np.max(spec.solver_residuals)),
-        }
-        for i, (lam, r) in enumerate(zip(spec.eigenvalues,
-                                         spec.solver_residuals)):
-            spectrum_rows.append([i, _f(lam), _f(r)])
-        ok = float(np.max(spec.solver_residuals)) <= 1e-8
-        detail = f"residual_max = {np.max(spec.solver_residuals):.2e}"
-        exp = scn.expect
-        if "lambda_min" in exp:
-            lt = float(exp.get("lambda_tol", 1e-3))
-            ok = ok and abs(spec.lambda_min - float(exp["lambda_min"])) <= lt
-            detail += (f", lambda_min = {spec.lambda_min:.6f} "
-                       f"(expected {exp['lambda_min']})")
-        if "strong" in exp:
-            ok = ok and strong == exp["strong"]
-            detail += f", strong = {strong}"
-        if "volume_constrained" in exp:
-            ok = ok and constrained == exp["volume_constrained"]
-            detail += f", volume_constrained = {constrained}"
-        checks.append(Check("spectrum", bool(ok), detail))
-
-    def t_identities():
-        resid = gauss_rearrangement_residual(data)
-        out = {"gauss_rearrangement_residual": _f(resid)}
-        ok = resid <= scn.tol("identity")
-        detail = f"rearrangement {resid:.2e}"
-        if data.has_boundary:
-            bres = boundary_identity_residual(data)
-            out["boundary_identity_residual"] = _f(bres)
-            ok = ok and bres <= scn.tol("boundary_identity")
-            detail += f", boundary {bres:.2e}"
-        results["identities"] = out
-        checks.append(Check("identities", bool(ok), detail))
-
-    def t_topology():
-        chain = stability_topology_chain(data)
-        verdict = topology_verdict(chain, strong)
-        results["topology"] = {
-            "I_f_u": _f(chain.I_f_u),
-            "bound1": _f(chain.bound1),
-            "bound2": _f(chain.bound2),
-            "chi": int(chain.chi),
-            "hypothesis_curvature": {"sampled_min": _f(chain.hyp_curvature.sampled_min),
-                                     "holds": bool(chain.hyp_curvature.holds)},
-            "hypothesis_convexity": {"sampled_min": _f(chain.hyp_convexity.sampled_min),
-                                     "holds": bool(chain.hyp_convexity.holds)},
-            "asserted": bool(chain.asserted),
-            "chain_holds": bool(chain.chain_holds),
-            "verdict": verdict,
-        }
-        ok = chain.chain_holds and verdict != "Inconsistent"
-        detail = f"verdict {verdict}, chi {chain.chi}"
-        exp = scn.expect
-        if "topology" in exp:
-            ok = ok and verdict == exp["topology"]
-        if "chi" in exp:
-            ok = ok and chain.chi == exp["chi"]
-        if "I_f_u_zero" in exp:
-            zero = abs(chain.I_f_u) <= 1e-6 * max(1.0, abs(chain.bound2))
-            ok = ok and zero == exp["I_f_u_zero"]
-            detail += f", I_f_u = {chain.I_f_u:.2e}"
-        checks.append(Check("topology", bool(ok), detail))
-
-    def t_area_bounds():
-        rep = area_bound_check(data, scn.S0, strong)
-        results["area_bounds"] = {
-            "applicable": bool(rep.applicable),
-            "hypothesis": {"sampled_min": _f(rep.hypothesis.sampled_min),
-                           "holds": bool(rep.hypothesis.holds)},
-            "S0": _f(rep.S0),
-            "chi": int(rep.chi),
-            "A_f": _f(rep.A_f),
-            "bound": None if np.isnan(rep.bound) else _f(rep.bound),
-            "slack": None if np.isnan(rep.slack) else _f(rep.slack),
-            "passed": bool(rep.passed),
-        }
-        ok = rep.passed if rep.applicable else True
-        checks.append(Check("area-bounds", bool(ok),
-                            "applicable" if rep.applicable else "not applicable"))
-
-    def t_rigidity():
-        flags = rigidity_flags(data)
-        results["rigidity"] = {
-            "totally_geodesic": flags.totally_geodesic,
-            "density_const_on_surface": flags.density_const_on_surface,
-            "ricci_normal_zero": flags.ricci_normal_zero,
-            "II_NN_zero": flags.II_NN_zero,
-            "boundary_geodesic": flags.boundary_geodesic,
-            "gauss_flat": flags.gauss_flat,
-            "all_true": flags.all_true,
-        }
-        ok = True
-        if "rigidity_all_true" in scn.expect:
-            ok = flags.all_true == scn.expect["rigidity_all_true"]
-        checks.append(Check("rigidity", bool(ok), f"all_true = {flags.all_true}"))
-
-    def t_foliation():
-        rep = foliation_monotonicity_check(family, tol=scn.tol("foliation"))
-        results["foliation"] = {
-            "s_values": [_f(s) for s in rep.s_values],
-            "lhs": [_f(x) for x in rep.lhs],
-            "rhs": [_f(x) for x in rep.rhs],
-            "max_rel_residual": _f(rep.max_rel_residual),
-            "monotone_asserted": bool(rep.monotone_asserted),
-            "monotone_holds": bool(rep.monotone_holds),
-        }
-        ok = (rep.max_rel_residual <= scn.tol("foliation")
-              and rep.monotone_holds)
-        checks.append(Check("foliation", bool(ok),
-                            f"identity residual {rep.max_rel_residual:.2e}"))
-
-    runners = {
-        "stationarity": t_stationarity,
-        "first-variation": t_first_variation,
-        "second-variation": t_second_variation,
-        "spectrum": t_spectrum,
-        "identities": t_identities,
-        "topology": t_topology,
-        "area-bounds": t_area_bounds,
-        "rigidity": t_rigidity,
-        "foliation": t_foliation,
-    }
-
-    for t in TASKS:
-        if t in scn.tasks:
-            runners[t]()
-
+    run, mesh = _Run(scn, chart), chart.mesh
+    results, checks = {}, []
+    for task, evaluate in TASKS.items():
+        if task in scn.tasks:
+            block, passed, detail = evaluate(run)
+            results[task.replace("-", "_")] = block
+            checks.append(Check(task, bool(passed), detail))
     checks.sort(key=lambda c: c.name)
-    report["results"] = {k: results[k] for k in sorted(results)}
-    report["checks"] = [c.as_dict() for c in checks]
-
+    report = {"name": scn.name,
+              "geometry": {"n_vertices": mesh.n_vertices,
+                           "n_triangles": len(mesh.triangles),
+                           "chi": mesh.chi, "boundary_loops": mesh.n_loops,
+                           "A_f": float(np.sum(run.data.w_daf)),
+                           "H_f_mean": run.stationary.H_f_mean},
+              "results": dict(sorted(results.items())),
+              "checks": [c.as_dict() for c in checks]}
+    spectrum_rows = ([[i, float(lam), float(r)] for i, (lam, r) in enumerate(
+        zip(run.spec.eigenvalues, run.spec.solver_residuals))]
+        if "spectrum" in scn.tasks else [])
+    samples_header, samples, family = [], [], run.family
     if family is not None:
         samples_header = ["s", "A_f", "V_f"]
         grid = [float(s) for s in np.linspace(-0.2, 0.2, 9)]
@@ -688,7 +653,6 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         for side in (grid[5:], grid[3::-1]):
             volume.update(zip(side, swept_weighted_volume(family, side)))
         samples = [[s, family.weighted_area(s), volume[s]] for s in grid]
-
     return RunResult(scn, report, checks, samples_header, samples,
                      spectrum_rows, mesh)
 

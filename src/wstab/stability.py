@@ -307,8 +307,13 @@ class JacobiCheckReport:
     passed: bool
 
 
-def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
-                    tol: float = 1e-3) -> JacobiCheckReport:
+# the centered difference step of H_f'(0), and the largest residual
+# relative to max(1, max |L_f u|, max |H_f'|) that passes
+JACOBI_FD_STEP = 1e-3
+JACOBI_FD_TOL = 1e-3
+
+
+def jacobi_fd_check(family: DeformedFamily) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
     stationary_H_f(family.data, "the Jacobi operator")
     Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
@@ -317,9 +322,10 @@ def jacobi_fd_check(family: DeformedFamily, h: float = 1e-3,
     Lq = ordered_sum(Lu[tris[:, c], None] * TRI_HATS[c]
                      for c in range(3)).ravel()
     # FD of H_f per material quadrature point
+    h = JACOBI_FD_STEP
     dp = family.geometry(h).H_f
     dm = family.geometry(-h).H_f
     dHf = (dp - dm) / (2 * h)
     scale = max(1.0, float(np.max(np.abs(Lq))), float(np.max(np.abs(dHf))))
     resid = float(np.max(np.abs(dHf - Lq))) / scale
-    return JacobiCheckReport(resid, scale, resid <= tol)
+    return JacobiCheckReport(resid, scale, resid <= JACOBI_FD_TOL)

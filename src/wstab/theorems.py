@@ -38,8 +38,7 @@ class RigidityFlags:
                     self.boundary_geodesic, self.gauss_flat))
 
 
-def rigidity_flags(data: ExtrinsicData,
-                   tol: float = FLAG_TOL) -> RigidityFlags:
+def rigidity_flags(data: ExtrinsicData) -> RigidityFlags:
     sigma_max = float(np.sqrt(np.max(data.sigma2)))
     grad_max = float(np.max(norm(data.grad_s_psi)))
     ric_max = float(np.max(np.abs(data.ricf_NN)))
@@ -51,12 +50,12 @@ def rigidity_flags(data: ExtrinsicData,
         ii_max = 0.0
         h_max = 0.0
     return RigidityFlags(
-        totally_geodesic=sigma_max <= tol,
-        density_const_on_surface=grad_max <= tol,
-        ricci_normal_zero=ric_max <= tol,
-        II_NN_zero=ii_max <= tol,
-        boundary_geodesic=h_max <= tol,
-        gauss_flat=k_max <= tol,
+        totally_geodesic=sigma_max <= FLAG_TOL,
+        density_const_on_surface=grad_max <= FLAG_TOL,
+        ricci_normal_zero=ric_max <= FLAG_TOL,
+        II_NN_zero=ii_max <= FLAG_TOL,
+        boundary_geodesic=h_max <= FLAG_TOL,
+        gauss_flat=k_max <= FLAG_TOL,
     )
 
 
@@ -108,8 +107,12 @@ class ChainReport:
     has_boundary: bool
 
 
-def stability_topology_chain(data: ExtrinsicData,
-                             tol: float = 1e-6) -> ChainReport:
+# the slack of the chain's hypotheses, and its relative slack on the
+# inequalities, which never drops below 1e-4
+CHAIN_TOL = 1e-6
+
+
+def stability_topology_chain(data: ExtrinsicData) -> ChainReport:
     stationary_H_f(data, "the stability-topology chain")
     grad2 = squared_norm(data.grad_s_psi)
     # u^2 da_f = da, so every integral below is unweighted
@@ -125,12 +128,12 @@ def stability_topology_chain(data: ExtrinsicData,
     bound1 += 2 * np.pi * chi
     bound2 = 2 * np.pi * chi
     hyp1 = Hypothesis("S_f + H_f^2 >= 0", float(np.min(shf)),
-                      bool(np.min(shf) >= -tol))
+                      bool(np.min(shf) >= -CHAIN_TOL))
     min_hfb = float(np.min(data.Hf_boundary)) if data.has_boundary else 0.0
-    hyp2 = Hypothesis("(H_f)_boundary >= 0", min_hfb, min_hfb >= -tol)
+    hyp2 = Hypothesis("(H_f)_boundary >= 0", min_hfb, min_hfb >= -CHAIN_TOL)
     asserted = hyp1.holds and hyp2.holds
     scale = 1.0 + abs(bound2)
-    ctol = max(tol * scale, 1e-4)
+    ctol = max(CHAIN_TOL * scale, 1e-4)
     chain_holds = (not asserted) or (I_f_u <= bound1 + ctol
                                      and bound1 <= bound2 + ctol)
     return ChainReport(I_f_u, bound1, bound2, chi, hyp1, hyp2,
@@ -166,8 +169,12 @@ class BoundReport:
     passed: bool
 
 
-def area_bound_check(data: ExtrinsicData, S0: float, strongly_stable: bool,
-                     tol: float = 1e-9) -> BoundReport:
+# the slack of A_f against an area bound
+AREA_BOUND_TOL = 1e-9
+
+
+def area_bound_check(data: ExtrinsicData, S0: float,
+                     strongly_stable: bool) -> BoundReport:
     """Check A_f <= 4 pi / S0 (S0 > 0, a disk) or A_f >= 4 pi chi / S0
     (S0 < 0, chi < 0) on a strongly stable surface with S_f >= S0 f; the
     bounds apply nowhere else."""
@@ -179,10 +186,10 @@ def area_bound_check(data: ExtrinsicData, S0: float, strongly_stable: bool,
     chi = data.mesh.chi
     if S0 > 0:
         applies, bound = chi == 1, 4 * np.pi / S0
-        slack, passed = bound - A_f, A_f <= bound + tol
+        slack, passed = bound - A_f, A_f <= bound + AREA_BOUND_TOL
     else:
         applies, bound = chi < 0, 4 * np.pi * chi / S0
-        slack, passed = A_f - bound, A_f >= bound - tol
+        slack, passed = A_f - bound, A_f >= bound - AREA_BOUND_TOL
     if not (strongly_stable and hyp.holds and applies):
         return BoundReport(False, hyp, S0, chi, A_f, np.nan, np.nan, False)
     return BoundReport(True, hyp, S0, chi, A_f, bound, slack, passed)
@@ -200,12 +207,16 @@ class FoliationReport:
     monotone_holds: bool
 
 
+# the leaves the foliation identity is checked on, and the centered
+# difference step of H_f'(s) on each
+FOLIATION_S_VALUES = (-0.1, 0.0, 0.1)
+FOLIATION_STEP = 1e-3
+
+
 def foliation_monotonicity_check(family: DeformedFamily,
-                                 s_values=(-0.1, 0.0, 0.1),
-                                 h: float = 1e-3,
                                  tol: float = 1e-3) -> FoliationReport:
     """Verify H_f'(s) A_f(s) = int_bd II u dl_f + int (Ric_f(N,N)+|sigma|^2) u da_f."""
-    s_values = np.asarray(s_values, float)
+    s_values, h = np.asarray(FOLIATION_S_VALUES, float), FOLIATION_STEP
     pos0, bpos0 = family.data.pos, family.data.b_pos
     lhs = np.empty(len(s_values))
     rhs = np.empty(len(s_values))

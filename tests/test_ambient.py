@@ -290,7 +290,6 @@ class TestBatchConvention:
         assert flow.map(0.1, P).shape == (n, 3)
         assert flow.velocity(0.1, P).shape == (n, 3)
         assert flow.jac(0.1, P).shape == (n, 3, 3)
-        assert flow.hess(0.1, P).shape == (n, 3, 3, 3)
 
 
 class TestColumnKernels:

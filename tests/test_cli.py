@@ -334,6 +334,25 @@ class TestMalformedParameterValues:
         assert str(MAX_RESOLUTION) in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    def test_zero_S0_exits_4_before_meshing(self, tmp_path, capsys,
+                                            monkeypatch):
+        """S0 = 0 makes both area bounds degenerate, so the scenario is
+        rejected when it is read (it was rejected by the area bound check,
+        after meshing, assembling and solving)."""
+        runs = []
+        monkeypatch.setattr(scenarios, "_run_single", runs.append)
+        tree = {"ambient": {"density": {"name": "gaussian"}},
+                "surface": {"builtin": "round-sphere"}, "resolution": 16,
+                "tasks": ["stationarity", "spectrum", "area-bounds"],
+                "S0": 0}
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "S0 = 0" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert runs == []
+
     @pytest.mark.parametrize("key,value", [
         ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
         ids=["metric_kind", "circumferences"])
@@ -468,6 +487,48 @@ class TestGeometryCalls:
         assert counts["cap_jac"] <= 3
         assert len(slices) <= 53
         assert len(set(slices)) == len(slices)
+
+
+class TestLazyRun:
+    """A run assembles and solves its index form once, at the first task
+    that reads it, and not at all if no task does."""
+
+    @pytest.mark.parametrize("tree,calls", [
+        (half_sphere({"name": "radial-log", "k": -2.6}, 12,
+                     ["stationarity", "first-variation"],
+                     variation={"flow": "scaling"}), 0),
+        (half_sphere({"name": "radial-log", "k": -2.5}, 12, ["area-bounds"],
+                     S0=0.5), 1),
+        (scenarios.scenario_to_tree(
+            scenarios.builtin_scenario("flat-slab-slice")), 1),
+    ], ids=["first-variation", "area-bounds", "flat-slab-slice"])
+    def test_index_form_is_built_once_if_a_task_reads_it(
+            self, monkeypatch, tree, calls):
+        counts = {"assemble": 0, "robin_eigenproblem": 0}
+        for name, original in [(name, getattr(scenarios, name))
+                               for name in counts]:
+            def counting(*args, name=name, original=original, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(scenarios, name, counting)
+        scenarios.run_scenario(scenarios.parse_scenario(tree))
+        assert counts == {"assemble": calls, "robin_eigenproblem": calls}
+
+    def test_task_order_does_not_change_the_outputs(self, tmp_path):
+        """All nine tasks on the flat slab slice, listed forwards and
+        backwards, write the same bytes."""
+        from wstab.scenarios import TASKS
+        tree = scenarios.scenario_to_tree(
+            scenarios.builtin_scenario("flat-slab-slice"))
+        tree.update(S0=-1.0)
+        outputs = []
+        for tasks in (list(TASKS), list(TASKS)[::-1]):
+            out_dir = tmp_path / tasks[0]
+            assert main(["run", write_config(tmp_path, dict(tree, tasks=tasks)),
+                         "--out", str(out_dir)]) == 0
+            outputs.append({name: (out_dir / name).read_bytes() for name in
+                            ("report.json", "samples.csv", "spectrum.csv")})
+        assert outputs[0] == outputs[1]
 
 
 class TestVerdicts:
