@@ -14,7 +14,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 from . import __version__
 from .errors import ConfigError, InputError, NumericalFailure, WstabError
@@ -234,6 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _numerical_errors() -> tuple:
+    """The numerical exceptions a run can raise outside wstab's own: numpy's,
+    and ARPACK's if a solve has loaded scipy (only then can it raise one)."""
+    spla = sys.modules.get("scipy.sparse.linalg")
+    return ((np.linalg.LinAlgError, FloatingPointError)
+            + ((spla.ArpackError,) if spla is not None else ()))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -248,7 +255,7 @@ def main(argv=None) -> int:
     except WstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, FloatingPointError, ArpackError) as exc:
+    except _numerical_errors() as exc:
         detail = " ".join(str(exc).split())
         print(f"numerical failure: {type(exc).__name__}: {detail}",
               file=sys.stderr)

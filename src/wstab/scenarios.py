@@ -424,13 +424,16 @@ def _run_sweep(scn: Scenario) -> RunResult:
     values = scn.sweep["values"]
     rows = []
     sub_reports = {}
-    # a density value leaves the chart as it is
-    shared = param.startswith("ambient.density.") and build_chart(scn)
+    # every value is checked before anything is meshed
+    subs = []
     for v in values:
         tree = scenario_to_tree(scn)
         tree.pop("expect", None)
         _set_path(tree, param, int(v) if param == "resolution" else float(v))
-        sub = parse_scenario(tree, scn.name)
+        subs.append(parse_scenario(tree, scn.name))
+    # a density value leaves the chart as it is
+    shared = param.startswith("ambient.density.") and build_chart(scn)
+    for v, sub in zip(values, subs):
         res = _run_single(sub, shared or build_chart(sub))
         rows.append([float(v), res.report["results"]["spectrum"]["lambda_min"]])
         sub_reports[repr(float(v))] = res.report

@@ -8,15 +8,19 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .ambient import ordered_sum
 from .errors import InputError, NumericalFailure
 from .functionals import DeformedFamily
-from .surface import EDGE_POINTS, TRI_HATS, ExtrinsicData, stationary_H_f
+from .surface import (EDGE_POINTS, TRI_HATS, TRI_WEIGHTS, ExtrinsicData,
+                      stationary_H_f)
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
 Array = np.ndarray
 
@@ -35,17 +39,45 @@ HAT_GRAM_MIN = float(np.linalg.eigvalsh(TRI_HATS @ TRI_HATS.T)[0])
 
 @dataclass
 class IndexFormAssembly:
-    """Discretized index form I_f(v, w) = v^T (K - P - B) w."""
+    """Discretized index form I_f(v, w) = v^T (K - P - B) w as its element
+    triplets: a matrix's entry (i, j) is the sum of its values at the t with
+    (rows[t], cols[t]) = (i, j).  The CSR matrices are built on first read,
+    so scipy loads only for a solve."""
 
-    K: sp.csr_matrix      # weighted stiffness
-    P: sp.csr_matrix      # potential (Ric_f(N,N) + |sigma|^2) mass
-    B: sp.csr_matrix      # Robin boundary term II(N,N)
-    M: sp.csr_matrix      # weighted mass
+    rows: Array           # the triangle triplets' rows and columns
+    cols: Array
+    k: Array              # weighted stiffness
+    p: Array              # potential (Ric_f(N,N) + |sigma|^2) mass
+    m: Array              # weighted mass
+    b_rows: Array         # the boundary edge triplets' rows and columns
+    b_cols: Array
+    b: Array              # Robin boundary term II(N,N)
     data: ExtrinsicData   # the geometry it was assembled from
 
     @property
     def dof(self) -> int:
-        return self.K.shape[0]
+        return self.data.mesh.n_vertices
+
+    def _csr(self, values: Array, rows: Array, cols: Array) -> sp.csr_matrix:
+        import scipy.sparse as sp
+        return sp.coo_matrix((values, (rows, cols)),
+                             shape=(self.dof, self.dof)).tocsr()
+
+    @functools.cached_property
+    def K(self) -> sp.csr_matrix:
+        return self._csr(self.k, self.rows, self.cols)
+
+    @functools.cached_property
+    def P(self) -> sp.csr_matrix:
+        return self._csr(self.p, self.rows, self.cols)
+
+    @functools.cached_property
+    def M(self) -> sp.csr_matrix:
+        return self._csr(self.m, self.rows, self.cols)
+
+    @functools.cached_property
+    def B(self) -> sp.csr_matrix:
+        return self._csr(self.b, self.b_rows, self.b_cols)
 
     @functools.cached_property
     def operator(self) -> sp.csr_matrix:
@@ -58,10 +90,10 @@ class IndexFormAssembly:
         return _factor_below_spectrum(self)
 
 
-def _by_point(x: Array, rows: int) -> Array:
-    """The values x of (element, quadrature point) rows as one contiguous
-    column per quadrature point, (R, elements)."""
-    return np.ascontiguousarray(x.reshape(rows, -1).T)
+def _by_point(x: Array, points: int) -> Array:
+    """The values x of (element, quadrature point) rows, ``points`` per
+    element, as one contiguous column per quadrature point."""
+    return np.ascontiguousarray(x.reshape(-1, points).T)
 
 
 def assemble(data: ExtrinsicData) -> IndexFormAssembly:
@@ -70,17 +102,16 @@ def assemble(data: ExtrinsicData) -> IndexFormAssembly:
     order onto +0.0, bit for bit np.sum over the 3-long row."""
     mesh = data.mesh
     tris = mesh.triangles
-    F = len(tris)
-    w = _by_point(data.w_daf, F)
-    wpot = w * _by_point(data.ricf_NN + data.sigma2, F)
-    G = [[_by_point(data.Ginv[:, a, b], F) for b in range(2)]
+    R = len(TRI_WEIGHTS)
+    w = _by_point(data.w_daf, R)
+    wpot = w * _by_point(data.ricf_NN + data.sigma2, R)
+    G = [[_by_point(data.Ginv[:, a, b], R) for b in range(2)]
          for a in range(2)]
     signed_G = {1.0: G, -1.0: [[-g for g in row] for row in G]}
     # the weights times each hat, ((w pot) hat_i) hat_j and (w hat_i) hat_j
     # as the element sums multiplied them
     w_hat = [[w[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
     wpot_hat = [[wpot[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
-    n = mesh.n_vertices
 
     rows, cols, kv, pv, mv = [], [], [], [], []
     for i in range(3):
@@ -98,37 +129,33 @@ def assemble(data: ExtrinsicData) -> IndexFormAssembly:
             kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
             pv.append(ordered_sum(x * h for x, h in zip(wpot_hat[i], hj)))
             mv.append(ordered_sum(x * h for x, h in zip(w_hat[i], hj)))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    K = sp.coo_matrix((np.concatenate(kv), (rows, cols)), shape=(n, n)).tocsr()
-    P = sp.coo_matrix((np.concatenate(pv), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((np.concatenate(mv), (rows, cols)), shape=(n, n)).tocsr()
 
-    B = sp.csr_matrix((n, n))
-    if data.has_boundary:
-        # the boundary rows are (edge, Gauss2 point) in mesh edge order
-        edges = mesh.boundary_edges
-        wb = _by_point(data.w_dlf * data.II_NN, len(edges))
-        hats = (1.0 - EDGE_POINTS, EDGE_POINTS)
-        br, bc, bv = [], [], []
-        for i in range(2):
-            for j in range(2):
-                bv.append(ordered_sum(x * hi * hj for x, hi, hj
-                                      in zip(wb, hats[i], hats[j])))
-                br.append(edges[:, i])
-                bc.append(edges[:, j])
-        B = sp.coo_matrix((np.concatenate(bv),
-                           (np.concatenate(br), np.concatenate(bc))),
-                          shape=(n, n)).tocsr()
-    return IndexFormAssembly(K, P, B, M, data)
+    # the boundary rows are (edge, Gauss2 point) in mesh edge order, none
+    # on a closed surface
+    edges = mesh.boundary_edges
+    wb = _by_point(data.w_dlf * data.II_NN, len(EDGE_POINTS))
+    hats = (1.0 - EDGE_POINTS, EDGE_POINTS)
+    br, bc, bv = [], [], []
+    for i in range(2):
+        for j in range(2):
+            br.append(edges[:, i])
+            bc.append(edges[:, j])
+            bv.append(ordered_sum(x * hi * hj for x, hi, hj
+                                  in zip(wb, hats[i], hats[j])))
+    return IndexFormAssembly(*map(np.concatenate, (rows, cols, kv, pv, mv,
+                                                   br, bc, bv)), data)
 
 
 def index_form_value(asm: IndexFormAssembly, v: Array, w: Array) -> float:
+    """I_f(v, w), the sum of a v_i w_j over the triplets (i, j, a) of
+    K - P - B: numpy sums, no BLAS product and no sparse matrix."""
     v = np.asarray(v, float)
     w = np.asarray(w, float)
     if v.shape != (asm.dof,) or w.shape != (asm.dof,):
         raise InputError("coefficient vector length does not match DOF count")
-    return float(v @ (asm.operator @ w))
+    interior = (asm.k - asm.p) * v[asm.rows] * w[asm.cols]
+    robin = asm.b * v[asm.b_rows] * w[asm.b_cols]
+    return float(np.sum(interior) - np.sum(robin))
 
 
 def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
@@ -136,6 +163,7 @@ def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
     u = np.asarray(u, float)
     if u.shape != (asm.dof,):
         raise InputError("coefficient vector length does not match DOF count")
+    import scipy.sparse.linalg as spla
     rhs = (asm.P - asm.K) @ u
     return spla.spsolve(asm.M.tocsc(), rhs)
 
@@ -181,6 +209,7 @@ def _spectrum_floor(asm: IndexFormAssembly) -> float:
     every eigenvalue is at least -|A|_inf / m; twice that is returned, a
     margin for the rounding of both.  NaN where m is not positive.
     """
+    import scipy.sparse.linalg as spla
     tris = asm.data.mesh.triangles
     w_min = asm.data.w_daf.reshape(len(tris), -1).min(axis=1)
     m = np.bincount(tris.ravel(), np.repeat(HAT_GRAM_MIN * w_min, 3),
@@ -199,6 +228,7 @@ def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
     a shift below the proven floor (``_spectrum_floor``) that the factor
     still rejects is a numerical failure.
     """
+    import scipy.sparse.linalg as spla
     A = asm.operator
     M = asm.M
     pot = asm.data.ricf_NN + asm.data.sigma2
@@ -224,6 +254,7 @@ def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
 
 def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
     """ARPACK shift-invert mode with ``solve`` applying (A - sigma M)^-1."""
+    import scipy.sparse.linalg as spla
     n = asm.dof
     op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
     # a fixed start vector keeps the result identical from run to run
@@ -238,6 +269,7 @@ def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
 
 def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
     """The EIGENPAIRS smallest eigenpairs of (K - P - B) u = lambda M u."""
+    import scipy.sparse.linalg as spla
     vals, vecs = _shift_invert_eigsh(asm, EIGENPAIRS,
                                      asm.shifted_factor.lu.solve)
     order = np.argsort(vals)

@@ -11,8 +11,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .ambient import (AmbientSpace, DensityJet, boundary_f_mean_curvature,
                       boundary_ii_matrix, boundary_inner_normal, dot, norm,
@@ -392,30 +390,34 @@ def _disk_mesh(rho: float, rings: int):
     walk over the two rings' next angles, one triangle per step, taking the
     outer ring's step first on ties.
     """
-    params = [np.zeros((1, 2))]
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    ang = 2 * np.pi * (np.arange(len(ring)) - 3 * ring * (ring - 1)) / (6 * ring)
+    r = rho * ring / rings
+    params = np.concatenate([np.zeros((1, 2)), np.stack(
+        [r * np.cos(ang), r * np.sin(ang)], axis=-1)])
     j = np.arange(6)
-    tris = [np.stack([np.zeros(6, dtype=np.int64), 1 + j, 1 + (j + 1) % 6],
-                     axis=-1)]                              # center fan
-    for i in range(1, rings + 1):
-        n2, o2 = 6 * i, 1 + 3 * i * (i - 1)
-        ang = 2 * np.pi * np.arange(n2) / n2
-        r = rho * i / rings
-        params.append(np.stack([r * np.cos(ang), r * np.sin(ang)], axis=-1))
-        if i == 1:
-            continue
-        n1, o1 = 6 * (i - 1), 1 + 3 * (i - 1) * (i - 2)
-        # the walk's steps in angle order: a stable sort with the outer
-        # ring's angles first takes its step first on ties
-        a1 = 2 * np.pi * np.arange(1, n1 + 1) / n1
-        a2 = 2 * np.pi * np.arange(1, n2 + 1) / n2
-        inner = np.argsort(np.concatenate([a2, a1]), kind="stable") >= n2
-        i1 = np.cumsum(inner) - inner                 # steps taken per ring
-        i2 = np.arange(n1 + n2) - i1
-        tris.append(np.stack([o1 + i1 % n1, o2 + i2 % n2,
-                              np.where(inner, o1 + (i1 + 1) % n1,
-                                       o2 + (i2 + 1) % n2)], axis=-1))
-    params = np.concatenate(params)
-    tris = np.concatenate(tris)
+    fan = np.stack([np.zeros(6, dtype=np.int64), 1 + j, 1 + (j + 1) % 6],
+                   axis=-1)
+    # the steps of the annuli i = 2..rings: the outer rings', step k of n
+    # at angle 2 pi k / n, then the inner rings'; sorted by annulus, angle
+    # and ring, a tie takes the outer ring's step first
+    outer = np.arange(2, rings + 1)
+    n = np.concatenate([6 * outer, 6 * (outer - 1)])
+    i = np.repeat(np.concatenate([outer, outer]), n)
+    inner = np.repeat(np.arange(len(n)) >= len(outer), n)
+    k = 1 + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+    order = np.lexsort((inner, 2 * np.pi * k / np.repeat(n, n), i))
+    i, inner = i[order], inner[order]
+    n1, o1 = 6 * (i - 1), 1 + 3 * (i - 1) * (i - 2)
+    n2, o2 = 6 * i, 1 + 3 * i * (i - 1)
+    # steps taken per ring before this one: annulus i starts at step
+    # 6i(i-2), after 3(i-1)(i-2) inner steps
+    i1 = np.cumsum(inner) - inner - 3 * (i - 1) * (i - 2)
+    i2 = np.arange(len(i)) - 6 * i * (i - 2) - i1
+    walk = np.stack([o1 + i1 % n1, o2 + i2 % n2,
+                     np.where(inner, o1 + (i1 + 1) % n1, o2 + (i2 + 1) % n2)],
+                    axis=-1)
+    tris = np.concatenate([fan, walk])
     # boundary: outer ring, arc parameter t = angle / 2pi
     nb = 6 * rings
     ob = 1 + 3 * rings * (rings - 1)
@@ -591,12 +593,26 @@ def _number_edges(tris: Array, be: Array, V: int):
     tri, c = np.divmod(e, 3)
     loc = np.stack([c, (c + 1) % 3], axis=-1)
     loc = np.where((start[e] == be[:, 0])[:, None], loc, loc[:, ::-1])
-    # every vertex off the boundary is a component of its own
-    graph = sp.coo_matrix((np.ones(len(be)), (be[:, 0], be[:, 1])),
-                          shape=(V, V))
-    n_loops = (connected_components(graph, directed=False)[0]
-               - V + len(np.unique(be[:, :2])))
-    return len(uniq), n_loops, tri, loc
+    return len(uniq), _boundary_loops(be), tri, loc
+
+
+def _boundary_loops(be: Array) -> int:
+    """The number of connected components of the boundary edge graph: its
+    vertices less the edges that join two components (union-find)."""
+    parent = {}
+
+    def root(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    joins = 0
+    for a, b in be[:, :2].tolist():
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+    return len(parent) - joins
 
 
 # ---------------------------------------------------------------------------

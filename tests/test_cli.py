@@ -353,6 +353,28 @@ class TestMalformedParameterValues:
         assert "Traceback" not in captured.out + captured.err
         assert runs == []
 
+    def test_bad_sweep_value_exits_4_before_any_value_runs(
+            self, tmp_path, capsys, monkeypatch):
+        """The last S0 of the sweep is 0: every value is read before the
+        first is meshed or solved."""
+        counts = {"assemble": 0, "robin_eigenproblem": 0, "build_chart": 0}
+        for name in counts:
+            def counting(*args, name=name, original=getattr(scenarios, name),
+                         **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(scenarios, name, counting)
+        tree = half_sphere({"name": "radial-log", "k": -2.5}, 12,
+                           ["spectrum", "area-bounds"], S0=0.5,
+                           sweep={"param": "S0", "values": [0.5, 0.25, 0.0]})
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "S0 = 0" in captured.err
+        assert counts == {"assemble": 0, "robin_eigenproblem": 0,
+                          "build_chart": 0}
+
     @pytest.mark.parametrize("key,value", [
         ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
         ids=["metric_kind", "circumferences"])
@@ -529,6 +551,49 @@ class TestLazyRun:
             outputs.append({name: (out_dir / name).read_bytes() for name in
                             ("report.json", "samples.csv", "spectrum.csv")})
         assert outputs[0] == outputs[1]
+
+
+class TestScipyLoadsToSolve:
+    """scipy loads the first time a run factors or solves: starting up, a
+    variation run, `list` and `export-mesh` never load it."""
+
+    @staticmethod
+    def scipy_modules(tmp_path, argv) -> list:
+        """The scipy modules in sys.modules of a fresh interpreter after it
+        imports wstab.cli and, unless argv is None, runs main(argv)."""
+        listing = tmp_path / "modules.json"
+        code = ("import json, sys\n"
+                "from wstab.cli import main\n"
+                f"assert {argv!r} is None or main({argv!r}) == 0\n"
+                "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                f"json.dump(sorted(loaded), open({str(listing)!r}, 'w'))\n")
+        src = os.path.dirname(os.path.dirname(wstab.__file__))
+        subprocess.run([sys.executable, "-c", code],
+                       env=dict(os.environ, PYTHONPATH=src), check=True,
+                       capture_output=True, timeout=120)
+        return json.loads(listing.read_text())
+
+    @pytest.mark.parametrize("command", [
+        "import", "variation-run", "other-tasks", "list", "export-mesh"])
+    def test_no_solve_loads_no_scipy(self, tmp_path, command):
+        out = ["--out", str(tmp_path / "out")]
+        other_tasks = dict(SCENARIO_TREES["cone"], tasks=[
+            "stationarity", "identities", "rigidity", "foliation"])
+        argv = {"import": None,
+                "variation-run": ["run", write_config(
+                    tmp_path, SCENARIO_TREES["scaling"])] + out,
+                "other-tasks": ["run", write_config(
+                    tmp_path, other_tasks)] + out,
+                "list": ["list"],
+                "export-mesh": ["export-mesh", "gauss-identity-suite"] + out,
+                }[command]
+        assert self.scipy_modules(tmp_path, argv) == []
+
+    def test_a_builtin_run_loads_it(self, tmp_path):
+        loaded = self.scipy_modules(
+            tmp_path, ["builtin", "paper-product-cylinder",
+                       "--out", str(tmp_path / "out")])
+        assert "scipy.sparse.linalg" in loaded
 
 
 class TestVerdicts:
@@ -811,10 +876,12 @@ class TestExportMesh:
 # SHA-256 of every builtin's report.json, spectrum.csv and samples.csv,
 # recorded before one density-free chart was shared by a run, its variation
 # family and its density sweep: that change, and any other refactor, keeps
-# every output byte for byte
+# every output byte for byte.  The flat slab slice's report.json was
+# re-recorded when the index form of its second variation became a numpy
+# sum over the assembly's triplets.
 OUTPUT_DIGESTS = {
     "flat-slab-slice": {
-        "report.json": "5dbbc88cc3d3a07299cd4e173d8b8f8ad5bcb314df0f9a01fc2dfbd1562778c8",
+        "report.json": "0303fa6bc5509a224f71222a654aff21cc35325a67284ca586629d22591d218f",
         "spectrum.csv": "8be6cc2eb972b0170215536596823c324558ac9db577c0db802b5eef98d750a4",
         "samples.csv": "203046c0b9770f03cb0acd33c3080c1afe659b529d5cd6f0a25009ba32ddfda4",
     },
@@ -862,10 +929,12 @@ OUTPUT_DIGESTS = {
 # cone samples after a similarity slice took lambda^2 w da and the base
 # normal speed; the rotation outputs after every per-point sum and the
 # rotation matrices were summed in index order with no BLAS product; the
-# rest before the mesher numbered its edges once.
+# scaling and translation reports after the index form of the second
+# variation became a numpy sum over the assembly's triplets; the rest before
+# the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
-        "report.json": "984960f7520f7ebd0f81660c3d0e3878fc1f8ecb21258d0c043483d5b60229a0",
+        "report.json": "49af63f301f218168fd3f021f1a7e48d1572b43853a1ff7cc5e24fd133b8d501",
         "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
@@ -881,7 +950,7 @@ SCENARIO_DIGESTS = {
         "spectrum.csv": "537b80d46ab5c18f3909a0ae06cfce0a1c7a0bec5b307b34ebe4c5beddc5b701",
     },
     "translation": {
-        "report.json": "b02b12bd74f6b00ecae7a63ebe5c1ab544bc12b89e2d436763e91c9e0cd16a24",
+        "report.json": "2ac1f059cc0aeef8a678fb2e06ae4fc062bfef921f17f16b2c292c7a29bd2a9d",
         "samples.csv": "6594150145017accdfd011782c5dfb3aaca216b4b2e659c7bf0428df9f652a03",
     },
     "rotation": {

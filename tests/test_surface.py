@@ -147,6 +147,28 @@ class TestTopology:
         assert mesh.chi == 2
         assert mesh.n_loops == 0
 
+    @pytest.mark.parametrize("name", builtin_names() + ["rect"])
+    @pytest.mark.parametrize("resolution", [4, 5, 12])
+    def test_loops_are_the_boundary_graph_components(self, name, resolution):
+        """The union-find counts what scipy's connected components of the
+        boundary edge graph count on its vertices."""
+        from scipy.sparse.csgraph import connected_components
+        if name == "rect":
+            mesh = mesh_from_immersion(
+                RectPatch(u_range=(0.0, 1.0), v_range=(0.0, 1.5)), resolution)
+        else:
+            scn = builtin_scenario(name)
+            mesh = mesh_from_immersion(build_immersion(scn), resolution,
+                                       space=build_space(scn))
+        be = mesh.boundary_edges
+        V = mesh.n_vertices
+        graph = sp.coo_matrix((np.ones(len(be)), (be[:, 0], be[:, 1])),
+                              shape=(V, V))
+        # every vertex off the boundary is a component of its own
+        want = (connected_components(graph, directed=False)[0] - V
+                + len(np.unique(be[:, :2])))
+        assert mesh.n_loops == want
+
     def test_edges_are_counted_once_per_mesh(self, monkeypatch):
         """One unique over the triangle edge keys per mesh build, and
         none when its counts are read."""
