@@ -84,11 +84,6 @@ class IndexFormAssembly:
         """K - P - B, built once; every solve and check reads this one."""
         return (self.K - self.P - self.B).tocsr()
 
-    @functools.cached_property
-    def shifted_factor(self) -> "ShiftedFactor":
-        """The one factorization both spectral solves share."""
-        return _factor_below_spectrum(self)
-
 
 def _by_point(x: Array, points: int) -> Array:
     """The values x of (element, quadrature point) rows, ``points`` per
@@ -163,9 +158,10 @@ def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
     u = np.asarray(u, float)
     if u.shape != (asm.dof,):
         raise InputError("coefficient vector length does not match DOF count")
-    import scipy.sparse.linalg as spla
-    rhs = (asm.P - asm.K) @ u
-    return spla.spsolve(asm.M.tocsc(), rhs)
+    factor = _ldlt(asm.M)
+    if factor is None:
+        raise NumericalFailure("singular mass matrix")
+    return factor[0].solve((asm.P - asm.K) @ u)
 
 
 @dataclass
@@ -192,12 +188,27 @@ def _pencil_residuals(A, M, vals, vecs) -> Array:
     return out
 
 
-@dataclass(frozen=True)
-class ShiftedFactor:
-    """Sparse LU of A - sigma M, A = K - P - B, with sigma < lambda_min."""
+def _ldlt(matrix: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
+    """The factor of a symmetric matrix and its count of negative pivots.
 
-    sigma: float
-    lu: spla.SuperLU
+    SuperLU runs in symmetric mode with diagonal pivots and MMD ordering on
+    A^T + A, so its factor is an L D L^T factorization of a symmetric
+    permutation, and by Sylvester's law of inertia the negative pivots
+    count the matrix's negative eigenvalues.  None when the matrix is
+    singular (a zero or non-finite pivot) or SuperLU pivoted off the
+    diagonal, where the count says nothing.
+    """
+    import scipy.sparse.linalg as spla
+    try:
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError:          # an exactly zero pivot
+        return None
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(np.isfinite(pivots) & (pivots != 0.0))):
+        return None
+    return lu, int(np.count_nonzero(pivots < 0.0))
 
 
 def _spectrum_floor(asm: IndexFormAssembly) -> float:
@@ -217,33 +228,25 @@ def _spectrum_floor(asm: IndexFormAssembly) -> float:
     return -2.0 * spla.norm(asm.operator, np.inf) / m if m > 0 else np.nan
 
 
-def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
-    """Factor A - sigma M for the first sigma the factor proves is low enough.
+def _factor_below_spectrum(asm: IndexFormAssembly
+                           ) -> tuple[float, spla.SuperLU]:
+    """A shift sigma below the spectrum with the factor of A - sigma M.
 
-    The LU runs in symmetric mode without pivoting off the diagonal, so it
-    is an L D L^T factorization of a symmetric permutation and, by
-    Sylvester's law of inertia, its negative pivots count the eigenvalues
-    below sigma.  A sigma is accepted only with all pivots positive.  The
-    shift starts at -max|potential| - 1 and doubles until it is accepted;
-    a shift below the proven floor (``_spectrum_floor``) that the factor
-    still rejects is a numerical failure.
+    A sigma is accepted when ``_ldlt`` finds no negative pivot, so no
+    eigenvalue lies below it.  The shift starts at -max|potential| - 1 and
+    doubles until it is accepted; a shift below the proven floor
+    (``_spectrum_floor``) that the factor still rejects is a numerical
+    failure.
     """
-    import scipy.sparse.linalg as spla
     A = asm.operator
     M = asm.M
     pot = asm.data.ricf_NN + asm.data.sigma2
     sigma = -float(np.max(np.abs(pot))) - 1.0
     floor = None              # evaluated at the first rejected shift
     while True:
-        try:
-            lu = spla.splu((A - sigma * M).tocsc(),
-                           permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-        except RuntimeError:      # exactly singular: sigma is an eigenvalue
-            lu = None
-        if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
-                and np.all(lu.U.diagonal() > 0.0)):
-            return ShiftedFactor(sigma, lu)
+        factor = _ldlt(A - sigma * M)
+        if factor is not None and factor[1] == 0:
+            return sigma, factor[0]
         if floor is None:
             floor = _spectrum_floor(asm)
         if not sigma >= floor:
@@ -252,29 +255,22 @@ def _factor_below_spectrum(asm: IndexFormAssembly) -> ShiftedFactor:
         sigma *= 2.0
 
 
-def _shift_invert_eigsh(asm: IndexFormAssembly, count: int, solve):
-    """ARPACK shift-invert mode with ``solve`` applying (A - sigma M)^-1."""
+def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
+    """The EIGENPAIRS smallest eigenpairs of (K - P - B) u = lambda M u, by
+    ARPACK in shift-invert mode on the factor of A - sigma M."""
     import scipy.sparse.linalg as spla
-    n = asm.dof
-    op = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+    sigma, lu = _factor_below_spectrum(asm)
+    A, n = asm.operator, asm.dof
+    op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
     # a fixed start vector keeps the result identical from run to run
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        return spla.eigsh(asm.operator, k=count, M=asm.M,
-                          sigma=asm.shifted_factor.sigma, which="LM",
-                          OPinv=op, v0=v0)
+        vals, vecs = spla.eigsh(A, k=EIGENPAIRS, M=asm.M, sigma=sigma,
+                                which="LM", OPinv=op, v0=v0)
     except (spla.ArpackError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-
-
-def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
-    """The EIGENPAIRS smallest eigenpairs of (K - P - B) u = lambda M u."""
-    import scipy.sparse.linalg as spla
-    vals, vecs = _shift_invert_eigsh(asm, EIGENPAIRS,
-                                     asm.shifted_factor.lu.solve)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    A = asm.operator
     res = _pencil_residuals(A, asm.M, vals, vecs)
     if np.max(res) > 1e-8 * max(1.0, spla.norm(A, np.inf)):
         raise NumericalFailure(f"eigenpair residual too large: {np.max(res):.2e}")
@@ -288,28 +284,6 @@ def strong_stability_verdict(spec: SpectralResult,
     return spec.lambda_min >= -spec.verdict_tol(rel_tol)
 
 
-def constrained_lambda_min(asm: IndexFormAssembly) -> float:
-    """Minimum Rayleigh quotient of (K-P-B, M) over {u : 1^T M u = 0}.
-
-    A modified eigenproblem on the same shifted factor: with c = M 1 and
-    z = (A - sigma M)^-1 c, the saddle-point inverse
-    b -> w - z (c.w)/(c.z), w = (A - sigma M)^-1 b, maps into the
-    constraint space and its shift-invert eigenvalues are exactly those
-    of the pencil restricted to it.
-    """
-    solve = asm.shifted_factor.lu.solve
-    c = asm.M @ np.ones(asm.dof)
-    z = solve(c)
-    cz = float(c @ z)
-
-    def constrained_solve(b):
-        w = solve(b)
-        return w - z * (float(c @ w) / cz)
-
-    vals, _ = _shift_invert_eigsh(asm, 1, constrained_solve)
-    return float(vals[0])
-
-
 def volume_constrained_verdict(spec: SpectralResult,
                                rel_tol: float = 1e-3) -> bool:
     """True iff I_f(u,u) >= 0 for all u with int u da_f = 0 (discretely),
@@ -317,15 +291,28 @@ def volume_constrained_verdict(spec: SpectralResult,
 
     The constraint has codimension one, so by Cauchy interlacing the
     constrained minimum lies in [lambda_1, lambda_2] of the spectrum
-    ``spec``; only when -tol falls between the two is the constrained
-    eigenproblem of its assembly solved.
+    ``spec``.  Only when -tol falls between the two is H = A + tol M
+    factored, and the verdict is an inertia count (Haynsworth's formula
+    for H bordered by c = M 1): with no negative pivot H is positive
+    definite, with two or more H is negative on a plane that meets
+    {c.u = 0}, and with exactly one H is nonnegative on {c.u = 0} iff
+    c.H^-1 c <= 0.
     """
     lam, tol = spec.eigenvalues, spec.verdict_tol(rel_tol)
     if lam[0] >= -tol:
         return True
     if lam[1] < -tol:
         return False
-    return constrained_lambda_min(spec.asm) >= -tol
+    asm = spec.asm
+    factor = _ldlt(asm.operator + tol * asm.M)
+    if factor is None:
+        raise NumericalFailure("volume-constrained verdict: A + tol M has "
+                               "no L D L^T factor")
+    lu, negatives = factor
+    if negatives != 1:
+        return negatives == 0
+    c = asm.M @ np.ones(asm.dof)
+    return float(c @ lu.solve(c)) <= 0.0
 
 
 # ---------------------------------------------------------------------------

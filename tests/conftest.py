@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 
 from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
 from wstab.functionals import RotationFlow, ScalingFlow
+from wstab.stability import _factor_below_spectrum
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            SurfaceChart, extrinsic_geometry, surface_chart)
 
@@ -77,6 +78,32 @@ def same_float_kernels() -> bool:
 
 
 EPS = np.finfo(float).eps
+
+
+def constrained_lambda_min(asm) -> float:
+    """Minimum Rayleigh quotient of (K-P-B, M) over {u : 1^T M u = 0}, by
+    ARPACK: the reference the inertia verdict is tested against.
+
+    A modified eigenproblem on the spectrum's shifted factor: with c = M 1
+    and z = (A - sigma M)^-1 c, the saddle-point inverse
+    b -> w - z (c.w)/(c.z), w = (A - sigma M)^-1 b, maps into the
+    constraint space and its shift-invert eigenvalues are exactly those
+    of the pencil restricted to it.
+    """
+    sigma, lu = _factor_below_spectrum(asm)
+    c = asm.M @ np.ones(asm.dof)
+    z = lu.solve(c)
+    cz = float(c @ z)
+
+    def constrained_solve(b):
+        w = lu.solve(b)
+        return w - z * (float(c @ w) / cz)
+
+    n = asm.dof
+    op = spla.LinearOperator((n, n), matvec=constrained_solve, dtype=float)
+    vals, _ = spla.eigsh(asm.operator, k=1, M=asm.M, sigma=sigma, which="LM",
+                         OPinv=op, v0=np.random.default_rng(0).standard_normal(n))
+    return float(vals[0])
 
 
 def assert_same_bits(got, want):

@@ -21,9 +21,8 @@ from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
                                first_variation_fd, first_variation_formula,
                                second_variation_fd)
 from wstab.scenarios import builtin_names, builtin_scenario, run_scenario
-from wstab.stability import (assemble, constrained_lambda_min,
-                             index_form_value, jacobi_fd_check,
-                             robin_eigenproblem)
+from wstab.stability import (assemble, index_form_value, jacobi_fd_check,
+                             robin_eigenproblem, volume_constrained_verdict)
 from wstab.surface import extrinsic_geometry
 from wstab.theorems import (boundary_identity_residual,
                             gauss_rearrangement_residual)
@@ -334,12 +333,15 @@ def test_criterion_6_curvature_identities():
 
 def test_criterion_7_constrained_stability_examples():
     with criterion(7) as info:
-        space, imm, mesh, data = cf.cached_geometry("hemisphere", 24, "gaussian")
-        lam_gauss = constrained_lambda_min(assemble(data))
+        gauss = assemble(cf.cached_geometry("hemisphere", 24, "gaussian")[3])
+        cone = assemble(cf.cached_geometry("cone", 24, "radial-smooth",
+                                           coeffs=(0.0, 0.0, 0.5))[3])
+        assert not volume_constrained_verdict(robin_eigenproblem(gauss))
+        assert volume_constrained_verdict(robin_eigenproblem(cone))
+        # the constrained minima of an independent ARPACK solve
+        lam_gauss = cf.constrained_lambda_min(gauss)
         assert lam_gauss < -1e-3
-        cone = cf.cached_geometry("cone", 24, "radial-smooth",
-                                  coeffs=(0.0, 0.0, 0.5))[3]
-        lam_cone = constrained_lambda_min(assemble(cone))
+        lam_cone = cf.constrained_lambda_min(cone)
         assert lam_cone >= -1e-3
         info["detail"] = (f"gaussian half-space {lam_gauss:+.3f} (unstable), "
                           f"convex cone {lam_cone:+.3f} (stable)")

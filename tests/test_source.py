@@ -1,6 +1,7 @@
 """Static checks over the package source, with the standard library's ast:
-every import is used, and every private name a module or class defines is
-read somewhere in the package."""
+every import is used, every private name a module or class defines is read
+somewhere in the package, and so is every public module-level function and
+class that ``UNREAD_PUBLIC`` does not name."""
 import ast
 import pathlib
 
@@ -11,6 +12,17 @@ import wstab
 MODULES = sorted(pathlib.Path(wstab.__file__).parent.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
          for path in MODULES}
+
+# public definitions that no code in the package reads, each with the reason
+# it stays
+UNREAD_PUBLIC = {
+    "jacobi_fd_check": "H_f'(0) = L_f(u) check that no task runs yet; "
+                       "tests and acceptance criterion 9 call it",
+    "FieldFlow": "non-similarity flow with closed-form derivatives that no "
+                 "scenario names yet; tests build it",
+    "fd_grad_psi": "finite-difference reference for Density.grad in tests",
+    "fd_hess_psi": "finite-difference reference for Density.hess in tests",
+}
 
 
 def read_names(tree) -> set:
@@ -73,3 +85,23 @@ def test_every_private_name_is_read(module):
               for name, line in private_definitions(TREES[module])
               if name not in read]
     assert not unread, f"{module} defines and nobody reads: {unread}"
+
+
+def test_every_public_definition_is_read_or_listed():
+    read = set().union(*map(read_names, TREES.values()))
+    unread = [f"{module}: {node.name} (line {node.lineno})"
+              for module, tree in sorted(TREES.items())
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in read and node.name not in UNREAD_PUBLIC]
+    assert not unread, f"defined, never read and not listed: {unread}"
+
+
+def test_every_listed_definition_is_unread():
+    read = set().union(*map(read_names, TREES.values()))
+    defined = {node.name for tree in TREES.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    stale = sorted(name for name in UNREAD_PUBLIC
+                   if name in read or name not in defined)
+    assert not stale, f"listed but read or gone: {stale}"

@@ -1,9 +1,11 @@
 """Tests for the index form assembly, spectra, and stability verdicts."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ import wstab.stability as stability
 from wstab.ambient import make_space
 from wstab.errors import InputError, NumericalFailure
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
-from wstab.stability import (assemble, constrained_lambda_min,
-                             index_form_value, jacobi_apply, jacobi_fd_check,
+from wstab.stability import (SpectralResult, assemble, index_form_value,
+                             jacobi_apply, jacobi_fd_check,
                              robin_eigenproblem, strong_stability_verdict,
                              volume_constrained_verdict)
 from wstab.surface import (PlanarDisk, RectPatch, extrinsic_geometry,
@@ -45,6 +47,22 @@ def flat_torus_assembly(resolution):
                     periodic_v=True)
     return assemble(extrinsic_geometry(space,
                                        surface_chart(imm, resolution, space)))
+
+
+def dense_constrained_minimum(asm) -> float:
+    """The constrained minimum from a dense solve on an orthonormal basis
+    of {u : c.u = 0}, c = M 1: the complement of c in a QR."""
+    M = asm.M.toarray()
+    c = M @ np.ones(asm.dof)
+    Q, _ = np.linalg.qr(np.column_stack([c, np.eye(asm.dof)[:, 1:]]))
+    Z = Q[:, 1:]
+    return scipy.linalg.eigh(Z.T @ asm.operator.toarray() @ Z, Z.T @ M @ Z,
+                             subset_by_index=[0, 0], eigvals_only=True)[0]
+
+
+def with_tol(spec, tol) -> float:
+    """The rel_tol that gives spec.verdict_tol the value tol."""
+    return tol / spec.verdict_tol(1.0)
 
 
 ORACLE_ASSEMBLIES = {
@@ -133,15 +151,19 @@ class TestDenseOracle:
 
     def test_constrained_minimum_matches_dense_basis(self, name):
         asm = ORACLE_ASSEMBLIES[name]()
-        M = asm.M.toarray()
-        c = M @ np.ones(asm.dof)
-        # orthonormal basis of {u : c.u = 0}: the complement of c in a QR
-        Q, _ = np.linalg.qr(np.column_stack([c, np.eye(asm.dof)[:, 1:]]))
-        Z = Q[:, 1:]
-        dense = scipy.linalg.eigh(Z.T @ asm.operator.toarray() @ Z,
-                                  Z.T @ M @ Z, subset_by_index=[0, 0],
-                                  eigvals_only=True)[0]
-        assert abs(constrained_lambda_min(asm) - dense) < 1e-10
+        dense = dense_constrained_minimum(asm)
+        assert abs(cf.constrained_lambda_min(asm) - dense) < 1e-10
+
+    def test_verdict_turns_at_the_dense_constrained_minimum(self, name):
+        """-tol 1e-6 relative below the dense minimum mu gives true, and
+        1e-6 relative above it false."""
+        asm = ORACLE_ASSEMBLIES[name]()
+        spec = robin_eigenproblem(asm)
+        mu = dense_constrained_minimum(asm)
+        for side, want in [(-1.0, True), (1.0, False)]:
+            tol = -(mu + side * 1e-6 * abs(mu))
+            assert volume_constrained_verdict(spec, with_tol(spec, tol)) \
+                == want, side
 
 
 class TestShiftedFactor:
@@ -149,21 +171,18 @@ class TestShiftedFactor:
         asm = assembly("hemisphere", 12, "gaussian")
         dense = scipy.linalg.eigh(asm.operator.toarray(), asm.M.toarray(),
                                   subset_by_index=[0, 0], eigvals_only=True)
-        assert asm.shifted_factor.sigma < dense[0]
-
-    def test_factor_is_shared_between_solves(self):
-        asm = assembly("hemisphere", 12, "gaussian")
-        factor, operator = asm.shifted_factor, asm.operator
-        robin_eigenproblem(asm)
-        constrained_lambda_min(asm)
-        assert asm.shifted_factor is factor
-        assert asm.operator is operator
+        sigma, _ = stability._factor_below_spectrum(asm)
+        assert sigma < dense[0]
 
     def test_constrained_solve_above_old_dense_limit(self):
-        """Mean-zero l = 1 modes: lambda = 2 - (2 + k) = 2.5 for k = -2.5."""
+        """Mean-zero l = 1 modes: lambda = 2 - (2 + k) = 2.5 for k = -2.5,
+        so the verdict turns there; below it the factor decides."""
         asm = assembly("hemisphere", 48, "radial-log", k=-2.5)
         assert asm.dof == 7057
-        assert constrained_lambda_min(asm) == pytest.approx(2.5, abs=1e-3)
+        assert cf.constrained_lambda_min(asm) == pytest.approx(2.5, abs=1e-3)
+        spec = robin_eigenproblem(asm)
+        assert volume_constrained_verdict(spec, with_tol(spec, -2.49))
+        assert not volume_constrained_verdict(spec, with_tol(spec, -2.51))
 
     @staticmethod
     def disk_in_ball(radius):
@@ -183,7 +202,7 @@ class TestShiftedFactor:
         assert unit.lambda_min == pytest.approx(-2.5851, abs=1e-4)
         assert small.lambda_min == pytest.approx(4.0 * unit.lambda_min,
                                                  rel=1e-9)
-        assert small.asm.shifted_factor.sigma == -16.0
+        assert stability._factor_below_spectrum(small.asm)[0] == -16.0
         floor = stability._spectrum_floor(small.asm)
         assert floor < small.lambda_min
 
@@ -201,7 +220,7 @@ class TestShiftedFactor:
 
         monkeypatch.setattr(spla, "splu", refused)
         with pytest.raises(NumericalFailure, match="bracket"):
-            asm.shifted_factor
+            stability._factor_below_spectrum(asm)
         assert len(tried) == math.ceil(math.log2(-floor)) + 1
 
     def test_arpack_failure_is_a_numerical_failure(self, monkeypatch):
@@ -209,11 +228,8 @@ class TestShiftedFactor:
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
         monkeypatch.setattr(spla, "eigsh", no_convergence)
-        asm = assembly("hemisphere", 8)
         with pytest.raises(NumericalFailure):
-            robin_eigenproblem(asm)
-        with pytest.raises(NumericalFailure):
-            constrained_lambda_min(asm)
+            robin_eigenproblem(assembly("hemisphere", 8))
 
 
 class TestJacobiOperator:
@@ -281,52 +297,55 @@ class TestConstrainedStability:
     def test_constrained_minimum_dominates_unconstrained(self):
         asm = assembly("hemisphere", 16, "radial-log", k=-2.5)
         spec = robin_eigenproblem(asm)
-        assert constrained_lambda_min(asm) >= spec.lambda_min - 1e-12
+        assert cf.constrained_lambda_min(asm) >= spec.lambda_min - 1e-12
 
     def test_gaussian_hemisphere_is_constrained_unstable(self):
         asm = assembly("hemisphere", 24, "gaussian")
         assert not volume_constrained_verdict(robin_eigenproblem(asm))
-        assert constrained_lambda_min(asm) < -1e-3
+        assert cf.constrained_lambda_min(asm) < -1e-3
 
     def test_convex_cone_cap_is_constrained_stable(self):
         asm = cone_cap_assembly(24)
         assert volume_constrained_verdict(robin_eigenproblem(asm))
-        assert constrained_lambda_min(asm) >= -1e-3
+        assert cf.constrained_lambda_min(asm) >= -1e-3
 
     def test_neutral_slice_is_constrained_stable(self):
         asm = assembly("slice", 16, "linear", a=(1.0, 0.0, 0.0))
         assert volume_constrained_verdict(robin_eigenproblem(asm))
-        assert constrained_lambda_min(asm) >= -1e-3
+        assert cf.constrained_lambda_min(asm) >= -1e-3
 
 
 @pytest.fixture(scope="module")
 def builtin_pass():
     """Run every builtin once.  For each spectrum run, record its name, the
-    verdict, its absolute tolerance, the full constrained solve and the
-    spectrum; also record the name of every run whose verdict called the
-    constrained solve."""
+    verdict, its absolute tolerance, the constrained minimum of the
+    reference solve and the spectrum; also record the name of every run
+    whose verdict factored A + tol M."""
     verdict = scenarios.volume_constrained_verdict
-    solve = stability.constrained_lambda_min
-    runs, solved = [], []
+    ldlt = stability._ldlt
+    runs, factored, calls = [], [], []
     current = [None]
 
     def recording_verdict(spec, rel_tol):
+        before = len(calls)
         out = verdict(spec, rel_tol)
+        if len(calls) > before:
+            factored.append(current[0])
         runs.append((current[0], out, spec.verdict_tol(rel_tol),
-                     solve(spec.asm), spec))
+                     cf.constrained_lambda_min(spec.asm), spec))
         return out
 
-    def counting_solve(asm):
-        solved.append(current[0])
-        return solve(asm)
+    def counting_ldlt(matrix):
+        calls.append(matrix)
+        return ldlt(matrix)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "volume_constrained_verdict", recording_verdict)
-        mp.setattr(stability, "constrained_lambda_min", counting_solve)
+        mp.setattr(stability, "_ldlt", counting_ldlt)
         for name in scenarios.builtin_names():
             current[0] = name
             scenarios.run_scenario(scenarios.builtin_scenario(name))
-    return runs, solved
+    return runs, factored
 
 
 class TestConstrainedVerdictFromSpectrum:
@@ -345,14 +364,14 @@ class TestConstrainedVerdictFromSpectrum:
         for name, _, _, _, spec in runs:
             data = spec.asm.data
             sigma0 = -float(np.max(np.abs(data.ricf_NN + data.sigma2))) - 1.0
-            assert spec.asm.shifted_factor.sigma in [
+            assert stability._factor_below_spectrum(spec.asm)[0] in [
                 sigma0 * 2.0 ** k for k in range(4)], name
             assert stability._spectrum_floor(spec.asm) < spec.lambda_min, name
 
     def test_a_pass_solves_only_where_the_spectrum_straddles_tol(
             self, builtin_pass):
-        _, solved = builtin_pass
-        assert sorted(solved) == ["paper-ex-3.8-convex-cone",
+        _, factored = builtin_pass
+        assert sorted(factored) == ["paper-ex-3.8-convex-cone",
                                   "paper-ex-3.9-threshold",
                                   "paper-ex-3.9-threshold",
                                   "sphere-classical-instability"]
@@ -362,11 +381,99 @@ class TestConstrainedVerdictFromSpectrum:
         ([-0.5, 0.0], 1, True)])
     def test_interlacing_decides_before_solving(self, monkeypatch,
                                                 eigenvalues, solves, verdict):
-        """The stubbed constrained solve returns 0."""
+        """The stubbed factorization has no negative pivot."""
         calls = []
-        monkeypatch.setattr(stability, "constrained_lambda_min",
-                            lambda asm: calls.append(asm) or 0.0)
-        spec = stability.SpectralResult(None, np.array(eigenvalues),
-                                        np.zeros((3, 2)), np.zeros(2))
+        monkeypatch.setattr(stability, "_ldlt",
+                            lambda matrix: calls.append(matrix) or (None, 0))
+        spec = spectrum_of(pencil(np.diag(eigenvalues)), eigenvalues)
         assert volume_constrained_verdict(spec, rel_tol=1e-3) == verdict
         assert len(calls) == solves
+
+
+def pencil(A, M=None):
+    """A hand-built assembly: the pencil (A, M), M the identity if None."""
+    A = np.asarray(A, float)
+    M = np.eye(len(A)) if M is None else np.asarray(M, float)
+    return SimpleNamespace(operator=sp.csr_matrix(A), M=sp.csr_matrix(M),
+                           dof=len(A))
+
+
+def spectrum_of(asm, eigenvalues):
+    """A spectrum of ``asm`` that reports ``eigenvalues``, computed or not."""
+    n = len(eigenvalues)
+    return SpectralResult(asm, np.array(eigenvalues, float),
+                          np.zeros((asm.dof, n)), np.zeros(n))
+
+
+# the pencil with eigenvalue -1 on the constants and 1 on their complement
+CONSTANT_GROUND_STATE = np.eye(3) - 2.0 * np.full((3, 3), 1.0 / 3.0)
+
+
+class TestInertiaVerdict:
+    """Each branch of the factored verdict, with the spectrum straddling
+    -tol = -1e-3 and the pencil's own inertia deciding."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """The negative pivot counts of every factorization."""
+        ldlt, out = stability._ldlt, []
+
+        def counting(matrix):
+            factor = ldlt(matrix)
+            out.append(None if factor is None else factor[1])
+            return factor
+
+        monkeypatch.setattr(stability, "_ldlt", counting)
+        return out
+
+    @pytest.mark.parametrize("A,M,count,verdict", [
+        # constrained minimum -0.35 with M = I, between lambda_1 and lambda_2
+        (np.diag([-1.0, 0.5, 3.0]), None, 1, False),
+        (np.diag([-1.0, 0.5, 3.0]), [[2.0, 0.5, 0.0], [0.5, 1.0, 0.2],
+                                     [0.0, 0.2, 1.5]], 1, False),
+        (CONSTANT_GROUND_STATE, None, 1, True),
+        # pencils whose inertia the spectrum misreports, as rounding can
+        # where lambda_1 or lambda_2 lies within rounding of -tol
+        (np.diag([1.0, 2.0, 3.0]), None, 0, True),
+        (np.diag([-1.0, -0.5, 3.0]), None, 2, False),
+    ])
+    def test_count_decides(self, counts, A, M, count, verdict):
+        asm = pencil(A, M)
+        spec = spectrum_of(asm, [-1.0, 0.5, 3.0])
+        assert volume_constrained_verdict(spec, with_tol(spec, 1e-3)) \
+            == verdict
+        assert counts == [count]
+        if count == 1:
+            assert (dense_constrained_minimum(asm) >= -1e-3) == verdict
+
+    def test_lambda_1_within_rounding_of_tol(self):
+        """-tol a few ulps above lambda_1 = -0.5 of the k = -1.5 log-radial
+        hemisphere: A + tol M is singular to rounding, and the count still
+        decides, true as lambda_2 = 1.5."""
+        spec = robin_eigenproblem(assembly("hemisphere", 12, "radial-log",
+                                           k=-1.5))
+        lam1 = spec.lambda_min
+        rel_tol = with_tol(spec, -lam1)
+        while not lam1 < -spec.verdict_tol(rel_tol):
+            rel_tol = np.nextafter(rel_tol, 0.0)
+        assert -spec.verdict_tol(rel_tol) - lam1 <= 8 * cf.EPS * abs(lam1)
+        assert spec.eigenvalues[1] > 1.0
+        assert volume_constrained_verdict(spec, rel_tol)
+
+    @staticmethod
+    def singular(A, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    @staticmethod
+    def off_diagonal(A, **kwargs):
+        return SimpleNamespace(perm_r=np.array([1, 0, 2]),
+                               perm_c=np.arange(3),
+                               U=sp.identity(3, format="csr"))
+
+    @pytest.mark.parametrize("splu", ["singular", "off_diagonal"])
+    def test_no_factor_is_a_numerical_failure(self, monkeypatch, splu):
+        monkeypatch.setattr(spla, "splu", getattr(self, splu))
+        spec = spectrum_of(pencil(np.diag([-1.0, 0.5, 3.0])),
+                           [-1.0, 0.5, 3.0])
+        with pytest.raises(NumericalFailure, match="volume-constrained"):
+            volume_constrained_verdict(spec)
