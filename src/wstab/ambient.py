@@ -19,11 +19,6 @@ from .errors import InputError, SingularBoundaryError
 
 Array = np.ndarray
 
-#: steps of the finite-difference references (relative to 1 + |p|)
-FD_STEP_GRAD = 1e-5
-FD_STEP_HESS = 2e-4
-
-
 def vector3(value, what: str) -> Array:
     """A parameter that must be a 3-vector; any other shape is an InputError."""
     v = np.asarray(value, dtype=float)
@@ -191,40 +186,6 @@ def boundary_f_mean_curvature(space: AmbientSpace, P: Array) -> Array:
     H = boundary_ii_matrix(space, P)
     trace_tan = trace(H) - quadratic_form(H, xi)
     return trace_tan - dot(space.density.grad_psi(P).T, xi.T)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference references for the analytic derivatives
-# ---------------------------------------------------------------------------
-
-def fd_grad_psi(density: Density, P: Array) -> Array:
-    h = FD_STEP_GRAD * (1.0 + np.linalg.norm(P, axis=-1))
-    out = np.empty_like(P)
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = 1.0
-        out[:, i] = (density.psi(P + h[:, None] * e) - density.psi(P - h[:, None] * e)) / (2 * h)
-    return out
-
-
-def fd_hess_psi(density: Density, P: Array) -> Array:
-    h = FD_STEP_HESS * (1.0 + np.linalg.norm(P, axis=-1))
-    H = np.empty((len(P), 3, 3))
-    psi0 = density.psi(P)
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = 1.0
-        H[:, i, i] = (density.psi(P + h[:, None] * ei) - 2 * psi0
-                      + density.psi(P - h[:, None] * ei)) / h**2
-        for j in range(i + 1, 3):
-            ej = np.zeros(3)
-            ej[j] = 1.0
-            hp = h[:, None]
-            val = (density.psi(P + hp * (ei + ej)) - density.psi(P + hp * (ei - ej))
-                   - density.psi(P - hp * (ei - ej)) + density.psi(P - hp * (ei + ej))) / (4 * h**2)
-            H[:, i, j] = val
-            H[:, j, i] = val
-    return H
 
 
 # ---------------------------------------------------------------------------

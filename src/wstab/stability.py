@@ -36,21 +36,22 @@ EIGENPAIRS = 6
 # sum_r w_r h_r h_r^T is at least this times min_r w_r
 HAT_GRAM_MIN = float(np.linalg.eigvalsh(TRI_HATS @ TRI_HATS.T)[0])
 
+# the corner pairs (i, j), i <= j, of a triangle and of a boundary edge
+TRI_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+EDGE_PAIRS = ((0, 0), (0, 1), (1, 1))
+
 
 @dataclass
 class IndexFormAssembly:
-    """Discretized index form I_f(v, w) = v^T (K - P - B) w as its element
-    triplets: a matrix's entry (i, j) is the sum of its values at the t with
-    (rows[t], cols[t]) = (i, j).  The CSR matrices are built on first read,
-    so scipy loads only for a solve."""
+    """Discretized index form I_f(v, w) = v^T (K - P - B) w by slot: slot i
+    < dof is the diagonal entry (i, i), and slot dof + e the entries (i, j)
+    and (j, i) of the mesh edge e = (i, j).  Every matrix is a CSR on this
+    one symmetric pattern, built on first read, so scipy loads only for a
+    solve."""
 
-    rows: Array           # the triangle triplets' rows and columns
-    cols: Array
     k: Array              # weighted stiffness
     p: Array              # potential (Ric_f(N,N) + |sigma|^2) mass
     m: Array              # weighted mass
-    b_rows: Array         # the boundary edge triplets' rows and columns
-    b_cols: Array
     b: Array              # Robin boundary term II(N,N)
     data: ExtrinsicData   # the geometry it was assembled from
 
@@ -58,31 +59,36 @@ class IndexFormAssembly:
     def dof(self) -> int:
         return self.data.mesh.n_vertices
 
-    def _csr(self, values: Array, rows: Array, cols: Array) -> sp.csr_matrix:
+    @functools.cached_property
+    def _pattern(self) -> tuple[Array, Array, Array]:
+        """The CSR indptr and indices of the diagonal and of each edge as
+        (i, j) and (j, i), and the slot of each stored entry."""
+        n, edges = self.dof, self.data.mesh.edges
+        diag = np.arange(n)
+        rows, cols = np.hstack([[diag, diag], edges.T, edges.T[::-1]])
+        slots = np.concatenate([diag, np.tile(n + np.arange(len(edges)), 2)])
+        order = np.lexsort((cols, rows))
+        indptr = np.bincount(rows + 1, minlength=n + 1).cumsum(dtype=np.int32)
+        return indptr, cols[order].astype(np.int32), slots[order]
+
+    def _csr(self, values: Array) -> sp.csr_matrix:
+        """The matrix whose slots hold ``values``."""
         import scipy.sparse as sp
-        return sp.coo_matrix((values, (rows, cols)),
-                             shape=(self.dof, self.dof)).tocsr()
+        indptr, indices, slots = self._pattern
+        return sp.csr_matrix((values[slots], indices, indptr),
+                             shape=(self.dof, self.dof))
 
-    @functools.cached_property
-    def K(self) -> sp.csr_matrix:
-        return self._csr(self.k, self.rows, self.cols)
+    def shifted(self, shift: float) -> sp.csr_matrix:
+        """A + shift M, on the same pattern."""
+        return self._csr(self.k - self.p - self.b + shift * self.m)
 
-    @functools.cached_property
-    def P(self) -> sp.csr_matrix:
-        return self._csr(self.p, self.rows, self.cols)
-
-    @functools.cached_property
-    def M(self) -> sp.csr_matrix:
-        return self._csr(self.m, self.rows, self.cols)
-
-    @functools.cached_property
-    def B(self) -> sp.csr_matrix:
-        return self._csr(self.b, self.b_rows, self.b_cols)
-
-    @functools.cached_property
-    def operator(self) -> sp.csr_matrix:
-        """K - P - B, built once; every solve and check reads this one."""
-        return (self.K - self.P - self.B).tocsr()
+    K = functools.cached_property(lambda self: self._csr(self.k))
+    P = functools.cached_property(lambda self: self._csr(self.p))
+    M = functools.cached_property(lambda self: self._csr(self.m))
+    B = functools.cached_property(lambda self: self._csr(self.b))
+    # K - P - B, built once; every solve and check reads this one
+    operator = functools.cached_property(
+        lambda self: self._csr(self.k - self.p - self.b))
 
 
 def _by_point(x: Array, points: int) -> Array:
@@ -91,66 +97,67 @@ def _by_point(x: Array, points: int) -> Array:
     return np.ascontiguousarray(x.reshape(-1, points).T)
 
 
+def _hat_sums(weights: Array, hats, pairs) -> Array:
+    """The element sums of (w hat_i) hat_j over the quadrature points, pair
+    by pair, from one weight column w per point."""
+    return np.concatenate([ordered_sum(x * hi * hj for x, hi, hj
+                                       in zip(weights, hats[i], hats[j]))
+                           for i, j in pairs])
+
+
 def assemble(data: ExtrinsicData) -> IndexFormAssembly:
     """The index form of the surface whose geometry is ``data``.  Each
-    element sum over its quadrature points adds contiguous columns in
-    order onto +0.0, bit for bit np.sum over the 3-long row."""
+    element value (i, j), i <= j, adds contiguous columns over its points in
+    order onto +0.0, bit for bit np.sum over the row; np.bincount then adds
+    a slot's element values in input order onto +0.0: pair by pair in
+    TRI_PAIRS (EDGE_PAIRS) order, by triangle (boundary edge) in a pair."""
     mesh = data.mesh
-    tris = mesh.triangles
-    R = len(TRI_WEIGHTS)
+    n, R = mesh.n_vertices, len(TRI_WEIGHTS)
     w = _by_point(data.w_daf, R)
-    wpot = w * _by_point(data.ricf_NN + data.sigma2, R)
     G = [[_by_point(data.Ginv[:, a, b], R) for b in range(2)]
          for a in range(2)]
     signed_G = {1.0: G, -1.0: [[-g for g in row] for row in G]}
-    # the weights times each hat, ((w pot) hat_i) hat_j and (w hat_i) hat_j
-    # as the element sums multiplied them
-    w_hat = [[w[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
-    wpot_hat = [[wpot[r] * h for r, h in enumerate(hat)] for hat in TRI_HATS]
-
-    rows, cols, kv, pv, mv = [], [], [], [], []
-    for i in range(3):
-        for j in range(3):
-            # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner;
-            # the hat gradients are 0 or +-1, so a term is +-g^ab exactly,
-            # and a zero term leaves a sum begun at +0.0 unchanged
-            gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
-            gij = ordered_sum(signed_G[gi[a] * gj[b]][a][b]
-                              for a in range(2) for b in range(2)
-                              if gi[a] * gj[b] != 0)
-            hj = TRI_HATS[j]
-            rows.append(tris[:, i])
-            cols.append(tris[:, j])
-            kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
-            pv.append(ordered_sum(x * h for x, h in zip(wpot_hat[i], hj)))
-            mv.append(ordered_sum(x * h for x, h in zip(w_hat[i], hj)))
-
+    slots, kv = [], []
+    for i, j in TRI_PAIRS:
+        # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner;
+        # the hat gradients are 0 or +-1, so a term is +-g^ab exactly,
+        # and a zero term leaves a sum begun at +0.0 unchanged
+        gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
+        gij = ordered_sum(signed_G[gi[a] * gj[b]][a][b]
+                          for a in range(2) for b in range(2)
+                          if gi[a] * gj[b] != 0)
+        kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
+        # edge c joins corners c and c + 1, so corners i < j the edge
+        # opposite corner 3 - i - j
+        slots.append(mesh.triangles[:, i] if i == j
+                     else n + mesh.triangle_edges[:, (4 - i - j) % 3])
     # the boundary rows are (edge, Gauss2 point) in mesh edge order, none
     # on a closed surface
-    edges = mesh.boundary_edges
+    b_slots = [mesh.boundary_edges[:, i] if i == j
+               else n + mesh.boundary_edge_ids for i, j in EDGE_PAIRS]
+    wpot = w * _by_point(data.ricf_NN + data.sigma2, R)
     wb = _by_point(data.w_dlf * data.II_NN, len(EDGE_POINTS))
-    hats = (1.0 - EDGE_POINTS, EDGE_POINTS)
-    br, bc, bv = [], [], []
-    for i in range(2):
-        for j in range(2):
-            br.append(edges[:, i])
-            bc.append(edges[:, j])
-            bv.append(ordered_sum(x * hi * hj for x, hi, hj
-                                  in zip(wb, hats[i], hats[j])))
-    return IndexFormAssembly(*map(np.concatenate, (rows, cols, kv, pv, mv,
-                                                   br, bc, bv)), data)
+    values = (np.concatenate(kv), _hat_sums(wpot, TRI_HATS, TRI_PAIRS),
+              _hat_sums(w, TRI_HATS, TRI_PAIRS),
+              _hat_sums(wb, (1.0 - EDGE_POINTS, EDGE_POINTS), EDGE_PAIRS))
+    slots, b_slots = np.concatenate(slots), np.concatenate(b_slots)
+    return IndexFormAssembly(*(
+        np.bincount(s, v, minlength=n + len(mesh.edges))
+        for s, v in zip((slots, slots, slots, b_slots), values)), data)
 
 
 def index_form_value(asm: IndexFormAssembly, v: Array, w: Array) -> float:
-    """I_f(v, w), the sum of a v_i w_j over the triplets (i, j, a) of
-    K - P - B: numpy sums, no BLAS product and no sparse matrix."""
+    """I_f(v, w), the sum of a v_i w_i over the diagonal slots plus the sum
+    of a (v_i w_j + v_j w_i) over the edge slots of K - P - B: numpy sums,
+    no BLAS product and no sparse matrix, and exactly symmetric in v, w."""
     v = np.asarray(v, float)
     w = np.asarray(w, float)
     if v.shape != (asm.dof,) or w.shape != (asm.dof,):
         raise InputError("coefficient vector length does not match DOF count")
-    interior = (asm.k - asm.p) * v[asm.rows] * w[asm.cols]
-    robin = asm.b * v[asm.b_rows] * w[asm.b_cols]
-    return float(np.sum(interior) - np.sum(robin))
+    a, n = asm.k - asm.p - asm.b, asm.dof
+    i, j = asm.data.mesh.edges.T
+    return float(np.sum(a[:n] * (v * w))
+                 + np.sum(a[n:] * (v[i] * w[j] + v[j] * w[i])))
 
 
 def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
@@ -161,7 +168,7 @@ def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
     factor = _ldlt(asm.M)
     if factor is None:
         raise NumericalFailure("singular mass matrix")
-    return factor[0].solve((asm.P - asm.K) @ u)
+    return factor[0].solve(asm._csr(asm.p - asm.k) @ u)
 
 
 @dataclass
@@ -188,8 +195,10 @@ def _pencil_residuals(A, M, vals, vecs) -> Array:
     return out
 
 
-def _ldlt(matrix: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
-    """The factor of a symmetric matrix and its count of negative pivots.
+def _ldlt(matrix: sp.csr_matrix) -> tuple[spla.SuperLU, int] | None:
+    """The factor of an exactly symmetric CSR matrix, which SuperLU gets as
+    its own CSC (the transpose, on the same arrays), and its negative pivot
+    count.
 
     SuperLU runs in symmetric mode with diagonal pivots and MMD ordering on
     A^T + A, so its factor is an L D L^T factorization of a symmetric
@@ -200,7 +209,7 @@ def _ldlt(matrix: sp.spmatrix) -> tuple[spla.SuperLU, int] | None:
     """
     import scipy.sparse.linalg as spla
     try:
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:          # an exactly zero pivot
         return None
@@ -238,13 +247,11 @@ def _factor_below_spectrum(asm: IndexFormAssembly
     (``_spectrum_floor``) that the factor still rejects is a numerical
     failure.
     """
-    A = asm.operator
-    M = asm.M
     pot = asm.data.ricf_NN + asm.data.sigma2
     sigma = -float(np.max(np.abs(pot))) - 1.0
     floor = None              # evaluated at the first rejected shift
     while True:
-        factor = _ldlt(A - sigma * M)
+        factor = _ldlt(asm.shifted(-sigma))
         if factor is not None and factor[1] == 0:
             return sigma, factor[0]
         if floor is None:
@@ -262,11 +269,14 @@ def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
     sigma, lu = _factor_below_spectrum(asm)
     A, n = asm.operator, asm.dof
     op = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    # a fixed start vector keeps the result identical from run to run
-    v0 = np.random.default_rng(0).standard_normal(n)
+    # a fixed start vector, and a seeded generator for the random vector
+    # ARPACK asks for when its Lanczos basis breaks down (scipy draws OS
+    # entropy otherwise), keep the result identical from run to run
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
     try:
         vals, vecs = spla.eigsh(A, k=EIGENPAIRS, M=asm.M, sigma=sigma,
-                                which="LM", OPinv=op, v0=v0)
+                                which="LM", OPinv=op, v0=v0, rng=rng)
     except (spla.ArpackError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
@@ -304,7 +314,7 @@ def volume_constrained_verdict(spec: SpectralResult,
     if lam[1] < -tol:
         return False
     asm = spec.asm
-    factor = _ldlt(asm.operator + tol * asm.M)
+    factor = _ldlt(asm.shifted(tol))
     if factor is None:
         raise NumericalFailure("volume-constrained verdict: A + tol M has "
                                "no L D L^T factor")

@@ -351,7 +351,9 @@ class SurfaceMesh:
     boundary_edges: Array      # (B, 3) int: (v_i, v_j, arc_id)
     boundary_t: Array          # (B, 2) arc parameter range of each edge
     resolution: int
-    n_edges: int
+    edges: Array               # (E, 2) int: each edge's (v_i, v_j), v_i < v_j
+    triangle_edges: Array      # (F, 3) int: edge c joins corners c, c + 1
+    boundary_edge_ids: Array   # (B,) int: each boundary edge's edge
     n_loops: int               # connected components of the boundary
     # the triangle of each boundary edge and its corners holding (v_i, v_j):
     # it gets a transfinite blend so quadrature covers the exact parameter
@@ -365,11 +367,7 @@ class SurfaceMesh:
 
     @property
     def chi(self):
-        return self.n_vertices - self.n_edges + len(self.triangles)
-
-    @property
-    def genus(self):
-        return (2 - self.n_loops - self.chi) // 2
+        return self.n_vertices - len(self.edges) + len(self.triangles)
 
 
 def _min_angle_from_corners(p: Array) -> float:
@@ -576,13 +574,13 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
 
 
 def _number_edges(tris: Array, be: Array, V: int):
-    """The edge count, the boundary loop count, and each boundary edge's
-    triangle and the corners holding its (v_i, v_j).
+    """The edges, the edge ids of each triangle and boundary edge, the loop
+    count, and each boundary edge's triangle and corners holding (v_i, v_j).
 
     Corner c of triangle f starts the triangle edge 3f + c.  One unique
     over the undirected keys of the 3F triangle edges, then the B boundary
-    edges, counts the edges and finds the one triangle edge of each
-    boundary edge.
+    edges, numbers the edges in key order and finds the one triangle edge
+    of each boundary edge.
     """
     start = tris.ravel()
     i = np.concatenate([start, be[:, 0]])
@@ -593,7 +591,9 @@ def _number_edges(tris: Array, be: Array, V: int):
     tri, c = np.divmod(e, 3)
     loc = np.stack([c, (c + 1) % 3], axis=-1)
     loc = np.where((start[e] == be[:, 0])[:, None], loc, loc[:, ::-1])
-    return len(uniq), _boundary_loops(be), tri, loc
+    return (np.stack(np.divmod(uniq, V), axis=-1),
+            inverse[:len(start)].reshape(-1, 3), inverse[len(start):],
+            _boundary_loops(be), tri, loc)
 
 
 def _boundary_loops(be: Array) -> int:

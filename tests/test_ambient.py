@@ -7,14 +7,53 @@ import pytest
 import conftest as cf
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
                            boundary_f_mean_curvature, boundary_ii_matrix,
-                           boundary_inner_normal, dot, fd_grad_psi,
-                           fd_hess_psi, make_boundary, make_density,
-                           make_space, norm, ordered_sum, squared_norm, trace)
+                           boundary_inner_normal, dot, make_boundary,
+                           make_density, make_space, norm, ordered_sum,
+                           squared_norm, trace)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
 
 RNG = np.random.default_rng(7)
+
+# steps of the finite-difference references (relative to 1 + |p|)
+FD_STEP_GRAD = 1e-5
+FD_STEP_HESS = 2e-4
+
+
+def fd_grad_psi(density, P):
+    """Central differences of psi along each axis."""
+    h = FD_STEP_GRAD * (1.0 + np.linalg.norm(P, axis=-1))
+    out = np.empty_like(P)
+    for i in range(3):
+        e = np.zeros(3)
+        e[i] = 1.0
+        out[:, i] = (density.psi(P + h[:, None] * e)
+                     - density.psi(P - h[:, None] * e)) / (2 * h)
+    return out
+
+
+def fd_hess_psi(density, P):
+    """Second central differences of psi, mixed ones on the diagonals."""
+    h = FD_STEP_HESS * (1.0 + np.linalg.norm(P, axis=-1))
+    H = np.empty((len(P), 3, 3))
+    psi0 = density.psi(P)
+    for i in range(3):
+        ei = np.zeros(3)
+        ei[i] = 1.0
+        H[:, i, i] = (density.psi(P + h[:, None] * ei) - 2 * psi0
+                      + density.psi(P - h[:, None] * ei)) / h**2
+        for j in range(i + 1, 3):
+            ej = np.zeros(3)
+            ej[j] = 1.0
+            hp = h[:, None]
+            val = (density.psi(P + hp * (ei + ej))
+                   - density.psi(P + hp * (ei - ej))
+                   - density.psi(P - hp * (ei - ej))
+                   + density.psi(P - hp * (ei + ej))) / (4 * h**2)
+            H[:, i, j] = val
+            H[:, j, i] = val
+    return H
 
 
 def unit(v):

@@ -876,46 +876,46 @@ class TestExportMesh:
 # SHA-256 of every builtin's report.json, spectrum.csv and samples.csv,
 # recorded before one density-free chart was shared by a run, its variation
 # family and its density sweep: that change, and any other refactor, keeps
-# every output byte for byte.  The flat slab slice's report.json was
-# re-recorded when the index form of its second variation became a numpy
-# sum over the assembly's triplets.
+# every output byte for byte.  Every spectrum.csv, every report.json and
+# the threshold's samples.csv were re-recorded when the index form moved
+# onto one symmetric sparsity pattern (eigenvalues moved by at most 2.1e-14).
 OUTPUT_DIGESTS = {
     "flat-slab-slice": {
-        "report.json": "0303fa6bc5509a224f71222a654aff21cc35325a67284ca586629d22591d218f",
-        "spectrum.csv": "8be6cc2eb972b0170215536596823c324558ac9db577c0db802b5eef98d750a4",
+        "report.json": "785cc478966238418f5ec329c2730abfac248c4632788788916c40d8f279f2b1",
+        "spectrum.csv": "f2f8cfb245b2f4e8ca871c3a247c5390e5c6ab693922a4a90bd93c067d5b8471",
         "samples.csv": "203046c0b9770f03cb0acd33c3080c1afe659b529d5cd6f0a25009ba32ddfda4",
     },
     "gauss-identity-suite": {
-        "report.json": "422e551384687307ae0e5e347dfd781d241d3c90533bd628d77be59320a10c05",
-        "spectrum.csv": "d8a12c0f5180b834d2d859ba513d7dc5362a4cbf2c3cfd83e70ee52a5177dc1f",
+        "report.json": "a151695f9bc6b2e94fabbf1f6b0c90bf1f7671ce8446cf55a29efb399b99dcbd",
+        "spectrum.csv": "46c04de2e7b0e2b04996c8337e33213021cb1b7e037b3882f3069941d6e163d5",
     },
     "paper-Mr-k-minus-2": {
-        "report.json": "54aa5b5ef95e99f857652a45b5e0c20abc67ed9e2a5da4db3f211058c298ab0f",
-        "spectrum.csv": "5bfbfaa4a322d007da0ad2ac8163b44994e8323e76bf3a4681558c9e00b8dfb8",
+        "report.json": "5de30e9c17215d5e32ec6bc5dd4f8ace50b459f9f36613780d911e939781ef9b",
+        "spectrum.csv": "6fb483e8c1d6e01e4a0ac76e9dc84874818ec610ccc4b5c583ca455ae5f1fc8b",
     },
     "paper-ex-3.8-convex-cone": {
-        "report.json": "f1bb82f7d8b9dc59ece25f0fbf2868c174ce96842383bbec16c4c9dedbe142d0",
-        "spectrum.csv": "730f224ba8227eff1588060c9c4508e71686ef0c4d748fb7785115c0daa1249e",
+        "report.json": "e5fb9920805aa468f4dca7badb0747e7c387fb1d9b5f7f65205f15fa7f040b77",
+        "spectrum.csv": "f4b0f0914d59eff0d2a4372d21f4abcec2c0b2d61ecffa66ab4540b8dae9a5f9",
     },
     "paper-ex-3.8-gaussian-halfspace": {
-        "report.json": "15fc6ebf76190b377dfeafd2c767953e8f159948b6bc4e67c60d269f517f0609",
-        "spectrum.csv": "fd3b9711ad839e22a32ceac844912176a3b3105bd71f156f0df76b067aa5ab86",
+        "report.json": "4b707d7986e5233827f2c825161812c028e584db2622a90d6bce4afc3d8672c8",
+        "spectrum.csv": "748bdf44bede882c2bbce1f830af411da20e22bda9673a0347749aef42ef72f7",
     },
     "paper-ex-3.9-threshold": {
-        "report.json": "582ece7a10d385d94bd725dc71a2cb92f768d6e53a442c26a1831ff4991240af",
-        "samples.csv": "1c34fd4c64fece81952917ccb0dfee23d4cf8a2d242612e65225178ee09dfe8a",
+        "report.json": "5bb7974116998cd82f95954bb35149f1e80c8c7b0752a411473b83a3e3ad2f4a",
+        "samples.csv": "63e04211fed2a201fdd39ad76484b141dd7167918f0db25f44852fb460e27c71",
     },
     "paper-product-cylinder": {
-        "report.json": "754bf953c94965a4e5da53f61e75b00d0984486e03b43e7117c86b5cdd2151a4",
-        "spectrum.csv": "e485bce32426c1c4cdb0c07e02773a7d7878ab50c4c788dd412abaff99b5de1d",
+        "report.json": "c41aeb951ce5bab1470004a2b830cc2f32d6eeda54c3467d252716a61f5da177",
+        "spectrum.csv": "7ace55491c016455e4846ef46b42e4e7f056f28cd1d6be8f17f092bb0b3bee55",
     },
     "paper-product-torus": {
-        "report.json": "3885148977bbc6733a30923957788b13d568cfd8604b0c22446055b7c4b1b2d4",
-        "spectrum.csv": "e0dad7e5206ef7d3d5132cb7686ec819a5c61ab7e5c93f0e8d93daa3bb7c8037",
+        "report.json": "9b79f9bdeaa853a0c158f25d085e5b9b8fc234c9edb8e6b7ceb7bcdc5d0d7fa8",
+        "spectrum.csv": "4ef1f98623b9b60f48255919971c17338069c628bdb59692246c9a56cad8f302",
     },
     "sphere-classical-instability": {
-        "report.json": "ea3be245ee2095b9c62cf3861410a490ba24b46d469c0bee84cecfa69f385eac",
-        "spectrum.csv": "5ae5998af281e773c2d784b5b87954fb4876ab8a7e40c0154a9e906f5e18848f",
+        "report.json": "32e517355c4cf3a51e3f544da1d63287fb6b1b2fd5c1bb2afdbc3d9c86756ecd",
+        "spectrum.csv": "6368a7abf62a55c32049881c2958fdf30bfc228893d82aaac823ab43a23d6c25",
     },
 }
 
@@ -928,13 +928,14 @@ OUTPUT_DIGESTS = {
 # element from the cofactor matrix; the scaling report and the rotation and
 # cone samples after a similarity slice took lambda^2 w da and the base
 # normal speed; the rotation outputs after every per-point sum and the
-# rotation matrices were summed in index order with no BLAS product; the
-# scaling and translation reports after the index form of the second
-# variation became a numpy sum over the assembly's triplets; the rest before
-# the mesher numbered its edges once.
+# rotation matrices were summed in index order with no BLAS product; every
+# output holding a spectrum or an index form (the scaling, translation,
+# rect, rotation and sweep reports, the rect and rotation spectra and the
+# sweep samples) after the index form moved onto one symmetric sparsity
+# pattern; the rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
-        "report.json": "49af63f301f218168fd3f021f1a7e48d1572b43853a1ff7cc5e24fd133b8d501",
+        "report.json": "c628ad789eb9daf4a97df97c579b38dc1a7809bd12a62f40e73f93c958c72659",
         "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
@@ -942,20 +943,20 @@ SCENARIO_DIGESTS = {
         "samples.csv": "98210c4c74ae099dc407747525860b50d9ac2a55e81c29d96a6e438aca4a80fc",
     },
     "sweep-k": {
-        "report.json": "5a673299d8255c24d34df5ba4e127e169eea475af609112631ebf329c473decb",
-        "samples.csv": "1c34fd4c64fece81952917ccb0dfee23d4cf8a2d242612e65225178ee09dfe8a",
+        "report.json": "8f191e6fdd8bbbcf8f6ac499fc6fdb522e710c28d9e716c5441ae418344e2c08",
+        "samples.csv": "63e04211fed2a201fdd39ad76484b141dd7167918f0db25f44852fb460e27c71",
     },
     "rect": {
-        "report.json": "217e9a3b92bd36131efb4afd20d2947e551ff5a0e74463c19696fee8fe734338",
-        "spectrum.csv": "537b80d46ab5c18f3909a0ae06cfce0a1c7a0bec5b307b34ebe4c5beddc5b701",
+        "report.json": "846aefe2b0ed1045713d3ba9cc1fa383758312d473a35ddee72c4958020fa769",
+        "spectrum.csv": "844caa16d94b85f049d9658d78cb98f78d690970de06338eebbc80a66d131735",
     },
     "translation": {
-        "report.json": "2ac1f059cc0aeef8a678fb2e06ae4fc062bfef921f17f16b2c292c7a29bd2a9d",
+        "report.json": "a79b4c90bc6f017446cb89b9cdfda2950a173e4aa3e0b5c0cf75331ec4bec0b3",
         "samples.csv": "6594150145017accdfd011782c5dfb3aaca216b4b2e659c7bf0428df9f652a03",
     },
     "rotation": {
-        "report.json": "4ab0dff6e83bbea9ba0e5d24f835d63df292ab6b6b403aa1a2b89a617443c7ff",
-        "spectrum.csv": "6c8441ac3b140302facdf077d4986cd43574900aad473fc9fa9ed7daca7b78b7",
+        "report.json": "fa9dd31f8e76dd587f04d7bb458265070ede0052ffcb2d21834a9cc1a87c6599",
+        "spectrum.csv": "42bf29eb09c18b523602a21c4292cbad1cd0d94839cf6e8843043b7aecb7f9f3",
         "samples.csv": "176552f0c9bab8bf8988589ab123b1b405705c4c27676754e5e865844c959726",
     },
 }

@@ -20,8 +20,6 @@ UNREAD_PUBLIC = {
                        "tests and acceptance criterion 9 call it",
     "FieldFlow": "non-similarity flow with closed-form derivatives that no "
                  "scenario names yet; tests build it",
-    "fd_grad_psi": "finite-difference reference for Density.grad in tests",
-    "fd_hess_psi": "finite-difference reference for Density.hess in tests",
 }
 
 
