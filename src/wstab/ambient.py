@@ -309,14 +309,6 @@ DENSITY_REGISTRY = {
 }
 
 
-def make_density(name: str, **params) -> Density:
-    try:
-        factory = DENSITY_REGISTRY[name]
-    except KeyError:
-        raise InputError(f"unknown density '{name}'") from None
-    return factory(**params)
-
-
 # ---------------------------------------------------------------------------
 # built-in boundary registry
 # ---------------------------------------------------------------------------
@@ -422,22 +414,3 @@ BOUNDARY_REGISTRY = {
     "ball-complement": _ball_complement_boundary,
     "cone": _cone_boundary,
 }
-
-
-def make_boundary(name: str, **params) -> Optional[BoundarySpec]:
-    try:
-        factory = BOUNDARY_REGISTRY[name]
-    except KeyError:
-        raise InputError(f"unknown boundary '{name}'") from None
-    return factory(**params)
-
-
-def make_space(density=("constant", {}),
-               boundary=("none", {})) -> AmbientSpace:
-    """Convenience constructor from registry names."""
-    dname, dparams = density
-    bname, bparams = boundary
-    return AmbientSpace(
-        density=make_density(dname, **dparams),
-        boundary=make_boundary(bname, **bparams),
-    )

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, NumericalFailure, WstabError
-from .scenarios import (MAX_SWEEP_VALUES, RunResult, Scenario,
-                        builtin_descriptions, builtin_scenario,
-                        parse_scenario, run_scenario, scenario_to_tree)
+from .scenarios import (MAX_SWEEP_VALUES, RunResult, builtin_descriptions,
+                        builtin_scenario, builtin_tree, parse_scenario,
+                        run_scenario)
 from .surface import export_off
 
 EXIT_OK = 0
@@ -37,7 +37,8 @@ pause -1
 """
 
 
-def _load_scenario(path: str) -> Scenario:
+def _load_tree(path: str) -> tuple:
+    """The scenario tree in a JSON file and the name the file gives it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -45,17 +46,18 @@ def _load_scenario(path: str) -> Scenario:
         raise ConfigError(f"scenario file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario file {path}: {exc}")
     except RecursionError:
         raise ConfigError(f"JSON in {path} is nested too deeply")
-    name = os.path.splitext(os.path.basename(path))[0]
-    return parse_scenario(obj, name)
+    return obj, os.path.splitext(os.path.basename(path))[0]
 
 
-def _resolve_scenario(ref: str) -> Scenario:
+def _resolve_tree(ref: str) -> tuple:
     """A scenario reference is a config-file path or a builtin name."""
     if os.path.exists(ref) or ref.endswith(".json"):
-        return _load_scenario(ref)
-    return builtin_scenario(ref)
+        return _load_tree(ref)
+    return builtin_tree(ref), ref
 
 
 def _jsonify(obj):
@@ -124,7 +126,7 @@ def _finish(result: RunResult, out_dir: str) -> int:
 
 
 def cmd_run(args) -> int:
-    scn = _load_scenario(args.scenario)
+    scn = parse_scenario(*_load_tree(args.scenario))
     result = run_scenario(scn)
     return _finish(result, args.out)
 
@@ -170,22 +172,19 @@ def _parse_range(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    scn = _resolve_scenario(args.scenario)
+    tree, name = _resolve_tree(args.scenario)
+    parse_scenario(tree, name)      # the scenario must be valid as given
     values = _parse_range(args.range)
-    tree = scenario_to_tree(scn)
-    tree.pop("expect", None)
+    tree = {k: v for k, v in tree.items() if k != "expect"}
     tree["sweep"] = {"param": args.param, "values": values}
-    result = run_scenario(parse_scenario(tree, scn.name))
+    result = run_scenario(parse_scenario(tree, name))
     return _finish(result, args.out)
 
 
 def cmd_export_mesh(args) -> int:
-    from .scenarios import build_immersion, build_space
     from .surface import mesh_from_immersion
-    scn = _resolve_scenario(args.scenario)
-    space = build_space(scn)
-    imm = build_immersion(scn)
-    mesh = mesh_from_immersion(imm, scn.resolution, space=space)
+    scn = parse_scenario(*_resolve_tree(args.scenario))
+    mesh = mesh_from_immersion(scn.immersion, scn.resolution, space=scn.space)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mesh.off")
     export_off(mesh, path)
@@ -245,8 +244,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None and os.path.exists(out) and not os.path.isdir(out):
+            raise ConfigError(f"--out {out} is a file, not a directory")
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except (ConfigError, InputError, OSError) as exc:
+        # an OSError reads or writes a file the command names
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:

@@ -3,11 +3,11 @@
 A scenario is a strict key-value tree (JSON on disk) naming an ambient
 space, a surface, a resolution, a set of tasks, and optional variation,
 sweep, and expectation blocks.  Unknown keys anywhere in the tree are
-rejected.
+rejected, and the ambient space, surface and flow it names are built as it
+is parsed, for every value of a sweep.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import inspect
 import math
@@ -16,18 +16,18 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
-                      make_space)
+from .ambient import BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace
 from .errors import ConfigError, WstabError
-from .functionals import (DeformedFamily, RotationFlow, ScalingFlow,
+from .functionals import (DeformedFamily, Flow, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
                           first_variation_formula, second_variation_fd,
                           swept_weighted_volume)
 from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, volume_constrained_verdict)
-from .surface import (MAX_RESOLUTION, PlanarDisk, RectPatch, RoundSphere,
-                      SphericalCap, SurfaceChart, extrinsic_geometry,
-                      stationarity_verdict, surface_chart)
+from .surface import (MAX_RESOLUTION, Immersion, PlanarDisk, RectPatch,
+                      RoundSphere, SphericalCap, SurfaceChart,
+                      extrinsic_geometry, stationarity_verdict,
+                      surface_chart)
 from .theorems import (DISK_OR_CYLINDER, INCONSISTENT, NOT_APPLICABLE,
                        SPHERE_OR_TORUS, area_bound_check,
                        boundary_identity_residual,
@@ -151,31 +151,63 @@ def _check_expect(expect: dict) -> None:
         raise ConfigError("expect.lambda_tol needs expect.lambda_min")
 
 
-def _registry_params(obj: dict, registry: dict, kind: str):
-    obj = _require_mapping(obj, kind)
-    if "name" not in obj:
-        raise ConfigError(f"{kind} block requires a 'name' key")
-    name = obj["name"]
+def _tupled(value):
+    if isinstance(value, list):
+        return tuple(_tupled(v) for v in value)
+    return value
+
+
+def _build(obj, registry: dict, kind: str, key: str):
+    """The registry object that a block names by its key, built from the
+    block's other keys.  An unknown name or parameter, or a parameter value
+    the object rejects, is a ConfigError (or the object's InputError)."""
+    obj = _require_mapping(obj, f"{kind} block")
+    if key not in obj:
+        raise ConfigError(f"missing '{key}' key naming the {kind}")
+    name = obj[key]
     if not isinstance(name, str) or name not in registry:
         raise ConfigError(f"unknown {kind} '{name}' "
                           f"(available: {', '.join(sorted(registry))})")
-    params = {k: v for k, v in obj.items() if k != "name"}
+    params = {k: _tupled(v) for k, v in obj.items() if k != key}
     allowed = set(inspect.signature(registry[name]).parameters)
-    for key in params:
-        if key not in allowed:
-            raise ConfigError(f"unknown parameter '{key}' for {kind} "
+    for k in params:
+        if k not in allowed:
+            raise ConfigError(f"unknown parameter '{k}' for {kind} "
                               f"'{name}' (allowed: {', '.join(sorted(allowed))})")
-    return name, params
+    try:
+        return registry[name](**params)
+    except WstabError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"malformed {kind} parameter value: {exc}") from None
+
+
+def _with_value(tree: dict, path: str, value) -> dict:
+    """A copy of the tree with the value set at the dotted path; only the
+    mappings along the path are copied."""
+    *keys, last = path.split(".")
+    tree = node = dict(tree)
+    for k in keys:
+        if not isinstance(node.get(k), dict):
+            raise ConfigError(f"sweep parameter path '{path}' does not resolve")
+        node[k] = dict(node[k])
+        node = node[k]
+    node[last] = value
+    return tree
 
 
 @dataclass
 class Scenario:
+    """A parsed scenario with its ambient space, immersion and flow built;
+    a sweep's runs are the scenarios of its values, in order."""
     name: str
-    ambient: dict
-    surface: dict
+    space: AmbientSpace
+    immersion: Immersion
     resolution: int
     tasks: List[str]
-    variation: Optional[dict] = None
+    runs: List["Scenario"]
+    flow: Optional[Flow] = None
     tolerances: Dict[str, float] = field(default_factory=dict)
     S0: Optional[float] = None
     sweep: Optional[dict] = None
@@ -200,16 +232,12 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 
     amb = _require_mapping(obj["ambient"], "ambient")
     _check_keys(amb, {"density", "boundary"}, "ambient")
-    density = amb.get("density", {"name": "constant"})
-    boundary = amb.get("boundary", {"name": "none"})
-    _registry_params(density, DENSITY_REGISTRY, "density")
-    _registry_params(boundary, BOUNDARY_REGISTRY, "boundary")
-
-    surf = _require_mapping(obj["surface"], "surface")
-    if "builtin" not in surf:
-        raise ConfigError("surface block requires a 'builtin' key")
-    _registry_params({("name" if k == "builtin" else k): v
-                      for k, v in surf.items()}, SURFACE_REGISTRY, "surface")
+    ambient = {"density": amb.get("density", {"name": "constant"}),
+               "boundary": amb.get("boundary", {"name": "none"})}
+    space = AmbientSpace(
+        _build(ambient["density"], DENSITY_REGISTRY, "density", "name"),
+        _build(ambient["boundary"], BOUNDARY_REGISTRY, "boundary", "name"))
+    immersion = _build(obj["surface"], SURFACE_REGISTRY, "surface", "builtin")
 
     resolution = obj["resolution"]
     if not (isinstance(resolution, int)
@@ -221,18 +249,13 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a non-empty list")
     for t in tasks:
-        if t not in TASKS:
+        if not isinstance(t, str) or t not in TASKS:
             raise ConfigError(f"unknown task '{t}' "
                               f"(available: {', '.join(TASKS)})")
 
     variation = obj.get("variation")
-    if variation is not None:
-        variation = _require_mapping(variation, "variation")
-        flow_obj = {("name" if k == "flow" else k): v
-                    for k, v in variation.items()}
-        if "name" not in flow_obj:
-            raise ConfigError("variation block requires a 'flow' key")
-        _registry_params(flow_obj, FLOW_REGISTRY, "flow")
+    flow = (None if variation is None
+            else _build(variation, FLOW_REGISTRY, "flow", "flow"))
 
     tols = obj.get("tolerances", {})
     tols = _require_mapping(tols, "tolerances")
@@ -244,6 +267,8 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         _check_keys(sweep, {"param", "values"}, "sweep")
         if "param" not in sweep or "values" not in sweep:
             raise ConfigError("sweep block requires 'param' and 'values'")
+        if not isinstance(sweep["param"], str):
+            raise ConfigError("sweep param must be a dotted path string")
         if not isinstance(sweep["values"], list) or not sweep["values"]:
             raise ConfigError("sweep values must be a non-empty list")
         if len(sweep["values"]) > MAX_SWEEP_VALUES:
@@ -269,7 +294,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
             raise ConfigError(f"expect.{key} needs {where} the task '{task}'")
 
     needs_var = {"first-variation", "second-variation", "foliation"} & set(tasks)
-    if needs_var and variation is None:
+    if needs_var and flow is None:
         raise ConfigError(f"tasks {sorted(needs_var)} require a variation block")
     if "area-bounds" in tasks and obj.get("S0") is None:
         raise ConfigError("task 'area-bounds' requires the scenario key 'S0'")
@@ -280,68 +305,33 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     if S0 == 0.0:
         raise ConfigError("S0 = 0 makes both area bounds degenerate")
 
+    name = str(obj.get("name", default_name))
+    # each value runs the tree with the ambient defaults filled in and the
+    # value set, without the sweep and its expectation, so every value is
+    # built before anything is meshed
+    runs = []
+    if sweep is not None:
+        base = {k: v for k, v in obj.items() if k not in ("sweep", "expect")}
+        base["ambient"] = ambient
+        for v in sweep["values"]:
+            v = int(v) if sweep["param"] == "resolution" else float(v)
+            runs.append(parse_scenario(_with_value(base, sweep["param"], v),
+                                       name))
+
     return Scenario(
-        name=str(obj.get("name", default_name)),
-        ambient={"density": dict(density), "boundary": dict(boundary)},
-        surface=dict(surf),
+        name=name,
+        space=space,
+        immersion=immersion,
         resolution=resolution,
         tasks=list(tasks),
-        variation=dict(variation) if variation is not None else None,
+        flow=flow,
         tolerances={k: _number(v, f"tolerances.{k}") for k, v in tols.items()},
         S0=S0,
         sweep=dict(sweep) if sweep is not None else None,
+        runs=runs,
         expect=dict(expect),
         description=str(obj.get("description", "")),
     )
-
-
-# ---------------------------------------------------------------------------
-# building blocks
-# ---------------------------------------------------------------------------
-
-def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
-
-@contextlib.contextmanager
-def _parameter_values(kind: str):
-    """A malformed parameter value of a registry object is a ConfigError."""
-    try:
-        yield
-    except WstabError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"malformed {kind} parameter value: {exc}") from None
-
-
-def build_space(scn: Scenario) -> AmbientSpace:
-    amb = scn.ambient
-    d = dict(amb["density"])
-    b = dict(amb["boundary"])
-    with _parameter_values("ambient"):
-        return make_space(
-            density=(d.pop("name"), {k: _tupled(v) for k, v in d.items()}),
-            boundary=(b.pop("name"), {k: _tupled(v) for k, v in b.items()}),
-        )
-
-
-def build_immersion(scn: Scenario):
-    cfg = dict(scn.surface)
-    name = cfg.pop("builtin")
-    cls = SURFACE_REGISTRY[name]
-    with _parameter_values("surface"):
-        return cls(**{k: _tupled(v) for k, v in cfg.items()})
-
-
-def build_flow(scn: Scenario):
-    cfg = dict(scn.variation)
-    name = cfg.pop("flow")
-    cls = FLOW_REGISTRY[name]
-    with _parameter_values("flow"):
-        return cls(**{k: _tupled(v) for k, v in cfg.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +364,7 @@ class RunResult:
 
 
 def build_chart(scn: Scenario) -> SurfaceChart:
-    return surface_chart(build_immersion(scn), scn.resolution,
-                         build_space(scn))
+    return surface_chart(scn.immersion, scn.resolution, scn.space)
 
 
 def run_scenario(scn: Scenario) -> RunResult:
@@ -384,56 +373,14 @@ def run_scenario(scn: Scenario) -> RunResult:
     return _run_single(scn, build_chart(scn))
 
 
-def _set_path(tree: dict, path: str, value) -> None:
-    keys = path.split(".")
-    node = tree
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"sweep parameter path '{path}' does not resolve")
-        node = node[k]
-    last = keys[-1]
-    if not isinstance(node, dict):
-        raise ConfigError(f"sweep parameter path '{path}' does not resolve")
-    node[last] = value
-
-
-def scenario_to_tree(scn: Scenario) -> dict:
-    tree = {
-        "name": scn.name,
-        "ambient": {"density": dict(scn.ambient["density"]),
-                    "boundary": dict(scn.ambient["boundary"])},
-        "surface": dict(scn.surface),
-        "resolution": scn.resolution,
-        "tasks": list(scn.tasks),
-    }
-    if scn.variation is not None:
-        tree["variation"] = dict(scn.variation)
-    if scn.tolerances:
-        tree["tolerances"] = dict(scn.tolerances)
-    if scn.S0 is not None:
-        tree["S0"] = scn.S0
-    if scn.expect:
-        tree["expect"] = dict(scn.expect)
-    if scn.description:
-        tree["description"] = scn.description
-    return tree
-
-
 def _run_sweep(scn: Scenario) -> RunResult:
     param = scn.sweep["param"]
     values = scn.sweep["values"]
     rows = []
     sub_reports = {}
-    # every value is checked before anything is meshed
-    subs = []
-    for v in values:
-        tree = scenario_to_tree(scn)
-        tree.pop("expect", None)
-        _set_path(tree, param, int(v) if param == "resolution" else float(v))
-        subs.append(parse_scenario(tree, scn.name))
     # a density value leaves the chart as it is
     shared = param.startswith("ambient.density.") and build_chart(scn)
-    for v, sub in zip(values, subs):
+    for v, sub in zip(values, scn.runs):
         res = _run_single(sub, shared or build_chart(sub))
         rows.append([float(v), res.report["results"]["spectrum"]["lambda_min"]])
         sub_reports[repr(float(v))] = res.report
@@ -478,11 +425,11 @@ class _Run:
 
     def __init__(self, scn: Scenario, chart: SurfaceChart):
         self.scn = scn
-        self.data = extrinsic_geometry(build_space(scn), chart)
+        self.data = extrinsic_geometry(scn.space, chart)
         self.stationary = stationarity_verdict(self.data)
         # an inadmissible flow exits 4 before any task
-        self.family = (DeformedFamily(self.data, build_flow(scn))
-                       if scn.variation is not None else None)
+        self.family = (DeformedFamily(self.data, scn.flow)
+                       if scn.flow is not None else None)
 
     @functools.cached_property
     def asm(self):
@@ -613,7 +560,9 @@ def _foliation(run):
     block = {"s_values": rep.s_values.tolist(), "lhs": rep.lhs.tolist(),
              "rhs": rep.rhs.tolist(), "max_rel_residual": rep.max_rel_residual,
              "monotone_asserted": rep.monotone_asserted,
-             "monotone_holds": rep.monotone_holds}
+             "monotone_holds": rep.monotone_holds,
+             "hypothesis_ricci": _hypothesis(rep.hyp_ricci),
+             "hypothesis_boundary": _hypothesis(rep.hyp_boundary)}
     return (block, rep.max_rel_residual <= tol and rep.monotone_holds,
             f"identity residual {rep.max_rel_residual:.2e}")
 
@@ -802,12 +751,17 @@ def builtin_names() -> List[str]:
     return sorted(_builtin_defs())
 
 
-def builtin_scenario(name: str) -> Scenario:
+def builtin_tree(name: str) -> dict:
+    """A fresh copy of the builtin scenario's tree, to edit or parse."""
     defs = _builtin_defs()
     if name not in defs:
         raise ConfigError(f"unknown builtin scenario '{name}' "
                           f"(available: {', '.join(sorted(defs))})")
-    return parse_scenario(defs[name], name)
+    return defs[name]
+
+
+def builtin_scenario(name: str) -> Scenario:
+    return parse_scenario(builtin_tree(name), name)
 
 
 def builtin_descriptions() -> List[tuple]:

@@ -9,12 +9,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wstab.ambient import AmbientSpace, Density, make_boundary, make_space
+from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
+                           BoundarySpec, Density)
 from wstab.functionals import RotationFlow, ScalingFlow
 from wstab.stability import _factor_below_spectrum
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
@@ -145,6 +147,22 @@ def assert_affine_slice(family, s, N, w_daf, frame_N, frame_w_daf):
     assert eps_apart(w_daf, want_w_daf, relative=True) <= 4.0
     assert eps_apart(N, frame_N) <= 16.0
     assert eps_apart(w_daf, frame_w_daf, relative=True) <= 16.0
+
+
+def make_density(name: str, **params) -> Density:
+    return DENSITY_REGISTRY[name](**params)
+
+
+def make_boundary(name: str, **params) -> Optional[BoundarySpec]:
+    return BOUNDARY_REGISTRY[name](**params)
+
+
+def make_space(density=("constant", {}),
+               boundary=("none", {})) -> AmbientSpace:
+    """An ambient space from registry names and parameters."""
+    (dname, dparams), (bname, bparams) = density, boundary
+    return AmbientSpace(make_density(dname, **dparams),
+                        make_boundary(bname, **bparams))
 
 
 @functools.lru_cache(maxsize=None)

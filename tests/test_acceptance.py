@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from wstab.ambient import DensityJet, boundary_f_mean_curvature, make_space
+from conftest import make_space
+from wstab.ambient import DensityJet, boundary_f_mean_curvature
 from wstab.cli import _jsonify
 from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
                                ScalingFlow, TranslationFlow,

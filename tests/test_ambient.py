@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import conftest as cf
+from conftest import make_boundary, make_density, make_space
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
                            boundary_f_mean_curvature, boundary_ii_matrix,
-                           boundary_inner_normal, dot, make_boundary,
-                           make_density, make_space, norm, ordered_sum,
+                           boundary_inner_normal, dot, norm, ordered_sum,
                            squared_norm, trace)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
@@ -232,12 +232,6 @@ class TestDensityRegistry:
                            atol=1e-7)
         assert np.allclose(density.hess_psi(P), fd_hess_psi(density, P),
                            atol=1e-5)
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(InputError):
-            make_density("no-such-density")
-        with pytest.raises(InputError):
-            make_boundary("no-such-boundary")
 
 
 # parameters for every registry entry; a new entry needs one here

@@ -123,6 +123,68 @@ class TestRun:
         assert main(["builtin", "no-such-scenario",
                      "--out", str(tmp_path / "out")]) == 4
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "export-mesh"])
+    @pytest.mark.parametrize("case", ["not-utf-8", "directory"])
+    def test_unreadable_scenario_file_exits_4_in_one_line(
+            self, tmp_path, capsys, command, case):
+        """The one tree loader of run, sweep and export-mesh turns a file it
+        cannot decode or open into a config error (both raised a traceback
+        and exited 1)."""
+        path = tmp_path / "scenario.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        argv = [command, str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "resolution", "--range=8:12:4"]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            f"config error: cannot read scenario file {path}: ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "SCENARIO"], ["builtin", "paper-product-torus"],
+        ["sweep", "gauss-identity-suite", "--param", "resolution",
+         "--range=8:12:4"],
+        ["export-mesh", "gauss-identity-suite"]],
+        ids=["run", "builtin", "sweep", "export-mesh"])
+    def test_out_naming_a_file_exits_4_before_the_run(
+            self, tmp_path, capsys, monkeypatch, argv):
+        """Nothing is read, meshed or run (the run finished, then writing
+        its outputs raised FileExistsError with a traceback, exit 1)."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read a scenario for an --out it cannot use")
+
+        for name in ("parse_scenario", "builtin_scenario"):
+            monkeypatch.setattr(wstab.cli, name, forbidden)
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        argv = [write_config(tmp_path, SMALL_SCENARIO) if a == "SCENARIO"
+                else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"config error: --out {out} is a file, not a directory"]
+        assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("command", ["run", "export-mesh"])
+    def test_output_that_cannot_be_written_exits_4_in_one_line(
+            self, tmp_path, capsys, command):
+        """An --out under a file cannot be created."""
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "out"
+        assert main([command, write_config(tmp_path, SMALL_SCENARIO),
+                     "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("config error: ")
+        assert str(out_dir) in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
@@ -238,6 +300,8 @@ class TestMalformedParameterValues:
          "expect": {"topology": "Disk"}},
         {"expect": {"lambda_tol": 1e-12}},
         {"expect": {"lambda_min": 0.5, "lambda_tol": 0.0}},
+        {"tasks": [[], "spectrum"]},
+        {"sweep": {"param": 3, "values": [1, 2]}, "expect": {}},
     ], ids=["boundary-axis", "density-name", "expect-number", "tolerance",
             "S0", "flow-vector", "cap-center", "patch-range", "patch-aspect",
             "nan-offset", "nan-cone-alpha", "huge-int-k", "nan-tolerance",
@@ -247,7 +311,8 @@ class TestMalformedParameterValues:
             "zero-cap-axis", "zero-rotation-axis", "zero-cone-axis",
             "zero-cap-radius", "zero-disk-radius", "zero-sphere-radius",
             "string-expect-flag", "fractional-chi", "unknown-topology",
-            "lambda-tol-without-lambda-min", "zero-lambda-tol"])
+            "lambda-tol-without-lambda-min", "zero-lambda-tol",
+            "list-task", "numeric-sweep-param"])
     def test_malformed_scenario_value_exits_4(self, tmp_path, capsys,
                                               changes):
         tree = dict(SMALL_SCENARIO, **changes)
@@ -266,7 +331,7 @@ class TestMalformedParameterValues:
                                                    builtin, key, value):
         """Rejected when the boundary is built, not later as a boundary
         projection residual (exit 3)."""
-        tree = scenarios.scenario_to_tree(scenarios.builtin_scenario(builtin))
+        tree = scenarios.builtin_tree(builtin)
         tree["ambient"]["boundary"][key] = value
         cfg = write_config(tmp_path, tree)
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
@@ -353,10 +418,8 @@ class TestMalformedParameterValues:
         assert "Traceback" not in captured.out + captured.err
         assert runs == []
 
-    def test_bad_sweep_value_exits_4_before_any_value_runs(
-            self, tmp_path, capsys, monkeypatch):
-        """The last S0 of the sweep is 0: every value is read before the
-        first is meshed or solved."""
+    @staticmethod
+    def count_charts_and_solves(monkeypatch) -> dict:
         counts = {"assemble": 0, "robin_eigenproblem": 0, "build_chart": 0}
         for name in counts:
             def counting(*args, name=name, original=getattr(scenarios, name),
@@ -364,6 +427,13 @@ class TestMalformedParameterValues:
                 counts[name] += 1
                 return original(*args, **kwargs)
             monkeypatch.setattr(scenarios, name, counting)
+        return counts
+
+    def test_bad_sweep_value_exits_4_before_any_value_runs(
+            self, tmp_path, capsys, monkeypatch):
+        """The last S0 of the sweep is 0: every value is read before the
+        first is meshed or solved."""
+        counts = self.count_charts_and_solves(monkeypatch)
         tree = half_sphere({"name": "radial-log", "k": -2.5}, 12,
                            ["spectrum", "area-bounds"], S0=0.5,
                            sweep={"param": "S0", "values": [0.5, 0.25, 0.0]})
@@ -374,6 +444,54 @@ class TestMalformedParameterValues:
         assert "S0 = 0" in captured.err
         assert counts == {"assemble": 0, "robin_eigenproblem": 0,
                           "build_chart": 0}
+
+    @pytest.mark.parametrize("surface,boundary,param,values,message", [
+        ({"builtin": "spherical-cap"}, {"name": "half-space", "axis": 2},
+         "ambient.boundary.axis", [2, 7], "boundary axis must be 0, 1 or 2"),
+        ({"builtin": "spherical-cap", "alpha": 0.7},
+         {"name": "cone", "alpha": 0.7}, "surface.alpha", [0.7, 3.5],
+         "cap opening angle must lie in (0, pi)"),
+    ], ids=["boundary-axis", "cap-alpha-above-pi"])
+    def test_bad_registry_value_in_a_sweep_exits_4_before_any_chart(
+            self, tmp_path, capsys, monkeypatch, surface, boundary, param,
+            values, message):
+        """Each value's ambient space and immersion are built when the
+        scenario is read, so a malformed last value exits 4 with nothing
+        meshed or solved (the first value was meshed and solved)."""
+        counts = self.count_charts_and_solves(monkeypatch)
+        tree = half_sphere({"name": "radial-smooth",
+                            "coeffs": [0.0, 0.0, 0.5]}, 8, ["spectrum"],
+                           surface=surface,
+                           sweep={"param": param, "values": values})
+        tree["ambient"]["boundary"] = boundary
+        out_dir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert counts == {"assemble": 0, "robin_eigenproblem": 0,
+                          "build_chart": 0}
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("block", ["density", "boundary", "surface",
+                                       "flow"])
+    def test_unknown_registry_name_exits_4_and_names_its_block(
+            self, tmp_path, capsys, block):
+        tree = half_sphere({"name": "radial-log", "k": -2.5}, 8,
+                           ["first-variation"], variation={"flow": "scaling"})
+        node, key = {"density": (tree["ambient"]["density"], "name"),
+                     "boundary": (tree["ambient"]["boundary"], "name"),
+                     "surface": (tree["surface"], "builtin"),
+                     "flow": (tree["variation"], "flow")}[block]
+        node[key] = "no-such-name"
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 4
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            f"config error: unknown {block} 'no-such-name' (available: ")
 
     @pytest.mark.parametrize("key,value", [
         ("metric_kind", "product"), ("circumferences", [None, 6.25, None])],
@@ -521,8 +639,7 @@ class TestLazyRun:
                      variation={"flow": "scaling"}), 0),
         (half_sphere({"name": "radial-log", "k": -2.5}, 12, ["area-bounds"],
                      S0=0.5), 1),
-        (scenarios.scenario_to_tree(
-            scenarios.builtin_scenario("flat-slab-slice")), 1),
+        (scenarios.builtin_tree("flat-slab-slice"), 1),
     ], ids=["first-variation", "area-bounds", "flat-slab-slice"])
     def test_index_form_is_built_once_if_a_task_reads_it(
             self, monkeypatch, tree, calls):
@@ -540,8 +657,7 @@ class TestLazyRun:
         """All nine tasks on the flat slab slice, listed forwards and
         backwards, write the same bytes."""
         from wstab.scenarios import TASKS
-        tree = scenarios.scenario_to_tree(
-            scenarios.builtin_scenario("flat-slab-slice"))
+        tree = scenarios.builtin_tree("flat-slab-slice")
         tree.update(S0=-1.0)
         outputs = []
         for tasks in (list(TASKS), list(TASKS)[::-1]):
@@ -657,14 +773,34 @@ class TestVerdicts:
 
         monkeypatch.setattr(scenarios, "foliation_monotonicity_check",
                             recording)
-        tree = scenarios.scenario_to_tree(
-            scenarios.builtin_scenario("flat-slab-slice"))
+        tree = scenarios.builtin_tree("flat-slab-slice")
         tree.pop("expect")
         tree.update(resolution=8, tasks=["foliation"],
                     tolerances={"foliation": 0.25})
         result = scenarios.run_scenario(scenarios.parse_scenario(tree))
         assert result.passed
         assert tols == [0.25]
+
+    @pytest.mark.parametrize("name,ricci_holds", [("flat-slab-slice", True),
+                                                  ("cone", False)])
+    def test_foliation_block_reports_both_hypotheses(self, name,
+                                                     ricci_holds):
+        """Ric_f >= 0 and II >= 0 are reported with their sampled minima,
+        and the monotonicity is asserted only where both hold: the flat
+        slab has Ric_f = II = 0, and the cone's density psi = |p|^2 / 2
+        has Ric_f = -1 on its convex boundary."""
+        tree = (scenarios.builtin_tree(name) if name == "flat-slab-slice"
+                else copy.deepcopy(SCENARIO_TREES[name]))
+        tree.pop("expect", None)
+        tree.update(resolution=8, tasks=["foliation"])
+        block = scenarios.run_scenario(scenarios.parse_scenario(
+            tree)).report["results"]["foliation"]
+        ricci, boundary = (block["hypothesis_ricci"],
+                           block["hypothesis_boundary"])
+        assert set(ricci) == set(boundary) == {"sampled_min", "holds"}
+        assert ricci["holds"] == ricci_holds and boundary["holds"]
+        assert (ricci["sampled_min"] >= -1e-9) == ricci_holds
+        assert block["monotone_asserted"] == ricci_holds
 
 
 SWEEP_K = {"param": "ambient.density.k", "values": [-3.0, -2.0, -1.0]}
@@ -707,8 +843,7 @@ class TestExpectations:
                                                value, code):
         """The flat slab slice is rigid with I_f(u, u) = 0, so expecting
         either flag false fails the run."""
-        tree = scenarios.scenario_to_tree(
-            scenarios.builtin_scenario("flat-slab-slice"))
+        tree = scenarios.builtin_tree("flat-slab-slice")
         tree.update(resolution=8, tasks=[task], expect={key: value})
         tree.pop("variation")
         assert run_report(tmp_path, tree)[0] == code
@@ -879,9 +1014,11 @@ class TestExportMesh:
 # every output byte for byte.  Every spectrum.csv, every report.json and
 # the threshold's samples.csv were re-recorded when the index form moved
 # onto one symmetric sparsity pattern (eigenvalues moved by at most 2.1e-14).
+# The flat-slab-slice report was re-recorded when its foliation block gained
+# the two hypotheses, with every other byte unchanged.
 OUTPUT_DIGESTS = {
     "flat-slab-slice": {
-        "report.json": "785cc478966238418f5ec329c2730abfac248c4632788788916c40d8f279f2b1",
+        "report.json": "33e9ffd068b6863ca9c1f614e2131d4b2ea36909deefca060bb6b875b5f132dc",
         "spectrum.csv": "f2f8cfb245b2f4e8ca871c3a247c5390e5c6ab693922a4a90bd93c067d5b8471",
         "samples.csv": "203046c0b9770f03cb0acd33c3080c1afe659b529d5cd6f0a25009ba32ddfda4",
     },
@@ -932,14 +1069,15 @@ OUTPUT_DIGESTS = {
 # output holding a spectrum or an index form (the scaling, translation,
 # rect, rotation and sweep reports, the rect and rotation spectra and the
 # sweep samples) after the index form moved onto one symmetric sparsity
-# pattern; the rest before the mesher numbered its edges once.
+# pattern; the cone report after its foliation block gained the two
+# hypotheses; the rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
         "report.json": "c628ad789eb9daf4a97df97c579b38dc1a7809bd12a62f40e73f93c958c72659",
         "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
-        "report.json": "79100df9b420aa1af99eab21b24102b6fff7f5360095fff7b1ff602f073484e7",
+        "report.json": "408a684585da138fda73bfc3073812ae2b761a3376401be557ae73d11d389aa9",
         "samples.csv": "98210c4c74ae099dc407747525860b50d9ac2a55e81c29d96a6e438aca4a80fc",
     },
     "sweep-k": {
@@ -1318,13 +1456,11 @@ def contract_base_trees():
     """Scenario trees of every builtin without its sweep, at resolution 8.
 
     A tree holds no sweep, so a builtin sweep's expectation goes too."""
-    from wstab.scenarios import (builtin_names, builtin_scenario,
-                                 scenario_to_tree)
+    from wstab.scenarios import builtin_names, builtin_tree
     trees = []
     for name in builtin_names():
-        scn = builtin_scenario(name)
-        tree = scenario_to_tree(scn)
-        if scn.sweep is not None:
+        tree = builtin_tree(name)
+        if tree.pop("sweep", None) is not None:
             tree.pop("expect", None)
         tree["resolution"] = 8
         trees.append(tree)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import conftest as cf
+from conftest import make_density
 from wstab import functionals, surface
-from wstab.ambient import AmbientSpace, BoundarySpec, make_density
+from wstab.ambient import AmbientSpace, BoundarySpec
 from wstab.errors import ImmersionError, InputError, PreconditionError
 from wstab.functionals import (DeformedFamily, FieldFlow,
                                RotationFlow, ScalingFlow, TranslationFlow,

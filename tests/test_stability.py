@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import conftest as cf
 import wstab.scenarios as scenarios
 import wstab.stability as stability
-from wstab.ambient import make_space
+from conftest import make_space
 from wstab.errors import InputError, NumericalFailure
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (SpectralResult, assemble, index_form_value,
@@ -67,8 +67,7 @@ def builtin_assembly(name):
     if name == "disk-in-ball":
         return disk_in_ball(0.5)
     scn = scenarios.builtin_scenario(name)
-    return assemble(extrinsic_geometry(scenarios.build_space(scn),
-                                       scenarios.build_chart(scn)))
+    return assemble(extrinsic_geometry(scn.space, scenarios.build_chart(scn)))
 
 
 ASSEMBLY_CASES = scenarios.builtin_names() + ["disk-in-ball"]
@@ -298,12 +297,11 @@ class TestShiftedFactor:
                    OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c",
-             "from wstab.scenarios import (build_chart, build_space,\n"
-             "                             builtin_scenario)\n"
+             "from wstab.scenarios import build_chart, builtin_scenario\n"
              "from wstab.stability import assemble, robin_eigenproblem\n"
              "from wstab.surface import extrinsic_geometry\n"
              "scn = builtin_scenario('paper-product-torus')\n"
-             "data = extrinsic_geometry(build_space(scn), build_chart(scn))\n"
+             "data = extrinsic_geometry(scn.space, build_chart(scn))\n"
              "asm = assemble(data)\n"
              "print(len({robin_eigenproblem(asm).eigenvalues.tobytes()\n"
              "           for _ in range(6)}))"],

@@ -13,13 +13,12 @@ import pytest
 import scipy.sparse as sp
 
 import conftest as cf
+from conftest import make_space
 from wstab.ambient import (AmbientSpace, Density, DensityJet,
-                           boundary_ii_matrix, boundary_inner_normal,
-                           make_space)
+                           boundary_ii_matrix, boundary_inner_normal)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
-from wstab.scenarios import (build_immersion, build_space, builtin_names,
-                             builtin_scenario)
+from wstab.scenarios import builtin_names, builtin_scenario
 from wstab.stability import HAT_GRADS, assemble
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_HATS, TRI_WEIGHTS,
                            PlanarDisk, RectPatch, RoundSphere, SphericalCap,
@@ -164,8 +163,8 @@ class TestTopology:
                 RectPatch(u_range=(0.0, 1.0), v_range=(0.0, 1.5)), resolution)
         else:
             scn = builtin_scenario(name)
-            mesh = mesh_from_immersion(build_immersion(scn), resolution,
-                                       space=build_space(scn))
+            mesh = mesh_from_immersion(scn.immersion, resolution,
+                                       space=scn.space)
         be = mesh.boundary_edges
         V = mesh.n_vertices
         graph = sp.coo_matrix((np.ones(len(be)), (be[:, 0], be[:, 1])),
@@ -592,8 +591,8 @@ class TestMeshPins:
         scn = builtin_scenario(name)
         same_trig = cf.same_trig()
         for resolution in PIN_RESOLUTIONS:
-            mesh = mesh_from_immersion(build_immersion(scn), resolution,
-                                       space=build_space(scn))
+            mesh = mesh_from_immersion(scn.immersion, resolution,
+                                       space=scn.space)
             ints, floats, off = MESH_DIGESTS[(name, resolution)]
             topology = (f"chi {mesh.chi} loops {mesh.n_loops} "
                         f"genus {genus(mesh)}\n")
@@ -856,8 +855,8 @@ def kernel_case(name):
         chart = surface_chart(imm(), resolution, space)
     else:
         scn = builtin_scenario(name)
-        space = build_space(scn)
-        chart = surface_chart(build_immersion(scn), scn.resolution, space)
+        space = scn.space
+        chart = surface_chart(scn.immersion, scn.resolution, space)
     return space, extrinsic_geometry(space, chart)
 
 

@@ -83,7 +83,7 @@ class TestStabilityTopologyChain:
         assert chain.bound2 == pytest.approx(TAU, rel=1e-12)
 
     def test_sphere_in_ball_complement(self):
-        from wstab.ambient import make_space
+        from conftest import make_space
         from wstab.surface import RoundSphere
         space = make_space(density=("radial-log", {"k": -2.0}),
                            boundary=("ball-complement", {"radius": 1.0}))
