@@ -156,12 +156,17 @@ class DensityJet:
         return -2.0 * self.lap - squared_norm(self.grad)
 
 
+# the largest |phi| at which a point is on the ambient boundary
+ON_BOUNDARY_TOL = 1e-10
+
+
 def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
     """Inner unit normals xi = grad(phi)/|grad(phi)| at boundary points."""
     if space.boundary is None:
         raise InputError("ambient space has no boundary")
-    if not np.all(np.abs(space.boundary.phi(P)) <= 1e-10):
-        raise InputError("point is not on the boundary (|phi| > 1e-10)")
+    if not np.all(np.abs(space.boundary.phi(P)) <= ON_BOUNDARY_TOL):
+        raise InputError(f"point is not on the boundary "
+                         f"(|phi| > {ON_BOUNDARY_TOL:g})")
     g = space.boundary.grad_phi(P)
     norms = norm(g)
     if not np.all(norms >= 1e-12):

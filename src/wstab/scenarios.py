@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .ambient import BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace
-from .errors import ConfigError, WstabError
+from .errors import ConfigError, InputError, WstabError
 from .functionals import (DeformedFamily, Flow, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
                           first_variation_formula, second_variation_fd,
@@ -26,8 +26,8 @@ from .stability import (assemble, index_form_value, robin_eigenproblem,
                         strong_stability_verdict, volume_constrained_verdict)
 from .surface import (MAX_RESOLUTION, Immersion, PlanarDisk, RectPatch,
                       RoundSphere, SphericalCap, SurfaceChart,
-                      extrinsic_geometry, stationarity_verdict,
-                      surface_chart)
+                      check_arcs_on_boundary, extrinsic_geometry,
+                      stationarity_verdict, surface_chart)
 from .theorems import (DISK_OR_CYLINDER, INCONSISTENT, NOT_APPLICABLE,
                        SPHERE_OR_TORUS, area_bound_check,
                        boundary_identity_residual,
@@ -212,7 +212,6 @@ class Scenario:
     S0: Optional[float] = None
     sweep: Optional[dict] = None
     expect: Dict[str, Any] = field(default_factory=dict)
-    description: str = ""
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLS[key]))
@@ -308,15 +307,21 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
     name = str(obj.get("name", default_name))
     # each value runs the tree with the ambient defaults filled in and the
     # value set, without the sweep and its expectation, so every value is
-    # built before anything is meshed
+    # built, and its surface's boundary checked against the ambient one,
+    # before anything is meshed
     runs = []
     if sweep is not None:
         base = {k: v for k, v in obj.items() if k not in ("sweep", "expect")}
         base["ambient"] = ambient
+        param = sweep["param"]
         for v in sweep["values"]:
-            v = int(v) if sweep["param"] == "resolution" else float(v)
-            runs.append(parse_scenario(_with_value(base, sweep["param"], v),
-                                       name))
+            v = int(v) if param == "resolution" else float(v)
+            try:
+                run = parse_scenario(_with_value(base, param, v), name)
+                check_arcs_on_boundary(run.immersion, run.space)
+            except (ConfigError, InputError) as exc:
+                raise ConfigError(f"sweep {param} = {v!r}: {exc}") from None
+            runs.append(run)
 
     return Scenario(
         name=name,
@@ -330,7 +335,6 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         sweep=dict(sweep) if sweep is not None else None,
         runs=runs,
         expect=dict(expect),
-        description=str(obj.get("description", "")),
     )
 
 

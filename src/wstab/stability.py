@@ -175,7 +175,6 @@ def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
 class SpectralResult:
     asm: IndexFormAssembly     # the index form it is the spectrum of
     eigenvalues: Array
-    eigenfunctions: Array      # (dof, EIGENPAIRS)
     solver_residuals: Array
 
     @property
@@ -284,7 +283,7 @@ def robin_eigenproblem(asm: IndexFormAssembly) -> SpectralResult:
     res = _pencil_residuals(A, asm.M, vals, vecs)
     if np.max(res) > 1e-8 * max(1.0, spla.norm(A, np.inf)):
         raise NumericalFailure(f"eigenpair residual too large: {np.max(res):.2e}")
-    return SpectralResult(asm, vals, vecs, res)
+    return SpectralResult(asm, vals, res)
 
 
 def strong_stability_verdict(spec: SpectralResult,

@@ -8,14 +8,15 @@ analytic first and second chart derivatives.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .ambient import (AmbientSpace, DensityJet, boundary_f_mean_curvature,
-                      boundary_ii_matrix, boundary_inner_normal, dot, norm,
-                      ordered_sum, point_columns, quadratic_form,
-                      squared_norm, unit_vector3, vector3)
+from .ambient import (ON_BOUNDARY_TOL, AmbientSpace, DensityJet,
+                      boundary_f_mean_curvature, boundary_ii_matrix,
+                      boundary_inner_normal, dot, norm, ordered_sum,
+                      point_columns, quadratic_form, squared_norm,
+                      unit_vector3, vector3)
 from .errors import (ImmersionError, InputError, MeshingError,
                      PreconditionError)
 
@@ -39,20 +40,9 @@ MAX_RECT_ASPECT = 64.0
 # resolution^2 rows; this is 8 times the finest resolution any builtin,
 # test or benchmark uses
 MAX_RESOLUTION = 1024
-
-
-@dataclass(frozen=True)
-class ParamArc:
-    """Boundary arc in parameter space, t in [0, 1].
-
-    ``inward`` gives a parameter-space direction pointing into the domain;
-    only its sign relative to the domain matters.
-    """
-
-    c: Callable[[Array], Array]
-    dc: Callable[[Array], Array]
-    ddc: Callable[[Array], Array]
-    inward: Callable[[Array], Array]
+# the points per boundary arc, ends included, at which a sweep value's
+# surface is checked against the ambient boundary before it is meshed
+ARC_SAMPLES = 9
 
 
 class Immersion:
@@ -72,54 +62,6 @@ class Immersion:
 
     def chart(self, Q: Array) -> Array:
         raise NotImplementedError
-
-    def boundary_arcs(self) -> List[ParamArc]:
-        kind = self.domain[0]
-        if kind == "disk":
-            rho = self.domain[1]
-            two_pi = 2 * np.pi
-
-            def c(t):
-                ang = two_pi * np.asarray(t)
-                return rho * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-            def dc(t):
-                ang = two_pi * np.asarray(t)
-                return rho * two_pi * np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-
-            def ddc(t):
-                ang = two_pi * np.asarray(t)
-                return -rho * two_pi**2 * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-            def inward(t):
-                ang = two_pi * np.asarray(t)
-                return -np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-            return [ParamArc(c, dc, ddc, inward)]
-        if kind == "rect":
-            (u0, u1, v0, v1), per_u, per_v = self.domain[1], self.domain[2], self.domain[3]
-            arcs = []
-
-            def line(p0, p1, n):
-                p0 = np.asarray(p0, float)
-                p1 = np.asarray(p1, float)
-                d = p1 - p0
-                n = np.asarray(n, float)
-                return ParamArc(
-                    c=lambda t: p0 + np.asarray(t)[..., None] * d,
-                    dc=lambda t: np.broadcast_to(d, np.shape(t) + (2,)).copy(),
-                    ddc=lambda t: np.zeros(np.shape(t) + (2,)),
-                    inward=lambda t: np.broadcast_to(n, np.shape(t) + (2,)).copy(),
-                )
-
-            if not per_v:
-                arcs.append(line((u0, v0), (u1, v0), (0, 1)))
-                arcs.append(line((u0, v1), (u1, v1), (0, -1)))
-            if not per_u:
-                arcs.append(line((u0, v0), (u0, v1), (1, 0)))
-                arcs.append(line((u1, v0), (u1, v1), (-1, 0)))
-            return arcs
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +367,14 @@ def _disk_mesh(rho: float, rings: int):
     return params, tris, be, bt
 
 
+def _rect_sides(per_u: bool, per_v: bool) -> list:
+    """The boundary sides of a rect patch in arc order, each as the
+    parameter it holds fixed (0 for u, 1 for v) and at which end (0 low,
+    1 high): v0, v1, then u0, u1, none across a periodic direction."""
+    return [(axis, end) for axis, end in ((1, 0), (1, 1), (0, 0), (0, 1))
+            if not (per_u, per_v)[axis]]
+
+
 def _rect_mesh(bounds, per_u, per_v, resolution):
     u0, u1, v0, v1 = bounds
     lu, lv = u1 - u0, v1 - v0
@@ -455,21 +405,15 @@ def _rect_mesh(bounds, per_u, per_v, resolution):
                     axis=-1).reshape(-1, 3)
     tp = np.stack([par(*corners[c]) for c in (0, 1, 2, 0, 2, 3)],
                   axis=1).reshape(-1, 3, 2)
-    be, bt = [], []
-    arc_id = 0
-    if not per_v:
-        i = np.arange(nu)
-        for j, v_edge in ((0, 0), (nv, 1)):
-            be.append(np.stack([vid(i, j), vid(i + 1, j),
-                                np.full(nu, arc_id + v_edge)], axis=-1))
-            bt.append(np.stack([i / nu, (i + 1) / nu], axis=-1))
-        arc_id += 2
-    if not per_u:
-        j = np.arange(nv)
-        for i, u_edge in ((0, 0), (nu, 1)):
-            be.append(np.stack([vid(i, j), vid(i, j + 1),
-                                np.full(nv, arc_id + u_edge)], axis=-1))
-            bt.append(np.stack([j / nv, (j + 1) / nv], axis=-1))
+    # side (axis, end) takes the n[1 - axis] lattice steps k -> k + 1 at
+    # lattice index end * n[axis] of its fixed parameter
+    be, bt, n = [], [], (nu, nv)
+    for arc_id, (axis, end) in enumerate(_rect_sides(per_u, per_v)):
+        k, fixed = np.arange(n[1 - axis]), end * n[axis]
+        ends = [vid(fixed, s) if axis == 0 else vid(s, fixed)
+                for s in (k, k + 1)]
+        be.append(np.stack([*ends, np.full(len(k), arc_id)], axis=-1))
+        bt.append(np.stack([k / len(k), (k + 1) / len(k)], axis=-1))
     be = np.concatenate(be or [np.zeros((0, 3), dtype=np.int64)])
     bt = np.concatenate(bt or [np.zeros((0, 2))])
     return params, tris, tp, be, bt
@@ -698,13 +642,50 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
 def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
     """The boundary arcs at parameters t (B, k), row i on arc arc_id[i]:
     the points c, their derivatives dc and ddc, and the parameter
-    directions into the domain, stacked (4, B, k, pd)."""
-    out = np.empty((4,) + t.shape + (imm.param_dim,))
-    for aid, arc in enumerate(imm.boundary_arcs()):
-        sel = arc_id == aid
-        ts = t[sel]
-        out[:, sel] = arc.c(ts), arc.dc(ts), arc.ddc(ts), arc.inward(ts)
-    return out
+    directions into the domain, stacked (4, B, k, pd).  A disk's arc is
+    its rim at angle 2 pi t, a rect patch's are its ``_rect_sides``, each
+    c = p0 + t (p1 - p0) between two corners of the domain; a sphere and
+    a torus have none, so their rows are always empty."""
+    shape = t.shape + (imm.param_dim,)
+    if not len(arc_id):
+        return np.empty((4,) + shape)
+    if imm.domain[0] == "disk":
+        rho, two_pi = imm.domain[1], 2 * np.pi
+        ang = two_pi * t
+        cs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        dcs = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
+        return np.stack([rho * cs, rho * two_pi * dcs,
+                         -rho * two_pi**2 * cs, -cs])
+    bounds, per_u, per_v = imm.domain[1:]
+    u0, u1, v0, v1 = bounds
+    sides = []
+    for axis, end in _rect_sides(per_u, per_v):
+        p0, p1, inward = [u0, v0], [u1, v1], [0.0, 0.0]
+        p0[axis] = p1[axis] = bounds[2 * axis + end]
+        inward[axis] = 1.0 - 2 * end
+        sides.append((p0, p1, inward))
+    p0, p1, inward = np.array(sides)[arc_id, :, None].transpose(1, 0, 2, 3)
+    d = p1 - p0
+    return np.stack([p0 + t[..., None] * d, np.broadcast_to(d, shape),
+                     np.zeros(shape), np.broadcast_to(inward, shape)])
+
+
+def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
+    """Raise ``InputError`` where the immersion's boundary arcs, sampled
+    at ARC_SAMPLES points each with their ends, are off the ambient
+    boundary by more than ``ambient.ON_BOUNDARY_TOL``: the check that the
+    chart's ``boundary_inner_normal`` makes, without a mesh."""
+    kind = imm.domain[0]
+    arcs = (1 if kind == "disk" else len(_rect_sides(*imm.domain[2:]))
+            if kind == "rect" else 0)
+    if space.boundary is None or not arcs:
+        return
+    t = np.tile(np.linspace(0.0, 1.0, ARC_SAMPLES), (arcs, 1))
+    q = _on_arcs(imm, np.arange(arcs), t)[0].reshape(-1, imm.param_dim)
+    off = np.max(np.abs(space.boundary.phi(imm.chart(q))))
+    if not off <= ON_BOUNDARY_TOL:
+        raise InputError(f"the surface's boundary is off the ambient "
+                         f"boundary (|phi| = {off:.2e} > {ON_BOUNDARY_TOL:g})")
 
 
 def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
@@ -792,12 +773,12 @@ def _normal_and_area(sign: int, E1, E2):
 
 
 def _frame(sign: int, D1: Array, D2: Array, J: Array):
-    """The chart's frame (E1, E2) along the blended directions as columns,
-    the inverse metric (g^11, g^12, g^22) in that frame, the unit normal
-    and the area element times the Gauss3 weight."""
-    E1, E2 = _along(J, D1), _along(J, D2)
-    Nv, w_da, (g11, g12, g22, detG) = _normal_and_area(sign, E1, E2)
-    return E1, E2, (g22 / detG, -g12 / detG, g11 / detG), Nv, w_da
+    """The inverse metric (g^11, g^12, g^22) in the chart's frame along
+    the blended directions, as columns, the unit normal and the area
+    element times the Gauss3 weight."""
+    Nv, w_da, (g11, g12, g22, detG) = _normal_and_area(
+        sign, _along(J, D1), _along(J, D2))
+    return (g22 / detG, -g12 / detG, g11 / detG), Nv, w_da
 
 
 def _shape_operator(Hc: Array, d1r: Array, d2r: Array, J: Array, Q2,
@@ -880,9 +861,7 @@ class SurfaceChart:
     b_ddg: Array
     b_J: Array
     # derived, interior
-    E1: Array = field(init=False)      # chart derivative along D1
-    E2: Array = field(init=False)
-    Ginv: Array = field(init=False)    # inverse metric in the (E1, E2) frame
+    Ginv: Array = field(init=False)    # inverse metric, frame along D1, D2
     N: Array = field(init=False)
     w_da: Array = field(init=False)    # area element x quadrature weight
     H: Array = field(init=False)
@@ -899,12 +878,11 @@ class SurfaceChart:
 
     def __post_init__(self, space: AmbientSpace):
         sign = self.mesh.immersion.orientation_sign
-        E1, E2, Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
+        Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
         S11, S12, S21, S22 = _shape_operator(self.hess, self.D1, self.D2,
                                              self.J, self.Q2, Nv, Ginv)
         G11, G12, G22 = Ginv
-        fields = dict(E1=np.stack(E1).T, E2=np.stack(E2).T,
-                      Ginv=np.stack([G11, G12, G12, G22]).reshape(
+        fields = dict(Ginv=np.stack([G11, G12, G12, G22]).reshape(
                           2, 2, -1).transpose(2, 0, 1),
                       N=Nv, w_da=w_da, H=-0.5 * (S11 + S22),
                       sigma2=ordered_sum((S11 * S11, S12 * S21, S21 * S12,

@@ -475,6 +475,47 @@ class TestMalformedParameterValues:
                           "build_chart": 0}
         assert not out_dir.exists()
 
+    def test_sweep_value_off_the_ambient_boundary_exits_4_before_any_chart(
+            self, tmp_path, capsys, monkeypatch):
+        """Offset 0.5 lifts the half-space plane off the half-sphere's rim.
+        Each value's boundary arcs are checked against the ambient boundary
+        when the sweep is read, so nothing is meshed or charted, and the
+        message names the value (the chart's check found it after meshing
+        and solving offset 0, and named neither)."""
+        calls = {"surface_chart": 0, "mesh_from_immersion": 0}
+        for module, name in ((scenarios, "surface_chart"),
+                             (surface, "mesh_from_immersion")):
+            def counting(*args, name=name, original=getattr(module, name),
+                         **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "gauss-identity-suite",
+                     "--param", "ambient.boundary.offset",
+                     "--range=0:0.5:0.5", "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "config error: sweep ambient.boundary.offset = 0.5: ")
+        assert "off the ambient boundary" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.out + captured.err
+        assert calls == {"surface_chart": 0, "mesh_from_immersion": 0}
+        assert not out_dir.exists()
+
+    def test_refused_middle_sweep_value_is_named(self, tmp_path, capsys):
+        """The registry's own error gains the sweep's parameter and the
+        value it refused; the values around it are valid."""
+        tree = half_sphere({"name": "radial-log", "k": -2.5}, 8, ["spectrum"],
+                           sweep={"param": "ambient.boundary.axis",
+                                  "values": [2, 7, 2]})
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep ambient.boundary.axis = "
+                              "7.0: boundary axis must be 0, 1 or 2")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("block", ["density", "boundary", "surface",
                                        "flow"])
     def test_unknown_registry_name_exits_4_and_names_its_block(

@@ -476,8 +476,7 @@ def pencil(A, M=None):
 def spectrum_of(asm, eigenvalues):
     """A spectrum of ``asm`` that reports ``eigenvalues``, computed or not."""
     n = len(eigenvalues)
-    return SpectralResult(asm, np.array(eigenvalues, float),
-                          np.zeros((asm.dof, n)), np.zeros(n))
+    return SpectralResult(asm, np.array(eigenvalues, float), np.zeros(n))
 
 
 # the pencil with eigenvalue -1 on the constants and 1 on their complement

@@ -297,6 +297,115 @@ class TestMeshing:
         assert np.all(np.sum(data.N * data.pos, axis=1) > 0)
 
 
+def closure_arcs(imm):
+    """The boundary arcs of the immersion's domain in arc order, each as
+    the closures (c, dc, ddc, inward) of t, one per quantity: the
+    reference that ``_on_arcs`` keeps to the bit."""
+    kind = imm.domain[0]
+    if kind == "disk":
+        rho = imm.domain[1]
+        two_pi = 2 * np.pi
+
+        def c(t):
+            ang = two_pi * np.asarray(t)
+            return rho * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+        def dc(t):
+            ang = two_pi * np.asarray(t)
+            return rho * two_pi * np.stack([-np.sin(ang), np.cos(ang)],
+                                           axis=-1)
+
+        def ddc(t):
+            ang = two_pi * np.asarray(t)
+            return -rho * two_pi**2 * np.stack([np.cos(ang), np.sin(ang)],
+                                               axis=-1)
+
+        def inward(t):
+            ang = two_pi * np.asarray(t)
+            return -np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+        return [(c, dc, ddc, inward)]
+    if kind != "rect":
+        return []
+    (u0, u1, v0, v1), per_u, per_v = imm.domain[1:]
+
+    def line(p0, p1, n):
+        p0, p1, n = (np.asarray(x, float) for x in (p0, p1, n))
+        d = p1 - p0
+        return (lambda t: p0 + np.asarray(t)[..., None] * d,
+                lambda t: np.broadcast_to(d, np.shape(t) + (2,)).copy(),
+                lambda t: np.zeros(np.shape(t) + (2,)),
+                lambda t: np.broadcast_to(n, np.shape(t) + (2,)).copy())
+
+    arcs = []
+    if not per_v:
+        arcs.append(line((u0, v0), (u1, v0), (0, 1)))
+        arcs.append(line((u0, v1), (u1, v1), (0, -1)))
+    if not per_u:
+        arcs.append(line((u0, v0), (u0, v1), (1, 0)))
+        arcs.append(line((u1, v0), (u1, v1), (-1, 0)))
+    return arcs
+
+
+# a rect patch off the origin with unequal sides, in each periodicity
+RECT_ARC_CASES = {
+    f"rect-{name}": RectPatch(u_range=(-0.3, 1.2), v_range=(0.5, 2.6),
+                              periodic_u=per_u, periodic_v=per_v)
+    for name, per_u, per_v in (("closed", False, False),
+                               ("periodic-u", True, False),
+                               ("periodic-v", False, True),
+                               ("torus", True, True))}
+ARC_CASES = {"cap": SphericalCap(alpha=1.1, axis=(1, 2, 3)),
+             "disk": PlanarDisk(radius=0.7), **RECT_ARC_CASES}
+
+
+class TestBoundaryArcs:
+    @pytest.mark.parametrize("name", sorted(ARC_CASES))
+    def test_matches_the_closure_formulas(self, name):
+        """Every quantity of every arc, rows of the arcs shuffled, at
+        random parameters and at both ends."""
+        imm = ARC_CASES[name]
+        arcs = closure_arcs(imm)
+        rng = np.random.default_rng(29)
+        arc_id = rng.permutation(np.repeat(np.arange(len(arcs)), 4))
+        t = np.column_stack([np.zeros(len(arc_id)),
+                             rng.random((len(arc_id), 3)),
+                             np.ones(len(arc_id))])
+        got = _on_arcs(imm, arc_id, t)
+        assert got.shape == (4, len(arc_id), 5, 2)
+        for i, a in enumerate(arc_id):
+            for q, formula in zip(got[:, i], arcs[a]):
+                cf.assert_same_bits(q, formula(t[i]))
+
+    @pytest.mark.parametrize("imm", [ARC_CASES["cap"], ARC_CASES["disk"],
+                                     ARC_CASES["rect-closed"],
+                                     ARC_CASES["rect-torus"], RoundSphere()],
+                             ids=["cap", "disk", "rect", "torus", "sphere"])
+    def test_no_rows_give_the_empty_result(self, imm):
+        got = _on_arcs(imm, np.zeros(0, dtype=np.int64), np.zeros((0, 2)))
+        assert got.shape == (4, 0, 2, imm.param_dim)
+
+    @pytest.mark.parametrize("name", sorted(set(RECT_ARC_CASES)
+                                            - {"rect-torus"}))
+    @pytest.mark.parametrize("resolution", [4, 7])
+    def test_edge_ends_are_its_vertices(self, name, resolution):
+        """The mesher and the arcs number the sides alike: each boundary
+        edge's arc at its boundary_t ends is its two vertices, up to the
+        period where a seam vertex wraps to the low end."""
+        imm = ARC_CASES[name]
+        mesh = mesh_from_immersion(imm, resolution)
+        be = mesh.boundary_edges
+        assert len(be) > 0
+        diff = (_on_arcs(imm, be[:, 2], mesh.boundary_t)[0]
+                - mesh.params[be[:, :2]])
+        (u0, u1, v0, v1), *periodic = imm.domain[1:]
+        for a, period in enumerate((u1 - u0, v1 - v0)):
+            if periodic[a]:
+                diff[..., a] = (np.remainder(diff[..., a] + period / 2,
+                                             period) - period / 2)
+        assert np.max(np.abs(diff)) <= 1e-14
+
+
 class TestOrientationSign:
     @pytest.mark.parametrize("cls", [SphericalCap, PlanarDisk, RectPatch,
                                      RoundSphere])
@@ -669,7 +778,7 @@ def einsum_frame(sign, D1, D2, J):
     Nv = np.cross(E1, E2)
     Nv = sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
     w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(J) // len(TRI_WEIGHTS))
-    return E1, E2, Ginv, Nv, w_da
+    return Ginv, Nv, w_da
 
 
 def einsum_curvatures(chart, Nv, Ginv):
@@ -865,9 +974,8 @@ class TestKernelBitIdentity:
     def test_frame_and_curvatures(self, name):
         _, data = kernel_case(name)
         sign = data.mesh.immersion.orientation_sign
-        E1, E2, Ginv, Nv, w_da = einsum_frame(sign, data.D1, data.D2, data.J)
-        for got, want in ((data.E1, E1), (data.E2, E2), (data.Ginv, Ginv),
-                          (data.N, Nv), (data.w_da, w_da)):
+        Ginv, Nv, w_da = einsum_frame(sign, data.D1, data.D2, data.J)
+        for got, want in ((data.Ginv, Ginv), (data.N, Nv), (data.w_da, w_da)):
             cf.assert_same_bits(got, want)
         for got, want in zip((data.H, data.sigma2, data.K),
                              einsum_curvatures(data.chart, Nv, Ginv)):
@@ -917,8 +1025,7 @@ class TestKernelBitIdentity:
         space, data = kernel_case(name)
         jet = DensityJet(space.density, data.pos)
         arrays = {name: getattr(data, name) for name in (
-            "params", "D1", "D2", "pos", "J", "hess", "N", "E1", "E2",
-            "Ginv")}
+            "params", "D1", "D2", "pos", "J", "hess", "N", "Ginv")}
         arrays.update({f"Q2[{k}]": q for k, q in enumerate(data.Q2)})
         arrays.update(grad_psi=jet.grad, hess_psi=jet.hess)
         for label, a in arrays.items():
