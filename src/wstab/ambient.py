@@ -160,13 +160,21 @@ class DensityJet:
 ON_BOUNDARY_TOL = 1e-10
 
 
+def check_on_boundary(boundary: BoundarySpec, P: Array, what: str) -> None:
+    """The contact test of every site that puts points on the boundary:
+    raise ``InputError``, saying ``what``, unless |phi| <= ON_BOUNDARY_TOL
+    at every point of P (a NaN fails)."""
+    off = float(np.max(np.abs(boundary.phi(P)), initial=0.0))
+    if not off <= ON_BOUNDARY_TOL:
+        raise InputError(f"{what} (max |phi| = {off:.2e} > "
+                         f"{ON_BOUNDARY_TOL:g})")
+
+
 def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
     """Inner unit normals xi = grad(phi)/|grad(phi)| at boundary points."""
     if space.boundary is None:
         raise InputError("ambient space has no boundary")
-    if not np.all(np.abs(space.boundary.phi(P)) <= ON_BOUNDARY_TOL):
-        raise InputError(f"point is not on the boundary "
-                         f"(|phi| > {ON_BOUNDARY_TOL:g})")
+    check_on_boundary(space.boundary, P, "point is not on the boundary")
     g = space.boundary.grad_phi(P)
     norms = norm(g)
     if not np.all(norms >= 1e-12):
@@ -183,14 +191,6 @@ def boundary_ii_matrix(space: AmbientSpace, P: Array) -> Array:
     """
     gn = norm(space.boundary.grad_phi(P))
     return -space.boundary.hess_phi(P) / gn[:, None, None]
-
-
-def boundary_f_mean_curvature(space: AmbientSpace, P: Array) -> Array:
-    """(H_f) of the ambient boundary w.r.t. the inner normal: tr II - <grad psi, xi>."""
-    xi = boundary_inner_normal(space, P)
-    H = boundary_ii_matrix(space, P)
-    trace_tan = trace(H) - quadratic_form(H, xi)
-    return trace_tan - dot(space.density.grad_psi(P).T, xi.T)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,11 @@ def _slab_boundary(axis: int = 2, halfwidth: float = 1.0) -> BoundarySpec:
     return BoundarySpec(phi, grad, _zero_hessian)
 
 
-def _sphere_levelset(radius, center, sign) -> BoundarySpec:
+def _sphere_levelset(radius, center, sign, name) -> BoundarySpec:
     radius = float(radius)
+    if not 0.0 < radius < np.inf:
+        raise InputError(f"{name} radius must be positive and finite, "
+                         f"got {radius:g}")
     center = np.zeros(3) if center is None else vector3(center, "ball center")
 
     def phi(P):
@@ -373,11 +376,11 @@ def _sphere_levelset(radius, center, sign) -> BoundarySpec:
 
 
 def _ball_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
-    return _sphere_levelset(radius, center, -1.0)
+    return _sphere_levelset(radius, center, -1.0, "ball")
 
 
 def _ball_complement_boundary(radius: float = 1.0, center=None) -> BoundarySpec:
-    return _sphere_levelset(radius, center, +1.0)
+    return _sphere_levelset(radius, center, +1.0, "ball-complement")
 
 
 def _cone_boundary(alpha: float, axis=None) -> BoundarySpec:

@@ -60,23 +60,6 @@ def _resolve_tree(ref: str) -> tuple:
     return builtin_tree(ref), ref
 
 
-def _jsonify(obj):
-    """Recursively convert numpy scalars/arrays to plain Python values."""
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -89,7 +72,7 @@ def _write_outputs(result: RunResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonify(result.report), fh, sort_keys=True, indent=2)
+        json.dump(result.report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc)
@@ -247,7 +230,11 @@ def main(argv=None) -> int:
         out = getattr(args, "out", None)
         if out is not None and os.path.exists(out) and not os.path.isdir(out):
             raise ConfigError(f"--out {out} is a file, not a directory")
-        return args.func(args)
+        # the guards judge an overflow or a NaN, as each tests its pass
+        # condition; numpy's warnings about one would add lines to the
+        # one-line message, or a traceback under -W error
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, InputError, OSError) as exc:
         # an OSError reads or writes a file the command names
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .ambient import dot, unit_vector3, vector3
+from .ambient import check_on_boundary, dot, unit_vector3, vector3
 from .errors import ImmersionError, InputError, NumericalFailure
 from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _chain_rule,
                       _cross, _normal_and_area, extrinsic_geometry,
@@ -283,14 +283,11 @@ class DeformedFamily:
         if base.has_boundary:
             g0 = base.b_pos
             g = flow.map(s, g0)
-            bd = space.boundary
-            if bd is not None:
-                res = np.max(np.abs(bd.phi(g)))
-                if not res <= 1e-10:
-                    raise InputError(
-                        f"the flow moves the slice at s = {s} off the "
-                        f"ambient boundary (max |phi| = {res:.2e}), so it "
-                        f"is not an admissible variation")
+            if space.boundary is not None:
+                check_on_boundary(space.boundary, g,
+                                  f"the flow moves the slice at s = {s} off "
+                                  "the ambient boundary, so it is not an "
+                                  "admissible variation")
             DFb = flow.jac(s, g0)
             # the boundary curve is a chart with k = 1
             dg, ddg = _chain_rule(DFb, base.b_dg[:, :, None],

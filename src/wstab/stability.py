@@ -243,8 +243,8 @@ def _factor_below_spectrum(asm: IndexFormAssembly
     A sigma is accepted when ``_ldlt`` finds no negative pivot, so no
     eigenvalue lies below it.  The shift starts at -max|potential| - 1 and
     doubles until it is accepted; a shift below the proven floor
-    (``_spectrum_floor``) that the factor still rejects is a numerical
-    failure.
+    (``_spectrum_floor``) that the factor still rejects, or a floor that is
+    not finite (an overflowed assembly), is a numerical failure.
     """
     pot = asm.data.ricf_NN + asm.data.sigma2
     sigma = -float(np.max(np.abs(pot))) - 1.0
@@ -255,7 +255,7 @@ def _factor_below_spectrum(asm: IndexFormAssembly
             return sigma, factor[0]
         if floor is None:
             floor = _spectrum_floor(asm)
-        if not sigma >= floor:
+        if not sigma >= floor > -np.inf:
             raise NumericalFailure("shift-invert eigensolver failed to "
                                    "bracket the lowest eigenvalue")
         sigma *= 2.0

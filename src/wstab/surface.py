@@ -12,11 +12,10 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import (ON_BOUNDARY_TOL, AmbientSpace, DensityJet,
-                      boundary_f_mean_curvature, boundary_ii_matrix,
-                      boundary_inner_normal, dot, norm, ordered_sum,
-                      point_columns, quadratic_form, squared_norm,
-                      unit_vector3, vector3)
+from .ambient import (AmbientSpace, DensityJet, boundary_ii_matrix,
+                      boundary_inner_normal, check_on_boundary, dot, norm,
+                      ordered_sum, point_columns, quadratic_form,
+                      squared_norm, trace, unit_vector3, vector3)
 from .errors import (ImmersionError, InputError, MeshingError,
                      PreconditionError)
 
@@ -76,11 +75,11 @@ def _orientation_sign(sign) -> int:
 
 
 def _radius(value, what: str) -> float:
-    """A radius of 0 collapses the chart to a point (a negative one
-    reflects it); a NaN is left to the mesh and metric guards."""
+    """A positive finite radius: 0 collapses the chart to a point, and a
+    negative one reflects it, which orientation_sign alone may do."""
     r = float(value)
-    if r == 0.0:
-        raise InputError(f"{what} must be nonzero")
+    if not 0.0 < r < np.inf:
+        raise InputError(f"{what} must be positive and finite, got {r:g}")
     return r
 
 
@@ -464,7 +463,7 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
     """Build a triangle mesh over the immersion's parameter domain.
 
     With an ambient space given, boundary vertices are refined by one Newton
-    step onto {phi = 0} and checked to 1e-10.
+    step onto {phi = 0} and checked with ``ambient.check_on_boundary``.
     """
     if not 4 <= resolution <= MAX_RESOLUTION:
         raise InputError(f"resolution must lie in [4, {MAX_RESOLUTION}]")
@@ -483,14 +482,6 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         raise InputError(f"unknown parameter domain '{kind}'")
 
     positions = imm.chart(params)
-    if kind == "sphere":
-        # orient triangles so the parametric normal matches orientation_sign
-        ctr = positions.mean(axis=0)
-        p = positions[tris]
-        nrm = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        out = dot(nrm.T, (p.mean(axis=1) - ctr).T)
-        flip = out < 0
-        tris[flip] = tris[flip][:, [0, 2, 1]]
     if tp is None:
         # disk and sphere corners are vertices, charted before the boundary
         # projection; rect corners on a seam keep unwrapped parameters
@@ -506,10 +497,8 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
         phi = space.boundary.phi(P)
         g = space.boundary.grad_phi(P)
         P = P - phi[:, None] * g / squared_norm(g)[:, None]
-        res = np.max(np.abs(space.boundary.phi(P)))
-        if not res <= 1e-10:
-            raise MeshingError(
-                f"boundary projection residual {res:.2e} exceeds 1e-10")
+        check_on_boundary(space.boundary, P, "the surface's boundary is off "
+                          "the ambient boundary after projection")
         positions[bidx] = P
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
@@ -673,8 +662,8 @@ def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
 def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
     """Raise ``InputError`` where the immersion's boundary arcs, sampled
     at ARC_SAMPLES points each with their ends, are off the ambient
-    boundary by more than ``ambient.ON_BOUNDARY_TOL``: the check that the
-    chart's ``boundary_inner_normal`` makes, without a mesh."""
+    boundary (``ambient.check_on_boundary``): the check that the chart's
+    ``boundary_inner_normal`` makes, without a mesh."""
     kind = imm.domain[0]
     arcs = (1 if kind == "disk" else len(_rect_sides(*imm.domain[2:]))
             if kind == "rect" else 0)
@@ -682,10 +671,8 @@ def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
         return
     t = np.tile(np.linspace(0.0, 1.0, ARC_SAMPLES), (arcs, 1))
     q = _on_arcs(imm, np.arange(arcs), t)[0].reshape(-1, imm.param_dim)
-    off = np.max(np.abs(space.boundary.phi(imm.chart(q))))
-    if not off <= ON_BOUNDARY_TOL:
-        raise InputError(f"the surface's boundary is off the ambient "
-                         f"boundary (|phi| = {off:.2e} > {ON_BOUNDARY_TOL:g})")
+    check_on_boundary(space.boundary, imm.chart(q),
+                      "the surface's boundary is off the ambient boundary")
 
 
 def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
@@ -873,6 +860,8 @@ class SurfaceChart:
     b_N: Array = field(init=False)
     contact: Array = field(init=False)
     II_NN: Array = field(init=False)
+    # the ambient boundary's mean curvature along it, tr II - II(xi, xi)
+    H_boundary: Array = field(init=False)
     h_geod: Array = field(init=False)
     w_dl: Array = field(init=False)    # length element x quadrature weight
 
@@ -905,12 +894,14 @@ class SurfaceChart:
         nu = nu * np.sign(dot(nu.T, v_in))[:, None]
         t0, t1 = self.mesh.boundary_t.T
         g = self.b_pos
-        xi, II_NN = np.zeros_like(g), np.zeros(len(g))
+        xi, II_NN, H_bd = np.zeros_like(g), np.zeros(len(g)), np.zeros(len(g))
         if space.boundary is not None:
             xi = boundary_inner_normal(space, g)
-            II_NN = quadratic_form(boundary_ii_matrix(space, g), Nv)
+            II = boundary_ii_matrix(space, g)
+            II_NN = quadratic_form(II, Nv)
+            H_bd = trace(II) - quadratic_form(II, xi)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=dot(Nv.T, xi.T),
-                    II_NN=II_NN, h_geod=dot(acc.T, nu.T),
+                    II_NN=II_NN, H_boundary=H_bd, h_geod=dot(acc.T, nu.T),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
 
     @property
@@ -941,12 +932,11 @@ class ExtrinsicData:
     f: Array
     H_f: Array               # 2H - <grad psi, N>
     ricf_NN: Array
-    grad_psi: Array          # ambient gradient of psi
     grad_s_psi: Array        # tangential gradient of psi
     lap_s_psi: Array         # surface Laplacian of psi
     S_f: Array
     f_b: Array               # f on the boundary
-    Hf_boundary: Array       # H_f of the ambient boundary
+    Hf_boundary: Array       # H_boundary - <grad psi, xi>
 
     def __getattr__(self, name):
         if name == "chart":      # not set yet, as while copying
@@ -974,11 +964,11 @@ def extrinsic_geometry(space: AmbientSpace,
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
     return ExtrinsicData(
         chart, space, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
-        grad_psi=jet.grad, grad_s_psi=jet.grad - gN[:, None] * Nv,
+        grad_s_psi=jet.grad - gN[:, None] * Nv,
         ricf_NN=ricf_NN, lap_s_psi=jet.lap + ricf_NN + 2.0 * H * gN,
         S_f=jet.perelman_scalar(), f_b=np.exp(space.density.psi(g)),
-        Hf_boundary=(boundary_f_mean_curvature(space, g)
-                     if space.boundary is not None else np.zeros(len(g))))
+        Hf_boundary=chart.H_boundary - dot(space.density.grad_psi(g).T,
+                                           chart.b_xi.T))
 
 
 @dataclass(frozen=True)

@@ -72,16 +72,12 @@ def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
 
 
 def boundary_identity_residual(data: ExtrinsicData) -> float:
-    """Max residual of II(N,N) = 2 H_bd - h on orthogonally meeting surfaces.
-
-    2 H_bd is the trace of the boundary's second fundamental form; it is
-    recovered from the boundary f-mean curvature by adding back <grad psi, xi>.
-    """
+    """Max residual of II(N,N) = H_boundary - h on orthogonally meeting
+    surfaces, H_boundary the trace of the ambient boundary's second
+    fundamental form, which the chart keeps: no density term enters."""
     if not data.has_boundary:
         raise InputError("surface has no boundary")
-    gpsi = data.space.density.grad_psi(data.b_pos)
-    two_H = data.Hf_boundary + dot(gpsi.T, data.b_xi.T)
-    return float(np.max(np.abs(data.II_NN - (two_H - data.h_geod))))
+    return float(np.max(np.abs(data.II_NN - (data.H_boundary - data.h_geod))))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
-                           BoundarySpec, Density)
+                           BoundarySpec, Density, boundary_ii_matrix,
+                           boundary_inner_normal)
 from wstab.functionals import RotationFlow, ScalingFlow
 from wstab.stability import _factor_below_spectrum
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
@@ -147,6 +148,17 @@ def assert_affine_slice(family, s, N, w_daf, frame_N, frame_w_daf):
     assert eps_apart(w_daf, want_w_daf, relative=True) <= 4.0
     assert eps_apart(N, frame_N) <= 16.0
     assert eps_apart(w_daf, frame_w_daf, relative=True) <= 16.0
+
+
+def boundary_f_mean_curvature(space: AmbientSpace, P) -> np.ndarray:
+    """(H_f) of the ambient boundary w.r.t. the inner normal at boundary
+    points P (N, 3), tr II - II(xi, xi) - <grad psi, xi>: the reference the
+    chart's H_boundary and the geometry's Hf_boundary are tested against."""
+    xi = boundary_inner_normal(space, P)
+    II = boundary_ii_matrix(space, P)
+    return (np.trace(II, axis1=-2, axis2=-1)
+            - np.einsum("nij,ni,nj->n", II, xi, xi)
+            - np.sum(space.density.grad_psi(P) * xi, axis=-1))
 
 
 def make_density(name: str, **params) -> Density:

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from conftest import make_space
-from wstab.ambient import DensityJet, boundary_f_mean_curvature
-from wstab.cli import _jsonify
+from conftest import boundary_f_mean_curvature, make_space
+from wstab.ambient import DensityJet
 from wstab.functionals import (DeformedFamily, FieldFlow, RotationFlow,
                                ScalingFlow, TranslationFlow,
                                first_variation_fd, first_variation_formula,
@@ -163,7 +162,7 @@ def matrix_flows(kind):
 @functools.lru_cache(maxsize=None)
 def builtin_run(name, pass_id):
     result = run_scenario(builtin_scenario(name))
-    blob = json.dumps(_jsonify(result.report), sort_keys=True)
+    blob = json.dumps(result.report, sort_keys=True)
     return result, blob
 
 

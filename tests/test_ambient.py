@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import conftest as cf
-from conftest import make_boundary, make_density, make_space
+from conftest import (boundary_f_mean_curvature, make_boundary,
+                      make_density, make_space)
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
-                           boundary_f_mean_curvature, boundary_ii_matrix,
-                           boundary_inner_normal, dot, norm, ordered_sum,
-                           squared_norm, trace)
+                           boundary_ii_matrix, boundary_inner_normal, dot,
+                           norm, ordered_sum, squared_norm, trace)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
@@ -214,6 +214,18 @@ class TestBoundaryOperators:
         p = r * unit(RNG.normal(size=3))
         got = boundary_f_mean_curvature(space, row(p))[0]
         assert got == pytest.approx(-(k + 2.0) / r, abs=1e-10)
+
+
+class TestBallRadius:
+    @pytest.mark.parametrize("name", ["ball", "ball-complement"])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_radius_must_be_positive_and_finite(self, name, radius):
+        """A negative radius turned the ball inside out, so that the unit
+        disk met it only after meshing, as a projection residual."""
+        with pytest.raises(InputError, match=f"{name} radius must be "
+                                             f"positive and finite"):
+            make_boundary(name, radius=radius)
 
 
 class TestDensityRegistry:

@@ -1049,6 +1049,124 @@ class TestExportMesh:
         assert off.startswith("OFF")
 
 
+def unit_sphere(value):
+    """The unit sphere under a constant density of the given value."""
+    return {"ambient": {"density": {"name": "constant", "value": value}},
+            "surface": {"builtin": "round-sphere"}, "resolution": 12,
+            "tasks": ["stationarity", "spectrum", "topology"],
+            "expect": {"lambda_min": -2.0, "lambda_tol": 2e-2,
+                       "strong": False, "volume_constrained": True,
+                       "topology": "NotApplicable"}}
+
+
+class TestScaledDensity:
+    def test_a_constant_density_leaves_every_verdict(self, tmp_path):
+        """Scaling f by a constant scales the pencil's two sides alike:
+        the eigenpair residual scales with it (2.2e-7 at 1e8) and passes
+        the solver's relative gate, as it did the task's absolute 1e-8
+        gate only up to about 1e6."""
+        verdicts = []
+        for value in (1.0, 1e4, 1e8):
+            (tmp_path / str(value)).mkdir()
+            code, report = run_report(tmp_path / str(value),
+                                      unit_sphere(value))
+            assert code == 0
+            spectrum = report["results"]["spectrum"]
+            assert spectrum["lambda_min"] == pytest.approx(-2.0, abs=2e-2)
+            verdicts.append(
+                (spectrum["verdict_strong"],
+                 spectrum["verdict_volume_constrained"],
+                 report["results"]["topology"]["verdict"],
+                 report["results"]["stationarity"]["volume_constrained"],
+                 [c["passed"] for c in report["checks"]]))
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+
+    def test_an_overflowing_density_exits_3_after_one_factor(
+            self, tmp_path, capsys, monkeypatch):
+        """At 1e308 the stiffness overflows and the proven floor is -inf,
+        which no shift lies below: the shift search used to double sigma
+        forever.  Past 20 factors the count fails the test."""
+        from wstab import stability
+        calls = []
+        ldlt = stability._ldlt
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            assert len(calls) <= 20, "the shift search does not stop"
+            return ldlt(matrix)
+
+        monkeypatch.setattr(stability, "_ldlt", counting)
+        tree = dict(unit_sphere(1e308), resolution=8,
+                    tasks=["stationarity", "spectrum"])
+        tree.pop("expect")
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "numerical failure: shift-invert eigensolver failed to bracket "
+            "the lowest eigenvalue"]
+        assert len(calls) == 1
+
+
+# a surface and ambient of each radius, the radius at RADIUS_PATHS
+RADIUS_TREES = {
+    "cap": half_sphere({"name": "constant"}, 8, ["stationarity"]),
+    "disk": {"ambient": {"boundary": {"name": "ball", "radius": 1.0}},
+             "surface": {"builtin": "planar-disk", "radius": 1.0},
+             "resolution": 8, "tasks": ["stationarity", "identities"]},
+    "sphere": {"ambient": {}, "surface": {"builtin": "round-sphere"},
+               "resolution": 8, "tasks": ["stationarity"]},
+    "ball": {"ambient": {"boundary": {"name": "ball", "radius": 1.0}},
+             "surface": {"builtin": "planar-disk"},
+             "resolution": 8, "tasks": ["stationarity"]},
+    "ball-complement": {
+        "ambient": {"boundary": {"name": "ball-complement", "radius": 1.0}},
+        "surface": {"builtin": "round-sphere", "radius": 2.0},
+        "resolution": 8, "tasks": ["stationarity"]},
+}
+RADIUS_PATHS = {"cap": ("surface",), "disk": ("surface",),
+                "sphere": ("surface",), "ball": ("ambient", "boundary"),
+                "ball-complement": ("ambient", "boundary")}
+
+
+class TestRadius:
+    @pytest.mark.parametrize("value", [0.0, -1.0, INF])
+    @pytest.mark.parametrize("kind", sorted(RADIUS_TREES))
+    def test_radius_that_is_not_positive_and_finite_exits_4(
+            self, tmp_path, capsys, kind, value):
+        """A negative disk radius turned the disk's inward direction
+        outward, so that identities FAILed with a boundary residual of 2
+        (exit 2), and a negative ball radius exited 3 after meshing."""
+        tree = copy.deepcopy(RADIUS_TREES[kind])
+        node = tree
+        for key in RADIUS_PATHS[kind]:
+            node = node.setdefault(key, {})
+        node["radius"] = value
+        cfg = write_config(tmp_path, tree)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
+        assert "radius" in err[0]
+
+
+class TestOffBoundarySurface:
+    @pytest.mark.parametrize("command", ["run", "export-mesh"])
+    def test_disk_in_a_cone_exits_4(self, tmp_path, capsys, command):
+        """The rim of a radius-0.5 disk through the apex is off the cone:
+        the mesher finds it, as the chart and a sweep do, with an
+        InputError (a MeshingError, exit 3, before)."""
+        tree = {"ambient": {"boundary": {"name": "cone", "alpha": 0.7}},
+                "surface": {"builtin": "planar-disk", "radius": 0.5},
+                "resolution": 12, "tasks": ["stationarity"]}
+        cfg = write_config(tmp_path, tree)
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: the surface's boundary is "
+                                 "off the ambient boundary")
+
+
 # SHA-256 of every builtin's report.json, spectrum.csv and samples.csv,
 # recorded before one density-free chart was shared by a run, its variation
 # family and its density sweep: that change, and any other refactor, keeps
@@ -1210,6 +1328,24 @@ class TestDeterminism:
 
     def test_every_builtin_has_output_digests(self):
         assert sorted(OUTPUT_DIGESTS) == scenarios.builtin_names()
+
+    @pytest.mark.parametrize("name", scenarios.builtin_names())
+    def test_report_holds_plain_json_values(self, name):
+        """Every task builds its block from Python values, so the report
+        is dumped as built, with no numpy scalar or array in it."""
+        report = scenarios.run_scenario(
+            scenarios.builtin_scenario(name)).report
+        stack = [report]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, dict):
+                assert all(isinstance(k, str) for k in node)
+                stack += node.values()
+            elif isinstance(node, list):
+                stack += node
+            else:
+                assert type(node) in (bool, int, float, str, type(None)), (
+                    name, type(node))
 
     def test_reports_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_SCENARIO)

@@ -14,7 +14,7 @@ import scipy.sparse as sp
 
 import conftest as cf
 from conftest import make_space
-from wstab.ambient import (AmbientSpace, Density, DensityJet,
+from wstab.ambient import (AmbientSpace, BoundarySpec, Density, DensityJet,
                            boundary_ii_matrix, boundary_inner_normal)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
@@ -296,6 +296,18 @@ class TestMeshing:
         space, imm, mesh, data = cf.cached_geometry("sphere", 12)
         assert np.all(np.sum(data.N * data.pos, axis=1) > 0)
 
+    @pytest.mark.parametrize("resolution", [4, 5, 12, 33, 48])
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.0])
+    def test_cube_sphere_triangles_face_outward(self, radius, resolution):
+        """The cube-sphere mesher orders every triangle counterclockwise
+        seen from outside, so the mesh needs no re-orientation."""
+        center = np.array([0.2, -0.4, 0.5])
+        mesh = mesh_from_immersion(RoundSphere(radius=radius, center=center),
+                                   resolution)
+        p = mesh.positions[mesh.triangles]
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        assert np.all(np.sum(normal * (p.mean(axis=1) - center), axis=1) > 0)
+
 
 def closure_arcs(imm):
     """The boundary arcs of the immersion's domain in arc order, each as
@@ -416,6 +428,62 @@ class TestOrientationSign:
             cls(orientation_sign=sign)
 
 
+class TestRadius:
+    @pytest.mark.parametrize("cls,what", [(SphericalCap, "cap"),
+                                          (PlanarDisk, "disk"),
+                                          (RoundSphere, "sphere")])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"),
+                                        float("inf"), -float("inf")])
+    def test_radius_must_be_positive_and_finite(self, cls, what, radius):
+        """orientation_sign alone flips the normal: a negative radius
+        pointed a cap's normal at its center and a disk's inward
+        direction outward."""
+        with pytest.raises(InputError, match=f"{what} radius must be "
+                                             f"positive and finite"):
+            cls(radius=radius)
+
+
+class TestAmbientBoundaryReads:
+    """The chart reads the ambient boundary once at its boundary points,
+    and the density adds only its gradient term to H_boundary."""
+
+    @staticmethod
+    def counting(space, calls):
+        def wrap(name, fn):
+            def wrapper(P):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(P)
+            return wrapper
+
+        d, b = space.density, space.boundary
+        return AmbientSpace(
+            Density(*(wrap(n, getattr(d, n))
+                      for n in ("psi", "grad_psi", "hess_psi"))),
+            BoundarySpec(*(wrap(n, getattr(b, n))
+                           for n in ("phi", "grad_phi", "hess_phi"))))
+
+    def test_chart_and_geometry_evaluate_hess_phi_once(self):
+        """The cone's II matrix is read once, by the chart (the geometry
+        evaluated it again for H_f of the ambient boundary)."""
+        calls = {}
+        space = self.counting(cf.space_cone("radial-smooth",
+                                            coeffs=(0.0, 0.0, 0.5)), calls)
+        chart = surface_chart(SphericalCap(alpha=0.7), 12, space)
+        data = extrinsic_geometry(space, chart)
+        assert calls["hess_phi"] == 1
+        want = cf.boundary_f_mean_curvature(space, data.b_pos)
+        assert np.allclose(data.Hf_boundary, want, rtol=0.0, atol=1e-12)
+
+    def test_boundary_identity_reads_no_density(self):
+        calls = {}
+        space = self.counting(cf.space_cone("radial-smooth",
+                                            coeffs=(0.0, 0.0, 0.5)), calls)
+        data = extrinsic_geometry(space, cf.cached_chart("cone", 12))
+        calls.clear()
+        assert boundary_identity_residual(data) < 1e-6
+        assert calls == {}
+
+
 class TestNanGuards:
     """Every comparison with NaN is False: the guards test their pass
     condition, so a NaN trips them."""
@@ -435,12 +503,12 @@ class TestNanGuards:
     def test_boundary_projection_residual(self):
         space = make_space(boundary=("half-space",
                                      {"offset": float("nan")}))
-        with pytest.raises(MeshingError, match="projection residual"):
+        with pytest.raises(InputError, match="after projection"):
             mesh_from_immersion(SphericalCap(), 8, space=space)
 
     def test_min_angle(self):
         with pytest.raises(MeshingError, match="min angle"):
-            mesh_from_immersion(SphericalCap(radius=float("nan")), 8)
+            mesh_from_immersion(RectPatch(du=(1, 0, 0), dv=(1, 1e-3, 0)), 8)
 
     def test_metric_rank(self):
         chart = cf.cached_chart("hemisphere", 8)
