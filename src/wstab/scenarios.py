@@ -12,7 +12,7 @@ import functools
 import inspect
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .surface import (MAX_RESOLUTION, Immersion, PlanarDisk, RectPatch,
                       RoundSphere, SphericalCap, SurfaceChart,
                       check_arcs_on_boundary, extrinsic_geometry,
                       stationarity_verdict, surface_chart)
-from .theorems import (DISK_OR_CYLINDER, INCONSISTENT, NOT_APPLICABLE,
-                       SPHERE_OR_TORUS, area_bound_check,
+from .theorems import (INCONSISTENT, TOPOLOGY_VERDICTS, area_bound_check,
                        boundary_identity_residual,
                        foliation_monotonicity_check,
                        gauss_rearrangement_residual, rigidity_flags,
@@ -49,22 +48,6 @@ FLOW_REGISTRY = {
     "scaling": ScalingFlow,
     "rotation": RotationFlow,
 }
-
-# each expectation and the task that evaluates it; a sweep evaluates only
-# sweep_zero_crossing (its runs drop the others), and only a sweep does
-EXPECT_TASKS = {"lambda_min": "spectrum", "lambda_tol": "spectrum",
-                "strong": "spectrum", "volume_constrained": "spectrum",
-                "topology": "topology", "chi": "topology",
-                "I_f_u_zero": "topology", "rigidity_all_true": "rigidity",
-                "sweep_zero_crossing": "spectrum"}
-
-# expectations that are JSON booleans, each compared for equality with
-# its verdict; lambda_min, lambda_tol and sweep_zero_crossing are numbers,
-# chi an integer and topology a verdict name
-FLAG_EXPECT_KEYS = {"strong", "volume_constrained", "I_f_u_zero",
-                    "rigidity_all_true"}
-TOPOLOGY_VERDICTS = (SPHERE_OR_TORUS, DISK_OR_CYLINDER, INCONSISTENT,
-                     NOT_APPLICABLE)
 
 # scenario trees are a few levels deep; the registry parameter builders
 # recurse into nested lists
@@ -129,26 +112,6 @@ def _check_values(obj: dict) -> None:
         elif isinstance(value, (list, tuple)):
             stack += [(f"{where}[{i}]", v, depth + 1)
                       for i, v in enumerate(value)]
-
-
-def _check_expect(expect: dict) -> None:
-    """Every expectation must be one its task can evaluate."""
-    for key, value in expect.items():
-        if key in FLAG_EXPECT_KEYS:
-            ok, want = isinstance(value, bool), "true or false"
-        elif key == "chi":
-            ok = isinstance(value, int) and not isinstance(value, bool)
-            want = "an integer"
-        elif key == "topology":
-            ok = value in TOPOLOGY_VERDICTS
-            want = f"one of {', '.join(TOPOLOGY_VERDICTS)}"
-        else:
-            number = _number(value, f"expect.{key}")
-            ok, want = key != "lambda_tol" or number > 0.0, "positive"
-        if not ok:
-            raise ConfigError(f"expect.{key} must be {want}, got {value!r}")
-    if "lambda_tol" in expect and "lambda_min" not in expect:
-        raise ConfigError("expect.lambda_tol needs expect.lambda_min")
 
 
 def _tupled(value):
@@ -281,12 +244,19 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
                                   f"integers in [4, {MAX_RESOLUTION}], "
                                   f"got {v!r}")
 
-    expect = obj.get("expect", {})
-    expect = _require_mapping(expect, "expect")
-    _check_keys(expect, EXPECT_TASKS, "expect")
-    _check_expect(expect)
+    expect = _require_mapping(obj.get("expect", {}), "expect")
+    _check_keys(expect, EXPECTATIONS, "expect")
+    for key, value in expect.items():
+        for is_kind, want in EXPECT_KINDS[EXPECTATIONS[key].kind]:
+            if not is_kind(value):
+                raise ConfigError(f"expect.{key} must be {want}, got {value!r}")
     for key in expect:
-        task, in_sweep = EXPECT_TASKS[key], key == "sweep_zero_crossing"
+        needs = EXPECTATIONS[key].needs
+        if needs not in (None, *expect):
+            raise ConfigError(f"expect.{key} needs expect.{needs}")
+    for key in expect:
+        in_sweep = EXPECTATIONS[key].task == "sweep"  # of spectrum runs
+        task = "spectrum" if in_sweep else EXPECTATIONS[key].task
         if task not in tasks or (sweep is not None) != in_sweep:
             where = ("a sweep that runs" if in_sweep
                      else "a run, not a sweep, of")
@@ -342,14 +312,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
 # runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+Check = NamedTuple("Check", [("name", str), ("passed", bool), ("detail", str)])
 
 
 @dataclass
@@ -403,23 +366,13 @@ def _run_sweep(scn: Scenario) -> RunResult:
                 rows[i].append(order)
             else:
                 rows[i].append("")
-    checks = []
-    if "sweep_zero_crossing" in scn.expect:
-        target = float(scn.expect["sweep_zero_crossing"])
-        at_target = [r[1] for r in rows
-                     if math.isclose(r[0], target, rel_tol=1e-9, abs_tol=1e-12)]
-        lam = at_target[0] if at_target else None
-        ok = lam is not None and abs(lam) <= 2e-2
-        lams = [r[1] for r in rows]
-        monotone = all(lams[i] > lams[i + 1] - 1e-9 for i in range(len(lams) - 1))
-        checks.append(Check("sweep-zero-crossing", bool(ok and monotone),
-                            f"lambda_min({target}) = {lam!r}, "
-                            f"decreasing = {monotone}"))
-    report = {"name": scn.name, "sweep": {"param": param,
-                                          "values": [float(v) for v in values],
-                                          "rows": rows},
-              "runs": sub_reports,
-              "checks": [c.as_dict() for c in checks]}
+    sweep = {"param": param, "values": [float(v) for v in values],
+             "rows": rows}
+    # only sweep_zero_crossing binds to a sweep
+    checks = [_checked("sweep-zero-crossing", "sweep", sweep, True, "",
+                       scn.expect)] if scn.expect else []
+    report = {"name": scn.name, "sweep": sweep, "runs": sub_reports,
+              "checks": [c._asdict() for c in checks]}
     return RunResult(scn, report, checks, header, rows, [], None)
 
 
@@ -449,7 +402,7 @@ class _Run:
 
 
 # a task maps a run to its report block, whether it passed, and the detail
-# of its check
+# of its check; the task's expectations are then applied to both
 
 def _hypothesis(hyp) -> dict:
     return {"sampled_min": hyp.sampled_min, "holds": hyp.holds}
@@ -481,26 +434,13 @@ def _second_variation(run):
 
 
 def _spectrum(run):
-    spec, strong, exp = run.spec, run.strong, run.scn.expect
-    constrained = volume_constrained_verdict(spec, run.scn.tol("verdict"))
+    spec = run.spec
     residual = float(np.max(spec.solver_residuals))
-    block = {"dof": run.asm.dof, "eigenvalues": spec.eigenvalues.tolist(),
-             "lambda_min": spec.lambda_min, "verdict_strong": strong,
-             "verdict_volume_constrained": constrained,
-             "residual_max": residual}
-    ok, detail = True, f"residual_max = {residual:.2e}"
-    if "lambda_min" in exp:
-        lt = float(exp.get("lambda_tol", 1e-3))
-        ok = ok and abs(spec.lambda_min - float(exp["lambda_min"])) <= lt
-        detail += (f", lambda_min = {spec.lambda_min:.6f} "
-                   f"(expected {exp['lambda_min']})")
-    if "strong" in exp:
-        ok = ok and strong == exp["strong"]
-        detail += f", strong = {strong}"
-    if "volume_constrained" in exp:
-        ok = ok and constrained == exp["volume_constrained"]
-        detail += f", volume_constrained = {constrained}"
-    return block, ok, detail
+    return ({"dof": run.asm.dof, "eigenvalues": spec.eigenvalues.tolist(),
+             "lambda_min": spec.lambda_min, "verdict_strong": run.strong,
+             "verdict_volume_constrained": volume_constrained_verdict(
+                 spec, run.scn.tol("verdict")),
+             "residual_max": residual}, True, f"residual_max = {residual:.2e}")
 
 
 def _identities(run):
@@ -518,7 +458,7 @@ def _identities(run):
 
 
 def _topology(run):
-    chain, exp = stability_topology_chain(run.data), run.scn.expect
+    chain = stability_topology_chain(run.data)
     verdict = topology_verdict(chain, run.strong)
     block = {"I_f_u": chain.I_f_u, "bound1": chain.bound1,
              "bound2": chain.bound2, "chi": chain.chi,
@@ -526,17 +466,8 @@ def _topology(run):
              "hypothesis_convexity": _hypothesis(chain.hyp_convexity),
              "asserted": chain.asserted, "chain_holds": chain.chain_holds,
              "verdict": verdict}
-    ok = chain.chain_holds and verdict != INCONSISTENT
-    detail = f"verdict {verdict}, chi {chain.chi}"
-    if "topology" in exp:
-        ok = ok and verdict == exp["topology"]
-    if "chi" in exp:
-        ok = ok and chain.chi == exp["chi"]
-    if "I_f_u_zero" in exp:
-        zero = abs(chain.I_f_u) <= 1e-6 * max(1.0, abs(chain.bound2))
-        ok = ok and zero == exp["I_f_u_zero"]
-        detail += f", I_f_u = {chain.I_f_u:.2e}"
-    return block, ok, detail
+    return (block, chain.chain_holds and verdict != INCONSISTENT,
+            f"verdict {verdict}, chi {chain.chi}")
 
 
 def _area_bounds(run):
@@ -550,10 +481,8 @@ def _area_bounds(run):
 
 
 def _rigidity(run):
-    flags, exp = rigidity_flags(run.data), run.scn.expect
-    ok = ("rigidity_all_true" not in exp
-          or flags.all_true == exp["rigidity_all_true"])
-    return ({**asdict(flags), "all_true": flags.all_true}, ok,
+    flags = rigidity_flags(run.data)
+    return ({**asdict(flags), "all_true": flags.all_true}, True,
             f"all_true = {flags.all_true}")
 
 
@@ -568,6 +497,75 @@ def _foliation(run):
              "hypothesis_boundary": _hypothesis(rep.hyp_boundary)}
     return (block, rep.max_rel_residual <= tol and rep.monotone_holds,
             f"identity residual {rep.max_rel_residual:.2e}")
+
+
+# each JSON kind of an expect value: its tests in turn, and what each wants
+_NUMBER = (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+           "a number")
+EXPECT_KINDS = {
+    "flag": [(lambda v: type(v) is bool, "true or false")],
+    "integer": [(lambda v: type(v) is int, "an integer")],
+    "topology verdict": [(lambda v: v in TOPOLOGY_VERDICTS,
+                          f"one of {', '.join(TOPOLOGY_VERDICTS)}")],
+    "number": [_NUMBER],
+    "positive number": [_NUMBER, (lambda v: v > 0, "positive")],
+}
+
+
+class Expectation(NamedTuple):
+    """One expect key; holds(got, want, expect): does got meet want?"""
+    task: str       # whose report block it reads ("sweep": the sweep's)
+    kind: str       # its JSON kind, a key of EXPECT_KINDS
+    read: Any = None  # the value it compares: a block key or read(block, want)
+    holds: Callable[[Any, Any, dict], bool] = lambda got, want, exp: got == want
+    detail: str = ""  # what its check's detail appends, of got, want, block b
+    needs: Optional[str] = None     # the key it is a parameter of
+
+
+def _zero_crossing(sweep: dict, want) -> tuple:
+    """The target want, lambda_min there or None, and whether it decreases."""
+    target, lams = float(want), [r[1] for r in sweep["rows"]]
+    at_target = next((r[1] for r in sweep["rows"] if math.isclose(
+        r[0], target, rel_tol=1e-9, abs_tol=1e-12)), None)
+    return target, at_target, all(a > b - 1e-9 for a, b in zip(lams, lams[1:]))
+
+
+# every expect key, in the order a check applies them
+EXPECTATIONS = {
+    "lambda_min": Expectation(
+        "spectrum", "number", "lambda_min", lambda got, want, exp: abs(
+            got - float(want)) <= float(exp.get("lambda_tol", 1e-3)),
+        ", lambda_min = {got:.6f} (expected {want})"),
+    "lambda_tol": Expectation("spectrum", "positive number",
+                              needs="lambda_min"),
+    "strong": Expectation("spectrum", "flag", "verdict_strong",
+                          detail=", strong = {got}"),
+    "volume_constrained": Expectation("spectrum", "flag",
+                                      "verdict_volume_constrained",
+                                      detail=", volume_constrained = {got}"),
+    "topology": Expectation("topology", "topology verdict", "verdict"),
+    "chi": Expectation("topology", "integer", "chi"),
+    "I_f_u_zero": Expectation("topology", "flag", lambda b, want: abs(
+        b["I_f_u"]) <= 1e-6 * max(1.0, abs(b["bound2"])),
+        detail=", I_f_u = {b[I_f_u]:.2e}"),
+    "rigidity_all_true": Expectation("rigidity", "flag", "all_true"),
+    "sweep_zero_crossing": Expectation(
+        "sweep", "number", _zero_crossing,
+        lambda got, want, exp: got[1] is not None and abs(got[1]) <= 2e-2
+        and got[2], "lambda_min({got[0]}) = {got[1]!r}, decreasing = {got[2]}"),
+}
+
+
+def _checked(name, task, block, passed, detail, expect) -> Check:
+    """A task's check with the task's expectations in expect applied."""
+    for key, row in EXPECTATIONS.items():
+        if row.task == task and key in expect and not row.needs:
+            want = expect[key]
+            got = (block[row.read] if isinstance(row.read, str)
+                   else row.read(block, want))
+            passed = passed and row.holds(got, want, expect)
+            detail += row.detail.format(got=got, want=want, b=block)
+    return Check(name, bool(passed), detail)
 
 
 # the tasks in the order a run evaluates them; a task's block goes in the
@@ -587,7 +585,8 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
         if task in scn.tasks:
             block, passed, detail = evaluate(run)
             results[task.replace("-", "_")] = block
-            checks.append(Check(task, bool(passed), detail))
+            checks.append(_checked(task, task, block, passed, detail,
+                                   scn.expect))
     checks.sort(key=lambda c: c.name)
     report = {"name": scn.name,
               "geometry": {"n_vertices": mesh.n_vertices,
@@ -596,7 +595,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
                            "A_f": float(np.sum(run.data.w_daf)),
                            "H_f_mean": run.stationary.H_f_mean},
               "results": dict(sorted(results.items())),
-              "checks": [c.as_dict() for c in checks]}
+              "checks": [c._asdict() for c in checks]}
     spectrum_rows = ([[i, float(lam), float(r)] for i, (lam, r) in enumerate(
         zip(run.spec.eigenvalues, run.spec.solver_residuals))]
         if "spectrum" in scn.tasks else [])

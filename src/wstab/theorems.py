@@ -136,10 +136,10 @@ def stability_topology_chain(data: ExtrinsicData) -> ChainReport:
                        asserted, chain_holds, ctol, data.has_boundary)
 
 
-SPHERE_OR_TORUS = "SphereOrTorus"
-DISK_OR_CYLINDER = "DiskOrCylinder"
-INCONSISTENT = "Inconsistent"
-NOT_APPLICABLE = "NotApplicable"
+# the verdicts of topology_verdict, each named once
+TOPOLOGY_VERDICTS = (SPHERE_OR_TORUS, DISK_OR_CYLINDER, INCONSISTENT,
+                     NOT_APPLICABLE) = ("SphereOrTorus", "DiskOrCylinder",
+                                        "Inconsistent", "NotApplicable")
 
 
 def topology_verdict(chain: ChainReport, strongly_stable: bool) -> str:
