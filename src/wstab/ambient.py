@@ -170,8 +170,15 @@ def check_on_boundary(boundary: BoundarySpec, P: Array, what: str) -> None:
                          f"{ON_BOUNDARY_TOL:g})")
 
 
-def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
-    """Inner unit normals xi = grad(phi)/|grad(phi)| at boundary points."""
+def boundary_normal_and_ii(space: AmbientSpace, P: Array) -> tuple:
+    """The inner unit normals xi = grad(phi)/|grad(phi)| at boundary points
+    P and the full boundary shape bilinear form -hess(phi)/|grad(phi)|
+    there, from one evaluation of grad(phi).
+
+    Restricting the form to directions tangent to the boundary gives the
+    second fundamental form II w.r.t. the inner normal, positive
+    semidefinite for a locally convex boundary.
+    """
     if space.boundary is None:
         raise InputError("ambient space has no boundary")
     check_on_boundary(space.boundary, P, "point is not on the boundary")
@@ -179,18 +186,8 @@ def boundary_inner_normal(space: AmbientSpace, P: Array) -> Array:
     norms = norm(g)
     if not np.all(norms >= 1e-12):
         raise SingularBoundaryError("degenerate level-set gradient on the boundary")
-    return g / norms[:, None]
-
-
-def boundary_ii_matrix(space: AmbientSpace, P: Array) -> Array:
-    """Full boundary shape bilinear form -hess(phi)/|grad(phi)| at points P.
-
-    Restricting to directions tangent to the boundary gives the second
-    fundamental form II w.r.t. the inner normal, positive semidefinite for
-    a locally convex boundary.
-    """
-    gn = norm(space.boundary.grad_phi(P))
-    return -space.boundary.hess_phi(P) / gn[:, None, None]
+    return (g / norms[:, None],
+            -space.boundary.hess_phi(P) / norms[:, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -69,11 +69,16 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_outputs(result: RunResult, out_dir: str) -> None:
+    # strict JSON, or nothing written
+    try:
+        report = json.dumps(result.report, sort_keys=True, indent=2,
+                            allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"report.json would not be JSON: {exc}")
     os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(result.report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    with open(os.path.join(out_dir, "report.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write(report + "\n")
     meta = {
         "generated_at": datetime.datetime.now(datetime.timezone.utc)
         .isoformat(),

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 import numpy as np
 
 from .ambient import BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace
-from .errors import ConfigError, InputError, WstabError
+from .errors import ConfigError, InputError, NumericalFailure, WstabError
 from .functionals import (DeformedFamily, Flow, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
                           first_variation_formula, second_variation_fd,
@@ -588,11 +588,14 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
             checks.append(_checked(task, task, block, passed, detail,
                                    scn.expect))
     checks.sort(key=lambda c: c.name)
+    A_f = float(np.sum(run.data.w_daf))
+    if not math.isfinite(A_f):
+        raise NumericalFailure("weighted area A_f is not finite")
     report = {"name": scn.name,
               "geometry": {"n_vertices": mesh.n_vertices,
                            "n_triangles": len(mesh.triangles),
                            "chi": mesh.chi, "boundary_loops": mesh.n_loops,
-                           "A_f": float(np.sum(run.data.w_daf)),
+                           "A_f": A_f,
                            "H_f_mean": run.stationary.H_f_mean},
               "results": dict(sorted(results.items())),
               "checks": [c._asdict() for c in checks]}

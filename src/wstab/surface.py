@@ -7,17 +7,17 @@ analytic first and second chart derivatives.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .ambient import (AmbientSpace, DensityJet, boundary_ii_matrix,
-                      boundary_inner_normal, check_on_boundary, dot, norm,
-                      ordered_sum, point_columns, quadratic_form,
-                      squared_norm, trace, unit_vector3, vector3)
+from .ambient import (AmbientSpace, DensityJet, boundary_normal_and_ii,
+                      check_on_boundary, dot, norm, ordered_sum,
+                      point_columns, quadratic_form, squared_norm, trace,
+                      unit_vector3, vector3)
 from .errors import (ImmersionError, InputError, MeshingError,
-                     PreconditionError)
+                     NumericalFailure, PreconditionError)
 
 Array = np.ndarray
 
@@ -663,7 +663,7 @@ def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
     """Raise ``InputError`` where the immersion's boundary arcs, sampled
     at ARC_SAMPLES points each with their ends, are off the ambient
     boundary (``ambient.check_on_boundary``): the check that the chart's
-    ``boundary_inner_normal`` makes, without a mesh."""
+    ``boundary_normal_and_ii`` makes, without a mesh."""
     kind = imm.domain[0]
     arcs = (1 if kind == "disk" else len(_rect_sides(*imm.domain[2:]))
             if kind == "rect" else 0)
@@ -896,8 +896,7 @@ class SurfaceChart:
         g = self.b_pos
         xi, II_NN, H_bd = np.zeros_like(g), np.zeros(len(g)), np.zeros(len(g))
         if space.boundary is not None:
-            xi = boundary_inner_normal(space, g)
-            II = boundary_ii_matrix(space, g)
+            xi, II = boundary_normal_and_ii(space, g)
             II_NN = quadratic_form(II, Nv)
             H_bd = trace(II) - quadratic_form(II, xi)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=dot(Nv.T, xi.T),
@@ -962,13 +961,19 @@ def extrinsic_geometry(space: AmbientSpace,
     ricf_NN = jet.bakry_emery_ricci(Nv)
     g = chart.b_pos
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
-    return ExtrinsicData(
+    data = ExtrinsicData(
         chart, space, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
         grad_s_psi=jet.grad - gN[:, None] * Nv,
         ricf_NN=ricf_NN, lap_s_psi=jet.lap + ricf_NN + 2.0 * H * gN,
         S_f=jet.perelman_scalar(), f_b=np.exp(space.density.psi(g)),
         Hf_boundary=chart.H_boundary - dot(space.density.grad_psi(g).T,
                                            chart.b_xi.T))
+    # every field after chart and space is a density term; a density
+    # beyond the float range leaves no verdict to read from them
+    for term in fields(ExtrinsicData)[2:]:
+        if not np.all(np.isfinite(getattr(data, term.name))):
+            raise NumericalFailure(f"density term {term.name} is not finite")
+    return data
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
-                           BoundarySpec, Density, boundary_ii_matrix,
-                           boundary_inner_normal)
+                           BoundarySpec, Density, boundary_normal_and_ii)
 from wstab.functionals import RotationFlow, ScalingFlow
 from wstab.stability import _factor_below_spectrum
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
@@ -154,8 +153,7 @@ def boundary_f_mean_curvature(space: AmbientSpace, P) -> np.ndarray:
     """(H_f) of the ambient boundary w.r.t. the inner normal at boundary
     points P (N, 3), tr II - II(xi, xi) - <grad psi, xi>: the reference the
     chart's H_boundary and the geometry's Hf_boundary are tested against."""
-    xi = boundary_inner_normal(space, P)
-    II = boundary_ii_matrix(space, P)
+    xi, II = boundary_normal_and_ii(space, P)
     return (np.trace(II, axis1=-2, axis2=-1)
             - np.einsum("nij,ni,nj->n", II, xi, xi)
             - np.sum(space.density.grad_psi(P) * xi, axis=-1))

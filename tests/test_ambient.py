@@ -8,8 +8,8 @@ import conftest as cf
 from conftest import (boundary_f_mean_curvature, make_boundary,
                       make_density, make_space)
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, DensityJet,
-                           boundary_ii_matrix, boundary_inner_normal, dot,
-                           norm, ordered_sum, squared_norm, trace)
+                           boundary_normal_and_ii, dot, norm, ordered_sum,
+                           squared_norm, trace)
 from wstab.errors import InputError, SingularBoundaryError
 from wstab.functionals import RotationFlow, ScalingFlow, TranslationFlow
 from wstab.scenarios import FLOW_REGISTRY, SURFACE_REGISTRY
@@ -124,19 +124,19 @@ class TestPerelmanScalar:
 class TestBoundaryOperators:
     def test_half_space_inner_normal(self):
         space = make_space(boundary=("half-space", {"axis": 2}))
-        xi = boundary_inner_normal(space, row([0.3, -1.0, 0.0]))
+        xi = boundary_normal_and_ii(space, row([0.3, -1.0, 0.0]))[0]
         assert np.allclose(xi, [[0, 0, 1]])
 
     def test_inner_normal_requires_boundary_point(self):
         space = make_space(boundary=("half-space", {"axis": 2}))
         with pytest.raises(InputError):
-            boundary_inner_normal(space, row([0.0, 0.0, 0.5]))
+            boundary_normal_and_ii(space, row([0.0, 0.0, 0.5]))
 
     def test_inner_normal_rejects_nan_level_set(self):
         space = make_space(boundary=("half-space",
                                      {"offset": float("nan")}))
         with pytest.raises(InputError, match="not on the boundary"):
-            boundary_inner_normal(space, row([0.0, 0.0, 0.0]))
+            boundary_normal_and_ii(space, row([0.0, 0.0, 0.0]))
 
     def test_inner_normal_rejects_nan_gradient(self):
         from wstab.ambient import AmbientSpace, BoundarySpec
@@ -147,7 +147,7 @@ class TestBoundaryOperators:
         space = AmbientSpace(density=make_density("constant"),
                              boundary=nan_grad)
         with pytest.raises(SingularBoundaryError):
-            boundary_inner_normal(space, row([1.0, 0.0, 0.0]))
+            boundary_normal_and_ii(space, row([1.0, 0.0, 0.0]))
 
     def test_degenerate_gradient_is_singular(self):
         from wstab.ambient import AmbientSpace, BoundarySpec
@@ -168,38 +168,37 @@ class TestBoundaryOperators:
         space = AmbientSpace(density=make_density("constant"),
                              boundary=BoundarySpec(phi, grad, hess))
         with pytest.raises(SingularBoundaryError):
-            boundary_inner_normal(space, row([1.0, 0.0, 0.0]))
+            boundary_normal_and_ii(space, row([1.0, 0.0, 0.0]))
 
     def test_ball_second_fundamental_is_curvature_of_sphere(self):
         R = 2.0
         space = make_space(boundary=("ball", {"radius": R}))
         p = R * unit([1.0, 1.0, 0.3])
-        xi = boundary_inner_normal(space, row(p))
+        xi, II = boundary_normal_and_ii(space, row(p))
         assert np.allclose(xi, row(-p / R))
         t = unit(np.cross(p, [0, 0, 1.0]))
-        assert t @ boundary_ii_matrix(space, row(p))[0] @ t == pytest.approx(
-            1.0 / R, abs=1e-12)
+        assert t @ II[0] @ t == pytest.approx(1.0 / R, abs=1e-12)
 
     def test_ball_complement_flips_sign(self):
         space = make_space(boundary=("ball-complement", {"radius": 1.0}))
         p = unit([0.2, -0.5, 0.8])
         t = unit(np.cross(p, [1.0, 0, 0]))
-        assert t @ boundary_ii_matrix(space, row(p))[0] @ t == pytest.approx(
-            -1.0, abs=1e-12)
+        II = boundary_normal_and_ii(space, row(p))[1][0]
+        assert t @ II @ t == pytest.approx(-1.0, abs=1e-12)
 
     def test_cone_radial_direction_is_flat(self):
         space = make_space(boundary=("cone", {"alpha": 0.7}))
         n = unit([np.sin(0.7), 0.0, np.cos(0.7)])
         p = 1.3 * n
-        assert n @ boundary_ii_matrix(space, row(p))[0] @ n == pytest.approx(
-            0.0, abs=1e-12)
+        II = boundary_normal_and_ii(space, row(p))[1][0]
+        assert n @ II @ n == pytest.approx(0.0, abs=1e-12)
 
     def test_ii_matrix_restricts_to_directional_values(self):
         """On the tangent plane of a sphere of radius R the matrix is II =
         (1/R) I: every direction has curvature 1/R, with no cross term."""
         space = make_space(boundary=("ball", {"radius": 0.7}))
         p = 0.7 * unit([1.0, 2.0, -0.5])
-        M = boundary_ii_matrix(space, row(p))[0]
+        M = boundary_normal_and_ii(space, row(p))[1][0]
         t1 = unit(np.cross(p, [0.0, 0.0, 1.0]))
         t2 = unit(np.cross(p, t1))
         T = np.stack([t1, t2], axis=-1)
@@ -307,14 +306,15 @@ class TestBatchConvention:
         if name == "none":
             assert space.boundary is None
             with pytest.raises(InputError, match="no boundary"):
-                boundary_inner_normal(space, P)
+                boundary_normal_and_ii(space, P)
             return
         b = space.boundary
         assert b.phi(P).shape == (n,)
         assert b.grad_phi(P).shape == (n, 3)
         assert b.hess_phi(P).shape == (n, 3, 3)
-        assert boundary_inner_normal(space, P).shape == (n, 3)
-        assert boundary_ii_matrix(space, P).shape == (n, 3, 3)
+        xi, II = boundary_normal_and_ii(space, P)
+        assert xi.shape == (n, 3)
+        assert II.shape == (n, 3, 3)
         assert boundary_f_mean_curvature(space, P).shape == (n,)
 
     @pytest.mark.parametrize("n", [1, 5])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -549,11 +550,12 @@ class TestMalformedParameterValues:
 
 def count_calls(monkeypatch):
     """Count `_run_single` runs, chart builds, `extrinsic_geometry` density
-    evaluations, blended quadrature point evaluations and
-    `SphericalCap.chart_jac` calls."""
+    evaluations, blended quadrature point evaluations,
+    `SphericalCap.chart_jac` calls and the `grad_phi` evaluations of the
+    ambient boundary of each scenario parsed."""
     from wstab import functionals, stability, theorems
     counts = {"runs": 0, "charts": 0, "geometry": 0, "blend": 0,
-              "cap_jac": 0}
+              "cap_jac": 0, "grad_phi": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -574,6 +576,15 @@ def count_calls(monkeypatch):
     for module in (scenarios, stability, functionals, theorems):
         if getattr(module, "extrinsic_geometry", None) is original:
             monkeypatch.setattr(module, "extrinsic_geometry", geometry)
+    space = scenarios.AmbientSpace
+
+    def counted_space(density, boundary):
+        if boundary is not None:
+            boundary = dataclasses.replace(
+                boundary, grad_phi=counting("grad_phi", boundary.grad_phi))
+        return space(density, boundary)
+
+    monkeypatch.setattr(scenarios, "AmbientSpace", counted_space)
     return counts
 
 
@@ -609,6 +620,18 @@ class TestGeometryCalls:
         assert geometry.pop("paper-ex-3.9-threshold") == 5
         assert set(geometry.values()) == {1}
         assert counts["runs"] == 13
+
+    @pytest.mark.parametrize("name,calls", [("gauss-identity-suite", 2),
+                                            ("flat-slab-slice", 10)])
+    def test_boundary_gradient_once_per_point_set(self, tmp_path,
+                                                  monkeypatch, name, calls):
+        """grad(phi) is evaluated once where the mesher projects the
+        boundary vertices, and once per chart (the base and each of the
+        flat slab's 8 foliation slices) for the boundary's normal and shape
+        form together (3 and 19 while each evaluated it)."""
+        counts = count_calls(monkeypatch)
+        assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
+        assert counts["grad_phi"] == calls
 
     def test_foliation_slices_reuse_the_base_chart(self, tmp_path,
                                                    monkeypatch):
@@ -889,6 +912,55 @@ class TestExpectations:
         tree.pop("variation")
         assert run_report(tmp_path, tree)[0] == code
 
+    # for each row of the expectation table, a builtin and the expectations
+    # that make its check fail: the builtin's own one inverted, or, for
+    # lambda_tol, a lambda_min 1e-4 off (within the default 1e-3) with
+    # lambda_tol below that error
+    FAILING = {
+        "lambda_min": ("gauss-identity-suite", {"lambda_min": -0.5}),
+        "lambda_tol": ("gauss-identity-suite",
+                       {"lambda_min": 0.5001, "lambda_tol": 1e-5}),
+        "strong": ("gauss-identity-suite", {"strong": False}),
+        "volume_constrained": ("paper-ex-3.8-gaussian-halfspace",
+                               {"volume_constrained": True}),
+        "topology": ("paper-product-torus", {"topology": "DiskOrCylinder"}),
+        "chi": ("paper-product-torus", {"chi": 2}),
+        "I_f_u_zero": ("paper-product-cylinder", {"I_f_u_zero": False}),
+        "rigidity_all_true": ("paper-product-torus",
+                              {"rigidity_all_true": False}),
+        "sweep_zero_crossing": ("paper-ex-3.9-threshold",
+                                {"sweep_zero_crossing": -1.0}),
+    }
+
+    @pytest.mark.parametrize("key", list(scenarios.EXPECTATIONS))
+    def test_every_expectation_can_fail(self, tmp_path, capsys, key):
+        """Each expectation FAILs its task's check, and only that check,
+        when the run does not meet it."""
+        if key not in self.FAILING:
+            pytest.fail(f"no failing case for expect.{key}")
+        name, expect = self.FAILING[key]
+        tree = scenarios.builtin_tree(name)
+        tree["expect"].update(expect)
+        code, report = run_report(tmp_path, tree)
+        assert code == 2
+        task = scenarios.EXPECTATIONS[key].task
+        failed = "sweep-zero-crossing" if task == "sweep" else task
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+            failed]
+        assert f"[FAIL] {failed}: " in capsys.readouterr().out
+
+    def test_readme_table_is_the_expectation_table(self):
+        """The README's expect table lists each key of the code's table
+        once, in its order, with its task and JSON kind."""
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            rows = re.findall(r"^\| `(\w+)` \| `?([\w ]+?)`? \| ([\w ]+?) \|",
+                              fh.read(), re.M)
+        assert [(key, task, kind) for key, task, kind in rows] == [
+            (key, row.task, row.kind)
+            for key, row in scenarios.EXPECTATIONS.items()]
+
     def test_readme_schema_example_checks_its_expectation(self, tmp_path,
                                                           capsys):
         readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -1106,6 +1178,46 @@ class TestScaledDensity:
             "numerical failure: shift-invert eigensolver failed to bracket "
             "the lowest eigenvalue"]
         assert len(calls) == 1
+
+
+class TestNonFinite:
+    """A value beyond the float range stops the run with exit 3 and one
+    line, and writes no report: report.json is strict JSON."""
+
+    @pytest.mark.parametrize("density,surface,message", [
+        ({"name": "constant", "value": 1e308}, {"builtin": "round-sphere"},
+         "weighted area A_f is not finite"),
+        ({"name": "radial-log", "k": 2000.0},
+         {"builtin": "round-sphere", "radius": 2.0},
+         "density term f is not finite"),
+    ], ids=["area", "density"])
+    def test_overflow_exits_3_without_a_report(self, tmp_path, capsys,
+                                               density, surface, message):
+        """A_f = 4 pi 1e308 overflows, and so does f = 2^2000; both runs
+        wrote Infinity and NaN into report.json and exited 2."""
+        tree = {"ambient": {"density": density}, "surface": surface,
+                "resolution": 8, "tasks": ["stationarity"]}
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"numerical failure: {message}"]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_a_nan_in_the_report_exits_3_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        """The strict serialization is the backstop for any value that
+        reaches a report block without a finiteness check."""
+        monkeypatch.setitem(scenarios.TASKS, "stationarity",
+                            lambda run: ({"value": NAN}, True, ""))
+        tree = half_sphere({"name": "constant"}, 6, ["stationarity"])
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+        assert not out.exists()
 
 
 # a surface and ambient of each radius, the radius at RADIUS_PATHS

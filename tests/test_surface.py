@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import conftest as cf
 from conftest import make_space
 from wstab.ambient import (AmbientSpace, BoundarySpec, Density, DensityJet,
-                           boundary_ii_matrix, boundary_inner_normal)
+                           boundary_normal_and_ii)
 from wstab.errors import ImmersionError, InputError, MeshingError
 from wstab.functionals import DeformedFamily, RotationFlow
 from wstab.scenarios import builtin_names, builtin_scenario
@@ -931,8 +931,7 @@ def einsum_boundary(space, data):
     v_in = np.einsum("nia,na->ni", Jb, data.b_inward)
     nu = nu * np.sign(np.sum(nu * v_in, axis=1))[:, None]
     g = data.b_pos
-    II = boundary_ii_matrix(space, g)
-    xi = boundary_inner_normal(space, g)
+    xi, II = boundary_normal_and_ii(space, g)
     Hf = (np.trace(II, axis1=-2, axis2=-1)
           - np.einsum("nij,ni,nj->n", II, xi, xi)
           - np.sum(space.density.grad_psi(g) * xi, axis=-1))
