@@ -220,12 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _numerical_errors() -> tuple:
-    """The numerical exceptions a run can raise outside wstab's own: numpy's,
-    and ARPACK's if a solve has loaded scipy (only then can it raise one)."""
-    spla = sys.modules.get("scipy.sparse.linalg")
-    return ((np.linalg.LinAlgError, FloatingPointError)
-            + ((spla.ArpackError,) if spla is not None else ()))
+# the numerical exceptions a run can raise outside wstab's own; ARPACK's
+# are none of them, since robin_eigenproblem turns each into a
+# NumericalFailure
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
 
 def main(argv=None) -> int:
@@ -250,7 +248,7 @@ def main(argv=None) -> int:
     except WstabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _numerical_errors() as exc:
+    except NUMERICAL_ERRORS as exc:
         detail = " ".join(str(exc).split())
         print(f"numerical failure: {type(exc).__name__}: {detail}",
               file=sys.stderr)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .ambient import check_on_boundary, dot, unit_vector3, vector3
 from .errors import ImmersionError, InputError, NumericalFailure
-from .surface import (TRI_WEIGHTS, ExtrinsicData, _along, _chain_rule,
-                      _cross, _normal_and_area, extrinsic_geometry,
+from .surface import (ExtrinsicData, _along, _chain_rule, _cross,
+                      _normal_and_area, extrinsic_geometry,
                       stationary_H_f, vertex_normals)
 
 Array = np.ndarray
@@ -212,10 +212,12 @@ class DeformedFamily:
             Q = flow.rotation(s)
             N = (base.N if np.array_equal(Q, np.eye(3))
                  else np.array([dot(row, base.N.T) for row in Q]).T)
-            w_da = flow.scale(s) ** 2 * base.w_da
-            if not np.all(w_da > self._rank_floor):
+            # lambda Q keeps the base's rank unless lambda = 0
+            lam = flow.scale(s)
+            if lam == 0.0:
                 raise ImmersionError(
                     "chart Jacobian is rank deficient at a quadrature point")
+            w_da = lam ** 2 * base.w_da
         else:
             J, _ = _chain_rule(flow.jac(s, base.pos), base.J)
             N, w_da, _ = _normal_and_area(
@@ -223,13 +225,6 @@ class DeformedFamily:
                 _along(J, base.D2))
         pos = flow.map(s, base.pos)
         return pos, N, w_da * np.exp(base.space.density.psi(pos))
-
-    @functools.cached_property
-    def _rank_floor(self) -> Array:
-        """1e-10 times each point's Gauss3 weight: w da above it is
-        sqrt(det G) > 1e-10, the rank test of _normal_and_area."""
-        return 1e-10 * np.tile(TRI_WEIGHTS,
-                               len(self.data.w_da) // len(TRI_WEIGHTS))
 
     @functools.cached_property
     def base_normal_speed(self) -> Array:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -404,14 +404,11 @@ class _Run:
 # a task maps a run to its report block, whether it passed, and the detail
 # of its check; the task's expectations are then applied to both
 
-def _hypothesis(hyp) -> dict:
-    return {"sampled_min": hyp.sampled_min, "holds": hyp.holds}
-
-
 def _stationarity(run):
     st = run.stationary
-    return (asdict(st), st.volume_constrained,
-            f"H_f spread {st.H_f_spread:.2e}, contact {st.max_contact:.2e}")
+    return (st, st["volume_constrained"],
+            f"H_f spread {st['H_f_spread']:.2e}, "
+            f"contact {st['max_contact']:.2e}")
 
 
 def _first_variation(run):
@@ -459,44 +456,30 @@ def _identities(run):
 
 def _topology(run):
     chain = stability_topology_chain(run.data)
-    verdict = topology_verdict(chain, run.strong)
-    block = {"I_f_u": chain.I_f_u, "bound1": chain.bound1,
-             "bound2": chain.bound2, "chi": chain.chi,
-             "hypothesis_curvature": _hypothesis(chain.hyp_curvature),
-             "hypothesis_convexity": _hypothesis(chain.hyp_convexity),
-             "asserted": chain.asserted, "chain_holds": chain.chain_holds,
-             "verdict": verdict}
-    return (block, chain.chain_holds and verdict != INCONSISTENT,
-            f"verdict {verdict}, chi {chain.chi}")
+    verdict = topology_verdict(chain, run.strong, run.data.has_boundary)
+    return ({**chain, "verdict": verdict},
+            chain["chain_holds"] and verdict != INCONSISTENT,
+            f"verdict {verdict}, chi {chain['chi']}")
 
 
 def _area_bounds(run):
-    rep = area_bound_check(run.data, run.scn.S0, run.strong)
-    # an inapplicable bound is NaN, and so is its slack
-    block = {**asdict(rep), "hypothesis": _hypothesis(rep.hypothesis),
-             "bound": None if np.isnan(rep.bound) else rep.bound,
-             "slack": None if np.isnan(rep.slack) else rep.slack}
-    return (block, rep.passed or not rep.applicable,
-            "applicable" if rep.applicable else "not applicable")
+    block = area_bound_check(run.data, run.scn.S0, run.strong)
+    applicable = block["applicable"]
+    return (block, block["passed"] or not applicable,
+            "applicable" if applicable else "not applicable")
 
 
 def _rigidity(run):
     flags = rigidity_flags(run.data)
-    return ({**asdict(flags), "all_true": flags.all_true}, True,
-            f"all_true = {flags.all_true}")
+    return flags, True, f"all_true = {flags['all_true']}"
 
 
 def _foliation(run):
     tol = run.scn.tol("foliation")
-    rep = foliation_monotonicity_check(run.family, tol=tol)
-    block = {"s_values": rep.s_values.tolist(), "lhs": rep.lhs.tolist(),
-             "rhs": rep.rhs.tolist(), "max_rel_residual": rep.max_rel_residual,
-             "monotone_asserted": rep.monotone_asserted,
-             "monotone_holds": rep.monotone_holds,
-             "hypothesis_ricci": _hypothesis(rep.hyp_ricci),
-             "hypothesis_boundary": _hypothesis(rep.hyp_boundary)}
-    return (block, rep.max_rel_residual <= tol and rep.monotone_holds,
-            f"identity residual {rep.max_rel_residual:.2e}")
+    block = foliation_monotonicity_check(run.family, tol=tol)
+    resid = block["max_rel_residual"]
+    return (block, resid <= tol and block["monotone_holds"],
+            f"identity residual {resid:.2e}")
 
 
 # each JSON kind of an expect value: its tests in turn, and what each wants
@@ -596,7 +579,7 @@ def _run_single(scn: Scenario, chart: SurfaceChart) -> RunResult:
                            "n_triangles": len(mesh.triangles),
                            "chi": mesh.chi, "boundary_loops": mesh.n_loops,
                            "A_f": A_f,
-                           "H_f_mean": run.stationary.H_f_mean},
+                           "H_f_mean": run.stationary["H_f_mean"]},
               "results": dict(sorted(results.items())),
               "checks": [c._asdict() for c in checks]}
     spectrum_rows = ([[i, float(lam), float(r)] for i, (lam, r) in enumerate(

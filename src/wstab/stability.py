@@ -182,8 +182,9 @@ class SpectralResult:
         return float(self.eigenvalues[0])
 
     def verdict_tol(self, rel_tol: float) -> float:
-        """The stability verdicts' tolerance, rel_tol max(1, max |lambda|)."""
-        return rel_tol * max(1.0, float(np.max(np.abs(self.eigenvalues))))
+        """The stability verdicts' tolerance, rel_tol max |lambda|: it
+        scales with the spectrum, as a change of the unit of length does."""
+        return rel_tol * float(np.max(np.abs(self.eigenvalues)))
 
 
 def _pencil_residuals(A, M, vals, vecs) -> Array:

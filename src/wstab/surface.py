@@ -750,10 +750,12 @@ def _unit_normal(sign: int, E1, E2) -> Array:
 def _normal_and_area(sign: int, E1, E2):
     """The unit normal and the area element times the Gauss3 weight of the
     frame columns E1, E2, with the metric (g11, g12, g22, det G) they come
-    from: everything a variation slice reads."""
+    from: everything a variation slice reads.  The rank test is relative,
+    det G > 1e-20 g11 g22 (the sine of the columns' angle above 1e-10), so
+    it holds at every scale of the chart."""
     g11, g12, g22 = dot(E1, E1), dot(E1, E2), dot(E2, E2)
     detG = g11 * g22 - g12 * g12
-    if not np.all(detG > 1e-20):
+    if not np.all(detG > 1e-20 * (g11 * g22)):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
     w_da = (np.sqrt(detG).reshape(-1, len(TRI_WEIGHTS)) * TRI_WEIGHTS).ravel()
     return _unit_normal(sign, E1, E2), w_da, (g11, g12, g22, detG)
@@ -976,18 +978,11 @@ def extrinsic_geometry(space: AmbientSpace,
     return data
 
 
-@dataclass(frozen=True)
-class StationarityVerdict:
-    strong: bool
-    volume_constrained: bool
-    H_f_mean: float
-    H_f_spread: float
-    max_contact: float
-
-
 def stationarity_verdict(data: ExtrinsicData,
-                         tol_H: Optional[float] = None) -> StationarityVerdict:
-    """Constant H_f within tol_H and orthogonal contact within 1e-6."""
+                         tol_H: Optional[float] = None) -> dict:
+    """Constant H_f within tol_H and orthogonal contact within 1e-6: the
+    strong and volume-constrained verdicts, the mean and spread of H_f and
+    the largest contact."""
     w = data.w_daf
     mean = float(np.sum(data.H_f * w) / np.sum(w))
     spread = float(np.max(np.abs(data.H_f - mean)))
@@ -995,8 +990,8 @@ def stationarity_verdict(data: ExtrinsicData,
     if tol_H is None:
         tol_H = 1e-6 * (1.0 + abs(mean))
     vc = spread <= tol_H and contact <= 1e-6
-    strong = vc and abs(mean) <= tol_H
-    return StationarityVerdict(strong, vc, mean, spread, contact)
+    return {"strong": vc and abs(mean) <= tol_H, "volume_constrained": vc,
+            "H_f_mean": mean, "H_f_spread": spread, "max_contact": contact}
 
 
 # the H_f spread within which the second variation, the Jacobi operator,
@@ -1010,9 +1005,9 @@ def stationary_H_f(data: ExtrinsicData, what: str) -> float:
     within STATIONARY_TOL_H; raises ``PreconditionError``, saying that
     ``what`` needs it, where the surface is not."""
     verdict = stationarity_verdict(data, tol_H=STATIONARY_TOL_H)
-    if not verdict.volume_constrained:
+    if not verdict["volume_constrained"]:
         raise PreconditionError(f"{what} requires an f-stationary surface")
-    return verdict.H_f_mean
+    return verdict["H_f_mean"]
 
 
 # ---------------------------------------------------------------------------

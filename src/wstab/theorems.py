@@ -2,11 +2,10 @@
 and equality-case (rigidity) certificates.
 
 Inequalities are only asserted when their hypotheses hold at the sampled
-quadrature points; hypothesis truth is always computed and reported.
+quadrature points; hypothesis truth is always computed and reported.  Each
+check returns the plain-JSON block that a report holds, built once here.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,30 +14,12 @@ from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
 from .surface import ExtrinsicData, stationary_H_f
 
-Array = np.ndarray
-
 FLAG_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RigidityFlags:
-    """Equality-case certificate extracted from pointwise geometry."""
-
-    totally_geodesic: bool
-    density_const_on_surface: bool
-    ricci_normal_zero: bool
-    II_NN_zero: bool
-    boundary_geodesic: bool
-    gauss_flat: bool
-
-    @property
-    def all_true(self) -> bool:
-        return all((self.totally_geodesic, self.density_const_on_surface,
-                    self.ricci_normal_zero, self.II_NN_zero,
-                    self.boundary_geodesic, self.gauss_flat))
-
-
-def rigidity_flags(data: ExtrinsicData) -> RigidityFlags:
+def rigidity_flags(data: ExtrinsicData) -> dict:
+    """The equality-case certificate read from pointwise geometry: each
+    flag, and whether all of them hold."""
     sigma_max = float(np.sqrt(np.max(data.sigma2)))
     grad_max = float(np.max(norm(data.grad_s_psi)))
     ric_max = float(np.max(np.abs(data.ricf_NN)))
@@ -49,14 +30,15 @@ def rigidity_flags(data: ExtrinsicData) -> RigidityFlags:
     else:
         ii_max = 0.0
         h_max = 0.0
-    return RigidityFlags(
-        totally_geodesic=sigma_max <= FLAG_TOL,
-        density_const_on_surface=grad_max <= FLAG_TOL,
-        ricci_normal_zero=ric_max <= FLAG_TOL,
-        II_NN_zero=ii_max <= FLAG_TOL,
-        boundary_geodesic=h_max <= FLAG_TOL,
-        gauss_flat=k_max <= FLAG_TOL,
-    )
+    flags = {
+        "totally_geodesic": sigma_max <= FLAG_TOL,
+        "density_const_on_surface": grad_max <= FLAG_TOL,
+        "ricci_normal_zero": ric_max <= FLAG_TOL,
+        "II_NN_zero": ii_max <= FLAG_TOL,
+        "boundary_geodesic": h_max <= FLAG_TOL,
+        "gauss_flat": k_max <= FLAG_TOL,
+    }
+    return {**flags, "all_true": all(flags.values())}
 
 
 def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
@@ -80,27 +62,10 @@ def boundary_identity_residual(data: ExtrinsicData) -> float:
     return float(np.max(np.abs(data.II_NN - (data.H_boundary - data.h_geod))))
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    name: str
-    sampled_min: float
-    holds: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Stability-topology chain: I_f(u,u) with u = 1/sqrt(f) against 2 pi chi."""
-
-    I_f_u: float
-    bound1: float
-    bound2: float
-    chi: int
-    hyp_curvature: Hypothesis        # S_f + H_f^2 >= 0
-    hyp_convexity: Hypothesis        # (H_f)_bd >= 0
-    asserted: bool
-    chain_holds: bool
-    tol: float
-    has_boundary: bool
+def _sampled(minimum: float, slack: float) -> dict:
+    """A hypothesis "X >= 0" as its report reads it: the least sampled X,
+    and whether it holds within the slack."""
+    return {"sampled_min": minimum, "holds": minimum >= -slack}
 
 
 # the slack of the chain's hypotheses, and its relative slack on the
@@ -108,7 +73,9 @@ class ChainReport:
 CHAIN_TOL = 1e-6
 
 
-def stability_topology_chain(data: ExtrinsicData) -> ChainReport:
+def stability_topology_chain(data: ExtrinsicData) -> dict:
+    """The stability-topology chain: I_f(u,u) with u = 1/sqrt(f) against
+    2 pi chi, asserted where S_f + H_f^2 >= 0 and (H_f)_boundary >= 0."""
     stationary_H_f(data, "the stability-topology chain")
     grad2 = squared_norm(data.grad_s_psi)
     # u^2 da_f = da, so every integral below is unweighted
@@ -123,17 +90,17 @@ def stability_topology_chain(data: ExtrinsicData) -> ChainReport:
     chi = data.mesh.chi
     bound1 += 2 * np.pi * chi
     bound2 = 2 * np.pi * chi
-    hyp1 = Hypothesis("S_f + H_f^2 >= 0", float(np.min(shf)),
-                      bool(np.min(shf) >= -CHAIN_TOL))
-    min_hfb = float(np.min(data.Hf_boundary)) if data.has_boundary else 0.0
-    hyp2 = Hypothesis("(H_f)_boundary >= 0", min_hfb, min_hfb >= -CHAIN_TOL)
-    asserted = hyp1.holds and hyp2.holds
-    scale = 1.0 + abs(bound2)
-    ctol = max(CHAIN_TOL * scale, 1e-4)
+    curvature = _sampled(float(np.min(shf)), CHAIN_TOL)
+    convexity = _sampled(float(np.min(data.Hf_boundary))
+                         if data.has_boundary else 0.0, CHAIN_TOL)
+    asserted = curvature["holds"] and convexity["holds"]
+    ctol = max(CHAIN_TOL * (1.0 + abs(bound2)), 1e-4)
     chain_holds = (not asserted) or (I_f_u <= bound1 + ctol
                                      and bound1 <= bound2 + ctol)
-    return ChainReport(I_f_u, bound1, bound2, chi, hyp1, hyp2,
-                       asserted, chain_holds, ctol, data.has_boundary)
+    return {"I_f_u": I_f_u, "bound1": bound1, "bound2": bound2, "chi": chi,
+            "hypothesis_curvature": curvature,
+            "hypothesis_convexity": convexity,
+            "asserted": asserted, "chain_holds": chain_holds}
 
 
 # the verdicts of topology_verdict, each named once
@@ -142,27 +109,15 @@ TOPOLOGY_VERDICTS = (SPHERE_OR_TORUS, DISK_OR_CYLINDER, INCONSISTENT,
                                         "Inconsistent", "NotApplicable")
 
 
-def topology_verdict(chain: ChainReport, strongly_stable: bool) -> str:
-    """Topology classification under the chain's hypotheses plus stability."""
-    if not (chain.hyp_curvature.holds and chain.hyp_convexity.holds):
+def topology_verdict(chain: dict, strongly_stable: bool,
+                     has_boundary: bool) -> str:
+    """Topology classification under the chain's hypotheses plus
+    stability, of a surface with or without boundary."""
+    if not chain["asserted"] or not strongly_stable:
         return NOT_APPLICABLE
-    if not strongly_stable:
-        return NOT_APPLICABLE
-    if chain.has_boundary:
-        return DISK_OR_CYLINDER if chain.chi in (0, 1) else INCONSISTENT
-    return SPHERE_OR_TORUS if chain.chi in (0, 2) else INCONSISTENT
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    applicable: bool
-    hypothesis: Hypothesis
-    S0: float
-    chi: int
-    A_f: float
-    bound: float
-    slack: float
-    passed: bool
+    if has_boundary:
+        return DISK_OR_CYLINDER if chain["chi"] in (0, 1) else INCONSISTENT
+    return SPHERE_OR_TORUS if chain["chi"] in (0, 2) else INCONSISTENT
 
 
 # the slack of A_f against an area bound
@@ -170,14 +125,14 @@ AREA_BOUND_TOL = 1e-9
 
 
 def area_bound_check(data: ExtrinsicData, S0: float,
-                     strongly_stable: bool) -> BoundReport:
+                     strongly_stable: bool) -> dict:
     """Check A_f <= 4 pi / S0 (S0 > 0, a disk) or A_f >= 4 pi chi / S0
     (S0 < 0, chi < 0) on a strongly stable surface with S_f >= S0 f; the
-    bounds apply nowhere else."""
+    bounds apply nowhere else, and an inapplicable bound and its slack are
+    None."""
     if S0 == 0.0:
         raise InputError("S0 = 0 makes both area bounds degenerate")
-    margin = float(np.min(data.S_f - S0 * data.f))
-    hyp = Hypothesis("S_f >= S0 * f", margin, margin >= -1e-9)
+    hyp = _sampled(float(np.min(data.S_f - S0 * data.f)), 1e-9)
     A_f = float(np.sum(data.w_daf))
     chi = data.mesh.chi
     if S0 > 0:
@@ -186,21 +141,12 @@ def area_bound_check(data: ExtrinsicData, S0: float,
     else:
         applies, bound = chi < 0, 4 * np.pi * chi / S0
         slack, passed = A_f - bound, A_f >= bound - AREA_BOUND_TOL
-    if not (strongly_stable and hyp.holds and applies):
-        return BoundReport(False, hyp, S0, chi, A_f, np.nan, np.nan, False)
-    return BoundReport(True, hyp, S0, chi, A_f, bound, slack, passed)
-
-
-@dataclass(frozen=True)
-class FoliationReport:
-    s_values: Array
-    lhs: Array                  # H_f'(s) * A_f(s)
-    rhs: Array                  # boundary + potential integrals
-    max_rel_residual: float
-    hyp_ricci: Hypothesis
-    hyp_boundary: Hypothesis
-    monotone_asserted: bool
-    monotone_holds: bool
+    applicable = strongly_stable and hyp["holds"] and applies
+    if not applicable:
+        bound, slack, passed = None, None, False
+    return {"applicable": applicable, "hypothesis": hyp, "S0": S0,
+            "chi": chi, "A_f": A_f, "bound": bound, "slack": slack,
+            "passed": passed}
 
 
 # the leaves the foliation identity is checked on, and the centered
@@ -210,8 +156,10 @@ FOLIATION_STEP = 1e-3
 
 
 def foliation_monotonicity_check(family: DeformedFamily,
-                                 tol: float = 1e-3) -> FoliationReport:
-    """Verify H_f'(s) A_f(s) = int_bd II u dl_f + int (Ric_f(N,N)+|sigma|^2) u da_f."""
+                                 tol: float = 1e-3) -> dict:
+    """Verify H_f'(s) A_f(s) = int_bd II u dl_f + int (Ric_f(N,N)+|sigma|^2)
+    u da_f on each leaf, lhs against rhs, and H_f' >= -tol where Ric_f >= 0
+    and II >= 0."""
     s_values, h = np.asarray(FOLIATION_S_VALUES, float), FOLIATION_STEP
     pos0, bpos0 = family.data.pos, family.data.b_pos
     lhs = np.empty(len(s_values))
@@ -247,9 +195,11 @@ def foliation_monotonicity_check(family: DeformedFamily,
     resid = float(np.max(np.abs(lhs - rhs))) / scale
     if ii_min is np.inf:
         ii_min = 0.0
-    hyp_r = Hypothesis("Ric_f >= 0", ric_min, ric_min >= -1e-9)
-    hyp_b = Hypothesis("II >= 0", ii_min, ii_min >= -1e-9)
-    asserted = hyp_r.holds and hyp_b.holds
+    ricci = _sampled(ric_min, 1e-9)
+    boundary = _sampled(ii_min, 1e-9)
+    asserted = ricci["holds"] and boundary["holds"]
     monotone = (not asserted) or bool(np.all(dHfs >= -tol))
-    return FoliationReport(s_values, lhs, rhs, resid, hyp_r, hyp_b,
-                           asserted, monotone)
+    return {"s_values": s_values.tolist(), "lhs": lhs.tolist(),
+            "rhs": rhs.tolist(), "max_rel_residual": resid,
+            "hypothesis_ricci": ricci, "hypothesis_boundary": boundary,
+            "monotone_asserted": asserted, "monotone_holds": monotone}

@@ -200,7 +200,6 @@ class TestRun:
     @pytest.mark.parametrize("error", [
         np.linalg.LinAlgError("Singular matrix"),
         FloatingPointError("overflow encountered in exp"),
-        spla.ArpackError(-9999),
     ])
     def test_numerical_error_outside_the_solvers_exits_3(
             self, tmp_path, capsys, monkeypatch, error):

@@ -222,15 +222,15 @@ class TestStationarity:
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "gaussian")
         v = stationarity_verdict(data)
-        assert v.strong
-        assert v.H_f_mean == pytest.approx(0.0, abs=1e-10)
+        assert v["strong"]
+        assert v["H_f_mean"] == pytest.approx(0.0, abs=1e-10)
 
     def test_k_family_is_volume_constrained_only(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
                                                     "radial-log", k=-2.5)
         v = stationarity_verdict(data)
-        assert v.volume_constrained and not v.strong
-        assert v.H_f_mean == pytest.approx(0.5, abs=1e-10)
+        assert v["volume_constrained"] and not v["strong"]
+        assert v["H_f_mean"] == pytest.approx(0.5, abs=1e-10)
 
     def test_chord_disk_has_nonzero_contact(self):
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))
@@ -239,8 +239,8 @@ class TestStationarity:
                          radius=rho)
         data = extrinsic_geometry(space, surface_chart(imm, 12, space))
         v = stationarity_verdict(data)
-        assert not v.volume_constrained
-        assert v.max_contact == pytest.approx(0.5, abs=1e-10)
+        assert not v["volume_constrained"]
+        assert v["max_contact"] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestMeshing:

@@ -1,7 +1,6 @@
 """Tests for curvature identities, topology chains, area bounds, rigidity."""
 import math
 
-import numpy as np
 import pytest
 
 import conftest as cf
@@ -10,8 +9,8 @@ from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, robin_eigenproblem,
                              strong_stability_verdict)
 from wstab.surface import PlanarDisk, extrinsic_geometry, surface_chart
-from wstab.theorems import (DISK_OR_CYLINDER, NOT_APPLICABLE, SPHERE_OR_TORUS,
-                            area_bound_check, boundary_identity_residual,
+from wstab.theorems import (CHAIN_TOL, DISK_OR_CYLINDER, NOT_APPLICABLE,
+                            SPHERE_OR_TORUS, area_bound_check, boundary_identity_residual,
                             foliation_monotonicity_check,
                             gauss_rearrangement_residual, rigidity_flags,
                             stability_topology_chain, topology_verdict)
@@ -66,21 +65,21 @@ class TestStabilityTopologyChain:
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         chain = stability_topology_chain(data)
-        assert chain.asserted and chain.chain_holds
-        assert chain.chi == 0
-        assert chain.I_f_u == pytest.approx(0.0, abs=1e-10)
-        assert chain.bound1 == pytest.approx(0.0, abs=1e-10)
-        assert chain.bound2 == 0.0
+        assert chain["asserted"] and chain["chain_holds"]
+        assert chain["chi"] == 0
+        assert chain["I_f_u"] == pytest.approx(0.0, abs=1e-10)
+        assert chain["bound1"] == pytest.approx(0.0, abs=1e-10)
+        assert chain["bound2"] == 0.0
 
     def test_hemisphere_borderline_density(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "radial-log", k=-2.0)
         chain = stability_topology_chain(data)
-        assert chain.asserted and chain.chain_holds
-        assert chain.chi == 1
-        assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
-        assert chain.bound1 == pytest.approx(0.0, abs=1e-3)
-        assert chain.bound2 == pytest.approx(TAU, rel=1e-12)
+        assert chain["asserted"] and chain["chain_holds"]
+        assert chain["chi"] == 1
+        assert chain["I_f_u"] == pytest.approx(0.0, abs=1e-6)
+        assert chain["bound1"] == pytest.approx(0.0, abs=1e-3)
+        assert chain["bound2"] == pytest.approx(TAU, rel=1e-12)
 
     def test_sphere_in_ball_complement(self):
         from conftest import make_space
@@ -90,14 +89,15 @@ class TestStabilityTopologyChain:
         imm = RoundSphere(radius=2.0)
         data = extrinsic_geometry(space, surface_chart(imm, 24, space))
         chain = stability_topology_chain(data)
-        assert chain.asserted and chain.chain_holds
-        assert chain.chi == 2
-        assert chain.I_f_u == pytest.approx(0.0, abs=1e-6)
-        assert chain.bound2 == pytest.approx(2.0 * TAU, rel=1e-12)
+        assert chain["asserted"] and chain["chain_holds"]
+        assert chain["chi"] == 2
+        assert chain["I_f_u"] == pytest.approx(0.0, abs=1e-6)
+        assert chain["bound2"] == pytest.approx(2.0 * TAU, rel=1e-12)
         asm = assemble(data)
         spec = robin_eigenproblem(asm)
         strong = strong_stability_verdict(spec)
-        assert topology_verdict(chain, strong) == SPHERE_OR_TORUS
+        assert (topology_verdict(chain, strong, data.has_boundary)
+                == SPHERE_OR_TORUS)
 
     def test_requires_stationary_surface(self):
         space = cf.space_ball(radius=1.0, center=(2.0, 0.0, 0.0))
@@ -116,7 +116,8 @@ class TestTopologyVerdict:
         chain = stability_topology_chain(data)
         spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
-        assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
+        assert (topology_verdict(chain, strong, data.has_boundary)
+                == DISK_OR_CYLINDER)
 
     def test_hemisphere_at_threshold(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
@@ -124,7 +125,8 @@ class TestTopologyVerdict:
         chain = stability_topology_chain(data)
         spec = robin_eigenproblem(assemble(data))
         strong = strong_stability_verdict(spec)
-        assert topology_verdict(chain, strong) == DISK_OR_CYLINDER
+        assert (topology_verdict(chain, strong, data.has_boundary)
+                == DISK_OR_CYLINDER)
 
     def test_unstable_hemisphere_is_not_applicable(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
@@ -133,7 +135,8 @@ class TestTopologyVerdict:
         spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min < -0.4
         strong = strong_stability_verdict(spec)
-        assert topology_verdict(chain, strong) == NOT_APPLICABLE
+        assert (topology_verdict(chain, strong, data.has_boundary)
+                == NOT_APPLICABLE)
 
 
 class TestAreaBounds:
@@ -146,14 +149,14 @@ class TestAreaBounds:
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         report = area_bound_check(data, -1.0, True)
-        assert report.hypothesis.holds
-        assert not report.applicable
+        assert report["hypothesis"]["holds"]
+        assert not report["applicable"]
 
     def test_failed_hypothesis_is_reported(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 12)
         report = area_bound_check(data, 1.0, True)
-        assert not report.hypothesis.holds
-        assert not report.applicable
+        assert not report["hypothesis"]["holds"]
+        assert not report["applicable"]
 
     def test_unstable_surface_is_not_applicable(self):
         """The Gaussian unit sphere meets S_f >= 20 f, but lambda_min = -4:
@@ -162,28 +165,28 @@ class TestAreaBounds:
         strong = strong_stability_verdict(robin_eigenproblem(assemble(data)))
         assert not strong
         report = area_bound_check(data, 20.0, strong)
-        assert report.hypothesis.holds
-        assert not report.applicable and not report.passed
-        assert np.isnan(report.bound)
+        assert report["hypothesis"]["holds"]
+        assert not report["applicable"] and not report["passed"]
+        assert report["bound"] is None and report["slack"] is None
 
     def test_positive_threshold_needs_a_disk(self):
         """A stable closed sphere meeting S_f >= S0 f is outside the disk
         bound, not a failure of it."""
         space, imm, mesh, data = cf.cached_geometry("sphere", 12, "gaussian")
         report = area_bound_check(data, 20.0, True)
-        assert report.hypothesis.holds and report.chi == 2
-        assert not report.applicable
+        assert report["hypothesis"]["holds"] and report["chi"] == 2
+        assert not report["applicable"]
 
     def test_stable_disk_satisfies_positive_bound(self):
         space, imm, mesh, data = quadratic_disk(24)
         spec = robin_eigenproblem(assemble(data))
         assert spec.lambda_min > 1.0
         report = area_bound_check(data, 0.5, strong_stability_verdict(spec))
-        assert report.applicable and report.passed
-        assert report.hypothesis.sampled_min > 1.0
-        assert report.chi == 1
-        assert report.slack > 0.0
-        assert report.bound == pytest.approx(8.0 * math.pi, rel=1e-12)
+        assert report["applicable"] and report["passed"]
+        assert report["hypothesis"]["sampled_min"] > 1.0
+        assert report["chi"] == 1
+        assert report["slack"] > 0.0
+        assert report["bound"] == pytest.approx(8.0 * math.pi, rel=1e-12)
 
 
 class TestRigidity:
@@ -191,24 +194,26 @@ class TestRigidity:
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         flags = rigidity_flags(data)
-        assert flags.all_true
+        assert flags["all_true"]
 
     def test_hemisphere_is_not_rigid(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 16)
         flags = rigidity_flags(data)
-        assert not flags.totally_geodesic
-        assert not flags.gauss_flat
-        assert flags.density_const_on_surface
-        assert not flags.all_true
+        assert not flags["totally_geodesic"]
+        assert not flags["gauss_flat"]
+        assert flags["density_const_on_surface"]
+        assert not flags["all_true"]
 
     def test_equality_case_pairs_with_chain_equality(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 16, "linear",
                                                     a=(1.0, 0.0, 0.0))
         chain = stability_topology_chain(data)
         flags = rigidity_flags(data)
-        assert flags.all_true
-        assert abs(chain.I_f_u - chain.bound1) < chain.tol
-        assert abs(chain.bound1 - chain.bound2) < chain.tol
+        assert flags["all_true"]
+        # the chain's slack on its inequalities, at chi = 0
+        tol = max(CHAIN_TOL * (1.0 + abs(chain["bound2"])), 1e-4)
+        assert abs(chain["I_f_u"] - chain["bound1"]) < tol
+        assert abs(chain["bound1"] - chain["bound2"]) < tol
 
 
 class TestFoliation:
@@ -217,16 +222,16 @@ class TestFoliation:
                                                     a=(1.0, 0.0, 0.0))
         family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
-        assert report.max_rel_residual < 1e-6
-        assert report.monotone_asserted and report.monotone_holds
+        assert report["max_rel_residual"] < 1e-6
+        assert report["monotone_asserted"] and report["monotone_holds"]
 
     def test_gaussian_identity_with_nonzero_potential(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12, "gaussian")
         family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         report = foliation_monotonicity_check(family)
-        assert report.max_rel_residual < 1e-4
-        assert report.hyp_ricci.holds
-        assert report.monotone_asserted and report.monotone_holds
+        assert report["max_rel_residual"] < 1e-4
+        assert report["hypothesis_ricci"]["holds"]
+        assert report["monotone_asserted"] and report["monotone_holds"]
 
     @pytest.mark.parametrize("surface", ["cone-cap", "log-radial-hemisphere"])
     def test_scaled_caps_satisfy_the_identity(self, surface):
@@ -240,7 +245,7 @@ class TestFoliation:
                                                         "radial-log", k=-2.5)
         family = DeformedFamily(data, ScalingFlow())
         report = foliation_monotonicity_check(family)
-        assert report.max_rel_residual <= 1e-5
+        assert report["max_rel_residual"] <= 1e-5
 
     def test_negative_speed_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
