@@ -87,14 +87,15 @@ def point_columns(n: int, *shape) -> Array:
     return buf.transpose((len(shape),) + tuple(range(len(shape))))
 
 
-def ordered_sum(terms) -> Array:
+def ordered_sum(terms, out: Optional[Array] = None) -> Array:
     """The (N,) terms added in the order given onto +0.0, as numpy's sums
-    add them, so that a sum of zeros is +0.0 whatever their signs.  The
-    per-point kernels make every 3-long sum through this on (N,) columns:
-    bit for bit np.sum over a 3-long axis, np.trace, and np.linalg.norm,
-    without numpy's loop over 3-long rows."""
+    add them, so that a sum of zeros is +0.0 whatever their signs, in
+    ``out`` where one is given.  The per-point kernels make every 3-long
+    sum through this on (N,) columns: bit for bit np.sum over a 3-long
+    axis, np.trace, and np.linalg.norm, without numpy's loop over 3-long
+    rows."""
     terms = iter(terms)
-    total = 0.0 + next(terms)
+    total = np.add(0.0, next(terms), out=out)
     for term in terms:
         total += term
     return total

@@ -16,9 +16,8 @@ import numpy as np
 
 from .ambient import check_on_boundary, dot, unit_vector3, vector3
 from .errors import ImmersionError, InputError, NumericalFailure
-from .surface import (ExtrinsicData, _along, _chain_rule, _cross,
-                      _normal_and_area, extrinsic_geometry,
-                      stationary_H_f, vertex_normals)
+from .surface import (ExtrinsicData, _chain_rule, _cross, _frame,
+                      extrinsic_geometry, stationary_H_f, vertex_normals)
 
 Array = np.ndarray
 
@@ -176,8 +175,8 @@ class DeformedFamily:
     space of ``data``, so a family evaluates no chart of its own.  Area and
     volume push only the base positions through the flow, with the base
     normals, area elements and normal speed under an affine flow and the
-    base Jacobians under any other; full geometry also pushes the
-    Jacobians, the chart Hessian and the boundary curve.  Each slice's A_f
+    base frame under any other; full geometry also pushes the frame, its
+    derivatives and the boundary curve.  Each slice's A_f
     and volume rate are kept per s, so the FD variations, the swept volume
     and the samples share slices.
     """
@@ -219,10 +218,8 @@ class DeformedFamily:
                     "chart Jacobian is rank deficient at a quadrature point")
             w_da = lam ** 2 * base.w_da
         else:
-            J, _ = _chain_rule(flow.jac(s, base.pos), base.J)
-            N, w_da, _ = _normal_and_area(
-                base.mesh.immersion.orientation_sign, _along(J, base.D1),
-                _along(J, base.D2))
+            E, _ = _chain_rule(flow.jac(s, base.pos), base.E)
+            _, N, w_da = _frame(base.mesh.immersion.orientation_sign, E)
         pos = flow.map(s, base.pos)
         return pos, N, w_da * np.exp(base.space.density.psi(pos))
 
@@ -248,11 +245,22 @@ class DeformedFamily:
             self._slices[s] = (float(np.sum(w_daf)), float(np.sum(u * w_daf)))
         return self._slices[s]
 
+    @functools.cached_property
+    def _vertex_frame(self) -> tuple:
+        """The velocity dphi/ds at s = 0 and the unit normal at the mesh
+        vertices, as columns."""
+        mesh = self.data.mesh
+        return (self.flow.velocity(0.0, mesh.positions).T,
+                vertex_normals(mesh).T)
+
     def vertex_normal_speed(self) -> Array:
         """The normal speed <dphi/ds, N> at s = 0 at the mesh vertices."""
-        mesh = self.data.mesh
-        return dot(self.flow.velocity(0.0, mesh.positions).T,
-                   vertex_normals(mesh).T)
+        return dot(*self._vertex_frame)
+
+    def vertex_speed_size(self) -> Array:
+        """The size of the normal speed's terms, sum_i |dphi/ds_i N_i|, at
+        the mesh vertices: the scale of its rounding."""
+        return dot(*(np.abs(x) for x in self._vertex_frame))
 
     def weighted_area(self, s: float) -> float:
         """A_f of the slice at s."""
@@ -262,19 +270,20 @@ class DeformedFamily:
         """Full geometry of the slice at s.
 
         Off the base it is the flow applied to the base chart, with the
-        chain rule for the second derivatives: the chart Hessian is
-        Dphi H0 + D^2phi(J0, J0), and along the boundary curve
-        g'' -> Dphi g'' + D^2phi(g', g').  A flow that moves the boundary
-        curve off the ambient boundary is not an admissible variation.
+        chain rule for the second derivatives: the frame E0 moves to
+        Dphi E0, its derivatives to Dphi F0 + D^2phi(E0, E0), and along
+        the boundary curve g'' -> Dphi g'' + D^2phi(g', g').  A flow that
+        moves the boundary curve off the ambient boundary is not an
+        admissible variation.
         """
         if s == 0.0:
             return self.data
         space, base, flow = self.data.space, self.data.chart, self.flow
         # an affine flow's Hessian is zero and is not evaluated
         affine = isinstance(flow, AffineFlow)
-        J, hess = _chain_rule(flow.jac(s, base.pos), base.J, base.hess,
-                              None if affine else flow.hess(s, base.pos))
-        moved = dict(pos=flow.map(s, base.pos), J=J, hess=hess)
+        E, F = _chain_rule(flow.jac(s, base.pos), base.E, base.F,
+                           None if affine else flow.hess(s, base.pos))
+        moved = dict(pos=flow.map(s, base.pos), E=E, F=F)
         if base.has_boundary:
             g0 = base.b_pos
             g = flow.map(s, g0)
@@ -338,6 +347,20 @@ def first_variation_formula(family: DeformedFamily) -> float:
     if data.has_boundary:
         Xb = family.flow.velocity(0.0, data.b_pos)
         out -= float(np.sum(dot(Xb.T, data.b_nu.T) * data.w_dlf))
+    return out
+
+
+def first_variation_scale(family: DeformedFamily) -> float:
+    """The sum of the first variation formula's terms' magnitudes, each
+    <X, N> and <X, nu> as sum_i |X_i N_i| so that a tangent X has a size:
+    the unit its FD check is measured in."""
+    data, velocity = family.data, family.flow.velocity
+    X = np.abs(velocity(0.0, data.pos).T)
+    out = float(np.sum(np.abs(data.H_f) * dot(X, np.abs(data.N.T))
+                       * data.w_daf))
+    if data.has_boundary:
+        Xb = np.abs(velocity(0.0, data.b_pos).T)
+        out += float(np.sum(dot(Xb, np.abs(data.b_nu.T)) * data.w_dlf))
     return out
 
 

@@ -20,10 +20,11 @@ from .ambient import BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace
 from .errors import ConfigError, InputError, NumericalFailure, WstabError
 from .functionals import (DeformedFamily, Flow, RotationFlow, ScalingFlow,
                           TranslationFlow, first_variation_fd,
-                          first_variation_formula, second_variation_fd,
-                          swept_weighted_volume)
-from .stability import (assemble, index_form_value, robin_eigenproblem,
-                        strong_stability_verdict, volume_constrained_verdict)
+                          first_variation_formula, first_variation_scale,
+                          second_variation_fd, swept_weighted_volume)
+from .stability import (assemble, index_form_scale, index_form_value,
+                        robin_eigenproblem, strong_stability_verdict,
+                        volume_constrained_verdict)
 from .surface import (MAX_RESOLUTION, Immersion, PlanarDisk, RectPatch,
                       RoundSphere, SphericalCap, SurfaceChart,
                       check_arcs_on_boundary, extrinsic_geometry,
@@ -31,8 +32,9 @@ from .surface import (MAX_RESOLUTION, Immersion, PlanarDisk, RectPatch,
 from .theorems import (INCONSISTENT, TOPOLOGY_VERDICTS, area_bound_check,
                        boundary_identity_residual,
                        foliation_monotonicity_check,
-                       gauss_rearrangement_residual, rigidity_flags,
-                       stability_topology_chain, topology_verdict)
+                       gauss_rearrangement_residual, identity_scales,
+                       rigidity_flags, stability_topology_chain,
+                       topology_verdict)
 
 TAU = 2.0 * math.pi
 
@@ -55,6 +57,7 @@ MAX_NESTING = 16
 # every sweep value is a full run; a sweep may queue no more than this
 MAX_SWEEP_VALUES = 1000
 
+# identity and variation tolerances are relative to their terms' size
 DEFAULT_TOLS = {
     "identity": 1e-5,
     "boundary_identity": 1e-6,
@@ -200,6 +203,10 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         _build(ambient["density"], DENSITY_REGISTRY, "density", "name"),
         _build(ambient["boundary"], BOUNDARY_REGISTRY, "boundary", "name"))
     immersion = _build(obj["surface"], SURFACE_REGISTRY, "surface", "builtin")
+    # a surface with boundary needs an ambient boundary: the domain alone
+    # decides, and a sweep's values are checked in full below
+    if space.boundary is None:
+        check_arcs_on_boundary(immersion, space)
 
     resolution = obj["resolution"]
     if not (isinstance(resolution, int)
@@ -415,7 +422,7 @@ def _first_variation(run):
     fd = first_variation_fd(run.family).value
     formula = first_variation_formula(run.family)
     diff = abs(fd - formula)
-    tol = max(1e-6, run.scn.tol("variation") * abs(formula))
+    tol = run.scn.tol("variation") * first_variation_scale(run.family)
     return ({"fd": fd, "formula": formula, "difference": diff}, diff <= tol,
             f"|fd - formula| = {diff:.2e}")
 
@@ -425,7 +432,9 @@ def _second_variation(run):
     u = run.family.vertex_normal_speed()
     ifv = index_form_value(run.asm, u, u)
     diff = abs(fd - ifv)
-    tol = run.scn.tol("variation") * max(1.0, abs(ifv))
+    scale, rounding = index_form_scale(run.asm, u,
+                                       run.family.vertex_speed_size())
+    tol = run.scn.tol("variation") * scale + rounding
     return ({"fd": fd, "index_form": ifv, "difference": diff}, diff <= tol,
             f"|fd - I_f(u,u)| = {diff:.2e}")
 
@@ -442,14 +451,15 @@ def _spectrum(run):
 
 def _identities(run):
     data, tol = run.data, run.scn.tol
+    scale, b_scale = identity_scales(data)
     resid = gauss_rearrangement_residual(data)
     block = {"gauss_rearrangement_residual": resid}
-    ok = resid <= tol("identity")
+    ok = resid <= tol("identity") * scale
     detail = f"rearrangement {resid:.2e}"
     if data.has_boundary:
         bres = boundary_identity_residual(data)
         block["boundary_identity_residual"] = bres
-        ok = ok and bres <= tol("boundary_identity")
+        ok = ok and bres <= tol("boundary_identity") * b_scale
         detail += f", boundary {bres:.2e}"
     return block, ok, detail
 

@@ -160,6 +160,19 @@ def index_form_value(asm: IndexFormAssembly, v: Array, w: Array) -> float:
                  + np.sum(a[n:] * (v[i] * w[j] + v[j] * w[i])))
 
 
+def index_form_scale(asm: IndexFormAssembly, u: Array, m: Array) -> tuple:
+    """The size |u K u| + |u P u| + |u B u| of the stiffness, potential and
+    Robin parts of I_f(u, u), the unit its FD check is measured in, and
+    16 eps sum |a_ij| m_i m_j over the slots of K - P - B, a bound of its
+    rounding where each u_i is a sum of terms of size m_i >= |u_i|: all of
+    I_f(u, u) where u is in the kernel of K, or is itself rounding."""
+    i, j = asm.data.mesh.edges.T
+    uu, mm = (np.concatenate([x * x, 2.0 * x[i] * x[j]]) for x in (u, m))
+    terms = np.abs(asm.k - asm.p - asm.b) * mm
+    return (sum(abs(float(np.sum(x * uu))) for x in (asm.k, asm.p, asm.b)),
+            16 * np.finfo(float).eps * float(np.sum(terms)))
+
+
 def jacobi_apply(asm: IndexFormAssembly, u: Array) -> Array:
     """Discrete L_f(u) = lap_{Sigma,f} u + (Ric_f(N,N)+|sigma|^2) u, mass-inverted."""
     u = np.asarray(u, float)

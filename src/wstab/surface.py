@@ -553,14 +553,15 @@ def _boundary_loops(be: Array) -> int:
 # ---------------------------------------------------------------------------
 
 def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
-    """Per-quadrature-point parameters, tangent directions, and curvature.
+    """Per-quadrature-point parameters and their derivatives along the
+    triangle's reference coordinates.
 
     Affine triangles give constant directions and zero second derivatives;
     triangles with a boundary-arc edge get the transfinite blend pulling the
     straight edge onto the arc, so the union of elements covers the exact
-    parameter domain.  Returns Q, D1, D2 and Q2 = (Q11, Q12, Q22) stacked,
-    each component-major: its parameter components are contiguous (F R,)
-    columns.
+    parameter domain.  Returns Q (n, pd), its first derivatives D
+    (n, pd, 2) and its second derivatives H (n, pd, 2, 2), symmetric in
+    the last two axes, each component-major (``ambient.point_columns``).
     """
     tp = mesh.tri_params
     F = len(tp)
@@ -571,13 +572,13 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     d2 = tp[:, 2] - q0
     xi = TRI_POINTS[:, 0]
     eta = TRI_POINTS[:, 1]
-    # (F, R, pd) views of (pd, F, R) buffers
+    # (F, R, ...) views of (..., F, R) buffers
     q0, d1, d2 = (x.T[:, :, None] for x in (q0, d1, d2))
     Q = np.moveaxis(np.add(q0 + xi * d1, eta * d2, out=np.empty((pd, F, R))),
                     0, -1)
-    D1, D2 = (np.moveaxis(np.broadcast_to(d, (pd, F, R)).copy(), 0, -1)
-              for d in (d1, d2))
-    Q2 = np.moveaxis(np.zeros((3, pd, F, R)), 1, -1)
+    D_buf, H_buf = np.empty((pd, 2, F, R)), np.zeros((pd, 2, 2, F, R))
+    D_buf[:, 0], D_buf[:, 1] = d1, d2
+    D, H = D_buf.transpose(2, 3, 0, 1), H_buf.transpose(3, 4, 0, 1, 2)
     if len(mesh.curved_tri):
         dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         ct, (li, lj) = mesh.curved_tri, mesh.curved_loc.T
@@ -609,23 +610,22 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
         # the blend is a sum over a triangle's boundary edges, and two
         # corner triangles of a rect patch have edges on two arcs
         np.add.at(Q, ct, Sb * g)
-        np.add.at(D1, ct, Sa[:, 0][:, None, None] * g
-                  + Sb * gp * ua[:, :, 0][..., None])
-        np.add.at(D2, ct, Sa[:, 1][:, None, None] * g
-                  + Sb * gp * ua[:, :, 1][..., None])
+        for k in range(2):
+            np.add.at(D[..., k], ct, Sa[:, k][:, None, None] * g
+                      + Sb * gp * ua[:, :, k][..., None])
         u1 = ua[:, :, 0][..., None]
         u2 = ua[:, :, 1][..., None]
-        np.add.at(Q2[0], ct, 2 * Sa[:, 0][:, None, None] * gp * u1
+        np.add.at(H[..., 0, 0], ct, 2 * Sa[:, 0][:, None, None] * gp * u1
                   + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
-        np.add.at(Q2[1], ct, Sa[:, 0][:, None, None] * gp * u2
+        np.add.at(H[..., 0, 1], ct, Sa[:, 0][:, None, None] * gp * u2
                   + Sa[:, 1][:, None, None] * gp * u1
                   + Sb * gpp * u1 * u2
                   + Sb * gp * uab[:, :, 0, 1][..., None])
-        np.add.at(Q2[2], ct, 2 * Sa[:, 1][:, None, None] * gp * u2
+        np.add.at(H[..., 1, 1], ct, 2 * Sa[:, 1][:, None, None] * gp * u2
                   + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
+        H_buf[:, 1, 0] = H_buf[:, 0, 1]
     n = F * R
-    return (Q.reshape(n, pd), D1.reshape(n, pd), D2.reshape(n, pd),
-            Q2.reshape(3, n, pd))
+    return Q.reshape(n, pd), D.reshape(n, pd, 2), H.reshape(n, pd, 2, 2)
 
 
 def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
@@ -663,12 +663,17 @@ def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
     """Raise ``InputError`` where the immersion's boundary arcs, sampled
     at ARC_SAMPLES points each with their ends, are off the ambient
     boundary (``ambient.check_on_boundary``): the check that the chart's
-    ``boundary_normal_and_ii`` makes, without a mesh."""
+    ``boundary_normal_and_ii`` makes, without a mesh.  Where the ambient
+    space has no boundary, the domain alone decides, with no chart: a
+    surface with boundary arcs is refused."""
     kind = imm.domain[0]
     arcs = (1 if kind == "disk" else len(_rect_sides(*imm.domain[2:]))
             if kind == "rect" else 0)
-    if space.boundary is None or not arcs:
+    if not arcs:
         return
+    if space.boundary is None:
+        raise InputError("the surface has a boundary but the ambient space "
+                         "has none for it to lie on")
     t = np.tile(np.linspace(0.0, 1.0, ARC_SAMPLES), (arcs, 1))
     q = _on_arcs(imm, np.arange(arcs), t)[0].reshape(-1, imm.param_dim)
     check_on_boundary(space.boundary, imm.chart(q),
@@ -687,8 +692,8 @@ def _chart_at_boundary(imm: Immersion, mesh: SurfaceMesh) -> dict:
     Jb = imm.chart_jac(q)
     dg, ddg = _chain_rule(Jb, dq[:, :, None], ddq[:, :, None, None],
                           imm.chart_hess(q))
-    return dict(b_params=q, b_inward=inward, b_pos=imm.chart(q),
-                b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0], b_J=Jb)
+    return dict(b_inward=inward, b_pos=imm.chart(q), b_dg=dg[:, :, 0],
+                b_ddg=ddg[:, :, 0, 0], b_J=Jb)
 
 
 # The geometry kernels work on the (N,) columns of each quantity's ambient
@@ -704,34 +709,36 @@ def _along(J: Array, D: Array) -> list:
             for i in range(3)]
 
 
-def _second_along(Hc: Optional[Array], J: Array, D: Array, E: Array,
-                  Q: Array) -> list:
-    """The columns of Hc(D, E) + J Q, the chart Hessian Hc (N, 3, pd, pd)
-    on the parameter directions D and E (summed with b inner) plus the
-    Jacobian on their derivative Q: the second derivative of the chart
-    along a curve or blend of the parameters.  A Hessian of None is zero
-    and is not contracted: its sum is the +0.0 that zeros sum to."""
-    pd = D.shape[1]
-    return [(0.0 if Hc is None else
-             ordered_sum(Hc[:, i, a, b] * D[:, a] * E[:, b]
-                         for a in range(pd) for b in range(pd))) + JQ
-            for i, JQ in enumerate(_along(J, Q))]
-
-
 def _chain_rule(DF: Array, J: Array, H: Optional[Array] = None,
                 D2F: Optional[Array] = None) -> tuple:
     """DF J and DF H + D2F(J, J), component-major: the derivatives J
-    (N, m, k) and H (N, m, k, k) of a map of k parameters composed with a
-    map of Jacobian DF (N, 3, m) and Hessian D2F (N, 3, m, m), or None for
-    a map whose Hessian is zero.  The second is None without H."""
-    k = J.shape[2]
-    moved_J = np.array([_along(DF, J[:, :, a]) for a in range(k)]).T
+    (N, m, k) and H (N, m, k, k), H symmetric, of a map of k parameters
+    composed with a map of Jacobian DF (N, 3, m) and Hessian D2F
+    (N, 3, m, m), or None for a zero Hessian, which is not contracted (its
+    sum is the +0.0 that zeros sum to).  Each H entry a <= b is computed
+    once, D2F summed with its second index inner, and mirrored; without H
+    the second is None."""
+    n, m, k = J.shape
+    moved_J = point_columns(n, 3, k)
+    for a in range(k):
+        for i, column in enumerate(_along(DF, J[:, :, a])):
+            moved_J[:, i, a] = column
     if H is None:
         return moved_J, None
-    # the columns nested [b][a][i], so that .T puts them at [:, i, a, b]
-    return moved_J, np.array([[
-        _second_along(D2F, DF, J[:, :, a], J[:, :, b], H[:, :, a, b])
-        for a in range(k)] for b in range(k)]).T
+    moved_H = point_columns(n, 3, k, k)
+    for a in range(k):
+        for b in range(a, k):
+            for i, DFH in enumerate(_along(DF, H[:, :, a, b])):
+                column = moved_H[:, i, a, b]
+                if D2F is None:
+                    column[...] = 0.0
+                else:
+                    ordered_sum((D2F[:, i, c, d] * J[:, c, a] * J[:, d, b]
+                                 for c in range(m) for d in range(m)),
+                                out=column)
+                column += DFH
+                moved_H[:, i, b, a] = column
+    return moved_J, moved_H
 
 
 def _cross(x, y) -> tuple:
@@ -739,48 +746,38 @@ def _cross(x, y) -> tuple:
             x[0] * y[1] - x[1] * y[0])
 
 
-def _unit_normal(sign: int, E1, E2) -> Array:
-    """E1 x E2 over its length, oriented by the sign, as a component-major
-    (N, 3) array."""
-    n = _cross(E1, E2)
+def _unit_normal(sign: int, E: Array) -> Array:
+    """E1 x E2 over its length for the first two columns of a frame E
+    (N, 3, k), oriented by the sign, component-major (N, 3).  The meshers
+    order their parameter triangles counterclockwise, so a 2-parameter
+    chart's Jacobian gives the normal that the triangles' frames give."""
+    n = _cross(E[:, :, 0].T, E[:, :, 1].T)
     length = np.sqrt(dot(n, n))
     return np.stack([sign * c / length for c in n]).T
 
 
-def _normal_and_area(sign: int, E1, E2):
-    """The unit normal and the area element times the Gauss3 weight of the
-    frame columns E1, E2, with the metric (g11, g12, g22, det G) they come
-    from: everything a variation slice reads.  The rank test is relative,
-    det G > 1e-20 g11 g22 (the sine of the columns' angle above 1e-10), so
-    it holds at every scale of the chart."""
+def _frame(sign: int, E: Array):
+    """The inverse metric (g^11, g^12, g^22) in the frame E (N, 3, 2) as
+    columns, the unit normal and the area element times the Gauss3 weight.
+    The rank test is relative, det G > 1e-20 g11 g22 (the sine of the
+    frame's angle above 1e-10), so it holds at every scale of the chart."""
+    E1, E2 = E.T
     g11, g12, g22 = dot(E1, E1), dot(E1, E2), dot(E2, E2)
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20 * (g11 * g22)):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
     w_da = (np.sqrt(detG).reshape(-1, len(TRI_WEIGHTS)) * TRI_WEIGHTS).ravel()
-    return _unit_normal(sign, E1, E2), w_da, (g11, g12, g22, detG)
+    return (g22 / detG, -g12 / detG, g11 / detG), _unit_normal(sign, E), w_da
 
 
-def _frame(sign: int, D1: Array, D2: Array, J: Array):
-    """The inverse metric (g^11, g^12, g^22) in the chart's frame along
-    the blended directions, as columns, the unit normal and the area
-    element times the Gauss3 weight."""
-    Nv, w_da, (g11, g12, g22, detG) = _normal_and_area(
-        sign, _along(J, D1), _along(J, D2))
-    return (g22 / detG, -g12 / detG, g11 / detG), Nv, w_da
-
-
-def _shape_operator(Hc: Array, d1r: Array, d2r: Array, J: Array, Q2,
-                    Nv: Array, Ginv) -> tuple:
-    """Shape operator in the (E1, E2) frame from the chart Hessian Hc
-    along the blended directions: its entries (S11, S12, S21, S22) as
+def _shape_operator(F: Array, Nv: Array, Ginv) -> tuple:
+    """Shape operator in the frame (E1, E2) from the frame's second
+    derivatives F (N, 3, 2, 2): its entries (S11, S12, S21, S22) as
     columns, from the inverse metric columns (g^11, g^12, g^22)."""
     N = Nv.T
     # second fundamental form coordinate components: sigma_ab = -<N, F_ab>
-    L11, L12, L22 = (-dot(N, _second_along(Hc, J, da, db, Qab))
-                     for da, db, Qab in ((d1r, d1r, Q2[0]),
-                                         (d1r, d2r, Q2[1]),
-                                         (d2r, d2r, Q2[2])))
+    L11, L12, L22 = (-dot(N, F[:, :, a, b].T)
+                     for a, b in ((0, 0), (0, 1), (1, 1)))
     G11, G12, G22 = Ginv
     return (ordered_sum((G11 * L11, G12 * L12)),
             ordered_sum((G11 * L12, G12 * L22)),
@@ -788,27 +785,18 @@ def _shape_operator(Hc: Array, d1r: Array, d2r: Array, J: Array, Q2,
             ordered_sum((G12 * L12, G22 * L22)))
 
 
-def _normal_from_jac(sign: int, J: Array) -> Array:
-    """Unit normal J_u x J_v of a 2-parameter chart Jacobian, oriented by
-    the immersion's orientation sign.  Every mesher orders the corners of
-    its parameter triangles counterclockwise, so this is the normal that
-    the triangles' frames give."""
-    return _unit_normal(sign, J[:, :, 0].T, J[:, :, 1].T)
-
-
 def vertex_normals(mesh: SurfaceMesh) -> Array:
     """Unit normals at mesh vertices, oriented like the quadrature normals."""
     imm = mesh.immersion
     if imm.param_dim == 2:
-        return _normal_from_jac(imm.orientation_sign, imm.chart_jac(mesh.params))
+        return _unit_normal(imm.orientation_sign, imm.chart_jac(mesh.params))
     # per-corner triangle frames, last writer wins (orientations agree)
     Nv = np.zeros((mesh.n_vertices, 3))
     tp = mesh.tri_params
     edges = (tp[:, 1:] - tp[:, :1]).transpose(0, 2, 1)
     for c in range(3):
         frame, _ = _chain_rule(imm.chart_jac(tp[:, c]), edges)
-        Nv[mesh.triangles[:, c]] = _normal_from_jac(imm.orientation_sign,
-                                                    frame)
+        Nv[mesh.triangles[:, c]] = _unit_normal(imm.orientation_sign, frame)
     return Nv
 
 
@@ -823,34 +811,28 @@ class SurfaceChart:
     component-major (``ambient.point_columns``), and so do the derived
     frame and normal.  Of ``space`` only the boundary is read, so one chart
     serves every density.  ``surface_chart`` builds it from an immersion;
-    ``dataclasses.replace`` with new positions, Jacobians, Hessians and
-    boundary curve derives the rest again, which is how a flow moves it.
+    ``dataclasses.replace`` with a new pos, E, F and boundary curve derives
+    the rest again, which is how a flow moves it.
     """
 
     space: InitVar[AmbientSpace]
     mesh: SurfaceMesh
-    # interior, one row per (triangle, quadrature point): the blended
-    # parameters, their directions and second derivatives (Q11, Q12, Q22),
-    # and the chart's positions, Jacobian and Hessian there
-    params: Array            # (Q, pd)
-    D1: Array                # (Q, pd)
-    D2: Array
-    Q2: Array                # (3, Q, pd)
+    # interior, one row per (triangle, quadrature point): the positions,
+    # the frame E = (E1, E2) of the surface's derivatives along the
+    # triangle's reference coordinates, and their derivatives F_ab
     pos: Array               # (Q, 3)
-    J: Array                 # (Q, 3, pd)
-    hess: Array              # (Q, 3, pd, pd)
+    E: Array                 # (Q, 3, 2)
+    F: Array                 # (Q, 3, 2, 2), symmetric in a, b
     # boundary, one row per (boundary edge, Gauss2 point) in mesh edge
-    # order, empty without one: the arc parameters with a parameter
-    # direction into the domain, the boundary curve g with its arc
-    # derivatives g', g'' and the chart Jacobian there
-    b_params: Array
+    # order, empty without one: an inward parameter direction, the curve g
+    # with its arc derivatives g', g'', and the chart Jacobian there
     b_inward: Array
     b_pos: Array
     b_dg: Array
     b_ddg: Array
     b_J: Array
     # derived, interior
-    Ginv: Array = field(init=False)    # inverse metric, frame along D1, D2
+    Ginv: Array = field(init=False)    # inverse metric in the frame E
     N: Array = field(init=False)
     w_da: Array = field(init=False)    # area element x quadrature weight
     H: Array = field(init=False)
@@ -865,13 +847,13 @@ class SurfaceChart:
     # the ambient boundary's mean curvature along it, tr II - II(xi, xi)
     H_boundary: Array = field(init=False)
     h_geod: Array = field(init=False)
+    b_curvature: Array = field(init=False)  # |acc|, h_geod its b_nu part
     w_dl: Array = field(init=False)    # length element x quadrature weight
 
     def __post_init__(self, space: AmbientSpace):
         sign = self.mesh.immersion.orientation_sign
-        Ginv, Nv, w_da = _frame(sign, self.D1, self.D2, self.J)
-        S11, S12, S21, S22 = _shape_operator(self.hess, self.D1, self.D2,
-                                             self.J, self.Q2, Nv, Ginv)
+        Ginv, Nv, w_da = _frame(sign, self.E)
+        S11, S12, S21, S22 = _shape_operator(self.F, Nv, Ginv)
         G11, G12, G22 = Ginv
         fields = dict(Ginv=np.stack([G11, G12, G12, G22]).reshape(
                           2, 2, -1).transpose(2, 0, 1),
@@ -889,7 +871,7 @@ class SurfaceChart:
         # curve acceleration projected off T, per unit length
         acc = ((self.b_ddg - dot(self.b_ddg.T, T.T)[:, None] * T)
                / speed[:, None] ** 2)
-        Nv = _normal_from_jac(sign, self.b_J)
+        Nv = _unit_normal(sign, self.b_J)
         nu = np.cross(Nv, T)
         # the chart's image of the inward parameter direction orients nu
         v_in = _along(self.b_J, self.b_inward)
@@ -903,6 +885,7 @@ class SurfaceChart:
             H_bd = trace(II) - quadratic_form(II, xi)
         return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=dot(Nv.T, xi.T),
                     II_NN=II_NN, H_boundary=H_bd, h_geod=dot(acc.T, nu.T),
+                    b_curvature=norm(acc),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
 
     @property
@@ -913,12 +896,13 @@ class SurfaceChart:
 def surface_chart(imm: Immersion, resolution: int,
                   space: AmbientSpace) -> SurfaceChart:
     """Mesh the immersion with its boundary vertices on the ambient
-    boundary of ``space`` and evaluate its chart on the mesh."""
+    boundary of ``space`` and evaluate its chart on the mesh: the frame
+    and its derivatives by one chain rule through the blend."""
     mesh = mesh_from_immersion(imm, resolution, space=space)
-    Q, D1, D2, Q2 = _blended_param_points(imm, mesh)
+    Q, D, H = _blended_param_points(imm, mesh)
     pos = np.ascontiguousarray(imm.chart(Q).T).T
-    return SurfaceChart(space, mesh, Q, D1, D2, Q2, pos,
-                        imm.chart_jac(Q), imm.chart_hess(Q),
+    E, F = _chain_rule(imm.chart_jac(Q), D, H, imm.chart_hess(Q))
+    return SurfaceChart(space, mesh, pos, E, F,
                         **_chart_at_boundary(imm, mesh))
 
 

@@ -62,6 +62,20 @@ def boundary_identity_residual(data: ExtrinsicData) -> float:
     return float(np.max(np.abs(data.II_NN - (data.H_boundary - data.h_geod))))
 
 
+def identity_scales(data: ExtrinsicData) -> tuple:
+    """The units of the identities' residuals: the largest sum of the
+    rearrangement's terms' magnitudes at a point, and the largest
+    |II(N,N)| + |H_boundary| + |acc| at a boundary point (0 without one),
+    the boundary curve's curvature |acc| standing for h, which may be 0."""
+    gauss = (np.abs(data.ricf_NN) + 1.5 * data.sigma2 + np.abs(data.K)
+             + 0.5 * (np.abs(data.S_f) + data.H_f**2
+                      + squared_norm(data.grad_s_psi))
+             + np.abs(data.lap_s_psi))
+    boundary = (np.abs(data.II_NN) + np.abs(data.H_boundary)
+                + data.b_curvature)
+    return float(np.max(gauss)), float(np.max(boundary, initial=0.0))
+
+
 def _sampled(minimum: float, slack: float) -> dict:
     """A hypothesis "X >= 0" as its report reads it: the least sampled X,
     and whether it holds within the slack."""

@@ -16,11 +16,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from wstab.ambient import (BOUNDARY_REGISTRY, DENSITY_REGISTRY, AmbientSpace,
-                           BoundarySpec, Density, boundary_normal_and_ii)
+                           BoundarySpec, Density, boundary_normal_and_ii,
+                           ordered_sum)
 from wstab.functionals import RotationFlow, ScalingFlow
 from wstab.stability import _factor_below_spectrum
 from wstab.surface import (PlanarDisk, RectPatch, RoundSphere, SphericalCap,
-                           SurfaceChart, extrinsic_geometry, surface_chart)
+                           SurfaceChart, _along, extrinsic_geometry,
+                           surface_chart)
 
 TAU = 2.0 * math.pi
 
@@ -106,6 +108,17 @@ def constrained_lambda_min(asm) -> float:
     vals, _ = spla.eigsh(asm.operator, k=1, M=asm.M, sigma=sigma, which="LM",
                          OPinv=op, v0=np.random.default_rng(0).standard_normal(n))
     return float(vals[0])
+
+
+def second_along(Hc, J, D, E, Q) -> list:
+    """The columns of Hc(D, E) + J Q for a chart Hessian Hc (N, 3, pd, pd)
+    on parameter directions D and E and the Jacobian J on their derivative
+    Q, each sum in the chain rule's order: the second derivative of the
+    chart along a blend of its parameters."""
+    pd = D.shape[1]
+    return [ordered_sum(Hc[:, i, a, b] * D[:, a] * E[:, b]
+                        for a in range(pd) for b in range(pd)) + JQ
+            for i, JQ in enumerate(_along(J, Q))]
 
 
 def assert_same_bits(got, want):

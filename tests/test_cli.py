@@ -1046,12 +1046,11 @@ class TestSweep:
         assert [row[2] for row in report["sweep"]["rows"]] == ["", "", ""]
 
     def test_order_column_of_a_non_constant_lowest_mode(self, tmp_path):
-        """A flat disk at height 1 under psi = -log|p|: its potential
-        varies, so its lowest mode is not constant and converges at
-        about order 3 between resolutions 8 and 12."""
-        tree = {"ambient": {"density": {"name": "radial-log", "k": -1.0}},
-                "surface": {"builtin": "planar-disk",
-                            "center": [0.0, 0.0, 1.0]},
+        """The equatorial disk in the unit ball: its Robin term bends its
+        lowest mode, which is not constant and converges at about order 3
+        between resolutions 8 and 12 (measured: 3.455)."""
+        tree = {"ambient": {"boundary": {"name": "ball", "radius": 1.0}},
+                "surface": {"builtin": "planar-disk"},
                 "resolution": 8, "tasks": ["spectrum"],
                 "sweep": {"param": "resolution", "values": [8, 12, 16]}}
         code, report = run_report(tmp_path, tree)
@@ -1263,6 +1262,32 @@ class TestRadius:
 
 class TestOffBoundarySurface:
     @pytest.mark.parametrize("command", ["run", "export-mesh"])
+    @pytest.mark.parametrize("surface", [
+        {"builtin": "planar-disk"},
+        {"builtin": "rect-patch", "origin": [1.0, -0.5, -0.75],
+         "u_range": [0.0, 1.0], "v_range": [0.0, 1.5]},
+    ], ids=["disk", "rect"])
+    def test_surface_with_boundary_in_an_ambient_without_one_exits_4(
+            self, tmp_path, capsys, command, surface):
+        """The paper's surfaces have their boundary on the ambient
+        boundary: a unit disk with none reported itself f-stationary,
+        though its first variation under scaling is 2 pi, and an open
+        rect patch reported itself volume-constrained stationary."""
+        tree = {"ambient": {"density": {"name": "gaussian"}},
+                "surface": surface, "resolution": 8,
+                "tasks": ["stationarity", "spectrum"]}
+        cfg = write_config(tmp_path, tree)
+        out_dir = tmp_path / "out"
+        assert main([command, cfg, "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0] == ("config error: the surface has a boundary but the "
+                          "ambient space has none for it to lie on")
+        assert "Traceback" not in captured.out + captured.err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-mesh"])
     def test_disk_in_a_cone_exits_4(self, tmp_path, capsys, command):
         """The rim of a radius-0.5 disk through the apex is off the cone:
         the mesher finds it, as the chart and a sweep do, with an
@@ -1276,6 +1301,103 @@ class TestOffBoundarySurface:
         assert len(err) == 1
         assert err[0].startswith("config error: the surface's boundary is "
                                  "off the ambient boundary")
+
+
+def sphere_tree(radius, tasks, **extra):
+    tree = {"surface": {"builtin": "round-sphere", "radius": radius},
+            "ambient": {}, "resolution": 8, "tasks": tasks}
+    tree.update(extra)
+    return tree
+
+
+def disk_in_ball_tree(radius, tasks, **extra):
+    tree = {"ambient": {"boundary": {"name": "ball", "radius": radius}},
+            "surface": {"builtin": "planar-disk", "radius": radius},
+            "resolution": 8, "tasks": tasks}
+    tree.update(extra)
+    return tree
+
+
+def check_passed(tree, name):
+    """Whether the run of the tree passes its check of the given name."""
+    result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+    return {c.name: c.passed for c in result.checks}[name]
+
+
+class TestUnitOfLengthTolerances:
+    """The identity and variation checks measure each residual against
+    the size of the terms it combines, so a surface passes or fails them
+    alike at every unit of length.  Each case holds a surface of radius r
+    whose terms have the size of r to the power of their units; with its
+    residual moved by a small fraction of that size, it fails."""
+
+    def test_small_sphere_passes_its_identities(self):
+        """The Gauss rearrangement of a constant-density sphere of radius
+        1e-6 leaves 4.9e-4 of terms of size 1/r^2 = 1e12: rounding, which
+        an absolute tolerance of 1e-5 failed."""
+        assert check_passed(sphere_tree(1e-6, ["identities"]), "identities")
+
+    @pytest.mark.parametrize("tree,target,shift", [
+        # a Gauss residual of 1e-3 / r^2 on terms of size 6 / r^2
+        (sphere_tree(1e3, ["identities"]),
+         "gauss_rearrangement_residual", 1e-9),
+        # a boundary residual of 1e-4 / r on terms of size 4 / r
+        (disk_in_ball_tree(1e3, ["identities"]),
+         "boundary_identity_residual", 1e-7),
+    ], ids=["gauss-1e3", "boundary-1e3"])
+    def test_identity_residual_above_its_terms_fails(
+            self, monkeypatch, tree, target, shift):
+        assert check_passed(tree, "identities")
+        residual = getattr(scenarios, target)
+        monkeypatch.setattr(scenarios, target,
+                            lambda data: residual(data) + shift)
+        assert not check_passed(tree, "identities")
+
+    @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e3])
+    def test_rotation_about_a_diameter_passes_its_variations(self, radius):
+        """A rotation maps a constant-density sphere onto itself: its
+        normal speed is rounding, and I_f(u, u) (1e-30 at radius 1) is the
+        rounding of a rounding, which the check allows as such."""
+        tree = sphere_tree(radius, ["first-variation", "second-variation"],
+                           variation={"flow": "rotation",
+                                      "axis": [1.0, 2.0, 3.0]})
+        assert check_passed(tree, "first-variation")
+        assert check_passed(tree, "second-variation")
+
+    @pytest.mark.parametrize("task,tree,target,shift", [
+        # A_f'(0) = 8 pi r^2 under scaling, off by 1%
+        ("first-variation",
+         sphere_tree(1e-6, ["first-variation"],
+                     variation={"flow": "scaling"}),
+         "first_variation_fd", 0.08 * math.pi * 1e-12),
+        # a rotation about a diameter, I_f(y, y) = 0: off by its
+        # stiffness part, the integral of |grad y|^2 = pi r^2
+        ("second-variation",
+         disk_in_ball_tree(1e-6, ["second-variation"],
+                           variation={"flow": "rotation",
+                                      "axis": [1.0, 0.0, 0.0]}),
+         "second_variation_fd", math.pi * 1e-12),
+        # a unit translation of the unit half-sphere, I_f(u, u) = 2.72
+        # (measured): off by a third of it, which a unit of
+        # sum |a_ij u_i u_j| (1231 at resolution 12) would let pass
+        ("second-variation",
+         half_sphere({"name": "radial-log", "k": -1.3}, 12,
+                     ["second-variation"],
+                     variation={"flow": "translation",
+                                "direction": [0.6, 0.8, 0.0]}),
+         "second_variation_fd", 0.9),
+    ], ids=["first-1e-6", "second-1e-6", "second-translation"])
+    def test_variation_off_by_its_terms_fails(self, monkeypatch, task, tree,
+                                              target, shift):
+        assert check_passed(tree, task)
+        fd = getattr(scenarios, target)
+
+        def shifted(family):
+            report = fd(family)
+            return dataclasses.replace(report, value=report.value + shift)
+
+        monkeypatch.setattr(scenarios, target, shifted)
+        assert not check_passed(tree, task)
 
 
 # SHA-256 of every builtin's report.json, spectrum.csv and samples.csv,
@@ -1329,8 +1451,8 @@ OUTPUT_DIGESTS = {
 
 # SHA-256 of the outputs of runs no builtin covers: a curved scaling
 # variation and a cone foliation (the CI scenarios), a density sweep
-# sharing one chart, a rect patch with 4 boundary arcs in a free ambient,
-# and a translation and a rotation variation.  The scaling samples were
+# sharing one chart, a rect patch periodic in u between slab planes, and
+# a translation and a rotation variation.  The scaling samples were
 # recorded after scaled and rotated slices took their normal and area
 # element from the cofactor matrix; the scaling report and the rotation and
 # cone samples after a similarity slice took lambda^2 w da and the base
@@ -1339,15 +1461,18 @@ OUTPUT_DIGESTS = {
 # output holding a spectrum or an index form (the scaling, translation,
 # rect, rotation and sweep reports, the rect and rotation spectra and the
 # sweep samples) after the index form moved onto one symmetric sparsity
-# pattern; the cone report after its foliation block gained the two
-# hypotheses; the rest before the mesher numbered its edges once.
+# pattern; the cone report after a slice moved the base frame, Dphi (J D),
+# in place of the chart, (Dphi J) D (one foliation lhs, an FD of H_f with
+# step 1e-3, moved by 2.2e-13 relative, one rhs by 2 ulp); the rect
+# outputs when an open patch in an ambient without boundary became
+# malformed input; the rest before the mesher numbered its edges once.
 SCENARIO_DIGESTS = {
     "scaling": {
         "report.json": "c628ad789eb9daf4a97df97c579b38dc1a7809bd12a62f40e73f93c958c72659",
         "samples.csv": "bebdd41f37d24d2e815c61d13c18fa522820351529330becb3d0f139f663a02d",
     },
     "cone": {
-        "report.json": "408a684585da138fda73bfc3073812ae2b761a3376401be557ae73d11d389aa9",
+        "report.json": "928d4df7701efc851e20fd1fcd8553320105b7e43af55bc00caf0ccf54784a22",
         "samples.csv": "98210c4c74ae099dc407747525860b50d9ac2a55e81c29d96a6e438aca4a80fc",
     },
     "sweep-k": {
@@ -1355,8 +1480,8 @@ SCENARIO_DIGESTS = {
         "samples.csv": "63e04211fed2a201fdd39ad76484b141dd7167918f0db25f44852fb460e27c71",
     },
     "rect": {
-        "report.json": "846aefe2b0ed1045713d3ba9cc1fa383758312d473a35ddee72c4958020fa769",
-        "spectrum.csv": "844caa16d94b85f049d9658d78cb98f78d690970de06338eebbc80a66d131735",
+        "report.json": "daf6f219d6d8f7478ecd6d20d508948bd0bc93906897b20f8c215e6278a93dda",
+        "spectrum.csv": "d2fe6cde39c713869b177a0a5da665dadf6395a770bd13d22ea7eba5e0753e5a",
     },
     "translation": {
         "report.json": "a79b4c90bc6f017446cb89b9cdfda2950a173e4aa3e0b5c0cf75331ec4bec0b3",
@@ -1380,10 +1505,14 @@ SCENARIO_TREES = {
              "surface": {"builtin": "spherical-cap", "alpha": 0.7},
              "resolution": 24, "tasks": ["stationarity", "foliation"],
              "variation": {"flow": "scaling"}},
-    "rect": {"ambient": {"density": {"name": "gaussian"}},
+    # a rect patch periodic in u between the slab planes |z| <= 0.75
+    "rect": {"ambient": {"density": {"name": "gaussian"},
+                         "boundary": {"name": "slab", "axis": 2,
+                                      "halfwidth": 0.75}},
              "surface": {"builtin": "rect-patch",
                          "origin": [1.0, -0.5, -0.75],
-                         "u_range": [0.0, 1.0], "v_range": [0.0, 1.5]},
+                         "u_range": [0.0, 1.0], "v_range": [0.0, 1.5],
+                         "periodic_u": True},
              "resolution": 12,
              "tasks": ["stationarity", "spectrum", "identities",
                        "topology"]},
@@ -1544,12 +1673,13 @@ class TestScenarioValues:
 
 
     def test_rect(self, tmp_path):
-        """A flat rectangle in the plane x = 1 under the Gaussian density
+        """A flat band in the plane x = 1, periodic in y, between the slab
+        planes z = -0.75 and z = 0.75, under the Gaussian density
         psi = -|p|^2 has H_f = 2 and the constants as its lowest mode,
-        lambda_min = -2 (measured: 5.8e-15), and A_f = e^-1 pi erf(1/2)
+        lambda_min = -2 (measured: 9e-15), and A_f = e^-1 pi erf(1/2)
         erf(3/4) to the quadrature error (measured: 1.3e-7 relative).  The
         other eigenvalues and the topology chain match recorded values
-        within 1e-9 max(1, |value|) (measured: 3.6e-15)."""
+        within 1e-9 max(1, |value|)."""
         code, report = run_report(tmp_path, SCENARIO_TREES["rect"])
         assert code == 0
         A_f = math.exp(-1.0) * math.pi * math.erf(0.5) * math.erf(0.75)
@@ -1560,9 +1690,9 @@ class TestScenarioValues:
         got = results["spectrum"]["eigenvalues"] + [
             results["topology"][key] for key in ("I_f_u", "bound1",
                                                  "bound2")]
-        want = [-2.0, 3.4706236614004666, 8.95807079146189,
-                14.565111681808183, 16.88497686401926, 28.307866755648753,
-                -2.59375, -2.3105646928204138, 2.0 * math.pi]
+        want = [-2.0, 3.4707082645661957, 16.88589308530677,
+                37.45004179598267, 39.43183832067802, 39.56854236649709,
+                -2.59375, -5.59375, 0.0]
         scale = np.maximum(1.0, np.abs(want))
         assert np.all(np.abs(np.array(got) - want) <= 1e-9 * scale)
         assert results["topology"]["verdict"] == "NotApplicable"

@@ -22,7 +22,8 @@ from wstab.scenarios import builtin_names, builtin_scenario
 from wstab.stability import HAT_GRADS, assemble
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_HATS, TRI_WEIGHTS,
                            PlanarDisk, RectPatch, RoundSphere, SphericalCap,
-                           _on_arcs, export_off, extrinsic_geometry,
+                           _along, _blended_param_points, _on_arcs,
+                           export_off, extrinsic_geometry,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart, vertex_normals)
 from wstab.theorems import boundary_identity_residual
@@ -514,7 +515,7 @@ class TestNanGuards:
         chart = cf.cached_chart("hemisphere", 8)
         with pytest.raises(ImmersionError, match="rank deficient"):
             dataclasses.replace(chart, space=cf.space_half_space(),
-                                J=np.zeros_like(chart.J))
+                                E=np.zeros_like(chart.E))
 
 
 # SHA-256 digests of every builtin's mesh, recorded before the mesher
@@ -834,9 +835,8 @@ class TestMeshPins:
 # signed zeros included
 # ---------------------------------------------------------------------------
 
-def einsum_frame(sign, D1, D2, J):
-    E1 = np.einsum("nia,na->ni", J, D1)
-    E2 = np.einsum("nia,na->ni", J, D2)
+def einsum_frame(sign, E):
+    E1, E2 = E[:, :, 0], E[:, :, 1]
     g11 = np.sum(E1 * E1, axis=1)
     g12 = np.sum(E1 * E2, axis=1)
     g22 = np.sum(E2 * E2, axis=1)
@@ -845,20 +845,34 @@ def einsum_frame(sign, D1, D2, J):
             / detG[:, None]).reshape(-1, 2, 2)
     Nv = np.cross(E1, E2)
     Nv = sign * Nv / np.linalg.norm(Nv, axis=1)[:, None]
-    w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(J) // len(TRI_WEIGHTS))
+    w_da = np.sqrt(detG) * np.tile(TRI_WEIGHTS, len(E) // len(TRI_WEIGHTS))
     return Ginv, Nv, w_da
 
 
-def einsum_curvatures(chart, Nv, Ginv):
-    """H, |sigma|^2 and K from the chart Hessian."""
-    Hc, d1r, d2r, J = chart.hess, chart.D1, chart.D2, chart.J
-    Q11, Q12, Q22 = chart.Q2
+def blend_derivatives(data):
+    """The chart's Jacobian J and Hessian Hc at the blended parameters,
+    with the blend's first and second derivatives D and H: what the
+    chart's frame and its derivatives compose."""
+    imm = data.mesh.immersion
+    Q, D, H = _blended_param_points(imm, data.mesh)
+    return imm.chart_jac(Q), imm.chart_hess(Q), D, H
+
+
+def einsum_frame_of_the_blend(J, D):
+    """The frame J D, each column an np.einsum over the parameters."""
+    return np.stack([np.einsum("nia,na->ni", J, D[:, :, a])
+                     for a in range(2)], axis=-1)
+
+
+def einsum_curvatures(J, Hc, D, H, Nv, Ginv):
+    """H, |sigma|^2 and K from the chart Hessian along the blend."""
+    d1r, d2r = D[:, :, 0], D[:, :, 1]
     F11 = (np.einsum("niab,na,nb->ni", Hc, d1r, d1r)
-           + np.einsum("nia,na->ni", J, Q11))
+           + np.einsum("nia,na->ni", J, H[:, :, 0, 0]))
     F12 = (np.einsum("niab,na,nb->ni", Hc, d1r, d2r)
-           + np.einsum("nia,na->ni", J, Q12))
+           + np.einsum("nia,na->ni", J, H[:, :, 0, 1]))
     F22 = (np.einsum("niab,na,nb->ni", Hc, d2r, d2r)
-           + np.einsum("nia,na->ni", J, Q22))
+           + np.einsum("nia,na->ni", J, H[:, :, 1, 1]))
     L11, L12, L22 = (-np.sum(Nv * F, axis=1) for F in (F11, F12, F22))
     L = np.stack([L11, L12, L12, L22], axis=-1).reshape(-1, 2, 2)
     S = np.einsum("nab,nbc->nac", Ginv, L)
@@ -1041,24 +1055,48 @@ class TestKernelBitIdentity:
     def test_frame_and_curvatures(self, name):
         _, data = kernel_case(name)
         sign = data.mesh.immersion.orientation_sign
-        Ginv, Nv, w_da = einsum_frame(sign, data.D1, data.D2, data.J)
+        J, Hc, D, H = blend_derivatives(data)
+        Ginv, Nv, w_da = einsum_frame(sign, einsum_frame_of_the_blend(J, D))
         for got, want in ((data.Ginv, Ginv), (data.N, Nv), (data.w_da, w_da)):
             cf.assert_same_bits(got, want)
         for got, want in zip((data.H, data.sigma2, data.K),
-                             einsum_curvatures(data.chart, Nv, Ginv)):
+                             einsum_curvatures(J, Hc, D, H, Nv, Ginv)):
             cf.assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_frame_composes_the_chart_with_the_blend(self, name):
+        """E_a = J D_a and F_ab = Hc(D_a, D_b) + J H_ab, the chart's
+        Jacobian J and Hessian Hc at the blended parameters along the
+        blend's derivatives D and H, as the kernels sum them; F_ba is F_ab
+        bit for bit."""
+        _, data = kernel_case(name)
+        J, Hc, D, H = blend_derivatives(data)
+        n = len(data.pos)
+        assert data.E.shape == (n, 3, 2) and data.F.shape == (n, 3, 2, 2)
+        for a in range(2):
+            for i, column in enumerate(_along(J, D[:, :, a])):
+                cf.assert_same_bits(data.E[:, i, a], column)
+            for b in range(a, 2):
+                for i, column in enumerate(cf.second_along(
+                        Hc, J, D[:, :, a], D[:, :, b], H[:, :, a, b])):
+                    cf.assert_same_bits(data.F[:, i, a, b], column)
+                    cf.assert_same_bits(data.F[:, i, b, a], column)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_chart_derivatives(self, name):
         _, data = kernel_case(name)
-        imm = data.mesh.immersion
+        imm, mesh = data.mesh.immersion, data.mesh
         if isinstance(imm, SphericalCap):
             ref = numpy_cap_derivatives
         elif isinstance(imm, RoundSphere):
             ref = einsum_sphere_derivatives
         else:
             pytest.skip("an affine chart has constant derivatives")
-        for Q in (data.params, data.b_params):
+        t0, t1 = mesh.boundary_t.T
+        t = t0[:, None] + EDGE_POINTS * (t1 - t0)[:, None]
+        b_params = _on_arcs(imm, mesh.boundary_edges[:, 2],
+                            t)[0].reshape(-1, imm.param_dim)
+        for Q in (_blended_param_points(imm, mesh)[0], b_params):
             J, H = ref(imm, Q)
             cf.assert_same_bits(imm.chart_jac(Q), J)
             cf.assert_same_bits(imm.chart_hess(Q), H)
@@ -1087,13 +1125,16 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_per_point_columns_are_contiguous(self, name):
-        """The chart's and the density jet's per-point arrays are
-        component-major, so every column the kernels read is contiguous."""
+        """The chart's, the blend's and the density jet's per-point arrays
+        are component-major, so every column the kernels read is
+        contiguous."""
         space, data = kernel_case(name)
         jet = DensityJet(space.density, data.pos)
         arrays = {name: getattr(data, name) for name in (
-            "params", "D1", "D2", "pos", "J", "hess", "N", "Ginv")}
-        arrays.update({f"Q2[{k}]": q for k, q in enumerate(data.Q2)})
+            "pos", "E", "F", "N", "Ginv")}
+        arrays.update(zip(("blend Q", "blend D", "blend H"),
+                          _blended_param_points(data.mesh.immersion,
+                                                data.mesh)))
         arrays.update(grad_psi=jet.grad, hess_psi=jet.hess)
         for label, a in arrays.items():
             for index in np.ndindex(a.shape[1:]):
@@ -1111,9 +1152,8 @@ class TestKernelBitIdentity:
         data = extrinsic_geometry(space, data.chart)
         flow = RotationFlow((1.0, 2.0, 3.0), (0.1, -0.2, 0.3))
         s = 0.1
-        J = np.matmul(flow.jac(s, data.pos), data.J)
         *_, Nv, w_da = einsum_frame(data.mesh.immersion.orientation_sign,
-                                    data.D1, data.D2, J)
+                                    np.matmul(flow.jac(s, data.pos), data.E))
         family = DeformedFamily(data, flow)
         pos, N, w_daf = family.area_elements(s)
         cf.assert_affine_slice(family, s, N, w_daf, Nv,
