@@ -172,7 +172,7 @@ def cmd_sweep(args) -> int:
 def cmd_export_mesh(args) -> int:
     from .surface import mesh_from_immersion
     scn = parse_scenario(*_resolve_tree(args.scenario))
-    mesh = mesh_from_immersion(scn.immersion, scn.resolution, space=scn.space)
+    mesh = mesh_from_immersion(scn.immersion, scn.resolution)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "mesh.off")
     export_off(mesh, path)

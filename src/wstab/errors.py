@@ -14,7 +14,7 @@ class SingularBoundaryError(WstabError):
 
 
 class MeshingError(WstabError):
-    """Mesh construction or boundary projection failed."""
+    """Mesh construction failed."""
 
 
 class ImmersionError(WstabError):

@@ -189,10 +189,10 @@ class DeformedFamily:
 
     def __post_init__(self):
         data = self.data
-        if data.space.boundary is None or not data.has_boundary:
+        if data.space.boundary is None:
             return
         Xb = self.flow.velocity(0.0, data.b_pos)
-        worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T))))
+        worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T)), initial=0.0))
         if not worst <= TANGENCY_TOL:
             raise InputError(
                 f"variation field is not tangent to the ambient boundary "
@@ -283,24 +283,22 @@ class DeformedFamily:
         affine = isinstance(flow, AffineFlow)
         E, F = _chain_rule(flow.jac(s, base.pos), base.E, base.F,
                            None if affine else flow.hess(s, base.pos))
-        moved = dict(pos=flow.map(s, base.pos), E=E, F=F)
-        if base.has_boundary:
-            g0 = base.b_pos
-            g = flow.map(s, g0)
-            if space.boundary is not None:
-                check_on_boundary(space.boundary, g,
-                                  f"the flow moves the slice at s = {s} off "
-                                  "the ambient boundary, so it is not an "
-                                  "admissible variation")
-            DFb = flow.jac(s, g0)
-            # the boundary curve is a chart with k = 1
-            dg, ddg = _chain_rule(DFb, base.b_dg[:, :, None],
-                                  base.b_ddg[:, :, None, None],
-                                  None if affine else flow.hess(s, g0))
-            moved.update(b_pos=g, b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0],
-                         b_J=_chain_rule(DFb, base.b_J)[0])
+        g0 = base.b_pos
+        g = flow.map(s, g0)
+        if space.boundary is not None:
+            check_on_boundary(space.boundary, g,
+                              f"the flow moves the slice at s = {s} off "
+                              "the ambient boundary, so it is not an "
+                              "admissible variation")
+        DFb = flow.jac(s, g0)
+        # the boundary curve is a chart with k = 1
+        dg, ddg = _chain_rule(DFb, base.b_dg[:, :, None],
+                              base.b_ddg[:, :, None, None],
+                              None if affine else flow.hess(s, g0))
         return extrinsic_geometry(space, dataclasses.replace(
-            base, space=space, **moved))
+            base, space=space, pos=flow.map(s, base.pos), E=E, F=F, b_pos=g,
+            b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0],
+            b_J=_chain_rule(DFb, base.b_J)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +341,9 @@ def first_variation_formula(family: DeformedFamily) -> float:
     """A_f'(0) = -int H_f u da_f - int_bd <X, nu> dl_f for the family's
     velocity X = dphi/ds and normal speed u at s = 0."""
     data = family.data
-    out = -float(np.sum(data.H_f * family.base_normal_speed * data.w_daf))
-    if data.has_boundary:
-        Xb = family.flow.velocity(0.0, data.b_pos)
-        out -= float(np.sum(dot(Xb.T, data.b_nu.T) * data.w_dlf))
-    return out
+    Xb = family.flow.velocity(0.0, data.b_pos)
+    return (-float(np.sum(data.H_f * family.base_normal_speed * data.w_daf))
+            - float(np.sum(dot(Xb.T, data.b_nu.T) * data.w_dlf)))
 
 
 def first_variation_scale(family: DeformedFamily) -> float:
@@ -356,12 +352,10 @@ def first_variation_scale(family: DeformedFamily) -> float:
     the unit its FD check is measured in."""
     data, velocity = family.data, family.flow.velocity
     X = np.abs(velocity(0.0, data.pos).T)
-    out = float(np.sum(np.abs(data.H_f) * dot(X, np.abs(data.N.T))
-                       * data.w_daf))
-    if data.has_boundary:
-        Xb = np.abs(velocity(0.0, data.b_pos).T)
-        out += float(np.sum(dot(Xb, np.abs(data.b_nu.T)) * data.w_dlf))
-    return out
+    Xb = np.abs(velocity(0.0, data.b_pos).T)
+    return (float(np.sum(np.abs(data.H_f) * dot(X, np.abs(data.N.T))
+                         * data.w_daf))
+            + float(np.sum(dot(Xb, np.abs(data.b_nu.T)) * data.w_dlf)))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A scenario is a strict key-value tree (JSON on disk) naming an ambient
 space, a surface, a resolution, a set of tasks, and optional variation,
 sweep, and expectation blocks.  Unknown keys anywhere in the tree are
-rejected, and the ambient space, surface and flow it names are built as it
-is parsed, for every value of a sweep.
+rejected, and the ambient space, surface and flow it names are built, and
+the surface's boundary checked against the ambient one, as it is parsed,
+for every value of a sweep.
 """
 from __future__ import annotations
 
@@ -203,10 +204,7 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         _build(ambient["density"], DENSITY_REGISTRY, "density", "name"),
         _build(ambient["boundary"], BOUNDARY_REGISTRY, "boundary", "name"))
     immersion = _build(obj["surface"], SURFACE_REGISTRY, "surface", "builtin")
-    # a surface with boundary needs an ambient boundary: the domain alone
-    # decides, and a sweep's values are checked in full below
-    if space.boundary is None:
-        check_arcs_on_boundary(immersion, space)
+    check_arcs_on_boundary(immersion, space)
 
     resolution = obj["resolution"]
     if not (isinstance(resolution, int)
@@ -294,11 +292,9 @@ def parse_scenario(obj: dict, default_name: str = "scenario") -> Scenario:
         for v in sweep["values"]:
             v = int(v) if param == "resolution" else float(v)
             try:
-                run = parse_scenario(_with_value(base, param, v), name)
-                check_arcs_on_boundary(run.immersion, run.space)
+                runs.append(parse_scenario(_with_value(base, param, v), name))
             except (ConfigError, InputError) as exc:
                 raise ConfigError(f"sweep {param} = {v!r}: {exc}") from None
-            runs.append(run)
 
     return Scenario(
         name=name,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .ambient import (AmbientSpace, DensityJet, boundary_normal_and_ii,
                       check_on_boundary, dot, norm, ordered_sum,
-                      point_columns, quadratic_form, squared_norm, trace,
-                      unit_vector3, vector3)
+                      point_columns, quadratic_form, trace, unit_vector3,
+                      vector3)
 from .errors import (ImmersionError, InputError, MeshingError,
                      NumericalFailure, PreconditionError)
 
@@ -39,8 +39,8 @@ MAX_RECT_ASPECT = 64.0
 # resolution^2 rows; this is 8 times the finest resolution any builtin,
 # test or benchmark uses
 MAX_RESOLUTION = 1024
-# the points per boundary arc, ends included, at which a sweep value's
-# surface is checked against the ambient boundary before it is meshed
+# the points per boundary arc, ends included, at which a scenario's
+# surface is checked against the ambient boundary when it is read
 ARC_SAMPLES = 9
 
 
@@ -295,7 +295,6 @@ class SurfaceMesh:
     edges: Array               # (E, 2) int: each edge's (v_i, v_j), v_i < v_j
     triangle_edges: Array      # (F, 3) int: edge c joins corners c, c + 1
     boundary_edge_ids: Array   # (B,) int: each boundary edge's edge
-    n_loops: int               # connected components of the boundary
     # the triangle of each boundary edge and its corners holding (v_i, v_j):
     # it gets a transfinite blend so quadrature covers the exact parameter
     # domain (no polygon sliver)
@@ -309,6 +308,14 @@ class SurfaceMesh:
     @property
     def chi(self):
         return self.n_vertices - len(self.edges) + len(self.triangles)
+
+    @property
+    def n_loops(self):
+        """The boundary's connected components: each arc of the domain
+        closes on itself, except a rect patch's four sides, which close
+        one loop together."""
+        arcs = _arc_count(self.immersion.domain)
+        return 1 if arcs == 4 else arcs
 
 
 def _min_angle_from_corners(p: Array) -> float:
@@ -372,6 +379,14 @@ def _rect_sides(per_u: bool, per_v: bool) -> list:
     1 high): v0, v1, then u0, u1, none across a periodic direction."""
     return [(axis, end) for axis, end in ((1, 0), (1, 1), (0, 0), (0, 1))
             if not (per_u, per_v)[axis]]
+
+
+def _arc_count(domain: tuple) -> int:
+    """The boundary arcs of a parameter domain: a disk's rim, a rect
+    patch's ``_rect_sides`` and none on a sphere."""
+    if domain[0] == "disk":
+        return 1
+    return len(_rect_sides(*domain[2:])) if domain[0] == "rect" else 0
 
 
 def _rect_mesh(bounds, per_u, per_v, resolution):
@@ -458,13 +473,9 @@ def _cube_sphere_mesh(resolution):
     return params, tris
 
 
-def mesh_from_immersion(imm: Immersion, resolution: int,
-                        space: Optional[AmbientSpace] = None) -> SurfaceMesh:
-    """Build a triangle mesh over the immersion's parameter domain.
-
-    With an ambient space given, boundary vertices are refined by one Newton
-    step onto {phi = 0} and checked with ``ambient.check_on_boundary``.
-    """
+def mesh_from_immersion(imm: Immersion, resolution: int) -> SurfaceMesh:
+    """Build a triangle mesh over the immersion's parameter domain, its
+    vertices at the chart's values."""
     if not 4 <= resolution <= MAX_RESOLUTION:
         raise InputError(f"resolution must lie in [4, {MAX_RESOLUTION}]")
     kind = imm.domain[0]
@@ -483,23 +494,12 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
 
     positions = imm.chart(params)
     if tp is None:
-        # disk and sphere corners are vertices, charted before the boundary
-        # projection; rect corners on a seam keep unwrapped parameters
+        # disk and sphere corners are vertices; rect corners on a seam
+        # keep unwrapped parameters
         tp = params[tris]
         corners = positions[tris]
     else:
         corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
-
-    # project boundary vertices onto the ambient boundary
-    if space is not None and space.boundary is not None and len(be):
-        bidx = np.unique(be[:, :2])
-        P = positions[bidx]
-        phi = space.boundary.phi(P)
-        g = space.boundary.grad_phi(P)
-        P = P - phi[:, None] * g / squared_norm(g)[:, None]
-        check_on_boundary(space.boundary, P, "the surface's boundary is off "
-                          "the ambient boundary after projection")
-        positions[bidx] = P
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
     return SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution,
@@ -507,8 +507,8 @@ def mesh_from_immersion(imm: Immersion, resolution: int,
 
 
 def _number_edges(tris: Array, be: Array, V: int):
-    """The edges, the edge ids of each triangle and boundary edge, the loop
-    count, and each boundary edge's triangle and corners holding (v_i, v_j).
+    """The edges, the edge ids of each triangle and boundary edge, and each
+    boundary edge's triangle and corners holding (v_i, v_j).
 
     Corner c of triangle f starts the triangle edge 3f + c.  One unique
     over the undirected keys of the 3F triangle edges, then the B boundary
@@ -526,26 +526,7 @@ def _number_edges(tris: Array, be: Array, V: int):
     loc = np.where((start[e] == be[:, 0])[:, None], loc, loc[:, ::-1])
     return (np.stack(np.divmod(uniq, V), axis=-1),
             inverse[:len(start)].reshape(-1, 3), inverse[len(start):],
-            _boundary_loops(be), tri, loc)
-
-
-def _boundary_loops(be: Array) -> int:
-    """The number of connected components of the boundary edge graph: its
-    vertices less the edges that join two components (union-find)."""
-    parent = {}
-
-    def root(v):
-        while parent.setdefault(v, v) != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    joins = 0
-    for a, b in be[:, :2].tolist():
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[ra] = rb
-            joins += 1
-    return len(parent) - joins
+            tri, loc)
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +647,7 @@ def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
     ``boundary_normal_and_ii`` makes, without a mesh.  Where the ambient
     space has no boundary, the domain alone decides, with no chart: a
     surface with boundary arcs is refused."""
-    kind = imm.domain[0]
-    arcs = (1 if kind == "disk" else len(_rect_sides(*imm.domain[2:]))
-            if kind == "rect" else 0)
+    arcs = _arc_count(imm.domain)
     if not arcs:
         return
     if space.boundary is None:
@@ -895,10 +874,10 @@ class SurfaceChart:
 
 def surface_chart(imm: Immersion, resolution: int,
                   space: AmbientSpace) -> SurfaceChart:
-    """Mesh the immersion with its boundary vertices on the ambient
-    boundary of ``space`` and evaluate its chart on the mesh: the frame
-    and its derivatives by one chain rule through the blend."""
-    mesh = mesh_from_immersion(imm, resolution, space=space)
+    """Mesh the immersion and evaluate its chart on the mesh: the frame
+    and its derivatives by one chain rule through the blend, and the
+    boundary fields against the ambient boundary of ``space``."""
+    mesh = mesh_from_immersion(imm, resolution)
     Q, D, H = _blended_param_points(imm, mesh)
     pos = np.ascontiguousarray(imm.chart(Q).T).T
     E, F = _chain_rule(imm.chart_jac(Q), D, H, imm.chart_hess(Q))
@@ -962,33 +941,30 @@ def extrinsic_geometry(space: AmbientSpace,
     return data
 
 
-def stationarity_verdict(data: ExtrinsicData,
-                         tol_H: Optional[float] = None) -> dict:
-    """Constant H_f within tol_H and orthogonal contact within 1e-6: the
-    strong and volume-constrained verdicts, the mean and spread of H_f and
-    the largest contact."""
+def stationarity_verdict(data: ExtrinsicData) -> dict:
+    """Constant H_f and orthogonal contact within 1e-6: the strong and
+    volume-constrained verdicts, the mean and spread of H_f and the
+    largest contact.  H_f is held to 1e-6 times the largest
+    |2H| + |<grad psi, N>| of its terms, so the verdicts do not depend on
+    the unit of length."""
     w = data.w_daf
     mean = float(np.sum(data.H_f * w) / np.sum(w))
     spread = float(np.max(np.abs(data.H_f - mean)))
-    contact = float(np.max(np.abs(data.contact))) if data.has_boundary else 0.0
-    if tol_H is None:
-        tol_H = 1e-6 * (1.0 + abs(mean))
-    vc = spread <= tol_H and contact <= 1e-6
-    return {"strong": vc and abs(mean) <= tol_H, "volume_constrained": vc,
+    contact = float(np.max(np.abs(data.contact), initial=0.0))
+    two_H = 2.0 * data.H
+    tol = 1e-6 * float(np.max(np.abs(two_H) + np.abs(two_H - data.H_f)))
+    vc = spread <= tol and contact <= 1e-6
+    return {"strong": vc and abs(mean) <= tol, "volume_constrained": vc,
             "H_f_mean": mean, "H_f_spread": spread, "max_contact": contact}
-
-
-# the H_f spread within which the second variation, the Jacobi operator,
-# the stability-topology chain and the foliation identity take a surface
-# as f-stationary
-STATIONARY_TOL_H = 1e-5
 
 
 def stationary_H_f(data: ExtrinsicData, what: str) -> float:
     """The constant H_f of a surface f-stationary under volume constraint
-    within STATIONARY_TOL_H; raises ``PreconditionError``, saying that
-    ``what`` needs it, where the surface is not."""
-    verdict = stationarity_verdict(data, tol_H=STATIONARY_TOL_H)
+    by ``stationarity_verdict``; raises ``PreconditionError``, saying that
+    ``what`` needs it, where the surface is not.  The second variation,
+    the Jacobi operator, the stability-topology chain and the foliation
+    identity ask it."""
+    verdict = stationarity_verdict(data)
     if not verdict["volume_constrained"]:
         raise PreconditionError(f"{what} requires an f-stationary surface")
     return verdict["H_f_mean"]

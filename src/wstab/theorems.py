@@ -24,12 +24,8 @@ def rigidity_flags(data: ExtrinsicData) -> dict:
     grad_max = float(np.max(norm(data.grad_s_psi)))
     ric_max = float(np.max(np.abs(data.ricf_NN)))
     k_max = float(np.max(np.abs(data.K)))
-    if data.has_boundary:
-        ii_max = float(np.max(np.abs(data.II_NN)))
-        h_max = float(np.max(np.abs(data.h_geod)))
-    else:
-        ii_max = 0.0
-        h_max = 0.0
+    ii_max = float(np.max(np.abs(data.II_NN), initial=0.0))
+    h_max = float(np.max(np.abs(data.h_geod), initial=0.0))
     flags = {
         "totally_geodesic": sigma_max <= FLAG_TOL,
         "density_const_on_surface": grad_max <= FLAG_TOL,
@@ -93,14 +89,14 @@ def stability_topology_chain(data: ExtrinsicData) -> dict:
     stationary_H_f(data, "the stability-topology chain")
     grad2 = squared_norm(data.grad_s_psi)
     # u^2 da_f = da, so every integral below is unweighted
-    I_f_u = float(np.sum((0.25 * grad2 - data.ricf_NN - data.sigma2) * data.w_da))
+    I_f_u = (float(np.sum((0.25 * grad2 - data.ricf_NN - data.sigma2)
+                          * data.w_da))
+             - float(np.sum(data.II_NN * data.w_dl)))
     shf = data.S_f + data.H_f**2
     bound1 = (-0.5 * float(np.sum(shf * data.w_da))
               - 0.5 * float(np.sum(data.sigma2 * data.w_da))
-              - 0.25 * float(np.sum(grad2 * data.w_da)))
-    if data.has_boundary:
-        I_f_u -= float(np.sum(data.II_NN * data.w_dl))
-        bound1 -= float(np.sum(data.Hf_boundary * data.w_dl))
+              - 0.25 * float(np.sum(grad2 * data.w_da))
+              - float(np.sum(data.Hf_boundary * data.w_dl)))
     chi = data.mesh.chi
     bound1 += 2 * np.pi * chi
     bound2 = 2 * np.pi * chi
@@ -205,8 +201,10 @@ def foliation_monotonicity_check(family: DeformedFamily,
             ii_min = min(ii_min, float(np.min(d.II_NN)))
         ric_min = min(ric_min, float(np.min(d.ricf_NN)))
         rhs[i] = val
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    resid = float(np.max(np.abs(lhs - rhs))) / scale
+    # relative to the larger side, and 0 where both sides are 0
+    diff = float(np.max(np.abs(lhs - rhs)))
+    resid = diff / max(float(np.max(np.abs(lhs))),
+                       float(np.max(np.abs(rhs)))) if diff else 0.0
     if ii_min is np.inf:
         ii_min = 0.0
     ricci = _sampled(ric_min, 1e-9)

@@ -620,14 +620,14 @@ class TestGeometryCalls:
         assert set(geometry.values()) == {1}
         assert counts["runs"] == 13
 
-    @pytest.mark.parametrize("name,calls", [("gauss-identity-suite", 2),
-                                            ("flat-slab-slice", 10)])
+    @pytest.mark.parametrize("name,calls", [("gauss-identity-suite", 1),
+                                            ("flat-slab-slice", 9)])
     def test_boundary_gradient_once_per_point_set(self, tmp_path,
                                                   monkeypatch, name, calls):
-        """grad(phi) is evaluated once where the mesher projects the
-        boundary vertices, and once per chart (the base and each of the
+        """grad(phi) is evaluated once per chart (the base and each of the
         flat slab's 8 foliation slices) for the boundary's normal and shape
-        form together (3 and 19 while each evaluated it)."""
+        form together (3 and 19 while each evaluated it, 2 and 10 while
+        the mesher projected the boundary vertices)."""
         counts = count_calls(monkeypatch)
         assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
         assert counts["grad_phi"] == calls
@@ -635,11 +635,12 @@ class TestGeometryCalls:
     def test_foliation_slices_reuse_the_base_chart(self, tmp_path,
                                                    monkeypatch):
         """The chart of the run is the only chart evaluation besides the
-        mesh and the vertex normals: 4 charts (vertices, seam corners,
-        quadrature and boundary points), 3 Jacobians and 2 Hessians
-        (deformed immersions re-evaluating the base took 130 charts, 40
-        Jacobians and 11 Hessians, a family charting its own base 8, 6
-        and 4)."""
+        mesh, the vertex normals and the check of the boundary arcs when
+        the scenario is read: 5 charts (9 points per arc, vertices, seam
+        corners, quadrature and boundary points), 3 Jacobians and 2
+        Hessians (deformed immersions re-evaluating the base took 130
+        charts, 40 Jacobians and 11 Hessians, a family charting its own
+        base 8, 6 and 4)."""
         from wstab.surface import RectPatch
         calls = {"chart": 0, "chart_jac": 0, "chart_hess": 0}
 
@@ -654,7 +655,7 @@ class TestGeometryCalls:
                                 counting(name, getattr(RectPatch, name)))
         assert main(["builtin", "flat-slab-slice",
                      "--out", str(tmp_path / "out")]) == 0
-        assert calls["chart"] <= 4
+        assert calls["chart"] <= 5
         assert calls["chart_jac"] <= 3
         assert calls["chart_hess"] <= 2
 
@@ -1290,8 +1291,9 @@ class TestOffBoundarySurface:
     @pytest.mark.parametrize("command", ["run", "export-mesh"])
     def test_disk_in_a_cone_exits_4(self, tmp_path, capsys, command):
         """The rim of a radius-0.5 disk through the apex is off the cone:
-        the mesher finds it, as the chart and a sweep do, with an
-        InputError (a MeshingError, exit 3, before)."""
+        the check of its boundary arcs finds it when the scenario is read,
+        with an InputError (a MeshingError, exit 3, before the mesher
+        checked it)."""
         tree = {"ambient": {"boundary": {"name": "cone", "alpha": 0.7}},
                 "surface": {"builtin": "planar-disk", "radius": 0.5},
                 "resolution": 12, "tasks": ["stationarity"]}
@@ -1352,6 +1354,32 @@ class TestUnitOfLengthTolerances:
         monkeypatch.setattr(scenarios, target,
                             lambda data: residual(data) + shift)
         assert not check_passed(tree, "identities")
+
+    def test_sphere_stationarity_at_every_radius(self):
+        """A constant-density sphere of radius r has H_f = -2/r: it is
+        stationary under volume constraint, and not strongly, at every
+        radius.  Radius 1e7 passed for strongly stationary, with
+        H_f = -2e-7, under the absolute tolerance 1e-6 (1 + |mean H_f|)."""
+        def verdict(radius):
+            tree = sphere_tree(radius, ["stationarity"])
+            result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+            return result.report["results"]["stationarity"]
+
+        assert verdict(1e7)["strong"] is False
+        assert verdict(1e-9)["volume_constrained"] is True
+
+    def test_cone_foliation_residual_at_every_radius(self):
+        """The foliation identity's residual on the cone's cap is relative
+        to the larger side: 2.1e-6 at cap radius 1 and 1.2e-6 at radius
+        1e-3, which a floor of 1 on the sides' size read as 3.6e-9."""
+        def residual(radius):
+            cone = SCENARIO_TREES["cone"]
+            tree = dict(cone, surface=dict(cone["surface"], radius=radius))
+            result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+            return result.report["results"]["foliation"]["max_rel_residual"]
+
+        unit, small = residual(1.0), residual(1e-3)
+        assert unit / 10 <= small <= 10 * unit
 
     @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e3])
     def test_rotation_about_a_diameter_passes_its_variations(self, radius):

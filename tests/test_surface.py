@@ -23,7 +23,7 @@ from wstab.stability import HAT_GRADS, assemble
 from wstab.surface import (EDGE_POINTS, MAX_RESOLUTION, TRI_HATS, TRI_WEIGHTS,
                            PlanarDisk, RectPatch, RoundSphere, SphericalCap,
                            _along, _blended_param_points, _on_arcs,
-                           export_off, extrinsic_geometry,
+                           check_arcs_on_boundary, export_off, extrinsic_geometry,
                            mesh_from_immersion, stationarity_verdict,
                            surface_chart, vertex_normals)
 from wstab.theorems import boundary_identity_residual
@@ -139,11 +139,10 @@ class TestTopology:
 
     def test_torus(self):
         from wstab.surface import RectPatch
-        space = cf.space_free()
         imm = RectPatch(origin=(0, 0, 0), du=(0, 1, 0), dv=(0, 0, 1),
                         u_range=(0, TAU), v_range=(0, TAU),
                         periodic_u=True, periodic_v=True)
-        mesh = mesh_from_immersion(imm, 12, space=space)
+        mesh = mesh_from_immersion(imm, 12)
         assert mesh.chi == 0
         assert mesh.n_loops == 0
         assert genus(mesh) == 1
@@ -156,16 +155,15 @@ class TestTopology:
     @pytest.mark.parametrize("name", builtin_names() + ["rect"])
     @pytest.mark.parametrize("resolution", [4, 5, 12])
     def test_loops_are_the_boundary_graph_components(self, name, resolution):
-        """The union-find counts what scipy's connected components of the
-        boundary edge graph count on its vertices."""
+        """The domain's arc table counts what scipy's connected components
+        of the boundary edge graph count on its vertices."""
         from scipy.sparse.csgraph import connected_components
         if name == "rect":
             mesh = mesh_from_immersion(
                 RectPatch(u_range=(0.0, 1.0), v_range=(0.0, 1.5)), resolution)
         else:
             scn = builtin_scenario(name)
-            mesh = mesh_from_immersion(scn.immersion, resolution,
-                                       space=scn.space)
+            mesh = mesh_from_immersion(scn.immersion, resolution)
         be = mesh.boundary_edges
         V = mesh.n_vertices
         graph = sp.coo_matrix((np.ones(len(be)), (be[:, 0], be[:, 1])),
@@ -188,7 +186,7 @@ class TestTopology:
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", counting)
-        mesh = mesh_from_immersion(imm, 8, space=cf.space_half_space())
+        mesh = mesh_from_immersion(imm, 8)
         assert len(mesh.triangles) == F
         assert len([n for n in sizes if n >= 3 * F]) == 1
         del sizes[:]
@@ -247,7 +245,7 @@ class TestStationarity:
 class TestMeshing:
     def test_resolution_floor(self):
         with pytest.raises(InputError):
-            mesh_from_immersion(SphericalCap(), 3, space=cf.space_half_space())
+            mesh_from_immersion(SphericalCap(), 3)
 
     @pytest.mark.parametrize("imm", [SphericalCap(), cf.slice_immersion(),
                                      RoundSphere()],
@@ -502,10 +500,13 @@ class TestNanGuards:
             RectPatch(du=du, dv=dv)
 
     def test_boundary_projection_residual(self):
+        """The check that a scenario's surface meets its ambient boundary,
+        made when the scenario is read, refuses a NaN plane offset (the
+        mesher's projection onto the plane did, before it was dropped)."""
         space = make_space(boundary=("half-space",
                                      {"offset": float("nan")}))
-        with pytest.raises(InputError, match="after projection"):
-            mesh_from_immersion(SphericalCap(), 8, space=space)
+        with pytest.raises(InputError, match="off the ambient boundary"):
+            check_arcs_on_boundary(SphericalCap(), space)
 
     def test_min_angle(self):
         with pytest.raises(MeshingError, match="min angle"):
@@ -520,7 +521,10 @@ class TestNanGuards:
 
 # SHA-256 digests of every builtin's mesh, recorded before the mesher
 # numbered its edges once: (integer arrays with chi, boundary loops and
-# genus; float arrays; export_off text with its .bnd sidecar)
+# genus; float arrays; export_off text with its .bnd sidecar).  The three
+# half-spheres' float and OFF digests were recorded again when the mesher
+# stopped projecting rim vertices onto the plane: their rim vertices are
+# chart values, z about 1e-17 where the projection gave 0.
 INT_ARRAYS = ("triangles", "boundary_edges", "curved_tri", "curved_loc")
 FLOAT_ARRAYS = ("params", "positions", "tri_params", "boundary_t")
 PIN_RESOLUTIONS = (4, 5, 12, 24, 33)
@@ -552,28 +556,28 @@ MESH_DIGESTS = {
     ),
     ("gauss-identity-suite", 4): (
         "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
-        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
-        "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
+        "5d11c341df40f31ea06ba0cfdec18fd00496c0e7f4e8240afc164cfd090816cc",
+        "8a81172b3e688d17e6368e8eef632914f7d2a61e98aef20016f1479650c433da",
     ),
     ("gauss-identity-suite", 5): (
         "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
-        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
-        "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
+        "e02f88bff8c26e8700c1fc9b884684a8df0d7fc76b0daac05890d1c9d104bcb6",
+        "7f6e3bffd9f32294df22764b954a83f7811306ba78c0dcc1c2a0926f8cd64404",
     ),
     ("gauss-identity-suite", 12): (
         "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
-        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
-        "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
+        "c2278656359766e22a53c6f560ff14ce82c21428e76d99360b6339f87bf7ce69",
+        "e590a512b8de1df843f3604d9444f972d5d1b704fcb59cebf26e51e2bcc83b0f",
     ),
     ("gauss-identity-suite", 24): (
         "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
-        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
-        "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
+        "c3c4897cbd2782621401360a1111eaec526b020ee59e007724c81c9a25ff36a5",
+        "960cb0bf478b357d6668d825193e4c1f75c380dca59066e5cb7e2b7543648405",
     ),
     ("gauss-identity-suite", 33): (
         "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
-        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
-        "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
+        "3d380c431ce8df6334c999f195b850cbc02e19e9260fa91a7cca8088152a3ea4",
+        "f3843a25347c15a182c493bde2f4dbc049b4b4aa13a11a036be495a4d1686729",
     ),
     ("paper-Mr-k-minus-2", 4): (
         "3e22eb41bd2507184092b7507bfebef941f38dba6c2c2ce836d09020c1aa8aab",
@@ -627,53 +631,53 @@ MESH_DIGESTS = {
     ),
     ("paper-ex-3.8-gaussian-halfspace", 4): (
         "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
-        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
-        "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
+        "5d11c341df40f31ea06ba0cfdec18fd00496c0e7f4e8240afc164cfd090816cc",
+        "8a81172b3e688d17e6368e8eef632914f7d2a61e98aef20016f1479650c433da",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 5): (
         "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
-        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
-        "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
+        "e02f88bff8c26e8700c1fc9b884684a8df0d7fc76b0daac05890d1c9d104bcb6",
+        "7f6e3bffd9f32294df22764b954a83f7811306ba78c0dcc1c2a0926f8cd64404",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 12): (
         "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
-        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
-        "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
+        "c2278656359766e22a53c6f560ff14ce82c21428e76d99360b6339f87bf7ce69",
+        "e590a512b8de1df843f3604d9444f972d5d1b704fcb59cebf26e51e2bcc83b0f",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 24): (
         "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
-        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
-        "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
+        "c3c4897cbd2782621401360a1111eaec526b020ee59e007724c81c9a25ff36a5",
+        "960cb0bf478b357d6668d825193e4c1f75c380dca59066e5cb7e2b7543648405",
     ),
     ("paper-ex-3.8-gaussian-halfspace", 33): (
         "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
-        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
-        "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
+        "3d380c431ce8df6334c999f195b850cbc02e19e9260fa91a7cca8088152a3ea4",
+        "f3843a25347c15a182c493bde2f4dbc049b4b4aa13a11a036be495a4d1686729",
     ),
     ("paper-ex-3.9-threshold", 4): (
         "69c112bffb0611ead6d06a74357ac7c9269ec19b1372da939143d3281eb82202",
-        "14df2ccf744c51137ada933fb4dcc9c1cd62cd88b02a8c189098673564c48d3a",
-        "afaa73e712d7db0c680025d6f274cccd8a1fdf1f3283e7caa5bedaac62c2020b",
+        "5d11c341df40f31ea06ba0cfdec18fd00496c0e7f4e8240afc164cfd090816cc",
+        "8a81172b3e688d17e6368e8eef632914f7d2a61e98aef20016f1479650c433da",
     ),
     ("paper-ex-3.9-threshold", 5): (
         "00d908d453420e7c455870f8b995edd9755ebcb5b7900f28de3ea4bced03f40e",
-        "14dc13c8905680304e68d07e6223b67878c358aaef07864862ca7e916bcd8dce",
-        "319223914e2ace25ee008b1e33d6e0acb82117fe7c98d2e0dcb51dcb06895ac7",
+        "e02f88bff8c26e8700c1fc9b884684a8df0d7fc76b0daac05890d1c9d104bcb6",
+        "7f6e3bffd9f32294df22764b954a83f7811306ba78c0dcc1c2a0926f8cd64404",
     ),
     ("paper-ex-3.9-threshold", 12): (
         "195010b109cf9ebaf74d48b2ae663a251128263cb25728ce7234670351514a7e",
-        "d3a9fb6dc0fda385fd708067676eaefc1f6cc142678e64bc06072490da22616d",
-        "21b1909afdf6e52f67f4981639aea3a1893e4aa812ad9a4c1fcf4c43c6ef9a43",
+        "c2278656359766e22a53c6f560ff14ce82c21428e76d99360b6339f87bf7ce69",
+        "e590a512b8de1df843f3604d9444f972d5d1b704fcb59cebf26e51e2bcc83b0f",
     ),
     ("paper-ex-3.9-threshold", 24): (
         "ffddc9b93e81982a9bfe79ee3dbceda8fc58c19861663d789d2b699478d64670",
-        "d945cb92d88e7fdebd9bc68d8988b6f42f1cb0024cc1bf5871d432147a6ee938",
-        "8ad406e94a1702bfb0ddb80327fa08177f55567b44a22ea4645ab264d38da5b2",
+        "c3c4897cbd2782621401360a1111eaec526b020ee59e007724c81c9a25ff36a5",
+        "960cb0bf478b357d6668d825193e4c1f75c380dca59066e5cb7e2b7543648405",
     ),
     ("paper-ex-3.9-threshold", 33): (
         "7752999442118e4b944b5ee940fb9f669116fc32968c191d888342c97d785fbe",
-        "032ccecac51ebd4e73ffdda3d5e9a6135cd23f99effde520397489d2711c017c",
-        "e8e7af76ef99781648bcc5bdcc65ad6b325f46c7f3f4d18e792a57d43df9d457",
+        "3d380c431ce8df6334c999f195b850cbc02e19e9260fa91a7cca8088152a3ea4",
+        "f3843a25347c15a182c493bde2f4dbc049b4b4aa13a11a036be495a4d1686729",
     ),
     ("paper-product-cylinder", 4): (
         "a781640544b55a99fe6653bfa8fddedcea84dfae4adb8cefa94d65d1aae5a7fe",
@@ -769,8 +773,7 @@ class TestMeshPins:
         scn = builtin_scenario(name)
         same_trig = cf.same_trig()
         for resolution in PIN_RESOLUTIONS:
-            mesh = mesh_from_immersion(scn.immersion, resolution,
-                                       space=scn.space)
+            mesh = mesh_from_immersion(scn.immersion, resolution)
             ints, floats, off = MESH_DIGESTS[(name, resolution)]
             topology = (f"chi {mesh.chi} loops {mesh.n_loops} "
                         f"genus {genus(mesh)}\n")
@@ -783,6 +786,18 @@ class TestMeshPins:
             with open(path, "rb") as fh, open(path + ".bnd", "rb") as fb:
                 text = fh.read() + b"\0" + fb.read()
             assert hashlib.sha256(text).hexdigest() == off, resolution
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_vertices_are_chart_values(self, name):
+        """Every vertex of a run's mesh is the chart's value at its
+        parameters, bit for bit: nothing moves a boundary vertex onto the
+        ambient boundary, which the check of the boundary arcs holds the
+        surface to when its scenario is read."""
+        scn = builtin_scenario(name)
+        for resolution in PIN_RESOLUTIONS:
+            mesh = surface_chart(scn.immersion, resolution, scn.space).mesh
+            assert (mesh.positions.tobytes()
+                    == scn.immersion.chart(mesh.params).tobytes()), resolution
 
     @pytest.mark.parametrize("imm", [
         SphericalCap(), cf.slice_immersion(),
