@@ -621,7 +621,8 @@ class TestGeometryCalls:
         assert counts["runs"] == 13
 
     @pytest.mark.parametrize("name,calls", [("gauss-identity-suite", 1),
-                                            ("flat-slab-slice", 9)])
+                                            ("flat-slab-slice", 9)],
+                             ids=["gauss-identity-suite", "flat-slab-slice"])
     def test_boundary_gradient_once_per_point_set(self, tmp_path,
                                                   monkeypatch, name, calls):
         """grad(phi) is evaluated once per chart (the base and each of the
