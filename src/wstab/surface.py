@@ -941,18 +941,35 @@ def extrinsic_geometry(space: AmbientSpace,
     return data
 
 
+def H_f_rounding(data: ExtrinsicData) -> Array:
+    """A bound of the rounding in H_f at each point: 16 eps times the size
+    of the terms it is summed from, sum_ab |g^ab| |F_ab| for 2H (each
+    sigma_ab = -<N, F_ab> is at most |F_ab|) and |grad_S psi| +
+    |<grad psi, N>| >= |grad psi| for <grad psi, N>.  On a flat surface
+    whose density gradient is tangent H_f is this rounding alone: a
+    tilted plane's blended rim gives a nonzero F, and <N, F> is rounding
+    there."""
+    gN = 2.0 * data.H - data.H_f
+    size = ordered_sum([np.abs(data.Ginv[:, a, b]) * norm(data.F[:, :, a, b])
+                        for a in range(2) for b in range(2)]
+                       + [norm(data.grad_s_psi), np.abs(gN)])
+    return 16 * np.finfo(float).eps * size
+
+
 def stationarity_verdict(data: ExtrinsicData) -> dict:
     """Constant H_f and orthogonal contact within 1e-6: the strong and
     volume-constrained verdicts, the mean and spread of H_f and the
     largest contact.  H_f is held to 1e-6 times the largest
-    |2H| + |<grad psi, N>| of its terms, so the verdicts do not depend on
-    the unit of length."""
+    |2H| + |<grad psi, N>| of its terms plus the largest of its rounding
+    (``H_f_rounding``), so the verdicts do not depend on the unit of
+    length, and a plane whose H_f is rounding alone is stationary."""
     w = data.w_daf
     mean = float(np.sum(data.H_f * w) / np.sum(w))
     spread = float(np.max(np.abs(data.H_f - mean)))
     contact = float(np.max(np.abs(data.contact), initial=0.0))
     two_H = 2.0 * data.H
-    tol = 1e-6 * float(np.max(np.abs(two_H) + np.abs(two_H - data.H_f)))
+    tol = (1e-6 * float(np.max(np.abs(two_H) + np.abs(two_H - data.H_f)))
+           + float(np.max(H_f_rounding(data))))
     vc = spread <= tol and contact <= 1e-6
     return {"strong": vc and abs(mean) <= tol, "volume_constrained": vc,
             "H_f_mean": mean, "H_f_spread": spread, "max_contact": contact}

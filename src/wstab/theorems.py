@@ -12,7 +12,7 @@ import numpy as np
 from .ambient import dot, norm, squared_norm
 from .errors import InputError, PreconditionError
 from .functionals import DeformedFamily
-from .surface import ExtrinsicData, stationary_H_f
+from .surface import ExtrinsicData, H_f_rounding, stationary_H_f
 
 FLAG_TOL = 1e-6
 
@@ -163,6 +163,8 @@ def area_bound_check(data: ExtrinsicData, S0: float,
 # difference step of H_f'(s) on each
 FOLIATION_S_VALUES = (-0.1, 0.0, 0.1)
 FOLIATION_STEP = 1e-3
+# what a difference of the identity's sides that is rounding alone reads
+FOLIATION_ROUNDING_SHARE = 1e-6
 
 
 def foliation_monotonicity_check(family: DeformedFamily,
@@ -175,6 +177,7 @@ def foliation_monotonicity_check(family: DeformedFamily,
     lhs = np.empty(len(s_values))
     rhs = np.empty(len(s_values))
     dHfs = np.empty(len(s_values))
+    rounding = np.empty(len(s_values))
     ric_min = np.inf
     ii_min = np.inf
     for i, s in enumerate(s_values):
@@ -193,18 +196,26 @@ def foliation_monotonicity_check(family: DeformedFamily,
         A_f = float(np.sum(d.w_daf))
         lhs[i] = dHf * A_f
         dHfs[i] = dHf
-        pot = d.ricf_NN + d.sigma2
-        val = float(np.sum(pot * u * d.w_daf))
-        if d.has_boundary:
-            ub = dot(family.flow.velocity(s, bpos0).T, d.b_N.T)
-            val += float(np.sum(d.II_NN * ub * d.w_dlf))
-            ii_min = min(ii_min, float(np.min(d.II_NN)))
+        ub = dot(family.flow.velocity(s, bpos0).T, d.b_N.T)
+        interior = (d.ricf_NN + d.sigma2) * u * d.w_daf
+        boundary = d.II_NN * ub * d.w_dlf
+        rhs[i] = float(np.sum(interior)) + float(np.sum(boundary))
+        # the difference quotient's rounding, and 16 eps of rhs's terms
+        rounding[i] = (A_f * float(np.max(H_f_rounding(dp))
+                                   + np.max(H_f_rounding(dm))) / (2 * h)
+                       + 16 * np.finfo(float).eps
+                       * float(np.sum(np.abs(interior))
+                               + np.sum(np.abs(boundary))))
+        ii_min = min(ii_min, float(np.min(d.II_NN, initial=np.inf)))
         ric_min = min(ric_min, float(np.min(d.ricf_NN)))
-        rhs[i] = val
-    # relative to the larger side, and 0 where both sides are 0
+    # relative to the larger side, and never to less than the rounding
+    # over FOLIATION_ROUNDING_SHARE, so that a difference of rounding
+    # alone reads at most that share; 0 where the sides agree
     diff = float(np.max(np.abs(lhs - rhs)))
     resid = diff / max(float(np.max(np.abs(lhs))),
-                       float(np.max(np.abs(rhs)))) if diff else 0.0
+                       float(np.max(np.abs(rhs))),
+                       float(np.max(rounding)) / FOLIATION_ROUNDING_SHARE
+                       ) if diff else 0.0
     if ii_min is np.inf:
         ii_min = 0.0
     ricci = _sampled(ric_min, 1e-9)

@@ -503,6 +503,24 @@ class TestMalformedParameterValues:
         assert calls == {"surface_chart": 0, "mesh_from_immersion": 0}
         assert not out_dir.exists()
 
+    def test_sweep_base_off_the_ambient_boundary_exits_4(self, tmp_path,
+                                                          capsys):
+        """A sweep's base tree is checked as a single run's is, though
+        every value puts the rim on the plane: it is the surface that
+        export-mesh meshes for the scenario.  Its refusal names no value."""
+        tree = half_sphere({"name": "radial-log", "k": -2.5}, 8, ["spectrum"],
+                           sweep={"param": "ambient.boundary.offset",
+                                  "values": [0.0, 0.0]})
+        tree["ambient"]["boundary"]["offset"] = 0.5
+        out_dir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(out_dir)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: the surface's boundary is "
+                                 "off the ambient boundary")
+        assert not out_dir.exists()
+
     def test_refused_middle_sweep_value_is_named(self, tmp_path, capsys):
         """The registry's own error gains the sweep's parameter and the
         value it refused; the values around it are valid."""
@@ -1368,6 +1386,26 @@ class TestUnitOfLengthTolerances:
 
         assert verdict(1e7)["strong"] is False
         assert verdict(1e-9)["volume_constrained"] is True
+
+    @pytest.mark.parametrize("density", ["constant", "gaussian"])
+    def test_tilted_plane_in_a_ball_is_stationary(self, density):
+        """A disk through the centre of the unit ball, tilted off the
+        axes, is totally geodesic and meets the sphere orthogonally.  Its
+        blended rim gives a nonzero F, so H_f is rounding there (spread
+        4.9e-16) while |2H| + |<grad psi, N>| is rounding too: without a
+        rounding term in the tolerance it was not stationary, and the
+        second variation and the topology chain raised."""
+        tree = disk_in_ball_tree(
+            1.0, ["stationarity", "second-variation", "spectrum", "topology"],
+            variation={"flow": "rotation", "axis": [0.0, 1.0, 0.0]})
+        tree["ambient"]["density"] = {"name": density}
+        tree["surface"].update(e1=[0.6, 0.0, 0.8], e2=[0.0, 1.0, 0.0])
+        result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+        block = result.report["results"]["stationarity"]
+        assert block["H_f_spread"] > 0.0
+        assert block["volume_constrained"] is True
+        assert block["strong"] is True
+        assert all(check.passed for check in result.checks)
 
     def test_cone_foliation_residual_at_every_radius(self):
         """The foliation identity's residual on the cone's cap is relative

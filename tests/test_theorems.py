@@ -1,14 +1,18 @@
 """Tests for curvature identities, topology chains, area bounds, rigidity."""
 import math
 
+import numpy as np
 import pytest
 
 import conftest as cf
+from wstab.ambient import (BOUNDARY_REGISTRY, AmbientSpace, Density,
+                           point_columns)
 from wstab.errors import InputError, PreconditionError
 from wstab.functionals import DeformedFamily, ScalingFlow, TranslationFlow
 from wstab.stability import (assemble, robin_eigenproblem,
                              strong_stability_verdict)
-from wstab.surface import PlanarDisk, extrinsic_geometry, surface_chart
+from wstab.surface import (PlanarDisk, RectPatch, extrinsic_geometry,
+                           surface_chart)
 from wstab.theorems import (CHAIN_TOL, DISK_OR_CYLINDER, NOT_APPLICABLE,
                             SPHERE_OR_TORUS, area_bound_check, boundary_identity_residual,
                             foliation_monotonicity_check,
@@ -246,6 +250,38 @@ class TestFoliation:
         family = DeformedFamily(data, ScalingFlow())
         report = foliation_monotonicity_check(family)
         assert report["max_rel_residual"] <= 1e-5
+
+    def test_sides_of_rounding_alone_read_as_rounding(self):
+        """Planes containing the z axis, at angle 0.3 to the xz plane,
+        between the slab planes |z| <= 1 under psi = z^2: grad psi is
+        tangent, so H_f is <grad psi, N> = 2z N_z with N_z rounding, and
+        the translated leaves have the same H_f, so lhs is 0, while rhs
+        is the Ricci term -2 N_z^2 of 1e-32.  Relative to the larger side
+        alone the residual read 1."""
+        def hess(P):
+            H = point_columns(len(P), 3, 3)
+            H[...] = 0.0
+            H[:, 2, 2] = 2.0
+            return H
+
+        def grad(P):
+            g = np.zeros_like(P)
+            g[:, 2] = 2.0 * P[:, 2]
+            return g
+
+        space = AmbientSpace(Density(lambda P: P[:, 2] ** 2, grad, hess),
+                             BOUNDARY_REGISTRY["slab"](axis=2, halfwidth=1.0))
+        c, s = math.cos(0.3), math.sin(0.3)
+        imm = RectPatch(origin=(0, 0, -1), du=(c, s, 0),
+                        dv=(0.5 * c, 0.5 * s, 1), u_range=(0, 1),
+                        v_range=(0, 2), periodic_u=True)
+        data = extrinsic_geometry(space, surface_chart(imm, 8, space))
+        family = DeformedFamily(data, TranslationFlow((s, -c, 0.0)))
+        report = foliation_monotonicity_check(family)
+        assert report["lhs"] == [0.0, 0.0, 0.0]
+        assert all(0.0 < -r < 1e-30 for r in report["rhs"])
+        assert report["max_rel_residual"] <= 1e-6
+        assert report["monotone_asserted"] and report["monotone_holds"]
 
     def test_negative_speed_is_rejected(self):
         space, imm, mesh, data = cf.cached_geometry("slice", 12)
