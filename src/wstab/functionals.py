@@ -107,17 +107,9 @@ class RotationFlow(AffineFlow):
                              [-a[1], a[0], 0]])
         # ax @ ax = a a^T - |a|^2 I
         self._ax2 = np.outer(a, a) - dot(a, a) * np.eye(3)
-        self._last = (None, None)
 
     def rotation(self, s):
-        """Q(s), kept for the last s: a slice turns its normal and maps its
-        points by the same matrix, so it is built once per slice."""
-        last_s, Q = self._last
-        if s != last_s:
-            Q = (np.eye(3) + np.sin(s) * self._ax
-                 + (1 - np.cos(s)) * self._ax2)
-            self._last = (s, Q)
-        return Q
+        return np.eye(3) + np.sin(s) * self._ax + (1 - np.cos(s)) * self._ax2
 
     def _turned(self, s, P) -> Array:
         """Q(s)(p - c) at the points P as a (3, N) array, each component
@@ -189,8 +181,6 @@ class DeformedFamily:
 
     def __post_init__(self):
         data = self.data
-        if data.space.boundary is None:
-            return
         Xb = self.flow.velocity(0.0, data.b_pos)
         worst = float(np.max(np.abs(dot(Xb.T, data.b_xi.T)), initial=0.0))
         if not worst <= TANGENCY_TOL:
@@ -296,7 +286,7 @@ class DeformedFamily:
                               base.b_ddg[:, :, None, None],
                               None if affine else flow.hess(s, g0))
         return extrinsic_geometry(space, dataclasses.replace(
-            base, space=space, pos=flow.map(s, base.pos), E=E, F=F, b_pos=g,
+            base, pos=flow.map(s, base.pos), E=E, F=F, b_pos=g,
             b_dg=dg[:, :, 0], b_ddg=ddg[:, :, 0, 0],
             b_J=_chain_rule(DFb, base.b_J)[0]))
 

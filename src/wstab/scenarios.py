@@ -334,7 +334,7 @@ class RunResult:
 
 
 def build_chart(scn: Scenario) -> SurfaceChart:
-    return surface_chart(scn.immersion, scn.resolution, scn.space)
+    return surface_chart(scn.immersion, scn.resolution)
 
 
 def run_scenario(scn: Scenario) -> RunResult:
@@ -348,8 +348,9 @@ def _run_sweep(scn: Scenario) -> RunResult:
     values = scn.sweep["values"]
     rows = []
     sub_reports = {}
-    # a density value leaves the chart as it is
-    shared = param.startswith("ambient.density.") and build_chart(scn)
+    # the chart is the surface's alone, so only a value of it charts anew
+    shared = (param != "resolution" and not param.startswith("surface.")
+              and build_chart(scn))
     for v, sub in zip(values, scn.runs):
         res = _run_single(sub, shared or build_chart(sub))
         rows.append([float(v), res.report["results"]["spectrum"]["lambda_min"]])

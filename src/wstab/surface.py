@@ -7,7 +7,7 @@ analytic first and second chart derivatives.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -530,7 +530,7 @@ def _number_edges(tris: Array, be: Array, V: int):
 
 
 # ---------------------------------------------------------------------------
-# the density-free chart and the density terms on it
+# the chart of the immersion and the ambient terms on it
 # ---------------------------------------------------------------------------
 
 def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
@@ -643,10 +643,10 @@ def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
 def check_arcs_on_boundary(imm: Immersion, space: AmbientSpace) -> None:
     """Raise ``InputError`` where the immersion's boundary arcs, sampled
     at ARC_SAMPLES points each with their ends, are off the ambient
-    boundary (``ambient.check_on_boundary``): the check that the chart's
-    ``boundary_normal_and_ii`` makes, without a mesh.  Where the ambient
-    space has no boundary, the domain alone decides, with no chart: a
-    surface with boundary arcs is refused."""
+    boundary (``ambient.check_on_boundary``): the check that
+    ``extrinsic_geometry``'s ``boundary_normal_and_ii`` makes, without a
+    mesh.  Where the ambient space has no boundary, the domain alone
+    decides, with no chart: a surface with boundary arcs is refused."""
     arcs = _arc_count(imm.domain)
     if not arcs:
         return
@@ -781,20 +781,20 @@ def vertex_normals(mesh: SurfaceMesh) -> Array:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceChart:
-    """Everything about a meshed surface that does not depend on the density.
+    """Everything about a meshed surface that its immersion alone decides.
 
     The chart of the mesh's immersion at the interior quadrature points
     (Gauss3 on the blended triangles) and at the boundary quadrature points
     (Gauss2 on the boundary edges), and the Riemannian geometry read from
     it.  ``surface_chart`` stores the interior per-point arrays
     component-major (``ambient.point_columns``), and so do the derived
-    frame and normal.  Of ``space`` only the boundary is read, so one chart
-    serves every density.  ``surface_chart`` builds it from an immersion;
-    ``dataclasses.replace`` with a new pos, E, F and boundary curve derives
-    the rest again, which is how a flow moves it.
+    frame and normal.  It reads no ambient space, so one chart serves every
+    density and every ambient boundary: ``extrinsic_geometry`` reads both.
+    ``surface_chart`` builds it from an immersion; ``dataclasses.replace``
+    with a new pos, E, F and boundary curve derives the rest again, which
+    is how a flow moves it.
     """
 
-    space: InitVar[AmbientSpace]
     mesh: SurfaceMesh
     # interior, one row per (triangle, quadrature point): the positions,
     # the frame E = (E1, E2) of the surface's derivatives along the
@@ -819,17 +819,12 @@ class SurfaceChart:
     K: Array = field(init=False)
     # derived, boundary
     b_nu: Array = field(init=False)    # inner conormal
-    b_xi: Array = field(init=False)    # inner normal of the ambient boundary
     b_N: Array = field(init=False)
-    contact: Array = field(init=False)
-    II_NN: Array = field(init=False)
-    # the ambient boundary's mean curvature along it, tr II - II(xi, xi)
-    H_boundary: Array = field(init=False)
     h_geod: Array = field(init=False)
     b_curvature: Array = field(init=False)  # |acc|, h_geod its b_nu part
     w_dl: Array = field(init=False)    # length element x quadrature weight
 
-    def __post_init__(self, space: AmbientSpace):
+    def __post_init__(self):
         sign = self.mesh.immersion.orientation_sign
         Ginv, Nv, w_da = _frame(sign, self.E)
         S11, S12, S21, S22 = _shape_operator(self.F, Nv, Ginv)
@@ -840,11 +835,11 @@ class SurfaceChart:
                       sigma2=ordered_sum((S11 * S11, S12 * S21, S21 * S12,
                                           S22 * S22)),
                       K=S11 * S22 - S12 * S21,
-                      **self._boundary_fields(space, sign))
+                      **self._boundary_fields(sign))
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    def _boundary_fields(self, space: AmbientSpace, sign: int) -> dict:
+    def _boundary_fields(self, sign: int) -> dict:
         speed = norm(self.b_dg)
         T = self.b_dg / speed[:, None]
         # curve acceleration projected off T, per unit length
@@ -856,14 +851,7 @@ class SurfaceChart:
         v_in = _along(self.b_J, self.b_inward)
         nu = nu * np.sign(dot(nu.T, v_in))[:, None]
         t0, t1 = self.mesh.boundary_t.T
-        g = self.b_pos
-        xi, II_NN, H_bd = np.zeros_like(g), np.zeros(len(g)), np.zeros(len(g))
-        if space.boundary is not None:
-            xi, II = boundary_normal_and_ii(space, g)
-            II_NN = quadratic_form(II, Nv)
-            H_bd = trace(II) - quadratic_form(II, xi)
-        return dict(b_nu=nu, b_xi=xi, b_N=Nv, contact=dot(Nv.T, xi.T),
-                    II_NN=II_NN, H_boundary=H_bd, h_geod=dot(acc.T, nu.T),
+        return dict(b_nu=nu, b_N=Nv, h_geod=dot(acc.T, nu.T),
                     b_curvature=norm(acc),
                     w_dl=(EDGE_WEIGHTS * (t1 - t0)[:, None]).ravel() * speed)
 
@@ -872,27 +860,32 @@ class SurfaceChart:
         return len(self.b_pos) > 0
 
 
-def surface_chart(imm: Immersion, resolution: int,
-                  space: AmbientSpace) -> SurfaceChart:
+def surface_chart(imm: Immersion, resolution: int) -> SurfaceChart:
     """Mesh the immersion and evaluate its chart on the mesh: the frame
     and its derivatives by one chain rule through the blend, and the
-    boundary fields against the ambient boundary of ``space``."""
+    boundary curve along the domain's arcs."""
     mesh = mesh_from_immersion(imm, resolution)
     Q, D, H = _blended_param_points(imm, mesh)
     pos = np.ascontiguousarray(imm.chart(Q).T).T
     E, F = _chain_rule(imm.chart_jac(Q), D, H, imm.chart_hess(Q))
-    return SurfaceChart(space, mesh, pos, E, F,
-                        **_chart_at_boundary(imm, mesh))
+    return SurfaceChart(mesh, pos, E, F, **_chart_at_boundary(imm, mesh))
 
 
 @dataclass(frozen=True, eq=False)
 class ExtrinsicData:
-    """The density terms of the geometry at a chart's quadrature points,
-    with the ambient ``space`` they come from; every other attribute is the
-    chart's own."""
+    """The ambient terms of the geometry at a chart's quadrature points,
+    those of the density and those of the ambient boundary, with the
+    ambient ``space`` they come from; every other attribute is the chart's
+    own."""
 
     chart: SurfaceChart
     space: AmbientSpace
+    # boundary, zeros where the ambient space has no boundary
+    b_xi: Array              # inner normal of the ambient boundary
+    contact: Array           # <N, xi>
+    II_NN: Array
+    # the ambient boundary's mean curvature along it, tr II - II(xi, xi)
+    H_boundary: Array
     f: Array
     H_f: Array               # 2H - <grad psi, N>
     ricf_NN: Array
@@ -918,22 +911,27 @@ class ExtrinsicData:
 
 def extrinsic_geometry(space: AmbientSpace,
                        chart: SurfaceChart) -> ExtrinsicData:
-    """The density terms on a chart: everything the density of ``space``
-    adds to the chart's Riemannian geometry."""
+    """The ambient terms on a chart: everything that the ambient boundary
+    of ``space`` and its density add to the chart's Riemannian geometry."""
+    g, bN = chart.b_pos, chart.b_N
+    xi, II_NN, H_bd = np.zeros_like(g), np.zeros(len(g)), np.zeros(len(g))
+    if space.boundary is not None:
+        xi, II = boundary_normal_and_ii(space, g)
+        II_NN = quadratic_form(II, bN)
+        H_bd = trace(II) - quadratic_form(II, xi)
     pos, Nv, H = chart.pos, chart.N, chart.H
     jet = DensityJet(space.density, pos)
     gN = dot(jet.grad.T, Nv.T)
     ricf_NN = jet.bakry_emery_ricci(Nv)
-    g = chart.b_pos
     # lap_S psi = lap psi - hess(psi)(N, N) + 2 H <grad psi, N>
     data = ExtrinsicData(
-        chart, space, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
+        chart, space, b_xi=xi, contact=dot(bN.T, xi.T), II_NN=II_NN,
+        H_boundary=H_bd, f=np.exp(space.density.psi(pos)), H_f=2.0 * H - gN,
         grad_s_psi=jet.grad - gN[:, None] * Nv,
         ricf_NN=ricf_NN, lap_s_psi=jet.lap + ricf_NN + 2.0 * H * gN,
         S_f=jet.perelman_scalar(), f_b=np.exp(space.density.psi(g)),
-        Hf_boundary=chart.H_boundary - dot(space.density.grad_psi(g).T,
-                                           chart.b_xi.T))
-    # every field after chart and space is a density term; a density
+        Hf_boundary=H_bd - dot(space.density.grad_psi(g).T, xi.T))
+    # every field after chart and space is an ambient term; a density
     # beyond the float range leaves no verdict to read from them
     for term in fields(ExtrinsicData)[2:]:
         if not np.all(np.isfinite(getattr(data, term.name))):

@@ -19,13 +19,17 @@ FLAG_TOL = 1e-6
 
 def rigidity_flags(data: ExtrinsicData) -> dict:
     """The equality-case certificate read from pointwise geometry: each
-    flag, and whether all of them hold."""
-    sigma_max = float(np.sqrt(np.max(data.sigma2)))
-    grad_max = float(np.max(norm(data.grad_s_psi)))
-    ric_max = float(np.max(np.abs(data.ricf_NN)))
-    k_max = float(np.max(np.abs(data.K)))
-    ii_max = float(np.max(np.abs(data.II_NN), initial=0.0))
-    h_max = float(np.max(np.abs(data.h_geod), initial=0.0))
+    flag, and whether all of them hold.  Each quantity is measured in the
+    length L = sqrt(area) raised to its dimension, L for sigma, grad_S psi,
+    II(N,N) and h, L^2 for Ric_f(N,N) and K, so that the flags do not
+    depend on the unit of length."""
+    L = float(np.sqrt(np.sum(data.w_da)))
+    sigma_max = L * float(np.sqrt(np.max(data.sigma2)))
+    grad_max = L * float(np.max(norm(data.grad_s_psi)))
+    ric_max = L**2 * float(np.max(np.abs(data.ricf_NN)))
+    k_max = L**2 * float(np.max(np.abs(data.K)))
+    ii_max = L * float(np.max(np.abs(data.II_NN), initial=0.0))
+    h_max = L * float(np.max(np.abs(data.h_geod), initial=0.0))
     flags = {
         "totally_geodesic": sigma_max <= FLAG_TOL,
         "density_const_on_surface": grad_max <= FLAG_TOL,
@@ -52,7 +56,8 @@ def gauss_rearrangement_residual(data: ExtrinsicData) -> float:
 def boundary_identity_residual(data: ExtrinsicData) -> float:
     """Max residual of II(N,N) = H_boundary - h on orthogonally meeting
     surfaces, H_boundary the trace of the ambient boundary's second
-    fundamental form, which the chart keeps: no density term enters."""
+    fundamental form, which the geometry reads from the ambient boundary
+    alone: no density term enters."""
     if not data.has_boundary:
         raise InputError("surface has no boundary")
     return float(np.max(np.abs(data.II_NN - (data.H_boundary - data.h_geod))))

@@ -272,9 +272,8 @@ SURFACES = {
 
 @functools.lru_cache(maxsize=None)
 def cached_chart(kind: str, resolution: int) -> SurfaceChart:
-    """The density-free chart of a test surface, shared by every density."""
-    ambient, immersion = SURFACES[kind]
-    return surface_chart(immersion(), resolution, ambient())
+    """The chart of a test surface, shared by every ambient space."""
+    return surface_chart(SURFACES[kind][1](), resolution)
 
 
 @functools.lru_cache(maxsize=None)

@@ -643,13 +643,30 @@ class TestGeometryCalls:
                              ids=["gauss-identity-suite", "flat-slab-slice"])
     def test_boundary_gradient_once_per_point_set(self, tmp_path,
                                                   monkeypatch, name, calls):
-        """grad(phi) is evaluated once per chart (the base and each of the
-        flat slab's 8 foliation slices) for the boundary's normal and shape
-        form together (3 and 19 while each evaluated it, 2 and 10 while
-        the mesher projected the boundary vertices)."""
+        """grad(phi) is evaluated once per geometry (the base and each of
+        the flat slab's 8 foliation slices) for the boundary's normal and
+        shape form together (3 and 19 while each evaluated it, 2 and 10
+        while the mesher projected the boundary vertices)."""
         counts = count_calls(monkeypatch)
         assert main(["builtin", name, "--out", str(tmp_path / "out")]) == 0
         assert counts["grad_phi"] == calls
+
+    def test_tolerance_sweep_builds_one_chart(self, tmp_path, monkeypatch):
+        """A sweep shares one chart among its values unless it sweeps the
+        surface or the resolution: the chart reads no ambient space, so a
+        tolerance leaves it as it is (each value built its own chart while
+        only density sweeps shared one)."""
+        tree = scenarios.builtin_tree("gauss-identity-suite")
+        tree.pop("expect")
+        tree.update(tolerances={"verdict": 1e-3},
+                    sweep={"param": "tolerances.verdict",
+                           "values": [1e-3, 1e-2]})
+        counts = count_calls(monkeypatch)
+        assert main(["run", write_config(tmp_path, tree),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert counts["runs"] == 2
+        assert counts["charts"] == 1
+        assert counts["geometry"] == 2
 
     def test_foliation_slices_reuse_the_base_chart(self, tmp_path,
                                                    monkeypatch):
@@ -1386,6 +1403,19 @@ class TestUnitOfLengthTolerances:
 
         assert verdict(1e7)["strong"] is False
         assert verdict(1e-9)["volume_constrained"] is True
+
+    @pytest.mark.parametrize("radius", [1.0, 1e7])
+    def test_sphere_is_not_rigid_at_any_radius(self, radius):
+        """Each rigidity flag measures its quantity in sqrt(area) to the
+        power of its units, so a round sphere is neither totally geodesic
+        nor flat at any radius.  At radius 1e7, |sigma| = 1.4e-7 and
+        K = 1e-14 read as zero under the absolute tolerance 1e-6."""
+        tree = sphere_tree(radius, ["rigidity"])
+        result = scenarios.run_scenario(scenarios.parse_scenario(tree))
+        block = result.report["results"]["rigidity"]
+        assert block["totally_geodesic"] is False
+        assert block["gauss_flat"] is False
+        assert block["all_true"] is False
 
     @pytest.mark.parametrize("density", ["constant", "gaussian"])
     def test_tilted_plane_in_a_ball_is_stationary(self, density):

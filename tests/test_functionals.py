@@ -141,7 +141,7 @@ def chart_first_slice(family, s):
             F[:, :, a, b] = np.array(cf.second_along(
                 Hc, J, D[:, :, a], D[:, :, b], H[:, :, a, b])).T
     return extrinsic_geometry(base.space, dataclasses.replace(
-        base.chart, space=base.space, pos=flow.map(s, base.pos), E=E, F=F))
+        base.chart, pos=flow.map(s, base.pos), E=E, F=F))
 
 
 class TestAffineSlices:
@@ -427,7 +427,7 @@ class TestFamilySlices:
         for s in (0.1, -0.1):
             got = family.geometry(s)
             want = extrinsic_geometry(
-                space, surface_chart(exact(s), mesh.resolution, space))
+                space, surface_chart(exact(s), mesh.resolution))
             assert got.has_boundary
             for f in dataclasses.fields(want) + dataclasses.fields(want.chart):
                 a = getattr(got, f.name)
@@ -626,8 +626,7 @@ class TestBoundaryStaysOnTheAmbientBoundary:
             lambda P: np.zeros((len(P), 3, 3)))
         space = AmbientSpace(density=make_density("constant"),
                              boundary=spec)
-        free = cf.space_free()
-        data = extrinsic_geometry(space, surface_chart(PlanarDisk(), 8, free))
+        data = extrinsic_geometry(space, surface_chart(PlanarDisk(), 8))
         family = DeformedFamily(data, TranslationFlow((1, 0, 0)))
         with pytest.raises(InputError, match=r"s = 0\.1\b"):
             family.geometry(0.1)
@@ -675,7 +674,7 @@ class TestSecondVariation:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 12))
         family = DeformedFamily(data, RotationFlow((0, 0, 1), (2, 0, 0)))
         with pytest.raises(PreconditionError):
             second_variation_fd(family)

@@ -52,21 +52,21 @@ def flat_torus_assembly(resolution):
                     u_range=(0.0, TAU), v_range=(0.0, TAU), periodic_u=True,
                     periodic_v=True)
     return assemble(extrinsic_geometry(space,
-                                       surface_chart(imm, resolution, space)))
+                                       surface_chart(imm, resolution)))
 
 
 def disk_in_ball(radius, resolution=12, density="constant"):
     """The equatorial disk of a ball, both of the given radius, with the
     density (constant unless named) at the resolution (12 unless given)."""
     space = cf.space_ball(density, radius=radius)
-    chart = surface_chart(PlanarDisk(radius=radius), resolution, space)
+    chart = surface_chart(PlanarDisk(radius=radius), resolution)
     return assemble(extrinsic_geometry(space, chart))
 
 
 def round_sphere(radius, resolution=8):
     """The round sphere of the given radius with constant density."""
     space = cf.space_free()
-    chart = surface_chart(RoundSphere(radius=radius), resolution, space)
+    chart = surface_chart(RoundSphere(radius=radius), resolution)
     return assemble(extrinsic_geometry(space, chart))
 
 

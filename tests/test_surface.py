@@ -60,7 +60,7 @@ class TestHemisphereGeometry:
     def test_orientation_sign_flips_normal(self):
         space = cf.space_half_space()
         imm = SphericalCap(orientation_sign=-1)
-        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 12))
         assert np.allclose(data.H, 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("resolution,tol", [(16, 2e-3), (32, 2e-4),
@@ -210,7 +210,7 @@ class TestGaussBonnet:
     def test_flat_disk_boundary_curvature(self):
         space = cf.space_ball()
         imm = PlanarDisk(radius=1.0)
-        data = extrinsic_geometry(space, surface_chart(imm, 16, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 16))
         assert np.allclose(data.h_geod, 1.0, atol=1e-6)
         assert float(np.sum(data.h_geod * data.w_dl)) == pytest.approx(
             TAU, rel=1e-8)
@@ -236,7 +236,7 @@ class TestStationarity:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 12))
         v = stationarity_verdict(data)
         assert not v["volume_constrained"]
         assert v["max_contact"] == pytest.approx(0.5, abs=1e-10)
@@ -443,8 +443,8 @@ class TestRadius:
 
 
 class TestAmbientBoundaryReads:
-    """The chart reads the ambient boundary once at its boundary points,
-    and the density adds only its gradient term to H_boundary."""
+    """The geometry reads the ambient boundary once at the chart's boundary
+    points, and the density adds only its gradient term to H_boundary."""
 
     @staticmethod
     def counting(space, calls):
@@ -462,16 +462,30 @@ class TestAmbientBoundaryReads:
                            for n in ("phi", "grad_phi", "hess_phi"))))
 
     def test_chart_and_geometry_evaluate_hess_phi_once(self):
-        """The cone's II matrix is read once, by the chart (the geometry
-        evaluated it again for H_f of the ambient boundary)."""
+        """The cone's II matrix is read once, by the geometry, for II(N, N)
+        and H_f of the ambient boundary alike."""
         calls = {}
         space = self.counting(cf.space_cone("radial-smooth",
                                             coeffs=(0.0, 0.0, 0.5)), calls)
-        chart = surface_chart(SphericalCap(alpha=0.7), 12, space)
+        chart = surface_chart(SphericalCap(alpha=0.7), 12)
         data = extrinsic_geometry(space, chart)
         assert calls["hess_phi"] == 1
         want = cf.boundary_f_mean_curvature(space, data.b_pos)
         assert np.allclose(data.Hf_boundary, want, rtol=0.0, atol=1e-12)
+
+    def test_one_chart_serves_two_ambient_boundaries(self):
+        """The chart reads no ambient space, so the unit hemisphere's chart
+        serves the half-space z >= 0 and the unit ball alike, and each
+        geometry reads its own boundary there: the plane's normal e3 is
+        tangent to the hemisphere, the sphere's inner normal -p is -N."""
+        chart = cf.cached_chart("hemisphere", 8)
+        half, ball = (extrinsic_geometry(space, chart)
+                      for space in (cf.space_half_space(), cf.space_ball()))
+        e3 = np.tile([0.0, 0.0, 1.0], (len(chart.b_pos), 1))
+        assert np.array_equal(half.b_xi, e3)
+        assert np.allclose(ball.b_xi, -chart.b_pos, rtol=0.0, atol=1e-15)
+        assert np.allclose(half.contact, 0.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(ball.contact, -1.0, rtol=0.0, atol=1e-15)
 
     def test_boundary_identity_reads_no_density(self):
         calls = {}
@@ -515,8 +529,7 @@ class TestNanGuards:
     def test_metric_rank(self):
         chart = cf.cached_chart("hemisphere", 8)
         with pytest.raises(ImmersionError, match="rank deficient"):
-            dataclasses.replace(chart, space=cf.space_half_space(),
-                                E=np.zeros_like(chart.E))
+            dataclasses.replace(chart, E=np.zeros_like(chart.E))
 
 
 # SHA-256 digests of every builtin's mesh, recorded before the mesher
@@ -795,7 +808,7 @@ class TestMeshPins:
         surface to when its scenario is read."""
         scn = builtin_scenario(name)
         for resolution in PIN_RESOLUTIONS:
-            mesh = surface_chart(scn.immersion, resolution, scn.space).mesh
+            mesh = surface_chart(scn.immersion, resolution).mesh
             assert (mesh.positions.tobytes()
                     == scn.immersion.chart(mesh.params).tobytes()), resolution
 
@@ -1057,11 +1070,11 @@ def kernel_case(name):
     if name in KERNEL_EXTRAS:
         space, imm, resolution = KERNEL_EXTRAS[name]
         space = space()
-        chart = surface_chart(imm(), resolution, space)
+        chart = surface_chart(imm(), resolution)
     else:
         scn = builtin_scenario(name)
         space = scn.space
-        chart = surface_chart(scn.immersion, scn.resolution, space)
+        chart = surface_chart(scn.immersion, scn.resolution)
     return space, extrinsic_geometry(space, chart)
 
 
@@ -1255,7 +1268,7 @@ def per_point_digests() -> dict:
     space = make_space(density=("radial-smooth", {"coeffs": (0.0, 0.0, 0.5)}),
                        boundary=("cone", {"alpha": 0.7, "axis": (1, 2, 3)}))
     imm = SphericalCap(alpha=0.7, axis=(1, 2, 3))
-    data = extrinsic_geometry(space, surface_chart(imm, 16, space))
+    data = extrinsic_geometry(space, surface_chart(imm, 16))
     family = DeformedFamily(data, RotationFlow((1, 2, 3)))
 
     def digest(arrays):

@@ -28,7 +28,7 @@ def quadratic_disk(resolution=24):
     space = cf.space_quadratic_ball(a=4.5, radius=0.45)
     imm = PlanarDisk(center=(0, 0, 0), e1=(0, 1, 0), e2=(0, 0, 1),
                      radius=0.45)
-    data = extrinsic_geometry(space, surface_chart(imm, resolution, space))
+    data = extrinsic_geometry(space, surface_chart(imm, resolution))
     return space, imm, data.mesh, data
 
 
@@ -91,7 +91,7 @@ class TestStabilityTopologyChain:
         space = make_space(density=("radial-log", {"k": -2.0}),
                            boundary=("ball-complement", {"radius": 1.0}))
         imm = RoundSphere(radius=2.0)
-        data = extrinsic_geometry(space, surface_chart(imm, 24, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 24))
         chain = stability_topology_chain(data)
         assert chain["asserted"] and chain["chain_holds"]
         assert chain["chi"] == 2
@@ -108,7 +108,7 @@ class TestStabilityTopologyChain:
         rho = math.sqrt(1.0 - 0.25)
         imm = PlanarDisk(center=(2, 0, 0.5), e1=(1, 0, 0), e2=(0, 1, 0),
                          radius=rho)
-        data = extrinsic_geometry(space, surface_chart(imm, 12, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 12))
         with pytest.raises(PreconditionError):
             stability_topology_chain(data)
 
@@ -275,7 +275,7 @@ class TestFoliation:
         imm = RectPatch(origin=(0, 0, -1), du=(c, s, 0),
                         dv=(0.5 * c, 0.5 * s, 1), u_range=(0, 1),
                         v_range=(0, 2), periodic_u=True)
-        data = extrinsic_geometry(space, surface_chart(imm, 8, space))
+        data = extrinsic_geometry(space, surface_chart(imm, 8))
         family = DeformedFamily(data, TranslationFlow((s, -c, 0.0)))
         report = foliation_monotonicity_check(family)
         assert report["lhs"] == [0.0, 0.0, 0.0]
