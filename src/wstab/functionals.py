@@ -209,7 +209,8 @@ class DeformedFamily:
             w_da = lam ** 2 * base.w_da
         else:
             E, _ = _chain_rule(flow.jac(s, base.pos), base.E)
-            _, N, w_da = _frame(base.mesh.immersion.orientation_sign, E)
+            _, N, w_da = _frame(base.mesh.immersion.orientation_sign, E,
+                                base.mesh.point_weights)
         pos = flow.map(s, base.pos)
         return pos, N, w_da * np.exp(base.space.density.psi(pos))
 

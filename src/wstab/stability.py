@@ -15,8 +15,7 @@ import numpy as np
 from .ambient import ordered_sum
 from .errors import InputError, NumericalFailure
 from .functionals import DeformedFamily
-from .surface import (EDGE_POINTS, TRI_HATS, TRI_WEIGHTS, ExtrinsicData,
-                      stationary_H_f)
+from .surface import EDGE_POINTS, ExtrinsicData, stationary_H_f
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -30,11 +29,6 @@ HAT_GRADS = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
 # eigenpairs a spectrum solves for; the coarsest mesh any scenario can
 # build (a doubly periodic rect patch at resolution 4) has 8 DOF
 EIGENPAIRS = 6
-
-# the smallest eigenvalue of sum_r h_r h_r^T over the quadrature points r,
-# h_r the P1 hats there (1/4 for Gauss3): an element mass matrix
-# sum_r w_r h_r h_r^T is at least this times min_r w_r
-HAT_GRAM_MIN = float(np.linalg.eigvalsh(TRI_HATS @ TRI_HATS.T)[0])
 
 # the corner pairs (i, j), i <= j, of a triangle and of a boundary edge
 TRI_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -108,37 +102,43 @@ def _hat_sums(weights: Array, hats, pairs) -> Array:
 def assemble(data: ExtrinsicData) -> IndexFormAssembly:
     """The index form of the surface whose geometry is ``data``.  Each
     element value (i, j), i <= j, adds contiguous columns over its points in
-    order onto +0.0, bit for bit np.sum over the row; np.bincount then adds
-    a slot's element values in input order onto +0.0: pair by pair in
-    TRI_PAIRS (EDGE_PAIRS) order, by triangle (boundary edge) in a pair."""
+    order onto +0.0, bit for bit np.sum over a Gauss3 row (numpy pairs the
+    collapsed rule's 9); np.bincount then adds a slot's element values in
+    input order onto +0.0: block by block (``SurfaceMesh.block_rows``),
+    pair by pair in TRI_PAIRS order in a block, by triangle in a pair; on
+    the boundary pair by pair in EDGE_PAIRS order, by edge in a pair."""
     mesh = data.mesh
-    n, R = mesh.n_vertices, len(TRI_WEIGHTS)
-    w = _by_point(data.w_daf, R)
-    G = [[_by_point(data.Ginv[:, a, b], R) for b in range(2)]
-         for a in range(2)]
-    signed_G = {1.0: G, -1.0: [[-g for g in row] for row in G]}
-    slots, kv = [], []
-    for i, j in TRI_PAIRS:
-        # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner;
-        # the hat gradients are 0 or +-1, so a term is +-g^ab exactly,
-        # and a zero term leaves a sum begun at +0.0 unchanged
-        gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
-        gij = ordered_sum(signed_G[gi[a] * gj[b]][a][b]
-                          for a in range(2) for b in range(2)
-                          if gi[a] * gj[b] != 0)
-        kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
-        # edge c joins corners c and c + 1, so corners i < j the edge
-        # opposite corner 3 - i - j
-        slots.append(mesh.triangles[:, i] if i == j
-                     else n + mesh.triangle_edges[:, (4 - i - j) % 3])
+    n = mesh.n_vertices
+    pot = data.ricf_NN + data.sigma2
+    slots, kv, pv, mv = [], [], [], []
+    for block, rows in mesh.block_rows():
+        R, tris = len(block.rule.weights), block.tris
+        w = _by_point(data.w_daf[rows], R)
+        G = [[_by_point(data.Ginv[rows, a, b], R) for b in range(2)]
+             for a in range(2)]
+        signed_G = {1.0: G, -1.0: [[-g for g in row] for row in G]}
+        for i, j in TRI_PAIRS:
+            # <grad hat_i, grad hat_j> = sum_ab gi_a g^ab gj_b, b inner;
+            # the hat gradients are 0 or +-1, so a term is +-g^ab exactly,
+            # and a zero term leaves a sum begun at +0.0 unchanged
+            gi, gj = HAT_GRADS[i].tolist(), HAT_GRADS[j].tolist()
+            gij = ordered_sum(signed_G[gi[a] * gj[b]][a][b]
+                              for a in range(2) for b in range(2)
+                              if gi[a] * gj[b] != 0)
+            kv.append(ordered_sum(x * g for x, g in zip(w, gij)))
+            # edge c joins corners c and c + 1, so corners i < j the edge
+            # opposite corner 3 - i - j
+            slots.append(mesh.triangles[tris, i] if i == j
+                         else n + mesh.triangle_edges[tris, (4 - i - j) % 3])
+        wpot = w * _by_point(pot[rows], R)
+        pv.append(_hat_sums(wpot, block.rule.hats, TRI_PAIRS))
+        mv.append(_hat_sums(w, block.rule.hats, TRI_PAIRS))
     # the boundary rows are (edge, Gauss2 point) in mesh edge order, none
     # on a closed surface
     b_slots = [mesh.boundary_edges[:, i] if i == j
                else n + mesh.boundary_edge_ids for i, j in EDGE_PAIRS]
-    wpot = w * _by_point(data.ricf_NN + data.sigma2, R)
     wb = _by_point(data.w_dlf * data.II_NN, len(EDGE_POINTS))
-    values = (np.concatenate(kv), _hat_sums(wpot, TRI_HATS, TRI_PAIRS),
-              _hat_sums(w, TRI_HATS, TRI_PAIRS),
+    values = (np.concatenate(kv), np.concatenate(pv), np.concatenate(mv),
               _hat_sums(wb, (1.0 - EDGE_POINTS, EDGE_POINTS), EDGE_PAIRS))
     slots, b_slots = np.concatenate(slots), np.concatenate(b_slots)
     return IndexFormAssembly(*(
@@ -237,15 +237,21 @@ def _spectrum_floor(asm: IndexFormAssembly) -> float:
     """A lower bound of the pencil's eigenvalues that the assembly proves.
 
     u^T A u >= -|A|_inf |u|^2, and u^T M u >= m |u|^2 with m the least
-    vertex sum of the element bounds HAT_GRAM_MIN min_r w_r, since each
-    element's mass matrix is sum_r w_r h_r h_r^T with weights w_r > 0.  So
-    every eigenvalue is at least -|A|_inf / m; twice that is returned, a
-    margin for the rounding of both.  NaN where m is not positive.
+    vertex sum of the element bounds rule.hat_gram_min min_r w_r, since
+    each element's mass matrix is sum_r w_r h_r h_r^T with weights
+    w_r > 0 under its block's rule.  So every eigenvalue is at least
+    -|A|_inf / m; twice that is returned, a margin for the rounding of
+    both.  NaN where m is not positive.
     """
     import scipy.sparse.linalg as spla
-    tris = asm.data.mesh.triangles
-    w_min = asm.data.w_daf.reshape(len(tris), -1).min(axis=1)
-    m = np.bincount(tris.ravel(), np.repeat(HAT_GRAM_MIN * w_min, 3),
+    mesh, w = asm.data.mesh, asm.data.w_daf
+    tris, bounds = [], []
+    for block, rows in mesh.block_rows():
+        tris.append(mesh.triangles[block.tris])
+        bounds.append(block.rule.hat_gram_min * w[rows].reshape(
+            len(block.tris), -1).min(axis=1))
+    m = np.bincount(np.concatenate(tris).ravel(),
+                    np.repeat(np.concatenate(bounds), 3),
                     minlength=asm.dof).min()
     return -2.0 * spla.norm(asm.operator, np.inf) / m if m > 0 else np.nan
 
@@ -359,10 +365,12 @@ def jacobi_fd_check(family: DeformedFamily) -> JacobiCheckReport:
     """Verify H_f'(0) = L_f(u) pointwise for the family's normal speed u."""
     stationary_H_f(family.data, "the Jacobi operator")
     Lu = jacobi_apply(assemble(family.data), family.vertex_normal_speed())
-    # interpolate L_f(u) to quadrature points
-    tris = family.data.mesh.triangles
-    Lq = ordered_sum(Lu[tris[:, c], None] * TRI_HATS[c]
-                     for c in range(3)).ravel()
+    # interpolate L_f(u) to quadrature points, block by block
+    mesh = family.data.mesh
+    Lq = np.concatenate([ordered_sum(Lu[mesh.triangles[block.tris, c], None]
+                                     * block.rule.hats[c]
+                                     for c in range(3)).ravel()
+                         for block, _ in mesh.block_rows()])
     # FD of H_f per material quadrature point
     h = JACOBI_FD_STEP
     dp = family.geometry(h).H_f

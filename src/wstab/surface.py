@@ -7,6 +7,7 @@ analytic first and second chart derivatives.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -21,16 +22,61 @@ from .errors import (ImmersionError, InputError, MeshingError,
 
 Array = np.ndarray
 
-# every surface integral uses Gauss3 on the unit reference triangle
-# {x>=0, y>=0, x+y<=1} (weights sum to the reference area 1/2) and every
-# boundary integral Gauss2 on the unit interval [0, 1]
-TRI_POINTS = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-TRI_WEIGHTS = np.array([1 / 6, 1 / 6, 1 / 6])
+# every boundary integral uses Gauss2 on the unit interval [0, 1]
 EDGE_POINTS = np.array([0.5 - 0.5 / np.sqrt(3), 0.5 + 0.5 / np.sqrt(3)])
 EDGE_WEIGHTS = np.array([0.5, 0.5])
-# the P1 hat functions at the triangle points, (3, R)
-TRI_HATS = np.stack([1 - TRI_POINTS[:, 0] - TRI_POINTS[:, 1],
-                     TRI_POINTS[:, 0], TRI_POINTS[:, 1]])
+
+
+@dataclass(frozen=True, eq=False)
+class TriangleRule:
+    """A quadrature rule on the unit reference triangle {x>=0, y>=0,
+    x+y<=1}: its points (R, 2), its weights (R,), positive and summing to
+    the reference area 1/2, and the P1 hats at its points (3, R)."""
+
+    points: Array
+    weights: Array
+
+    @functools.cached_property
+    def hats(self) -> Array:
+        x, y = self.points[:, 0], self.points[:, 1]
+        return np.stack([1 - x - y, x, y])
+
+    @functools.cached_property
+    def hat_gram_min(self) -> float:
+        """The smallest eigenvalue of sum_r h_r h_r^T over the points r, h_r
+        the hats there (1/4 for Gauss3): an element mass matrix
+        sum_r w_r h_r h_r^T is at least this times min_r w_r, as the
+        weights w_r are positive."""
+        return float(np.linalg.eigvalsh(self.hats @ self.hats.T)[0])
+
+
+def _collapsed_gauss3() -> TriangleRule:
+    """Gauss-Legendre 3 in s and in t on [0, 1], mapped to the triangle by
+    (x, y) = (s (1 - t), s t) with its Jacobian s in the weights (Duffy,
+    SIAM J. Numer. Anal. 19 (1982) 1260): the apex s = 0 is corner 0.
+    Exact for x^p y^q with p + q <= 4, and along its points the blend
+    b / (a + b) of the hats of corners 1 and 2 is t, so a rim triangle's
+    integrand is smooth in (s, t)."""
+    g = 0.5 * np.sqrt(3 / 5)
+    nodes, w = np.array([0.5 - g, 0.5, 0.5 + g]), np.array([5, 8, 5]) / 18
+    s, t = (x.ravel() for x in np.meshgrid(nodes, nodes, indexing="ij"))
+    return TriangleRule(np.stack([s * (1 - t), s * t], axis=-1),
+                        np.outer(w, w).ravel() * s)
+
+
+GAUSS3 = TriangleRule(
+    np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]]),
+    np.array([1 / 6, 1 / 6, 1 / 6]))
+COLLAPSED3 = _collapsed_gauss3()
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureBlock:
+    """One rule on the triangles it covers, (F_b,) triangle ids."""
+
+    rule: TriangleRule
+    tris: Array
+
 
 # a rect patch is meshed with square cells, so its v rows grow with the
 # aspect ratio; this bounds them to MAX_RECT_ASPECT times the resolution
@@ -300,10 +346,27 @@ class SurfaceMesh:
     # domain (no polygon sliver)
     curved_tri: Array          # (B,) int
     curved_loc: Array          # (B, 2) int
+    # the interior quadrature rows are (triangle, point) block by block, in
+    # each block's triangle order (``_quadrature_blocks``)
+    blocks: tuple
 
     @property
     def n_vertices(self):
         return len(self.params)
+
+    def block_rows(self):
+        """Each quadrature block with the slice of the rows it holds."""
+        start = 0
+        for block in self.blocks:
+            stop = start + len(block.tris) * len(block.rule.weights)
+            yield block, slice(start, stop)
+            start = stop
+
+    @functools.cached_property
+    def point_weights(self) -> Array:
+        """The quadrature weight of each interior row."""
+        return np.concatenate([np.tile(b.rule.weights, len(b.tris))
+                               for b in self.blocks])
 
     @property
     def chi(self):
@@ -334,7 +397,9 @@ def _disk_mesh(rho: float, rings: int):
     Ring i >= 1 holds 6i vertices at angles 2 pi j / 6i, starting at
     vertex 1 + 3i(i-1).  The annulus between rings i-1 and i is a merge
     walk over the two rings' next angles, one triangle per step, taking the
-    outer ring's step first on ties.
+    outer ring's step first on ties.  So a rim triangle is an outer step
+    of the last annulus, (inner vertex, rim vertex k, rim vertex k + 1),
+    and holds its boundary edge k at corners 1 and 2.
     """
     ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
     ang = 2 * np.pi * (np.arange(len(ring)) - 3 * ring * (ring - 1)) / (6 * ring)
@@ -502,8 +567,28 @@ def mesh_from_immersion(imm: Immersion, resolution: int) -> SurfaceMesh:
         corners = imm.chart(tp.reshape(-1, tp.shape[2])).reshape(len(tris), 3, 3)
     if not _min_angle_from_corners(corners) >= 5.0:
         raise MeshingError("mesh contains a triangle with min angle < 5 degrees")
+    numbered = _number_edges(tris, be, len(params))
     return SurfaceMesh(imm, params, positions, tris, tp, be, bt, resolution,
-                       *_number_edges(tris, be, len(params)))
+                       *numbered, _quadrature_blocks(kind, len(tris),
+                                                     *numbered[3:]))
+
+
+def _quadrature_blocks(kind: str, n_tris: int, curved_tri: Array,
+                       curved_loc: Array) -> tuple:
+    """Gauss3 on every triangle but a disk's rim triangles, COLLAPSED3 on
+    those.  A rim triangle's blend u = b / (a + b) is not smooth at the
+    corner opposite its arc, where Gauss3 converges at O(h^2) only; the
+    collapsed rule's apex is that corner, corner 0 (``_disk_mesh``).  A
+    rect side is straight, so its blend's gap is zero to rounding and its
+    triangles stay with Gauss3."""
+    if kind != "disk":
+        return (QuadratureBlock(GAUSS3, np.arange(n_tris)),)
+    if not np.all(curved_loc == (1, 2)):
+        raise MeshingError("a rim triangle's arc edge is not at corners 1, 2")
+    rim = np.zeros(n_tris, dtype=bool)
+    rim[curved_tri] = True
+    return (QuadratureBlock(GAUSS3, np.flatnonzero(~rim)),
+            QuadratureBlock(COLLAPSED3, curved_tri))
 
 
 def _number_edges(tris: Array, be: Array, V: int):
@@ -535,7 +620,7 @@ def _number_edges(tris: Array, be: Array, V: int):
 
 def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     """Per-quadrature-point parameters and their derivatives along the
-    triangle's reference coordinates.
+    triangle's reference coordinates, block by block.
 
     Affine triangles give constant directions and zero second derivatives;
     triangles with a boundary-arc edge get the transfinite blend pulling the
@@ -544,69 +629,83 @@ def _blended_param_points(imm: Immersion, mesh: SurfaceMesh):
     (n, pd, 2) and its second derivatives H (n, pd, 2, 2), symmetric in
     the last two axes, each component-major (``ambient.point_columns``).
     """
-    tp = mesh.tri_params
-    F = len(tp)
-    R = len(TRI_POINTS)
-    pd = tp.shape[2]
+    n, pd = len(mesh.point_weights), mesh.tri_params.shape[2]
+    Q, D, H = (point_columns(n, pd, *k) for k in ((), (2,), (2, 2)))
+    H[...] = 0.0
+    local = np.empty(len(mesh.triangles), dtype=np.int64)
+    for block, rows in mesh.block_rows():
+        F, R = len(block.tris), len(block.rule.weights)
+        local[block.tris] = np.arange(F)
+        mine = np.isin(mesh.curved_tri, block.tris)
+        _blend_block(imm, mesh, block, local[mesh.curved_tri[mine]], mine,
+                     *(x[rows].reshape((F, R) + x.shape[1:])
+                       for x in (Q, D, H)))
+    return Q, D, H
+
+
+def _blend_block(imm: Immersion, mesh: SurfaceMesh, block: QuadratureBlock,
+                 ct: Array, edges: Array, Q: Array, D: Array, H: Array):
+    """``_blended_param_points`` on one block, into its (F, R, ...) rows:
+    ``ct`` holds the block's triangle (a position in ``block.tris``) of
+    each of the boundary ``edges``."""
+    tp = mesh.tri_params[block.tris]
+    rule = block.rule
     q0 = tp[:, 0]
     d1 = tp[:, 1] - q0
     d2 = tp[:, 2] - q0
-    xi = TRI_POINTS[:, 0]
-    eta = TRI_POINTS[:, 1]
-    # (F, R, ...) views of (..., F, R) buffers
+    xi = rule.points[:, 0]
+    eta = rule.points[:, 1]
+    # the (..., F, R) views of the component-major rows
     q0, d1, d2 = (x.T[:, :, None] for x in (q0, d1, d2))
-    Q = np.moveaxis(np.add(q0 + xi * d1, eta * d2, out=np.empty((pd, F, R))),
-                    0, -1)
-    D_buf, H_buf = np.empty((pd, 2, F, R)), np.zeros((pd, 2, 2, F, R))
-    D_buf[:, 0], D_buf[:, 1] = d1, d2
-    D, H = D_buf.transpose(2, 3, 0, 1), H_buf.transpose(3, 4, 0, 1, 2)
-    if len(mesh.curved_tri):
-        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        ct, (li, lj) = mesh.curved_tri, mesh.curved_loc.T
-        ti, tj = mesh.boundary_t.T
-        a = TRI_HATS[li]                                # (B, R)
-        b = TRI_HATS[lj]
-        da = dlam[li]                                   # (B, 2)
-        db = dlam[lj]
-        S = a + b
-        u = b / S
-        dt = (tj - ti)[:, None]
-        cv, dcv, ddcv, _ = _on_arcs(imm, mesh.boundary_edges[:, 2],
-                                    ti[:, None] + dt * u)
-        pi = tp[ct, li]                                 # (B, pd)
-        pj = tp[ct, lj]
-        dp = (pj - pi)[:, None, :]
-        g = cv - (pi[:, None, :] + dp * u[..., None])
-        gp = dt[..., None] * dcv - dp
-        gpp = (dt**2)[..., None] * ddcv
-        Sa = da + db                                    # (B, 2)
-        num = a[..., None] * db[:, None, :] - b[..., None] * da[:, None, :]
-        ua = num / (S**2)[..., None]                    # (B, R, 2)
-        # u_{alpha beta}
-        S2, S3 = (S**2)[..., None, None], (S**3)[..., None, None]
-        uab = ((db[:, :, None] * da[:, None, :]
-                - da[:, :, None] * db[:, None, :])[:, None] / S2
-               - 2.0 * num[..., :, None] * Sa[:, None, None, :] / S3)
-        Sb = S[..., None]
-        # the blend is a sum over a triangle's boundary edges, and two
-        # corner triangles of a rect patch have edges on two arcs
-        np.add.at(Q, ct, Sb * g)
-        for k in range(2):
-            np.add.at(D[..., k], ct, Sa[:, k][:, None, None] * g
-                      + Sb * gp * ua[:, :, k][..., None])
-        u1 = ua[:, :, 0][..., None]
-        u2 = ua[:, :, 1][..., None]
-        np.add.at(H[..., 0, 0], ct, 2 * Sa[:, 0][:, None, None] * gp * u1
-                  + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
-        np.add.at(H[..., 0, 1], ct, Sa[:, 0][:, None, None] * gp * u2
-                  + Sa[:, 1][:, None, None] * gp * u1
-                  + Sb * gpp * u1 * u2
-                  + Sb * gp * uab[:, :, 0, 1][..., None])
-        np.add.at(H[..., 1, 1], ct, 2 * Sa[:, 1][:, None, None] * gp * u2
-                  + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
-        H_buf[:, 1, 0] = H_buf[:, 0, 1]
-    n = F * R
-    return Q.reshape(n, pd), D.reshape(n, pd, 2), H.reshape(n, pd, 2, 2)
+    np.add(q0 + xi * d1, eta * d2, out=np.moveaxis(Q, -1, 0))
+    D_cols = D.transpose(2, 3, 0, 1)
+    D_cols[:, 0], D_cols[:, 1] = d1, d2
+    if not len(ct):
+        return
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    li, lj = mesh.curved_loc[edges].T
+    ti, tj = mesh.boundary_t[edges].T
+    a = rule.hats[li]                               # (B, R)
+    b = rule.hats[lj]
+    da = dlam[li]                                   # (B, 2)
+    db = dlam[lj]
+    S = a + b
+    u = b / S
+    dt = (tj - ti)[:, None]
+    cv, dcv, ddcv, _ = _on_arcs(imm, mesh.boundary_edges[edges, 2],
+                                ti[:, None] + dt * u)
+    pi = tp[ct, li]                                 # (B, pd)
+    pj = tp[ct, lj]
+    dp = (pj - pi)[:, None, :]
+    g = cv - (pi[:, None, :] + dp * u[..., None])
+    gp = dt[..., None] * dcv - dp
+    gpp = (dt**2)[..., None] * ddcv
+    Sa = da + db                                    # (B, 2)
+    num = a[..., None] * db[:, None, :] - b[..., None] * da[:, None, :]
+    ua = num / (S**2)[..., None]                    # (B, R, 2)
+    # u_{alpha beta}
+    S2, S3 = (S**2)[..., None, None], (S**3)[..., None, None]
+    uab = ((db[:, :, None] * da[:, None, :]
+            - da[:, :, None] * db[:, None, :])[:, None] / S2
+           - 2.0 * num[..., :, None] * Sa[:, None, None, :] / S3)
+    Sb = S[..., None]
+    # the blend is a sum over a triangle's boundary edges, and two
+    # corner triangles of a rect patch have edges on two arcs
+    np.add.at(Q, ct, Sb * g)
+    for k in range(2):
+        np.add.at(D[..., k], ct, Sa[:, k][:, None, None] * g
+                  + Sb * gp * ua[:, :, k][..., None])
+    u1 = ua[:, :, 0][..., None]
+    u2 = ua[:, :, 1][..., None]
+    np.add.at(H[..., 0, 0], ct, 2 * Sa[:, 0][:, None, None] * gp * u1
+              + Sb * gpp * u1**2 + Sb * gp * uab[:, :, 0, 0][..., None])
+    np.add.at(H[..., 0, 1], ct, Sa[:, 0][:, None, None] * gp * u2
+              + Sa[:, 1][:, None, None] * gp * u1
+              + Sb * gpp * u1 * u2
+              + Sb * gp * uab[:, :, 0, 1][..., None])
+    np.add.at(H[..., 1, 1], ct, 2 * Sa[:, 1][:, None, None] * gp * u2
+              + Sb * gpp * u2**2 + Sb * gp * uab[:, :, 1, 1][..., None])
+    H[..., 1, 0] = H[..., 0, 1]
 
 
 def _on_arcs(imm: Immersion, arc_id: Array, t: Array) -> Array:
@@ -735,9 +834,10 @@ def _unit_normal(sign: int, E: Array) -> Array:
     return np.stack([sign * c / length for c in n]).T
 
 
-def _frame(sign: int, E: Array):
+def _frame(sign: int, E: Array, weights: Array):
     """The inverse metric (g^11, g^12, g^22) in the frame E (N, 3, 2) as
-    columns, the unit normal and the area element times the Gauss3 weight.
+    columns, the unit normal and the area element times the quadrature
+    weight of each row (``SurfaceMesh.point_weights``).
     The rank test is relative, det G > 1e-20 g11 g22 (the sine of the
     frame's angle above 1e-10), so it holds at every scale of the chart."""
     E1, E2 = E.T
@@ -745,7 +845,7 @@ def _frame(sign: int, E: Array):
     detG = g11 * g22 - g12 * g12
     if not np.all(detG > 1e-20 * (g11 * g22)):
         raise ImmersionError("chart Jacobian is rank deficient at a quadrature point")
-    w_da = (np.sqrt(detG).reshape(-1, len(TRI_WEIGHTS)) * TRI_WEIGHTS).ravel()
+    w_da = np.sqrt(detG) * weights
     return (g22 / detG, -g12 / detG, g11 / detG), _unit_normal(sign, E), w_da
 
 
@@ -784,7 +884,8 @@ class SurfaceChart:
     """Everything about a meshed surface that its immersion alone decides.
 
     The chart of the mesh's immersion at the interior quadrature points
-    (Gauss3 on the blended triangles) and at the boundary quadrature points
+    (the mesh's blocks on the blended triangles) and at the boundary
+    quadrature points
     (Gauss2 on the boundary edges), and the Riemannian geometry read from
     it.  ``surface_chart`` stores the interior per-point arrays
     component-major (``ambient.point_columns``), and so do the derived
@@ -796,9 +897,10 @@ class SurfaceChart:
     """
 
     mesh: SurfaceMesh
-    # interior, one row per (triangle, quadrature point): the positions,
-    # the frame E = (E1, E2) of the surface's derivatives along the
-    # triangle's reference coordinates, and their derivatives F_ab
+    # interior, one row per (triangle, quadrature point) block by block
+    # (``SurfaceMesh.block_rows``): the positions, the frame E = (E1, E2)
+    # of the surface's derivatives along the triangle's reference
+    # coordinates, and their derivatives F_ab
     pos: Array               # (Q, 3)
     E: Array                 # (Q, 3, 2)
     F: Array                 # (Q, 3, 2, 2), symmetric in a, b
@@ -826,7 +928,7 @@ class SurfaceChart:
 
     def __post_init__(self):
         sign = self.mesh.immersion.orientation_sign
-        Ginv, Nv, w_da = _frame(sign, self.E)
+        Ginv, Nv, w_da = _frame(sign, self.E, self.mesh.point_weights)
         S11, S12, S21, S22 = _shape_operator(self.F, Nv, Ginv)
         G11, G12, G22 = Ginv
         fields = dict(Ginv=np.stack([G11, G12, G12, G22]).reshape(

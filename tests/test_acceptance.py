@@ -217,7 +217,8 @@ def test_criterion_2_first_variation_matrix():
         # hemisphere inflation oracle at constant density
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
         val = first_variation_formula(DeformedFamily(data, ScalingFlow()))
-        assert val == pytest.approx(2.0 * TAU, rel=1e-4)
+        # the quadrature error of A_f (measured: 1.18e-9)
+        assert val == pytest.approx(2.0 * TAU, rel=5e-9)
         info["detail"] = (f"{count} FD/formula pairs, max diff {worst:.2e}, "
                           f"inflation A_f' = {val:.6f}")
 

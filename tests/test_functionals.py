@@ -28,16 +28,19 @@ AFFINE_FLOWS = pytest.mark.parametrize("flow", [
 
 
 class TestWeightedArea:
+    """The unit hemisphere's A_f at resolution 32 within 5e-9 relative
+    (measured: 1.18e-9; 6.4e-6 under Gauss3 on the rim triangles)."""
+
     def test_hemisphere_constant(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32)
-        assert np.sum(data.w_daf) == pytest.approx(TAU, rel=2e-4)
+        assert np.sum(data.w_daf) == pytest.approx(TAU, rel=5e-9)
 
     def test_hemisphere_gaussian_closed_form(self):
         """|p| = 1 on the surface, so the density is a constant e^{-1}."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 32,
                                                     "gaussian")
         expected = math.exp(-1.0) * TAU
-        assert np.sum(data.w_daf) == pytest.approx(expected, rel=2e-4)
+        assert np.sum(data.w_daf) == pytest.approx(expected, rel=5e-9)
 
 
 class TestFirstOrderGeometry:
@@ -117,7 +120,8 @@ def stacked_slice(family, s):
     the moved frame."""
     base, flow = family.data, family.flow
     E = moved_frame(flow.jac(s, base.pos), base.E)
-    _, N, w_da = surface._frame(base.mesh.immersion.orientation_sign, E)
+    _, N, w_da = surface._frame(base.mesh.immersion.orientation_sign, E,
+                                base.mesh.point_weights)
     pos = flow.map(s, base.pos)
     return pos, N, w_da * np.exp(base.space.density.psi(pos))
 
@@ -387,20 +391,32 @@ class TestFamilySlices:
     def test_slices_match_the_chart_first_association(self, kind, flow):
         """A family moves the base frame, Dphi (J D); composing the flow
         with the chart first, (Dphi J) D, differs by rounding only: N
-        within 4 eps, w da_f within 16 eps relative, K and |sigma|^2
-        within 48 eps of their largest value and H_f within 64 eps
-        (measured: 2.1, 9.8, 27.5 and 32 eps)."""
+        within 4 eps, w da_f within 16 eps relative, H_f within 64 eps,
+        and K and |sigma|^2 within 48 eps of their largest value on the
+        Gauss3 block (measured: 2.1, 9.8, 52, 24 and 27.6 eps).  On the
+        collapsed block of a cap's rim triangles, K and |sigma|^2 are
+        within 4 eps of the size (sum_ab |g^ab| |F_ab|)^2 of the terms they
+        are summed from at each point (measured: 0.96 eps); there the
+        cone's K, zero but for rounding, differs by 52 eps of its largest
+        value."""
         data = cf.free_geometry(kind, 16, "gaussian")
         family = DeformedFamily(data, flow)
         for s in (1e-3, -5e-3, 0.2, -0.2):
             got, want = family.geometry(s), chart_first_slice(family, s)
             assert cf.eps_apart(got.N, want.N) <= 4.0
             assert cf.eps_apart(got.w_daf, want.w_daf, relative=True) <= 16.0
-            for name in ("K", "sigma2"):
-                scale = float(np.max(np.abs(getattr(want, name))))
-                assert cf.eps_apart(getattr(got, name),
-                                    getattr(want, name)) <= 48.0 * scale
             assert cf.eps_apart(got.H_f, want.H_f) <= 64.0
+            for block, rows in data.mesh.block_rows():
+                for name in ("K", "sigma2"):
+                    g, w = getattr(got, name)[rows], getattr(want, name)[rows]
+                    if block.rule is surface.GAUSS3:
+                        scale = float(np.max(np.abs(w)))
+                        assert cf.eps_apart(g, w) <= 48.0 * scale, name
+                        continue
+                    size = sum(np.abs(want.Ginv[rows, a, b])
+                               * np.linalg.norm(want.F[rows, :, a, b], axis=1)
+                               for a in range(2) for b in range(2)) ** 2
+                    assert np.max(np.abs(g - w) / size) <= 4.0 * cf.EPS, name
 
     @pytest.mark.parametrize("exact_slice", ["cone-cap", "slab-slice"])
     def test_slices_match_exact_surfaces(self, exact_slice):
@@ -481,16 +497,21 @@ class TestFamilySlices:
 
 
 class TestFirstVariation:
+    """The unit hemisphere's inflation at resolution 24: A_f' = 4 pi and
+    V_f' = 2 pi within 2e-8 relative, the quadrature error of A_f
+    (measured: 4.7e-9 on all three; 1.16e-5 under Gauss3 on the rim
+    triangles)."""
+
     def test_hemisphere_inflation_formula_is_4pi(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
         val = first_variation_formula(DeformedFamily(data, ScalingFlow()))
-        assert val == pytest.approx(2.0 * TAU, rel=1e-4)
+        assert val == pytest.approx(2.0 * TAU, rel=2e-8)
 
     def test_hemisphere_inflation_fd_matches(self):
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(data, ScalingFlow())
         fd = first_variation_fd(family)
-        assert fd.value == pytest.approx(2.0 * TAU, rel=1e-4)
+        assert fd.value == pytest.approx(2.0 * TAU, rel=2e-8)
         assert fd.error_estimate < 1e-5
 
     @pytest.mark.parametrize("kind,density,params,flow", [
@@ -521,7 +542,7 @@ class TestFirstVariation:
         """V_f'(0) = int u da_f, with u = 1 on the unit hemisphere."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24)
         family = DeformedFamily(data, ScalingFlow())
-        assert family._slice(0.0)[1] == pytest.approx(TAU, rel=1e-4)
+        assert family._slice(0.0)[1] == pytest.approx(TAU, rel=2e-8)
 
     def test_inadmissible_field_is_rejected(self):
         """Tilting the half-sphere about the x axis turns its boundary off

@@ -76,14 +76,29 @@ class TestStabilityTopologyChain:
         assert chain["bound2"] == 0.0
 
     def test_hemisphere_borderline_density(self):
+        """The k = -2 half-sphere is the chain's equality case: bound1 is 0
+        to the quadrature error of A_f, within 1.2e-7 (measured: 2.97e-8;
+        7.27e-5 under Gauss3 on the rim triangles)."""
         space, imm, mesh, data = cf.cached_geometry("hemisphere", 24,
                                                     "radial-log", k=-2.0)
         chain = stability_topology_chain(data)
         assert chain["asserted"] and chain["chain_holds"]
         assert chain["chi"] == 1
         assert chain["I_f_u"] == pytest.approx(0.0, abs=1e-6)
-        assert chain["bound1"] == pytest.approx(0.0, abs=1e-3)
+        assert chain["bound1"] == pytest.approx(0.0, abs=1.2e-7)
         assert chain["bound2"] == pytest.approx(TAU, rel=1e-12)
+
+    def test_borderline_density_at_resolution_16(self):
+        """The equality case at resolution 16, where Gauss3 on the rim
+        triangles gave bound1 = 1.67e-4, above the chain's floor of 1e-4:
+        the chain held there only because that error was positive.  Now
+        |bound1| is within 1e-6 (measured: 2.2e-7), far below the floor,
+        so the chain holds whichever sign the error takes."""
+        space, imm, mesh, data = cf.cached_geometry("hemisphere", 16,
+                                                    "radial-log", k=-2.0)
+        chain = stability_topology_chain(data)
+        assert chain["asserted"] and chain["chain_holds"]
+        assert abs(chain["bound1"]) <= 1e-6
 
     def test_sphere_in_ball_complement(self):
         from conftest import make_space
